@@ -21,6 +21,7 @@ from .nets import (
     adam_step,
     mlp_backward,
     mlp_forward,
+    mlp_forward_cached,
     mlp_init,
 )
 
@@ -82,13 +83,16 @@ def trainer_reward(variant: str, d, a_t, exponent_sign: float = -1.0):
     return float(out) if out.ndim == 0 else out
 
 
+def _split_heads(y: np.ndarray):
+    """(mean, log_std, raw log_std) from actor output rows; log_std hard-clipped."""
+    da = y.shape[1] // 2
+    raw = y[:, da:]
+    return y[:, :da], np.clip(raw, LOG_STD_MIN, LOG_STD_MAX), raw
+
+
 def _policy_heads(actor: MlpParams, states: np.ndarray):
     """(mean, log_std, raw log_std) from the actor net; log_std hard-clipped."""
-    y = mlp_forward(actor, np.atleast_2d(states))
-    da = y.shape[1] // 2
-    mean = y[:, :da]
-    raw = y[:, da:]
-    return mean, np.clip(raw, LOG_STD_MIN, LOG_STD_MAX), raw
+    return _split_heads(mlp_forward(actor, np.atleast_2d(states)))
 
 
 # The two losses that score boundary actions clamp their pre-squash values to
@@ -190,10 +194,11 @@ def student_act(agent: StudentAgent, state, mode: str, rng=None) -> np.ndarray:
 
 
 def _critic_loss_grads(critic, states, targets):
-    v = mlp_forward(critic, states)[:, 0]
+    y, cache = mlp_forward_cached(critic, states)
+    v = y[:, 0]
     err = v - targets
     loss = float(np.mean(err**2))
-    grads, _ = mlp_backward(critic, states, (2.0 * err / len(err))[:, None])
+    grads, _ = mlp_backward(critic, cache, (2.0 * err / len(err))[:, None])
     return loss, grads, v
 
 
@@ -211,7 +216,8 @@ def _actor_loss_grads(actor, states, actions, weights, entropy_coef):
     """Weighted log-likelihood ascent plus entropy bonus; weights >= 0 are
     treated as constants (exponentiated advantages in training). The loss
     and its gradient both use the clamped pre-squash value of the actions."""
-    mean, log_std, raw = _policy_heads(actor, states)
+    y, cache = mlp_forward_cached(actor, states)
+    mean, log_std, raw = _split_heads(y)
     u = _clamped_atanh(actions)
     std = np.exp(log_std)
     z = (u - mean) / std
@@ -225,7 +231,7 @@ def _actor_loss_grads(actor, states, actions, weights, entropy_coef):
     d_logstd = (-(w * (z**2 - 1.0)) - entropy_coef) / n
     d_logstd = d_logstd * ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX))
     upstream = np.concatenate([d_mean, d_logstd], axis=1)
-    grads, _ = mlp_backward(actor, states, upstream)
+    grads, _ = mlp_backward(actor, cache, upstream)
     return loss, grads, float(np.mean(ent))
 
 

@@ -27,7 +27,7 @@ from .nets import (
     adam_init,
     adam_step,
     mlp_backward,
-    mlp_forward,
+    mlp_forward_cached,
     mlp_init,
 )
 
@@ -69,27 +69,16 @@ def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
                      adam_init(potential, lr=lr), gamma)
 
 
-def airl_f(heads: AirlHeads, s, a, sp) -> float:
-    """f(s,a,s') = r(s,a) + gamma V(s') - V(s) for a single transition."""
-    return float(airl_f_batch(heads, np.atleast_2d(s), np.atleast_2d(a),
-                              np.atleast_2d(sp))[0])
+def airl_f_batch(heads: AirlHeads, s, a, sp):
+    """f(s,a,s') = r(s,a) + gamma V(s') - V(s) per row.
 
-
-def airl_f_batch(heads: AirlHeads, s, a, sp) -> np.ndarray:
+    Returns (f, caches): caches are the forward caches of r(s,a), V(s) and
+    V(s'), in that order, for mlp_backward."""
     sa = np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1)
-    r = mlp_forward(heads.reward, sa)[:, 0]
-    v = mlp_forward(heads.potential, np.atleast_2d(s))[:, 0]
-    vp = mlp_forward(heads.potential, np.atleast_2d(sp))[:, 0]
-    return r + heads.gamma * vp - v
-
-
-def airl_disc(f, pi_density) -> float:
-    """exp(f) / (exp(f) + pi), evaluated in log space as sigmoid(f - log pi)."""
-    pi = np.asarray(pi_density, dtype=np.float64)
-    if (pi <= 0).any() or not np.isfinite(pi).all():
-        raise ValueError("policy density must be positive and finite")
-    out = 1.0 / (1.0 + np.exp(-(np.asarray(f, float) - np.log(pi))))
-    return float(out) if out.ndim == 0 else out
+    r, c_r = mlp_forward_cached(heads.reward, sa)
+    v, c_v = mlp_forward_cached(heads.potential, np.atleast_2d(s))
+    vp, c_vp = mlp_forward_cached(heads.potential, np.atleast_2d(sp))
+    return r[:, 0] + heads.gamma * vp[:, 0] - v[:, 0], (c_r, c_v, c_vp)
 
 
 def _student_logp(student: StudentAgent, s, a) -> np.ndarray:
@@ -112,8 +101,8 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
     as constants."""
     se, ae, spe = (np.atleast_2d(v) for v in expert_batch)
     ss, as_, sps = (np.atleast_2d(v) for v in student_batch)
-    fe = airl_f_batch(heads, se, ae, spe)
-    fs = airl_f_batch(heads, ss, as_, sps)
+    fe, caches_e = airl_f_batch(heads, se, ae, spe)
+    fs, caches_s = airl_f_batch(heads, ss, as_, sps)
     me = fe - logp_expert
     ms = fs - logp_student
     loss = float(np.mean(np.logaddexp(0.0, -me)) + np.mean(np.logaddexp(0.0, ms)))
@@ -123,11 +112,10 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
 
     r_grads = None
     v_grads = None
-    for s, a, sp, df in ((se, ae, spe, dme), (ss, as_, sps, dms)):
-        sa = np.concatenate([s, a], axis=1)
-        g_r, _ = mlp_backward(heads.reward, sa, df[:, None])
-        g_vp, _ = mlp_backward(heads.potential, sp, (heads.gamma * df)[:, None])
-        g_v, _ = mlp_backward(heads.potential, s, (-df)[:, None])
+    for (c_r, c_v, c_vp), df in ((caches_e, dme), (caches_s, dms)):
+        g_r, _ = mlp_backward(heads.reward, c_r, df[:, None])
+        g_vp, _ = mlp_backward(heads.potential, c_vp, (heads.gamma * df)[:, None])
+        g_v, _ = mlp_backward(heads.potential, c_v, (-df)[:, None])
         if r_grads is None:
             r_grads, v_grads = g_r, g_vp
             for k in range(v_grads.n_layers):
@@ -158,32 +146,16 @@ def airl_update(heads: AirlHeads, student: StudentAgent, expert_batch,
     return loss
 
 
-def run_gail(config, expert: ExpertDataset, run_dir=None):
-    """Adversarial run with the discriminator-derived student reward."""
-    from . import orchestrator
-
-    cfg = orchestrator.replace(config, algorithm="gail")
-    return orchestrator.run_training(cfg, expert, run_dir)
-
-
-def run_airl(config, expert: ExpertDataset, run_dir=None):
-    """Adversarial run training AirlHeads; student reward is f(s,a,s')."""
-    from . import orchestrator
-
-    cfg = orchestrator.replace(config, algorithm="airl")
-    return orchestrator.run_training(cfg, expert, run_dir)
-
-
 def _bc_loss_and_grads(actor: MlpParams, states, targets):
     """Squared error of the squashed actor mean against expert actions."""
-    y = mlp_forward(actor, states)
+    y, cache = mlp_forward_cached(actor, states)
     da = y.shape[1] // 2
     mean = np.tanh(y[:, :da])
     err = mean - targets
     loss = float(np.mean(np.sum(err**2, axis=1)))
     up_mean = 2.0 * err * (1.0 - mean**2) / len(states)
     upstream = np.concatenate([up_mean, np.zeros_like(up_mean)], axis=1)
-    grads, _ = mlp_backward(actor, states, upstream)
+    grads, _ = mlp_backward(actor, cache, upstream)
     return loss, grads
 
 
@@ -230,12 +202,10 @@ def run_bc(config, expert: ExpertDataset, run_dir=None):
 
     artifacts = orchestrator.RunArtifacts(cfg, run_dir, student, None, None)
     orchestrator._checkpoint(run_dir, "final", student, None, None, None)
-    from .metrics import evaluate_policy, goal_reached
+    from .metrics import evaluate_policy
 
-    artifacts.final_return, _ = evaluate_policy(cfg.env, student, cfg.eval_episodes,
-                                                seed=cfg.seed)
-    artifacts.final_goal_rate = goal_reached(cfg.env, student, cfg.eval_episodes,
-                                             seed=cfg.seed)
+    artifacts.final_return, _, artifacts.final_goal_rate = evaluate_policy(
+        cfg.env, student, cfg.eval_episodes, seed=cfg.seed)
     artifacts.diagnostics_rows = diag.rows
     artifacts.metrics_rows = metrics.rows
     return artifacts

@@ -21,6 +21,8 @@ from .nets import (
     _forward_cached,
     adam_init,
     adam_step,
+    mlp_backward,
+    mlp_forward_cached,
     mlp_init,
     zeros_like_params,
 )
@@ -82,8 +84,8 @@ def _softplus(z):
 def _bce_loss_and_grads(params: MlpParams, xe: np.ndarray, xs: np.ndarray):
     """Loss = -mean log D(expert) - mean log(1-D(student)) and its exact
     parameter gradients, through the logit clamp."""
-    ye, ze, he = _forward_cached(params, xe)
-    ys, zs, hs = _forward_cached(params, xs)
+    ye, cache_e = mlp_forward_cached(params, xe)
+    ys, cache_s = mlp_forward_cached(params, xs)
     le = np.clip(ye[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
     ls = np.clip(ys[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
     loss = float(np.mean(_softplus(-le)) + np.mean(_softplus(ls)))
@@ -94,15 +96,11 @@ def _bce_loss_and_grads(params: MlpParams, xe: np.ndarray, xs: np.ndarray):
     gs = (1.0 / (1.0 + np.exp(-ls))) / len(ls)
     gs = np.where(np.abs(ys[:, 0]) < LOGIT_CLAMP, gs, 0.0)
 
-    grads = zeros_like_params(params)
-    for x, cache, up in ((xe, (ze, he), ge), (xs, (zs, hs), gs)):
-        zsl, hsl = cache
-        delta = up[:, None]
-        for k in range(params.n_layers - 1, -1, -1):
-            delta = delta * _act_grad(params.activations[k], zsl[k], hsl[k + 1])
-            grads.weights[k] += delta.T @ hsl[k]
-            grads.biases[k] += delta.sum(axis=0)
-            delta = delta @ params.weights[k]
+    grads, _ = mlp_backward(params, cache_e, ge[:, None])
+    grads_s, _ = mlp_backward(params, cache_s, gs[:, None])
+    for k in range(grads.n_layers):
+        grads.weights[k] += grads_s.weights[k]
+        grads.biases[k] += grads_s.biases[k]
     return loss, grads
 
 
@@ -155,32 +153,13 @@ def _gp_loss_and_grads(params: MlpParams, x: np.ndarray):
     return loss, grads
 
 
-def _bce_loss_only(params: MlpParams, xe: np.ndarray, xs: np.ndarray) -> float:
-    ye, _, _ = _forward_cached(params, xe)
-    ys, _, _ = _forward_cached(params, xs)
-    le = np.clip(ye[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
-    ls = np.clip(ys[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
-    return float(np.mean(_softplus(-le)) + np.mean(_softplus(ls)))
-
-
-def disc_loss(net: DiscriminatorNet, expert_batch, student_batch,
-              gp_weight: float, interp: np.ndarray | None = None) -> float:
-    """Training loss at the current parameters (no update)."""
-    xe = _join(*expert_batch)
-    xs = _join(*student_batch)
-    loss = _bce_loss_only(net.params, xe, xs)
-    if gp_weight > 0 and interp is not None:
-        norms = np.linalg.norm(input_gradients(net.params, interp), axis=1)
-        loss += gp_weight * float(np.mean((norms - 1.0) ** 2))
-    return loss
-
-
 def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
                 gp_weight: float, rng=None):
     """One Adam step on BCE + gp_weight * gradient penalty.
 
-    Returns (net, post-step loss). Rejects non-finite losses/gradients
-    without touching the network.
+    Returns (net, loss), where loss is the BCE + gp_weight * GP that the
+    step descended, at the parameters before the step. Rejects non-finite
+    losses/gradients without touching the network.
     """
     xe = _join(*expert_batch)
     xs = _join(*student_batch)
@@ -188,7 +167,6 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
         raise ValueError("expert and student batches must be non-empty")
 
     loss, grads = _bce_loss_and_grads(net.params, xe, xs)
-    interp = None
     if gp_weight > 0:
         if rng is None:
             raise ValueError("gradient penalty needs an rng for interpolation")
@@ -206,7 +184,7 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
     params, opt = adam_step(net.params, grads, net.opt)
     net.params, net.opt = params, opt
     net.updates += 1
-    return net, disc_loss(net, expert_batch, student_batch, gp_weight, interp)
+    return net, loss
 
 
 def optimal_disc_oracle(p_expert, p_student) -> np.ndarray:

@@ -228,7 +228,8 @@ def _run_episode(spec, policy, deterministic, rng, ep_seed, action_noise):
 def evaluate_policy(spec: MazeSpec, policy, episodes: int,
                     deterministic: bool = True, seed: int = 0,
                     action_noise: float = 0.0):
-    """Mean undiscounted environment return and its standard error.
+    """(mean undiscounted environment return, its standard error, fraction
+    of episodes that reach the goal), from one pass over the episodes.
 
     policy is a StudentAgent or any object with act(state) (and optionally
     reset()) such as the scripted expert controller. action_noise models a
@@ -237,22 +238,11 @@ def evaluate_policy(spec: MazeSpec, policy, episodes: int,
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    returns = [
+    returns, reached = zip(*(
         _run_episode(spec, policy, deterministic, rng, seed * 100_003 + ep,
-                     action_noise)[0]
+                     action_noise)
         for ep in range(episodes)
-    ]
+    ))
     returns = np.asarray(returns)
     stderr = float(returns.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
-    return float(returns.mean()), stderr
-
-
-def goal_reached(spec: MazeSpec, policy, episodes: int = 10, seed: int = 0,
-                 action_noise: float = 0.0) -> float:
-    """Fraction of deterministic episodes that end at the goal."""
-    rng = np.random.default_rng(seed)
-    hits = sum(
-        _run_episode(spec, policy, True, rng, seed * 100_003 + ep, action_noise)[1]
-        for ep in range(episodes)
-    )
-    return hits / episodes
+    return float(returns.mean()), stderr, sum(reached) / episodes

@@ -162,22 +162,31 @@ def _forward_cached(params: MlpParams, x: np.ndarray):
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
     """Evaluate the network. Accepts a single vector or a [n, in_dim] batch."""
-    xb, squeeze = _as_batch(x, params.in_dim)
-    y, _, _ = _forward_cached(params, xb)
-    return y[0] if squeeze else y
+    return mlp_forward_cached(params, x)[0]
 
 
-def mlp_backward(params: MlpParams, x, upstream):
-    """Exact gradients of <output, upstream> w.r.t. parameters and input.
+def mlp_forward_cached(params: MlpParams, x):
+    """mlp_forward that also returns the cache mlp_backward needs.
 
-    For batched x the parameter gradients are summed over the batch rows.
-    Returns (param_grads: MlpParams-shaped, input_grad).
+    Returns (output, cache). The cache holds the per-layer pre-activations
+    and activations of this forward and whether x was a single vector.
     """
     xb, squeeze = _as_batch(x, params.in_dim)
+    y, zs, hs = _forward_cached(params, xb)
+    return (y[0] if squeeze else y), (zs, hs, squeeze)
+
+
+def mlp_backward(params: MlpParams, cache, upstream):
+    """Exact gradients of <output, upstream> w.r.t. parameters and input,
+    from the cache of the forward pass mlp_forward_cached made.
+
+    For batched input the parameter gradients are summed over the batch rows.
+    Returns (param_grads: MlpParams-shaped, input_grad).
+    """
+    zs, hs, squeeze = cache
     ub, usq = _as_batch(upstream, params.out_dim, what="upstream gradient")
-    if xb.shape[0] != ub.shape[0]:
+    if hs[0].shape[0] != ub.shape[0]:
         raise ValueError("input and upstream gradient batch sizes differ")
-    _, zs, hs = _forward_cached(params, xb)
 
     gws = [None] * params.n_layers
     gbs = [None] * params.n_layers
@@ -189,15 +198,6 @@ def mlp_backward(params: MlpParams, x, upstream):
         delta = delta @ params.weights[k]
     grads = MlpParams(gws, gbs, list(params.activations), validate=False)
     return grads, (delta[0] if squeeze and usq else delta)
-
-
-def mlp_input_grad(params: MlpParams, x) -> np.ndarray:
-    """Gradient of the (scalar-output) network w.r.t. its input."""
-    if params.out_dim != 1:
-        raise ValueError("input gradient shortcut requires scalar output")
-    xb, squeeze = _as_batch(x, params.in_dim)
-    _, g = mlp_backward(params, xb, np.ones((xb.shape[0], 1)))
-    return g[0] if squeeze else g
 
 
 @dataclass

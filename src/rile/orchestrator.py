@@ -10,7 +10,6 @@ master seed, which makes whole runs bit-reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field, asdict, replace
@@ -33,8 +32,8 @@ from .agents import (
 )
 from .discriminator import DiscriminatorNet, disc_output, disc_update, make_discriminator
 from .envs import ExpertDataset, MazeSpec, maze_reset, maze_step
-from .metrics import MetricsWindow, cpr, evaluate_policy, fs_rfdc, goal_reached, rfdc
-from .nets import mlp_to_bytes, save_mlp
+from .metrics import MetricsWindow, cpr, evaluate_policy, fs_rfdc, rfdc
+from .nets import save_mlp
 
 ALGORITHMS = ("rile_on", "rile_off", "gail", "airl", "bc")
 
@@ -78,19 +77,6 @@ class ReplayBuffer:
         idx = rng.choice(self._size, size=batch_size, replace=False)
         return {k: v[idx] for k, v in self._cols.items()}
 
-    def contents(self) -> dict:
-        """All rows in insertion order, oldest first."""
-        if self._size < self.capacity:
-            order = np.arange(self._size)
-        else:
-            order = np.concatenate([np.arange(self._ptr, self.capacity),
-                                    np.arange(self._ptr)])
-        return {k: v[order] for k, v in self._cols.items()}
-
-    def set_rows(self, idx, **row_arrays):
-        for k, v in row_arrays.items():
-            self._cols[k][idx] = v
-
 
 @dataclass
 class FreezeMonitor:
@@ -113,10 +99,6 @@ class FreezeMonitor:
         if len(self.history) == self.window and np.mean(self.history) < self.threshold:
             self.fired = True
         return self.fired
-
-
-def freeze_check(monitor: FreezeMonitor, new_loss: float) -> bool:
-    return monitor.check(new_loss)
 
 
 @dataclass
@@ -222,45 +204,6 @@ def expert_transition_table(expert: ExpertDataset) -> dict:
             "obs": obs, "obsp": obsp}
 
 
-def mix_expert_into_buffer(buffer: ReplayBuffer, expert: ExpertDataset,
-                           fraction: float, rng) -> ReplayBuffer:
-    """Replaces a `fraction` share of the buffer's current rows with
-    expert-sourced records (actions from the data; rewards are placeholders
-    relabeled at sample time). fraction 0 leaves the buffer untouched;
-    fraction 1 makes every row expert-sourced. Expert records repeat when
-    the dataset is smaller than the slots to fill.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    if fraction == 0.0 or len(buffer) == 0:
-        return buffer
-    if expert.n_steps < 1:
-        raise ValueError("expert dataset too small to satisfy the requested "
-                         "fraction at capacity: needs at least 1 record")
-    table = expert_transition_table(expert)
-    n_fill = int(np.ceil(fraction * len(buffer)))
-    slots = rng.choice(len(buffer), size=n_fill, replace=False)
-    picks = rng.integers(0, len(table["s"]), size=n_fill)
-    cols = set(buffer._cols)
-    if {"s", "a", "sp"} <= cols:  # student-style buffer
-        buffer.set_rows(slots, s=table["s"][picks], a=table["a"][picks],
-                        sp=table["sp"][picks], done=table["done"][picks])
-        if "r" in cols:
-            buffer.set_rows(slots, r=np.zeros(n_fill))
-        if "expert" in cols:
-            buffer.set_rows(slots, expert=np.ones(n_fill))
-    elif {"obs", "obsp"} <= cols:  # trainer-style buffer
-        buffer.set_rows(slots, obs=table["obs"][picks], obsp=table["obsp"][picks],
-                        done=table["done"][picks])
-        if "a_t" in cols:
-            buffer.set_rows(slots, a_t=np.zeros(n_fill))
-        if "expert" in cols:
-            buffer.set_rows(slots, expert=np.ones(n_fill))
-    else:
-        raise ValueError("buffer schema not recognized for expert mixing")
-    return buffer
-
-
 @dataclass
 class RunArtifacts:
     config: RunConfig
@@ -319,13 +262,6 @@ def _checkpoint(run_dir, tag, student, trainer, disc, airl):
         save_mlp(airl.potential, os.path.join(base, "airl", "potential.mlp"))
 
 
-def trainer_params_digest(trainer: TrainerAgent) -> str:
-    h = hashlib.sha256()
-    for p in (trainer.actor, trainer.critic, trainer.critic_target):
-        h.update(mlp_to_bytes(p))
-    return h.hexdigest()
-
-
 class _RewardPathway:
     """Per-algorithm reward computation and learner updates."""
 
@@ -382,11 +318,7 @@ class _RewardPathway:
         if self.cfg.algorithm == "gail":
             d = disc_output(self.disc, s, a)
             return self.bl.gail_student_reward(d)
-        return self.bl.airl_f_batch(self.airl, s, a, sp)
-
-    def expert_batch(self, batch_size, rng):
-        idx = rng.integers(0, len(self.expert_table["s"]), size=batch_size)
-        return idx
+        return self.bl.airl_f_batch(self.airl, s, a, sp)[0]
 
 
 class _Collector:
@@ -439,15 +371,15 @@ def _update_student(cfg, student, pathway, buf_s, rng):
 def _update_disc(cfg, pathway, student, buf_d, rng):
     if pathway.disc is not None:
         b = buf_d.sample(cfg.disc_batch, rng)
-        idx = pathway.expert_batch(cfg.disc_batch, rng)
         te = pathway.expert_table
+        idx = rng.integers(0, len(te["s"]), size=cfg.disc_batch)
         _, loss = disc_update(pathway.disc, (te["s"][idx], te["a"][idx]),
                               (b["s"], b["a"]), cfg.gp_weight, rng)
         return {"disc_loss": loss}
     if pathway.airl is not None:
         b = buf_d.sample(cfg.disc_batch, rng)
-        idx = pathway.expert_batch(cfg.disc_batch, rng)
         te = pathway.expert_table
+        idx = rng.integers(0, len(te["s"]), size=cfg.disc_batch)
         loss = pathway.bl.airl_update(
             pathway.airl, student,
             (te["s"][idx], te["a"][idx], te["sp"][idx]),
@@ -474,7 +406,7 @@ def _update_trainer(cfg, pathway, buf_t, monitor, rng, artifacts, step):
     r_t = trainer_reward(cfg.trainer_reward_variant, d, a_t,
                          cfg.trainer_reward_exponent_sign)
     _, diag = trainer_update(trainer, (b["obs"], a_t, r_t, b["obsp"], b["done"]))
-    if freeze_check(monitor, diag["critic_loss"]) and not trainer.frozen:
+    if monitor.check(diag["critic_loss"]) and not trainer.frozen:
         trainer.frozen = True
         artifacts.freeze_step = step
     return {"trainer_critic_loss": diag["critic_loss"], "r_t": r_t, "a_t": a_t}
@@ -619,11 +551,9 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
                     diag_log.write(diag)
 
             if step % cfg.eval_every == 0:
-                ret, _ = evaluate_policy(cfg.env, student, cfg.eval_episodes,
-                                         deterministic=True, seed=cfg.seed,
-                                         action_noise=cfg.action_noise)
-                rate = goal_reached(cfg.env, student, cfg.eval_episodes, seed=cfg.seed,
-                                    action_noise=cfg.action_noise)
+                ret, _, rate = evaluate_policy(cfg.env, student, cfg.eval_episodes,
+                                               deterministic=True, seed=cfg.seed,
+                                               action_noise=cfg.action_noise)
                 last_eval = ret
                 diag_log.write({"step": step, "eval_return": ret, "goal_rate": rate,
                                 "frozen": bool(pathway.trainer.frozen)
@@ -690,7 +620,7 @@ def _run_onpolicy(cfg, expert, streams, student, pathway, artifacts, diag_log,
 
             nb = min(cfg.disc_batch, len(rows))
             idx_s = streams["disc"].choice(len(rows), size=nb, replace=False)
-            idx_e = pathway.expert_batch(nb, streams["disc"])
+            idx_e = streams["disc"].integers(0, len(te["s"]), size=nb)
             _, dloss = disc_update(pathway.disc, (te["s"][idx_e], te["a"][idx_e]),
                                    (s[idx_s], a[idx_s]), cfg.gp_weight, streams["disc"])
 
@@ -707,7 +637,7 @@ def _run_onpolicy(cfg, expert, streams, student, pathway, artifacts, diag_log,
                 corr_rt.extend(r_t.tolist())
                 corr_at.extend(a_t.tolist())
                 _, tdiag = trainer_update(pathway.trainer, (obs, a_t, r_t, obsp, t_done))
-                if freeze_check(monitor, tdiag["critic_loss"]) and not pathway.trainer.frozen:
+                if monitor.check(tdiag["critic_loss"]) and not pathway.trainer.frozen:
                     pathway.trainer.frozen = True
                     artifacts.freeze_step = step
                 diag_row = {"step": step, "student_critic_loss": sdiag["critic_loss"],
@@ -721,11 +651,9 @@ def _run_onpolicy(cfg, expert, streams, student, pathway, artifacts, diag_log,
                 diag_log.write(diag_row)
 
             if step // cfg.eval_every > (step - len(rows)) // cfg.eval_every:
-                ret, _ = evaluate_policy(cfg.env, student, cfg.eval_episodes,
-                                         deterministic=True, seed=cfg.seed,
-                                         action_noise=cfg.action_noise)
-                rate = goal_reached(cfg.env, student, cfg.eval_episodes, seed=cfg.seed,
-                                    action_noise=cfg.action_noise)
+                ret, _, rate = evaluate_policy(cfg.env, student, cfg.eval_episodes,
+                                               deterministic=True, seed=cfg.seed,
+                                               action_noise=cfg.action_noise)
                 last_eval = ret
                 diag_log.write({"step": step, "eval_return": ret, "goal_rate": rate,
                                 "frozen": pathway.trainer.frozen})
@@ -752,10 +680,7 @@ def _finalize(cfg, artifacts, student, pathway, tracker, metrics_log, diag_log,
     artifacts.windows = tracker.windows
     artifacts.metrics_rows = metrics_log.rows
     artifacts.diagnostics_rows = diag_log.rows
-    artifacts.final_return, _ = evaluate_policy(cfg.env, student, cfg.eval_episodes,
-                                                deterministic=True, seed=cfg.seed,
-                                                action_noise=cfg.action_noise)
-    artifacts.final_goal_rate = goal_reached(cfg.env, student, cfg.eval_episodes,
-                                             seed=cfg.seed,
-                                             action_noise=cfg.action_noise)
+    artifacts.final_return, _, artifacts.final_goal_rate = evaluate_policy(
+        cfg.env, student, cfg.eval_episodes, deterministic=True, seed=cfg.seed,
+        action_noise=cfg.action_noise)
     _checkpoint(run_dir, "final", student, pathway.trainer, pathway.disc, pathway.airl)

@@ -93,6 +93,31 @@ class TestUpdate:
             disc_update(net, (np.ones((2, 1)), np.ones((2, 1))),
                         (np.zeros((2, 1)), np.zeros((2, 1))), gp_weight=1.0)
 
+    def test_returns_pre_step_loss(self):
+        rng = np.random.default_rng(12)
+        net = make_discriminator(2, 1, (8,), lr=1e-2, rng=rng)
+        xe = (rng.normal(size=(6, 2)), rng.normal(size=(6, 1)))
+        xs = (rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        gp_weight = 0.5
+        draw = np.random.default_rng()
+        draw.bit_generator.state = rng.bit_generator.state  # same interpolation draw
+        before = net.params.copy()
+        net, loss = disc_update(net, xe, xs, gp_weight, rng=rng)
+
+        ex, sx = np.concatenate(xe, axis=1), np.concatenate(xs, axis=1)
+        u = draw.uniform(size=(4, 1))
+        interp = u * ex[:4] + (1.0 - u) * sx[:4]
+
+        def total_loss(params):
+            probe = DiscriminatorNet(params, net.opt)
+            bce = (-np.mean(np.log(disc_output(probe, *xe)))
+                   - np.mean(np.log1p(-disc_output(probe, *xs))))
+            norms = np.linalg.norm(input_gradients(params, interp), axis=1)
+            return bce + gp_weight * np.mean((norms - 1.0) ** 2)
+
+        assert loss == pytest.approx(total_loss(before), rel=1e-12)
+        assert loss != pytest.approx(total_loss(net.params), rel=1e-6)
+
     def test_update_counter(self):
         net = zero_disc()
         b = (np.ones((2, 1)), np.ones((2, 1)))

@@ -13,7 +13,6 @@ from rile.metrics import (
     cpr,
     evaluate_policy,
     fs_rfdc,
-    goal_reached,
     grid_centers,
     landscape_grid,
     load_grid_csv,
@@ -288,16 +287,17 @@ class _Still:
 class TestEvaluatePolicy:
     def test_never_moving_policy_pays_living_cost(self):
         spec = MazeSpec()
-        mean, stderr = evaluate_policy(spec, _Still(), episodes=3, seed=0)
+        mean, stderr, goal_rate = evaluate_policy(spec, _Still(), episodes=3, seed=0)
         assert mean == pytest.approx(-0.001 * spec.max_steps, abs=1e-12)
         assert stderr == 0.0
+        assert goal_rate == 0.0
 
     def test_scripted_expert_reaches_goal(self):
         spec = MazeSpec()
         ctrl = WaypointController(spec)
-        mean, _ = evaluate_policy(spec, ctrl, episodes=2, seed=1)
+        mean, _, goal_rate = evaluate_policy(spec, ctrl, episodes=2, seed=1)
         assert mean >= 1.0 - 0.001 * spec.max_steps
-        assert goal_reached(spec, ctrl, episodes=2, seed=1) == 1.0
+        assert goal_rate == 1.0
 
     def test_deterministic_eval_repeatable(self):
         rng = np.random.default_rng(16)

@@ -12,6 +12,7 @@ from rile.nets import (
     load_mlp,
     mlp_backward,
     mlp_forward,
+    mlp_forward_cached,
     mlp_from_bytes,
     mlp_init,
     mlp_to_bytes,
@@ -92,7 +93,7 @@ class TestBackward:
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         p = single_layer(w, [0.0, 0.0], "identity")
         x = np.array([0.7, -1.3])
-        grads, gx = mlp_backward(p, x, [1.0, 0.0])
+        grads, gx = mlp_backward(p, mlp_forward_cached(p, x)[1], [1.0, 0.0])
         assert np.array_equal(grads.biases[0], [1.0, 0.0])
         assert np.array_equal(grads.weights[0], np.outer([1.0, 0.0], x))
         assert np.array_equal(gx, w[0])
@@ -100,7 +101,7 @@ class TestBackward:
     def test_relu_subgradient_at_zero_is_zero(self):
         # Pre-activation exactly 0: convention pins the subgradient to 0.
         p = single_layer([[1.0]], [0.0], "relu")
-        grads, gx = mlp_backward(p, [0.0], [1.0])
+        grads, gx = mlp_backward(p, mlp_forward_cached(p, [0.0])[1], [1.0])
         assert grads.weights[0][0, 0] == 0.0
         assert grads.biases[0][0] == 0.0
         assert gx[0] == 0.0
@@ -115,7 +116,7 @@ class TestBackward:
         def loss(q):
             return float(mlp_forward(q, x) @ u)
 
-        analytic, _ = mlp_backward(p, x, u)
+        analytic, _ = mlp_backward(p, mlp_forward_cached(p, x)[1], u)
         assert finite_diff_check(loss, p, analytic, step=1e-5) <= 1e-4
 
     def test_input_grad_matches_finite_differences(self):
@@ -123,7 +124,7 @@ class TestBackward:
         p = mlp_init([4, 5, 3], ["tanh", "identity"], rng)
         x = rng.normal(size=4)
         u = rng.normal(size=3)
-        _, gx = mlp_backward(p, x, u)
+        _, gx = mlp_backward(p, mlp_forward_cached(p, x)[1], u)
         eps = 1e-6
         for i in range(4):
             dx = np.zeros(4)
@@ -134,7 +135,13 @@ class TestBackward:
     def test_upstream_dim_mismatch_rejected(self):
         p = single_layer(np.eye(2), [0.0, 0.0], "identity")
         with pytest.raises(ValueError):
-            mlp_backward(p, [1.0, 2.0], [1.0, 0.0, 0.0])
+            mlp_backward(p, mlp_forward_cached(p, [1.0, 2.0])[1], [1.0, 0.0, 0.0])
+
+    def test_upstream_row_count_mismatch_rejected(self):
+        p = single_layer(np.eye(2), [0.0, 0.0], "identity")
+        _, cache = mlp_forward_cached(p, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="batch sizes"):
+            mlp_backward(p, cache, np.ones((2, 2)))
 
 
 class TestAdam:
@@ -234,7 +241,7 @@ class TestFiniteDiffCheck:
         logits = mlp_forward(p, xs)[:, 0]
         probs = 1.0 / (1.0 + np.exp(-logits))
         upstream = ((probs - ys) / len(ys))[:, None]
-        analytic, _ = mlp_backward(p, xs, upstream)
+        analytic, _ = mlp_backward(p, mlp_forward_cached(p, xs)[1], upstream)
         assert finite_diff_check(loss, p, analytic, step=1e-5) <= 1e-4
 
     def test_corrupted_gradient_detected(self):
@@ -269,7 +276,7 @@ class TestBackpropExactnessSweep:
         p = mlp_init(dims, [act, act, "identity"], rng)
         x = rng.normal(size=5)
         u = rng.normal(size=2)
-        analytic, _ = mlp_backward(p, x, u)
+        analytic, _ = mlp_backward(p, mlp_forward_cached(p, x)[1], u)
 
         def loss(q):
             return float(mlp_forward(q, x) @ u)
