@@ -27,6 +27,7 @@ from .nets import (
     adam_init,
     adam_step,
     mlp_backward,
+    mlp_forward,
     mlp_forward_cached,
     mlp_init,
 )
@@ -146,8 +147,15 @@ def airl_update(heads: AirlHeads, student: StudentAgent, expert_batch,
     return loss
 
 
-def _bc_loss_and_grads(actor: MlpParams, states, targets):
+def _bc_loss(actor: MlpParams, states, targets) -> float:
     """Squared error of the squashed actor mean against expert actions."""
+    y = mlp_forward(actor, states)
+    err = np.tanh(y[:, :y.shape[1] // 2]) - targets
+    return float(np.mean(np.sum(err**2, axis=1)))
+
+
+def _bc_loss_and_grads(actor: MlpParams, states, targets):
+    """_bc_loss and its gradient, from one forward pass."""
     y, cache = mlp_forward_cached(actor, states)
     da = y.shape[1] // 2
     mean = np.tanh(y[:, :da])
@@ -194,10 +202,9 @@ def run_bc(config, expert: ExpertDataset, run_dir=None):
             _, grads = _bc_loss_and_grads(student.actor, s[idx], a[idx])
             student.actor, student.actor_opt = adam_step(student.actor, grads,
                                                          student.actor_opt)
-        train_loss, _ = _bc_loss_and_grads(student.actor, s[train], a[train])
-        row = {"epoch": epoch, "train_loss": train_loss}
+        row = {"epoch": epoch, "train_loss": _bc_loss(student.actor, s[train], a[train])}
         if len(hold) > 0:
-            row["holdout_loss"] = _bc_loss_and_grads(student.actor, s[hold], a[hold])[0]
+            row["holdout_loss"] = _bc_loss(student.actor, s[hold], a[hold])
         diag.write(row)
 
     artifacts = orchestrator.RunArtifacts(cfg, run_dir, student, None, None)
@@ -205,7 +212,8 @@ def run_bc(config, expert: ExpertDataset, run_dir=None):
     from .metrics import evaluate_policy
 
     artifacts.final_return, _, artifacts.final_goal_rate = evaluate_policy(
-        cfg.env, student, cfg.eval_episodes, seed=cfg.seed)
+        cfg.env, student, cfg.eval_episodes, seed=cfg.seed,
+        action_noise=cfg.action_noise)
     artifacts.diagnostics_rows = diag.rows
     artifacts.metrics_rows = metrics.rows
     return artifacts

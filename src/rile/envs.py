@@ -1,8 +1,8 @@
 """Desk-scale environments and expert-data handling.
 
-A continuous 2-D obstacle maze on [0,1]^2, a tiny discrete chain MDP used
-as a closed-form oracle, expert trajectory file I/O (line-delimited JSON),
-and Gaussian noise injection for robustness protocols.
+A continuous 2-D obstacle maze on [0,1]^2, expert trajectory file I/O
+(line-delimited JSON), and Gaussian noise injection for robustness
+protocols.
 
 Environments are value-semantic: reset/step take all state explicitly and
 share nothing, so any number of rollouts can run concurrently.
@@ -142,26 +142,6 @@ def maze_step(spec: MazeSpec, state, action):
             nxt[axis] = face
     at_goal = bool(np.linalg.norm(nxt - np.asarray(spec.goal)) <= spec.goal_radius)
     return nxt, at_goal, at_goal
-
-
-def chain_reset(K: int) -> np.ndarray:
-    """One-hot start at the leftmost cell of a K-cell line, 2 <= K <= 16."""
-    if not 2 <= K <= 16:
-        raise ValueError("K must be in [2, 16]")
-    s = np.zeros(K)
-    s[0] = 1.0
-    return s
-
-
-def chain_step(K: int, state, action):
-    """Deterministic left/right motion; done at the rightmost cell."""
-    if action not in ("left", "right"):
-        raise ValueError(f"chain action must be 'left' or 'right', got {action!r}")
-    cell = int(np.argmax(state))
-    cell = max(0, cell - 1) if action == "left" else min(K - 1, cell + 1)
-    nxt = np.zeros(K)
-    nxt[cell] = 1.0
-    return nxt, cell == K - 1
 
 
 @dataclass

@@ -1,11 +1,15 @@
-"""Training loops and run lifecycle.
+"""Training loop and run lifecycle.
 
-One generic off-policy harness (three FIFO replay buffers, relabeled
-rewards, trainer freezing, expert-data mixing) plus an on-policy variant
-that updates from each fresh rollout. GAIL/AIRL runs reuse the same
-collection path so that seed-paired runs differ only in the reward
-pathway. Every random draw comes from named streams derived from one
-master seed, which makes whole runs bit-reproducible.
+One loop serves rile_off, rile_on, gail and airl. Each pass collects a
+chunk of environment steps with the student, scores it with the learned
+reward and, when due, updates the student, then the discriminator or AIRL
+heads, then the trainer. Off-policy runs draw each batch from a FIFO
+replay buffer (expert-mixed at insert time, rewards relabeled at sample
+time); rile_on collects the rest of an episode per chunk and updates on
+that rollout. Every algorithm collects through the same path, so
+seed-paired runs differ only in the reward pathway. Every random draw
+comes from named streams derived from one master seed, which makes whole
+runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -134,7 +138,8 @@ class RunConfig:
     # trainer freezing
     freeze_threshold: float = 0.1
     freeze_window: int = 100
-    # expert mixing (share of buffer insertions sourced from expert data)
+    # expert mixing (share of replay-buffer insertions sourced from expert
+    # data); off-policy algorithms only: rile_on and bc fill no replay buffer
     expert_mix_student: float = 0.0
     expert_mix_trainer: float = 0.0
     # schedule
@@ -176,6 +181,9 @@ class RunConfig:
                            ("expert_mix_trainer", self.expert_mix_trainer)):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+            if frac > 0 and self.algorithm in ("rile_on", "bc"):
+                raise ValueError(f"{name} needs a replay buffer, which "
+                                 f"{self.algorithm} does not fill")
         if self.frozen_reward is not None:
             if self.frozen_reward.get("kind") not in ("trainer", "airl"):
                 raise ValueError("frozen_reward.kind must be 'trainer' or 'airl'")
@@ -219,7 +227,6 @@ class RunArtifacts:
     final_return: float = 0.0
     steps_run: int = 0
     freeze_step: int | None = None
-    trainer_corr: float | None = None
     aborted: bool = False
 
 
@@ -263,7 +270,7 @@ def _checkpoint(run_dir, tag, student, trainer, disc, airl):
 
 
 class _RewardPathway:
-    """Per-algorithm reward computation and learner updates."""
+    """Per-algorithm learners and the student's learned reward."""
 
     def __init__(self, cfg: RunConfig, expert: ExpertDataset, streams, state_dim, action_dim):
         from . import baselines  # local import: baselines builds on this module
@@ -358,60 +365,6 @@ class _Collector:
         return row
 
 
-def _update_student(cfg, student, pathway, buf_s, rng):
-    b = buf_s.sample(cfg.student_batch, rng)
-    if cfg.relabel_rewards or cfg.algorithm in ("gail", "airl") or cfg.frozen_reward:
-        r = pathway.student_rewards(student, b["s"], b["a"], b["sp"])
-    else:
-        r = b["r"]
-    _, diag = student_update(student, (b["s"], b["a"], r, b["sp"], b["done"]))
-    return diag
-
-
-def _update_disc(cfg, pathway, student, buf_d, rng):
-    if pathway.disc is not None:
-        b = buf_d.sample(cfg.disc_batch, rng)
-        te = pathway.expert_table
-        idx = rng.integers(0, len(te["s"]), size=cfg.disc_batch)
-        _, loss = disc_update(pathway.disc, (te["s"][idx], te["a"][idx]),
-                              (b["s"], b["a"]), cfg.gp_weight, rng)
-        return {"disc_loss": loss}
-    if pathway.airl is not None:
-        b = buf_d.sample(cfg.disc_batch, rng)
-        te = pathway.expert_table
-        idx = rng.integers(0, len(te["s"]), size=cfg.disc_batch)
-        loss = pathway.bl.airl_update(
-            pathway.airl, student,
-            (te["s"][idx], te["a"][idx], te["sp"][idx]),
-            (b["s"], b["a"], b["sp"]))
-        return {"disc_loss": loss}
-    return {}
-
-
-def _update_trainer(cfg, pathway, buf_t, monitor, rng, artifacts, step):
-    trainer = pathway.trainer
-    if trainer is None or trainer.frozen:
-        return {}
-    b = buf_t.sample(cfg.trainer_batch, rng)
-    a_t = b["a_t"]
-    if "expert" in b and b["expert"].any():
-        # expert-sourced rows carry no recorded action; relabel with the
-        # trainer's current deterministic action at that observation
-        mask = b["expert"] > 0.5
-        relabeled = trainer_act_batch(trainer, b["obs"][mask])
-        a_t = a_t.copy()
-        a_t[mask] = relabeled
-    ds = pathway.state_dim
-    d = disc_output(pathway.disc, b["obs"][:, :ds], b["obs"][:, ds:])
-    r_t = trainer_reward(cfg.trainer_reward_variant, d, a_t,
-                         cfg.trainer_reward_exponent_sign)
-    _, diag = trainer_update(trainer, (b["obs"], a_t, r_t, b["obsp"], b["done"]))
-    if monitor.check(diag["critic_loss"]) and not trainer.frozen:
-        trainer.frozen = True
-        artifacts.freeze_step = step
-    return {"trainer_critic_loss": diag["critic_loss"], "r_t": r_t, "a_t": a_t}
-
-
 class _WindowTracker:
     """Accumulates paired (learned, environment) reward samples and cuts a
     MetricsWindow with a fixed-probe snapshot every metric_window steps."""
@@ -453,12 +406,166 @@ class _WindowTracker:
         return win
 
 
+class _Replay:
+    """Off-policy batch source: three FIFO buffers (student, trainer,
+    discriminator) filled one step at a time, with expert mixing at insert
+    time. A trainer row waits one step for its next observation."""
+
+    def __init__(self, cfg: RunConfig, pathway: _RewardPathway, streams):
+        self.cfg = cfg
+        self.pathway = pathway
+        self.student = ReplayBuffer(cfg.student_buffer)
+        self.trainer = ReplayBuffer(cfg.trainer_buffer)
+        self.disc = ReplayBuffer(cfg.disc_buffer)
+        self.mix_rng = streams["mix"]
+        self.trainer_rng = streams["trainer"]
+        self.pending = None
+
+    def _expert_row(self, frac):
+        """Index of the expert row that replaces this insert, or None."""
+        if frac > 0 and self.mix_rng.uniform() < frac:
+            return self.mix_rng.integers(0, len(self.pathway.expert_table["s"]))
+        return None
+
+    def insert(self, row, learned):
+        te = self.pathway.expert_table
+        k = self._expert_row(self.cfg.expert_mix_student)
+        if k is None:
+            self.student.insert(s=row["s"], a=row["a"], r=learned, sp=row["sp"],
+                                done=row["done"], expert=0.0)
+        else:
+            self.student.insert(s=te["s"][k], a=te["a"][k], r=0.0, sp=te["sp"][k],
+                                done=te["done"][k], expert=1.0)
+        self.disc.insert(s=row["s"], a=row["a"], sp=row["sp"])
+        trainer = self.pathway.trainer
+        if trainer is None:
+            return
+        obs = trainer_observation(row["s"], row["a"])
+        a_t = trainer_act(trainer, obs, "stochastic", self.trainer_rng)
+        if self.pending is not None:
+            self._insert_trainer(obsp=obs, **self.pending)
+            self.pending = None
+        if row["episode_end"]:
+            self._insert_trainer(obs, a_t, np.zeros_like(obs), 1.0)
+        else:
+            self.pending = {"obs": obs, "a_t": a_t, "done": 0.0}
+
+    def _insert_trainer(self, obs, a_t, obsp, done):
+        k = self._expert_row(self.cfg.expert_mix_trainer)
+        if k is None:
+            self.trainer.insert(obs=obs, a_t=a_t, obsp=obsp, done=done, expert=0.0)
+        else:
+            te = self.pathway.expert_table
+            self.trainer.insert(obs=te["obs"][k], a_t=0.0, obsp=te["obsp"][k],
+                                done=te["done"][k], expert=1.0)
+
+    def ready(self) -> bool:
+        cfg = self.cfg
+        return (len(self.student) >= max(cfg.student_batch, cfg.warmup_steps)
+                and len(self.disc) >= cfg.disc_batch
+                and (self.pathway.trainer is None
+                     or len(self.trainer) >= cfg.trainer_batch))
+
+    def student_batch(self, student, rng) -> dict:
+        cfg = self.cfg
+        b = self.student.sample(cfg.student_batch, rng)
+        if cfg.relabel_rewards or cfg.algorithm in ("gail", "airl") or cfg.frozen_reward:
+            b["r"] = self.pathway.student_rewards(student, b["s"], b["a"], b["sp"])
+        return b
+
+    def disc_rows(self, rng) -> dict:
+        return self.disc.sample(self.cfg.disc_batch, rng)
+
+    def trainer_rows(self, rng):
+        b = self.trainer.sample(self.cfg.trainer_batch, rng)
+        a_t = b["a_t"]
+        mask = b["expert"] > 0.5
+        if mask.any():
+            # expert-sourced rows carry no recorded action; relabel with the
+            # trainer's current deterministic action at that observation
+            a_t[mask] = trainer_act_batch(self.pathway.trainer, b["obs"][mask])
+        return b["obs"], a_t, b["obsp"], b["done"]
+
+
+@dataclass
+class _Rollout:
+    """On-policy batch source: every learner updates on the chunk just
+    collected, whose "r" column holds the student's learned rewards."""
+
+    cfg: RunConfig
+    pathway: _RewardPathway
+    chunk: dict
+
+    def student_batch(self, student, rng) -> dict:
+        return self.chunk
+
+    def disc_rows(self, rng) -> dict:
+        n = len(self.chunk["s"])
+        idx = rng.choice(n, size=min(self.cfg.disc_batch, n), replace=False)
+        return {k: self.chunk[k][idx] for k in ("s", "a", "sp")}
+
+    def trainer_rows(self, rng):
+        s, a = self.chunk["s"], self.chunk["a"]
+        obs = np.concatenate([s, a], axis=1)
+        a_t = np.array([trainer_act(self.pathway.trainer, o, "stochastic", rng)
+                        for o in obs])
+        obsp = np.concatenate([self.chunk["sp"],
+                               np.vstack([a[1:], np.zeros((1, a.shape[1]))])], axis=1)
+        done = self.chunk["done"].copy()
+        done[-1] = 1.0  # trainer episode ends with the rollout
+        return obs, a_t, obsp, done
+
+
+def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) -> dict:
+    """Updates the student, then the discriminator or AIRL heads (student
+    rows against as many expert rows), then the trainer rewarded by the
+    updated discriminator, on batches from source. Freezes the trainer once
+    its critic loss has settled. Returns the diagnostics row."""
+    b = source.student_batch(student, streams["student"])
+    _, sdiag = student_update(student, (b["s"], b["a"], b["r"], b["sp"], b["done"]))
+    diag = {"step": step, **sdiag}
+    if pathway.disc is not None or pathway.airl is not None:
+        rng = streams["disc"]
+        b = source.disc_rows(rng)
+        te = pathway.expert_table
+        idx = rng.integers(0, len(te["s"]), size=len(b["s"]))
+        if pathway.disc is not None:
+            _, diag["disc_loss"] = disc_update(pathway.disc, (te["s"][idx], te["a"][idx]),
+                                               (b["s"], b["a"]), cfg.gp_weight, rng)
+        else:
+            diag["disc_loss"] = pathway.bl.airl_update(
+                pathway.airl, student, (te["s"][idx], te["a"][idx], te["sp"][idx]),
+                (b["s"], b["a"], b["sp"]))
+    trainer = pathway.trainer
+    if trainer is not None and not trainer.frozen:
+        obs, a_t, obsp, done = source.trainer_rows(streams["trainer"])
+        ds = pathway.state_dim
+        d = disc_output(pathway.disc, obs[:, :ds], obs[:, ds:])
+        r_t = trainer_reward(cfg.trainer_reward_variant, d, a_t,
+                             cfg.trainer_reward_exponent_sign)
+        _, tdiag = trainer_update(trainer, (obs, a_t, r_t, obsp, done))
+        diag["trainer_critic_loss"] = tdiag["critic_loss"]
+        if monitor.check(tdiag["critic_loss"]):
+            trainer.frozen = True
+            artifacts.freeze_step = step
+    diag["frozen"] = bool(trainer.frozen) if trainer else False
+    return diag
+
+
+def _crossed(step: int, n: int, every: int) -> bool:
+    """Whether the chunk of n steps ending at step passed a multiple of every."""
+    return step // every > (step - n) // every
+
+
 def run_training(config: RunConfig, expert: ExpertDataset | None,
                  run_dir: str | None = None) -> RunArtifacts:
     """Executes one run per the configured algorithm and returns artifacts.
 
-    Off-policy algorithms (rile_off, gail, airl) share the replay harness;
-    rile_on updates from each completed rollout; bc is supervised.
+    rile_off, rile_on, gail and airl share one loop. Each pass collects a
+    chunk (one step; for rile_on, the rest of the episode), scores it with
+    the learned reward and updates the learners: rile_on on the chunk
+    itself, the others on replay samples every update_every steps once the
+    buffers are warm. bc is supervised.
     """
     cfg = config.validate()
     if cfg.algorithm == "bc":
@@ -485,72 +592,41 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
     probe_s, probe_a = expert.all_pairs()
     tracker = _WindowTracker(cfg, pathway, probe_s, probe_a)
     monitor = FreezeMonitor(cfg.freeze_window, cfg.freeze_threshold)
-    if cfg.algorithm == "rile_on":
-        return _run_onpolicy(cfg, expert, streams, student, pathway, artifacts,
-                             diag_log, metrics_log, tracker, monitor, run_dir)
-
-    buf_s = ReplayBuffer(cfg.student_buffer)
-    buf_t = ReplayBuffer(cfg.trainer_buffer)
-    buf_d = ReplayBuffer(cfg.disc_buffer)
     collector = _Collector(cfg, streams)
-    te = pathway.expert_table
-    mix_rng = streams["mix"]
-    trainer_rng = streams["trainer"]
-    pending_trainer = None
+    on_policy = cfg.algorithm == "rile_on"
+    replay = None if on_policy else _Replay(cfg, pathway, streams)
 
     _checkpoint(run_dir, 0, student, pathway.trainer, pathway.disc, pathway.airl)
     last_eval = None
     step = 0
     try:
         while step < cfg.total_steps:
-            step += 1
-            row = collector.step(student)
-            learned_now = float(pathway.student_rewards(
-                student, row["s"][None], row["a"][None], row["sp"][None])[0])
-            tracker.add(learned_now, row["env_r"])
+            rows = []
+            while True:
+                rows.append(collector.step(student))
+                step += 1
+                if not on_policy or rows[-1]["episode_end"] or step >= cfg.total_steps:
+                    break
+            n = len(rows)
+            chunk = {k: np.array([r[k] for r in rows]) for k in ("s", "a", "sp", "done")}
+            chunk["r"] = pathway.student_rewards(student, chunk["s"], chunk["a"],
+                                                 chunk["sp"])
+            for r, row in zip(chunk["r"], rows):
+                tracker.add(r, row["env_r"])
 
-            # student buffer insert (expert-mixed)
-            if cfg.expert_mix_student > 0 and mix_rng.uniform() < cfg.expert_mix_student:
-                k = mix_rng.integers(0, len(te["s"]))
-                buf_s.insert(s=te["s"][k], a=te["a"][k], r=0.0, sp=te["sp"][k],
-                             done=te["done"][k], expert=1.0)
+            diag = None
+            if on_policy:
+                diag = _update(cfg, student, pathway, streams, monitor, artifacts, step,
+                               _Rollout(cfg, pathway, chunk))
             else:
-                buf_s.insert(s=row["s"], a=row["a"], r=learned_now, sp=row["sp"],
-                             done=row["done"], expert=0.0)
-            buf_d.insert(s=row["s"], a=row["a"], sp=row["sp"])
+                replay.insert(rows[0], chunk["r"][0])
+                if replay.ready() and step % cfg.update_every == 0:
+                    diag = _update(cfg, student, pathway, streams, monitor, artifacts,
+                                   step, replay)
+            if diag is not None and _crossed(step, n, cfg.update_every * 25):
+                diag_log.write(diag)
 
-            if pathway.trainer is not None:
-                obs = trainer_observation(row["s"], row["a"])
-                a_t = trainer_act(pathway.trainer, obs, "stochastic", trainer_rng)
-                if pending_trainer is not None:
-                    pending_trainer["obsp"] = obs
-                    _insert_trainer_row(cfg, buf_t, te, mix_rng, pending_trainer)
-                    pending_trainer = None
-                rec = {"obs": obs, "a_t": a_t, "obsp": None, "done": 0.0}
-                if row["episode_end"]:
-                    rec["done"] = 1.0
-                    rec["obsp"] = np.zeros_like(obs)
-                    _insert_trainer_row(cfg, buf_t, te, mix_rng, rec)
-                else:
-                    pending_trainer = rec
-
-            ready = (len(buf_s) >= max(cfg.student_batch, cfg.warmup_steps)
-                     and len(buf_d) >= cfg.disc_batch
-                     and (pathway.trainer is None or len(buf_t) >= cfg.trainer_batch))
-            if ready and step % cfg.update_every == 0:
-                diag = {"step": step}
-                diag.update(_update_student(cfg, student, pathway, buf_s,
-                                            streams["student"]))
-                diag.update(_update_disc(cfg, pathway, student, buf_d, streams["disc"]))
-                tdiag = _update_trainer(cfg, pathway, buf_t, monitor, trainer_rng,
-                                        artifacts, step)
-                if "trainer_critic_loss" in tdiag:
-                    diag["trainer_critic_loss"] = tdiag["trainer_critic_loss"]
-                diag["frozen"] = bool(pathway.trainer.frozen) if pathway.trainer else False
-                if step % (cfg.update_every * 25) == 0:
-                    diag_log.write(diag)
-
-            if step % cfg.eval_every == 0:
+            if _crossed(step, n, cfg.eval_every):
                 ret, _, rate = evaluate_policy(cfg.env, student, cfg.eval_episodes,
                                                deterministic=True, seed=cfg.seed,
                                                action_noise=cfg.action_noise)
@@ -561,7 +637,7 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
                 if cfg.early_stop_success and rate == 1.0:
                     tracker.maybe_close(student, metrics_log, last_eval)
                     break
-            if step % cfg.checkpoint_every == 0:
+            if _crossed(step, n, cfg.checkpoint_every):
                 _checkpoint(run_dir, step, student, pathway.trainer, pathway.disc,
                             pathway.airl)
             tracker.maybe_close(student, metrics_log, last_eval)
@@ -571,111 +647,6 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
         artifacts.aborted = True
         raise RunAborted(f"run aborted at step {step}: {e}") from e
 
-    _finalize(cfg, artifacts, student, pathway, tracker, metrics_log, diag_log,
-              run_dir, step)
-    return artifacts
-
-
-def _insert_trainer_row(cfg, buf_t, te, mix_rng, rec):
-    if cfg.expert_mix_trainer > 0 and mix_rng.uniform() < cfg.expert_mix_trainer:
-        k = mix_rng.integers(0, len(te["s"]))
-        buf_t.insert(obs=te["obs"][k], a_t=0.0, obsp=te["obsp"][k],
-                     done=te["done"][k], expert=1.0)
-    else:
-        buf_t.insert(obs=rec["obs"], a_t=rec["a_t"], obsp=rec["obsp"],
-                     done=rec["done"], expert=0.0)
-
-
-def _run_onpolicy(cfg, expert, streams, student, pathway, artifacts, diag_log,
-                  metrics_log, tracker, monitor, run_dir):
-    """Rollout-at-a-time variant: collect one episode, compute the student
-    rewards from the trainer's deterministic action, update student, then
-    discriminator, then trainer on that same rollout."""
-    collector = _Collector(cfg, streams)
-    trainer_rng = streams["trainer"]
-    te = pathway.expert_table
-    corr_rt, corr_at = [], []
-    _checkpoint(run_dir, 0, student, pathway.trainer, pathway.disc, pathway.airl)
-    step = 0
-    last_eval = None
-    try:
-        while step < cfg.total_steps:
-            rows = []
-            while True:
-                row = collector.step(student)
-                step += 1
-                rows.append(row)
-                if row["episode_end"] or step >= cfg.total_steps:
-                    break
-            s = np.array([r["s"] for r in rows])
-            a = np.array([r["a"] for r in rows])
-            sp = np.array([r["sp"] for r in rows])
-            done = np.array([r["done"] for r in rows])
-            obs = np.concatenate([s, a], axis=1)
-            r_s = trainer_act_batch(pathway.trainer, obs)
-            for r_i, row in zip(r_s, rows):
-                tracker.add(float(r_i), row["env_r"])
-
-            _, sdiag = student_update(student, (s, a, r_s, sp, done))
-
-            nb = min(cfg.disc_batch, len(rows))
-            idx_s = streams["disc"].choice(len(rows), size=nb, replace=False)
-            idx_e = streams["disc"].integers(0, len(te["s"]), size=nb)
-            _, dloss = disc_update(pathway.disc, (te["s"][idx_e], te["a"][idx_e]),
-                                   (s[idx_s], a[idx_s]), cfg.gp_weight, streams["disc"])
-
-            if not pathway.trainer.frozen:
-                a_t = np.array([trainer_act(pathway.trainer, o, "stochastic", trainer_rng)
-                                for o in obs])
-                obsp = np.concatenate([sp, np.vstack([a[1:], np.zeros((1, a.shape[1]))])],
-                                      axis=1)
-                t_done = done.copy()
-                t_done[-1] = 1.0  # trainer episode ends with the rollout
-                d = disc_output(pathway.disc, s, a)
-                r_t = trainer_reward(cfg.trainer_reward_variant, d, a_t,
-                                     cfg.trainer_reward_exponent_sign)
-                corr_rt.extend(r_t.tolist())
-                corr_at.extend(a_t.tolist())
-                _, tdiag = trainer_update(pathway.trainer, (obs, a_t, r_t, obsp, t_done))
-                if monitor.check(tdiag["critic_loss"]) and not pathway.trainer.frozen:
-                    pathway.trainer.frozen = True
-                    artifacts.freeze_step = step
-                diag_row = {"step": step, "student_critic_loss": sdiag["critic_loss"],
-                            "disc_loss": dloss,
-                            "trainer_critic_loss": tdiag["critic_loss"],
-                            "frozen": pathway.trainer.frozen}
-            else:
-                diag_row = {"step": step, "student_critic_loss": sdiag["critic_loss"],
-                            "disc_loss": dloss, "frozen": True}
-            if collector.episodes % 25 == 0:
-                diag_log.write(diag_row)
-
-            if step // cfg.eval_every > (step - len(rows)) // cfg.eval_every:
-                ret, _, rate = evaluate_policy(cfg.env, student, cfg.eval_episodes,
-                                               deterministic=True, seed=cfg.seed,
-                                               action_noise=cfg.action_noise)
-                last_eval = ret
-                diag_log.write({"step": step, "eval_return": ret, "goal_rate": rate,
-                                "frozen": pathway.trainer.frozen})
-                if cfg.early_stop_success and rate == 1.0:
-                    break
-            if step // cfg.checkpoint_every > (step - len(rows)) // cfg.checkpoint_every:
-                _checkpoint(run_dir, step, student, pathway.trainer, pathway.disc, None)
-            tracker.maybe_close(student, metrics_log, last_eval)
-    except ValueError as e:
-        _checkpoint(run_dir, f"{step}-abort", student, pathway.trainer, pathway.disc, None)
-        artifacts.aborted = True
-        raise RunAborted(f"run aborted at step {step}: {e}") from e
-
-    if len(corr_rt) >= 2 and np.std(corr_rt) > 0 and np.std(corr_at) > 0:
-        artifacts.trainer_corr = float(np.corrcoef(corr_rt, corr_at)[0, 1])
-    _finalize(cfg, artifacts, student, pathway, tracker, metrics_log, diag_log,
-              run_dir, step)
-    return artifacts
-
-
-def _finalize(cfg, artifacts, student, pathway, tracker, metrics_log, diag_log,
-              run_dir, step):
     artifacts.steps_run = step
     artifacts.windows = tracker.windows
     artifacts.metrics_rows = metrics_log.rows
@@ -684,3 +655,4 @@ def _finalize(cfg, artifacts, student, pathway, tracker, metrics_log, diag_log,
         cfg.env, student, cfg.eval_episodes, deterministic=True, seed=cfg.seed,
         action_noise=cfg.action_noise)
     _checkpoint(run_dir, "final", student, pathway.trainer, pathway.disc, pathway.airl)
+    return artifacts

@@ -5,8 +5,6 @@ from rile.envs import (
     DEFAULT_WAYPOINTS,
     ExpertDataset,
     MazeSpec,
-    chain_reset,
-    chain_step,
     dataset_to_bytes,
     generate_expert,
     inject_noise,
@@ -112,32 +110,6 @@ class TestMazeStep:
         n1 = maze_step(spec, s, a)[0]
         n2 = maze_step(spec, s, a)[0]
         assert np.array_equal(n1, n2)
-
-
-class TestChain:
-    def test_right_moves(self):
-        s = chain_reset(4)
-        nxt, done = chain_step(4, s, "right")
-        assert np.argmax(nxt) == 1 and not done
-
-    def test_left_wall_clamps(self):
-        s = chain_reset(4)
-        nxt, done = chain_step(4, s, "left")
-        assert np.argmax(nxt) == 0 and not done
-
-    def test_terminal_at_rightmost(self):
-        s = np.zeros(4)
-        s[2] = 1.0
-        nxt, done = chain_step(4, s, "right")
-        assert np.argmax(nxt) == 3 and done
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            chain_reset(1)
-
-    def test_bad_action_rejected(self):
-        with pytest.raises(ValueError, match="left"):
-            chain_step(4, chain_reset(4), "up")
 
 
 class TestExpertIO:

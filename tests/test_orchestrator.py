@@ -1,13 +1,22 @@
+import os
+import re
+
+import numpy as np
 import pytest
 
+from rile import orchestrator
+from rile.agents import make_trainer
+from rile.baselines import make_airl_heads
 from rile.envs import MazeSpec, generate_expert
-from rile.nets import mlp_to_bytes
-from rile.orchestrator import RunConfig, run_training
+from rile.metrics import evaluate_policy
+from rile.nets import load_mlp, mlp_to_bytes, save_mlp
+from rile.orchestrator import RunAborted, RunConfig, run_training
 
 EXPERT = generate_expert(MazeSpec(), 2)
 
-# Tiny nets, buffers and batches; 12-step episodes so that rile_on finishes
-# the 25 rollouts after which it writes an update row.
+# Tiny nets, buffers and batches; 12-step episodes so that rile_on collects
+# many short rollouts, and 400 steps so that every algorithm writes
+# diagnostics rows of its updates (one per 100 steps).
 TINY = dict(
     env=MazeSpec(max_steps=12),
     student_hidden=(8, 8), trainer_hidden=(8, 8), disc_hidden=(8, 8),
@@ -45,3 +54,97 @@ def test_same_seed_runs_are_bit_identical(algorithm):
     assert first.metrics_rows == second.metrics_rows
     assert (first.final_return, first.final_goal_rate) == (
         second.final_return, second.final_goal_rate)
+
+
+@pytest.mark.parametrize("algorithm,kind", [
+    ("rile_off", "trainer"), ("rile_on", "trainer"), ("airl", "airl")])
+def test_frozen_reward_trains_only_the_student(algorithm, kind, tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    if kind == "trainer":
+        net = make_trainer(4, TINY["trainer_hidden"], rng).actor
+    else:
+        net = make_airl_heads(2, 2, TINY["disc_hidden"], 1e-3, 0.99, rng).reward
+    path = str(tmp_path / "reward.mlp")
+    save_mlp(net, path)
+    frozen_bytes = mlp_to_bytes(net)
+
+    # Record the frozen net's bytes every time it scores student rows.
+    seen = []
+    original = orchestrator._RewardPathway.student_rewards
+
+    def spy(pathway, *args):
+        frozen = (pathway.frozen_trainer.actor if kind == "trainer"
+                  else pathway.frozen_airl_reward)
+        seen.append(mlp_to_bytes(frozen))
+        return original(pathway, *args)
+
+    monkeypatch.setattr(orchestrator._RewardPathway, "student_rewards", spy)
+    cfg = RunConfig(algorithm=algorithm, seed=5, frozen_reward={"kind": kind, "path": path},
+                    **TINY)
+    artifacts = run_training(cfg, EXPERT, str(tmp_path / "run"))
+
+    assert artifacts.steps_run == cfg.total_steps
+    assert (artifacts.trainer, artifacts.disc, artifacts.airl) == (None, None, None)
+    assert os.listdir(tmp_path / "run" / "step-final") == ["student"]
+    start = load_mlp(str(tmp_path / "run" / "step-0" / "student" / "actor.mlp"))
+    assert mlp_to_bytes(start) != mlp_to_bytes(artifacts.student.actor)
+    assert seen and all(b == frozen_bytes for b in seen)
+
+
+@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
+def test_error_in_an_update_aborts_with_a_checkpoint(algorithm, tmp_path, monkeypatch):
+    original = orchestrator.student_update
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ValueError("forced")
+        return original(*args)
+
+    monkeypatch.setattr(orchestrator, "student_update", failing)
+    cfg = RunConfig(algorithm=algorithm, seed=5, **TINY)
+    with pytest.raises(RunAborted, match="forced") as info:
+        run_training(cfg, EXPERT, str(tmp_path))
+
+    step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
+    aborts = [d for d in os.listdir(tmp_path) if d.endswith("-abort")]
+    assert aborts == [f"step-{step}-abort"]
+    assert os.path.isfile(tmp_path / aborts[0] / "student" / "actor.mlp")
+    if algorithm == "rile_off":
+        # updates run at multiples of update_every (4) past the 50-step
+        # warm-up: steps 52, 56 and 60
+        assert step == 60
+
+
+@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
+def test_early_stop_closes_the_full_metrics_window(algorithm, monkeypatch):
+    # Every eval reports success, so the run stops at the first eval, which
+    # is also the step at which the first metrics window fills.
+    monkeypatch.setattr(orchestrator, "evaluate_policy", lambda *a, **k: (1.0, 0.0, 1.0))
+    every = TINY["eval_every"]
+    cfg = RunConfig(algorithm=algorithm, seed=5, **{**TINY, "metric_window": every})
+    artifacts = run_training(cfg, EXPERT)
+
+    assert every <= artifacts.steps_run < 2 * every
+    assert [row["window"] for row in artifacts.metrics_rows] == [0]
+
+
+@pytest.mark.parametrize("algorithm", ["rile_on", "bc"])
+@pytest.mark.parametrize("field", ["expert_mix_student", "expert_mix_trainer"])
+def test_expert_mixing_rejected_without_a_replay_buffer(algorithm, field):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(algorithm=algorithm, **{field: 0.3}).validate()
+    RunConfig(algorithm="rile_off", **{field: 0.3}).validate()
+
+
+def test_bc_final_eval_uses_the_action_noise():
+    cfg = RunConfig(algorithm="bc", seed=7, student_hidden=(16, 16), bc_epochs=30,
+                    eval_episodes=4, action_noise=0.5)
+    artifacts = run_training(cfg, EXPERT)
+    ret, _, rate = evaluate_policy(cfg.env, artifacts.student, cfg.eval_episodes,
+                                   seed=cfg.seed, action_noise=0.5)
+    clean_ret, _, _ = evaluate_policy(cfg.env, artifacts.student, cfg.eval_episodes,
+                                      seed=cfg.seed)
+    assert (artifacts.final_return, artifacts.final_goal_rate) == (ret, rate)
+    assert ret != clean_ret  # the noise changes this policy's score
