@@ -19,6 +19,7 @@ from .nets import (
     MlpParams,
     adam_init,
     adam_step,
+    flat_to_params,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
@@ -236,12 +237,7 @@ def _actor_loss_grads(actor, states, actions, weights, entropy_coef):
 
 
 def _polyak(target: MlpParams, source: MlpParams, tau: float) -> MlpParams:
-    return MlpParams(
-        [(1 - tau) * tw + tau * sw for tw, sw in zip(target.weights, source.weights)],
-        [(1 - tau) * tb + tau * sb for tb, sb in zip(target.biases, source.biases)],
-        list(target.activations),
-        validate=False,
-    )
+    return flat_to_params((1 - tau) * target.flat + tau * source.flat, target)
 
 
 def _td_update(agent, states, actions, rewards, next_states, dones):

@@ -111,24 +111,20 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
     dme = -_stable_sigmoid(-me) / len(me)   # d softplus(-m) / dm
     dms = _stable_sigmoid(ms) / len(ms)
 
-    r_grads = None
-    v_grads = None
-    for (c_r, c_v, c_vp), df in ((caches_e, dme), (caches_s, dms)):
+    def head_grads(caches, df):
+        """Reward and potential gradients of sum(df * f) over one batch."""
+        c_r, c_v, c_vp = caches
         g_r, _ = mlp_backward(heads.reward, c_r, df[:, None])
-        g_vp, _ = mlp_backward(heads.potential, c_vp, (heads.gamma * df)[:, None])
-        g_v, _ = mlp_backward(heads.potential, c_v, (-df)[:, None])
-        if r_grads is None:
-            r_grads, v_grads = g_r, g_vp
-            for k in range(v_grads.n_layers):
-                v_grads.weights[k] += g_v.weights[k]
-                v_grads.biases[k] += g_v.biases[k]
-        else:
-            for k in range(r_grads.n_layers):
-                r_grads.weights[k] += g_r.weights[k]
-                r_grads.biases[k] += g_r.biases[k]
-            for k in range(v_grads.n_layers):
-                v_grads.weights[k] += g_vp.weights[k] + g_v.weights[k]
-                v_grads.biases[k] += g_vp.biases[k] + g_v.biases[k]
+        g_v, _ = mlp_backward(heads.potential, c_vp, (heads.gamma * df)[:, None])
+        g_v.flat += mlp_backward(heads.potential, c_v, (-df)[:, None])[0].flat
+        return g_r, g_v
+
+    # Summed within each batch first, then across the two batches: same-seed
+    # runs depend on this order of floating-point additions.
+    r_grads, v_grads = head_grads(caches_e, dme)
+    g_r, g_v = head_grads(caches_s, dms)
+    r_grads.flat += g_r.flat
+    v_grads.flat += g_v.flat
     return loss, r_grads, v_grads
 
 

@@ -97,21 +97,8 @@ def _bce_loss_and_grads(params: MlpParams, xe: np.ndarray, xs: np.ndarray):
     gs = np.where(np.abs(ys[:, 0]) < LOGIT_CLAMP, gs, 0.0)
 
     grads, _ = mlp_backward(params, cache_e, ge[:, None])
-    grads_s, _ = mlp_backward(params, cache_s, gs[:, None])
-    for k in range(grads.n_layers):
-        grads.weights[k] += grads_s.weights[k]
-        grads.biases[k] += grads_s.biases[k]
+    grads.flat += mlp_backward(params, cache_s, gs[:, None])[0].flat
     return loss, grads
-
-
-def input_gradients(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """d logit / d input for each row of x (raw logit, no clamp)."""
-    _, zs, hs = _forward_cached(params, np.atleast_2d(x))
-    v = np.ones((x.shape[0], 1))
-    for k in range(params.n_layers - 1, -1, -1):
-        v = v * _act_grad(params.activations[k], zs[k], hs[k + 1])
-        v = v @ params.weights[k]
-    return v
 
 
 def _gp_loss_and_grads(params: MlpParams, x: np.ndarray):
@@ -175,9 +162,7 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
         interp = u * xe[:m] + (1.0 - u) * xs[:m]
         gp, gp_grads = _gp_loss_and_grads(net.params, interp)
         loss += gp_weight * gp
-        for k in range(grads.n_layers):
-            grads.weights[k] += gp_weight * gp_grads.weights[k]
-            grads.biases[k] += gp_weight * gp_grads.biases[k]
+        grads.flat += gp_weight * gp_grads.flat
     if not np.isfinite(loss):
         raise ValueError("non-finite discriminator loss; network unchanged")
 

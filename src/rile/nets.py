@@ -1,9 +1,14 @@
 """Dense feed-forward network substrate.
 
-Forward pass, exact reverse-mode gradients, Adam/SGD updates, a
-finite-difference gradient checker, and a versioned flat serialization
-format. Everything is float64 and purely functional: no global state,
-no hidden RNG.
+Forward pass, exact reverse-mode gradients, Adam, a finite-difference
+gradient checker, and a versioned flat serialization format. Everything
+is float64 and purely functional: no global state, no hidden RNG.
+
+Each network's parameters live in one contiguous vector, MlpParams.flat,
+laid out [W0, b0, W1, b1, ...] with every weight matrix row-major; the
+per-layer weights and biases are views into it. Whole-network arithmetic
+(Adam, Polyak averaging, gradient sums, serialization) is therefore one
+vector expression on .flat, and the serialized payload is .flat's bytes.
 """
 
 from __future__ import annotations
@@ -55,19 +60,27 @@ def _act_grad2(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
 class MlpParams:
     """Layered dense network: weights[k] is [out, in], biases[k] is [out].
 
-    Consecutive layer dimensions must chain and all values must be finite.
-    validate=False skips the construction checks; internal code uses it on
-    already-validated shapes (optimizer moments, gradients, copies).
+    The constructor copies the given arrays into one new float64 vector,
+    flat, laid out [W0, b0, W1, b1, ...], and rebinds weights[k] and
+    biases[k] to views into it: a write through a view shows in flat and
+    the reverse. Consecutive layer dimensions must chain and all values
+    must be finite; validate=False skips these checks.
     """
 
     weights: list
     biases: list
     activations: list
     validate: InitVar[bool] = True
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, validate=True):
-        if not validate:
-            return
+        if validate:
+            self._validate()
+        self.flat = np.concatenate([np.ravel(a) for pair in zip(self.weights, self.biases)
+                                    for a in pair]).astype(np.float64, copy=False)
+        self.weights, self.biases = _views(self.flat, [w.shape for w in self.weights])
+
+    def _validate(self):
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
             raise ValueError("weights, biases, activations must have equal length")
         if not self.weights:
@@ -98,15 +111,30 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-            validate=False,
-        )
+        return _on_flat(self.flat.copy(), self)
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
+
+
+def _views(flat: np.ndarray, shapes):
+    """Per-layer weight and bias views into flat for [out, in] weight shapes."""
+    ws, bs, off = [], [], 0
+    for dout, din in shapes:
+        ws.append(flat[off:off + dout * din].reshape(dout, din))
+        off += dout * din
+        bs.append(flat[off:off + dout])
+        off += dout
+    return ws, bs
+
+
+def _on_flat(flat: np.ndarray, like: MlpParams) -> MlpParams:
+    """Network with like's layout whose parameters are flat itself (no copy)."""
+    params = object.__new__(MlpParams)
+    params.flat = flat
+    params.weights, params.biases = _views(flat, [w.shape for w in like.weights])
+    params.activations = list(like.activations)
+    return params
 
 
 def mlp_init(dims, activations, rng) -> MlpParams:
@@ -126,12 +154,7 @@ def mlp_init(dims, activations, rng) -> MlpParams:
 
 
 def zeros_like_params(params: MlpParams) -> MlpParams:
-    return MlpParams(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        list(params.activations),
-        validate=False,
-    )
+    return _on_flat(np.zeros_like(params.flat), params)
 
 
 def _as_batch(x, expected_dim, what="input"):
@@ -188,15 +211,13 @@ def mlp_backward(params: MlpParams, cache, upstream):
     if hs[0].shape[0] != ub.shape[0]:
         raise ValueError("input and upstream gradient batch sizes differ")
 
-    gws = [None] * params.n_layers
-    gbs = [None] * params.n_layers
+    grads = _on_flat(np.empty_like(params.flat), params)
     delta = ub
     for k in range(params.n_layers - 1, -1, -1):
         delta = delta * _act_grad(params.activations[k], zs[k], hs[k + 1])
-        gws[k] = delta.T @ hs[k]
-        gbs[k] = delta.sum(axis=0)
+        np.matmul(delta.T, hs[k], out=grads.weights[k])
+        np.sum(delta, axis=0, out=grads.biases[k])
         delta = delta @ params.weights[k]
-    grads = MlpParams(gws, gbs, list(params.activations), validate=False)
     return grads, (delta[0] if squeeze and usq else delta)
 
 
@@ -219,70 +240,43 @@ def adam_init(params: MlpParams, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) ->
 
 
 def _check_same_shape(params, grads):
-    for k, (w, gw) in enumerate(zip(params.weights, grads.weights)):
-        if w.shape != gw.shape or params.biases[k].shape != grads.biases[k].shape:
-            raise ValueError(f"layer {k}: gradient shape does not match parameters")
+    if params.flat.shape != grads.flat.shape:
+        raise ValueError(f"gradient has {grads.flat.size} values, "
+                         f"parameters have {params.flat.size}")
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
-    """One bias-corrected Adam update. Rejects non-finite gradients."""
+    """One bias-corrected Adam update. Rejects non-finite gradients.
+
+    Returns new parameters and a new state; the inputs are not modified."""
     _check_same_shape(params, grads)
-    for gw, gb in zip(grads.weights, grads.biases):
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise ValueError("non-finite gradient passed to adam_step")
+    g = grads.flat
+    if not np.isfinite(g).all():
+        raise ValueError("non-finite gradient passed to adam_step")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    new_w, new_b = [], []
-    new_mw, new_mb, new_vw, new_vb = [], [], [], []
-    for k in range(params.n_layers):
-        for arrs, out_p, out_m, out_v in (
-            ((params.weights[k], grads.weights[k], state.m.weights[k], state.v.weights[k]),
-             new_w, new_mw, new_vw),
-            ((params.biases[k], grads.biases[k], state.m.biases[k], state.v.biases[k]),
-             new_b, new_mb, new_vb),
-        ):
-            p, g, m, v = arrs
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            p = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-            out_p.append(p)
-            out_m.append(m)
-            out_v.append(v)
-    acts = list(params.activations)
-    new_params = MlpParams(new_w, new_b, acts, validate=False)
-    new_state = AdamState(
-        MlpParams(new_mw, new_mb, acts, validate=False),
-        MlpParams(new_vw, new_vb, acts, validate=False),
-        t, state.lr, b1, b2, state.eps,
-    )
-    return new_params, new_state
-
-
-def sgd_step(params: MlpParams, grads: MlpParams, lr: float) -> MlpParams:
-    _check_same_shape(params, grads)
-    return MlpParams(
-        [w - lr * gw for w, gw in zip(params.weights, grads.weights)],
-        [b - lr * gb for b, gb in zip(params.biases, grads.biases)],
-        list(params.activations),
-        validate=False,
-    )
+    m = b1 * state.m.flat + (1.0 - b1) * g
+    v = b2 * state.v.flat + (1.0 - b2) * g * g
+    p = params.flat - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    new_state = AdamState(_on_flat(m, params), _on_flat(v, params),
+                          t, state.lr, b1, b2, state.eps)
+    return _on_flat(p, params), new_state
 
 
 def params_to_flat(params: MlpParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for pair in zip(params.weights, params.biases)
-                           for a in pair])
+    """A copy of the parameter vector, laid out [W0, b0, W1, b1, ...]."""
+    return params.flat.copy()
 
 
 def flat_to_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
-    ws, bs, off = [], [], 0
-    for w, b in zip(like.weights, like.biases):
-        ws.append(flat[off:off + w.size].reshape(w.shape).copy())
-        off += w.size
-        bs.append(flat[off:off + b.size].copy())
-        off += b.size
-    return MlpParams(ws, bs, list(like.activations), validate=False)
+    """Network with like's layout over a copy of flat."""
+    flat = np.array(flat, dtype=np.float64)
+    if flat.shape != like.flat.shape:
+        raise ValueError(f"flat vector has shape {flat.shape}, "
+                         f"network needs ({like.flat.size},)")
+    return _on_flat(flat, like)
 
 
 def finite_diff_check(loss_fn, params: MlpParams, analytic: MlpParams,
@@ -322,13 +316,11 @@ _ACT_CODE = {a: i for i, a in enumerate(ACTIVATIONS)}
 
 def mlp_to_bytes(params: MlpParams) -> bytes:
     """Versioned flat layout: magic, layer count, per-layer dims and
-    activation codes, then row-major float64 weights and biases."""
+    activation codes, then the float64 parameter vector flat."""
     out = [_MAGIC, struct.pack("<I", params.n_layers)]
     for w, a in zip(params.weights, params.activations):
         out.append(struct.pack("<IIB", w.shape[1], w.shape[0], _ACT_CODE[a]))
-    for w, b in zip(params.weights, params.biases):
-        out.append(np.ascontiguousarray(w, dtype=np.float64).tobytes())
-        out.append(np.ascontiguousarray(b, dtype=np.float64).tobytes())
+    out.append(params.flat.tobytes())
     return b"".join(out)
 
 
@@ -344,16 +336,12 @@ def mlp_from_bytes(data: bytes) -> MlpParams:
         off += 9
         shapes.append((dout, din))
         acts.append(ACTIVATIONS[code])
-    ws, bs = [], []
-    for dout, din in shapes:
-        nw = dout * din * 8
-        ws.append(np.frombuffer(data[off:off + nw], dtype=np.float64).reshape(dout, din).copy())
-        off += nw
-        bs.append(np.frombuffer(data[off:off + dout * 8], dtype=np.float64).copy())
-        off += dout * 8
-    if off != len(data):
-        raise ValueError("trailing bytes after network payload")
-    return MlpParams(ws, bs, acts)
+    n = sum(dout * (din + 1) for dout, din in shapes)
+    if len(data) - off != 8 * n:
+        raise ValueError(f"network payload has {len(data) - off} bytes, "
+                         f"its layer dims need {8 * n}")
+    flat = np.frombuffer(data, dtype=np.float64, count=n, offset=off)
+    return MlpParams(*_views(flat, shapes), acts)
 
 
 def save_mlp(params: MlpParams, path) -> None:

@@ -187,6 +187,9 @@ class RunConfig:
         if self.frozen_reward is not None:
             if self.frozen_reward.get("kind") not in ("trainer", "airl"):
                 raise ValueError("frozen_reward.kind must be 'trainer' or 'airl'")
+            if self.algorithm == "bc":
+                raise ValueError("frozen_reward needs a learned-reward algorithm; "
+                                 "bc trains on expert actions only")
         return self
 
 
@@ -438,7 +441,7 @@ class _Replay:
                                 done=te["done"][k], expert=1.0)
         self.disc.insert(s=row["s"], a=row["a"], sp=row["sp"])
         trainer = self.pathway.trainer
-        if trainer is None:
+        if trainer is None or trainer.frozen:  # nothing samples trainer rows after the freeze
             return
         obs = trainer_observation(row["s"], row["a"])
         a_t = trainer_act(trainer, obs, "stochastic", self.trainer_rng)

@@ -18,7 +18,6 @@ from rile.nets import (
     mlp_to_bytes,
     params_to_flat,
     save_mlp,
-    sgd_step,
     zeros_like_params,
 )
 
@@ -85,6 +84,61 @@ class TestForward:
                 [np.zeros(3), np.zeros(1)],
                 ["relu", "identity"],
             )
+
+
+class TestFlatLayout:
+    def net(self):
+        return mlp_init([3, 4, 2], ["tanh", "identity"], np.random.default_rng(12))
+
+    def test_layout_is_w0_b0_w1_b1(self):
+        p = self.net()
+        expected = np.concatenate([p.weights[0].ravel(), p.biases[0],
+                                   p.weights[1].ravel(), p.biases[1]])
+        assert np.array_equal(p.flat, expected)
+        assert p.flat.dtype == np.float64 and p.flat.size == p.n_params() == 26
+
+    def test_views_and_flat_alias_both_ways(self):
+        p = self.net()
+        p.weights[1][1, 2] = 7.0
+        p.biases[0][3] = -3.0
+        assert p.flat[12 + 4 + 1 * 4 + 2] == 7.0
+        assert p.flat[12 + 3] == -3.0
+        p.flat[:] = np.arange(p.flat.size)
+        assert p.weights[0][2, 1] == 7.0
+        assert np.array_equal(p.biases[1], [24.0, 25.0])
+
+    def test_constructor_copies_its_arrays(self):
+        w, b = np.eye(2), np.zeros(2)
+        p = MlpParams([w], [b], ["identity"])
+        w[0, 0] = 5.0
+        p.biases[0][0] = 5.0
+        assert p.weights[0][0, 0] == 1.0 and b[0] == 0.0
+
+    def test_results_do_not_alias_inputs(self):
+        p = self.net()
+        g = self.net()
+        state = adam_init(p, lr=0.1)
+        new_p, new_state = adam_step(p, g, state)
+        flat = params_to_flat(p)
+        results = [p.copy(), new_p, new_state.m, new_state.v, flat_to_params(flat, p)]
+        inputs = [p.flat, g.flat, state.m.flat, state.v.flat, flat]
+        for r in results:
+            for x in inputs:
+                assert not np.shares_memory(r.flat, x)
+
+    def test_flat_to_params_rejects_wrong_size(self):
+        p = self.net()
+        with pytest.raises(ValueError, match="26"):
+            flat_to_params(np.zeros(25), p)
+
+    def test_serialized_payload_is_the_flat_vector(self):
+        p = self.net()
+        data = mlp_to_bytes(p)
+        assert data.endswith(p.flat.tobytes())
+        assert len(data) == 8 + 4 + 9 * p.n_layers + p.flat.nbytes
+        for bad in (data[:-8], data + bytes(8)):
+            with pytest.raises(ValueError, match="payload"):
+                mlp_from_bytes(bad)
 
 
 class TestBackward:
@@ -201,19 +255,32 @@ class TestAdam:
         for a, b in zip(st.m.weights, p.weights):
             assert a.shape == b.shape
 
+    def test_matches_per_layer_reference(self):
+        # The same arithmetic, one array at a time: results must be bit-equal.
+        rng = np.random.default_rng(13)
+        p = mlp_init([3, 5, 4, 2], ["relu", "tanh", "identity"], rng)
+        state = adam_init(p, lr=1e-2)
+        ps = [a.copy() for a in (*p.weights, *p.biases)]
+        ms = [np.zeros_like(a) for a in ps]
+        vs = [np.zeros_like(a) for a in ps]
+        for t in range(1, 6):
+            g = mlp_init([3, 5, 4, 2], ["relu", "tanh", "identity"], rng)
+            p, state = adam_step(p, g, state)
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for i, ga in enumerate((*g.weights, *g.biases)):
+                ms[i] = 0.9 * ms[i] + (1.0 - 0.9) * ga
+                vs[i] = 0.999 * vs[i] + (1.0 - 0.999) * ga * ga
+                ps[i] = ps[i] - 1e-2 * (ms[i] / c1) / (np.sqrt(vs[i] / c2) + 1e-8)
+        for got, want in zip((p, state.m, state.v), (ps, ms, vs)):
+            for a, b in zip((*got.weights, *got.biases), want):
+                assert np.array_equal(a, b)
+
     def test_counter_strictly_increments(self):
         p = single_layer([[1.0]], [0.0], "identity")
         st = adam_init(p, lr=0.1)
         for expect in (1, 2, 3):
             p, st = adam_step(p, zeros_like_params(p), st)
             assert st.step == expect
-
-    def test_sgd_step(self):
-        p = single_layer([[1.0]], [2.0], "identity")
-        g = single_layer([[0.5]], [1.0], "identity")
-        q = sgd_step(p, g, lr=0.1)
-        assert q.weights[0][0, 0] == pytest.approx(0.95)
-        assert q.biases[0][0] == pytest.approx(1.9)
 
 
 class TestFiniteDiffCheck:

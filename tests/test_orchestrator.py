@@ -148,3 +148,95 @@ def test_bc_final_eval_uses_the_action_noise():
                                       seed=cfg.seed)
     assert (artifacts.final_return, artifacts.final_goal_rate) == (ret, rate)
     assert ret != clean_ret  # the noise changes this policy's score
+
+
+def test_frozen_reward_rejected_for_bc():
+    cfg = RunConfig(algorithm="bc", frozen_reward={"kind": "trainer",
+                                                   "path": "/nonexistent.mlp"})
+    with pytest.raises(ValueError, match="frozen_reward"):
+        cfg.validate()
+    with pytest.raises(ValueError, match="frozen_reward"):
+        run_training(cfg, EXPERT)
+
+
+def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
+    # A loose freeze test (5 updates, threshold 10) so that the trainer
+    # freezes early in the run; after that, nothing reads the trainer stream.
+    calls = []
+    original = orchestrator.trainer_act
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "trainer_act", counting)
+    cfg = RunConfig(algorithm="rile_off", seed=3, freeze_window=5, freeze_threshold=10.0,
+                    **TINY)
+    artifacts = run_training(cfg, EXPERT)
+
+    assert artifacts.freeze_step is not None
+    assert artifacts.freeze_step < cfg.total_steps // 2
+    # one stochastic trainer action per collected step up to the freeze
+    assert len(calls) == artifacts.freeze_step
+
+
+def _collected_rows(algorithm, seed, monkeypatch):
+    """(s, a, s') of every step the collector takes in a TINY run."""
+    rows = []
+    original = orchestrator._Collector.step
+
+    def spy(collector, student):
+        row = original(collector, student)
+        rows.append(np.concatenate([row["s"], row["a"], row["sp"]]))
+        return row
+
+    monkeypatch.setattr(orchestrator._Collector, "step", spy)
+    run_training(RunConfig(algorithm=algorithm, seed=seed, **TINY), EXPERT)
+    return np.array(rows)
+
+
+def _first_differing_step(x, y):
+    return 1 + int(np.flatnonzero((x != y).any(axis=1))[0])
+
+
+def test_seed_paired_runs_share_rollouts_until_the_first_update(monkeypatch):
+    rows = {alg: _collected_rows(alg, 3, monkeypatch)
+            for alg in ("rile_off", "gail", "airl", "rile_on")}
+    # Off-policy runs first update at step 52 (a multiple of update_every past
+    # the 50-step warm-up); rile_on first updates after its first 12-step
+    # episode. Up to then every algorithm has drawn the same actions.
+    first_update = 52
+    for alg in ("gail", "airl"):
+        assert _first_differing_step(rows["rile_off"], rows[alg]) == first_update + 1
+    assert _first_differing_step(rows["gail"], rows["airl"]) == first_update + 1
+    episode = TINY["env"].max_steps
+    assert _first_differing_step(rows["rile_off"], rows["rile_on"]) == episode + 1
+
+
+def _expert_shares(cfg, monkeypatch):
+    """Share of expert-sourced rows inserted into the student and trainer
+    buffers, and the number of rows inserted into each."""
+    flags = {"s": [], "obs": []}
+    original = orchestrator.ReplayBuffer.insert
+
+    def spy(buffer, **row):
+        for key in flags:
+            if key in row and "expert" in row:
+                flags[key].append(row["expert"])
+        return original(buffer, **row)
+
+    monkeypatch.setattr(orchestrator.ReplayBuffer, "insert", spy)
+    run_training(cfg, EXPERT)
+    return {key: (float(np.mean(v)), len(v)) for key, v in flags.items()}
+
+
+@pytest.mark.parametrize("mix_student,mix_trainer", [(0.3, 0.6), (0.0, 0.0)])
+def test_expert_mix_fractions_are_honoured(mix_student, mix_trainer, monkeypatch):
+    shares = _expert_shares(RunConfig(algorithm="rile_off", seed=3,
+                                      expert_mix_student=mix_student,
+                                      expert_mix_trainer=mix_trainer, **TINY), monkeypatch)
+    for key, p in (("s", mix_student), ("obs", mix_trainer)):
+        share, n = shares[key]
+        # every step inserts a row (the last trainer row waits for its successor)
+        assert n >= TINY["total_steps"] - 1
+        assert abs(share - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)
