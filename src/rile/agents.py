@@ -10,13 +10,14 @@ live here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .nets import (
     AdamState,
     MlpParams,
+    Workspace,
     adam_init,
     adam_step,
     flat_to_params,
@@ -91,9 +92,9 @@ def _split_heads(y: np.ndarray):
     return y[:, :da], np.clip(raw, LOG_STD_MIN, LOG_STD_MAX), raw
 
 
-def _policy_heads(actor: MlpParams, states: np.ndarray):
+def _policy_heads(actor: MlpParams, states: np.ndarray, ws: Workspace | None = None):
     """(mean, log_std, raw log_std) from the actor net; log_std hard-clipped."""
-    return _split_heads(mlp_forward(actor, np.atleast_2d(states)))
+    return _split_heads(mlp_forward(actor, np.atleast_2d(states), ws))
 
 
 # The two losses that score boundary actions clamp their pre-squash values to
@@ -152,6 +153,8 @@ class StudentAgent:
     gamma: float = 0.99
     tau: float = 0.01
     advantage_norm: bool = True
+    # batch scratch of the agent's forward and backward passes
+    ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @property
     def state_dim(self) -> int:
@@ -194,12 +197,12 @@ def student_act(agent: StudentAgent, state, mode: str, rng=None) -> np.ndarray:
                           agent.action_dim)
 
 
-def _critic_loss_grads(critic, states, targets):
-    y, cache = mlp_forward_cached(critic, states)
+def _critic_loss_grads(critic, states, targets, ws=None):
+    y, cache = mlp_forward_cached(critic, states, ws)
     v = y[:, 0]
     err = v - targets
     loss = float(np.mean(err**2))
-    grads, _ = mlp_backward(critic, cache, (2.0 * err / len(err))[:, None])
+    grads, _ = mlp_backward(critic, cache, (2.0 * err / len(err))[:, None], ws)
     return loss, grads, v
 
 
@@ -213,11 +216,11 @@ def advantage_weights(advantages) -> np.ndarray:
     return np.minimum(np.exp(advantages), _ADV_WEIGHT_CLIP)
 
 
-def _actor_loss_grads(actor, states, actions, weights, entropy_coef):
+def _actor_loss_grads(actor, states, actions, weights, entropy_coef, ws=None):
     """Weighted log-likelihood ascent plus entropy bonus; weights >= 0 are
     treated as constants (exponentiated advantages in training). The loss
     and its gradient both use the clamped pre-squash value of the actions."""
-    y, cache = mlp_forward_cached(actor, states)
+    y, cache = mlp_forward_cached(actor, states, ws)
     mean, log_std, raw = _split_heads(y)
     u = _clamped_atanh(actions)
     std = np.exp(log_std)
@@ -232,7 +235,7 @@ def _actor_loss_grads(actor, states, actions, weights, entropy_coef):
     d_logstd = (-(w * (z**2 - 1.0)) - entropy_coef) / n
     d_logstd = d_logstd * ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX))
     upstream = np.concatenate([d_mean, d_logstd], axis=1)
-    grads, _ = mlp_backward(actor, cache, upstream)
+    grads, _ = mlp_backward(actor, cache, upstream, ws)
     return loss, grads, float(np.mean(ent))
 
 
@@ -242,18 +245,20 @@ def _polyak(target: MlpParams, source: MlpParams, tau: float) -> MlpParams:
 
 def _td_update(agent, states, actions, rewards, next_states, dones):
     """Shared actor-critic step; returns diagnostics. Rejects non-finite
-    losses before any state is touched."""
+    losses before any state is touched. The target, critic and actor passes
+    run on the agent's workspace in turn: one cache is live at a time."""
     rewards = np.asarray(rewards, dtype=np.float64)
     dones = np.asarray(dones, dtype=np.float64)
-    v_next = mlp_forward(agent.critic_target, next_states)[:, 0]
+    v_next = mlp_forward(agent.critic_target, next_states, agent.ws)[:, 0]
     targets = rewards + agent.gamma * (1.0 - dones) * v_next
 
-    c_loss, c_grads, v = _critic_loss_grads(agent.critic, states, targets)
+    c_loss, c_grads, v = _critic_loss_grads(agent.critic, states, targets, agent.ws)
     adv = targets - v
     if agent.advantage_norm and len(adv) > 1 and adv.std() > 1e-8:
         adv = (adv - adv.mean()) / adv.std()
     a_loss, a_grads, mean_ent = _actor_loss_grads(
-        agent.actor, states, actions, advantage_weights(adv), agent.entropy_coef)
+        agent.actor, states, actions, advantage_weights(adv), agent.entropy_coef,
+        agent.ws)
     if not (np.isfinite(c_loss) and np.isfinite(a_loss)):
         raise ValueError("non-finite loss in actor-critic update; agent unchanged")
 
@@ -291,6 +296,8 @@ class TrainerAgent:
     tau: float = 0.01
     advantage_norm: bool = True
     frozen: bool = False
+    # batch scratch of the agent's forward and backward passes
+    ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @property
     def obs_dim(self) -> int:
@@ -323,7 +330,7 @@ def trainer_act(agent: TrainerAgent, obs, mode: str = "deterministic",
 
 def trainer_act_batch(agent: TrainerAgent, obs: np.ndarray) -> np.ndarray:
     """Deterministic actions for a batch of observations."""
-    mean, _, _ = _policy_heads(agent.actor, obs)
+    mean, _, _ = _policy_heads(agent.actor, obs, agent.ws)
     return np.tanh(mean[:, 0])
 
 

@@ -9,7 +9,7 @@ potential, BC regresses the actor mean directly onto expert actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .envs import ExpertDataset
 from .nets import (
     AdamState,
     MlpParams,
+    Workspace,
     adam_init,
     adam_step,
     mlp_backward,
@@ -52,13 +53,15 @@ def _stable_sigmoid(x):
 
 @dataclass
 class AirlHeads:
-    """Learned reward r(s,a) decoupled from a shaping potential V(s)."""
+    """Learned reward r(s,a) decoupled from a shaping potential V(s), with
+    the batch scratch of both heads."""
 
     reward: MlpParams
     potential: MlpParams
     reward_opt: AdamState
     potential_opt: AdamState
     gamma: float = 0.99
+    ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
 
 def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
@@ -70,15 +73,16 @@ def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
                      adam_init(potential, lr=lr), gamma)
 
 
-def airl_f_batch(heads: AirlHeads, s, a, sp):
+def airl_f_batch(heads: AirlHeads, s, a, sp, ws: Workspace):
     """f(s,a,s') = r(s,a) + gamma V(s') - V(s) per row.
 
     Returns (f, caches): caches are the forward caches of r(s,a), V(s) and
-    V(s'), in that order, for mlp_backward."""
+    V(s'), in that order, for mlp_backward. They live in three slots of ws
+    and stay valid until the next call on the same ws."""
     sa = np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1)
-    r, c_r = mlp_forward_cached(heads.reward, sa)
-    v, c_v = mlp_forward_cached(heads.potential, np.atleast_2d(s))
-    vp, c_vp = mlp_forward_cached(heads.potential, np.atleast_2d(sp))
+    r, c_r = mlp_forward_cached(heads.reward, sa, ws.slot("r"))
+    v, c_v = mlp_forward_cached(heads.potential, np.atleast_2d(s), ws.slot("v"))
+    vp, c_vp = mlp_forward_cached(heads.potential, np.atleast_2d(sp), ws.slot("vp"))
     return r[:, 0] + heads.gamma * vp[:, 0] - v[:, 0], (c_r, c_v, c_vp)
 
 
@@ -90,7 +94,7 @@ def _student_logp(student: StudentAgent, s, a) -> np.ndarray:
     The exact density is unbounded at such actions. Neither the paper nor
     the AIRL formula says what pi(a|s) should be for an expert action on the
     boundary of a squashed Gaussian; the clamp is this code's choice."""
-    mean, log_std, _ = _policy_heads(student.actor, np.atleast_2d(s))
+    mean, log_std, _ = _policy_heads(student.actor, np.atleast_2d(s), student.ws)
     return _logprob_presquash(mean, log_std, _clamped_atanh(
         np.atleast_2d(np.asarray(a, dtype=np.float64))))
 
@@ -99,11 +103,12 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
                         logp_expert, logp_student):
     """BCE of the structured discriminator vs labels (expert 1, student 0),
     with exact gradients for both heads. Policy log-densities are treated
-    as constants."""
+    as constants. The expert and student caches live in two slots of the
+    heads' workspace."""
     se, ae, spe = (np.atleast_2d(v) for v in expert_batch)
     ss, as_, sps = (np.atleast_2d(v) for v in student_batch)
-    fe, caches_e = airl_f_batch(heads, se, ae, spe)
-    fs, caches_s = airl_f_batch(heads, ss, as_, sps)
+    fe, caches_e = airl_f_batch(heads, se, ae, spe, heads.ws.slot("expert"))
+    fs, caches_s = airl_f_batch(heads, ss, as_, sps, heads.ws.slot("student"))
     me = fe - logp_expert
     ms = fs - logp_student
     loss = float(np.mean(np.logaddexp(0.0, -me)) + np.mean(np.logaddexp(0.0, ms)))
@@ -114,9 +119,9 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
     def head_grads(caches, df):
         """Reward and potential gradients of sum(df * f) over one batch."""
         c_r, c_v, c_vp = caches
-        g_r, _ = mlp_backward(heads.reward, c_r, df[:, None])
-        g_v, _ = mlp_backward(heads.potential, c_vp, (heads.gamma * df)[:, None])
-        g_v.flat += mlp_backward(heads.potential, c_v, (-df)[:, None])[0].flat
+        g_r, _ = mlp_backward(heads.reward, c_r, df[:, None], heads.ws)
+        g_v, _ = mlp_backward(heads.potential, c_vp, (heads.gamma * df)[:, None], heads.ws)
+        g_v.flat += mlp_backward(heads.potential, c_v, (-df)[:, None], heads.ws)[0].flat
         return g_r, g_v
 
     # Summed within each batch first, then across the two batches: same-seed
@@ -143,23 +148,23 @@ def airl_update(heads: AirlHeads, student: StudentAgent, expert_batch,
     return loss
 
 
-def _bc_loss(actor: MlpParams, states, targets) -> float:
+def _bc_loss(actor: MlpParams, states, targets, ws: Workspace) -> float:
     """Squared error of the squashed actor mean against expert actions."""
-    y = mlp_forward(actor, states)
+    y = mlp_forward(actor, states, ws)
     err = np.tanh(y[:, :y.shape[1] // 2]) - targets
     return float(np.mean(np.sum(err**2, axis=1)))
 
 
-def _bc_loss_and_grads(actor: MlpParams, states, targets):
+def _bc_loss_and_grads(actor: MlpParams, states, targets, ws: Workspace):
     """_bc_loss and its gradient, from one forward pass."""
-    y, cache = mlp_forward_cached(actor, states)
+    y, cache = mlp_forward_cached(actor, states, ws)
     da = y.shape[1] // 2
     mean = np.tanh(y[:, :da])
     err = mean - targets
     loss = float(np.mean(np.sum(err**2, axis=1)))
     up_mean = 2.0 * err * (1.0 - mean**2) / len(states)
     upstream = np.concatenate([up_mean, np.zeros_like(up_mean)], axis=1)
-    grads, _ = mlp_backward(actor, cache, upstream)
+    grads, _ = mlp_backward(actor, cache, upstream, ws)
     return loss, grads
 
 
@@ -195,12 +200,13 @@ def run_bc(config, expert: ExpertDataset, run_dir=None):
         order = rng.permutation(len(train))
         for lo in range(0, len(order), batch):
             idx = train[order[lo:lo + batch]]
-            _, grads = _bc_loss_and_grads(student.actor, s[idx], a[idx])
+            _, grads = _bc_loss_and_grads(student.actor, s[idx], a[idx], student.ws)
             student.actor, student.actor_opt = adam_step(student.actor, grads,
                                                          student.actor_opt)
-        row = {"epoch": epoch, "train_loss": _bc_loss(student.actor, s[train], a[train])}
+        row = {"epoch": epoch,
+               "train_loss": _bc_loss(student.actor, s[train], a[train], student.ws)}
         if len(hold) > 0:
-            row["holdout_loss"] = _bc_loss(student.actor, s[hold], a[hold])
+            row["holdout_loss"] = _bc_loss(student.actor, s[hold], a[hold], student.ws)
         diag.write(row)
 
     artifacts = orchestrator.RunArtifacts(cfg, run_dir, student, None, None)

@@ -9,13 +9,14 @@ optimal classifier over finite supports is provided as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .nets import (
     AdamState,
     MlpParams,
+    Workspace,
     _act_grad,
     _act_grad2,
     _forward_cached,
@@ -33,11 +34,12 @@ LOGIT_CLAMP = 20.0
 @dataclass
 class DiscriminatorNet:
     """Scalar-logit MLP over concatenated (state, action), with its
-    optimizer state and an update counter."""
+    optimizer state, an update counter and its batch scratch."""
 
     params: MlpParams
     opt: AdamState
     updates: int = 0
+    ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @property
     def in_dim(self) -> int:
@@ -61,7 +63,7 @@ def _join(state, action) -> np.ndarray:
 
 
 def disc_logit(net: DiscriminatorNet, x: np.ndarray) -> np.ndarray:
-    y, _, _ = _forward_cached(net.params, np.atleast_2d(x))
+    y, _, _ = _forward_cached(net.params, np.atleast_2d(x), net.ws)
     return np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
@@ -81,11 +83,15 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def _bce_loss_and_grads(params: MlpParams, xe: np.ndarray, xs: np.ndarray):
+def _bce_loss_and_grads(params: MlpParams, xe: np.ndarray, xs: np.ndarray,
+                        ws: Workspace | None = None):
     """Loss = -mean log D(expert) - mean log(1-D(student)) and its exact
-    parameter gradients, through the logit clamp."""
-    ye, cache_e = mlp_forward_cached(params, xe)
-    ys, cache_s = mlp_forward_cached(params, xs)
+    parameter gradients, through the logit clamp. The expert and student
+    caches live in two slots of ws."""
+    ws = Workspace() if ws is None else ws
+    ws_e, ws_s = ws.slot("expert"), ws.slot("student")
+    ye, cache_e = mlp_forward_cached(params, xe, ws_e)
+    ys, cache_s = mlp_forward_cached(params, xs, ws_s)
     le = np.clip(ye[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
     ls = np.clip(ys[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
     loss = float(np.mean(_softplus(-le)) + np.mean(_softplus(ls)))
@@ -96,8 +102,8 @@ def _bce_loss_and_grads(params: MlpParams, xe: np.ndarray, xs: np.ndarray):
     gs = (1.0 / (1.0 + np.exp(-ls))) / len(ls)
     gs = np.where(np.abs(ys[:, 0]) < LOGIT_CLAMP, gs, 0.0)
 
-    grads, _ = mlp_backward(params, cache_e, ge[:, None])
-    grads.flat += mlp_backward(params, cache_s, gs[:, None])[0].flat
+    grads, _ = mlp_backward(params, cache_e, ge[:, None], ws_e)
+    grads.flat += mlp_backward(params, cache_s, gs[:, None], ws_s)[0].flat
     return loss, grads
 
 
@@ -105,7 +111,7 @@ def _gp_loss_and_grads(params: MlpParams, x: np.ndarray):
     """Two-sided penalty mean((||d logit/d x|| - 1)^2) with exact parameter
     gradients, i.e. reverse-mode applied to the input-gradient program."""
     n = x.shape[0]
-    _, zs, hs = _forward_cached(params, x)
+    _, zs, hs = _forward_cached(params, x, Workspace())
 
     # input-gradient sweep, keeping every intermediate
     acts = params.activations
@@ -153,7 +159,7 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
     if len(xe) == 0 or len(xs) == 0:
         raise ValueError("expert and student batches must be non-empty")
 
-    loss, grads = _bce_loss_and_grads(net.params, xe, xs)
+    loss, grads = _bce_loss_and_grads(net.params, xe, xs, net.ws)
     if gp_weight > 0:
         if rng is None:
             raise ValueError("gradient penalty needs an rng for interpolation")

@@ -2,13 +2,23 @@
 
 Forward pass, exact reverse-mode gradients, Adam, a finite-difference
 gradient checker, and a versioned flat serialization format. Everything
-is float64 and purely functional: no global state, no hidden RNG.
+is float64, with no global state and no hidden RNG.
 
 Each network's parameters live in one contiguous vector, MlpParams.flat,
 laid out [W0, b0, W1, b1, ...] with every weight matrix row-major; the
 per-layer weights and biases are views into it. Whole-network arithmetic
 (Adam, Polyak averaging, gradient sums, serialization) is therefore one
 vector expression on .flat, and the serialized payload is .flat's bytes.
+
+Batch-sized scratch lives in a Workspace. Each learner (student, trainer,
+discriminator, AIRL heads) owns one and passes it to its forward and
+backward passes, which write the hidden layers' pre-activations and
+activations and the backward deltas into it, so steady-state updates
+allocate no batch-sized arrays. A workspace (or each named slot of one)
+holds one live forward cache: the next forward on it overwrites the last,
+so a caller that needs two caches at once uses two slots. Network outputs,
+input gradients and parameter gradients are always fresh arrays, never
+workspace views. A call given no workspace uses a throwaway one.
 """
 
 from __future__ import annotations
@@ -23,13 +33,18 @@ ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 _MAGIC = b"RILEMLP1"
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of z, written into out, or into a fresh array when out
+    is None (z itself for identity)."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        out = np.negative(z, out=out)
+        np.exp(out, out=out)
+        np.add(1.0, out, out=out)
+        return np.divide(1.0, out, out=out)
     return z
 
 
@@ -44,6 +59,25 @@ def _act_grad(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
+def _act_backward(name: str, g: np.ndarray, z: np.ndarray, h: np.ndarray,
+                  ws: Workspace, k: int) -> np.ndarray:
+    """g * _act_grad(name, z, h) for layer k, written into ws's delta buffer
+    of that layer (g itself for identity). g may be that buffer."""
+    if name == "identity":
+        return g
+    out = ws.take(("d", k), *g.shape)
+    if name == "relu":
+        return np.multiply(g, z > 0.0, out=out)
+    tmp = ws.take(("t", k), *g.shape)
+    if name == "tanh":
+        np.multiply(h, h, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+    else:  # sigmoid
+        np.subtract(1.0, h, out=tmp)
+        np.multiply(h, tmp, out=tmp)
+    return np.multiply(g, tmp, out=out)
+
+
 def _act_grad2(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Second derivative of the activation (needed for double backprop)."""
     if name == "relu":
@@ -54,6 +88,34 @@ def _act_grad2(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
         s = h
         return s * (1.0 - s) * (1.0 - 2.0 * s)
     return np.zeros_like(z)
+
+
+class Workspace:
+    """Grow-only float64 scratch buffers, keyed by name and handed out as
+    [rows, cols] views of their leading rows * cols values.
+
+    A buffer is reallocated only when a request outgrows it, so a learner
+    whose batches keep their sizes reuses the same memory on every update.
+    slot(name) is a child workspace with buffers of its own, for callers
+    that keep more than one forward cache live at once.
+    """
+
+    def __init__(self):
+        self._bufs = {}
+        self._slots = {}
+
+    def take(self, key, rows: int, cols: int) -> np.ndarray:
+        n = rows * cols
+        buf = self._bufs.get(key)
+        if buf is None or buf.size < n:
+            buf = self._bufs[key] = np.empty(n)
+        return buf[:n].reshape(rows, cols)
+
+    def slot(self, name) -> "Workspace":
+        child = self._slots.get(name)
+        if child is None:
+            child = self._slots[name] = Workspace()
+        return child
 
 
 @dataclass
@@ -167,58 +229,69 @@ def _as_batch(x, expected_dim, what="input"):
     return x, squeeze
 
 
-def _forward_cached(params: MlpParams, x: np.ndarray):
+def _forward_cached(params: MlpParams, x: np.ndarray, ws: Workspace):
     """Returns (output, pre-activations z per layer, activations h per layer).
 
-    h[0] is the input; h[k] the output of layer k.
+    h[0] is the input; h[k] the output of layer k. The hidden layers' z and
+    h are views into ws; the last layer's are fresh arrays.
     """
     hs = [x]
     zs = []
     h = x
-    for w, b, a in zip(params.weights, params.biases, params.activations):
-        z = h @ w.T + b
-        h = _act(a, z)
+    last = params.n_layers - 1
+    for k, (w, b, a) in enumerate(zip(params.weights, params.biases, params.activations)):
+        hidden = k < last
+        rows, cols = h.shape[0], w.shape[0]
+        z = np.matmul(h, w.T, out=ws.take(("z", k), rows, cols) if hidden else None)
+        z += b
+        h = _act(a, z, ws.take(("h", k), rows, cols) if hidden and a != "identity" else None)
         zs.append(z)
         hs.append(h)
     return h, zs, hs
 
 
-def mlp_forward(params: MlpParams, x) -> np.ndarray:
+def mlp_forward(params: MlpParams, x, ws: Workspace | None = None) -> np.ndarray:
     """Evaluate the network. Accepts a single vector or a [n, in_dim] batch."""
-    return mlp_forward_cached(params, x)[0]
+    return mlp_forward_cached(params, x, ws)[0]
 
 
-def mlp_forward_cached(params: MlpParams, x):
+def mlp_forward_cached(params: MlpParams, x, ws: Workspace | None = None):
     """mlp_forward that also returns the cache mlp_backward needs.
 
     Returns (output, cache). The cache holds the per-layer pre-activations
-    and activations of this forward and whether x was a single vector.
+    and activations of this forward and whether x was a single vector; it
+    stays valid until the next forward on the same workspace.
     """
     xb, squeeze = _as_batch(x, params.in_dim)
-    y, zs, hs = _forward_cached(params, xb)
+    y, zs, hs = _forward_cached(params, xb, Workspace() if ws is None else ws)
     return (y[0] if squeeze else y), (zs, hs, squeeze)
 
 
-def mlp_backward(params: MlpParams, cache, upstream):
+def mlp_backward(params: MlpParams, cache, upstream, ws: Workspace | None = None):
     """Exact gradients of <output, upstream> w.r.t. parameters and input,
     from the cache of the forward pass mlp_forward_cached made.
 
     For batched input the parameter gradients are summed over the batch rows.
-    Returns (param_grads: MlpParams-shaped, input_grad).
+    The backward deltas are written into ws, under names of their own, so
+    ws may hold the cache itself. Returns (param_grads: MlpParams-shaped,
+    input_grad), both fresh.
     """
     zs, hs, squeeze = cache
     ub, usq = _as_batch(upstream, params.out_dim, what="upstream gradient")
-    if hs[0].shape[0] != ub.shape[0]:
+    rows = hs[0].shape[0]
+    if rows != ub.shape[0]:
         raise ValueError("input and upstream gradient batch sizes differ")
+    ws = Workspace() if ws is None else ws
 
     grads = _on_flat(np.empty_like(params.flat), params)
-    delta = ub
+    g = ub  # gradient w.r.t. the output of layer k
     for k in range(params.n_layers - 1, -1, -1):
-        delta = delta * _act_grad(params.activations[k], zs[k], hs[k + 1])
+        delta = _act_backward(params.activations[k], g, zs[k], hs[k + 1], ws, k)
         np.matmul(delta.T, hs[k], out=grads.weights[k])
         np.sum(delta, axis=0, out=grads.biases[k])
-        delta = delta @ params.weights[k]
-    return grads, (delta[0] if squeeze and usq else delta)
+        w = params.weights[k]
+        g = np.matmul(delta, w, out=ws.take(("d", k - 1), rows, w.shape[1]) if k else None)
+    return grads, (g[0] if squeeze and usq else g)
 
 
 @dataclass
@@ -257,9 +330,23 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    m = b1 * state.m.flat + (1.0 - b1) * g
-    v = b2 * state.v.flat + (1.0 - b2) * g * g
-    p = params.flat - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    # m = m_old*b1 + g*(1-b1); v = v_old*b2 + (g*(1-b2))*g;
+    # p = flat - ((m/c1)*lr) / (sqrt(v/c2) + eps), evaluated into the three
+    # fresh result vectors with one scratch vector
+    tmp = np.multiply(g, 1.0 - b1)
+    m = np.multiply(state.m.flat, b1)
+    m += tmp
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v = np.multiply(state.v.flat, b2)
+    v += tmp
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    p = np.divide(m, c1)
+    p *= state.lr
+    p /= tmp
+    np.subtract(params.flat, p, out=p)
     new_state = AdamState(_on_flat(m, params), _on_flat(v, params),
                           t, state.lr, b1, b2, state.eps)
     return _on_flat(p, params), new_state

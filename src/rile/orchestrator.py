@@ -37,7 +37,7 @@ from .agents import (
 from .discriminator import DiscriminatorNet, disc_output, disc_update, make_discriminator
 from .envs import ExpertDataset, MazeSpec, maze_reset, maze_step
 from .metrics import MetricsWindow, cpr, evaluate_policy, fs_rfdc, rfdc
-from .nets import save_mlp
+from .nets import Workspace, mlp_forward, save_mlp
 
 ALGORITHMS = ("rile_on", "rile_off", "gail", "airl", "bc")
 
@@ -193,8 +193,9 @@ class RunConfig:
         return self
 
 
+# New streams go at the end: a stream's seed depends on its position only.
 STREAM_NAMES = ("env", "student", "trainer", "disc", "noise", "eval", "mix",
-                "init_student", "init_trainer", "init_disc", "init_airl")
+                "init_student", "init_trainer", "init_disc", "init_airl", "mix_trainer")
 
 
 def seed_streams(master_seed: int) -> dict:
@@ -287,6 +288,7 @@ class _RewardPathway:
         self.airl = None
         self.frozen_trainer = None
         self.frozen_airl_reward = None
+        self.frozen_airl_ws = Workspace()  # batch scratch of the frozen reward's forwards
         obs_dim = state_dim + action_dim
         if cfg.frozen_reward is not None:
             kind = cfg.frozen_reward["kind"]
@@ -320,15 +322,14 @@ class _RewardPathway:
         if self.frozen_trainer is not None:
             return trainer_act_batch(self.frozen_trainer, np.concatenate([s, a], axis=1))
         if self.frozen_airl_reward is not None:
-            from .nets import mlp_forward
-
-            return mlp_forward(self.frozen_airl_reward, np.concatenate([s, a], axis=1))[:, 0]
+            return mlp_forward(self.frozen_airl_reward, np.concatenate([s, a], axis=1),
+                               self.frozen_airl_ws)[:, 0]
         if self.trainer is not None:
             return trainer_act_batch(self.trainer, np.concatenate([s, a], axis=1))
         if self.cfg.algorithm == "gail":
             d = disc_output(self.disc, s, a)
             return self.bl.gail_student_reward(d)
-        return self.bl.airl_f_batch(self.airl, s, a, sp)[0]
+        return self.bl.airl_f_batch(self.airl, s, a, sp, self.airl.ws)[0]
 
 
 class _Collector:
@@ -412,7 +413,8 @@ class _WindowTracker:
 class _Replay:
     """Off-policy batch source: three FIFO buffers (student, trainer,
     discriminator) filled one step at a time, with expert mixing at insert
-    time. A trainer row waits one step for its next observation."""
+    time, each buffer's mixing drawn from a stream of its own. A trainer
+    row waits one step for its next observation."""
 
     def __init__(self, cfg: RunConfig, pathway: _RewardPathway, streams):
         self.cfg = cfg
@@ -420,19 +422,20 @@ class _Replay:
         self.student = ReplayBuffer(cfg.student_buffer)
         self.trainer = ReplayBuffer(cfg.trainer_buffer)
         self.disc = ReplayBuffer(cfg.disc_buffer)
-        self.mix_rng = streams["mix"]
+        self.mix_student_rng = streams["mix"]
+        self.mix_trainer_rng = streams["mix_trainer"]
         self.trainer_rng = streams["trainer"]
         self.pending = None
 
-    def _expert_row(self, frac):
+    def _expert_row(self, frac, rng):
         """Index of the expert row that replaces this insert, or None."""
-        if frac > 0 and self.mix_rng.uniform() < frac:
-            return self.mix_rng.integers(0, len(self.pathway.expert_table["s"]))
+        if frac > 0 and rng.uniform() < frac:
+            return rng.integers(0, len(self.pathway.expert_table["s"]))
         return None
 
     def insert(self, row, learned):
         te = self.pathway.expert_table
-        k = self._expert_row(self.cfg.expert_mix_student)
+        k = self._expert_row(self.cfg.expert_mix_student, self.mix_student_rng)
         if k is None:
             self.student.insert(s=row["s"], a=row["a"], r=learned, sp=row["sp"],
                                 done=row["done"], expert=0.0)
@@ -454,7 +457,7 @@ class _Replay:
             self.pending = {"obs": obs, "a_t": a_t, "done": 0.0}
 
     def _insert_trainer(self, obs, a_t, obsp, done):
-        k = self._expert_row(self.cfg.expert_mix_trainer)
+        k = self._expert_row(self.cfg.expert_mix_trainer, self.mix_trainer_rng)
         if k is None:
             self.trainer.insert(obs=obs, a_t=a_t, obsp=obsp, done=done, expert=0.0)
         else:

@@ -1,11 +1,14 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from rile import baselines
 from rile.agents import _policy_heads, gaussian_tanh_logprob, make_student
 from rile.baselines import _student_logp, airl_loss_and_grads, make_airl_heads
 from rile.envs import MazeSpec, generate_expert
 from rile.nets import finite_diff_check
+from rile.orchestrator import RunConfig, run_training
 
 
 class TestAirlPolicyTerm:
@@ -51,3 +54,64 @@ class TestAirlGradients:
         assert finite_diff_check(lambda q: loss(reward=q), heads.reward, r_grads) <= 1e-4
         assert finite_diff_check(lambda q: loss(potential=q), heads.potential,
                                  v_grads) <= 1e-4
+
+
+class TestBcHoldout:
+    # One scripted episode: 48 distinct states, so every row passed to a
+    # loss can be told apart. (generate_expert(spec, n) repeats one episode.)
+    EXPERT = generate_expert(MazeSpec(), 1)
+    EPOCHS = 3
+
+    def _run(self, holdout, monkeypatch):
+        """Runs BC and returns (diagnostics rows, row indices of each
+        gradient batch, row indices of each scored loss)."""
+        states = self.EXPERT.all_pairs()[0]
+        index = {tuple(row): i for i, row in enumerate(states)}
+        assert len(index) == len(states)
+        trained, scored = [], []
+
+        def rows(s):
+            return [index[tuple(row)] for row in s]
+
+        def spy(record, fn):
+            def wrapped(actor, s, *rest):
+                record.append(rows(s))
+                return fn(actor, s, *rest)
+            return wrapped
+
+        monkeypatch.setattr(baselines, "_bc_loss_and_grads",
+                            spy(trained, baselines._bc_loss_and_grads))
+        monkeypatch.setattr(baselines, "_bc_loss", spy(scored, baselines._bc_loss))
+        cfg = RunConfig(algorithm="bc", seed=2, student_hidden=(8, 8), student_batch=10,
+                        bc_epochs=self.EPOCHS, bc_holdout=holdout, eval_episodes=1)
+        artifacts = run_training(cfg, self.EXPERT)
+        return artifacts.diagnostics_rows, trained, scored
+
+    def _epochs(self, trained):
+        """The gradient batches grouped by epoch, as sorted row indices."""
+        per_epoch, rest = divmod(len(trained), self.EPOCHS)
+        assert rest == 0
+        return [sorted(sum(trained[e * per_epoch:(e + 1) * per_epoch], []))
+                for e in range(self.EPOCHS)]
+
+    @pytest.mark.parametrize("holdout", [0.1, 0.25])
+    def test_held_out_rows_are_never_trained_on(self, holdout, monkeypatch):
+        diag, trained, scored = self._run(holdout, monkeypatch)
+        n = self.EXPERT.n_steps
+        # each epoch scores the train rows, then the held-out rows
+        assert len(scored) == 2 * self.EPOCHS
+        train, held = sorted(scored[0]), sorted(scored[1])
+        assert len(held) == round(holdout * n)
+        assert sorted(train + held) == list(range(n))
+        assert not set(held) & set(sum(trained, []))
+        # every train row is in exactly one batch of each epoch
+        assert self._epochs(trained) == [train] * self.EPOCHS
+        assert all("holdout_loss" in row for row in diag)
+
+    def test_no_holdout_trains_on_every_row(self, monkeypatch):
+        diag, trained, scored = self._run(0.0, monkeypatch)
+        every = list(range(self.EXPERT.n_steps))
+        assert self._epochs(trained) == [every] * self.EPOCHS
+        assert [sorted(s) for s in scored] == [every] * self.EPOCHS
+        assert len(diag) == self.EPOCHS
+        assert not any("holdout_loss" in row for row in diag)

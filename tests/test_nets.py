@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rile.agents import make_student, student_update
 from rile.nets import (
     ACTIVATIONS,
     AdamState,
     MlpParams,
+    Workspace,
+    _act_grad,
     adam_init,
     adam_step,
     finite_diff_check,
@@ -377,3 +382,103 @@ class TestSerialization:
         p = mlp_init([4, 3, 2], ["tanh", "identity"], rng)
         q = flat_to_params(params_to_flat(p), p)
         assert np.array_equal(params_to_flat(q), params_to_flat(p))
+
+
+def _reference_pass(p, x, u):
+    """Forward output, parameter gradient and input gradient computed with a
+    fresh array for every intermediate, in the order the library uses."""
+    fns = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh,
+           "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)), "identity": lambda z: z}
+    zs, hs = [], [x]
+    for w, b, a in zip(p.weights, p.biases, p.activations):
+        zs.append(hs[-1] @ w.T + b)
+        hs.append(fns[a](zs[-1]))
+    grads, delta = [], u
+    for k in range(p.n_layers - 1, -1, -1):
+        delta = delta * _act_grad(p.activations[k], zs[k], hs[k + 1])
+        grads = [delta.T @ hs[k], delta.sum(axis=0)] + grads
+        delta = delta @ p.weights[k]
+    return hs[-1], np.concatenate([g.ravel() for g in grads]), delta
+
+
+def _buffers(ws):
+    """Every buffer a workspace holds, its slots' included."""
+    return [*ws._bufs.values(), *(b for c in ws._slots.values() for b in _buffers(c))]
+
+
+class TestWorkspace:
+    ROWS = (256, 32, 1)
+
+    def net(self, act):
+        return mlp_init([5, 16, 12, 3], [act] * 3, np.random.default_rng(21))
+
+    def batches(self):
+        rng = np.random.default_rng(22)
+        return [(rng.normal(size=(n, 5)), rng.normal(size=(n, 3))) for n in self.ROWS]
+
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_reused_workspace_is_bit_equal_to_throwaway(self, act):
+        p, ws = self.net(act), Workspace()
+        for x, u in self.batches():
+            y, cache = mlp_forward_cached(p, x, ws)
+            grads, gx = mlp_backward(p, cache, u, ws)
+            y0, cache0 = mlp_forward_cached(p, x)
+            grads0, gx0 = mlp_backward(p, cache0, u)
+            ref_y, ref_g, ref_gx = _reference_pass(p, x, u)
+            for got, want in ((y, y0), (grads.flat, grads0.flat), (gx, gx0),
+                              (y, ref_y), (grads.flat, ref_g), (gx, ref_gx)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_results_are_fresh(self, act):
+        p, ws = self.net(act), Workspace()
+        kept = []
+        for x, u in self.batches():
+            y, cache = mlp_forward_cached(p, x, ws)
+            grads, gx = mlp_backward(p, cache, u, ws)
+            for r in (y, grads.flat, gx):
+                assert not any(np.shares_memory(r, b) for b in _buffers(ws))
+            kept.append((y, y.copy(), gx, gx.copy()))
+        for y, y_then, gx, gx_then in kept:
+            assert np.array_equal(y, y_then) and np.array_equal(gx, gx_then)
+
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_smaller_batches_add_no_bytes(self, act):
+        p, ws = self.net(act), Workspace()
+        held = []
+        for x, u in self.batches():
+            mlp_backward(p, mlp_forward_cached(p, x, ws)[1], u, ws)
+            held.append(sum(b.nbytes for b in _buffers(ws)))
+        assert held[0] > 0 and held == [held[0]] * len(self.ROWS)
+
+    def test_slots_hold_separate_buffers(self):
+        p, ws = self.net("relu"), Workspace()
+        x1, x2 = np.ones((4, 5)), np.zeros((4, 5))
+        _, (zs1, _, _) = mlp_forward_cached(p, x1, ws.slot("a"))
+        before = zs1[0].copy()
+        mlp_forward_cached(p, x2, ws.slot("b"))
+        assert np.array_equal(zs1[0], before)
+        assert ws.slot("a") is ws.slot("a") and ws.slot("a") is not ws.slot("b")
+
+    def test_student_update_allocates_no_batch_sized_arrays(self):
+        # A 64x64 student's steady-state update at batch 256 keeps its batch
+        # activations in the agent's workspace. What it still allocates is
+        # about 250 KiB of new parameters and Adam moments that the agent
+        # keeps, plus small transients; fresh batch activations at every
+        # update took the peak to about 1.3 MiB.
+        rng = np.random.default_rng(0)
+        agent = make_student(2, 2, (64, 64), rng)
+        n = 256
+        batch = (rng.uniform(-1, 1, (n, 2)), rng.uniform(-0.9, 0.9, (n, 2)),
+                 rng.normal(size=n), rng.uniform(-1, 1, (n, 2)), np.zeros(n))
+        for _ in range(3):
+            student_update(agent, batch)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                student_update(agent, batch)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 700 * 1024

@@ -213,9 +213,9 @@ def test_seed_paired_runs_share_rollouts_until_the_first_update(monkeypatch):
     assert _first_differing_step(rows["rile_off"], rows["rile_on"]) == episode + 1
 
 
-def _expert_shares(cfg, monkeypatch):
-    """Share of expert-sourced rows inserted into the student and trainer
-    buffers, and the number of rows inserted into each."""
+def _expert_flags(cfg, monkeypatch):
+    """Expert flags of the rows inserted into the student ("s") and trainer
+    ("obs") buffers, in insertion order."""
     flags = {"s": [], "obs": []}
     original = orchestrator.ReplayBuffer.insert
 
@@ -225,18 +225,31 @@ def _expert_shares(cfg, monkeypatch):
                 flags[key].append(row["expert"])
         return original(buffer, **row)
 
-    monkeypatch.setattr(orchestrator.ReplayBuffer, "insert", spy)
-    run_training(cfg, EXPERT)
-    return {key: (float(np.mean(v)), len(v)) for key, v in flags.items()}
+    with monkeypatch.context() as m:
+        m.setattr(orchestrator.ReplayBuffer, "insert", spy)
+        run_training(cfg, EXPERT)
+    return flags
 
 
 @pytest.mark.parametrize("mix_student,mix_trainer", [(0.3, 0.6), (0.0, 0.0)])
 def test_expert_mix_fractions_are_honoured(mix_student, mix_trainer, monkeypatch):
-    shares = _expert_shares(RunConfig(algorithm="rile_off", seed=3,
-                                      expert_mix_student=mix_student,
-                                      expert_mix_trainer=mix_trainer, **TINY), monkeypatch)
+    flags = _expert_flags(RunConfig(algorithm="rile_off", seed=3,
+                                    expert_mix_student=mix_student,
+                                    expert_mix_trainer=mix_trainer, **TINY), monkeypatch)
     for key, p in (("s", mix_student), ("obs", mix_trainer)):
-        share, n = shares[key]
+        share, n = float(np.mean(flags[key])), len(flags[key])
         # every step inserts a row (the last trainer row waits for its successor)
         assert n >= TINY["total_steps"] - 1
         assert abs(share - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+def test_trainer_mixing_leaves_the_student_mixing_draws_unchanged(monkeypatch):
+    # The two buffers draw their mixing decisions from separate streams, so
+    # turning trainer mixing on changes no student-buffer decision.
+    runs = [_expert_flags(RunConfig(algorithm="rile_off", seed=3, expert_mix_student=0.3,
+                                    expert_mix_trainer=mix_trainer,
+                                    **{**TINY, "early_stop_success": False}), monkeypatch)
+            for mix_trainer in (0.0, 0.6)]
+    assert runs[0]["s"] == runs[1]["s"]
+    assert 0.0 < np.mean(runs[0]["s"]) < 1.0
+    assert np.mean(runs[0]["obs"]) == 0.0 < np.mean(runs[1]["obs"])
