@@ -20,7 +20,6 @@ from .nets import (
     Workspace,
     adam_init,
     adam_step,
-    flat_to_params,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
@@ -177,10 +176,10 @@ def make_student(state_dim: int, action_dim: int, hidden, rng,
                         entropy_coef, epsilon_greedy, gamma, tau, advantage_norm)
 
 
-def _sample_action(actor, state, mode, rng, epsilon, action_dim):
+def _sample_action(actor, state, mode, rng, epsilon, action_dim, heads=None):
     if mode not in ACT_MODES:
         raise ValueError(f"unknown act mode {mode!r}")
-    mean, log_std, _ = _policy_heads(actor, state)
+    mean, log_std = _policy_heads(actor, state)[:2] if heads is None else heads
     if mode == "deterministic":
         return np.tanh(mean[0])
     # epsilon = 0 must consume no extra draws so it seed-pairs with "stochastic"
@@ -239,8 +238,10 @@ def _actor_loss_grads(actor, states, actions, weights, entropy_coef, ws=None):
     return loss, grads, float(np.mean(ent))
 
 
-def _polyak(target: MlpParams, source: MlpParams, tau: float) -> MlpParams:
-    return flat_to_params((1 - tau) * target.flat + tau * source.flat, target)
+def _polyak(target: MlpParams, source: MlpParams, tau: float) -> None:
+    """target <- (1 - tau) target + tau source, in place."""
+    target.flat *= 1 - tau
+    target.flat += tau * source.flat
 
 
 def _td_update(agent, states, actions, rewards, next_states, dones):
@@ -264,7 +265,7 @@ def _td_update(agent, states, actions, rewards, next_states, dones):
 
     agent.critic, agent.critic_opt = adam_step(agent.critic, c_grads, agent.critic_opt)
     agent.actor, agent.actor_opt = adam_step(agent.actor, a_grads, agent.actor_opt)
-    agent.critic_target = _polyak(agent.critic_target, agent.critic, agent.tau)
+    _polyak(agent.critic_target, agent.critic, agent.tau)
     return {"critic_loss": c_loss, "actor_loss": a_loss, "entropy": mean_ent}
 
 
@@ -322,15 +323,23 @@ def trainer_observation(state, action) -> np.ndarray:
 
 
 def trainer_act(agent: TrainerAgent, obs, mode: str = "deterministic",
-                rng=None) -> float:
-    """Scalar action in [-1, 1] (tanh-squashed)."""
-    a = _sample_action(agent.actor, obs, mode, rng, 0.0, 1)
+                rng=None, heads=None) -> float:
+    """Scalar action in [-1, 1] (tanh-squashed). heads, the one-row
+    trainer_heads at obs when a forward already made them, spares the
+    actor's forward."""
+    a = _sample_action(agent.actor, obs, mode, rng, 0.0, 1, heads)
     return float(a[0])
 
 
-def trainer_act_batch(agent: TrainerAgent, obs: np.ndarray) -> np.ndarray:
-    """Deterministic actions for a batch of observations."""
-    mean, _, _ = _policy_heads(agent.actor, obs, agent.ws)
+def trainer_heads(agent: TrainerAgent, obs: np.ndarray):
+    """The actor's (mean, log_std) rows for a batch of observations."""
+    return _policy_heads(agent.actor, obs, agent.ws)[:2]
+
+
+def trainer_act_batch(agent: TrainerAgent, obs: np.ndarray, heads=None) -> np.ndarray:
+    """Deterministic actions for a batch of observations, from their
+    trainer_heads if a forward already made them."""
+    mean, _ = trainer_heads(agent, obs) if heads is None else heads
     return np.tanh(mean[:, 0])
 
 

@@ -73,16 +73,19 @@ def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
                      adam_init(potential, lr=lr), gamma)
 
 
-def airl_f_batch(heads: AirlHeads, s, a, sp, ws: Workspace):
+def airl_f_batch(heads: AirlHeads, s, a, sp, ws_r: Workspace, ws_v: Workspace,
+                 ws_vp: Workspace):
     """f(s,a,s') = r(s,a) + gamma V(s') - V(s) per row.
 
     Returns (f, caches): caches are the forward caches of r(s,a), V(s) and
-    V(s'), in that order, for mlp_backward. They live in three slots of ws
-    and stay valid until the next call on the same ws."""
+    V(s'), in that order, for mlp_backward, kept in ws_r, ws_v and ws_vp.
+    Each stays valid until the next forward on its workspace, so a caller
+    that backpropagates passes three slots, and one that needs f alone
+    passes one workspace three times."""
     sa = np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1)
-    r, c_r = mlp_forward_cached(heads.reward, sa, ws.slot("r"))
-    v, c_v = mlp_forward_cached(heads.potential, np.atleast_2d(s), ws.slot("v"))
-    vp, c_vp = mlp_forward_cached(heads.potential, np.atleast_2d(sp), ws.slot("vp"))
+    r, c_r = mlp_forward_cached(heads.reward, sa, ws_r)
+    v, c_v = mlp_forward_cached(heads.potential, np.atleast_2d(s), ws_v)
+    vp, c_vp = mlp_forward_cached(heads.potential, np.atleast_2d(sp), ws_vp)
     return r[:, 0] + heads.gamma * vp[:, 0] - v[:, 0], (c_r, c_v, c_vp)
 
 
@@ -103,12 +106,14 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
                         logp_expert, logp_student):
     """BCE of the structured discriminator vs labels (expert 1, student 0),
     with exact gradients for both heads. Policy log-densities are treated
-    as constants. The expert and student caches live in two slots of the
-    heads' workspace."""
+    as constants. The six caches live in slots of the heads' workspace, one
+    for each batch and head."""
     se, ae, spe = (np.atleast_2d(v) for v in expert_batch)
     ss, as_, sps = (np.atleast_2d(v) for v in student_batch)
-    fe, caches_e = airl_f_batch(heads, se, ae, spe, heads.ws.slot("expert"))
-    fs, caches_s = airl_f_batch(heads, ss, as_, sps, heads.ws.slot("student"))
+    ws_e, ws_s = ([heads.ws.slot((batch, head)) for head in ("r", "v", "vp")]
+                  for batch in ("expert", "student"))
+    fe, caches_e = airl_f_batch(heads, se, ae, spe, *ws_e)
+    fs, caches_s = airl_f_batch(heads, ss, as_, sps, *ws_s)
     me = fe - logp_expert
     ms = fs - logp_student
     loss = float(np.mean(np.logaddexp(0.0, -me)) + np.mean(np.logaddexp(0.0, ms)))

@@ -63,7 +63,7 @@ def _join(state, action) -> np.ndarray:
 
 
 def disc_logit(net: DiscriminatorNet, x: np.ndarray) -> np.ndarray:
-    y, _, _ = _forward_cached(net.params, np.atleast_2d(x), net.ws)
+    y, _ = _forward_cached(net.params, np.atleast_2d(x), net.ws)
     return np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
@@ -107,20 +107,23 @@ def _bce_loss_and_grads(params: MlpParams, xe: np.ndarray, xs: np.ndarray,
     return loss, grads
 
 
-def _gp_loss_and_grads(params: MlpParams, x: np.ndarray):
+def _gp_loss_and_grads(params: MlpParams, x: np.ndarray, ws: Workspace | None = None):
     """Two-sided penalty mean((||d logit/d x|| - 1)^2) with exact parameter
-    gradients, i.e. reverse-mode applied to the input-gradient program."""
+    gradients, i.e. reverse-mode applied to the input-gradient program,
+    which reads only the activations cached in ws. Relu and identity layers
+    have no second-derivative term, so the fold of those terms runs from the
+    topmost tanh or sigmoid layer down, and not at all without one."""
     n = x.shape[0]
-    _, zs, hs = _forward_cached(params, x, Workspace())
+    _, hs = _forward_cached(params, x, Workspace() if ws is None else ws)
 
     # input-gradient sweep, keeping every intermediate
     acts = params.activations
     vs = [None] * (params.n_layers + 1)   # vs[k] = gradient w.r.t. h_k
-    ws = [None] * params.n_layers         # ws[k] = gradient w.r.t. z_k
+    ds = [None] * params.n_layers         # ds[k] = gradient w.r.t. z_k
     vs[params.n_layers] = np.ones((n, 1))
     for k in range(params.n_layers - 1, -1, -1):
-        ws[k] = _act_grad(acts[k], zs[k], hs[k + 1]) * vs[k + 1]
-        vs[k] = ws[k] @ params.weights[k]
+        ds[k] = _act_grad(acts[k], hs[k + 1]) * vs[k + 1]
+        vs[k] = ds[k] @ params.weights[k]
     g = vs[0]
 
     norms = np.linalg.norm(g, axis=1)
@@ -128,18 +131,23 @@ def _gp_loss_and_grads(params: MlpParams, x: np.ndarray):
     g_bar = (2.0 / n) * ((norms - 1.0) / np.maximum(norms, 1e-12))[:, None] * g
 
     grads = zeros_like_params(params)
-    z_bars = [np.zeros_like(z) for z in zs]
+    z_bars = [None] * params.n_layers     # z adjoints of the curved layers
     v_bar = g_bar
     for k in range(params.n_layers):
         w_bar = v_bar @ params.weights[k].T
-        grads.weights[k] += ws[k].T @ v_bar
-        z_bars[k] += _act_grad2(acts[k], zs[k], hs[k + 1]) * vs[k + 1] * w_bar
-        v_bar = _act_grad(acts[k], zs[k], hs[k + 1]) * w_bar
+        grads.weights[k] += ds[k].T @ v_bar
+        curv = _act_grad2(acts[k], hs[k + 1])
+        if curv is not None:
+            z_bars[k] = curv * vs[k + 1] * w_bar
+        v_bar = _act_grad(acts[k], hs[k + 1]) * w_bar
 
     # fold the z adjoints back through the forward chain
+    top = max((k for k, z_bar in enumerate(z_bars) if z_bar is not None), default=-1)
     h_bar = np.zeros((n, 1))
-    for k in range(params.n_layers - 1, -1, -1):
-        delta = z_bars[k] + _act_grad(acts[k], zs[k], hs[k + 1]) * h_bar
+    for k in range(top, -1, -1):
+        delta = _act_grad(acts[k], hs[k + 1]) * h_bar
+        if z_bars[k] is not None:
+            delta = z_bars[k] + delta
         grads.weights[k] += delta.T @ hs[k]
         grads.biases[k] += delta.sum(axis=0)
         h_bar = delta @ params.weights[k]
@@ -166,7 +174,7 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
         m = min(len(xe), len(xs))
         u = rng.uniform(size=(m, 1))
         interp = u * xe[:m] + (1.0 - u) * xs[:m]
-        gp, gp_grads = _gp_loss_and_grads(net.params, interp)
+        gp, gp_grads = _gp_loss_and_grads(net.params, interp, net.ws.slot("gp"))
         loss += gp_weight * gp
         grads.flat += gp_weight * gp_grads.flat
     if not np.isfinite(loss):

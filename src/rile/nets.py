@@ -12,13 +12,16 @@ vector expression on .flat, and the serialized payload is .flat's bytes.
 
 Batch-sized scratch lives in a Workspace. Each learner (student, trainer,
 discriminator, AIRL heads) owns one and passes it to its forward and
-backward passes, which write the hidden layers' pre-activations and
-activations and the backward deltas into it, so steady-state updates
-allocate no batch-sized arrays. A workspace (or each named slot of one)
-holds one live forward cache: the next forward on it overwrites the last,
-so a caller that needs two caches at once uses two slots. Network outputs,
-input gradients and parameter gradients are always fresh arrays, never
-workspace views. A call given no workspace uses a throwaway one.
+backward passes, which write the hidden layers' activations and the
+backward deltas into it, so steady-state updates allocate no batch-sized
+arrays. A forward cache holds activations only: each hidden layer's
+activation is written over its pre-activation in one buffer, because every
+activation's derivative can be computed from its output (ReLU's mask
+z > 0 is h > 0). A workspace (or each named slot of one) holds one live
+forward cache: the next forward on it overwrites the last, so a caller that
+needs two caches at once uses two slots. Network outputs, input gradients
+and parameter gradients are always fresh arrays, never workspace views. A
+call given no workspace uses a throwaway one.
 """
 
 from __future__ import annotations
@@ -33,41 +36,41 @@ ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 _MAGIC = b"RILEMLP1"
 
 
-def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation of z, written into out, or into a fresh array when out
-    is None (z itself for identity)."""
+def _act(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of z, written over z."""
     if name == "relu":
-        return np.maximum(z, 0.0, out=out)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
-        return np.tanh(z, out=out)
+        return np.tanh(z, out=z)
     if name == "sigmoid":
-        out = np.negative(z, out=out)
-        np.exp(out, out=out)
-        np.add(1.0, out, out=out)
-        return np.divide(1.0, out, out=out)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.add(1.0, z, out=z)
+        return np.divide(1.0, z, out=z)
     return z
 
 
-def _act_grad(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """d activation / d pre-activation. ReLU at exactly 0 uses subgradient 0."""
+def _act_grad(name: str, h: np.ndarray) -> np.ndarray:
+    """d activation / d pre-activation, from the activation h. ReLU at
+    exactly 0 uses subgradient 0."""
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (h > 0.0).astype(np.float64)
     if name == "tanh":
         return 1.0 - h * h
     if name == "sigmoid":
         return h * (1.0 - h)
-    return np.ones_like(z)
+    return np.ones_like(h)
 
 
-def _act_backward(name: str, g: np.ndarray, z: np.ndarray, h: np.ndarray,
+def _act_backward(name: str, g: np.ndarray, h: np.ndarray,
                   ws: Workspace, k: int) -> np.ndarray:
-    """g * _act_grad(name, z, h) for layer k, written into ws's delta buffer
+    """g * _act_grad(name, h) for layer k, written into ws's delta buffer
     of that layer (g itself for identity). g may be that buffer."""
     if name == "identity":
         return g
     out = ws.take(("d", k), *g.shape)
     if name == "relu":
-        return np.multiply(g, z > 0.0, out=out)
+        return np.multiply(g, h > 0.0, out=out)
     tmp = ws.take(("t", k), *g.shape)
     if name == "tanh":
         np.multiply(h, h, out=tmp)
@@ -78,16 +81,14 @@ def _act_backward(name: str, g: np.ndarray, z: np.ndarray, h: np.ndarray,
     return np.multiply(g, tmp, out=out)
 
 
-def _act_grad2(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Second derivative of the activation (needed for double backprop)."""
-    if name == "relu":
-        return np.zeros_like(z)
+def _act_grad2(name: str, h: np.ndarray) -> np.ndarray | None:
+    """Second derivative of the activation, from the activation h (needed
+    for double backprop); None where it is identically 0 (relu, identity)."""
     if name == "tanh":
         return -2.0 * h * (1.0 - h * h)
     if name == "sigmoid":
-        s = h
-        return s * (1.0 - s) * (1.0 - 2.0 * s)
-    return np.zeros_like(z)
+        return h * (1.0 - h) * (1.0 - 2.0 * h)
+    return None
 
 
 class Workspace:
@@ -230,24 +231,20 @@ def _as_batch(x, expected_dim, what="input"):
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray, ws: Workspace):
-    """Returns (output, pre-activations z per layer, activations h per layer).
+    """Returns (output, activations h per layer).
 
-    h[0] is the input; h[k] the output of layer k. The hidden layers' z and
-    h are views into ws; the last layer's are fresh arrays.
+    h[0] is the input; h[k] the output of layer k. Each layer's activation
+    is computed in place over its pre-activation; the hidden layers' are
+    views into ws, the last layer's is a fresh array.
     """
     hs = [x]
-    zs = []
-    h = x
     last = params.n_layers - 1
     for k, (w, b, a) in enumerate(zip(params.weights, params.biases, params.activations)):
-        hidden = k < last
-        rows, cols = h.shape[0], w.shape[0]
-        z = np.matmul(h, w.T, out=ws.take(("z", k), rows, cols) if hidden else None)
+        out = ws.take(("h", k), x.shape[0], w.shape[0]) if k < last else None
+        z = np.matmul(hs[-1], w.T, out=out)
         z += b
-        h = _act(a, z, ws.take(("h", k), rows, cols) if hidden and a != "identity" else None)
-        zs.append(z)
-        hs.append(h)
-    return h, zs, hs
+        hs.append(_act(a, z))
+    return hs[-1], hs
 
 
 def mlp_forward(params: MlpParams, x, ws: Workspace | None = None) -> np.ndarray:
@@ -258,25 +255,26 @@ def mlp_forward(params: MlpParams, x, ws: Workspace | None = None) -> np.ndarray
 def mlp_forward_cached(params: MlpParams, x, ws: Workspace | None = None):
     """mlp_forward that also returns the cache mlp_backward needs.
 
-    Returns (output, cache). The cache holds the per-layer pre-activations
-    and activations of this forward and whether x was a single vector; it
-    stays valid until the next forward on the same workspace.
+    Returns (output, cache). The cache is (hs, squeeze): the input and each
+    layer's activation from this forward, and whether x was a single
+    vector. It stays valid until the next forward on the same workspace.
     """
     xb, squeeze = _as_batch(x, params.in_dim)
-    y, zs, hs = _forward_cached(params, xb, Workspace() if ws is None else ws)
-    return (y[0] if squeeze else y), (zs, hs, squeeze)
+    y, hs = _forward_cached(params, xb, Workspace() if ws is None else ws)
+    return (y[0] if squeeze else y), (hs, squeeze)
 
 
 def mlp_backward(params: MlpParams, cache, upstream, ws: Workspace | None = None):
     """Exact gradients of <output, upstream> w.r.t. parameters and input,
     from the cache of the forward pass mlp_forward_cached made.
 
-    For batched input the parameter gradients are summed over the batch rows.
-    The backward deltas are written into ws, under names of their own, so
-    ws may hold the cache itself. Returns (param_grads: MlpParams-shaped,
-    input_grad), both fresh.
+    Each layer's activation derivative is computed from the cached
+    activation alone. For batched input the parameter gradients are summed
+    over the batch rows. The backward deltas are written into ws, under
+    names of their own, so ws may hold the cache itself. Returns
+    (param_grads: MlpParams-shaped, input_grad), both fresh.
     """
-    zs, hs, squeeze = cache
+    hs, squeeze = cache
     ub, usq = _as_batch(upstream, params.out_dim, what="upstream gradient")
     rows = hs[0].shape[0]
     if rows != ub.shape[0]:
@@ -286,7 +284,7 @@ def mlp_backward(params: MlpParams, cache, upstream, ws: Workspace | None = None
     grads = _on_flat(np.empty_like(params.flat), params)
     g = ub  # gradient w.r.t. the output of layer k
     for k in range(params.n_layers - 1, -1, -1):
-        delta = _act_backward(params.activations[k], g, zs[k], hs[k + 1], ws, k)
+        delta = _act_backward(params.activations[k], g, hs[k + 1], ws, k)
         np.matmul(delta.T, hs[k], out=grads.weights[k])
         np.sum(delta, axis=0, out=grads.biases[k])
         w = params.weights[k]

@@ -30,6 +30,7 @@ from .agents import (
     student_update,
     trainer_act,
     trainer_act_batch,
+    trainer_heads,
     trainer_observation,
     trainer_reward,
     trainer_update,
@@ -317,19 +318,22 @@ class _RewardPathway:
                                                 cfg.disc_lr, cfg.gamma,
                                                 streams["init_airl"])
 
-    def student_rewards(self, student, s, a, sp) -> np.ndarray:
-        """Learned reward for student transitions under the current nets."""
+    def student_rewards(self, student, s, a, sp, heads=None) -> np.ndarray:
+        """Learned reward for student transitions under the current nets.
+        heads, the live trainer's trainer_heads at (s, a) when a forward
+        already made them, spares its forward."""
         if self.frozen_trainer is not None:
             return trainer_act_batch(self.frozen_trainer, np.concatenate([s, a], axis=1))
         if self.frozen_airl_reward is not None:
             return mlp_forward(self.frozen_airl_reward, np.concatenate([s, a], axis=1),
                                self.frozen_airl_ws)[:, 0]
         if self.trainer is not None:
-            return trainer_act_batch(self.trainer, np.concatenate([s, a], axis=1))
+            return trainer_act_batch(self.trainer, np.concatenate([s, a], axis=1), heads)
         if self.cfg.algorithm == "gail":
             d = disc_output(self.disc, s, a)
             return self.bl.gail_student_reward(d)
-        return self.bl.airl_f_batch(self.airl, s, a, sp, self.airl.ws)[0]
+        ws = self.airl.ws  # nothing backpropagates: one live cache suffices
+        return self.bl.airl_f_batch(self.airl, s, a, sp, ws, ws, ws)[0]
 
 
 class _Collector:
@@ -433,7 +437,15 @@ class _Replay:
             return rng.integers(0, len(self.pathway.expert_table["s"]))
         return None
 
-    def insert(self, row, learned):
+    def step_heads(self, chunk):
+        """The live trainer's heads at a collected step, read by both its
+        reward and its replay row; None when no trainer row is inserted."""
+        trainer = self.pathway.trainer
+        if trainer is None or trainer.frozen:
+            return None
+        return trainer_heads(trainer, np.concatenate([chunk["s"], chunk["a"]], axis=1))
+
+    def insert(self, row, learned, heads):
         te = self.pathway.expert_table
         k = self._expert_row(self.cfg.expert_mix_student, self.mix_student_rng)
         if k is None:
@@ -447,7 +459,7 @@ class _Replay:
         if trainer is None or trainer.frozen:  # nothing samples trainer rows after the freeze
             return
         obs = trainer_observation(row["s"], row["a"])
-        a_t = trainer_act(trainer, obs, "stochastic", self.trainer_rng)
+        a_t = trainer_act(trainer, obs, "stochastic", self.trainer_rng, heads)
         if self.pending is not None:
             self._insert_trainer(obsp=obs, **self.pending)
             self.pending = None
@@ -615,8 +627,9 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
                     break
             n = len(rows)
             chunk = {k: np.array([r[k] for r in rows]) for k in ("s", "a", "sp", "done")}
+            heads = None if on_policy else replay.step_heads(chunk)
             chunk["r"] = pathway.student_rewards(student, chunk["s"], chunk["a"],
-                                                 chunk["sp"])
+                                                 chunk["sp"], heads)
             for r, row in zip(chunk["r"], rows):
                 tracker.add(r, row["env_r"])
 
@@ -625,7 +638,7 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
                 diag = _update(cfg, student, pathway, streams, monitor, artifacts, step,
                                _Rollout(cfg, pathway, chunk))
             else:
-                replay.insert(rows[0], chunk["r"][0])
+                replay.insert(rows[0], chunk["r"][0], heads)
                 if replay.ready() and step % cfg.update_every == 0:
                     diag = _update(cfg, student, pathway, streams, monitor, artifacts,
                                    step, replay)

@@ -21,6 +21,50 @@ from rile.nets import (
 )
 
 
+def _gp_full_sweep(params, x):
+    """_gp_loss_and_grads with every intermediate a fresh array and the
+    second-derivative terms of every layer folded back, zero or not."""
+    fns = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh,
+           "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)), "identity": lambda z: z}
+    d1 = {"relu": lambda z, h: (z > 0.0).astype(np.float64),
+          "tanh": lambda z, h: 1.0 - h * h, "sigmoid": lambda z, h: h * (1.0 - h),
+          "identity": lambda z, h: np.ones_like(z)}
+    d2 = {"relu": lambda z, h: np.zeros_like(z),
+          "tanh": lambda z, h: -2.0 * h * (1.0 - h * h),
+          "sigmoid": lambda z, h: h * (1.0 - h) * (1.0 - 2.0 * h),
+          "identity": lambda z, h: np.zeros_like(z)}
+    n, L, acts = x.shape[0], params.n_layers, params.activations
+    zs, hs = [], [x]
+    for w, b, a in zip(params.weights, params.biases, acts):
+        zs.append(hs[-1] @ w.T + b)
+        hs.append(fns[a](zs[-1]))
+    vs, ds = [None] * (L + 1), [None] * L
+    vs[L] = np.ones((n, 1))
+    for k in range(L - 1, -1, -1):
+        ds[k] = d1[acts[k]](zs[k], hs[k + 1]) * vs[k + 1]
+        vs[k] = ds[k] @ params.weights[k]
+    g = vs[0]
+    norms = np.linalg.norm(g, axis=1)
+    loss = float(np.mean((norms - 1.0) ** 2))
+    g_bar = (2.0 / n) * ((norms - 1.0) / np.maximum(norms, 1e-12))[:, None] * g
+    grads = MlpParams([np.zeros_like(w) for w in params.weights],
+                      [np.zeros_like(b) for b in params.biases], list(acts))
+    z_bars = [np.zeros_like(z) for z in zs]
+    v_bar = g_bar
+    for k in range(L):
+        w_bar = v_bar @ params.weights[k].T
+        grads.weights[k] += ds[k].T @ v_bar
+        z_bars[k] += d2[acts[k]](zs[k], hs[k + 1]) * vs[k + 1] * w_bar
+        v_bar = d1[acts[k]](zs[k], hs[k + 1]) * w_bar
+    h_bar = np.zeros((n, 1))
+    for k in range(L - 1, -1, -1):
+        delta = z_bars[k] + d1[acts[k]](zs[k], hs[k + 1]) * h_bar
+        grads.weights[k] += delta.T @ hs[k]
+        grads.biases[k] += delta.sum(axis=0)
+        h_bar = delta @ params.weights[k]
+    return loss, grads
+
+
 def zero_disc(hidden=(8,)):
     rng = np.random.default_rng(0)
     net = make_discriminator(1, 1, hidden, lr=1e-3, rng=rng)
@@ -159,6 +203,23 @@ class TestGradients:
             return _gp_loss_and_grads(q, x)[0]
 
         assert finite_diff_check(loss, params, analytic, step=1e-6) <= 1e-4
+
+    @pytest.mark.parametrize("acts", [["relu", "relu", "identity"],
+                                      ["tanh", "relu", "identity"],
+                                      ["relu", "sigmoid", "identity"]],
+                             ids=["relu", "tanh-relu", "relu-sigmoid"])
+    def test_gradient_penalty_equals_the_full_sweep(self, acts):
+        # Layers whose second derivative is zero skip the fold of their z
+        # adjoints; the gradients must still equal the full sweep bit for bit.
+        rng = np.random.default_rng(10)
+        params = mlp_init([4, 16, 12, 1], acts, rng)
+        for b in params.biases[:-1]:
+            b -= 0.3  # some relu units dead on every row
+        x = rng.normal(size=(32, 4))
+        loss, grads = _gp_loss_and_grads(params, x)
+        ref_loss, ref_grads = _gp_full_sweep(params, x)
+        assert loss == ref_loss
+        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
 
     def test_combined_loss_gradient_matches_fd(self):
         rng = np.random.default_rng(7)

@@ -395,7 +395,7 @@ def _reference_pass(p, x, u):
         hs.append(fns[a](zs[-1]))
     grads, delta = [], u
     for k in range(p.n_layers - 1, -1, -1):
-        delta = delta * _act_grad(p.activations[k], zs[k], hs[k + 1])
+        delta = delta * _act_grad(p.activations[k], hs[k + 1])
         grads = [delta.T @ hs[k], delta.sum(axis=0)] + grads
         delta = delta @ p.weights[k]
     return hs[-1], np.concatenate([g.ravel() for g in grads]), delta
@@ -451,13 +451,21 @@ class TestWorkspace:
             held.append(sum(b.nbytes for b in _buffers(ws)))
         assert held[0] > 0 and held == [held[0]] * len(self.ROWS)
 
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_cache_holds_one_buffer_per_hidden_layer(self, act):
+        # each hidden activation overwrites its pre-activation; the output
+        # layer's is fresh
+        p, ws = self.net(act), Workspace()
+        mlp_forward_cached(p, np.ones((256, 5)), ws)
+        assert sum(b.nbytes for b in _buffers(ws)) == 256 * (16 + 12) * 8
+
     def test_slots_hold_separate_buffers(self):
         p, ws = self.net("relu"), Workspace()
         x1, x2 = np.ones((4, 5)), np.zeros((4, 5))
-        _, (zs1, _, _) = mlp_forward_cached(p, x1, ws.slot("a"))
-        before = zs1[0].copy()
+        _, (hs1, _) = mlp_forward_cached(p, x1, ws.slot("a"))
+        before = hs1[1].copy()
         mlp_forward_cached(p, x2, ws.slot("b"))
-        assert np.array_equal(zs1[0], before)
+        assert np.array_equal(hs1[1], before)
         assert ws.slot("a") is ws.slot("a") and ws.slot("a") is not ws.slot("b")
 
     def test_student_update_allocates_no_batch_sized_arrays(self):

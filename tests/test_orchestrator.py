@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from rile import orchestrator
+from rile import nets, orchestrator
 from rile.agents import make_trainer
-from rile.baselines import make_airl_heads
+from rile.baselines import airl_f_batch, make_airl_heads
 from rile.envs import MazeSpec, generate_expert
 from rile.metrics import evaluate_policy
-from rile.nets import load_mlp, mlp_to_bytes, save_mlp
+from rile.nets import Workspace, load_mlp, mlp_to_bytes, save_mlp
 from rile.orchestrator import RunAborted, RunConfig, run_training
 
 EXPERT = generate_expert(MazeSpec(), 2)
@@ -178,6 +178,57 @@ def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
     assert artifacts.freeze_step < cfg.total_steps // 2
     # one stochastic trainer action per collected step up to the freeze
     assert len(calls) == artifacts.freeze_step
+
+
+def _one_row_trainer_forwards(cfg, monkeypatch):
+    """(artifacts, count of one-row forwards of the trainer's actor) of a run."""
+    calls = []
+    original = nets._forward_cached
+    obs_dim = EXPERT.state_dim + EXPERT.action_dim
+
+    def spy(params, x, ws):
+        if params.in_dim == obs_dim and params.out_dim == 2 and len(x) == 1:
+            calls.append(1)
+        return original(params, x, ws)
+
+    with monkeypatch.context() as m:
+        m.setattr(nets, "_forward_cached", spy)
+        artifacts = run_training(cfg, EXPERT)
+    return artifacts, len(calls)
+
+
+def test_one_trainer_forward_per_collected_step(monkeypatch):
+    # A collected step's trainer reward and the stochastic trainer action of
+    # its replay row come from one forward of the trainer's actor. Scoring
+    # and sampling with a forward each gives the same run.
+    cfg = RunConfig(algorithm="rile_off", seed=3, freeze_threshold=0.0,
+                    **{**TINY, "early_stop_success": False})
+    shared, n_shared = _one_row_trainer_forwards(cfg, monkeypatch)
+    monkeypatch.setattr(orchestrator._Replay, "step_heads", lambda replay, chunk: None)
+    separate, n_separate = _one_row_trainer_forwards(cfg, monkeypatch)
+
+    assert shared.steps_run == cfg.total_steps and shared.freeze_step is None
+    assert n_shared == cfg.total_steps
+    assert n_separate == 2 * cfg.total_steps
+    assert _trained_nets(shared) == _trained_nets(separate)
+    assert shared.diagnostics_rows == separate.diagnostics_rows
+
+
+def test_airl_scoring_keeps_one_cache():
+    # Nothing backpropagates through the reward of a scored batch, so its
+    # r(s,a), V(s) and V(s') forwards share the heads' workspace in turn.
+    cfg = RunConfig(algorithm="airl", disc_hidden=(16, 12)).validate()
+    pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
+                                          EXPERT.state_dim, EXPERT.action_dim)
+    rng = np.random.default_rng(0)
+    s, a, sp = (rng.uniform(-1, 1, (256, 2)) for _ in range(3))
+    r = pathway.student_rewards(None, s, a, sp)
+
+    f, _ = airl_f_batch(pathway.airl, s, a, sp, Workspace(), Workspace(), Workspace())
+    assert np.array_equal(r, f)
+    ws = pathway.airl.ws
+    assert not ws._slots
+    assert sum(b.nbytes for b in ws._bufs.values()) == 256 * (16 + 12) * 8
 
 
 def _collected_rows(algorithm, seed, monkeypatch):
