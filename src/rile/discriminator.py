@@ -3,8 +3,7 @@
 Convention fixed artifact-wide: output near 1 means expert-like. Training
 is one Adam descent step per call on the binary cross-entropy (expert
 label 1, student label 0) plus an optional two-sided gradient penalty at
-uniform interpolates between expert and student inputs. The closed-form
-optimal classifier over finite supports is provided as a test oracle.
+uniform interpolates between expert and student inputs.
 """
 
 from __future__ import annotations
@@ -185,24 +184,3 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
     net.updates += 1
     return net, loss
 
-
-def optimal_disc_oracle(p_expert, p_student) -> np.ndarray:
-    """Closed-form optimum p_E / (p_E + p_S) over a shared finite support.
-
-    Entries where both probabilities are zero are undefined and returned
-    as NaN.
-    """
-    pe = np.asarray(p_expert, dtype=np.float64)
-    ps = np.asarray(p_student, dtype=np.float64)
-    if pe.shape != ps.shape:
-        raise ValueError("probability tables must share a support")
-    if (pe < 0).any() or (ps < 0).any():
-        raise ValueError("probabilities must be non-negative")
-    for name, p in (("expert", pe), ("student", ps)):
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} table must sum to 1")
-    tot = pe + ps
-    out = np.full(pe.shape, np.nan)
-    mask = tot > 0
-    out[mask] = pe[mask] / tot[mask]
-    return out

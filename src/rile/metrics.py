@@ -233,16 +233,21 @@ def evaluate_policy(spec: MazeSpec, policy, episodes: int,
 
     policy is a StudentAgent or any object with act(state) (and optionally
     reset()) such as the scripted expert controller. action_noise models a
-    perturbed environment that corrupts executed actions.
+    perturbed environment that corrupts executed actions. A deterministic
+    student with no action noise from an unjittered start draws nothing, so
+    its episodes are all one episode: it is rolled once and counted
+    episodes times.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    returns, reached = zip(*(
-        _run_episode(spec, policy, deterministic, rng, seed * 100_003 + ep,
-                     action_noise)
-        for ep in range(episodes)
-    ))
+    identical = (isinstance(policy, StudentAgent) and deterministic
+                 and action_noise <= 0 and spec.start_jitter <= 0)
+    distinct = 1 if identical else episodes
+    rolled = [_run_episode(spec, policy, deterministic, rng, seed * 100_003 + ep,
+                           action_noise)
+              for ep in range(distinct)]
+    returns, reached = zip(*rolled * (episodes // distinct))
     returns = np.asarray(returns)
     stderr = float(returns.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
     return float(returns.mean()), stderr, sum(reached) / episodes

@@ -1,8 +1,9 @@
 """Dense feed-forward network substrate.
 
-Forward pass, exact reverse-mode gradients, Adam, a finite-difference
-gradient checker, and a versioned flat serialization format. Everything
-is float64, with no global state and no hidden RNG.
+Forward pass, exact reverse-mode gradients, Adam, a versioned flat
+serialization format, and the BLAS thread policy of a training run.
+Everything is float64, with no hidden RNG and no module state; the one
+process-wide setting touched is the BLAS thread count, during a run.
 
 Each network's parameters live in one contiguous vector, MlpParams.flat,
 laid out [W0, b0, W1, b1, ...] with every weight matrix row-major; the
@@ -22,11 +23,23 @@ forward cache: the next forward on it overwrites the last, so a caller that
 needs two caches at once uses two slots. Network outputs, input gradients
 and parameter gradients are always fresh arrays, never workspace views. A
 call given no workspace uses a throwaway one.
+
+BLAS threads: a training run whose hidden layers are all at most
+ONE_THREAD_MAX_WIDTH wide runs its matmuls on one OpenBLAS thread
+(blas_threads_for). At that size each matmul is a batch of a few hundred
+rows or a single row, too small for a second thread to share, and
+OpenBLAS's idle worker spins between calls: a second thread nearly doubles
+the CPU time of such a run and does not make it faster. Wider networks
+keep OpenBLAS's own thread count, because there the second thread does buy
+wall-clock time. The count is set only for the duration of a run, never at
+import, and nothing changes where no OpenBLAS is loaded.
 """
 
 from __future__ import annotations
 
+import ctypes
 import struct
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -34,6 +47,15 @@ import numpy as np
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 
 _MAGIC = b"RILEMLP1"
+
+# Widest hidden layer whose training runs on one BLAS thread. Measured on a
+# 2-core x86-64 host with OpenBLAS 0.3.31 (bench/run.py, 45 s per workload),
+# OpenBLAS's default of two threads -> one thread: rile_off with 64x64 nets
+# used 1.91 -> 0.96 CPU s per 1,000 env steps at the same env steps/s (10
+# pairs); airl with 128x128 nets used 2.64 -> 1.38 CPU s but ran 3-9 % slower
+# in 3 of 3 pairs, and 5,000 steps of airl with 256x256 nets took 13.1-13.8 s
+# on two threads and 15.5-16.4 s on one (2 pairs), at 1.6x the CPU time.
+ONE_THREAD_MAX_WIDTH = 64
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -350,52 +372,6 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
     return _on_flat(p, params), new_state
 
 
-def params_to_flat(params: MlpParams) -> np.ndarray:
-    """A copy of the parameter vector, laid out [W0, b0, W1, b1, ...]."""
-    return params.flat.copy()
-
-
-def flat_to_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
-    """Network with like's layout over a copy of flat."""
-    flat = np.array(flat, dtype=np.float64)
-    if flat.shape != like.flat.shape:
-        raise ValueError(f"flat vector has shape {flat.shape}, "
-                         f"network needs ({like.flat.size},)")
-    return _on_flat(flat, like)
-
-
-def finite_diff_check(loss_fn, params: MlpParams, analytic: MlpParams,
-                      step: float = 1e-5, coords=None, rng=None) -> float:
-    """Max relative error between an analytic gradient and central differences.
-
-    loss_fn maps MlpParams -> scalar and must be deterministic; analytic is
-    the gradient to verify, same shape as params. Error per coordinate is
-    |analytic - fd| / max(1, |analytic|). coords, if given, limits the sweep
-    to that many randomly chosen coordinates (rng required).
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    flat = params_to_flat(params)
-    aflat = params_to_flat(analytic)
-    n = flat.size
-    if coords is None:
-        idx = np.arange(n)
-    else:
-        idx = rng.choice(n, size=min(coords, n), replace=False)
-    worst = 0.0
-    for i in idx:
-        bump = np.zeros(n)
-        bump[i] = step
-        lo = loss_fn(flat_to_params(flat - bump, params))
-        hi = loss_fn(flat_to_params(flat + bump, params))
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("loss_fn returned a non-finite value")
-        fd = (hi - lo) / (2.0 * step)
-        err = abs(aflat[i] - fd) / max(1.0, abs(aflat[i]))
-        worst = max(worst, err)
-    return worst
-
-
 _ACT_CODE = {a: i for i, a in enumerate(ACTIVATIONS)}
 
 
@@ -437,3 +413,51 @@ def save_mlp(params: MlpParams, path) -> None:
 def load_mlp(path) -> MlpParams:
     with open(path, "rb") as f:
         return mlp_from_bytes(f.read())
+
+
+def _openblas_thread_calls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS library mapped
+    into this process, found by path in /proc/self/maps; empty where there
+    is none (another BLAS) or no such file (another OS)."""
+    try:
+        with open("/proc/self/maps") as f:
+            fields = [line.split(maxsplit=5) for line in f]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
+    calls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                try:
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                calls.append((get, set_))
+    return calls
+
+
+@contextmanager
+def blas_threads_for(widths):
+    """Runs the body on one OpenBLAS thread when no width in widths exceeds
+    ONE_THREAD_MAX_WIDTH, and restores every library's previous count on
+    exit, however the body ends. Wider networks, and processes without
+    OpenBLAS, run the body with the thread counts untouched. The count is
+    process-wide, so it holds for other threads of the process as well."""
+    narrow = max(widths, default=0) <= ONE_THREAD_MAX_WIDTH
+    calls = _openblas_thread_calls() if narrow else []
+    before = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(calls, before):
+            set_(n)

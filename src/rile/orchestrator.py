@@ -38,7 +38,7 @@ from .agents import (
 from .discriminator import DiscriminatorNet, disc_output, disc_update, make_discriminator
 from .envs import ExpertDataset, MazeSpec, maze_reset, maze_step
 from .metrics import MetricsWindow, cpr, evaluate_policy, fs_rfdc, rfdc
-from .nets import Workspace, mlp_forward, save_mlp
+from .nets import Workspace, blas_threads_for, mlp_forward, save_mlp
 
 ALGORITHMS = ("rile_on", "rile_off", "gail", "airl", "bc")
 
@@ -318,6 +318,14 @@ class _RewardPathway:
                                                 cfg.disc_lr, cfg.gamma,
                                                 streams["init_airl"])
 
+    def step_heads(self, chunk):
+        """The live trainer's heads at a collected chunk's rows, read by
+        their rewards and by the trainer's rows or replay row built from
+        them; None when the trainer has no more rows to act on."""
+        if self.trainer is None or self.trainer.frozen:
+            return None
+        return trainer_heads(self.trainer, np.concatenate([chunk["s"], chunk["a"]], axis=1))
+
     def student_rewards(self, student, s, a, sp, heads=None) -> np.ndarray:
         """Learned reward for student transitions under the current nets.
         heads, the live trainer's trainer_heads at (s, a) when a forward
@@ -437,14 +445,6 @@ class _Replay:
             return rng.integers(0, len(self.pathway.expert_table["s"]))
         return None
 
-    def step_heads(self, chunk):
-        """The live trainer's heads at a collected step, read by both its
-        reward and its replay row; None when no trainer row is inserted."""
-        trainer = self.pathway.trainer
-        if trainer is None or trainer.frozen:
-            return None
-        return trainer_heads(trainer, np.concatenate([chunk["s"], chunk["a"]], axis=1))
-
     def insert(self, row, learned, heads):
         te = self.pathway.expert_table
         k = self._expert_row(self.cfg.expert_mix_student, self.mix_student_rng)
@@ -508,11 +508,13 @@ class _Replay:
 @dataclass
 class _Rollout:
     """On-policy batch source: every learner updates on the chunk just
-    collected, whose "r" column holds the student's learned rewards."""
+    collected, whose "r" column holds the student's learned rewards. heads
+    are the live trainer's step_heads at the chunk's rows."""
 
     cfg: RunConfig
     pathway: _RewardPathway
     chunk: dict
+    heads: tuple | None
 
     def student_batch(self, student, rng) -> dict:
         return self.chunk
@@ -525,8 +527,11 @@ class _Rollout:
     def trainer_rows(self, rng):
         s, a = self.chunk["s"], self.chunk["a"]
         obs = np.concatenate([s, a], axis=1)
-        a_t = np.array([trainer_act(self.pathway.trainer, o, "stochastic", rng)
-                        for o in obs])
+        # the trainer has not updated since step_heads, so its heads serve
+        mean, log_std = self.heads
+        a_t = np.array([trainer_act(self.pathway.trainer, o, "stochastic", rng,
+                                    (mean[i:i + 1], log_std[i:i + 1]))
+                        for i, o in enumerate(obs)])
         obsp = np.concatenate([self.chunk["sp"],
                                np.vstack([a[1:], np.zeros((1, a.shape[1]))])], axis=1)
         done = self.chunk["done"].copy()
@@ -583,9 +588,15 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
     chunk (one step; for rile_on, the rest of the episode), scores it with
     the learned reward and updates the learners: rile_on on the chunk
     itself, the others on replay samples every update_every steps once the
-    buffers are warm. bc is supervised.
+    buffers are warm. bc is supervised. A run whose hidden layers are all
+    at most nets.ONE_THREAD_MAX_WIDTH wide runs on one BLAS thread.
     """
     cfg = config.validate()
+    with blas_threads_for((*cfg.student_hidden, *cfg.trainer_hidden, *cfg.disc_hidden)):
+        return _train(cfg, expert, run_dir)
+
+
+def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifacts:
     if cfg.algorithm == "bc":
         from . import baselines
 
@@ -627,7 +638,7 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
                     break
             n = len(rows)
             chunk = {k: np.array([r[k] for r in rows]) for k in ("s", "a", "sp", "done")}
-            heads = None if on_policy else replay.step_heads(chunk)
+            heads = pathway.step_heads(chunk)
             chunk["r"] = pathway.student_rewards(student, chunk["s"], chunk["a"],
                                                  chunk["sp"], heads)
             for r, row in zip(chunk["r"], rows):
@@ -636,7 +647,7 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
             diag = None
             if on_policy:
                 diag = _update(cfg, student, pathway, streams, monitor, artifacts, step,
-                               _Rollout(cfg, pathway, chunk))
+                               _Rollout(cfg, pathway, chunk, heads))
             else:
                 replay.insert(rows[0], chunk["r"][0], heads)
                 if replay.ready() and step % cfg.update_every == 0:

@@ -19,7 +19,9 @@ from rile.agents import (
     trainer_update,
     upsilon,
 )
-from rile.nets import finite_diff_check, mlp_forward, params_to_flat
+from rile.nets import mlp_forward
+
+from oracles import finite_diff_check, params_to_flat
 
 
 class TestUpsilon:

@@ -7,8 +7,9 @@ from rile import baselines
 from rile.agents import _policy_heads, gaussian_tanh_logprob, make_student
 from rile.baselines import _student_logp, airl_loss_and_grads, make_airl_heads
 from rile.envs import MazeSpec, generate_expert
-from rile.nets import finite_diff_check
 from rile.orchestrator import RunConfig, run_training
+
+from oracles import finite_diff_check
 
 
 class TestAirlPolicyTerm:

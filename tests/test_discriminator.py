@@ -8,17 +8,16 @@ from rile.discriminator import (
     disc_output,
     disc_update,
     make_discriminator,
-    optimal_disc_oracle,
 )
 from rile.nets import (
     MlpParams,
     adam_init,
-    finite_diff_check,
     mlp_backward,
     mlp_forward_cached,
     mlp_init,
-    params_to_flat,
 )
+
+from oracles import finite_diff_check, optimal_disc_oracle, params_to_flat
 
 
 def _gp_full_sweep(params, x):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rile import metrics
 from rile.discriminator import make_discriminator
 from rile.envs import MazeSpec, WaypointController
 from rile.agents import make_student, make_trainer
@@ -20,7 +21,8 @@ from rile.metrics import (
     save_grid_csv,
     wasserstein1d,
 )
-from rile.nets import params_to_flat
+
+from oracles import params_to_flat
 
 
 def brute_force_w1(xs, ys):
@@ -310,3 +312,37 @@ class TestEvaluatePolicy:
     def test_zero_episodes_rejected(self):
         with pytest.raises(ValueError):
             evaluate_policy(MazeSpec(), _Still(), episodes=0)
+
+    @pytest.mark.parametrize("case", ["deterministic", "noise", "jitter", "stochastic",
+                                      "scripted"])
+    def test_identical_episodes_are_rolled_once(self, case, monkeypatch):
+        # A deterministic student with no action noise from a fixed start
+        # draws nothing, so its episodes are one episode, rolled once. Noise,
+        # a jittered start, stochastic actions or a policy that is not a
+        # student roll every episode. Either way the result equals a full
+        # roll reduced as evaluate_policy reduces it.
+        spec = MazeSpec(start_jitter=0.05) if case == "jitter" else MazeSpec()
+        policy = (WaypointController(spec) if case == "scripted"
+                  else make_student(2, 2, (8,), np.random.default_rng(17)))
+        deterministic = case != "stochastic"
+        noise = 0.1 if case == "noise" else 0.0
+        episodes, seed = 10, 3
+        original = metrics._run_episode
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(metrics, "_run_episode", spy)
+        result = evaluate_policy(spec, policy, episodes, deterministic, seed, noise)
+
+        assert len(calls) == (1 if case == "deterministic" else episodes)
+        rng = np.random.default_rng(seed)
+        returns, reached = zip(*(original(spec, policy, deterministic, rng,
+                                          seed * 100_003 + ep, noise)
+                                 for ep in range(episodes)))
+        returns = np.asarray(returns)
+        assert result == (float(returns.mean()),
+                          float(returns.std(ddof=1) / np.sqrt(episodes)),
+                          sum(reached) / episodes)

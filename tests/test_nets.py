@@ -12,8 +12,6 @@ from rile.nets import (
     _act_grad,
     adam_init,
     adam_step,
-    finite_diff_check,
-    flat_to_params,
     load_mlp,
     mlp_backward,
     mlp_forward,
@@ -21,10 +19,11 @@ from rile.nets import (
     mlp_from_bytes,
     mlp_init,
     mlp_to_bytes,
-    params_to_flat,
     save_mlp,
     zeros_like_params,
 )
+
+from oracles import finite_diff_check, flat_to_params, params_to_flat
 
 
 def single_layer(w, b, act):

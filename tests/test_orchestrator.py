@@ -204,7 +204,8 @@ def test_one_trainer_forward_per_collected_step(monkeypatch):
     cfg = RunConfig(algorithm="rile_off", seed=3, freeze_threshold=0.0,
                     **{**TINY, "early_stop_success": False})
     shared, n_shared = _one_row_trainer_forwards(cfg, monkeypatch)
-    monkeypatch.setattr(orchestrator._Replay, "step_heads", lambda replay, chunk: None)
+    monkeypatch.setattr(orchestrator._RewardPathway, "step_heads",
+                        lambda pathway, chunk: None)
     separate, n_separate = _one_row_trainer_forwards(cfg, monkeypatch)
 
     assert shared.steps_run == cfg.total_steps and shared.freeze_step is None
@@ -212,6 +213,38 @@ def test_one_trainer_forward_per_collected_step(monkeypatch):
     assert n_separate == 2 * cfg.total_steps
     assert _trained_nets(shared) == _trained_nets(separate)
     assert shared.diagnostics_rows == separate.diagnostics_rows
+
+
+def test_rollout_trainer_rows_reuse_the_step_heads(monkeypatch):
+    # rile_on's stochastic trainer actions for a rollout come from the heads
+    # its rewards were scored with: trainer_rows runs no actor forward.
+    inside, forwards, calls = [], [], []
+    original_rows = orchestrator._Rollout.trainer_rows
+    original_forward = nets._forward_cached
+    obs_dim = EXPERT.state_dim + EXPERT.action_dim
+
+    def rows_spy(rollout, rng):
+        calls.append(1)
+        inside.append(1)
+        try:
+            return original_rows(rollout, rng)
+        finally:
+            inside.pop()
+
+    def forward_spy(params, x, ws):
+        if inside and params.in_dim == obs_dim and params.out_dim == 2:
+            forwards.append(len(x))
+        return original_forward(params, x, ws)
+
+    monkeypatch.setattr(orchestrator._Rollout, "trainer_rows", rows_spy)
+    monkeypatch.setattr(nets, "_forward_cached", forward_spy)
+    cfg = RunConfig(algorithm="rile_on", seed=3, freeze_threshold=0.0,
+                    **{**TINY, "early_stop_success": False})
+    artifacts = run_training(cfg, EXPERT)
+
+    assert artifacts.steps_run == cfg.total_steps
+    assert len(calls) >= cfg.total_steps // TINY["env"].max_steps
+    assert forwards == []
 
 
 def test_airl_scoring_keeps_one_cache():
@@ -304,3 +337,87 @@ def test_trainer_mixing_leaves_the_student_mixing_draws_unchanged(monkeypatch):
     assert runs[0]["s"] == runs[1]["s"]
     assert 0.0 < np.mean(runs[0]["s"]) < 1.0
     assert np.mean(runs[0]["obs"]) == 0.0 < np.mean(runs[1]["obs"])
+
+
+# The BLAS thread rule of run_training: every OpenBLAS the process loaded,
+# as the rule finds them.
+BLAS = nets._openblas_thread_calls()
+needs_openblas = pytest.mark.skipif(
+    not BLAS, reason="no OpenBLAS in this process: the thread rule sets nothing")
+WIDE_64 = {**TINY, "student_hidden": (64, 64), "trainer_hidden": (64, 64),
+           "disc_hidden": (64, 64)}
+
+
+def _blas_threads():
+    return [get() for get, _ in BLAS]
+
+
+@pytest.fixture
+def two_blas_threads():
+    before = _blas_threads()
+    for _, set_ in BLAS:
+        set_(2)
+    yield
+    for (_, set_), n in zip(BLAS, before):
+        set_(n)
+
+
+def _threads_seen_by_updates(cfg, monkeypatch, fail_at=None):
+    """(artifacts or None, the BLAS thread counts each student_update saw)."""
+    original = orchestrator.student_update
+    seen = []
+
+    def spy(*args):
+        seen.append(_blas_threads())
+        if len(seen) == fail_at:
+            raise ValueError("forced")
+        return original(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(orchestrator, "student_update", spy)
+        if fail_at is None:
+            return run_training(cfg, EXPERT), seen
+        with pytest.raises(RunAborted, match="forced"):
+            run_training(cfg, EXPERT)
+    return None, seen
+
+
+@needs_openblas
+@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
+def test_narrow_run_trains_on_one_blas_thread(algorithm, two_blas_threads, monkeypatch):
+    cfg = RunConfig(algorithm=algorithm, seed=5, **WIDE_64)
+    _, seen = _threads_seen_by_updates(cfg, monkeypatch)
+
+    assert seen and all(n == [1] * len(BLAS) for n in seen)
+    assert _blas_threads() == [2] * len(BLAS)
+
+
+@needs_openblas
+def test_aborted_run_restores_the_blas_threads(two_blas_threads, monkeypatch):
+    cfg = RunConfig(algorithm="rile_off", seed=5, **WIDE_64)
+    _, seen = _threads_seen_by_updates(cfg, monkeypatch, fail_at=3)
+
+    assert seen == [[1] * len(BLAS)] * 3
+    assert _blas_threads() == [2] * len(BLAS)
+
+
+@needs_openblas
+def test_a_wider_layer_keeps_the_blas_threads(two_blas_threads, monkeypatch):
+    cfg = RunConfig(algorithm="rile_off", seed=5, **{**WIDE_64, "disc_hidden": (128, 8)})
+    _, seen = _threads_seen_by_updates(cfg, monkeypatch)
+
+    assert seen and all(n == [2] * len(BLAS) for n in seen)
+    assert _blas_threads() == [2] * len(BLAS)
+
+
+@needs_openblas
+def test_a_run_without_openblas_trains_the_same_nets(two_blas_threads, monkeypatch):
+    cfg = RunConfig(algorithm="rile_off", seed=5, **WIDE_64)
+    one_thread, _ = _threads_seen_by_updates(cfg, monkeypatch)
+    monkeypatch.setattr(nets, "_openblas_thread_calls", lambda: [])
+    untouched, seen = _threads_seen_by_updates(cfg, monkeypatch)
+
+    assert seen and all(n == [2] * len(BLAS) for n in seen)
+    assert untouched.steps_run == one_thread.steps_run
+    assert _trained_nets(untouched) == _trained_nets(one_thread)
+    assert untouched.diagnostics_rows == one_thread.diagnostics_rows
