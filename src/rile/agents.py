@@ -1,9 +1,10 @@
-"""The two learners: an entropy-regularized actor-critic student whose
-reward is the trainer's action, and a trainer agent whose scalar action in
-[-1, 1] is optimized against discriminator feedback.
+"""The two learners, one actor-critic type: an entropy-regularized student
+whose reward is the trainer's action, and a trainer agent whose scalar
+action in [-1, 1] is optimized against discriminator feedback.
 
-Both use tanh-squashed Gaussian policies and one-step TD(0) advantage
-updates with a polyak-averaged target critic. The six trainer reward
+Both are ActorCritic: a tanh-squashed Gaussian policy and a V critic with
+a polyak-averaged target, trained by one shared one-step TD(0) advantage
+update that writes every network in place. The six trainer reward
 formulas relating the discriminator output d and the trainer action a_T
 live here as well.
 """
@@ -38,15 +39,6 @@ REWARD_VARIANTS = (
 )
 
 ACT_MODES = ("stochastic", "deterministic", "epsilon_greedy")
-
-
-def upsilon(x):
-    """Affine rescale 2x - 1 of a probability to [-1, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    if (x < 0).any() or (x > 1).any():
-        raise ValueError("upsilon input must lie in [0, 1]")
-    out = 2.0 * x - 1.0
-    return float(out) if out.ndim == 0 else out
 
 
 def _sigmoid(x):
@@ -141,59 +133,70 @@ def gaussian_entropy(log_std) -> np.ndarray:
 
 
 @dataclass
-class StudentAgent:
+class ActorCritic:
+    """Tanh-Gaussian actor, V critic and its polyak target, with their Adam
+    states and batch scratch. The student acts epsilon-greedily during
+    collection; the trainer's epsilon_greedy is 0. Once frozen, updates are
+    rejected and the parameters stay as they are."""
+
     actor: MlpParams
     critic: MlpParams
     critic_target: MlpParams
     actor_opt: AdamState
     critic_opt: AdamState
     entropy_coef: float = 0.2
-    epsilon_greedy: float = 0.2
+    epsilon_greedy: float = 0.0
     gamma: float = 0.99
     tau: float = 0.01
     advantage_norm: bool = True
+    frozen: bool = False
     # batch scratch of the agent's forward and backward passes
     ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
-
-    @property
-    def state_dim(self) -> int:
-        return self.critic.in_dim
 
     @property
     def action_dim(self) -> int:
         return self.actor.out_dim // 2
 
 
-def make_student(state_dim: int, action_dim: int, hidden, rng,
-                 actor_lr=3e-4, critic_lr=3e-4, entropy_coef=0.2,
-                 epsilon_greedy=0.2, gamma=0.99, tau=0.01,
-                 advantage_norm=True) -> StudentAgent:
+def make_actor_critic(in_dim: int, action_dim: int, hidden, rng,
+                      actor_lr=3e-4, critic_lr=3e-4, entropy_coef=0.2,
+                      epsilon_greedy=0.0, gamma=0.99, tau=0.01,
+                      advantage_norm=True) -> ActorCritic:
+    """ReLU actor [in_dim, *hidden, 2 * action_dim] (means, then log-stds)
+    and critic [in_dim, *hidden, 1], initialized in that order from rng."""
     acts = ["relu"] * len(hidden) + ["identity"]
-    actor = mlp_init([state_dim, *hidden, 2 * action_dim], acts, rng)
-    critic = mlp_init([state_dim, *hidden, 1], acts, rng)
-    return StudentAgent(actor, critic, critic.copy(),
-                        adam_init(actor, lr=actor_lr), adam_init(critic, lr=critic_lr),
-                        entropy_coef, epsilon_greedy, gamma, tau, advantage_norm)
+    actor = mlp_init([in_dim, *hidden, 2 * action_dim], acts, rng)
+    critic = mlp_init([in_dim, *hidden, 1], acts, rng)
+    return ActorCritic(actor, critic, critic.copy(),
+                       adam_init(actor, lr=actor_lr), adam_init(critic, lr=critic_lr),
+                       entropy_coef=entropy_coef, epsilon_greedy=epsilon_greedy,
+                       gamma=gamma, tau=tau, advantage_norm=advantage_norm)
 
 
-def _sample_action(actor, state, mode, rng, epsilon, action_dim, heads=None):
+def _sample_action(agent: ActorCritic, obs, mode, rng, heads=None) -> np.ndarray:
+    """Actions for the rows of obs, or one action for a 1-D obs. heads, the
+    actor's (mean, log_std) at obs when a forward already made them, spares
+    its forward. epsilon_greedy takes, with probability
+    agent.epsilon_greedy, one uniform random action for a 1-D obs."""
     if mode not in ACT_MODES:
         raise ValueError(f"unknown act mode {mode!r}")
-    mean, log_std = _policy_heads(actor, state)[:2] if heads is None else heads
+    mean, log_std = _policy_heads(agent.actor, obs)[:2] if heads is None else heads
+    single = np.ndim(obs) == 1
     if mode == "deterministic":
-        return np.tanh(mean[0])
+        a = np.tanh(mean)
     # epsilon = 0 must consume no extra draws so it seed-pairs with "stochastic"
-    if mode == "epsilon_greedy" and epsilon > 0.0 and rng.uniform() < epsilon:
-        return rng.uniform(-1.0, 1.0, size=action_dim)
-    noise = rng.normal(size=mean.shape[1])
-    return np.tanh(mean[0] + np.exp(log_std[0]) * noise)
+    elif (mode == "epsilon_greedy" and agent.epsilon_greedy > 0.0
+          and rng.uniform() < agent.epsilon_greedy):
+        return rng.uniform(-1.0, 1.0, size=agent.action_dim)
+    else:
+        a = np.tanh(mean + np.exp(log_std) * rng.normal(size=mean.shape))
+    return a[0] if single else a
 
 
-def student_act(agent: StudentAgent, state, mode: str, rng=None) -> np.ndarray:
-    """Action in [-1,1]^da. epsilon_greedy takes a uniform random action
-    with probability epsilon, otherwise samples the policy."""
-    return _sample_action(agent.actor, state, mode, rng, agent.epsilon_greedy,
-                          agent.action_dim)
+def student_act(agent: ActorCritic, state, mode: str, rng=None) -> np.ndarray:
+    """Action in [-1,1]^da for one state. epsilon_greedy takes a uniform
+    random action with probability epsilon, otherwise samples the policy."""
+    return _sample_action(agent, state, mode, rng)
 
 
 def _critic_loss_grads(critic, states, targets, ws=None):
@@ -244,13 +247,25 @@ def _polyak(target: MlpParams, source: MlpParams, tau: float) -> None:
     target.flat += tau * source.flat
 
 
-def _td_update(agent, states, actions, rewards, next_states, dones):
-    """Shared actor-critic step; returns diagnostics. Rejects non-finite
-    losses before any state is touched. The target, critic and actor passes
-    run on the agent's workspace in turn: one cache is live at a time."""
+def actor_critic_update(agent: ActorCritic, batch) -> dict:
+    """One actor-critic step on (s, a, r, s', done) arrays; returns its
+    diagnostics. The critic regresses to r + gamma (1-done) V_target(s');
+    the actor ascends the advantage-weighted log-likelihood plus the entropy
+    bonus; the target follows the critic by polyak averaging. Every network
+    is updated in place. Rejected while frozen; non-finite losses are
+    rejected before any state is touched. The target, critic and actor
+    passes run on the agent's workspace in turn: one cache is live at a
+    time."""
+    if agent.frozen:
+        raise RuntimeError("agent is frozen; updates are rejected")
+    states, actions, rewards, next_states, dones = batch
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    if len(states) == 0:
+        raise ValueError("empty batch")
+    actions = np.asarray(actions, dtype=np.float64).reshape(len(states), -1)
     rewards = np.asarray(rewards, dtype=np.float64)
     dones = np.asarray(dones, dtype=np.float64)
-    v_next = mlp_forward(agent.critic_target, next_states, agent.ws)[:, 0]
+    v_next = mlp_forward(agent.critic_target, np.atleast_2d(next_states), agent.ws)[:, 0]
     targets = rewards + agent.gamma * (1.0 - dones) * v_next
 
     c_loss, c_grads, v = _critic_loss_grads(agent.critic, states, targets, agent.ws)
@@ -263,57 +278,14 @@ def _td_update(agent, states, actions, rewards, next_states, dones):
     if not (np.isfinite(c_loss) and np.isfinite(a_loss)):
         raise ValueError("non-finite loss in actor-critic update; agent unchanged")
 
-    agent.critic, agent.critic_opt = adam_step(agent.critic, c_grads, agent.critic_opt)
-    agent.actor, agent.actor_opt = adam_step(agent.actor, a_grads, agent.actor_opt)
+    adam_step(agent.critic, c_grads, agent.critic_opt)
+    adam_step(agent.actor, a_grads, agent.actor_opt)
     _polyak(agent.critic_target, agent.critic, agent.tau)
     return {"critic_loss": c_loss, "actor_loss": a_loss, "entropy": mean_ent}
 
 
-def student_update(agent: StudentAgent, batch):
-    """One actor-critic step on (s, a, r, s', done) arrays. The critic
-    regresses to r + gamma (1-done) V_target(s'); the actor ascends the
-    advantage-weighted log-likelihood plus the entropy bonus."""
-    states, actions, rewards, next_states, dones = batch
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    if len(states) == 0:
-        raise ValueError("empty batch")
-    diag = _td_update(agent, states, np.atleast_2d(actions), rewards,
-                      np.atleast_2d(next_states), dones)
-    return agent, diag
-
-
-@dataclass
-class TrainerAgent:
-    """Scalar-action policy over the student's (state, action) observation.
-    Once frozen, updates are rejected and parameters stay immutable."""
-
-    actor: MlpParams
-    critic: MlpParams
-    critic_target: MlpParams
-    actor_opt: AdamState
-    critic_opt: AdamState
-    entropy_coef: float = 0.2
-    gamma: float = 0.99
-    tau: float = 0.01
-    advantage_norm: bool = True
-    frozen: bool = False
-    # batch scratch of the agent's forward and backward passes
-    ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
-
-    @property
-    def obs_dim(self) -> int:
-        return self.critic.in_dim
-
-
-def make_trainer(obs_dim: int, hidden, rng, actor_lr=3e-4, critic_lr=3e-4,
-                 entropy_coef=0.2, gamma=0.99, tau=0.01,
-                 advantage_norm=True) -> TrainerAgent:
-    acts = ["relu"] * len(hidden) + ["identity"]
-    actor = mlp_init([obs_dim, *hidden, 2], acts, rng)
-    critic = mlp_init([obs_dim, *hidden, 1], acts, rng)
-    return TrainerAgent(actor, critic, critic.copy(),
-                        adam_init(actor, lr=actor_lr), adam_init(critic, lr=critic_lr),
-                        entropy_coef, gamma, tau, advantage_norm)
+# The loop updates the student and the trainer under their own names.
+student_update = trainer_update = actor_critic_update
 
 
 def trainer_observation(state, action) -> np.ndarray:
@@ -322,36 +294,23 @@ def trainer_observation(state, action) -> np.ndarray:
                            np.asarray(action, float).ravel()])
 
 
-def trainer_act(agent: TrainerAgent, obs, mode: str = "deterministic",
-                rng=None, heads=None) -> float:
-    """Scalar action in [-1, 1] (tanh-squashed). heads, the one-row
-    trainer_heads at obs when a forward already made them, spares the
-    actor's forward."""
-    a = _sample_action(agent.actor, obs, mode, rng, 0.0, 1, heads)
-    return float(a[0])
+def trainer_act(agent: ActorCritic, obs, mode: str = "deterministic",
+                rng=None, heads=None):
+    """Scalar action in [-1, 1] (tanh-squashed) per row of obs, or a float
+    for a 1-D obs; a stochastic batch draws its noise in one call, row
+    after row. heads, the trainer_heads at obs when a forward already made
+    them, spares the actor's forward."""
+    a = _sample_action(agent, obs, mode, rng, heads)
+    return float(a[0]) if np.ndim(obs) == 1 else a[:, 0]
 
 
-def trainer_heads(agent: TrainerAgent, obs: np.ndarray):
+def trainer_heads(agent: ActorCritic, obs: np.ndarray):
     """The actor's (mean, log_std) rows for a batch of observations."""
     return _policy_heads(agent.actor, obs, agent.ws)[:2]
 
 
-def trainer_act_batch(agent: TrainerAgent, obs: np.ndarray, heads=None) -> np.ndarray:
+def trainer_act_batch(agent: ActorCritic, obs: np.ndarray, heads=None) -> np.ndarray:
     """Deterministic actions for a batch of observations, from their
     trainer_heads if a forward already made them."""
     mean, _ = trainer_heads(agent, obs) if heads is None else heads
     return np.tanh(mean[:, 0])
-
-
-def trainer_update(agent: TrainerAgent, batch):
-    """Actor-critic step on (obs, a_T, r_T, obs', done). Rejected while
-    frozen."""
-    if agent.frozen:
-        raise RuntimeError("trainer is frozen; updates are rejected")
-    obs, actions, rewards, next_obs, dones = batch
-    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    if len(obs) == 0:
-        raise ValueError("empty batch")
-    actions = np.asarray(actions, dtype=np.float64).reshape(len(obs), 1)
-    diag = _td_update(agent, obs, actions, rewards, np.atleast_2d(next_obs), dones)
-    return agent, diag

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import (
-    StudentAgent,
+    ActorCritic,
     _clamped_atanh,
     _logprob_presquash,
     _policy_heads,
-    make_student,
+    make_actor_critic,
 )
 from .envs import ExpertDataset
 from .nets import (
@@ -89,7 +89,7 @@ def airl_f_batch(heads: AirlHeads, s, a, sp, ws_r: Workspace, ws_v: Workspace,
     return r[:, 0] + heads.gamma * vp[:, 0] - v[:, 0], (c_r, c_v, c_vp)
 
 
-def _student_logp(student: StudentAgent, s, a) -> np.ndarray:
+def _student_logp(student: ActorCritic, s, a) -> np.ndarray:
     """AIRL's policy term log pi(a|s): the student's tanh-Gaussian density
     with the pre-squash value clamped to +-3, as in the actor loss, so that
     expert actions on the boundary +-1 give a bounded, finite value.
@@ -138,18 +138,18 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
     return loss, r_grads, v_grads
 
 
-def airl_update(heads: AirlHeads, student: StudentAgent, expert_batch,
+def airl_update(heads: AirlHeads, student: ActorCritic, expert_batch,
                 student_batch) -> float:
-    """One Adam step on both heads using the student's current density."""
+    """One Adam step on both heads, in place, using the student's current
+    density. Returns the loss before the step."""
     logp_e = _student_logp(student, expert_batch[0], expert_batch[1])
     logp_s = _student_logp(student, student_batch[0], student_batch[1])
     loss, r_grads, v_grads = airl_loss_and_grads(heads, expert_batch, student_batch,
                                                  logp_e, logp_s)
     if not np.isfinite(loss):
         raise ValueError("non-finite AIRL loss; heads unchanged")
-    heads.reward, heads.reward_opt = adam_step(heads.reward, r_grads, heads.reward_opt)
-    heads.potential, heads.potential_opt = adam_step(heads.potential, v_grads,
-                                                     heads.potential_opt)
+    adam_step(heads.reward, r_grads, heads.reward_opt)
+    adam_step(heads.potential, v_grads, heads.potential_opt)
     return loss
 
 
@@ -188,9 +188,9 @@ def run_bc(config, expert: ExpertDataset, run_dir=None):
         os.makedirs(run_dir, exist_ok=True)
     streams = orchestrator.seed_streams(cfg.seed)
     s, a = expert.all_pairs()
-    student = make_student(s.shape[1], a.shape[1], cfg.student_hidden,
-                           streams["init_student"], actor_lr=cfg.student_lr,
-                           epsilon_greedy=cfg.epsilon_greedy, gamma=cfg.gamma)
+    student = make_actor_critic(s.shape[1], a.shape[1], cfg.student_hidden,
+                                streams["init_student"], actor_lr=cfg.student_lr,
+                                epsilon_greedy=cfg.epsilon_greedy, gamma=cfg.gamma)
     n = len(s)
     perm = streams["student"].permutation(n)
     n_hold = int(round(cfg.bc_holdout * n))
@@ -206,8 +206,7 @@ def run_bc(config, expert: ExpertDataset, run_dir=None):
         for lo in range(0, len(order), batch):
             idx = train[order[lo:lo + batch]]
             _, grads = _bc_loss_and_grads(student.actor, s[idx], a[idx], student.ws)
-            student.actor, student.actor_opt = adam_step(student.actor, grads,
-                                                         student.actor_opt)
+            adam_step(student.actor, grads, student.actor_opt)
         row = {"epoch": epoch,
                "train_loss": _bc_loss(student.actor, s[train], a[train], student.ws)}
         if len(hold) > 0:

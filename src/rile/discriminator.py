@@ -155,11 +155,12 @@ def _gp_loss_and_grads(params: MlpParams, x: np.ndarray, ws: Workspace | None = 
 
 def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
                 gp_weight: float, rng=None):
-    """One Adam step on BCE + gp_weight * gradient penalty.
+    """One Adam step on BCE + gp_weight * gradient penalty, written into
+    net in place.
 
-    Returns (net, loss), where loss is the BCE + gp_weight * GP that the
-    step descended, at the parameters before the step. Rejects non-finite
-    losses/gradients without touching the network.
+    Returns the loss the step descended, BCE + gp_weight * GP at the
+    parameters before the step. Rejects non-finite losses/gradients without
+    touching the network.
     """
     xe = _join(*expert_batch)
     xs = _join(*student_batch)
@@ -179,8 +180,7 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
     if not np.isfinite(loss):
         raise ValueError("non-finite discriminator loss; network unchanged")
 
-    params, opt = adam_step(net.params, grads, net.opt)
-    net.params, net.opt = params, opt
+    adam_step(net.params, grads, net.opt)
     net.updates += 1
-    return net, loss
+    return loss
 

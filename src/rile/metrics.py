@@ -13,12 +13,12 @@ All operations here are pure: nothing is trained or mutated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import StudentAgent, TrainerAgent, student_act, trainer_act_batch
-from .discriminator import DiscriminatorNet, disc_output
+from .agents import ActorCritic, student_act, trainer_act_batch
+from .discriminator import disc_output
 from .envs import MazeSpec, maze_reset, maze_step
 from .nets import mlp_forward
 
@@ -209,7 +209,7 @@ def _run_episode(spec, policy, deterministic, rng, ep_seed, action_noise):
     total = 0.0
     reached = False
     for _ in range(spec.max_steps):
-        if isinstance(policy, StudentAgent):
+        if isinstance(policy, ActorCritic):
             mode = "deterministic" if deterministic else "stochastic"
             action = student_act(policy, state, mode, rng)
         else:
@@ -231,17 +231,17 @@ def evaluate_policy(spec: MazeSpec, policy, episodes: int,
     """(mean undiscounted environment return, its standard error, fraction
     of episodes that reach the goal), from one pass over the episodes.
 
-    policy is a StudentAgent or any object with act(state) (and optionally
-    reset()) such as the scripted expert controller. action_noise models a
-    perturbed environment that corrupts executed actions. A deterministic
-    student with no action noise from an unjittered start draws nothing, so
-    its episodes are all one episode: it is rolled once and counted
-    episodes times.
+    policy is a student ActorCritic or any object with act(state) (and
+    optionally reset()) such as the scripted expert controller. action_noise
+    models a perturbed environment that corrupts executed actions. A
+    deterministic student with no action noise from an unjittered start
+    draws nothing, so its episodes are all one episode: it is rolled once
+    and counted episodes times.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    identical = (isinstance(policy, StudentAgent) and deterministic
+    identical = (isinstance(policy, ActorCritic) and deterministic
                  and action_noise <= 0 and spec.start_jitter <= 0)
     distinct = 1 if identical else episodes
     rolled = [_run_episode(spec, policy, deterministic, rng, seed * 100_003 + ep,

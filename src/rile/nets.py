@@ -11,6 +11,10 @@ per-layer weights and biases are views into it. Whole-network arithmetic
 (Adam, Polyak averaging, gradient sums, serialization) is therefore one
 vector expression on .flat, and the serialized payload is .flat's bytes.
 
+Adam updates a network in place: adam_step writes the new parameters into
+.flat and the new moments into its AdamState's vectors, so a learner's
+networks and optimizer states stay the same objects for the whole run.
+
 Batch-sized scratch lives in a Workspace. Each learner (student, trainer,
 discriminator, AIRL heads) owns one and passes it to its forward and
 backward passes, which write the hidden layers' activations and the
@@ -316,10 +320,11 @@ def mlp_backward(params: MlpParams, cache, upstream, ws: Workspace | None = None
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments; shapes mirror the MlpParams exactly."""
+    """Per-parameter Adam moments: m and v are vectors laid out like the
+    flat vector of the network they belong to."""
 
-    m: MlpParams
-    v: MlpParams
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 3e-4
     beta1: float = 0.9
@@ -328,48 +333,43 @@ class AdamState:
 
 
 def adam_init(params: MlpParams, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    return AdamState(zeros_like_params(params), zeros_like_params(params),
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat),
                      0, lr, beta1, beta2, eps)
 
 
-def _check_same_shape(params, grads):
-    if params.flat.shape != grads.flat.shape:
-        raise ValueError(f"gradient has {grads.flat.size} values, "
-                         f"parameters have {params.flat.size}")
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
+    """One bias-corrected Adam update, written in place into params.flat,
+    state.m, state.v and state.step.
 
-
-def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
-    """One bias-corrected Adam update. Rejects non-finite gradients.
-
-    Returns new parameters and a new state; the inputs are not modified."""
-    _check_same_shape(params, grads)
+    A gradient of the wrong size or with a non-finite value is rejected
+    before anything is written."""
     g = grads.flat
+    if params.flat.shape != g.shape:
+        raise ValueError(f"gradient has {g.size} values, "
+                         f"parameters have {params.flat.size}")
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient passed to adam_step")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    # m = m_old*b1 + g*(1-b1); v = v_old*b2 + (g*(1-b2))*g;
-    # p = flat - ((m/c1)*lr) / (sqrt(v/c2) + eps), evaluated into the three
-    # fresh result vectors with one scratch vector
+    # m = m*b1 + g*(1-b1); v = v*b2 + (g*(1-b2))*g;
+    # flat -= ((m/c1)*lr) / (sqrt(v/c2) + eps), with two scratch vectors
     tmp = np.multiply(g, 1.0 - b1)
-    m = np.multiply(state.m.flat, b1)
-    m += tmp
+    state.m *= b1
+    state.m += tmp
     np.multiply(g, 1.0 - b2, out=tmp)
     tmp *= g
-    v = np.multiply(state.v.flat, b2)
-    v += tmp
-    np.divide(v, c2, out=tmp)
+    state.v *= b2
+    state.v += tmp
+    np.divide(state.v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += state.eps
-    p = np.divide(m, c1)
-    p *= state.lr
-    p /= tmp
-    np.subtract(params.flat, p, out=p)
-    new_state = AdamState(_on_flat(m, params), _on_flat(v, params),
-                          t, state.lr, b1, b2, state.eps)
-    return _on_flat(p, params), new_state
+    delta = np.divide(state.m, c1)
+    delta *= state.lr
+    delta /= tmp
+    params.flat -= delta
+    state.step = t
 
 
 _ACT_CODE = {a: i for i, a in enumerate(ACTIVATIONS)}

@@ -22,10 +22,8 @@ import numpy as np
 
 from .agents import (
     REWARD_VARIANTS,
-    StudentAgent,
-    TrainerAgent,
-    make_student,
-    make_trainer,
+    ActorCritic,
+    make_actor_critic,
     student_act,
     student_update,
     trainer_act,
@@ -152,7 +150,6 @@ class RunConfig:
     checkpoint_every: int = 10_000
     metric_window: int = 10_000
     early_stop_success: bool = True
-    relabel_rewards: bool = True
     # Treat goal termination as a time limit for the student's value
     # bootstrap (absorbing-state handling). Always-positive learned rewards
     # otherwise make episode termination value-catastrophic, so policies
@@ -221,8 +218,8 @@ def expert_transition_table(expert: ExpertDataset) -> dict:
 class RunArtifacts:
     config: RunConfig
     run_dir: str | None
-    student: StudentAgent
-    trainer: TrainerAgent | None
+    student: ActorCritic
+    trainer: ActorCritic | None
     disc: DiscriminatorNet | None
     airl: object = None
     windows: list = field(default_factory=list)
@@ -297,7 +294,8 @@ class _RewardPathway:
 
             if kind == "trainer":
                 net = load_mlp(cfg.frozen_reward["path"])
-                t = make_trainer(obs_dim, cfg.trainer_hidden, streams["init_trainer"])
+                t = make_actor_critic(obs_dim, 1, cfg.trainer_hidden,
+                                      streams["init_trainer"])
                 t.actor = net
                 t.frozen = True
                 self.frozen_trainer = t
@@ -305,8 +303,8 @@ class _RewardPathway:
                 self.frozen_airl_reward = load_mlp(cfg.frozen_reward["path"])
             return
         if cfg.algorithm in ("rile_on", "rile_off"):
-            self.trainer = make_trainer(
-                obs_dim, cfg.trainer_hidden, streams["init_trainer"],
+            self.trainer = make_actor_critic(
+                obs_dim, 1, cfg.trainer_hidden, streams["init_trainer"],
                 actor_lr=cfg.trainer_lr, critic_lr=cfg.trainer_lr,
                 entropy_coef=cfg.trainer_entropy, gamma=cfg.gamma, tau=cfg.tau,
                 advantage_norm=cfg.advantage_norm)
@@ -357,7 +355,7 @@ class _Collector:
         self.episode_step = 0
         self.episodes = 0
 
-    def step(self, student: StudentAgent):
+    def step(self, student: ActorCritic):
         cfg = self.cfg
         action = student_act(student, self.state, "epsilon_greedy", self.student_rng)
         env_action = action
@@ -445,14 +443,14 @@ class _Replay:
             return rng.integers(0, len(self.pathway.expert_table["s"]))
         return None
 
-    def insert(self, row, learned, heads):
+    def insert(self, row, heads):
         te = self.pathway.expert_table
         k = self._expert_row(self.cfg.expert_mix_student, self.mix_student_rng)
         if k is None:
-            self.student.insert(s=row["s"], a=row["a"], r=learned, sp=row["sp"],
+            self.student.insert(s=row["s"], a=row["a"], sp=row["sp"],
                                 done=row["done"], expert=0.0)
         else:
-            self.student.insert(s=te["s"][k], a=te["a"][k], r=0.0, sp=te["sp"][k],
+            self.student.insert(s=te["s"][k], a=te["a"][k], sp=te["sp"][k],
                                 done=te["done"][k], expert=1.0)
         self.disc.insert(s=row["s"], a=row["a"], sp=row["sp"])
         trainer = self.pathway.trainer
@@ -485,10 +483,8 @@ class _Replay:
                      or len(self.trainer) >= cfg.trainer_batch))
 
     def student_batch(self, student, rng) -> dict:
-        cfg = self.cfg
-        b = self.student.sample(cfg.student_batch, rng)
-        if cfg.relabel_rewards or cfg.algorithm in ("gail", "airl") or cfg.frozen_reward:
-            b["r"] = self.pathway.student_rewards(student, b["s"], b["a"], b["sp"])
+        b = self.student.sample(self.cfg.student_batch, rng)
+        b["r"] = self.pathway.student_rewards(student, b["s"], b["a"], b["sp"])
         return b
 
     def disc_rows(self, rng) -> dict:
@@ -528,10 +524,7 @@ class _Rollout:
         s, a = self.chunk["s"], self.chunk["a"]
         obs = np.concatenate([s, a], axis=1)
         # the trainer has not updated since step_heads, so its heads serve
-        mean, log_std = self.heads
-        a_t = np.array([trainer_act(self.pathway.trainer, o, "stochastic", rng,
-                                    (mean[i:i + 1], log_std[i:i + 1]))
-                        for i, o in enumerate(obs)])
+        a_t = trainer_act(self.pathway.trainer, obs, "stochastic", rng, self.heads)
         obsp = np.concatenate([self.chunk["sp"],
                                np.vstack([a[1:], np.zeros((1, a.shape[1]))])], axis=1)
         done = self.chunk["done"].copy()
@@ -545,7 +538,7 @@ def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) ->
     updated discriminator, on batches from source. Freezes the trainer once
     its critic loss has settled. Returns the diagnostics row."""
     b = source.student_batch(student, streams["student"])
-    _, sdiag = student_update(student, (b["s"], b["a"], b["r"], b["sp"], b["done"]))
+    sdiag = student_update(student, (b["s"], b["a"], b["r"], b["sp"], b["done"]))
     diag = {"step": step, **sdiag}
     if pathway.disc is not None or pathway.airl is not None:
         rng = streams["disc"]
@@ -553,8 +546,8 @@ def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) ->
         te = pathway.expert_table
         idx = rng.integers(0, len(te["s"]), size=len(b["s"]))
         if pathway.disc is not None:
-            _, diag["disc_loss"] = disc_update(pathway.disc, (te["s"][idx], te["a"][idx]),
-                                               (b["s"], b["a"]), cfg.gp_weight, rng)
+            diag["disc_loss"] = disc_update(pathway.disc, (te["s"][idx], te["a"][idx]),
+                                            (b["s"], b["a"]), cfg.gp_weight, rng)
         else:
             diag["disc_loss"] = pathway.bl.airl_update(
                 pathway.airl, student, (te["s"][idx], te["a"][idx], te["sp"][idx]),
@@ -566,7 +559,7 @@ def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) ->
         d = disc_output(pathway.disc, obs[:, :ds], obs[:, ds:])
         r_t = trainer_reward(cfg.trainer_reward_variant, d, a_t,
                              cfg.trainer_reward_exponent_sign)
-        _, tdiag = trainer_update(trainer, (obs, a_t, r_t, obsp, done))
+        tdiag = trainer_update(trainer, (obs, a_t, r_t, obsp, done))
         diag["trainer_critic_loss"] = tdiag["critic_loss"]
         if monitor.check(tdiag["critic_loss"]):
             trainer.frozen = True
@@ -607,11 +600,11 @@ def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifact
         os.makedirs(run_dir, exist_ok=True)
     streams = seed_streams(cfg.seed)
     state_dim, action_dim = expert.state_dim, expert.action_dim
-    student = make_student(state_dim, action_dim, cfg.student_hidden,
-                           streams["init_student"], actor_lr=cfg.student_lr,
-                           critic_lr=cfg.student_lr, entropy_coef=cfg.student_entropy,
-                           epsilon_greedy=cfg.epsilon_greedy, gamma=cfg.gamma,
-                           tau=cfg.tau, advantage_norm=cfg.advantage_norm)
+    student = make_actor_critic(state_dim, action_dim, cfg.student_hidden,
+                                streams["init_student"], actor_lr=cfg.student_lr,
+                                critic_lr=cfg.student_lr, entropy_coef=cfg.student_entropy,
+                                epsilon_greedy=cfg.epsilon_greedy, gamma=cfg.gamma,
+                                tau=cfg.tau, advantage_norm=cfg.advantage_norm)
     pathway = _RewardPathway(cfg, expert, streams, state_dim, action_dim)
     artifacts = RunArtifacts(cfg, run_dir, student, pathway.trainer, pathway.disc,
                              pathway.airl)
@@ -649,7 +642,7 @@ def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifact
                 diag = _update(cfg, student, pathway, streams, monitor, artifacts, step,
                                _Rollout(cfg, pathway, chunk, heads))
             else:
-                replay.insert(rows[0], chunk["r"][0], heads)
+                replay.insert(rows[0], heads)
                 if replay.ready() and step % cfg.update_every == 0:
                     diag = _update(cfg, student, pathway, streams, monitor, artifacts,
                                    step, replay)

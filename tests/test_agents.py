@@ -3,46 +3,22 @@ import pytest
 
 from rile.agents import (
     REWARD_VARIANTS,
-    StudentAgent,
-    TrainerAgent,
     _actor_loss_grads,
     _critic_loss_grads,
     gaussian_tanh_logprob,
-    make_student,
-    make_trainer,
+    make_actor_critic,
     student_act,
     student_update,
     trainer_act,
     trainer_act_batch,
+    trainer_heads,
     trainer_observation,
     trainer_reward,
     trainer_update,
-    upsilon,
 )
 from rile.nets import mlp_forward
 
 from oracles import finite_diff_check, params_to_flat
-
-
-class TestUpsilon:
-    def test_midpoint(self):
-        assert upsilon(0.5) == 0.0
-
-    def test_endpoints(self):
-        assert upsilon(1.0) == 1.0
-        assert upsilon(0.0) == -1.0
-
-    def test_linearity(self):
-        assert upsilon(0.75) == 0.5
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            upsilon(1.2)
-        with pytest.raises(ValueError):
-            upsilon(-0.1)
-
-    def test_vectorized(self):
-        assert np.allclose(upsilon(np.array([0.0, 0.5, 1.0])), [-1.0, 0.0, 1.0])
 
 
 class TestTrainerReward:
@@ -106,9 +82,9 @@ class TestTrainerReward:
 
 
 class TestStudentAct:
-    def make(self, **kw):
+    def make(self, epsilon_greedy=0.2):
         rng = np.random.default_rng(1)
-        return make_student(2, 2, (8, 8), rng, **kw)
+        return make_actor_critic(2, 2, (8, 8), rng, epsilon_greedy=epsilon_greedy)
 
     def test_epsilon_one_is_uniform(self):
         agent = self.make(epsilon_greedy=1.0)
@@ -147,17 +123,17 @@ class TestStudentAct:
 class TestStudentUpdate:
     def test_myopic_critic_converges_to_constant_reward(self):
         rng = np.random.default_rng(4)
-        agent = make_student(2, 2, (16,), rng, critic_lr=3e-3, gamma=0.0)
+        agent = make_actor_critic(2, 2, (16,), rng, critic_lr=3e-3, gamma=0.0)
         states = rng.uniform(0, 1, size=(64, 2))
         batch = (states, np.zeros((64, 2)), np.full(64, 0.7), states, np.zeros(64))
         for _ in range(2000):
-            agent, diag = student_update(agent, batch)
+            student_update(agent, batch)
         v = mlp_forward(agent.critic, states)[:, 0]
         assert np.abs(v - 0.7).max() <= 1e-2
 
     def test_entropy_dominance_raises_log_std_to_bound(self):
         rng = np.random.default_rng(5)
-        agent = make_student(2, 1, (8,), rng, actor_lr=0.05, entropy_coef=1000.0)
+        agent = make_actor_critic(2, 1, (8,), rng, actor_lr=0.05, entropy_coef=1000.0)
         states = rng.uniform(0, 1, size=(32, 2))
         batch = (states, np.full((32, 1), 0.1), np.zeros(32), states, np.zeros(32))
 
@@ -167,7 +143,7 @@ class TestStudentUpdate:
 
         history = [mean_log_std(agent)]
         for _ in range(100):
-            agent, _ = student_update(agent, batch)
+            student_update(agent, batch)
             history.append(mean_log_std(agent))
         diffs = np.diff(history)
         assert (diffs >= -1e-9).all()
@@ -175,7 +151,7 @@ class TestStudentUpdate:
 
     def test_actor_critic_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
-        agent = make_student(2, 2, (6,), rng)
+        agent = make_actor_critic(2, 2, (6,), rng)
         states = rng.uniform(-1, 1, size=(8, 2))
         actions = rng.uniform(-0.8, 0.8, size=(8, 2))
         targets = rng.normal(size=8)
@@ -193,7 +169,7 @@ class TestStudentUpdate:
 
     def test_actor_loss_guarded_at_boundary_actions(self):
         rng = np.random.default_rng(14)
-        agent = make_student(2, 2, (6,), rng)
+        agent = make_actor_critic(2, 2, (6,), rng)
         states = rng.uniform(-1, 1, size=(8, 2))
         actions = rng.uniform(0.999, 1.0, size=(8, 2)) * rng.choice([-1.0, 1.0], size=(8, 2))
         actions[:2] = [[1.0, -1.0], [-1.0, 1.0]]
@@ -216,14 +192,14 @@ class TestStudentUpdate:
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(7)
-        agent = make_student(2, 2, (4,), rng)
+        agent = make_actor_critic(2, 2, (4,), rng)
         with pytest.raises(ValueError):
             student_update(agent, (np.zeros((0, 2)), np.zeros((0, 2)),
                                    np.zeros(0), np.zeros((0, 2)), np.zeros(0)))
 
     def test_non_finite_reward_rejected_agent_unchanged(self):
         rng = np.random.default_rng(8)
-        agent = make_student(2, 2, (4,), rng)
+        agent = make_actor_critic(2, 2, (4,), rng)
         before = params_to_flat(agent.actor).copy()
         batch = (np.zeros((2, 2)), np.zeros((2, 2)), np.array([np.nan, 1.0]),
                  np.zeros((2, 2)), np.zeros(2))
@@ -249,7 +225,7 @@ class TestLogProb:
 class TestTrainer:
     def test_zero_weight_actor_outputs_zero(self):
         rng = np.random.default_rng(10)
-        t = make_trainer(4, (8,), rng)
+        t = make_actor_critic(4, 1, (8,), rng)
         for w in t.actor.weights:
             w[:] = 0.0
         for b in t.actor.biases:
@@ -258,10 +234,25 @@ class TestTrainer:
 
     def test_outputs_bounded(self):
         rng = np.random.default_rng(11)
-        t = make_trainer(4, (8, 8), rng)
+        t = make_actor_critic(4, 1, (8, 8), rng)
         obs = rng.normal(size=(100_000, 4)) * 10
         a = trainer_act_batch(t, obs)
         assert a.min() >= -1.0 and a.max() <= 1.0
+
+    def test_stochastic_rows_draw_as_one_row_at_a_time(self):
+        # one batched draw gives the same actions as a draw per row, from
+        # the same heads and the same stream
+        rng = np.random.default_rng(15)
+        t = make_actor_critic(4, 1, (8,), rng)
+        obs = rng.normal(size=(200, 4))
+        mean, log_std = trainer_heads(t, obs)
+        batch = trainer_act(t, obs, "stochastic", np.random.default_rng(3), (mean, log_std))
+        draw = np.random.default_rng(3)
+        rows = [trainer_act(t, o, "stochastic", draw, (mean[i:i + 1], log_std[i:i + 1]))
+                for i, o in enumerate(obs)]
+        assert batch.shape == (200,) and all(isinstance(a, float) for a in rows)
+        assert np.array_equal(batch, rows)
+        assert np.array_equal(trainer_act(t, obs), trainer_act_batch(t, obs))
 
     def test_observation_concatenation(self):
         obs = trainer_observation([1.0, 2.0], [3.0])
@@ -269,10 +260,10 @@ class TestTrainer:
 
     def test_frozen_rejects_updates_and_stays_constant(self):
         rng = np.random.default_rng(12)
-        t = make_trainer(3, (8,), rng)
+        t = make_actor_critic(3, 1, (8,), rng)
         obs = rng.normal(size=(16, 3))
         batch = (obs, rng.uniform(-0.9, 0.9, 16), rng.normal(size=16), obs, np.zeros(16))
-        t, _ = trainer_update(t, batch)
+        trainer_update(t, batch)
         t.frozen = True
         before = params_to_flat(t.actor).copy()
         probe = rng.normal(size=3)
@@ -284,7 +275,7 @@ class TestTrainer:
 
     def test_trainer_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)
-        t = make_trainer(3, (6,), rng)
+        t = make_actor_critic(3, 1, (6,), rng)
         obs = rng.normal(size=(8, 3))
         acts = rng.uniform(-0.8, 0.8, size=(8, 1))
         targets = rng.normal(size=8)

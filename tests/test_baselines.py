@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rile import baselines
-from rile.agents import _policy_heads, gaussian_tanh_logprob, make_student
+from rile.agents import _policy_heads, gaussian_tanh_logprob, make_actor_critic
 from rile.baselines import _student_logp, airl_loss_and_grads, make_airl_heads
 from rile.envs import MazeSpec, generate_expert
 from rile.orchestrator import RunConfig, run_training
@@ -16,8 +16,8 @@ class TestAirlPolicyTerm:
     def test_clamped_density_on_scripted_expert_actions(self):
         states, actions = generate_expert(MazeSpec(), 4).all_pairs()
         assert (np.abs(actions) == 1.0).any()
-        student = make_student(states.shape[1], actions.shape[1], (64, 64),
-                               np.random.default_rng(0))
+        student = make_actor_critic(states.shape[1], actions.shape[1], (64, 64),
+                                    np.random.default_rng(0))
         logp = _student_logp(student, states, actions)
         assert np.isfinite(logp).all()
 

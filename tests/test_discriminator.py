@@ -106,7 +106,7 @@ class TestOutput:
         xe = (np.full((64, 1), 1.0), np.zeros((64, 1)))
         xs = (np.full((64, 1), -1.0), np.zeros((64, 1)))
         for _ in range(400):
-            net, _ = disc_update(net, xe, xs, gp_weight=0.0)
+            disc_update(net, xe, xs, gp_weight=0.0)
         assert disc_output(net, [1.0], [0.0]) > 0.9
         assert disc_output(net, [-1.0], [0.0]) < 0.1
 
@@ -118,7 +118,7 @@ class TestUpdate:
         net = make_discriminator(1, 1, (16,), lr=1e-2, rng=rng)
         loss = None
         for _ in range(500):
-            net, loss = disc_update(net, batch, batch, gp_weight=0.0)
+            loss = disc_update(net, batch, batch, gp_weight=0.0)
         assert loss >= 2 * np.log(2) - 1e-9
         assert loss < 2 * np.log(2) + 0.01
 
@@ -126,8 +126,8 @@ class TestUpdate:
         rng = np.random.default_rng(4)
         net = make_discriminator(1, 1, (8,), lr=0.0, rng=rng)
         before = params_to_flat(net.params).copy()
-        net, loss = disc_update(net, (np.ones((4, 1)), np.ones((4, 1))),
-                                (np.zeros((4, 1)), np.zeros((4, 1))), gp_weight=0.0)
+        loss = disc_update(net, (np.ones((4, 1)), np.ones((4, 1))),
+                           (np.zeros((4, 1)), np.zeros((4, 1))), gp_weight=0.0)
         assert np.array_equal(params_to_flat(net.params), before)
         assert np.isfinite(loss)
 
@@ -152,7 +152,7 @@ class TestUpdate:
         draw = np.random.default_rng()
         draw.bit_generator.state = rng.bit_generator.state  # same interpolation draw
         before = net.params.copy()
-        net, loss = disc_update(net, xe, xs, gp_weight, rng=rng)
+        loss = disc_update(net, xe, xs, gp_weight, rng=rng)
 
         ex, sx = np.concatenate(xe, axis=1), np.concatenate(xs, axis=1)
         u = draw.uniform(size=(4, 1))
@@ -173,8 +173,8 @@ class TestUpdate:
     def test_update_counter(self):
         net = zero_disc()
         b = (np.ones((2, 1)), np.ones((2, 1)))
-        net, _ = disc_update(net, b, b, gp_weight=0.0)
-        net, _ = disc_update(net, b, b, gp_weight=0.0)
+        disc_update(net, b, b, gp_weight=0.0)
+        disc_update(net, b, b, gp_weight=0.0)
         assert net.updates == 2
 
 
@@ -251,7 +251,7 @@ class TestGradients:
             xe = (np.full((64, 1), 0.5), np.full((64, 1), 0.5))
             xs = (np.full((64, 1), -0.5), np.full((64, 1), -0.5))
             for _ in range(300):
-                net, _ = disc_update(net, xe, xs, gp_weight, rng=rng)
+                disc_update(net, xe, xs, gp_weight, rng=rng)
             u = np.random.default_rng(9).uniform(size=(256, 1))
             interp = u * np.array([[0.5, 0.5]]) + (1 - u) * np.array([[-0.5, -0.5]])
             gx = mlp_backward(net.params, mlp_forward_cached(net.params, interp)[1],
@@ -300,8 +300,8 @@ class TestOracle:
         for _ in range(600):
             be = xe[rng.choice(len(xe), 128)]
             bs = xs[rng.choice(len(xs), 128)]
-            net, _ = disc_update(net, (be[:, :1], be[:, 1:]), (bs[:, :1], bs[:, 1:]),
-                                 gp_weight=0.0)
+            disc_update(net, (be[:, :1], be[:, 1:]), (bs[:, :1], bs[:, 1:]),
+                        gp_weight=0.0)
         d = disc_output(net, pts[:, :1], pts[:, 1:])
         star = optimal_disc_oracle(pe, ps)
         assert np.abs(d - star).max() < 0.05
@@ -317,7 +317,7 @@ class TestOracle:
             b = (np.full((64, 1), 0.7), np.full((64, 1), -0.2))
             first, second = (b, a) if swap else (a, b)
             for _ in range(400):
-                net, _ = disc_update(net, first, second, gp_weight=0.0)
+                disc_update(net, first, second, gp_weight=0.0)
             return disc_output(net, pts[:, :1], pts[:, 1:])
 
         d, d_swapped = train(False), train(True)

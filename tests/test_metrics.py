@@ -6,7 +6,7 @@ import pytest
 from rile import metrics
 from rile.discriminator import make_discriminator
 from rile.envs import MazeSpec, WaypointController
-from rile.agents import make_student, make_trainer
+from rile.agents import make_actor_critic
 from rile.metrics import (
     ACTION_FAN,
     LandscapeGrid,
@@ -212,7 +212,7 @@ class TestCpr:
 class TestLandscape:
     def zeroed_trainer(self):
         rng = np.random.default_rng(9)
-        t = make_trainer(4, (8,), rng)
+        t = make_actor_critic(4, 1, (8,), rng)
         for w in t.actor.weights:
             w[:] = 0.0
         for b in t.actor.biases:
@@ -238,7 +238,7 @@ class TestLandscape:
         # cell centers coincide exactly when the fine grid is a 3x (odd)
         # multiple of the coarse one: (i+0.5)/n == (3i+1.5)/(3n)
         rng = np.random.default_rng(11)
-        t = make_trainer(4, (16,), rng)
+        t = make_actor_critic(4, 1, (16,), rng)
         coarse = landscape_grid("rile_trainer", t, 8)
         fine = landscape_grid("rile_trainer", t, 24)
         sub = fine.values[1::3, 1::3]
@@ -246,7 +246,7 @@ class TestLandscape:
 
     def test_resolution_one_is_grid_center(self):
         rng = np.random.default_rng(12)
-        t = make_trainer(4, (8,), rng)
+        t = make_actor_critic(4, 1, (8,), rng)
         g = landscape_grid("rile_trainer", t, 1, action_probe="fixed_action")
         cx, cy = grid_centers(1, 1)
         assert cx[0] == 0.5 and cy[0] == 0.5
@@ -254,14 +254,14 @@ class TestLandscape:
 
     def test_max_over_actions_dominates_fixed(self):
         rng = np.random.default_rng(13)
-        t = make_trainer(4, (8,), rng)
+        t = make_actor_critic(4, 1, (8,), rng)
         gmax = landscape_grid("rile_trainer", t, 6, "max_over_actions")
         gfix = landscape_grid("rile_trainer", t, 6, "fixed_action", ACTION_FAN[0])
         assert np.all(gmax.values >= gfix.values - 1e-12)
 
     def test_grid_evaluation_is_pure(self):
         rng = np.random.default_rng(14)
-        t = make_trainer(4, (8,), rng)
+        t = make_actor_critic(4, 1, (8,), rng)
         before = params_to_flat(t.actor).copy()
         landscape_grid("rile_trainer", t, 16)
         assert np.array_equal(params_to_flat(t.actor), before)
@@ -272,7 +272,7 @@ class TestLandscape:
 
     def test_csv_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(15)
-        t = make_trainer(4, (8,), rng)
+        t = make_actor_critic(4, 1, (8,), rng)
         g = landscape_grid("rile_trainer", t, (5, 3))
         path = tmp_path / "grid.csv"
         save_grid_csv(g, path)
@@ -303,7 +303,7 @@ class TestEvaluatePolicy:
 
     def test_deterministic_eval_repeatable(self):
         rng = np.random.default_rng(16)
-        agent = make_student(2, 2, (8,), rng)
+        agent = make_actor_critic(2, 2, (8,), rng)
         spec = MazeSpec()
         r1 = evaluate_policy(spec, agent, episodes=4, deterministic=True, seed=5)
         r2 = evaluate_policy(spec, agent, episodes=4, deterministic=True, seed=5)
@@ -323,7 +323,7 @@ class TestEvaluatePolicy:
         # roll reduced as evaluate_policy reduces it.
         spec = MazeSpec(start_jitter=0.05) if case == "jitter" else MazeSpec()
         policy = (WaypointController(spec) if case == "scripted"
-                  else make_student(2, 2, (8,), np.random.default_rng(17)))
+                  else make_actor_critic(2, 2, (8,), np.random.default_rng(17)))
         deterministic = case != "stochastic"
         noise = 0.1 if case == "noise" else 0.0
         episodes, seed = 10, 3

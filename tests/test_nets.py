@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rile.agents import make_student, student_update
+from rile.agents import make_actor_critic, student_update, trainer_update
+from rile.baselines import airl_update, make_airl_heads
+from rile.discriminator import disc_update, make_discriminator
 from rile.nets import (
     ACTIVATIONS,
-    AdamState,
     MlpParams,
     Workspace,
     _act_grad,
@@ -120,14 +121,9 @@ class TestFlatLayout:
 
     def test_results_do_not_alias_inputs(self):
         p = self.net()
-        g = self.net()
-        state = adam_init(p, lr=0.1)
-        new_p, new_state = adam_step(p, g, state)
         flat = params_to_flat(p)
-        results = [p.copy(), new_p, new_state.m, new_state.v, flat_to_params(flat, p)]
-        inputs = [p.flat, g.flat, state.m.flat, state.v.flat, flat]
-        for r in results:
-            for x in inputs:
+        for r in (p.copy(), flat_to_params(flat, p)):
+            for x in (p.flat, flat):
                 assert not np.shares_memory(r.flat, x)
 
     def test_flat_to_params_rejects_wrong_size(self):
@@ -206,41 +202,44 @@ class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         rng = np.random.default_rng(5)
         p = mlp_init([2, 3, 1], ["relu", "identity"], rng)
+        before = params_to_flat(p)
         state = adam_init(p, lr=0.1)
-        new_p, new_state = adam_step(p, zeros_like_params(p), state)
-        assert np.array_equal(params_to_flat(new_p), params_to_flat(p))
-        assert new_state.step == 1
-        assert np.array_equal(params_to_flat(new_state.m), np.zeros(p.n_params()))
-        assert np.array_equal(params_to_flat(new_state.v), np.zeros(p.n_params()))
+        adam_step(p, zeros_like_params(p), state)
+        assert np.array_equal(p.flat, before)
+        assert state.step == 1
+        assert np.array_equal(state.m, np.zeros(p.n_params()))
+        assert np.array_equal(state.v, np.zeros(p.n_params()))
 
     def test_single_step_hand_computed(self):
         # One scalar parameter, g=1, lr=0.1, fresh state:
         #   m=0.1, v=0.001, m_hat=1, v_hat=1 -> delta = 0.1/(1+1e-8)
         p = single_layer([[2.0]], [0.0], "identity")
         g = single_layer([[1.0]], [0.0], "identity")
-        new_p, st = adam_step(p, g, adam_init(p, lr=0.1))
+        st = adam_init(p, lr=0.1)
+        adam_step(p, g, st)
         expected = 2.0 - 0.1 * 1.0 / (1.0 + 1e-8)
-        assert new_p.weights[0][0, 0] == pytest.approx(expected, abs=1e-15)
+        assert p.weights[0][0, 0] == pytest.approx(expected, abs=1e-15)
         assert st.step == 1
-        assert st.m.weights[0][0, 0] == pytest.approx(0.1, abs=1e-15)
-        assert st.v.weights[0][0, 0] == pytest.approx(0.001, abs=1e-15)
+        assert st.m[0] == pytest.approx(0.1, abs=1e-15)  # flat index 0 is W0[0, 0]
+        assert st.v[0] == pytest.approx(0.001, abs=1e-15)
 
     def test_two_identical_steps_follow_recurrence(self):
         # Second step with g=1: m=0.19, v=0.001999, both bias corrections
         # cancel exactly (1-0.9^2=0.19, 1-0.999^2=0.001999) so delta repeats.
         p = single_layer([[0.0]], [5.0], "identity")
         g = single_layer([[1.0]], [1.0], "identity")
-        p1, st1 = adam_step(p, g, adam_init(p, lr=0.1))
-        p2, st2 = adam_step(p1, g, st1)
+        st = adam_init(p, lr=0.1)
+        adam_step(p, g, st)
+        adam_step(p, g, st)
         delta = 0.1 * 1.0 / (1.0 + 1e-8)
-        assert st2.m.biases[0][0] == pytest.approx(0.9 * 0.1 + 0.1, abs=1e-15)
-        assert st2.v.biases[0][0] == pytest.approx(0.999 * 0.001 + 0.001, abs=1e-15)
+        assert st.m[1] == pytest.approx(0.9 * 0.1 + 0.1, abs=1e-15)  # flat index 1 is b0[0]
+        assert st.v[1] == pytest.approx(0.999 * 0.001 + 0.001, abs=1e-15)
         m_hat = (0.9 * 0.1 + 0.1) / (1.0 - 0.9**2)
         v_hat = (0.999 * 0.001 + 0.001) / (1.0 - 0.999**2)
         assert m_hat == pytest.approx(1.0, abs=1e-12)
         assert v_hat == pytest.approx(1.0, abs=1e-12)
-        assert p2.biases[0][0] == pytest.approx(5.0 - 2 * delta, abs=1e-12)
-        assert p2.weights[0][0, 0] == pytest.approx(0.0 - 2 * delta, abs=1e-12)
+        assert p.biases[0][0] == pytest.approx(5.0 - 2 * delta, abs=1e-12)
+        assert p.weights[0][0, 0] == pytest.approx(0.0 - 2 * delta, abs=1e-12)
 
     def test_non_finite_gradient_rejected(self):
         p = single_layer([[1.0]], [0.0], "identity")
@@ -249,15 +248,60 @@ class TestAdam:
         with pytest.raises(ValueError, match="non-finite"):
             adam_step(p, g, adam_init(p, lr=0.1))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "size"])
+    def test_rejected_step_writes_nothing(self, bad):
+        # after two steps the moments are non-zero, so a partial write shows
+        rng = np.random.default_rng(8)
+        dims, acts = [3, 4, 2], ["tanh", "identity"]
+        p = mlp_init(dims, acts, rng)
+        state = adam_init(p, lr=1e-2)
+        for _ in range(2):
+            adam_step(p, mlp_init(dims, acts, rng), state)
+        g = mlp_init([3, 5, 2] if bad == "size" else dims, acts, rng)
+        g.flat[-1] = {"nan": np.nan, "inf": np.inf, "size": 1.0}[bad]
+        before = [a.tobytes() for a in (p.flat, state.m, state.v)]
+        with pytest.raises(ValueError):
+            adam_step(p, g, state)
+        assert [a.tobytes() for a in (p.flat, state.m, state.v)] == before
+        assert state.step == 2
+
     def test_shape_closure(self):
         rng = np.random.default_rng(6)
         p = mlp_init([3, 4, 2], ["tanh", "identity"], rng)
+        shapes = [w.shape for w in p.weights]
+        st = adam_init(p, lr=1e-3)
+        adam_step(p, mlp_init([3, 4, 2], ["tanh", "identity"], rng), st)
+        assert [w.shape for w in p.weights] == shapes
+        assert st.m.shape == st.v.shape == p.flat.shape
+
+    def test_step_writes_in_place(self):
+        rng = np.random.default_rng(6)
+        p = mlp_init([3, 4, 2], ["tanh", "identity"], rng)
         g = mlp_init([3, 4, 2], ["tanh", "identity"], rng)
-        new_p, st = adam_step(p, g, adam_init(p, lr=1e-3))
-        for a, b in zip(new_p.weights, p.weights):
-            assert a.shape == b.shape
-        for a, b in zip(st.m.weights, p.weights):
-            assert a.shape == b.shape
+        st = adam_init(p, lr=1e-3)
+        buffers = (p.flat, st.m, st.v)
+        before = [params_to_flat(p), st.m.copy(), st.v.copy()]
+        assert adam_step(p, g, st) is None
+        assert all(a is b for a, b in zip((p.flat, st.m, st.v), buffers))
+        assert np.shares_memory(p.weights[0], p.flat)
+        for now, then in zip(buffers, before):
+            assert now.shape == then.shape and not np.array_equal(now, then)
+
+    def test_step_allocates_at_most_two_parameter_vectors(self):
+        # the step's two scratch vectors are all it allocates; no new
+        # parameters or moments
+        rng = np.random.default_rng(7)
+        dims, acts = [2, 128, 128, 4], ["relu", "relu", "identity"]
+        p, g = mlp_init(dims, acts, rng), mlp_init(dims, acts, rng)
+        state = adam_init(p, lr=1e-3)
+        adam_step(p, g, state)
+        tracemalloc.start()
+        try:
+            adam_step(p, g, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * p.flat.nbytes
 
     def test_matches_per_layer_reference(self):
         # The same arithmetic, one array at a time: results must be bit-equal.
@@ -269,13 +313,14 @@ class TestAdam:
         vs = [np.zeros_like(a) for a in ps]
         for t in range(1, 6):
             g = mlp_init([3, 5, 4, 2], ["relu", "tanh", "identity"], rng)
-            p, state = adam_step(p, g, state)
+            adam_step(p, g, state)
             c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             for i, ga in enumerate((*g.weights, *g.biases)):
                 ms[i] = 0.9 * ms[i] + (1.0 - 0.9) * ga
                 vs[i] = 0.999 * vs[i] + (1.0 - 0.999) * ga * ga
                 ps[i] = ps[i] - 1e-2 * (ms[i] / c1) / (np.sqrt(vs[i] / c2) + 1e-8)
-        for got, want in zip((p, state.m, state.v), (ps, ms, vs)):
+        for got, want in zip((p, flat_to_params(state.m, p), flat_to_params(state.v, p)),
+                             (ps, ms, vs)):
             for a, b in zip((*got.weights, *got.biases), want):
                 assert np.array_equal(a, b)
 
@@ -283,8 +328,52 @@ class TestAdam:
         p = single_layer([[1.0]], [0.0], "identity")
         st = adam_init(p, lr=0.1)
         for expect in (1, 2, 3):
-            p, st = adam_step(p, zeros_like_params(p), st)
+            adam_step(p, zeros_like_params(p), st)
             assert st.step == expect
+
+
+def _learner(kind, rng):
+    """(learner, its networks' attribute names, its Adam states' attribute
+    names, one update of it) for a small learner of each kind."""
+    n = 16
+    if kind in ("student", "trainer"):
+        da = 2 if kind == "student" else 1
+        agent = make_actor_critic(3, da, (8,), rng)
+        batch = (rng.normal(size=(n, 3)), rng.uniform(-0.9, 0.9, (n, da)),
+                 rng.normal(size=n), rng.normal(size=(n, 3)), np.zeros(n))
+        update = student_update if kind == "student" else trainer_update
+        return (agent, ("actor", "critic", "critic_target"), ("actor_opt", "critic_opt"),
+                lambda: update(agent, batch))
+    expert = (rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2)), rng.normal(size=(n, 2)))
+    student = (rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2)), rng.normal(size=(n, 2)))
+    if kind == "disc":
+        net = make_discriminator(2, 2, (8,), 1e-2, rng)
+        return (net, ("params",), ("opt",),
+                lambda: disc_update(net, expert[:2], student[:2], 1.0, rng))
+    heads = make_airl_heads(2, 2, (8,), 1e-2, 0.99, rng)
+    policy = make_actor_critic(2, 2, (8,), rng)
+    return (heads, ("reward", "potential"), ("reward_opt", "potential_opt"),
+            lambda: airl_update(heads, policy, expert, student))
+
+
+class TestLearnersWriteInPlace:
+    @pytest.mark.parametrize("kind", ["student", "trainer", "disc", "airl"])
+    def test_update_keeps_every_network_and_changes_its_values(self, kind):
+        learner, nets, opts, update = _learner(kind, np.random.default_rng(30))
+        held = {name: getattr(learner, name) for name in (*nets, *opts)}
+        buffers = {name: (held[name].flat,) for name in nets}
+        buffers.update({name: (held[name].m, held[name].v) for name in opts})
+        values = {name: [b.copy() for b in bufs] for name, bufs in buffers.items()}
+        update()
+        for name, obj in held.items():
+            assert getattr(learner, name) is obj, name
+        for name in opts:
+            assert held[name].step == 1
+        for name, bufs in buffers.items():
+            now = (held[name].flat,) if name in nets else (held[name].m, held[name].v)
+            for b, b_now, before in zip(bufs, now, values[name]):
+                assert b_now is b, name
+                assert not np.array_equal(b, before), name
 
 
 class TestFiniteDiffCheck:
@@ -469,12 +558,12 @@ class TestWorkspace:
 
     def test_student_update_allocates_no_batch_sized_arrays(self):
         # A 64x64 student's steady-state update at batch 256 keeps its batch
-        # activations in the agent's workspace. What it still allocates is
-        # about 250 KiB of new parameters and Adam moments that the agent
-        # keeps, plus small transients; fresh batch activations at every
-        # update took the peak to about 1.3 MiB.
+        # activations in the agent's workspace and writes its parameters and
+        # Adam moments in place. What it still allocates is the gradients,
+        # Adam's scratch and small transients; fresh batch activations at
+        # every update took the peak to about 1.3 MiB.
         rng = np.random.default_rng(0)
-        agent = make_student(2, 2, (64, 64), rng)
+        agent = make_actor_critic(2, 2, (64, 64), rng)
         n = 256
         batch = (rng.uniform(-1, 1, (n, 2)), rng.uniform(-0.9, 0.9, (n, 2)),
                  rng.normal(size=n), rng.uniform(-1, 1, (n, 2)), np.zeros(n))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rile import nets, orchestrator
-from rile.agents import make_trainer
+from rile.agents import make_actor_critic
 from rile.baselines import airl_f_batch, make_airl_heads
 from rile.envs import MazeSpec, generate_expert
 from rile.metrics import evaluate_policy
@@ -61,7 +61,7 @@ def test_same_seed_runs_are_bit_identical(algorithm):
 def test_frozen_reward_trains_only_the_student(algorithm, kind, tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     if kind == "trainer":
-        net = make_trainer(4, TINY["trainer_hidden"], rng).actor
+        net = make_actor_critic(4, 1, TINY["trainer_hidden"], rng).actor
     else:
         net = make_airl_heads(2, 2, TINY["disc_hidden"], 1e-3, 0.99, rng).reward
     path = str(tmp_path / "reward.mlp")
