@@ -45,14 +45,9 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-def trainer_reward(variant: str, d, a_t, exponent_sign: float = -1.0):
+def trainer_reward(variant: str, d, a_t):
     """Reward for the trainer given discriminator output d in (0,1) and
-    trainer action a_t in [-1, 1]. Vectorized over arrays.
-
-    exponent_sign applies to the exponential-difference form only; the
-    default -1 rewards agreement (the positive form is selectable for
-    auditing and rewards maximal disagreement instead).
-    """
+    trainer action a_t in [-1, 1]. Vectorized over arrays."""
     if variant not in REWARD_VARIANTS:
         raise ValueError(f"unknown trainer reward variant {variant!r}")
     d = np.asarray(d, dtype=np.float64)
@@ -64,7 +59,7 @@ def trainer_reward(variant: str, d, a_t, exponent_sign: float = -1.0):
     if variant == "difference":
         out = -np.abs(2.0 * d - 1.0 - a)
     elif variant == "exponential_difference":
-        out = np.exp(exponent_sign * np.abs(2.0 * d - 1.0 - a))
+        out = np.exp(-np.abs(2.0 * d - 1.0 - a))
     elif variant == "multiplication":
         out = (2.0 * d - 1.0) * a
     elif variant == "naive":
@@ -162,11 +157,10 @@ def make_actor_critic(in_dim: int, action_dim: int, hidden, rng,
                       actor_lr=3e-4, critic_lr=3e-4, entropy_coef=0.2,
                       epsilon_greedy=0.0, gamma=0.99, tau=0.01,
                       advantage_norm=True) -> ActorCritic:
-    """ReLU actor [in_dim, *hidden, 2 * action_dim] (means, then log-stds)
-    and critic [in_dim, *hidden, 1], initialized in that order from rng."""
-    acts = ["relu"] * len(hidden) + ["identity"]
-    actor = mlp_init([in_dim, *hidden, 2 * action_dim], acts, rng)
-    critic = mlp_init([in_dim, *hidden, 1], acts, rng)
+    """Actor [in_dim, *hidden, 2 * action_dim] (means, then log-stds) and
+    critic [in_dim, *hidden, 1], initialized in that order from rng."""
+    actor = mlp_init([in_dim, *hidden, 2 * action_dim], rng)
+    critic = mlp_init([in_dim, *hidden, 1], rng)
     return ActorCritic(actor, critic, critic.copy(),
                        adam_init(actor, lr=actor_lr), adam_init(critic, lr=critic_lr),
                        entropy_coef=entropy_coef, epsilon_greedy=epsilon_greedy,

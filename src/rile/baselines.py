@@ -18,7 +18,6 @@ from .agents import (
     _clamped_atanh,
     _logprob_presquash,
     _policy_heads,
-    make_actor_critic,
 )
 from .envs import ExpertDataset
 from .nets import (
@@ -66,9 +65,8 @@ class AirlHeads:
 
 def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
                     gamma: float, rng) -> AirlHeads:
-    acts = ["relu"] * len(hidden) + ["identity"]
-    reward = mlp_init([state_dim + action_dim, *hidden, 1], acts, rng)
-    potential = mlp_init([state_dim, *hidden, 1], acts, rng)
+    reward = mlp_init([state_dim + action_dim, *hidden, 1], rng)
+    potential = mlp_init([state_dim, *hidden, 1], rng)
     return AirlHeads(reward, potential, adam_init(reward, lr=lr),
                      adam_init(potential, lr=lr), gamma)
 
@@ -173,34 +171,19 @@ def _bc_loss_and_grads(actor: MlpParams, states, targets, ws: Workspace):
     return loss, grads
 
 
-def run_bc(config, expert: ExpertDataset, run_dir=None):
-    """Supervised regression of the actor mean onto expert actions; no
-    environment interaction during training. A 10% holdout split is scored
-    every epoch."""
-    from . import orchestrator
-
-    if expert is None or expert.n_steps == 0:
-        raise ValueError("behavioral cloning needs a non-empty expert dataset")
-    cfg = orchestrator.replace(config, algorithm="bc").validate()
-    if run_dir is not None:
-        import os
-
-        os.makedirs(run_dir, exist_ok=True)
-    streams = orchestrator.seed_streams(cfg.seed)
+def train_bc(cfg, expert: ExpertDataset, student: ActorCritic, rng, diag_log) -> None:
+    """Supervised regression of the actor mean onto expert actions, in
+    place; no environment interaction. A cfg.bc_holdout share of the expert
+    rows is held out and scored every epoch; each epoch's losses are
+    written to diag_log."""
     s, a = expert.all_pairs()
-    student = make_actor_critic(s.shape[1], a.shape[1], cfg.student_hidden,
-                                streams["init_student"], actor_lr=cfg.student_lr,
-                                epsilon_greedy=cfg.epsilon_greedy, gamma=cfg.gamma)
     n = len(s)
-    perm = streams["student"].permutation(n)
+    perm = rng.permutation(n)
     n_hold = int(round(cfg.bc_holdout * n))
     hold, train = perm[:n_hold], perm[n_hold:]
     if len(train) == 0:
         train = perm
-    diag = orchestrator._Logger(run_dir, "diagnostics.jsonl")
-    metrics = orchestrator._Logger(run_dir, "metrics.jsonl")
     batch = min(cfg.student_batch, len(train))
-    rng = streams["student"]
     for epoch in range(cfg.bc_epochs):
         order = rng.permutation(len(train))
         for lo in range(0, len(order), batch):
@@ -211,15 +194,4 @@ def run_bc(config, expert: ExpertDataset, run_dir=None):
                "train_loss": _bc_loss(student.actor, s[train], a[train], student.ws)}
         if len(hold) > 0:
             row["holdout_loss"] = _bc_loss(student.actor, s[hold], a[hold], student.ws)
-        diag.write(row)
-
-    artifacts = orchestrator.RunArtifacts(cfg, run_dir, student, None, None)
-    orchestrator._checkpoint(run_dir, "final", student, None, None, None)
-    from .metrics import evaluate_policy
-
-    artifacts.final_return, _, artifacts.final_goal_rate = evaluate_policy(
-        cfg.env, student, cfg.eval_episodes, seed=cfg.seed,
-        action_noise=cfg.action_noise)
-    artifacts.diagnostics_rows = diag.rows
-    artifacts.metrics_rows = metrics.rows
-    return artifacts
+        diag_log.write(row)

@@ -16,8 +16,6 @@ from .nets import (
     AdamState,
     MlpParams,
     Workspace,
-    _act_grad,
-    _act_grad2,
     _forward_cached,
     adam_init,
     adam_step,
@@ -47,9 +45,7 @@ class DiscriminatorNet:
 
 def make_discriminator(state_dim: int, action_dim: int, hidden, lr: float,
                        rng) -> DiscriminatorNet:
-    dims = [state_dim + action_dim, *hidden, 1]
-    acts = ["relu"] * len(hidden) + ["identity"]
-    params = mlp_init(dims, acts, rng)
+    params = mlp_init([state_dim + action_dim, *hidden, 1], rng)
     return DiscriminatorNet(params, adam_init(params, lr=lr))
 
 
@@ -109,47 +105,30 @@ def _bce_loss_and_grads(params: MlpParams, xe: np.ndarray, xs: np.ndarray,
 def _gp_loss_and_grads(params: MlpParams, x: np.ndarray, ws: Workspace | None = None):
     """Two-sided penalty mean((||d logit/d x|| - 1)^2) with exact parameter
     gradients, i.e. reverse-mode applied to the input-gradient program,
-    which reads only the activations cached in ws. Relu and identity layers
-    have no second-derivative term, so the fold of those terms runs from the
-    topmost tanh or sigmoid layer down, and not at all without one."""
+    which reads only the activations cached in ws. ReLU's second derivative
+    is 0, so the input gradient is linear in each weight given the ReLU
+    masks, and one reverse sweep through the masked layers is exact: there
+    is no curvature term to fold back, and the biases' gradient is 0."""
     n = x.shape[0]
     _, hs = _forward_cached(params, x, Workspace() if ws is None else ws)
+    last = params.n_layers - 1
 
     # input-gradient sweep, keeping every intermediate
-    acts = params.activations
-    vs = [None] * (params.n_layers + 1)   # vs[k] = gradient w.r.t. h_k
-    ds = [None] * params.n_layers         # ds[k] = gradient w.r.t. z_k
-    vs[params.n_layers] = np.ones((n, 1))
-    for k in range(params.n_layers - 1, -1, -1):
-        ds[k] = _act_grad(acts[k], hs[k + 1]) * vs[k + 1]
-        vs[k] = ds[k] @ params.weights[k]
-    g = vs[0]
+    ds = [None] * params.n_layers  # ds[k] = gradient w.r.t. z_k
+    v = np.ones((n, 1))            # gradient w.r.t. layer k's output, then x
+    for k in range(last, -1, -1):
+        ds[k] = v if k == last else (hs[k + 1] > 0.0) * v
+        v = ds[k] @ params.weights[k]
 
-    norms = np.linalg.norm(g, axis=1)
+    norms = np.linalg.norm(v, axis=1)
     loss = float(np.mean((norms - 1.0) ** 2))
-    g_bar = (2.0 / n) * ((norms - 1.0) / np.maximum(norms, 1e-12))[:, None] * g
+    v_bar = (2.0 / n) * ((norms - 1.0) / np.maximum(norms, 1e-12))[:, None] * v
 
     grads = zeros_like_params(params)
-    z_bars = [None] * params.n_layers     # z adjoints of the curved layers
-    v_bar = g_bar
     for k in range(params.n_layers):
-        w_bar = v_bar @ params.weights[k].T
         grads.weights[k] += ds[k].T @ v_bar
-        curv = _act_grad2(acts[k], hs[k + 1])
-        if curv is not None:
-            z_bars[k] = curv * vs[k + 1] * w_bar
-        v_bar = _act_grad(acts[k], hs[k + 1]) * w_bar
-
-    # fold the z adjoints back through the forward chain
-    top = max((k for k, z_bar in enumerate(z_bars) if z_bar is not None), default=-1)
-    h_bar = np.zeros((n, 1))
-    for k in range(top, -1, -1):
-        delta = _act_grad(acts[k], hs[k + 1]) * h_bar
-        if z_bars[k] is not None:
-            delta = z_bars[k] + delta
-        grads.weights[k] += delta.T @ hs[k]
-        grads.biases[k] += delta.sum(axis=0)
-        h_bar = delta @ params.weights[k]
+        if k < last:
+            v_bar = (hs[k + 1] > 0.0) * (v_bar @ params.weights[k].T)
     return loss, grads
 
 

@@ -5,6 +5,13 @@ serialization format, and the BLAS thread policy of a training run.
 Everything is float64, with no hidden RNG and no module state; the one
 process-wide setting touched is the BLAS thread count, during a run.
 
+There is one architecture: ReLU on every layer but the last, which is
+linear. Squashing (tanh actions, sigmoid probabilities) happens outside
+the network. The file format keeps one activation code per layer from its
+original table (0 relu, 1 tanh, 2 sigmoid, 3 identity): a network writes
+0 for each hidden layer and 3 for the last, and mlp_from_bytes rejects any
+other layout.
+
 Each network's parameters live in one contiguous vector, MlpParams.flat,
 laid out [W0, b0, W1, b1, ...] with every weight matrix row-major; the
 per-layer weights and biases are views into it. Whole-network arithmetic
@@ -20,13 +27,12 @@ discriminator, AIRL heads) owns one and passes it to its forward and
 backward passes, which write the hidden layers' activations and the
 backward deltas into it, so steady-state updates allocate no batch-sized
 arrays. A forward cache holds activations only: each hidden layer's
-activation is written over its pre-activation in one buffer, because every
-activation's derivative can be computed from its output (ReLU's mask
-z > 0 is h > 0). A workspace (or each named slot of one) holds one live
-forward cache: the next forward on it overwrites the last, so a caller that
-needs two caches at once uses two slots. Network outputs, input gradients
-and parameter gradients are always fresh arrays, never workspace views. A
-call given no workspace uses a throwaway one.
+activation is written over its pre-activation in one buffer, because
+ReLU's derivative mask z > 0 is h > 0. A workspace (or each named slot of
+one) holds one live forward cache: the next forward on it overwrites the
+last, so a caller that needs two caches at once uses two slots. Network
+outputs, input gradients and parameter gradients are always fresh arrays,
+never workspace views. A call given no workspace uses a throwaway one.
 
 BLAS threads: a training run whose hidden layers are all at most
 ONE_THREAD_MAX_WIDTH wide runs its matmuls on one OpenBLAS thread
@@ -44,13 +50,12 @@ from __future__ import annotations
 import ctypes
 import struct
 from contextlib import contextmanager
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
-
 _MAGIC = b"RILEMLP1"
+_RELU_CODE, _LINEAR_CODE = 0, 3  # the file format's activation codes
 
 # Widest hidden layer whose training runs on one BLAS thread. Measured on a
 # 2-core x86-64 host with OpenBLAS 0.3.31 (bench/run.py, 45 s per workload),
@@ -60,61 +65,6 @@ _MAGIC = b"RILEMLP1"
 # in 3 of 3 pairs, and 5,000 steps of airl with 256x256 nets took 13.1-13.8 s
 # on two threads and 15.5-16.4 s on one (2 pairs), at 1.6x the CPU time.
 ONE_THREAD_MAX_WIDTH = 64
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    """The activation of z, written over z."""
-    if name == "relu":
-        return np.maximum(z, 0.0, out=z)
-    if name == "tanh":
-        return np.tanh(z, out=z)
-    if name == "sigmoid":
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        np.add(1.0, z, out=z)
-        return np.divide(1.0, z, out=z)
-    return z
-
-
-def _act_grad(name: str, h: np.ndarray) -> np.ndarray:
-    """d activation / d pre-activation, from the activation h. ReLU at
-    exactly 0 uses subgradient 0."""
-    if name == "relu":
-        return (h > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - h * h
-    if name == "sigmoid":
-        return h * (1.0 - h)
-    return np.ones_like(h)
-
-
-def _act_backward(name: str, g: np.ndarray, h: np.ndarray,
-                  ws: Workspace, k: int) -> np.ndarray:
-    """g * _act_grad(name, h) for layer k, written into ws's delta buffer
-    of that layer (g itself for identity). g may be that buffer."""
-    if name == "identity":
-        return g
-    out = ws.take(("d", k), *g.shape)
-    if name == "relu":
-        return np.multiply(g, h > 0.0, out=out)
-    tmp = ws.take(("t", k), *g.shape)
-    if name == "tanh":
-        np.multiply(h, h, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-    else:  # sigmoid
-        np.subtract(1.0, h, out=tmp)
-        np.multiply(h, tmp, out=tmp)
-    return np.multiply(g, tmp, out=out)
-
-
-def _act_grad2(name: str, h: np.ndarray) -> np.ndarray | None:
-    """Second derivative of the activation, from the activation h (needed
-    for double backprop); None where it is identically 0 (relu, identity)."""
-    if name == "tanh":
-        return -2.0 * h * (1.0 - h * h)
-    if name == "sigmoid":
-        return h * (1.0 - h) * (1.0 - 2.0 * h)
-    return None
 
 
 class Workspace:
@@ -153,30 +103,25 @@ class MlpParams:
     flat, laid out [W0, b0, W1, b1, ...], and rebinds weights[k] and
     biases[k] to views into it: a write through a view shows in flat and
     the reverse. Consecutive layer dimensions must chain and all values
-    must be finite; validate=False skips these checks.
+    must be finite. Every layer but the last is ReLU; the last is linear.
     """
 
     weights: list
     biases: list
-    activations: list
-    validate: InitVar[bool] = True
     flat: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, validate=True):
-        if validate:
-            self._validate()
+    def __post_init__(self):
+        self._validate()
         self.flat = np.concatenate([np.ravel(a) for pair in zip(self.weights, self.biases)
                                     for a in pair]).astype(np.float64, copy=False)
         self.weights, self.biases = _views(self.flat, [w.shape for w in self.weights])
 
     def _validate(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
-            raise ValueError("weights, biases, activations must have equal length")
+        if len(self.weights) != len(self.biases):
+            raise ValueError("weights and biases must have equal length")
         if not self.weights:
             raise ValueError("network needs at least one layer")
-        for k, (w, b, a) in enumerate(zip(self.weights, self.biases, self.activations)):
-            if a not in ACTIVATIONS:
-                raise ValueError(f"layer {k}: unknown activation {a!r}")
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {k}: weight {w.shape} / bias {b.shape} mismatch")
             if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
@@ -222,24 +167,20 @@ def _on_flat(flat: np.ndarray, like: MlpParams) -> MlpParams:
     params = object.__new__(MlpParams)
     params.flat = flat
     params.weights, params.biases = _views(flat, [w.shape for w in like.weights])
-    params.activations = list(like.activations)
     return params
 
 
-def mlp_init(dims, activations, rng) -> MlpParams:
+def mlp_init(dims, rng) -> MlpParams:
     """New network with weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
 
-    dims is the full size chain [in, h1, ..., out]; activations has one
-    entry per layer (len(dims) - 1).
+    dims is the full size chain [in, h1, ..., out].
     """
-    if len(activations) != len(dims) - 1:
-        raise ValueError("need one activation per layer")
     ws, bs = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
         ws.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         bs.append(rng.uniform(-bound, bound, size=fan_out))
-    return MlpParams(ws, bs, list(activations))
+    return MlpParams(ws, bs)
 
 
 def zeros_like_params(params: MlpParams) -> MlpParams:
@@ -259,17 +200,17 @@ def _as_batch(x, expected_dim, what="input"):
 def _forward_cached(params: MlpParams, x: np.ndarray, ws: Workspace):
     """Returns (output, activations h per layer).
 
-    h[0] is the input; h[k] the output of layer k. Each layer's activation
-    is computed in place over its pre-activation; the hidden layers' are
-    views into ws, the last layer's is a fresh array.
+    h[0] is the input; h[k] the output of layer k. Each hidden layer's ReLU
+    is computed in place over its pre-activation, in a view into ws; the
+    last layer's linear output is a fresh array.
     """
     hs = [x]
     last = params.n_layers - 1
-    for k, (w, b, a) in enumerate(zip(params.weights, params.biases, params.activations)):
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         out = ws.take(("h", k), x.shape[0], w.shape[0]) if k < last else None
         z = np.matmul(hs[-1], w.T, out=out)
         z += b
-        hs.append(_act(a, z))
+        hs.append(np.maximum(z, 0.0, out=z) if k < last else z)
     return hs[-1], hs
 
 
@@ -294,11 +235,11 @@ def mlp_backward(params: MlpParams, cache, upstream, ws: Workspace | None = None
     """Exact gradients of <output, upstream> w.r.t. parameters and input,
     from the cache of the forward pass mlp_forward_cached made.
 
-    Each layer's activation derivative is computed from the cached
-    activation alone. For batched input the parameter gradients are summed
-    over the batch rows. The backward deltas are written into ws, under
-    names of their own, so ws may hold the cache itself. Returns
-    (param_grads: MlpParams-shaped, input_grad), both fresh.
+    Each hidden layer's ReLU mask is read from its cached activation
+    (h > 0; subgradient 0 at h = 0). For batched input the parameter
+    gradients are summed over the batch rows. The backward deltas are
+    written into ws, under names of their own, so ws may hold the cache
+    itself. Returns (param_grads: MlpParams-shaped, input_grad), both fresh.
     """
     hs, squeeze = cache
     ub, usq = _as_batch(upstream, params.out_dim, what="upstream gradient")
@@ -309,8 +250,11 @@ def mlp_backward(params: MlpParams, cache, upstream, ws: Workspace | None = None
 
     grads = _on_flat(np.empty_like(params.flat), params)
     g = ub  # gradient w.r.t. the output of layer k
-    for k in range(params.n_layers - 1, -1, -1):
-        delta = _act_backward(params.activations[k], g, hs[k + 1], ws, k)
+    last = params.n_layers - 1
+    for k in range(last, -1, -1):
+        # g may be layer k's delta buffer itself
+        delta = g if k == last else np.multiply(g, hs[k + 1] > 0.0,
+                                                out=ws.take(("d", k), *g.shape))
         np.matmul(delta.T, hs[k], out=grads.weights[k])
         np.sum(delta, axis=0, out=grads.biases[k])
         w = params.weights[k]
@@ -372,15 +316,17 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
     state.step = t
 
 
-_ACT_CODE = {a: i for i, a in enumerate(ACTIVATIONS)}
+def _layer_code(k: int, n_layers: int) -> int:
+    return _LINEAR_CODE if k == n_layers - 1 else _RELU_CODE
 
 
 def mlp_to_bytes(params: MlpParams) -> bytes:
     """Versioned flat layout: magic, layer count, per-layer dims and
     activation codes, then the float64 parameter vector flat."""
     out = [_MAGIC, struct.pack("<I", params.n_layers)]
-    for w, a in zip(params.weights, params.activations):
-        out.append(struct.pack("<IIB", w.shape[1], w.shape[0], _ACT_CODE[a]))
+    for k, w in enumerate(params.weights):
+        out.append(struct.pack("<IIB", w.shape[1], w.shape[0],
+                               _layer_code(k, params.n_layers)))
     out.append(params.flat.tobytes())
     return b"".join(out)
 
@@ -391,18 +337,20 @@ def mlp_from_bytes(data: bytes) -> MlpParams:
     off = len(_MAGIC)
     (n_layers,) = struct.unpack_from("<I", data, off)
     off += 4
-    shapes, acts = [], []
-    for _ in range(n_layers):
+    shapes = []
+    for k in range(n_layers):
         din, dout, code = struct.unpack_from("<IIB", data, off)
         off += 9
+        if code != _layer_code(k, n_layers):
+            raise ValueError(f"layer {k} has activation code {code}; a network is "
+                             f"relu (0) on its hidden layers and identity (3) on its last")
         shapes.append((dout, din))
-        acts.append(ACTIVATIONS[code])
     n = sum(dout * (din + 1) for dout, din in shapes)
     if len(data) - off != 8 * n:
         raise ValueError(f"network payload has {len(data) - off} bytes, "
                          f"its layer dims need {8 * n}")
     flat = np.frombuffer(data, dtype=np.float64, count=n, offset=off)
-    return MlpParams(*_views(flat, shapes), acts)
+    return MlpParams(*_views(flat, shapes))
 
 
 def save_mlp(params: MlpParams, path) -> None:

@@ -1,13 +1,15 @@
 """Training loop and run lifecycle.
 
-One loop serves rile_off, rile_on, gail and airl. Each pass collects a
+Every algorithm shares one run lifecycle: the set-up, the logs, the final
+eval and the final checkpoint. bc trains by baselines.train_bc's epochs;
+one loop serves rile_off, rile_on, gail and airl. Each pass collects a
 chunk of environment steps with the student, scores it with the learned
 reward and, when due, updates the student, then the discriminator or AIRL
 heads, then the trainer. Off-policy runs draw each batch from a FIFO
 replay buffer (expert-mixed at insert time, rewards relabeled at sample
 time); rile_on collects the rest of an episode per chunk and updates on
-that rollout. Every algorithm collects through the same path, so
-seed-paired runs differ only in the reward pathway. Every random draw
+that rollout. Every adversarial algorithm collects through the same
+path, so seed-paired runs differ only in the reward pathway. Every random draw
 comes from named streams derived from one master seed, which makes whole
 runs bit-reproducible.
 """
@@ -16,10 +18,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import baselines
 from .agents import (
     REWARD_VARIANTS,
     ActorCritic,
@@ -111,7 +114,6 @@ class RunConfig:
     algorithm: str = "rile_off"
     env: MazeSpec = field(default_factory=MazeSpec)
     trainer_reward_variant: str = "exponential_difference"
-    trainer_reward_exponent_sign: float = -1.0
     # buffers and batches
     student_buffer: int = 1_000_000
     trainer_buffer: int = 16_384
@@ -275,10 +277,7 @@ class _RewardPathway:
     """Per-algorithm learners and the student's learned reward."""
 
     def __init__(self, cfg: RunConfig, expert: ExpertDataset, streams, state_dim, action_dim):
-        from . import baselines  # local import: baselines builds on this module
-
         self.cfg = cfg
-        self.bl = baselines
         self.state_dim = state_dim
         self.expert_table = expert_transition_table(expert)
         self.trainer = None
@@ -312,9 +311,9 @@ class _RewardPathway:
             self.disc = make_discriminator(state_dim, action_dim, cfg.disc_hidden,
                                            cfg.disc_lr, streams["init_disc"])
         if cfg.algorithm == "airl":
-            self.airl = self.bl.make_airl_heads(state_dim, action_dim, cfg.disc_hidden,
-                                                cfg.disc_lr, cfg.gamma,
-                                                streams["init_airl"])
+            self.airl = baselines.make_airl_heads(state_dim, action_dim, cfg.disc_hidden,
+                                                  cfg.disc_lr, cfg.gamma,
+                                                  streams["init_airl"])
 
     def step_heads(self, chunk):
         """The live trainer's heads at a collected chunk's rows, read by
@@ -337,9 +336,9 @@ class _RewardPathway:
             return trainer_act_batch(self.trainer, np.concatenate([s, a], axis=1), heads)
         if self.cfg.algorithm == "gail":
             d = disc_output(self.disc, s, a)
-            return self.bl.gail_student_reward(d)
+            return baselines.gail_student_reward(d)
         ws = self.airl.ws  # nothing backpropagates: one live cache suffices
-        return self.bl.airl_f_batch(self.airl, s, a, sp, ws, ws, ws)[0]
+        return baselines.airl_f_batch(self.airl, s, a, sp, ws, ws, ws)[0]
 
 
 class _Collector:
@@ -447,11 +446,10 @@ class _Replay:
         te = self.pathway.expert_table
         k = self._expert_row(self.cfg.expert_mix_student, self.mix_student_rng)
         if k is None:
-            self.student.insert(s=row["s"], a=row["a"], sp=row["sp"],
-                                done=row["done"], expert=0.0)
+            self.student.insert(s=row["s"], a=row["a"], sp=row["sp"], done=row["done"])
         else:
             self.student.insert(s=te["s"][k], a=te["a"][k], sp=te["sp"][k],
-                                done=te["done"][k], expert=1.0)
+                                done=te["done"][k])
         self.disc.insert(s=row["s"], a=row["a"], sp=row["sp"])
         trainer = self.pathway.trainer
         if trainer is None or trainer.frozen:  # nothing samples trainer rows after the freeze
@@ -549,7 +547,7 @@ def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) ->
             diag["disc_loss"] = disc_update(pathway.disc, (te["s"][idx], te["a"][idx]),
                                             (b["s"], b["a"]), cfg.gp_weight, rng)
         else:
-            diag["disc_loss"] = pathway.bl.airl_update(
+            diag["disc_loss"] = baselines.airl_update(
                 pathway.airl, student, (te["s"][idx], te["a"][idx], te["sp"][idx]),
                 (b["s"], b["a"], b["sp"]))
     trainer = pathway.trainer
@@ -557,8 +555,7 @@ def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) ->
         obs, a_t, obsp, done = source.trainer_rows(streams["trainer"])
         ds = pathway.state_dim
         d = disc_output(pathway.disc, obs[:, :ds], obs[:, ds:])
-        r_t = trainer_reward(cfg.trainer_reward_variant, d, a_t,
-                             cfg.trainer_reward_exponent_sign)
+        r_t = trainer_reward(cfg.trainer_reward_variant, d, a_t)
         tdiag = trainer_update(trainer, (obs, a_t, r_t, obsp, done))
         diag["trainer_critic_loss"] = tdiag["critic_loss"]
         if monitor.check(tdiag["critic_loss"]):
@@ -590,12 +587,8 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
 
 
 def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifacts:
-    if cfg.algorithm == "bc":
-        from . import baselines
-
-        return baselines.run_bc(cfg, expert, run_dir)
     if expert is None or expert.n_steps == 0:
-        raise ValueError("adversarial algorithms need a non-empty expert dataset")
+        raise ValueError(f"{cfg.algorithm} needs a non-empty expert dataset")
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
     streams = seed_streams(cfg.seed)
@@ -610,7 +603,25 @@ def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifact
                              pathway.airl)
     diag_log = _Logger(run_dir, "diagnostics.jsonl")
     metrics_log = _Logger(run_dir, "metrics.jsonl")
+    if cfg.algorithm == "bc":
+        baselines.train_bc(cfg, expert, student, streams["student"], diag_log)
+    else:
+        _run_loop(cfg, expert, student, pathway, streams, artifacts, diag_log, metrics_log)
 
+    artifacts.metrics_rows = metrics_log.rows
+    artifacts.diagnostics_rows = diag_log.rows
+    artifacts.final_return, _, artifacts.final_goal_rate = evaluate_policy(
+        cfg.env, student, cfg.eval_episodes, deterministic=True, seed=cfg.seed,
+        action_noise=cfg.action_noise)
+    _checkpoint(run_dir, "final", student, pathway.trainer, pathway.disc, pathway.airl)
+    return artifacts
+
+
+def _run_loop(cfg, expert, student, pathway, streams, artifacts, diag_log, metrics_log):
+    """The adversarial algorithms' loop, from the step-0 checkpoint to the
+    last step; records the steps run, the windows and the freeze step in
+    artifacts."""
+    run_dir = artifacts.run_dir
     probe_s, probe_a = expert.all_pairs()
     tracker = _WindowTracker(cfg, pathway, probe_s, probe_a)
     monitor = FreezeMonitor(cfg.freeze_window, cfg.freeze_threshold)
@@ -672,10 +683,3 @@ def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifact
 
     artifacts.steps_run = step
     artifacts.windows = tracker.windows
-    artifacts.metrics_rows = metrics_log.rows
-    artifacts.diagnostics_rows = diag_log.rows
-    artifacts.final_return, _, artifacts.final_goal_rate = evaluate_policy(
-        cfg.env, student, cfg.eval_episodes, deterministic=True, seed=cfg.seed,
-        action_noise=cfg.action_noise)
-    _checkpoint(run_dir, "final", student, pathway.trainer, pathway.disc, pathway.airl)
-    return artifacts

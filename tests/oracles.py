@@ -1,10 +1,11 @@
 """Reference checks that only the tests use: the flat-vector round trip, a
-central-difference gradient checker and the closed-form optimal
-discriminator."""
+central-difference gradient checker, the closed-form optimal discriminator
+and the two network cases the gradient tests run on."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from rile.nets import MlpParams, _on_flat
 
@@ -75,3 +76,9 @@ def optimal_disc_oracle(p_expert, p_student) -> np.ndarray:
     mask = tot > 0
     out[mask] = pe[mask] / tot[mask]
     return out
+
+
+def nets(relu_hidden):
+    """Parametrizes hidden over two networks: "relu" has relu_hidden ReLU
+    hidden layers; "identity" has none, so its one layer is linear."""
+    return pytest.mark.parametrize("hidden", [relu_hidden, ()], ids=["relu", "identity"])

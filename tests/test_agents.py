@@ -45,10 +45,6 @@ class TestTrainerReward:
         expected = 0.4 / (1.0 + np.exp(-0.5))
         assert trainer_reward("sigmoid", 0.4, 0.5) == pytest.approx(expected)
 
-    def test_positive_exponent_form_selectable(self):
-        r = trainer_reward("exponential_difference", 0.5, 1.0, exponent_sign=+1.0)
-        assert r == pytest.approx(np.e)
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             trainer_reward("bogus", 0.5, 0.0)

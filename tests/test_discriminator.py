@@ -17,47 +17,41 @@ from rile.nets import (
     mlp_init,
 )
 
-from oracles import finite_diff_check, optimal_disc_oracle, params_to_flat
+from oracles import finite_diff_check, nets, optimal_disc_oracle, params_to_flat
 
 
 def _gp_full_sweep(params, x):
     """_gp_loss_and_grads with every intermediate a fresh array and the
-    second-derivative terms of every layer folded back, zero or not."""
-    fns = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh,
-           "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)), "identity": lambda z: z}
-    d1 = {"relu": lambda z, h: (z > 0.0).astype(np.float64),
-          "tanh": lambda z, h: 1.0 - h * h, "sigmoid": lambda z, h: h * (1.0 - h),
-          "identity": lambda z, h: np.ones_like(z)}
-    d2 = {"relu": lambda z, h: np.zeros_like(z),
-          "tanh": lambda z, h: -2.0 * h * (1.0 - h * h),
-          "sigmoid": lambda z, h: h * (1.0 - h) * (1.0 - 2.0 * h),
-          "identity": lambda z, h: np.zeros_like(z)}
-    n, L, acts = x.shape[0], params.n_layers, params.activations
+    second-derivative terms of every layer folded back, although ReLU's and
+    the linear output's are all zero."""
+    n, L = x.shape[0], params.n_layers
     zs, hs = [], [x]
-    for w, b, a in zip(params.weights, params.biases, acts):
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         zs.append(hs[-1] @ w.T + b)
-        hs.append(fns[a](zs[-1]))
+        hs.append(np.maximum(zs[-1], 0.0) if k < L - 1 else zs[-1])
+    d1 = [(z > 0.0).astype(np.float64) for z in zs[:-1]] + [np.ones_like(zs[-1])]
+    d2 = [np.zeros_like(z) for z in zs]
     vs, ds = [None] * (L + 1), [None] * L
     vs[L] = np.ones((n, 1))
     for k in range(L - 1, -1, -1):
-        ds[k] = d1[acts[k]](zs[k], hs[k + 1]) * vs[k + 1]
+        ds[k] = d1[k] * vs[k + 1]
         vs[k] = ds[k] @ params.weights[k]
     g = vs[0]
     norms = np.linalg.norm(g, axis=1)
     loss = float(np.mean((norms - 1.0) ** 2))
     g_bar = (2.0 / n) * ((norms - 1.0) / np.maximum(norms, 1e-12))[:, None] * g
     grads = MlpParams([np.zeros_like(w) for w in params.weights],
-                      [np.zeros_like(b) for b in params.biases], list(acts))
+                      [np.zeros_like(b) for b in params.biases])
     z_bars = [np.zeros_like(z) for z in zs]
     v_bar = g_bar
     for k in range(L):
         w_bar = v_bar @ params.weights[k].T
         grads.weights[k] += ds[k].T @ v_bar
-        z_bars[k] += d2[acts[k]](zs[k], hs[k + 1]) * vs[k + 1] * w_bar
-        v_bar = d1[acts[k]](zs[k], hs[k + 1]) * w_bar
+        z_bars[k] += d2[k] * vs[k + 1] * w_bar
+        v_bar = d1[k] * w_bar
     h_bar = np.zeros((n, 1))
     for k in range(L - 1, -1, -1):
-        delta = z_bars[k] + d1[acts[k]](zs[k], hs[k + 1]) * h_bar
+        delta = z_bars[k] + d1[k] * h_bar
         grads.weights[k] += delta.T @ hs[k]
         grads.biases[k] += delta.sum(axis=0)
         h_bar = delta @ params.weights[k]
@@ -181,7 +175,7 @@ class TestUpdate:
 class TestGradients:
     def test_bce_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        params = mlp_init([3, 8, 1], ["tanh", "identity"], rng)
+        params = mlp_init([3, 8, 1], rng)
         xe = rng.normal(size=(6, 3))
         xs = rng.normal(size=(6, 3))
         _, analytic = _bce_loss_and_grads(params, xe, xs)
@@ -191,10 +185,10 @@ class TestGradients:
 
         assert finite_diff_check(loss, params, analytic, step=1e-5) <= 1e-4
 
-    @pytest.mark.parametrize("act", ["tanh", "sigmoid", "relu"])
-    def test_gradient_penalty_double_backprop_matches_fd(self, act):
+    @nets((10,))
+    def test_gradient_penalty_double_backprop_matches_fd(self, hidden):
         rng = np.random.default_rng(6)
-        params = mlp_init([3, 10, 1], [act, "identity"], rng)
+        params = mlp_init([3, *hidden, 1], rng)
         x = rng.normal(size=(7, 3))
         _, analytic = _gp_loss_and_grads(params, x)
 
@@ -203,15 +197,13 @@ class TestGradients:
 
         assert finite_diff_check(loss, params, analytic, step=1e-6) <= 1e-4
 
-    @pytest.mark.parametrize("acts", [["relu", "relu", "identity"],
-                                      ["tanh", "relu", "identity"],
-                                      ["relu", "sigmoid", "identity"]],
-                             ids=["relu", "tanh-relu", "relu-sigmoid"])
-    def test_gradient_penalty_equals_the_full_sweep(self, acts):
-        # Layers whose second derivative is zero skip the fold of their z
-        # adjoints; the gradients must still equal the full sweep bit for bit.
+    @nets((16, 12))
+    def test_gradient_penalty_equals_the_full_sweep(self, hidden):
+        # The penalty skips the fold of the z adjoints, which are all zero
+        # on ReLU nets; the gradients must still equal the full sweep bit
+        # for bit.
         rng = np.random.default_rng(10)
-        params = mlp_init([4, 16, 12, 1], acts, rng)
+        params = mlp_init([4, *hidden, 1], rng)
         for b in params.biases[:-1]:
             b -= 0.3  # some relu units dead on every row
         x = rng.normal(size=(32, 4))
@@ -222,7 +214,7 @@ class TestGradients:
 
     def test_combined_loss_gradient_matches_fd(self):
         rng = np.random.default_rng(7)
-        params = mlp_init([2, 6, 1], ["tanh", "identity"], rng)
+        params = mlp_init([2, 6, 1], rng)
         xe = rng.normal(size=(5, 2))
         xs = rng.normal(size=(5, 2))
         u = rng.uniform(size=(5, 1))
@@ -238,7 +230,6 @@ class TestGradients:
         analytic = MlpParams(
             [a + b for a, b in zip(g1.weights, g2.weights)],
             [a + b for a, b in zip(g1.biases, g2.biases)],
-            list(params.activations),
         )
         assert finite_diff_check(loss, params, analytic, step=1e-6) <= 1e-4
 

@@ -7,10 +7,8 @@ from rile.agents import make_actor_critic, student_update, trainer_update
 from rile.baselines import airl_update, make_airl_heads
 from rile.discriminator import disc_update, make_discriminator
 from rile.nets import (
-    ACTIVATIONS,
     MlpParams,
     Workspace,
-    _act_grad,
     adam_init,
     adam_step,
     load_mlp,
@@ -24,24 +22,27 @@ from rile.nets import (
     zeros_like_params,
 )
 
-from oracles import finite_diff_check, flat_to_params, params_to_flat
+from oracles import finite_diff_check, flat_to_params, nets, params_to_flat
 
 
-def single_layer(w, b, act):
-    return MlpParams([np.asarray(w, float)], [np.asarray(b, float)], [act])
+def single_layer(w, b):
+    """A network of one layer, which is linear."""
+    return MlpParams([np.asarray(w, float)], [np.asarray(b, float)])
 
 
 class TestForward:
     def test_identity_layer(self):
-        p = single_layer(np.eye(2), [0.0, 0.0], "identity")
+        p = single_layer(np.eye(2), [0.0, 0.0])
         assert np.array_equal(mlp_forward(p, [3.0, -1.0]), [3.0, -1.0])
 
     def test_relu_clamps_negative_preactivation(self):
-        p = single_layer([[1.0, 0.0], [0.0, 1.0]], [-2.0, 0.0], "relu")
+        # hidden ReLU layer, then an identity output layer
+        p = MlpParams([np.eye(2), np.eye(2)], [np.array([-2.0, 0.0]), np.zeros(2)])
         assert np.array_equal(mlp_forward(p, [1.0, 1.0]), [0.0, 1.0])
 
     def test_two_layer_hand_computed_chain(self):
-        # 2 -> 2 (tanh) -> 1 (identity), every element written out by hand.
+        # 2 -> 2 (relu) -> 1 (linear), every element written out by hand;
+        # the second hidden unit's pre-activation is negative.
         w1 = [[0.5, -0.25], [0.1, 0.3]]
         b1 = [0.05, -0.1]
         w2 = [[2.0, -1.0]]
@@ -49,13 +50,13 @@ class TestForward:
         p = MlpParams(
             [np.array(w1), np.array(w2)],
             [np.array(b1), np.array(b2)],
-            ["tanh", "identity"],
         )
         x0, x1 = 0.8, -0.4
         z1_0 = 0.5 * x0 + (-0.25) * x1 + 0.05
         z1_1 = 0.1 * x0 + 0.3 * x1 + (-0.1)
-        h1_0 = np.tanh(z1_0)
-        h1_1 = np.tanh(z1_1)
+        assert z1_0 > 0.0 > z1_1
+        h1_0 = max(z1_0, 0.0)
+        h1_1 = max(z1_1, 0.0)
         y = 2.0 * h1_0 + (-1.0) * h1_1 + 0.25
         out = mlp_forward(p, [x0, x1])
         assert out.shape == (1,)
@@ -63,7 +64,7 @@ class TestForward:
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(0)
-        p = mlp_init([3, 5, 2], ["relu", "identity"], rng)
+        p = mlp_init([3, 5, 2], rng)
         xs = rng.normal(size=(7, 3))
         batch = mlp_forward(p, xs)
         # gemm vs gemv BLAS paths may differ in the last bits
@@ -72,13 +73,13 @@ class TestForward:
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(1)
-        p = mlp_init([4, 8, 3], ["tanh", "identity"], rng)
+        p = mlp_init([4, 8, 3], rng)
         x = rng.normal(size=4)
         a, b = mlp_forward(p, x), mlp_forward(p, x)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch_names_layer(self):
-        p = single_layer(np.eye(2), [0.0, 0.0], "identity")
+        p = single_layer(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError, match="dim"):
             mlp_forward(p, [1.0, 2.0, 3.0])
 
@@ -87,13 +88,12 @@ class TestForward:
             MlpParams(
                 [np.zeros((3, 2)), np.zeros((1, 4))],
                 [np.zeros(3), np.zeros(1)],
-                ["relu", "identity"],
             )
 
 
 class TestFlatLayout:
     def net(self):
-        return mlp_init([3, 4, 2], ["tanh", "identity"], np.random.default_rng(12))
+        return mlp_init([3, 4, 2], np.random.default_rng(12))
 
     def test_layout_is_w0_b0_w1_b1(self):
         p = self.net()
@@ -114,7 +114,7 @@ class TestFlatLayout:
 
     def test_constructor_copies_its_arrays(self):
         w, b = np.eye(2), np.zeros(2)
-        p = MlpParams([w], [b], ["identity"])
+        p = MlpParams([w], [b])
         w[0, 0] = 5.0
         p.biases[0][0] = 5.0
         assert p.weights[0][0, 0] == 1.0 and b[0] == 0.0
@@ -145,7 +145,7 @@ class TestBackward:
     def test_linear_layer_gradient(self):
         # y = Wx + b, upstream e1: d/db = e1, d/dW = e1 x^T.
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        p = single_layer(w, [0.0, 0.0], "identity")
+        p = single_layer(w, [0.0, 0.0])
         x = np.array([0.7, -1.3])
         grads, gx = mlp_backward(p, mlp_forward_cached(p, x)[1], [1.0, 0.0])
         assert np.array_equal(grads.biases[0], [1.0, 0.0])
@@ -153,17 +153,18 @@ class TestBackward:
         assert np.array_equal(gx, w[0])
 
     def test_relu_subgradient_at_zero_is_zero(self):
-        # Pre-activation exactly 0: convention pins the subgradient to 0.
-        p = single_layer([[1.0]], [0.0], "relu")
+        # Hidden pre-activation exactly 0: convention pins the subgradient to 0.
+        p = MlpParams([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
         grads, gx = mlp_backward(p, mlp_forward_cached(p, [0.0])[1], [1.0])
+        assert grads.weights[1][0, 0] == 0.0 and grads.biases[1][0] == 1.0
         assert grads.weights[0][0, 0] == 0.0
         assert grads.biases[0][0] == 0.0
         assert gx[0] == 0.0
 
-    @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid", "identity"])
-    def test_two_layer_matches_finite_differences(self, act):
+    @nets((6,))
+    def test_two_layer_matches_finite_differences(self, hidden):
         rng = np.random.default_rng(42)
-        p = mlp_init([3, 6, 2], [act, "identity"], rng)
+        p = mlp_init([3, *hidden, 2], rng)
         x = rng.normal(size=3)
         u = rng.normal(size=2)
 
@@ -175,7 +176,7 @@ class TestBackward:
 
     def test_input_grad_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        p = mlp_init([4, 5, 3], ["tanh", "identity"], rng)
+        p = mlp_init([4, 5, 3], rng)
         x = rng.normal(size=4)
         u = rng.normal(size=3)
         _, gx = mlp_backward(p, mlp_forward_cached(p, x)[1], u)
@@ -187,12 +188,12 @@ class TestBackward:
             assert gx[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_upstream_dim_mismatch_rejected(self):
-        p = single_layer(np.eye(2), [0.0, 0.0], "identity")
+        p = single_layer(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):
             mlp_backward(p, mlp_forward_cached(p, [1.0, 2.0])[1], [1.0, 0.0, 0.0])
 
     def test_upstream_row_count_mismatch_rejected(self):
-        p = single_layer(np.eye(2), [0.0, 0.0], "identity")
+        p = single_layer(np.eye(2), [0.0, 0.0])
         _, cache = mlp_forward_cached(p, np.ones((3, 2)))
         with pytest.raises(ValueError, match="batch sizes"):
             mlp_backward(p, cache, np.ones((2, 2)))
@@ -201,7 +202,7 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         rng = np.random.default_rng(5)
-        p = mlp_init([2, 3, 1], ["relu", "identity"], rng)
+        p = mlp_init([2, 3, 1], rng)
         before = params_to_flat(p)
         state = adam_init(p, lr=0.1)
         adam_step(p, zeros_like_params(p), state)
@@ -213,8 +214,8 @@ class TestAdam:
     def test_single_step_hand_computed(self):
         # One scalar parameter, g=1, lr=0.1, fresh state:
         #   m=0.1, v=0.001, m_hat=1, v_hat=1 -> delta = 0.1/(1+1e-8)
-        p = single_layer([[2.0]], [0.0], "identity")
-        g = single_layer([[1.0]], [0.0], "identity")
+        p = single_layer([[2.0]], [0.0])
+        g = single_layer([[1.0]], [0.0])
         st = adam_init(p, lr=0.1)
         adam_step(p, g, st)
         expected = 2.0 - 0.1 * 1.0 / (1.0 + 1e-8)
@@ -226,8 +227,8 @@ class TestAdam:
     def test_two_identical_steps_follow_recurrence(self):
         # Second step with g=1: m=0.19, v=0.001999, both bias corrections
         # cancel exactly (1-0.9^2=0.19, 1-0.999^2=0.001999) so delta repeats.
-        p = single_layer([[0.0]], [5.0], "identity")
-        g = single_layer([[1.0]], [1.0], "identity")
+        p = single_layer([[0.0]], [5.0])
+        g = single_layer([[1.0]], [1.0])
         st = adam_init(p, lr=0.1)
         adam_step(p, g, st)
         adam_step(p, g, st)
@@ -242,8 +243,8 @@ class TestAdam:
         assert p.weights[0][0, 0] == pytest.approx(0.0 - 2 * delta, abs=1e-12)
 
     def test_non_finite_gradient_rejected(self):
-        p = single_layer([[1.0]], [0.0], "identity")
-        g = single_layer([[1.0]], [0.0], "identity")
+        p = single_layer([[1.0]], [0.0])
+        g = single_layer([[1.0]], [0.0])
         g.weights[0][0, 0] = np.nan  # after construction: param validation is separate
         with pytest.raises(ValueError, match="non-finite"):
             adam_step(p, g, adam_init(p, lr=0.1))
@@ -252,12 +253,12 @@ class TestAdam:
     def test_rejected_step_writes_nothing(self, bad):
         # after two steps the moments are non-zero, so a partial write shows
         rng = np.random.default_rng(8)
-        dims, acts = [3, 4, 2], ["tanh", "identity"]
-        p = mlp_init(dims, acts, rng)
+        dims = [3, 4, 2]
+        p = mlp_init(dims, rng)
         state = adam_init(p, lr=1e-2)
         for _ in range(2):
-            adam_step(p, mlp_init(dims, acts, rng), state)
-        g = mlp_init([3, 5, 2] if bad == "size" else dims, acts, rng)
+            adam_step(p, mlp_init(dims, rng), state)
+        g = mlp_init([3, 5, 2] if bad == "size" else dims, rng)
         g.flat[-1] = {"nan": np.nan, "inf": np.inf, "size": 1.0}[bad]
         before = [a.tobytes() for a in (p.flat, state.m, state.v)]
         with pytest.raises(ValueError):
@@ -267,17 +268,17 @@ class TestAdam:
 
     def test_shape_closure(self):
         rng = np.random.default_rng(6)
-        p = mlp_init([3, 4, 2], ["tanh", "identity"], rng)
+        p = mlp_init([3, 4, 2], rng)
         shapes = [w.shape for w in p.weights]
         st = adam_init(p, lr=1e-3)
-        adam_step(p, mlp_init([3, 4, 2], ["tanh", "identity"], rng), st)
+        adam_step(p, mlp_init([3, 4, 2], rng), st)
         assert [w.shape for w in p.weights] == shapes
         assert st.m.shape == st.v.shape == p.flat.shape
 
     def test_step_writes_in_place(self):
         rng = np.random.default_rng(6)
-        p = mlp_init([3, 4, 2], ["tanh", "identity"], rng)
-        g = mlp_init([3, 4, 2], ["tanh", "identity"], rng)
+        p = mlp_init([3, 4, 2], rng)
+        g = mlp_init([3, 4, 2], rng)
         st = adam_init(p, lr=1e-3)
         buffers = (p.flat, st.m, st.v)
         before = [params_to_flat(p), st.m.copy(), st.v.copy()]
@@ -291,8 +292,8 @@ class TestAdam:
         # the step's two scratch vectors are all it allocates; no new
         # parameters or moments
         rng = np.random.default_rng(7)
-        dims, acts = [2, 128, 128, 4], ["relu", "relu", "identity"]
-        p, g = mlp_init(dims, acts, rng), mlp_init(dims, acts, rng)
+        dims = [2, 128, 128, 4]
+        p, g = mlp_init(dims, rng), mlp_init(dims, rng)
         state = adam_init(p, lr=1e-3)
         adam_step(p, g, state)
         tracemalloc.start()
@@ -306,13 +307,13 @@ class TestAdam:
     def test_matches_per_layer_reference(self):
         # The same arithmetic, one array at a time: results must be bit-equal.
         rng = np.random.default_rng(13)
-        p = mlp_init([3, 5, 4, 2], ["relu", "tanh", "identity"], rng)
+        p = mlp_init([3, 5, 4, 2], rng)
         state = adam_init(p, lr=1e-2)
         ps = [a.copy() for a in (*p.weights, *p.biases)]
         ms = [np.zeros_like(a) for a in ps]
         vs = [np.zeros_like(a) for a in ps]
         for t in range(1, 6):
-            g = mlp_init([3, 5, 4, 2], ["relu", "tanh", "identity"], rng)
+            g = mlp_init([3, 5, 4, 2], rng)
             adam_step(p, g, state)
             c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             for i, ga in enumerate((*g.weights, *g.biases)):
@@ -325,7 +326,7 @@ class TestAdam:
                 assert np.array_equal(a, b)
 
     def test_counter_strictly_increments(self):
-        p = single_layer([[1.0]], [0.0], "identity")
+        p = single_layer([[1.0]], [0.0])
         st = adam_init(p, lr=0.1)
         for expect in (1, 2, 3):
             adam_step(p, zeros_like_params(p), st)
@@ -379,7 +380,7 @@ class TestLearnersWriteInPlace:
 class TestFiniteDiffCheck:
     def test_quadratic_loss_is_nearly_exact(self):
         rng = np.random.default_rng(7)
-        p = mlp_init([3, 4, 2], ["identity", "identity"], rng)
+        p = mlp_init([3, 4, 2], rng)
 
         def loss(q):
             f = params_to_flat(q)
@@ -389,7 +390,7 @@ class TestFiniteDiffCheck:
 
     def test_bce_through_mlp(self):
         rng = np.random.default_rng(8)
-        p = mlp_init([2, 8, 1], ["tanh", "identity"], rng)
+        p = mlp_init([2, 8, 1], rng)
         xs = rng.normal(size=(16, 2))
         ys = rng.integers(0, 2, size=16).astype(float)
 
@@ -406,7 +407,7 @@ class TestFiniteDiffCheck:
 
     def test_corrupted_gradient_detected(self):
         # Doubling one large-gradient entry must push the error past 0.4.
-        p = single_layer([[2.0, 1.0]], [0.5], "identity")
+        p = single_layer([[2.0, 1.0]], [0.5])
 
         def loss(q):
             f = params_to_flat(q)
@@ -417,25 +418,26 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(loss, p, corrupted) > 0.4
 
     def test_rejects_bad_step(self):
-        p = single_layer([[1.0]], [0.0], "identity")
+        p = single_layer([[1.0]], [0.0])
         with pytest.raises(ValueError):
             finite_diff_check(lambda q: 0.0, p, p, step=0.0)
 
     def test_rejects_non_finite_loss(self):
-        p = single_layer([[1.0]], [0.0], "identity")
+        p = single_layer([[1.0]], [0.0])
         with pytest.raises(ValueError):
             finite_diff_check(lambda q: np.inf, p, p)
 
 
 class TestBackpropExactnessSweep:
     @pytest.mark.parametrize("hidden", [(64, 64), (256, 256)])
-    @pytest.mark.parametrize("act", ACTIVATIONS)
-    def test_shapes_and_activations(self, hidden, act):
-        rng = np.random.default_rng(hash((hidden, act)) % 2**32)
-        dims = [5, *hidden, 2]
-        p = mlp_init(dims, [act, act, "identity"], rng)
+    @pytest.mark.parametrize("net", ["relu", "identity"])
+    def test_shapes_and_activations(self, hidden, net):
+        # "identity" is one linear layer as wide as the hidden layers
+        rng = np.random.default_rng([hidden[0], int(net == "relu")])
+        dims = [5, *hidden, 2] if net == "relu" else [5, hidden[0]]
+        p = mlp_init(dims, rng)
         x = rng.normal(size=5)
-        u = rng.normal(size=2)
+        u = rng.normal(size=dims[-1])
         analytic, _ = mlp_backward(p, mlp_forward_cached(p, x)[1], u)
 
         def loss(q):
@@ -448,18 +450,46 @@ class TestBackpropExactnessSweep:
 class TestSerialization:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(9)
-        p = mlp_init([3, 7, 2], ["relu", "tanh"], rng)
+        p = mlp_init([3, 7, 2], rng)
         q = mlp_from_bytes(mlp_to_bytes(p))
-        assert q.activations == p.activations
+        assert mlp_to_bytes(q) == mlp_to_bytes(p)
         assert np.array_equal(params_to_flat(q), params_to_flat(p))
 
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
-        p = mlp_init([2, 4, 1], ["sigmoid", "identity"], rng)
+        p = mlp_init([2, 4, 1], rng)
         path = tmp_path / "net.mlp"
         save_mlp(p, path)
         q = load_mlp(path)
         assert np.array_equal(params_to_flat(q), params_to_flat(p))
+
+    # 2 -> 1 (relu) -> 1 (linear), W0 = [[0.5, -1]], b0 = [0.25], W1 = [[2]],
+    # b1 = [-0.5]: magic, layer count, (in, out, activation code) per layer,
+    # then the float64 parameters
+    GOLDEN = bytes.fromhex(
+        "52494c454d4c5031" "02000000"
+        "02000000" "01000000" "00"
+        "01000000" "01000000" "03"
+        "000000000000e03f" "000000000000f0bf" "000000000000d03f"
+        "0000000000000040" "000000000000e0bf")
+
+    def golden_net(self):
+        return MlpParams([np.array([[0.5, -1.0]]), np.array([[2.0]])],
+                         [np.array([0.25]), np.array([-0.5])])
+
+    def test_golden_bytes(self):
+        assert mlp_to_bytes(self.golden_net()) == self.GOLDEN
+        q = mlp_from_bytes(self.GOLDEN)
+        assert np.array_equal(q.flat, self.golden_net().flat)
+        assert mlp_to_bytes(q) == self.GOLDEN
+
+    @pytest.mark.parametrize("offset,code", [(20, 1), (29, 0)],
+                             ids=["hidden_tanh", "last_relu"])
+    def test_other_activation_codes_rejected(self, offset, code):
+        data = bytearray(self.GOLDEN)
+        data[offset] = code
+        with pytest.raises(ValueError, match="activation code"):
+            mlp_from_bytes(bytes(data))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
@@ -467,7 +497,7 @@ class TestSerialization:
 
     def test_flat_round_trip(self):
         rng = np.random.default_rng(11)
-        p = mlp_init([4, 3, 2], ["tanh", "identity"], rng)
+        p = mlp_init([4, 3, 2], rng)
         q = flat_to_params(params_to_flat(p), p)
         assert np.array_equal(params_to_flat(q), params_to_flat(p))
 
@@ -475,15 +505,15 @@ class TestSerialization:
 def _reference_pass(p, x, u):
     """Forward output, parameter gradient and input gradient computed with a
     fresh array for every intermediate, in the order the library uses."""
-    fns = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh,
-           "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)), "identity": lambda z: z}
-    zs, hs = [], [x]
-    for w, b, a in zip(p.weights, p.biases, p.activations):
-        zs.append(hs[-1] @ w.T + b)
-        hs.append(fns[a](zs[-1]))
+    last = p.n_layers - 1
+    hs = [x]
+    for k, (w, b) in enumerate(zip(p.weights, p.biases)):
+        z = hs[-1] @ w.T + b
+        hs.append(np.maximum(z, 0.0) if k < last else z)
     grads, delta = [], u
-    for k in range(p.n_layers - 1, -1, -1):
-        delta = delta * _act_grad(p.activations[k], hs[k + 1])
+    for k in range(last, -1, -1):
+        if k < last:
+            delta = delta * (hs[k + 1] > 0.0)
         grads = [delta.T @ hs[k], delta.sum(axis=0)] + grads
         delta = delta @ p.weights[k]
     return hs[-1], np.concatenate([g.ravel() for g in grads]), delta
@@ -497,16 +527,16 @@ def _buffers(ws):
 class TestWorkspace:
     ROWS = (256, 32, 1)
 
-    def net(self, act):
-        return mlp_init([5, 16, 12, 3], [act] * 3, np.random.default_rng(21))
+    def net(self, hidden):
+        return mlp_init([5, *hidden, 3], np.random.default_rng(21))
 
     def batches(self):
         rng = np.random.default_rng(22)
         return [(rng.normal(size=(n, 5)), rng.normal(size=(n, 3))) for n in self.ROWS]
 
-    @pytest.mark.parametrize("act", ACTIVATIONS)
-    def test_reused_workspace_is_bit_equal_to_throwaway(self, act):
-        p, ws = self.net(act), Workspace()
+    @nets((16, 12))
+    def test_reused_workspace_is_bit_equal_to_throwaway(self, hidden):
+        p, ws = self.net(hidden), Workspace()
         for x, u in self.batches():
             y, cache = mlp_forward_cached(p, x, ws)
             grads, gx = mlp_backward(p, cache, u, ws)
@@ -517,9 +547,9 @@ class TestWorkspace:
                               (y, ref_y), (grads.flat, ref_g), (gx, ref_gx)):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("act", ACTIVATIONS)
-    def test_results_are_fresh(self, act):
-        p, ws = self.net(act), Workspace()
+    @nets((16, 12))
+    def test_results_are_fresh(self, hidden):
+        p, ws = self.net(hidden), Workspace()
         kept = []
         for x, u in self.batches():
             y, cache = mlp_forward_cached(p, x, ws)
@@ -530,25 +560,26 @@ class TestWorkspace:
         for y, y_then, gx, gx_then in kept:
             assert np.array_equal(y, y_then) and np.array_equal(gx, gx_then)
 
-    @pytest.mark.parametrize("act", ACTIVATIONS)
-    def test_smaller_batches_add_no_bytes(self, act):
-        p, ws = self.net(act), Workspace()
+    @nets((16, 12))
+    def test_smaller_batches_add_no_bytes(self, hidden):
+        p, ws = self.net(hidden), Workspace()
         held = []
         for x, u in self.batches():
             mlp_backward(p, mlp_forward_cached(p, x, ws)[1], u, ws)
             held.append(sum(b.nbytes for b in _buffers(ws)))
-        assert held[0] > 0 and held == [held[0]] * len(self.ROWS)
+        # each hidden layer's activation and backward delta, at 256 rows
+        assert held == [2 * 256 * sum(hidden) * 8] * len(self.ROWS)
 
-    @pytest.mark.parametrize("act", ACTIVATIONS)
-    def test_cache_holds_one_buffer_per_hidden_layer(self, act):
+    @nets((16, 12))
+    def test_cache_holds_one_buffer_per_hidden_layer(self, hidden):
         # each hidden activation overwrites its pre-activation; the output
         # layer's is fresh
-        p, ws = self.net(act), Workspace()
+        p, ws = self.net(hidden), Workspace()
         mlp_forward_cached(p, np.ones((256, 5)), ws)
-        assert sum(b.nbytes for b in _buffers(ws)) == 256 * (16 + 12) * 8
+        assert sum(b.nbytes for b in _buffers(ws)) == 256 * sum(hidden) * 8
 
     def test_slots_hold_separate_buffers(self):
-        p, ws = self.net("relu"), Workspace()
+        p, ws = self.net((16, 12)), Workspace()
         x1, x2 = np.ones((4, 5)), np.zeros((4, 5))
         _, (hs1, _) = mlp_forward_cached(p, x1, ws.slot("a"))
         before = hs1[1].copy()

@@ -150,6 +150,19 @@ def test_bc_final_eval_uses_the_action_noise():
     assert ret != clean_ret  # the noise changes this policy's score
 
 
+def test_bc_run_directory_holds_its_logs_and_the_final_checkpoint(tmp_path):
+    # bc writes no step-0 checkpoint and no metrics rows: one diagnostics
+    # row per epoch and the trained student
+    run_training(RunConfig(algorithm="bc", seed=7, **TINY), EXPERT, str(tmp_path))
+    files = sorted(os.path.relpath(os.path.join(root, f), tmp_path)
+                   for root, _, names in os.walk(tmp_path) for f in names)
+    assert files == ["diagnostics.jsonl", "metrics.jsonl",
+                     *(os.path.join("step-final", "student", f"{net}.mlp")
+                       for net in ("actor", "critic", "critic_target"))]
+    assert (tmp_path / "metrics.jsonl").read_text() == ""
+    assert len((tmp_path / "diagnostics.jsonl").read_text().splitlines()) == TINY["bc_epochs"]
+
+
 def test_frozen_reward_rejected_for_bc():
     cfg = RunConfig(algorithm="bc", frozen_reward={"kind": "trainer",
                                                    "path": "/nonexistent.mlp"})
@@ -299,18 +312,20 @@ def test_seed_paired_runs_share_rollouts_until_the_first_update(monkeypatch):
 
 def _expert_flags(cfg, monkeypatch):
     """Expert flags of the rows inserted into the student ("s") and trainer
-    ("obs") buffers, in insertion order."""
+    ("obs") buffers, in insertion order: 1.0 where an expert row replaced
+    the insert. The buffer is told by the mixing stream its decision drew
+    from ("mix" or "mix_trainer")."""
     flags = {"s": [], "obs": []}
-    original = orchestrator.ReplayBuffer.insert
+    original = orchestrator._Replay._expert_row
 
-    def spy(buffer, **row):
-        for key in flags:
-            if key in row and "expert" in row:
-                flags[key].append(row["expert"])
-        return original(buffer, **row)
+    def spy(replay, frac, rng):
+        k = original(replay, frac, rng)
+        key = {id(replay.mix_student_rng): "s", id(replay.mix_trainer_rng): "obs"}[id(rng)]
+        flags[key].append(float(k is not None))
+        return k
 
     with monkeypatch.context() as m:
-        m.setattr(orchestrator.ReplayBuffer, "insert", spy)
+        m.setattr(orchestrator._Replay, "_expert_row", spy)
         run_training(cfg, EXPERT)
     return flags
 
