@@ -53,14 +53,15 @@ def _stable_sigmoid(x):
 @dataclass
 class AirlHeads:
     """Learned reward r(s,a) decoupled from a shaping potential V(s), with
-    the batch scratch of both heads."""
+    each head's batch scratch."""
 
     reward: MlpParams
     potential: MlpParams
     reward_opt: AdamState
     potential_opt: AdamState
     gamma: float = 0.99
-    ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
+    reward_ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
+    potential_ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
 
 def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
@@ -71,20 +72,17 @@ def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
                      adam_init(potential, lr=lr), gamma)
 
 
-def airl_f_batch(heads: AirlHeads, s, a, sp, ws_r: Workspace, ws_v: Workspace,
-                 ws_vp: Workspace):
+def airl_f_batch(heads: AirlHeads, s, a, sp):
     """f(s,a,s') = r(s,a) + gamma V(s') - V(s) per row.
 
-    Returns (f, caches): caches are the forward caches of r(s,a), V(s) and
-    V(s'), in that order, for mlp_backward, kept in ws_r, ws_v and ws_vp.
-    Each stays valid until the next forward on its workspace, so a caller
-    that backpropagates passes three slots, and one that needs f alone
-    passes one workspace three times."""
-    sa = np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1)
-    r, c_r = mlp_forward_cached(heads.reward, sa, ws_r)
-    v, c_v = mlp_forward_cached(heads.potential, np.atleast_2d(s), ws_v)
-    vp, c_vp = mlp_forward_cached(heads.potential, np.atleast_2d(sp), ws_vp)
-    return r[:, 0] + heads.gamma * vp[:, 0] - v[:, 0], (c_r, c_v, c_vp)
+    Returns (f, caches): the forward caches of r over (s, a) and of V over
+    the stacked rows [s; s'], for mlp_backward, in the heads' two
+    workspaces. Each stays valid until the next call."""
+    s, sp = np.atleast_2d(s), np.atleast_2d(sp)
+    sa = np.concatenate([s, np.atleast_2d(a)], axis=1)
+    r, c_r = mlp_forward_cached(heads.reward, sa, heads.reward_ws)
+    v, c_v = mlp_forward_cached(heads.potential, np.concatenate([s, sp]), heads.potential_ws)
+    return r[:, 0] + heads.gamma * v[len(s):, 0] - v[:len(s), 0], (c_r, c_v)
 
 
 def _student_logp(student: ActorCritic, s, a) -> np.ndarray:
@@ -100,39 +98,28 @@ def _student_logp(student: ActorCritic, s, a) -> np.ndarray:
         np.atleast_2d(np.asarray(a, dtype=np.float64))))
 
 
+def _stack(*batches):
+    """The batches' columns, each stacked over the batches in turn."""
+    return [np.concatenate([np.atleast_2d(c) for c in column]) for column in zip(*batches)]
+
+
 def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
                         logp_expert, logp_student):
     """BCE of the structured discriminator vs labels (expert 1, student 0),
-    with exact gradients for both heads. Policy log-densities are treated
-    as constants. The six caches live in slots of the heads' workspace, one
-    for each batch and head."""
-    se, ae, spe = (np.atleast_2d(v) for v in expert_batch)
-    ss, as_, sps = (np.atleast_2d(v) for v in student_batch)
-    ws_e, ws_s = ([heads.ws.slot((batch, head)) for head in ("r", "v", "vp")]
-                  for batch in ("expert", "student"))
-    fe, caches_e = airl_f_batch(heads, se, ae, spe, *ws_e)
-    fs, caches_s = airl_f_batch(heads, ss, as_, sps, *ws_s)
-    me = fe - logp_expert
-    ms = fs - logp_student
+    with exact gradients for both heads, from one forward and one backward
+    per head over the stacked rows [expert; student]. Policy log-densities
+    are treated as constants."""
+    ne = len(np.atleast_2d(expert_batch[0]))
+    f, (c_r, c_v) = airl_f_batch(heads, *_stack(expert_batch, student_batch))
+    me = f[:ne] - logp_expert
+    ms = f[ne:] - logp_student
     loss = float(np.mean(np.logaddexp(0.0, -me)) + np.mean(np.logaddexp(0.0, ms)))
 
-    dme = -_stable_sigmoid(-me) / len(me)   # d softplus(-m) / dm
-    dms = _stable_sigmoid(ms) / len(ms)
-
-    def head_grads(caches, df):
-        """Reward and potential gradients of sum(df * f) over one batch."""
-        c_r, c_v, c_vp = caches
-        g_r, _ = mlp_backward(heads.reward, c_r, df[:, None], heads.ws)
-        g_v, _ = mlp_backward(heads.potential, c_vp, (heads.gamma * df)[:, None], heads.ws)
-        g_v.flat += mlp_backward(heads.potential, c_v, (-df)[:, None], heads.ws)[0].flat
-        return g_r, g_v
-
-    # Summed within each batch first, then across the two batches: same-seed
-    # runs depend on this order of floating-point additions.
-    r_grads, v_grads = head_grads(caches_e, dme)
-    g_r, g_v = head_grads(caches_s, dms)
-    r_grads.flat += g_r.flat
-    v_grads.flat += g_v.flat
+    # d loss / d f: d softplus(-m) / dm on expert rows, d softplus(m) / dm on student rows
+    df = np.concatenate([-_stable_sigmoid(-me) / len(me), _stable_sigmoid(ms) / len(ms)])
+    r_grads, _ = mlp_backward(heads.reward, c_r, df[:, None], heads.reward_ws)
+    dv = np.concatenate([-df, heads.gamma * df])  # d loss / d V over [s; s']
+    v_grads, _ = mlp_backward(heads.potential, c_v, dv[:, None], heads.potential_ws)
     return loss, r_grads, v_grads
 
 
@@ -140,10 +127,10 @@ def airl_update(heads: AirlHeads, student: ActorCritic, expert_batch,
                 student_batch) -> float:
     """One Adam step on both heads, in place, using the student's current
     density. Returns the loss before the step."""
-    logp_e = _student_logp(student, expert_batch[0], expert_batch[1])
-    logp_s = _student_logp(student, student_batch[0], student_batch[1])
+    logp = _student_logp(student, *_stack(expert_batch[:2], student_batch[:2]))
+    ne = len(np.atleast_2d(expert_batch[0]))
     loss, r_grads, v_grads = airl_loss_and_grads(heads, expert_batch, student_batch,
-                                                 logp_e, logp_s)
+                                                 logp[:ne], logp[ne:])
     if not np.isfinite(loss):
         raise ValueError("non-finite AIRL loss; heads unchanged")
     adam_step(heads.reward, r_grads, heads.reward_opt)

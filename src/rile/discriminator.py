@@ -20,7 +20,6 @@ from .nets import (
     adam_init,
     adam_step,
     mlp_backward,
-    mlp_forward_cached,
     mlp_init,
     zeros_like_params,
 )
@@ -78,39 +77,34 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def _bce_loss_and_grads(params: MlpParams, xe: np.ndarray, xs: np.ndarray,
-                        ws: Workspace | None = None):
+def _bce_loss_and_grads(params: MlpParams, y: np.ndarray, hs, ne: int, ns: int,
+                        ws: Workspace):
     """Loss = -mean log D(expert) - mean log(1-D(student)) and its exact
-    parameter gradients, through the logit clamp. The expert and student
-    caches live in two slots of ws."""
-    ws = Workspace() if ws is None else ws
-    ws_e, ws_s = ws.slot("expert"), ws.slot("student")
-    ye, cache_e = mlp_forward_cached(params, xe, ws_e)
-    ys, cache_s = mlp_forward_cached(params, xs, ws_s)
-    le = np.clip(ye[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
-    ls = np.clip(ys[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
+    parameter gradients, through the logit clamp, from one forward (y, hs)
+    whose first ne rows are expert rows and next ns rows student rows;
+    later rows are ignored."""
+    n = ne + ns
+    logit = np.clip(y[:n, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
+    le, ls = logit[:ne], logit[ne:]
     loss = float(np.mean(_softplus(-le)) + np.mean(_softplus(ls)))
 
     # d loss / d logit; clamp saturation zeroes the gradient
-    ge = -(1.0 / (1.0 + np.exp(le))) / len(le)
-    ge = np.where(np.abs(ye[:, 0]) < LOGIT_CLAMP, ge, 0.0)
-    gs = (1.0 / (1.0 + np.exp(-ls))) / len(ls)
-    gs = np.where(np.abs(ys[:, 0]) < LOGIT_CLAMP, gs, 0.0)
-
-    grads, _ = mlp_backward(params, cache_e, ge[:, None], ws_e)
-    grads.flat += mlp_backward(params, cache_s, gs[:, None], ws_s)[0].flat
+    ge = -(1.0 / (1.0 + np.exp(le))) / ne
+    gs = (1.0 / (1.0 + np.exp(-ls))) / ns
+    g = np.where(np.abs(y[:n, 0]) < LOGIT_CLAMP, np.concatenate([ge, gs]), 0.0)
+    grads, _ = mlp_backward(params, ([h[:n] for h in hs], False), g[:, None], ws)
     return loss, grads
 
 
-def _gp_loss_and_grads(params: MlpParams, x: np.ndarray, ws: Workspace | None = None):
+def _gp_loss_and_grads(params: MlpParams, hs):
     """Two-sided penalty mean((||d logit/d x|| - 1)^2) with exact parameter
     gradients, i.e. reverse-mode applied to the input-gradient program,
-    which reads only the activations cached in ws. ReLU's second derivative
-    is 0, so the input gradient is linear in each weight given the ReLU
-    masks, and one reverse sweep through the masked layers is exact: there
-    is no curvature term to fold back, and the biases' gradient is 0."""
-    n = x.shape[0]
-    _, hs = _forward_cached(params, x, Workspace() if ws is None else ws)
+    which reads only hs, the activations of a forward over the penalty's
+    rows x = hs[0]. ReLU's second derivative is 0, so the input gradient is
+    linear in each weight given the ReLU masks, and one reverse sweep
+    through the masked layers is exact: there is no curvature term to fold
+    back, and the biases' gradient is 0."""
+    n = hs[0].shape[0]
     last = params.n_layers - 1
 
     # input-gradient sweep, keeping every intermediate
@@ -137,23 +131,28 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
     """One Adam step on BCE + gp_weight * gradient penalty, written into
     net in place.
 
-    Returns the loss the step descended, BCE + gp_weight * GP at the
-    parameters before the step. Rejects non-finite losses/gradients without
-    touching the network.
+    One forward over the stacked rows [expert; student; interpolates] serves
+    both terms. Returns the loss the step descended, BCE + gp_weight * GP
+    at the parameters before the step. Rejects non-finite losses/gradients
+    without touching the network.
     """
     xe = _join(*expert_batch)
     xs = _join(*student_batch)
-    if len(xe) == 0 or len(xs) == 0:
+    ne, ns = len(xe), len(xs)
+    if ne == 0 or ns == 0:
         raise ValueError("expert and student batches must be non-empty")
-
-    loss, grads = _bce_loss_and_grads(net.params, xe, xs, net.ws)
+    rows = [xe, xs]
     if gp_weight > 0:
         if rng is None:
             raise ValueError("gradient penalty needs an rng for interpolation")
-        m = min(len(xe), len(xs))
+        m = min(ne, ns)
         u = rng.uniform(size=(m, 1))
-        interp = u * xe[:m] + (1.0 - u) * xs[:m]
-        gp, gp_grads = _gp_loss_and_grads(net.params, interp, net.ws.slot("gp"))
+        rows.append(u * xe[:m] + (1.0 - u) * xs[:m])
+
+    y, hs = _forward_cached(net.params, np.concatenate(rows), net.ws)
+    loss, grads = _bce_loss_and_grads(net.params, y, hs, ne, ns, net.ws)
+    if gp_weight > 0:
+        gp, gp_grads = _gp_loss_and_grads(net.params, [h[ne + ns:] for h in hs])
         loss += gp_weight * gp
         grads.flat += gp_weight * gp_grads.flat
     if not np.isfinite(loss):
@@ -162,4 +161,3 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
     adam_step(net.params, grads, net.opt)
     net.updates += 1
     return loss
-

@@ -235,19 +235,20 @@ def evaluate_policy(spec: MazeSpec, policy, episodes: int,
     optionally reset()) such as the scripted expert controller. action_noise
     models a perturbed environment that corrupts executed actions. A
     deterministic student with no action noise from an unjittered start
-    draws nothing, so its episodes are all one episode: it is rolled once
-    and counted episodes times.
+    draws nothing, so its episodes are all one episode: it is rolled once,
+    and its return and goal flag are the result, with standard error 0.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
     identical = (isinstance(policy, ActorCritic) and deterministic
                  and action_noise <= 0 and spec.start_jitter <= 0)
-    distinct = 1 if identical else episodes
     rolled = [_run_episode(spec, policy, deterministic, rng, seed * 100_003 + ep,
                            action_noise)
-              for ep in range(distinct)]
-    returns, reached = zip(*rolled * (episodes // distinct))
+              for ep in range(1 if identical else episodes)]
+    if identical:
+        return float(rolled[0][0]), 0.0, float(rolled[0][1])
+    returns, reached = zip(*rolled)
     returns = np.asarray(returns)
     stderr = float(returns.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
     return float(returns.mean()), stderr, sum(reached) / episodes

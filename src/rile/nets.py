@@ -23,14 +23,14 @@ Adam updates a network in place: adam_step writes the new parameters into
 networks and optimizer states stay the same objects for the whole run.
 
 Batch-sized scratch lives in a Workspace. Each learner (student, trainer,
-discriminator, AIRL heads) owns one and passes it to its forward and
+discriminator, each AIRL head) owns one and passes it to its forward and
 backward passes, which write the hidden layers' activations and the
 backward deltas into it, so steady-state updates allocate no batch-sized
 arrays. A forward cache holds activations only: each hidden layer's
 activation is written over its pre-activation in one buffer, because
-ReLU's derivative mask z > 0 is h > 0. A workspace (or each named slot of
-one) holds one live forward cache: the next forward on it overwrites the
-last, so a caller that needs two caches at once uses two slots. Network
+ReLU's derivative mask z > 0 is h > 0. A workspace holds one live forward
+cache: the next forward on it overwrites the last, so a caller that needs
+two caches at once, as AIRL's two heads do, uses two workspaces. Network
 outputs, input gradients and parameter gradients are always fresh arrays,
 never workspace views. A call given no workspace uses a throwaway one.
 
@@ -73,13 +73,10 @@ class Workspace:
 
     A buffer is reallocated only when a request outgrows it, so a learner
     whose batches keep their sizes reuses the same memory on every update.
-    slot(name) is a child workspace with buffers of its own, for callers
-    that keep more than one forward cache live at once.
     """
 
     def __init__(self):
         self._bufs = {}
-        self._slots = {}
 
     def take(self, key, rows: int, cols: int) -> np.ndarray:
         n = rows * cols
@@ -87,12 +84,6 @@ class Workspace:
         if buf is None or buf.size < n:
             buf = self._bufs[key] = np.empty(n)
         return buf[:n].reshape(rows, cols)
-
-    def slot(self, name) -> "Workspace":
-        child = self._slots.get(name)
-        if child is None:
-            child = self._slots[name] = Workspace()
-        return child
 
 
 @dataclass
@@ -331,16 +322,23 @@ def mlp_to_bytes(params: MlpParams) -> bytes:
     return b"".join(out)
 
 
+def _header_field(fmt: str, data: bytes, off: int):
+    """(values, end offset) of the struct fmt at data[off:]; ValueError if
+    data ends first."""
+    end = off + struct.calcsize(fmt)
+    if len(data) < end:
+        raise ValueError(f"network header truncated: {len(data)} bytes, "
+                         f"its next field ends at byte {end}")
+    return struct.unpack_from(fmt, data, off), end
+
+
 def mlp_from_bytes(data: bytes) -> MlpParams:
     if data[: len(_MAGIC)] != _MAGIC:
         raise ValueError("bad magic string: not a serialized network")
-    off = len(_MAGIC)
-    (n_layers,) = struct.unpack_from("<I", data, off)
-    off += 4
+    (n_layers,), off = _header_field("<I", data, len(_MAGIC))
     shapes = []
     for k in range(n_layers):
-        din, dout, code = struct.unpack_from("<IIB", data, off)
-        off += 9
+        (din, dout, code), off = _header_field("<IIB", data, off)
         if code != _layer_code(k, n_layers):
             raise ValueError(f"layer {k} has activation code {code}; a network is "
                              f"relu (0) on its hidden layers and identity (3) on its last")

@@ -337,8 +337,7 @@ class _RewardPathway:
         if self.cfg.algorithm == "gail":
             d = disc_output(self.disc, s, a)
             return baselines.gail_student_reward(d)
-        ws = self.airl.ws  # nothing backpropagates: one live cache suffices
-        return baselines.airl_f_batch(self.airl, s, a, sp, ws, ws, ws)[0]
+        return baselines.airl_f_batch(self.airl, s, a, sp)[0]
 
 
 class _Collector:

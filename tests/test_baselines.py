@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rile import baselines
+from rile import baselines, nets
 from rile.agents import _policy_heads, gaussian_tanh_logprob, make_actor_critic
-from rile.baselines import _student_logp, airl_loss_and_grads, make_airl_heads
+from rile.baselines import _student_logp, airl_loss_and_grads, airl_update, make_airl_heads
 from rile.envs import MazeSpec, generate_expert
 from rile.orchestrator import RunConfig, run_training
 
-from oracles import finite_diff_check
+from oracles import airl_per_block, finite_diff_check
 
 
 class TestAirlPolicyTerm:
@@ -55,6 +55,49 @@ class TestAirlGradients:
         assert finite_diff_check(lambda q: loss(reward=q), heads.reward, r_grads) <= 1e-4
         assert finite_diff_check(lambda q: loss(potential=q), heads.potential,
                                  v_grads) <= 1e-4
+
+    def test_stacked_rows_match_per_block_reference(self):
+        # one forward and one backward per head over [expert; student] give
+        # the loss and gradients of six per-batch, per-head passes, up to
+        # the order of floating-point sums
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            hidden = tuple(rng.integers(1, 24, size=rng.integers(0, 3)))
+            heads = make_airl_heads(2, 2, hidden, lr=1e-3, gamma=rng.uniform(0.5, 1.0),
+                                    rng=rng)
+            ne, ns = rng.integers(1, 40, size=2)
+            expert, student = ((rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2)),
+                                rng.normal(size=(n, 2))) for n in (ne, ns))
+            logp_e, logp_s = rng.normal(size=ne), rng.normal(size=ns)
+            loss, *grads = airl_loss_and_grads(heads, expert, student, logp_e, logp_s)
+            ref_loss, *ref_grads = airl_per_block(heads, expert, student, logp_e, logp_s)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            for g, ref in zip(grads, ref_grads):
+                np.testing.assert_allclose(g.flat, ref.flat, rtol=1e-12,
+                                           atol=1e-12 * np.abs(ref.flat).max())
+
+    def test_one_forward_and_backward_per_network(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        heads = make_airl_heads(2, 2, (8, 8), lr=1e-3, gamma=0.9, rng=rng)
+        student = make_actor_critic(2, 2, (8, 8), rng)
+        forwards, backwards = [], []
+
+        def spy(record, fn):
+            def wrapped(params, *rest):
+                record.append(params)
+                return fn(params, *rest)
+            return wrapped
+
+        monkeypatch.setattr(nets, "_forward_cached", spy(forwards, nets._forward_cached))
+        monkeypatch.setattr(baselines, "mlp_backward", spy(backwards, baselines.mlp_backward))
+        batch = (rng.normal(size=(6, 2)), rng.uniform(-1, 1, (6, 2)), rng.normal(size=(6, 2)))
+        for _ in range(2):
+            forwards.clear()
+            backwards.clear()
+            airl_update(heads, student, batch, batch)
+            assert sorted(map(id, forwards)) == sorted(
+                map(id, (heads.reward, heads.potential, student.actor)))
+            assert [id(p) for p in backwards] == [id(heads.reward), id(heads.potential)]
 
 
 class TestBcHoldout:
@@ -116,3 +159,12 @@ class TestBcHoldout:
         assert [sorted(s) for s in scored] == [every] * self.EPOCHS
         assert len(diag) == self.EPOCHS
         assert not any("holdout_loss" in row for row in diag)
+
+
+def test_bc_reaches_the_goal_on_the_default_maze():
+    # A learning rung tier-1 can afford: BC regresses the expert's actions
+    # well enough to reach the goal. At the default 200 epochs it does not
+    # (seed 0).
+    artifacts = run_training(RunConfig(algorithm="bc", bc_epochs=1000, seed=0),
+                             generate_expert(MazeSpec(), 4))
+    assert artifacts.final_goal_rate == 1.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rile import discriminator, nets as rile_nets
 from rile.discriminator import (
     DiscriminatorNet,
     _bce_loss_and_grads,
@@ -11,13 +12,32 @@ from rile.discriminator import (
 )
 from rile.nets import (
     MlpParams,
+    Workspace,
+    _forward_cached,
     adam_init,
     mlp_backward,
     mlp_forward_cached,
     mlp_init,
 )
 
-from oracles import finite_diff_check, nets, optimal_disc_oracle, params_to_flat
+from oracles import (
+    disc_per_block,
+    finite_diff_check,
+    nets,
+    optimal_disc_oracle,
+    params_to_flat,
+)
+
+
+def _bce(params, xe, xs):
+    """_bce_loss_and_grads over one forward of the stacked rows [xe; xs]."""
+    y, hs = _forward_cached(params, np.concatenate([xe, xs]), Workspace())
+    return _bce_loss_and_grads(params, y, hs, len(xe), len(xs), Workspace())
+
+
+def _gp(params, x):
+    """_gp_loss_and_grads over one forward of x alone."""
+    return _gp_loss_and_grads(params, _forward_cached(params, x, Workspace())[1])
 
 
 def _gp_full_sweep(params, x):
@@ -178,10 +198,10 @@ class TestGradients:
         params = mlp_init([3, 8, 1], rng)
         xe = rng.normal(size=(6, 3))
         xs = rng.normal(size=(6, 3))
-        _, analytic = _bce_loss_and_grads(params, xe, xs)
+        _, analytic = _bce(params, xe, xs)
 
         def loss(q):
-            return _bce_loss_and_grads(q, xe, xs)[0]
+            return _bce(q, xe, xs)[0]
 
         assert finite_diff_check(loss, params, analytic, step=1e-5) <= 1e-4
 
@@ -190,10 +210,10 @@ class TestGradients:
         rng = np.random.default_rng(6)
         params = mlp_init([3, *hidden, 1], rng)
         x = rng.normal(size=(7, 3))
-        _, analytic = _gp_loss_and_grads(params, x)
+        _, analytic = _gp(params, x)
 
         def loss(q):
-            return _gp_loss_and_grads(q, x)[0]
+            return _gp(q, x)[0]
 
         assert finite_diff_check(loss, params, analytic, step=1e-6) <= 1e-4
 
@@ -207,7 +227,7 @@ class TestGradients:
         for b in params.biases[:-1]:
             b -= 0.3  # some relu units dead on every row
         x = rng.normal(size=(32, 4))
-        loss, grads = _gp_loss_and_grads(params, x)
+        loss, grads = _gp(params, x)
         ref_loss, ref_grads = _gp_full_sweep(params, x)
         assert loss == ref_loss
         assert grads.flat.tobytes() == ref_grads.flat.tobytes()
@@ -220,18 +240,77 @@ class TestGradients:
         u = rng.uniform(size=(5, 1))
         interp = u * xe + (1 - u) * xs
 
-        def loss(q):
-            bce, _ = _bce_loss_and_grads(q, xe, xs)
-            gp, _ = _gp_loss_and_grads(q, interp)
-            return bce + 1.0 * gp
+        def loss_and_grads(q):
+            # one forward over [expert; student; interpolates] serves both terms
+            y, hs = _forward_cached(q, np.concatenate([xe, xs, interp]), Workspace())
+            bce, g1 = _bce_loss_and_grads(q, y, hs, 5, 5, Workspace())
+            gp, g2 = _gp_loss_and_grads(q, [h[10:] for h in hs])
+            analytic = MlpParams(
+                [a + b for a, b in zip(g1.weights, g2.weights)],
+                [a + b for a, b in zip(g1.biases, g2.biases)],
+            )
+            return bce + 1.0 * gp, analytic
 
-        bce, g1 = _bce_loss_and_grads(params, xe, xs)
-        gp, g2 = _gp_loss_and_grads(params, interp)
-        analytic = MlpParams(
-            [a + b for a, b in zip(g1.weights, g2.weights)],
-            [a + b for a, b in zip(g1.biases, g2.biases)],
-        )
-        assert finite_diff_check(loss, params, analytic, step=1e-6) <= 1e-4
+        analytic = loss_and_grads(params)[1]
+        assert finite_diff_check(lambda q: loss_and_grads(q)[0], params, analytic,
+                                 step=1e-6) <= 1e-4
+
+    @pytest.mark.parametrize("gp_weight", [0.0, 0.7])
+    def test_stacked_update_matches_per_block_reference(self, gp_weight, monkeypatch):
+        # disc_update's one forward and one BCE backward over the stacked
+        # blocks give the loss and gradient of a forward and backward per
+        # block, up to the order of floating-point sums
+        stepped = []
+        step = discriminator.adam_step
+
+        def spy(params, grads, opt):
+            stepped.append(grads.flat.copy())
+            step(params, grads, opt)
+
+        monkeypatch.setattr(discriminator, "adam_step", spy)
+        rng = np.random.default_rng(13)
+        for trial in range(20):
+            hidden = tuple(rng.integers(1, 24, size=rng.integers(0, 3)))
+            net = make_discriminator(2, 2, hidden, lr=1e-3, rng=rng)
+            ne, ns = rng.integers(1, 40, size=2)
+            xe = (rng.normal(size=(ne, 2)), rng.uniform(-1, 1, (ne, 2)))
+            xs = (rng.normal(size=(ns, 2)), rng.uniform(-1, 1, (ns, 2)))
+            draw = np.random.default_rng(trial)
+            before = net.params.copy()
+            loss = disc_update(net, xe, xs, gp_weight, rng=draw)
+
+            ex, sx = np.concatenate(xe, axis=1), np.concatenate(xs, axis=1)
+            interp = None
+            if gp_weight > 0:
+                m = min(ne, ns)
+                u = np.random.default_rng(trial).uniform(size=(m, 1))
+                interp = u * ex[:m] + (1.0 - u) * sx[:m]
+            ref_loss, ref_grads = disc_per_block(before, ex, sx, interp, gp_weight)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            np.testing.assert_allclose(stepped[-1], ref_grads.flat, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref_grads.flat).max())
+
+    @pytest.mark.parametrize("gp_weight", [0.0, 1.0])
+    def test_one_forward_per_update(self, gp_weight, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(params, x, ws):
+                calls.append((name, len(x)))
+                return fn(params, x, ws)
+            return wrapped
+
+        monkeypatch.setattr(discriminator, "_forward_cached",
+                            spy("disc", discriminator._forward_cached))
+        monkeypatch.setattr(rile_nets, "_forward_cached", spy("nets", rile_nets._forward_cached))
+        rng = np.random.default_rng(14)
+        net = make_discriminator(2, 1, (8, 8), lr=1e-3, rng=rng)
+        xe = (rng.normal(size=(6, 2)), rng.normal(size=(6, 1)))
+        xs = (rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        for _ in range(3):
+            disc_update(net, xe, xs, gp_weight, rng=rng)
+        rows = 6 + 4 + (4 if gp_weight > 0 else 0)
+        assert calls == [("disc", rows)] * 3
 
     def test_gradient_penalty_shrinks_input_gradients(self):
         # seed-paired runs: with gp the mean |d logit/d x| at interpolates

@@ -495,6 +495,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="magic"):
             mlp_from_bytes(b"NOTAMLP0" + b"\x00" * 16)
 
+    @pytest.mark.parametrize("data", [b"RILEMLP1", b"RILEMLP1" b"\x02\x00\x00\x00" b"\x02\x00"],
+                             ids=["no_layer_count", "cut_in_first_layer"])
+    def test_truncated_header_rejected(self, data):
+        with pytest.raises(ValueError, match="header truncated"):
+            mlp_from_bytes(data)
+
+    def test_every_truncation_rejected(self):
+        for end in range(len(self.GOLDEN)):
+            with pytest.raises(ValueError):
+                mlp_from_bytes(self.GOLDEN[:end])
+
     def test_flat_round_trip(self):
         rng = np.random.default_rng(11)
         p = mlp_init([4, 3, 2], rng)
@@ -520,8 +531,8 @@ def _reference_pass(p, x, u):
 
 
 def _buffers(ws):
-    """Every buffer a workspace holds, its slots' included."""
-    return [*ws._bufs.values(), *(b for c in ws._slots.values() for b in _buffers(c))]
+    """Every buffer a workspace holds."""
+    return list(ws._bufs.values())
 
 
 class TestWorkspace:
@@ -577,15 +588,6 @@ class TestWorkspace:
         p, ws = self.net(hidden), Workspace()
         mlp_forward_cached(p, np.ones((256, 5)), ws)
         assert sum(b.nbytes for b in _buffers(ws)) == 256 * sum(hidden) * 8
-
-    def test_slots_hold_separate_buffers(self):
-        p, ws = self.net((16, 12)), Workspace()
-        x1, x2 = np.ones((4, 5)), np.zeros((4, 5))
-        _, (hs1, _) = mlp_forward_cached(p, x1, ws.slot("a"))
-        before = hs1[1].copy()
-        mlp_forward_cached(p, x2, ws.slot("b"))
-        assert np.array_equal(hs1[1], before)
-        assert ws.slot("a") is ws.slot("a") and ws.slot("a") is not ws.slot("b")
 
     def test_student_update_allocates_no_batch_sized_arrays(self):
         # A 64x64 student's steady-state update at batch 256 keeps its batch

@@ -6,10 +6,10 @@ import pytest
 
 from rile import nets, orchestrator
 from rile.agents import make_actor_critic
-from rile.baselines import airl_f_batch, make_airl_heads
+from rile.baselines import make_airl_heads
 from rile.envs import MazeSpec, generate_expert
 from rile.metrics import evaluate_policy
-from rile.nets import Workspace, load_mlp, mlp_to_bytes, save_mlp
+from rile.nets import Workspace, load_mlp, mlp_forward, mlp_to_bytes, save_mlp
 from rile.orchestrator import RunAborted, RunConfig, run_training
 
 EXPERT = generate_expert(MazeSpec(), 2)
@@ -261,20 +261,22 @@ def test_rollout_trainer_rows_reuse_the_step_heads(monkeypatch):
 
 
 def test_airl_scoring_keeps_one_cache():
-    # Nothing backpropagates through the reward of a scored batch, so its
-    # r(s,a), V(s) and V(s') forwards share the heads' workspace in turn.
+    # Each head keeps one cache in its own workspace: r over the scored rows
+    # and V over the stacked rows [s; s'].
     cfg = RunConfig(algorithm="airl", disc_hidden=(16, 12)).validate()
     pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
                                           EXPERT.state_dim, EXPERT.action_dim)
+    heads = pathway.airl
     rng = np.random.default_rng(0)
     s, a, sp = (rng.uniform(-1, 1, (256, 2)) for _ in range(3))
     r = pathway.student_rewards(None, s, a, sp)
 
-    f, _ = airl_f_batch(pathway.airl, s, a, sp, Workspace(), Workspace(), Workspace())
-    assert np.array_equal(r, f)
-    ws = pathway.airl.ws
-    assert not ws._slots
-    assert sum(b.nbytes for b in ws._bufs.values()) == 256 * (16 + 12) * 8
+    reward = mlp_forward(heads.reward, np.concatenate([s, a], axis=1), Workspace())[:, 0]
+    v = mlp_forward(heads.potential, np.concatenate([s, sp]), Workspace())[:, 0]
+    assert np.array_equal(r, reward + heads.gamma * v[256:] - v[:256])
+    held = [sum(b.nbytes for b in ws._bufs.values())
+            for ws in (heads.reward_ws, heads.potential_ws)]
+    assert held == [256 * (16 + 12) * 8, 512 * (16 + 12) * 8]  # 57,344 and 114,688 bytes
 
 
 def _collected_rows(algorithm, seed, monkeypatch):
