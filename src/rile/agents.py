@@ -4,9 +4,9 @@ action in [-1, 1] is optimized against discriminator feedback.
 
 Both are ActorCritic: a tanh-squashed Gaussian policy and a V critic with
 a polyak-averaged target, trained by one shared one-step TD(0) advantage
-update that writes every network in place. The six trainer reward
-formulas relating the discriminator output d and the trainer action a_T
-live here as well.
+update that writes every network in place. The trainer's reward, which
+relates the discriminator output d and the trainer action a_T, lives here
+as well.
 """
 
 from __future__ import annotations
@@ -29,45 +29,20 @@ from .nets import (
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 
-REWARD_VARIANTS = (
-    "difference",
-    "exponential_difference",
-    "multiplication",
-    "naive",
-    "exponential_naive",
-    "sigmoid",
-)
-
 ACT_MODES = ("stochastic", "deterministic", "epsilon_greedy")
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
-
-
-def trainer_reward(variant: str, d, a_t):
-    """Reward for the trainer given discriminator output d in (0,1) and
-    trainer action a_t in [-1, 1]. Vectorized over arrays."""
-    if variant not in REWARD_VARIANTS:
-        raise ValueError(f"unknown trainer reward variant {variant!r}")
+def trainer_reward(d, a_t):
+    """RILe's trainer reward exp(-|2d - 1 - a_t|) for discriminator output d
+    in [0, 1] and trainer action a_t in [-1, 1]: largest when the trainer's
+    action agrees with 2d - 1. Vectorized over arrays."""
     d = np.asarray(d, dtype=np.float64)
     a = np.asarray(a_t, dtype=np.float64)
     if (d < 0).any() or (d > 1).any():
         raise ValueError("discriminator output must lie in [0, 1]")
     if (np.abs(a) > 1.0 + 1e-12).any():
         raise ValueError("trainer action must lie in [-1, 1]")
-    if variant == "difference":
-        out = -np.abs(2.0 * d - 1.0 - a)
-    elif variant == "exponential_difference":
-        out = np.exp(-np.abs(2.0 * d - 1.0 - a))
-    elif variant == "multiplication":
-        out = (2.0 * d - 1.0) * a
-    elif variant == "naive":
-        out = d + np.zeros_like(a)
-    elif variant == "exponential_naive":
-        out = np.exp(1.0 - d) + np.zeros_like(a)
-    else:  # sigmoid
-        out = d * _sigmoid(a)
+    out = np.exp(-np.abs(2.0 * d - 1.0 - a))
     return float(out) if out.ndim == 0 else out
 
 

@@ -30,11 +30,10 @@ LOGIT_CLAMP = 20.0
 @dataclass
 class DiscriminatorNet:
     """Scalar-logit MLP over concatenated (state, action), with its
-    optimizer state, an update counter and its batch scratch."""
+    optimizer state and its batch scratch."""
 
     params: MlpParams
     opt: AdamState
-    updates: int = 0
     ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @property
@@ -159,5 +158,4 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
         raise ValueError("non-finite discriminator loss; network unchanged")
 
     adam_step(net.params, grads, net.opt)
-    net.updates += 1
     return loss

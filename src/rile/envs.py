@@ -1,8 +1,7 @@
-"""Desk-scale environments and expert-data handling.
+"""Desk-scale environment and expert demonstrations.
 
-A continuous 2-D obstacle maze on [0,1]^2, expert trajectory file I/O
-(line-delimited JSON), and Gaussian noise injection for robustness
-protocols.
+A continuous 2-D obstacle maze on [0,1]^2, a scripted waypoint expert for
+it, and the dataset that holds the expert's (state, action) episodes.
 
 Environments are value-semantic: reset/step take all state explicitly and
 share nothing, so any number of rollouts can run concurrently.
@@ -10,8 +9,6 @@ share nothing, so any number of rollouts can run concurrently.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,13 +143,12 @@ def maze_step(spec: MazeSpec, state, action):
 
 @dataclass
 class ExpertDataset:
-    """Ordered (state, action) episodes plus environment metadata.
+    """Ordered (state, action) episodes.
 
     episodes is a list of (states [n, ds], actions [n, da]) array pairs.
     """
 
     episodes: list
-    env_id: str = "maze"
 
     def __post_init__(self):
         ds, da = None, None
@@ -165,10 +161,6 @@ class ExpertDataset:
             if s.shape[1] != ds or a.shape[1] != da:
                 raise ValueError(f"episode {k}: dimension mismatch across episodes")
             self.episodes[k] = (s.astype(np.float64), a.astype(np.float64))
-
-    @property
-    def n_episodes(self) -> int:
-        return len(self.episodes)
 
     @property
     def n_steps(self) -> int:
@@ -210,107 +202,6 @@ class ExpertDataset:
         if not ss:
             raise ValueError("dataset has no steps")
         return np.concatenate(ss), np.concatenate(aa), np.concatenate(nn), np.concatenate(dd)
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(dataset_to_bytes(self)).hexdigest()
-
-
-def dataset_to_bytes(dataset: ExpertDataset) -> bytes:
-    """Line-delimited format: a metadata header, then one
-    {"ep": k, "t": i, "s": [...], "a": [...]} record per step."""
-    lengths = sorted({len(s) for s, _ in dataset.episodes})
-    header = {
-        "env": dataset.env_id,
-        "episodes": dataset.n_episodes,
-        "episode_length": lengths[0] if len(lengths) == 1 else None,
-        "state_dim": dataset.state_dim,
-        "action_dim": dataset.action_dim,
-    }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    for k, (s, a) in enumerate(dataset.episodes):
-        for i in range(len(s)):
-            rec = {"ep": k, "t": i, "s": [float(v) for v in s[i]],
-                   "a": [float(v) for v in a[i]]}
-            lines.append(json.dumps(rec, separators=(",", ":")))
-    return ("\n".join(lines) + "\n").encode()
-
-
-def save_expert(dataset: ExpertDataset, path) -> None:
-    with open(path, "wb") as f:
-        f.write(dataset_to_bytes(dataset))
-
-
-def load_expert(path) -> ExpertDataset:
-    """Parses and validates the line-delimited expert format; malformed
-    records are rejected with their line number."""
-    with open(path, "r") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ValueError("empty expert file: missing metadata header")
-    try:
-        header = json.loads(lines[0])
-        env_id = header["env"]
-        n_eps = int(header["episodes"])
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ValueError(f"line 1: malformed metadata header ({e})") from e
-    episodes = [([], []) for _ in range(n_eps)]
-    prev = (-1, -1)
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-            ep, t = int(rec["ep"]), int(rec["t"])
-            s, a = rec["s"], rec["a"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"line {ln}: malformed record ({e})") from e
-        if not 0 <= ep < n_eps:
-            raise ValueError(f"line {ln}: episode index {ep} out of range")
-        expect = (prev[0], prev[1] + 1) if ep == prev[0] else (prev[0] + 1, 0)
-        if (ep, t) != expect:
-            raise ValueError(f"line {ln}: out-of-order record (ep={ep}, t={t})")
-        episodes[ep][0].append(s)
-        episodes[ep][1].append(a)
-        prev = (ep, t)
-    eps = []
-    ds = header.get("state_dim")
-    da = header.get("action_dim")
-    for k, (ss, aa) in enumerate(episodes):
-        s = np.asarray(ss, dtype=np.float64).reshape(len(ss), -1 if ss else 0)
-        a = np.asarray(aa, dtype=np.float64).reshape(len(aa), -1 if aa else 0)
-        if ss and ds is not None and s.shape[1] != ds:
-            raise ValueError(f"episode {k}: state dim {s.shape[1]} != header {ds}")
-        if aa and da is not None and a.shape[1] != da:
-            raise ValueError(f"episode {k}: action dim {a.shape[1]} != header {da}")
-        if len(ss) == 0 and ds is not None:
-            s = np.zeros((0, ds))
-            a = np.zeros((0, da))
-        eps.append((s, a))
-    return ExpertDataset(eps, env_id=env_id)
-
-
-def inject_noise(dataset: ExpertDataset, sigma: float, target: str,
-                 rng_seed: int) -> ExpertDataset:
-    """Adds i.i.d. zero-mean Gaussian noise (std sigma) to every component
-    of the chosen field ('state' or 'action'); the other field is untouched."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if target not in ("state", "action"):
-        raise ValueError(f"target must be 'state' or 'action', got {target!r}")
-    if sigma == 0:
-        return ExpertDataset([(s.copy(), a.copy()) for s, a in dataset.episodes],
-                             env_id=dataset.env_id)
-    rng = np.random.default_rng(rng_seed)
-    out = []
-    for s, a in dataset.episodes:
-        if target == "state":
-            s = s + rng.normal(0.0, sigma, size=s.shape)
-            a = a.copy()
-        else:
-            s = s.copy()
-            a = a + rng.normal(0.0, sigma, size=a.shape)
-        out.append((s, a))
-    return ExpertDataset(out, env_id=dataset.env_id)
 
 
 DEFAULT_WAYPOINTS = (
@@ -369,4 +260,4 @@ def generate_expert(spec: MazeSpec, episodes: int) -> ExpertDataset:
     if episodes <= 0:
         raise ValueError("episode count must be positive")
     eps = [scripted_expert_episode(spec) for _ in range(episodes)]
-    return ExpertDataset(eps, env_id="maze")
+    return ExpertDataset(eps)

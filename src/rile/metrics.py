@@ -5,22 +5,19 @@ training: the 1-Wasserstein distance between consecutive windows of
 visited-reward samples (RFDC), the mean absolute deviation of rewards on a
 fixed probe set of expert pairs (FS-RFDC), and the Pearson correlation
 between learned and environment-defined rewards inside a window (CPR).
-A grid sampler renders any learned reward over the maze state space.
+Policies are scored by their return and goal rate in the maze.
 
 All operations here are pure: nothing is trained or mutated.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import ActorCritic, student_act, trainer_act_batch
-from .discriminator import disc_output
+from .agents import ActorCritic, student_act
 from .envs import MazeSpec, maze_reset, maze_step
-from .nets import mlp_forward
 
 
 def wasserstein1d(xs, ys) -> float:
@@ -99,107 +96,6 @@ def cpr(learned, environment) -> float:
     if denom == 0.0:
         return float("nan")
     return float(np.clip(np.sum(xc * yc) / denom, -1.0, 1.0))
-
-
-LANDSCAPE_SOURCES = ("rile_trainer", "gail_disc", "airl_reward")
-
-_FAN_ANGLES = np.arange(8) * (np.pi / 4.0)
-ACTION_FAN = np.stack([np.cos(_FAN_ANGLES), np.sin(_FAN_ANGLES)], axis=1)
-
-
-@dataclass
-class LandscapeGrid:
-    nx: int
-    ny: int
-    values: np.ndarray  # [ny, nx]
-    source: str
-    action_probe: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.ny, self.nx):
-            raise ValueError("value matrix shape must match the resolution")
-        if not np.isfinite(self.values).all():
-            raise ValueError("landscape values must be finite")
-
-
-def grid_centers(nx: int, ny: int):
-    """Cell-center coordinates of an nx-by-ny grid over the unit square."""
-    cx = (np.arange(nx) + 0.5) / nx
-    cy = (np.arange(ny) + 0.5) / ny
-    return cx, cy
-
-
-def _reward_eval(source: str, nets, pairs: np.ndarray) -> np.ndarray:
-    if source == "rile_trainer":
-        return trainer_act_batch(nets, pairs)
-    if source == "gail_disc":
-        return disc_output(nets, pairs[:, :2], pairs[:, 2:])
-    if source == "airl_reward":
-        return mlp_forward(nets.reward, pairs)[:, 0]
-    raise ValueError(f"unknown landscape source {source!r}")
-
-
-def landscape_grid(source: str, nets, resolution,
-                   action_probe: str = "max_over_actions",
-                   fixed_action=None) -> LandscapeGrid:
-    """Evaluates the designated learned reward at every grid-cell center.
-
-    rile_trainer renders the trainer's deterministic action, gail_disc the
-    discriminator output, airl_reward the learned reward head.
-    max_over_actions maximizes over an 8-direction unit action fan;
-    fixed_action evaluates a single probe action (default zero).
-    """
-    nx, ny = (resolution, resolution) if np.isscalar(resolution) else resolution
-    if nx < 1 or ny < 1:
-        raise ValueError("resolution must be at least 1x1")
-    if action_probe not in ("max_over_actions", "fixed_action"):
-        raise ValueError(f"unknown action probe {action_probe!r}")
-    cx, cy = grid_centers(nx, ny)
-    gx, gy = np.meshgrid(cx, cy)
-    states = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    if action_probe == "fixed_action":
-        a = np.zeros(2) if fixed_action is None else np.asarray(fixed_action, float)
-        pairs = np.concatenate([states, np.tile(a, (len(states), 1))], axis=1)
-        values = _reward_eval(source, nets, pairs)
-    else:
-        per_dir = []
-        for a in ACTION_FAN:
-            pairs = np.concatenate([states, np.tile(a, (len(states), 1))], axis=1)
-            per_dir.append(_reward_eval(source, nets, pairs))
-        values = np.max(per_dir, axis=0)
-    return LandscapeGrid(nx, ny, values.reshape(ny, nx), source, action_probe)
-
-
-def save_grid_csv(grid: LandscapeGrid, path) -> None:
-    """CSV rows x,y,value at cell centers, preceded by a commented
-    metadata header; floats use repr so the matrix round-trips exactly."""
-    meta = {"nx": grid.nx, "ny": grid.ny, "source": grid.source,
-            "action_probe": grid.action_probe}
-    cx, cy = grid_centers(grid.nx, grid.ny)
-    with open(path, "w") as f:
-        f.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
-        f.write("x,y,value\n")
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                f.write(f"{float(cx[i])!r},{float(cy[j])!r},{float(grid.values[j, i])!r}\n")
-
-
-def load_grid_csv(path) -> LandscapeGrid:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if len(lines) < 2 or not lines[0].startswith("# "):
-        raise ValueError("missing grid metadata header")
-    meta = json.loads(lines[0][2:])
-    nx, ny = meta["nx"], meta["ny"]
-    values = np.empty((ny, nx))
-    rows = lines[2:]
-    if len(rows) != nx * ny:
-        raise ValueError(f"expected {nx * ny} rows, found {len(rows)}")
-    for k, row in enumerate(rows):
-        _, _, v = row.split(",")
-        values[k // nx, k % nx] = float(v)
-    return LandscapeGrid(nx, ny, values, meta["source"], meta["action_probe"])
 
 
 def _run_episode(spec, policy, deterministic, rng, ep_seed, action_noise):

@@ -253,6 +253,10 @@ def mlp_backward(params: MlpParams, cache, upstream, ws: Workspace | None = None
     return grads, (g[0] if squeeze and usq else g)
 
 
+# Adam's moment decay rates and denominator offset, the same for every net.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam moments: m and v are vectors laid out like the
@@ -262,14 +266,10 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: MlpParams, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat),
-                     0, lr, beta1, beta2, eps)
+def adam_init(params: MlpParams, lr: float) -> AdamState:
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0, lr)
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
@@ -285,7 +285,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient passed to adam_step")
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     # m = m*b1 + g*(1-b1); v = v*b2 + (g*(1-b2))*g;
@@ -299,7 +299,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
     state.v += tmp
     np.divide(state.v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
+    tmp += ADAM_EPS
     delta = np.divide(state.m, c1)
     delta *= state.lr
     delta /= tmp

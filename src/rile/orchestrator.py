@@ -24,7 +24,6 @@ import numpy as np
 
 from . import baselines
 from .agents import (
-    REWARD_VARIANTS,
     ActorCritic,
     make_actor_critic,
     student_act,
@@ -113,7 +112,6 @@ class RunConfig:
 
     algorithm: str = "rile_off"
     env: MazeSpec = field(default_factory=MazeSpec)
-    trainer_reward_variant: str = "exponential_difference"
     # buffers and batches
     student_buffer: int = 1_000_000
     trainer_buffer: int = 16_384
@@ -168,8 +166,6 @@ class RunConfig:
     def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.trainer_reward_variant not in REWARD_VARIANTS:
-            raise ValueError(f"unknown trainer reward variant {self.trainer_reward_variant!r}")
         for cap, batch, name in (
             (self.student_buffer, self.student_batch, "student"),
             (self.trainer_buffer, self.trainer_batch, "trainer"),
@@ -177,6 +173,13 @@ class RunConfig:
         ):
             if cap < batch:
                 raise ValueError(f"{name} buffer capacity {cap} < batch size {batch}")
+        for name in ("update_every", "eval_every", "checkpoint_every", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.metric_window < 2:
+            raise ValueError("metric_window must be >= 2: cpr needs two samples")
+        if not 0.0 <= self.bc_holdout < 1.0:
+            raise ValueError("bc_holdout must be in [0, 1)")
         for name, frac in (("expert_mix_student", self.expert_mix_student),
                            ("expert_mix_trainer", self.expert_mix_trainer)):
             if not 0.0 <= frac <= 1.0:
@@ -351,7 +354,6 @@ class _Collector:
         self.student_rng = streams["student"]
         self.state = maze_reset(cfg.env)
         self.episode_step = 0
-        self.episodes = 0
 
     def step(self, student: ActorCritic):
         cfg = self.cfg
@@ -371,7 +373,6 @@ class _Collector:
         if at_goal or truncated:
             self.state = maze_reset(cfg.env)
             self.episode_step = 0
-            self.episodes += 1
         else:
             self.state = nxt
         return row
@@ -554,7 +555,7 @@ def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) ->
         obs, a_t, obsp, done = source.trainer_rows(streams["trainer"])
         ds = pathway.state_dim
         d = disc_output(pathway.disc, obs[:, :ds], obs[:, ds:])
-        r_t = trainer_reward(cfg.trainer_reward_variant, d, a_t)
+        r_t = trainer_reward(d, a_t)
         tdiag = trainer_update(trainer, (obs, a_t, r_t, obsp, done))
         diag["trainer_critic_loss"] = tdiag["critic_loss"]
         if monitor.check(tdiag["critic_loss"]):

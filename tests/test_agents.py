@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rile.agents import (
-    REWARD_VARIANTS,
     _actor_loss_grads,
     _critic_loss_grads,
     gaussian_tanh_logprob,
@@ -23,48 +22,22 @@ from oracles import finite_diff_check, params_to_flat
 
 class TestTrainerReward:
     def test_exponential_difference_perfect_agreement(self):
-        assert trainer_reward("exponential_difference", 1 - 1e-9, 1.0) == pytest.approx(1.0, abs=1e-8)
+        assert trainer_reward(1 - 1e-9, 1.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_exponential_difference_midpoint(self):
-        assert trainer_reward("exponential_difference", 0.5, 1.0) == pytest.approx(np.exp(-1.0))
+        assert trainer_reward(0.5, 1.0) == pytest.approx(np.exp(-1.0))
 
-    def test_multiplication(self):
-        assert trainer_reward("multiplication", 0.75, 0.5) == pytest.approx(0.25)
-
-    def test_naive_ignores_action(self):
-        for a in (-1.0, 0.0, 0.33, 1.0):
-            assert trainer_reward("naive", 0.3, a) == pytest.approx(0.3)
-
-    def test_difference(self):
-        assert trainer_reward("difference", 0.5, 1.0) == pytest.approx(-1.0)
-
-    def test_exponential_naive(self):
-        assert trainer_reward("exponential_naive", 0.5, 0.0) == pytest.approx(np.exp(0.5))
-
-    def test_sigmoid(self):
-        expected = 0.4 / (1.0 + np.exp(-0.5))
-        assert trainer_reward("sigmoid", 0.4, 0.5) == pytest.approx(expected)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            trainer_reward("bogus", 0.5, 0.0)
+    def test_out_of_range_inputs_rejected(self):
+        for d, a in ((-0.1, 0.0), (1.1, 0.0), (0.5, 1.1), (0.5, -1.1)):
+            with pytest.raises(ValueError, match="must lie in"):
+                trainer_reward(d, a)
 
     def test_ranges_per_million_random_inputs(self):
         rng = np.random.default_rng(0)
         d = rng.uniform(1e-12, 1 - 1e-12, size=1_000_000)
         a = rng.uniform(-1, 1, size=1_000_000)
-        r = trainer_reward("exponential_difference", d, a)
+        r = trainer_reward(d, a)
         assert r.min() >= np.exp(-2.0) and r.max() <= 1.0
-        r = trainer_reward("difference", d, a)
-        assert r.min() >= -2.0 and r.max() <= 0.0
-        r = trainer_reward("multiplication", d, a)
-        assert r.min() >= -1.0 and r.max() <= 1.0
-        r = trainer_reward("naive", d, a)
-        assert 0.0 < r.min() and r.max() < 1.0
-        r = trainer_reward("exponential_naive", d, a)
-        assert 1.0 < r.min() and r.max() < np.e
-        r = trainer_reward("sigmoid", d, a)
-        assert 0.0 < r.min() and (r < d).all()
 
     def test_bandit_optimum_is_upsilon_by_grid_search(self):
         # argmax over the action grid of the agreement reward must land
@@ -72,7 +45,7 @@ class TestTrainerReward:
         grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 1e-3), 12)
         for k in range(0, 1001, 10):  # 101 values of d on the same lattice
             d = k / 1000.0
-            r = trainer_reward("exponential_difference", d, grid)
+            r = trainer_reward(d, grid)
             best = grid[np.argmax(r)]
             assert best == pytest.approx(2 * d - 1.0, abs=1e-12)
 

@@ -189,7 +189,7 @@ class TestUpdate:
         b = (np.ones((2, 1)), np.ones((2, 1)))
         disc_update(net, b, b, gp_weight=0.0)
         disc_update(net, b, b, gp_weight=0.0)
-        assert net.updates == 2
+        assert net.opt.step == 2
 
 
 class TestGradients:

@@ -3,16 +3,11 @@ import pytest
 
 from rile.envs import (
     DEFAULT_WAYPOINTS,
-    ExpertDataset,
     MazeSpec,
-    dataset_to_bytes,
     generate_expert,
-    inject_noise,
-    load_expert,
     maze_reset,
     maze_step,
     point_in_obstacle,
-    save_expert,
     scripted_expert_episode,
 )
 
@@ -110,103 +105,6 @@ class TestMazeStep:
         n1 = maze_step(spec, s, a)[0]
         n2 = maze_step(spec, s, a)[0]
         assert np.array_equal(n1, n2)
-
-
-class TestExpertIO:
-    def test_empty_dataset_round_trips(self, tmp_path):
-        d = ExpertDataset([], env_id="maze")
-        path = tmp_path / "e.jsonl"
-        save_expert(d, path)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        assert len(lines) == 1  # header only
-        d2 = load_expert(path)
-        assert d2.n_episodes == 0 and d2.env_id == "maze"
-
-    def test_single_episode_format_contract(self, tmp_path):
-        import json
-
-        s = np.array([[0.0, 0.1], [0.2, 0.3], [0.4, 0.5]])
-        a = np.array([[1.0, -1.0], [0.5, 0.5], [0.0, 0.0]])
-        path = tmp_path / "e.jsonl"
-        save_expert(ExpertDataset([(s, a)]), path)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        assert len(lines) == 4
-        for i, raw in enumerate(lines[1:]):
-            rec = json.loads(raw)
-            assert rec["ep"] == 0 and rec["t"] == i
-
-    def test_large_round_trip_hash_identical(self, tmp_path):
-        rng = np.random.default_rng(77)
-        eps = []
-        for _ in range(1000):
-            n = int(rng.integers(1, 5))
-            eps.append((rng.normal(size=(n, 2)), rng.uniform(-1, 1, size=(n, 2))))
-        d = ExpertDataset(eps)
-        path = tmp_path / "big.jsonl"
-        save_expert(d, path)
-        d2 = load_expert(path)
-        assert d2.content_hash() == d.content_hash()
-        assert d2.n_episodes == 1000
-
-    def test_malformed_record_rejected_with_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        good = dataset_to_bytes(ExpertDataset([(np.zeros((2, 2)), np.zeros((2, 2)))]))
-        lines = good.decode().splitlines()
-        lines[2] = "{not json"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 3"):
-            load_expert(path)
-
-    def test_dimension_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        good = dataset_to_bytes(ExpertDataset([(np.zeros((2, 2)), np.zeros((2, 2)))]))
-        lines = good.decode().splitlines()
-        lines[2] = '{"ep":0,"t":1,"s":[0.0,0.0,0.0],"a":[0.0,0.0]}'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            load_expert(path)
-
-
-class TestInjectNoise:
-    def make(self):
-        rng = np.random.default_rng(5)
-        return ExpertDataset([(rng.normal(size=(100, 2)), rng.uniform(-1, 1, (100, 2)))
-                              for _ in range(60)])
-
-    def test_sigma_zero_unchanged(self):
-        d = self.make()
-        d2 = inject_noise(d, 0.0, "action", rng_seed=3)
-        assert d2.content_hash() == d.content_hash()
-
-    def test_action_noise_variance(self):
-        d = self.make()
-        d2 = inject_noise(d, 0.5, "action", rng_seed=3)
-        diffs = np.concatenate([a2 - a for (_, a), (_, a2) in zip(d.episodes, d2.episodes)])
-        assert diffs.size >= 10_000
-        var = diffs.ravel().var()
-        assert abs(var - 0.25) <= 0.025
-        # unbiasedness: mean within 3*sigma/sqrt(N)
-        assert abs(diffs.mean()) <= 3 * 0.5 / np.sqrt(diffs.size)
-
-    def test_state_target_leaves_actions_bitwise(self):
-        d = self.make()
-        d2 = inject_noise(d, 0.3, "state", rng_seed=9)
-        for (s, a), (s2, a2) in zip(d.episodes, d2.episodes):
-            assert np.array_equal(a, a2)
-            assert not np.array_equal(s, s2)
-
-    def test_deterministic_per_seed(self):
-        d = self.make()
-        h1 = inject_noise(d, 0.2, "action", rng_seed=11).content_hash()
-        h2 = inject_noise(d, 0.2, "action", rng_seed=11).content_hash()
-        h3 = inject_noise(d, 0.2, "action", rng_seed=12).content_hash()
-        assert h1 == h2 and h1 != h3
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            inject_noise(self.make(), -0.1, "action", 0)
 
 
 class TestScriptedExpert:

@@ -1,11 +1,24 @@
 """No import cycle among the modules of src/rile/. Imports inside function
 bodies count too: they run later than the module's own, but they tie the
-two modules together all the same."""
+two modules together all the same.
+
+And no top-level name of src/rile/ without a caller in src/rile/ or bench/."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rile"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rile"
+BENCH = ROOT / "bench"
+
+# Names that may stay in src/rile/ although only tests use them, and why.
+UNCALLED_ALLOWED = {
+    "gaussian_tanh_logprob": "the exact tanh-Gaussian density: the tests' "
+                             "reference for the clamped losses",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _imported(source: str, modules: set) -> set:
@@ -73,3 +86,71 @@ def test_the_graph_sees_module_and_function_level_imports():
 def test_no_import_cycle():
     cycle = _cycle(_graph())
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def _defined(tree: ast.Module):
+    """(name, statement) for each top-level function, class and constant."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                        yield node.id, stmt
+
+
+def _referenced(node: ast.AST) -> set:
+    """Identifiers that node reads: loaded names, attributes, the parts of
+    imported names, and the parts of string constants that are dotted
+    identifiers (such as "ReplayBuffer.insert")."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.update(n.name.split("."))
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and _DOTTED.fullmatch(n.value)):
+            found.update(n.value.split("."))
+    return found
+
+
+def _uncalled(package: Path, others) -> list:
+    """'module.name' for each top-level name of package's modules that no
+    top-level statement of package or of the files others reads, other than
+    the statement that defines it. Names are matched by identifier alone,
+    so a name that shares an identifier with a used one counts as used."""
+    trees = {p: ast.parse(p.read_text()) for p in [*sorted(package.glob("*.py")), *others]}
+    reads = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    found = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for name, defining in _defined(tree):
+            if not any(name in names for stmt, names in reads if stmt is not defining):
+                found.append(f"{path.stem}.{name}")
+    return sorted(found)
+
+
+def test_the_caller_scan_sees_names_attributes_imports_and_strings(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "X = 1\nY, Z = 2, 3\n"
+        "def f():\n    return f()\n"  # only its own body calls f
+        "def g():\n    pass\n"
+        "class C:\n    def m(self):\n        return X\n")
+    (pkg / "b.py").write_text("from .a import g\nT = ('pkg.a', 'C.m')\n")
+    other = tmp_path / "other.py"
+    other.write_text("import pkg.a\nprint(pkg.a.Y)\n")
+    assert _uncalled(pkg, [other]) == ["a.Z", "a.f", "b.T"]
+
+
+def test_every_src_name_has_a_caller():
+    uncalled = [n for n in _uncalled(PACKAGE, sorted(BENCH.glob("*.py")))
+                if n.split(".", 1)[1] not in UNCALLED_ALLOWED]
+    assert not uncalled, "no caller in src/rile/ or bench/: " + ", ".join(uncalled)

@@ -4,25 +4,16 @@ import numpy as np
 import pytest
 
 from rile import metrics
-from rile.discriminator import make_discriminator
 from rile.envs import MazeSpec, WaypointController
 from rile.agents import make_actor_critic
 from rile.metrics import (
-    ACTION_FAN,
-    LandscapeGrid,
     MetricsWindow,
     cpr,
     evaluate_policy,
     fs_rfdc,
-    grid_centers,
-    landscape_grid,
-    load_grid_csv,
     rfdc,
-    save_grid_csv,
     wasserstein1d,
 )
-
-from oracles import params_to_flat
 
 
 def brute_force_w1(xs, ys):
@@ -207,78 +198,6 @@ class TestCpr:
                 continue
             b = rng.normal()
             assert cpr(a * x + b, y) == pytest.approx(np.sign(a) * r, abs=1e-9)
-
-
-class TestLandscape:
-    def zeroed_trainer(self):
-        rng = np.random.default_rng(9)
-        t = make_actor_critic(4, 1, (8,), rng)
-        for w in t.actor.weights:
-            w[:] = 0.0
-        for b in t.actor.biases:
-            b[:] = 0.0
-        return t
-
-    def test_zero_weight_trainer_uniform_zero(self):
-        g = landscape_grid("rile_trainer", self.zeroed_trainer(), 8)
-        assert np.all(g.values == 0.0)
-
-    def test_zero_weight_disc_uniform_half(self):
-        rng = np.random.default_rng(10)
-        net = make_discriminator(2, 2, (8,), lr=1e-3, rng=rng)
-        for w in net.params.weights:
-            w[:] = 0.0
-        for b in net.params.biases:
-            b[:] = 0.0
-        g = landscape_grid("gail_disc", net, (4, 6))
-        assert g.values.shape == (6, 4)
-        assert np.all(g.values == 0.5)
-
-    def test_coarse_equals_subsampled_fine_at_shared_centers(self):
-        # cell centers coincide exactly when the fine grid is a 3x (odd)
-        # multiple of the coarse one: (i+0.5)/n == (3i+1.5)/(3n)
-        rng = np.random.default_rng(11)
-        t = make_actor_critic(4, 1, (16,), rng)
-        coarse = landscape_grid("rile_trainer", t, 8)
-        fine = landscape_grid("rile_trainer", t, 24)
-        sub = fine.values[1::3, 1::3]
-        np.testing.assert_allclose(coarse.values, sub, rtol=0, atol=1e-12)
-
-    def test_resolution_one_is_grid_center(self):
-        rng = np.random.default_rng(12)
-        t = make_actor_critic(4, 1, (8,), rng)
-        g = landscape_grid("rile_trainer", t, 1, action_probe="fixed_action")
-        cx, cy = grid_centers(1, 1)
-        assert cx[0] == 0.5 and cy[0] == 0.5
-        assert g.values.shape == (1, 1)
-
-    def test_max_over_actions_dominates_fixed(self):
-        rng = np.random.default_rng(13)
-        t = make_actor_critic(4, 1, (8,), rng)
-        gmax = landscape_grid("rile_trainer", t, 6, "max_over_actions")
-        gfix = landscape_grid("rile_trainer", t, 6, "fixed_action", ACTION_FAN[0])
-        assert np.all(gmax.values >= gfix.values - 1e-12)
-
-    def test_grid_evaluation_is_pure(self):
-        rng = np.random.default_rng(14)
-        t = make_actor_critic(4, 1, (8,), rng)
-        before = params_to_flat(t.actor).copy()
-        landscape_grid("rile_trainer", t, 16)
-        assert np.array_equal(params_to_flat(t.actor), before)
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError, match="source"):
-            landscape_grid("bogus", None, 4)
-
-    def test_csv_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(15)
-        t = make_actor_critic(4, 1, (8,), rng)
-        g = landscape_grid("rile_trainer", t, (5, 3))
-        path = tmp_path / "grid.csv"
-        save_grid_csv(g, path)
-        g2 = load_grid_csv(path)
-        assert g2.source == g.source and (g2.nx, g2.ny) == (g.nx, g.ny)
-        assert np.array_equal(g2.values, g.values)
 
 
 class _Still:

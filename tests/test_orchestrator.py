@@ -172,6 +172,20 @@ def test_frozen_reward_rejected_for_bc():
         run_training(cfg, EXPERT)
 
 
+@pytest.mark.parametrize("algorithm,field,value", [
+    ("rile_off", "update_every", 0), ("rile_off", "eval_every", 0),
+    ("rile_off", "checkpoint_every", 0), ("rile_off", "metric_window", 0),
+    ("rile_off", "metric_window", 1), ("rile_off", "eval_episodes", 0),
+    ("bc", "bc_holdout", -0.5), ("bc", "bc_holdout", 1.0), ("bc", "bc_holdout", 1.5)])
+def test_bad_schedule_values_rejected_before_the_run_starts(algorithm, field, value,
+                                                             tmp_path):
+    cfg = RunConfig(algorithm=algorithm, **{**TINY, field: value})
+    run_dir = tmp_path / "run"
+    with pytest.raises(ValueError, match=field):
+        run_training(cfg, EXPERT, str(run_dir))
+    assert not run_dir.exists()
+
+
 def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
     # A loose freeze test (5 updates, threshold 10) so that the trainer
     # freezes early in the run; after that, nothing reads the trainer stream.
