@@ -7,6 +7,10 @@ a polyak-averaged target, trained by one shared one-step TD(0) advantage
 update that writes every network in place. The trainer's reward, which
 relates the discriminator output d and the trainer action a_T, lives here
 as well.
+
+Every function here takes and returns [rows, dim] batches (a single row is
+a 1-row batch), except student_act: with the environment's own steps, it is
+the one single-state entry, acting on the state the maze is in.
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ def trainer_reward(d, a_t):
         raise ValueError("discriminator output must lie in [0, 1]")
     if (np.abs(a) > 1.0 + 1e-12).any():
         raise ValueError("trainer action must lie in [-1, 1]")
-    out = np.exp(-np.abs(2.0 * d - 1.0 - a))
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-np.abs(2.0 * d - 1.0 - a))
 
 
 def _split_heads(y: np.ndarray):
@@ -55,7 +58,7 @@ def _split_heads(y: np.ndarray):
 
 def _policy_heads(actor: MlpParams, states: np.ndarray, ws: Workspace | None = None):
     """(mean, log_std, raw log_std) from the actor net; log_std hard-clipped."""
-    return _split_heads(mlp_forward(actor, np.atleast_2d(states), ws))
+    return _split_heads(mlp_forward(actor, states, ws))
 
 
 # The two losses that score boundary actions clamp their pre-squash values to
@@ -118,7 +121,6 @@ class ActorCritic:
     epsilon_greedy: float = 0.0
     gamma: float = 0.99
     tau: float = 0.01
-    advantage_norm: bool = True
     frozen: bool = False
     # batch scratch of the agent's forward and backward passes
     ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
@@ -128,44 +130,33 @@ class ActorCritic:
         return self.actor.out_dim // 2
 
 
-def make_actor_critic(in_dim: int, action_dim: int, hidden, rng,
-                      actor_lr=3e-4, critic_lr=3e-4, entropy_coef=0.2,
-                      epsilon_greedy=0.0, gamma=0.99, tau=0.01,
-                      advantage_norm=True) -> ActorCritic:
+def make_actor_critic(in_dim: int, action_dim: int, hidden, rng, lr=3e-4,
+                      entropy_coef=0.2, epsilon_greedy=0.0, gamma=0.99,
+                      tau=0.01) -> ActorCritic:
     """Actor [in_dim, *hidden, 2 * action_dim] (means, then log-stds) and
-    critic [in_dim, *hidden, 1], initialized in that order from rng."""
+    critic [in_dim, *hidden, 1], initialized in that order from rng; both
+    learn at rate lr."""
     actor = mlp_init([in_dim, *hidden, 2 * action_dim], rng)
     critic = mlp_init([in_dim, *hidden, 1], rng)
-    return ActorCritic(actor, critic, critic.copy(),
-                       adam_init(actor, lr=actor_lr), adam_init(critic, lr=critic_lr),
-                       entropy_coef=entropy_coef, epsilon_greedy=epsilon_greedy,
-                       gamma=gamma, tau=tau, advantage_norm=advantage_norm)
-
-
-def _sample_action(agent: ActorCritic, obs, mode, rng, heads=None) -> np.ndarray:
-    """Actions for the rows of obs, or one action for a 1-D obs. heads, the
-    actor's (mean, log_std) at obs when a forward already made them, spares
-    its forward. epsilon_greedy takes, with probability
-    agent.epsilon_greedy, one uniform random action for a 1-D obs."""
-    if mode not in ACT_MODES:
-        raise ValueError(f"unknown act mode {mode!r}")
-    mean, log_std = _policy_heads(agent.actor, obs)[:2] if heads is None else heads
-    single = np.ndim(obs) == 1
-    if mode == "deterministic":
-        a = np.tanh(mean)
-    # epsilon = 0 must consume no extra draws so it seed-pairs with "stochastic"
-    elif (mode == "epsilon_greedy" and agent.epsilon_greedy > 0.0
-          and rng.uniform() < agent.epsilon_greedy):
-        return rng.uniform(-1.0, 1.0, size=agent.action_dim)
-    else:
-        a = np.tanh(mean + np.exp(log_std) * rng.normal(size=mean.shape))
-    return a[0] if single else a
+    return ActorCritic(actor, critic, critic.copy(), adam_init(actor, lr=lr),
+                       adam_init(critic, lr=lr), entropy_coef=entropy_coef,
+                       epsilon_greedy=epsilon_greedy, gamma=gamma, tau=tau)
 
 
 def student_act(agent: ActorCritic, state, mode: str, rng=None) -> np.ndarray:
     """Action in [-1,1]^da for one state. epsilon_greedy takes a uniform
-    random action with probability epsilon, otherwise samples the policy."""
-    return _sample_action(agent, state, mode, rng)
+    random action with probability agent.epsilon_greedy, otherwise samples
+    the policy."""
+    if mode not in ACT_MODES:
+        raise ValueError(f"unknown act mode {mode!r}")
+    # epsilon = 0 must consume no extra draws so it seed-pairs with "stochastic"
+    if (mode == "epsilon_greedy" and agent.epsilon_greedy > 0.0
+            and rng.uniform() < agent.epsilon_greedy):
+        return rng.uniform(-1.0, 1.0, size=agent.action_dim)
+    mean, log_std, _ = _policy_heads(agent.actor, np.asarray(state, dtype=np.float64)[None])
+    if mode == "deterministic":
+        return np.tanh(mean[0])
+    return np.tanh(mean[0] + np.exp(log_std[0]) * rng.normal(size=agent.action_dim))
 
 
 def _critic_loss_grads(critic, states, targets, ws=None):
@@ -228,18 +219,18 @@ def actor_critic_update(agent: ActorCritic, batch) -> dict:
     if agent.frozen:
         raise RuntimeError("agent is frozen; updates are rejected")
     states, actions, rewards, next_states, dones = batch
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    states = np.asarray(states, dtype=np.float64)
     if len(states) == 0:
         raise ValueError("empty batch")
     actions = np.asarray(actions, dtype=np.float64).reshape(len(states), -1)
     rewards = np.asarray(rewards, dtype=np.float64)
     dones = np.asarray(dones, dtype=np.float64)
-    v_next = mlp_forward(agent.critic_target, np.atleast_2d(next_states), agent.ws)[:, 0]
+    v_next = mlp_forward(agent.critic_target, next_states, agent.ws)[:, 0]
     targets = rewards + agent.gamma * (1.0 - dones) * v_next
 
     c_loss, c_grads, v = _critic_loss_grads(agent.critic, states, targets, agent.ws)
     adv = targets - v
-    if agent.advantage_norm and len(adv) > 1 and adv.std() > 1e-8:
+    if len(adv) > 1 and adv.std() > 1e-8:
         adv = (adv - adv.mean()) / adv.std()
     a_loss, a_grads, mean_ent = _actor_loss_grads(
         agent.actor, states, actions, advantage_weights(adv), agent.entropy_coef,
@@ -257,29 +248,15 @@ def actor_critic_update(agent: ActorCritic, batch) -> dict:
 student_update = trainer_update = actor_critic_update
 
 
-def trainer_observation(state, action) -> np.ndarray:
-    """The trainer observes the student's concatenated (state, action)."""
-    return np.concatenate([np.asarray(state, float).ravel(),
-                           np.asarray(action, float).ravel()])
+def trainer_act(agent: ActorCritic, obs: np.ndarray, rng):
+    """(deterministic, stochastic) scalar actions in [-1, 1] (tanh-squashed)
+    per row of obs, from one actor forward; the stochastic rows draw their
+    noise in one call, row after row."""
+    mean, log_std, _ = _policy_heads(agent.actor, obs, agent.ws)
+    noisy = mean + np.exp(log_std) * rng.normal(size=mean.shape)
+    return np.tanh(mean[:, 0]), np.tanh(noisy[:, 0])
 
 
-def trainer_act(agent: ActorCritic, obs, mode: str = "deterministic",
-                rng=None, heads=None):
-    """Scalar action in [-1, 1] (tanh-squashed) per row of obs, or a float
-    for a 1-D obs; a stochastic batch draws its noise in one call, row
-    after row. heads, the trainer_heads at obs when a forward already made
-    them, spares the actor's forward."""
-    a = _sample_action(agent, obs, mode, rng, heads)
-    return float(a[0]) if np.ndim(obs) == 1 else a[:, 0]
-
-
-def trainer_heads(agent: ActorCritic, obs: np.ndarray):
-    """The actor's (mean, log_std) rows for a batch of observations."""
-    return _policy_heads(agent.actor, obs, agent.ws)[:2]
-
-
-def trainer_act_batch(agent: ActorCritic, obs: np.ndarray, heads=None) -> np.ndarray:
-    """Deterministic actions for a batch of observations, from their
-    trainer_heads if a forward already made them."""
-    mean, _ = trainer_heads(agent, obs) if heads is None else heads
-    return np.tanh(mean[:, 0])
+def trainer_act_batch(agent: ActorCritic, obs: np.ndarray) -> np.ndarray:
+    """Deterministic actions for a batch of observations."""
+    return np.tanh(_policy_heads(agent.actor, obs, agent.ws)[0][:, 0])

@@ -36,9 +36,7 @@ from .nets import (
 def gail_student_reward(d):
     """-log(1 - d): monotone increasing in expert-likeness under the
     artifact-wide convention that the discriminator outputs 1 for expert."""
-    d = np.asarray(d, dtype=np.float64)
-    out = -np.log1p(-d)
-    return float(out) if out.ndim == 0 else out
+    return -np.log1p(-d)
 
 
 def _stable_sigmoid(x):
@@ -78,8 +76,7 @@ def airl_f_batch(heads: AirlHeads, s, a, sp):
     Returns (f, caches): the forward caches of r over (s, a) and of V over
     the stacked rows [s; s'], for mlp_backward, in the heads' two
     workspaces. Each stays valid until the next call."""
-    s, sp = np.atleast_2d(s), np.atleast_2d(sp)
-    sa = np.concatenate([s, np.atleast_2d(a)], axis=1)
+    sa = np.concatenate([s, a], axis=1)
     r, c_r = mlp_forward_cached(heads.reward, sa, heads.reward_ws)
     v, c_v = mlp_forward_cached(heads.potential, np.concatenate([s, sp]), heads.potential_ws)
     return r[:, 0] + heads.gamma * v[len(s):, 0] - v[:len(s), 0], (c_r, c_v)
@@ -93,14 +90,13 @@ def _student_logp(student: ActorCritic, s, a) -> np.ndarray:
     The exact density is unbounded at such actions. Neither the paper nor
     the AIRL formula says what pi(a|s) should be for an expert action on the
     boundary of a squashed Gaussian; the clamp is this code's choice."""
-    mean, log_std, _ = _policy_heads(student.actor, np.atleast_2d(s), student.ws)
-    return _logprob_presquash(mean, log_std, _clamped_atanh(
-        np.atleast_2d(np.asarray(a, dtype=np.float64))))
+    mean, log_std, _ = _policy_heads(student.actor, s, student.ws)
+    return _logprob_presquash(mean, log_std, _clamped_atanh(a))
 
 
 def _stack(*batches):
     """The batches' columns, each stacked over the batches in turn."""
-    return [np.concatenate([np.atleast_2d(c) for c in column]) for column in zip(*batches)]
+    return [np.concatenate(column) for column in zip(*batches)]
 
 
 def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
@@ -109,7 +105,7 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
     with exact gradients for both heads, from one forward and one backward
     per head over the stacked rows [expert; student]. Policy log-densities
     are treated as constants."""
-    ne = len(np.atleast_2d(expert_batch[0]))
+    ne = len(expert_batch[0])
     f, (c_r, c_v) = airl_f_batch(heads, *_stack(expert_batch, student_batch))
     me = f[:ne] - logp_expert
     ms = f[ne:] - logp_student
@@ -128,7 +124,7 @@ def airl_update(heads: AirlHeads, student: ActorCritic, expert_batch,
     """One Adam step on both heads, in place, using the student's current
     density. Returns the loss before the step."""
     logp = _student_logp(student, *_stack(expert_batch[:2], student_batch[:2]))
-    ne = len(np.atleast_2d(expert_batch[0]))
+    ne = len(expert_batch[0])
     loss, r_grads, v_grads = airl_loss_and_grads(heads, expert_batch, student_batch,
                                                  logp[:ne], logp[ne:])
     if not np.isfinite(loss):
@@ -166,10 +162,8 @@ def train_bc(cfg, expert: ExpertDataset, student: ActorCritic, rng, diag_log) ->
     s, a = expert.all_pairs()
     n = len(s)
     perm = rng.permutation(n)
-    n_hold = int(round(cfg.bc_holdout * n))
+    n_hold = min(int(round(cfg.bc_holdout * n)), n - 1)  # leave a row to train on
     hold, train = perm[:n_hold], perm[n_hold:]
-    if len(train) == 0:
-        train = perm
     batch = min(cfg.student_batch, len(train))
     for epoch in range(cfg.bc_epochs):
         order = rng.permutation(len(train))

@@ -48,28 +48,27 @@ def make_discriminator(state_dim: int, action_dim: int, hidden, lr: float,
 
 
 def _join(state, action) -> np.ndarray:
-    s = np.atleast_2d(np.asarray(state, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(action, dtype=np.float64))
+    """The [rows, state_dim + action_dim] batch of (state, action) rows."""
+    s = np.asarray(state, dtype=np.float64)
+    a = np.asarray(action, dtype=np.float64)
     if s.shape[0] != a.shape[0]:
         raise ValueError("state and action batch sizes differ")
     return np.concatenate([s, a], axis=1)
 
 
 def disc_logit(net: DiscriminatorNet, x: np.ndarray) -> np.ndarray:
-    y, _ = _forward_cached(net.params, np.atleast_2d(x), net.ws)
+    y, _ = _forward_cached(net.params, x, net.ws)
     return np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
-def disc_output(net: DiscriminatorNet, state, action):
-    """Expert-likeness probability, strictly inside (0, 1) thanks to the
-    logit clamp. Scalar for single inputs, 1-d array for batches."""
-    single = np.asarray(state).ndim == 1
+def disc_output(net: DiscriminatorNet, state, action) -> np.ndarray:
+    """Expert-likeness probability per row, strictly inside (0, 1) thanks to
+    the logit clamp."""
     x = _join(state, action)
     if x.shape[1] != net.in_dim:
         raise ValueError(f"input dim {x.shape[1]} does not match "
                          f"discriminator input dim {net.in_dim}")
-    p = 1.0 / (1.0 + np.exp(-disc_logit(net, x)))
-    return float(p[0]) if single else p
+    return 1.0 / (1.0 + np.exp(-disc_logit(net, x)))
 
 
 def _softplus(z):
@@ -91,7 +90,7 @@ def _bce_loss_and_grads(params: MlpParams, y: np.ndarray, hs, ne: int, ns: int,
     ge = -(1.0 / (1.0 + np.exp(le))) / ne
     gs = (1.0 / (1.0 + np.exp(-ls))) / ns
     g = np.where(np.abs(y[:n, 0]) < LOGIT_CLAMP, np.concatenate([ge, gs]), 0.0)
-    grads, _ = mlp_backward(params, ([h[:n] for h in hs], False), g[:, None], ws)
+    grads, _ = mlp_backward(params, [h[:n] for h in hs], g[:, None], ws)
     return loss, grads
 
 

@@ -12,6 +12,10 @@ original table (0 relu, 1 tanh, 2 sigmoid, 3 identity): a network writes
 0 for each hidden layer and 3 for the last, and mlp_from_bytes rejects any
 other layout.
 
+Inputs, outputs and gradients are [rows, dim] batches: a single row is a
+1-row batch, and a 1-D input is rejected. Only the environment steps and
+agents.student_act take one state; everything below them takes batches.
+
 Each network's parameters live in one contiguous vector, MlpParams.flat,
 laid out [W0, b0, W1, b1, ...] with every weight matrix row-major; the
 per-layer weights and biases are views into it. Whole-network arithmetic
@@ -179,13 +183,12 @@ def zeros_like_params(params: MlpParams) -> MlpParams:
 
 
 def _as_batch(x, expected_dim, what="input"):
+    """x as a float64 [rows, expected_dim] batch; ValueError for any other shape."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != expected_dim:
-        raise ValueError(f"{what} has dim {x.shape[-1]}, layer expects {expected_dim}")
-    return x, squeeze
+        raise ValueError(f"{what} has shape {x.shape}, layer expects rows of "
+                         f"dim {expected_dim}")
+    return x
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray, ws: Workspace):
@@ -206,34 +209,32 @@ def _forward_cached(params: MlpParams, x: np.ndarray, ws: Workspace):
 
 
 def mlp_forward(params: MlpParams, x, ws: Workspace | None = None) -> np.ndarray:
-    """Evaluate the network. Accepts a single vector or a [n, in_dim] batch."""
+    """Evaluate the network on a [rows, in_dim] batch."""
     return mlp_forward_cached(params, x, ws)[0]
 
 
 def mlp_forward_cached(params: MlpParams, x, ws: Workspace | None = None):
     """mlp_forward that also returns the cache mlp_backward needs.
 
-    Returns (output, cache). The cache is (hs, squeeze): the input and each
-    layer's activation from this forward, and whether x was a single
-    vector. It stays valid until the next forward on the same workspace.
+    Returns (output, hs). The cache hs is the input and each layer's
+    activation from this forward; it stays valid until the next forward on
+    the same workspace.
     """
-    xb, squeeze = _as_batch(x, params.in_dim)
-    y, hs = _forward_cached(params, xb, Workspace() if ws is None else ws)
-    return (y[0] if squeeze else y), (hs, squeeze)
+    return _forward_cached(params, _as_batch(x, params.in_dim),
+                           Workspace() if ws is None else ws)
 
 
-def mlp_backward(params: MlpParams, cache, upstream, ws: Workspace | None = None):
+def mlp_backward(params: MlpParams, hs, upstream, ws: Workspace | None = None):
     """Exact gradients of <output, upstream> w.r.t. parameters and input,
-    from the cache of the forward pass mlp_forward_cached made.
+    from the cache hs of the forward pass mlp_forward_cached made.
 
     Each hidden layer's ReLU mask is read from its cached activation
-    (h > 0; subgradient 0 at h = 0). For batched input the parameter
-    gradients are summed over the batch rows. The backward deltas are
+    (h > 0; subgradient 0 at h = 0). The parameter gradients are summed
+    over the batch rows. The backward deltas are
     written into ws, under names of their own, so ws may hold the cache
     itself. Returns (param_grads: MlpParams-shaped, input_grad), both fresh.
     """
-    hs, squeeze = cache
-    ub, usq = _as_batch(upstream, params.out_dim, what="upstream gradient")
+    ub = _as_batch(upstream, params.out_dim, what="upstream gradient")
     rows = hs[0].shape[0]
     if rows != ub.shape[0]:
         raise ValueError("input and upstream gradient batch sizes differ")
@@ -250,7 +251,7 @@ def mlp_backward(params: MlpParams, cache, upstream, ws: Workspace | None = None
         np.sum(delta, axis=0, out=grads.biases[k])
         w = params.weights[k]
         g = np.matmul(delta, w, out=ws.take(("d", k - 1), rows, w.shape[1]) if k else None)
-    return grads, (g[0] if squeeze and usq else g)
+    return grads, g
 
 
 # Adam's moment decay rates and denominator offset, the same for every net.

@@ -30,15 +30,13 @@ from .agents import (
     student_update,
     trainer_act,
     trainer_act_batch,
-    trainer_heads,
-    trainer_observation,
     trainer_reward,
     trainer_update,
 )
 from .discriminator import DiscriminatorNet, disc_output, disc_update, make_discriminator
 from .envs import ExpertDataset, MazeSpec, maze_reset, maze_step
 from .metrics import MetricsWindow, cpr, evaluate_policy, fs_rfdc, rfdc
-from .nets import Workspace, blas_threads_for, mlp_forward, save_mlp
+from .nets import blas_threads_for, load_mlp, mlp_forward, save_mlp
 
 ALGORITHMS = ("rile_on", "rile_off", "gail", "airl", "bc")
 
@@ -129,7 +127,6 @@ class RunConfig:
     student_entropy: float = 0.2
     trainer_entropy: float = 0.2
     gp_weight: float = 1.0
-    advantage_norm: bool = True
     # networks (desk-scale defaults; override per run)
     student_hidden: tuple = (64, 64)
     trainer_hidden: tuple = (64, 64)
@@ -227,14 +224,12 @@ class RunArtifacts:
     trainer: ActorCritic | None
     disc: DiscriminatorNet | None
     airl: object = None
-    windows: list = field(default_factory=list)
     metrics_rows: list = field(default_factory=list)
     diagnostics_rows: list = field(default_factory=list)
     final_goal_rate: float = 0.0
     final_return: float = 0.0
     steps_run: int = 0
     freeze_step: int | None = None
-    aborted: bool = False
 
 
 class _Logger:
@@ -286,30 +281,23 @@ class _RewardPathway:
         self.trainer = None
         self.disc = None
         self.airl = None
-        self.frozen_trainer = None
-        self.frozen_airl_reward = None
-        self.frozen_airl_ws = Workspace()  # batch scratch of the frozen reward's forwards
+        # a frozen reward: the loaded net, and whether tanh squashes its output 0
+        self.frozen, self.frozen_tanh = None, False
         obs_dim = state_dim + action_dim
         if cfg.frozen_reward is not None:
             kind = cfg.frozen_reward["kind"]
-            from .nets import load_mlp
-
-            if kind == "trainer":
-                net = load_mlp(cfg.frozen_reward["path"])
-                t = make_actor_critic(obs_dim, 1, cfg.trainer_hidden,
-                                      streams["init_trainer"])
-                t.actor = net
-                t.frozen = True
-                self.frozen_trainer = t
-            else:
-                self.frozen_airl_reward = load_mlp(cfg.frozen_reward["path"])
+            self.frozen = load_mlp(cfg.frozen_reward["path"])
+            self.frozen_tanh = kind == "trainer"
+            want = 2 if self.frozen_tanh else 1  # a trainer actor's (mean, log_std)
+            if (self.frozen.in_dim, self.frozen.out_dim) != (obs_dim, want):
+                raise ValueError(
+                    f"frozen_reward {kind} net maps {self.frozen.in_dim} -> "
+                    f"{self.frozen.out_dim}; it must map {obs_dim} -> {want}")
             return
         if cfg.algorithm in ("rile_on", "rile_off"):
             self.trainer = make_actor_critic(
-                obs_dim, 1, cfg.trainer_hidden, streams["init_trainer"],
-                actor_lr=cfg.trainer_lr, critic_lr=cfg.trainer_lr,
-                entropy_coef=cfg.trainer_entropy, gamma=cfg.gamma, tau=cfg.tau,
-                advantage_norm=cfg.advantage_norm)
+                obs_dim, 1, cfg.trainer_hidden, streams["init_trainer"], lr=cfg.trainer_lr,
+                entropy_coef=cfg.trainer_entropy, gamma=cfg.gamma, tau=cfg.tau)
         if cfg.algorithm in ("rile_on", "rile_off", "gail"):
             self.disc = make_discriminator(state_dim, action_dim, cfg.disc_hidden,
                                            cfg.disc_lr, streams["init_disc"])
@@ -318,28 +306,24 @@ class _RewardPathway:
                                                   cfg.disc_lr, cfg.gamma,
                                                   streams["init_airl"])
 
-    def step_heads(self, chunk):
-        """The live trainer's heads at a collected chunk's rows, read by
-        their rewards and by the trainer's rows or replay row built from
-        them; None when the trainer has no more rows to act on."""
+    def score(self, chunk, rng):
+        """(student rewards, stochastic trainer actions) for a collected
+        chunk. While the trainer is live, both come from one forward of its
+        actor, with the actions' noise drawn from rng; otherwise the actions
+        are None."""
         if self.trainer is None or self.trainer.frozen:
-            return None
-        return trainer_heads(self.trainer, np.concatenate([chunk["s"], chunk["a"]], axis=1))
+            return self.student_rewards(chunk["s"], chunk["a"], chunk["sp"]), None
+        return trainer_act(self.trainer, np.concatenate([chunk["s"], chunk["a"]], axis=1), rng)
 
-    def student_rewards(self, student, s, a, sp, heads=None) -> np.ndarray:
-        """Learned reward for student transitions under the current nets.
-        heads, the live trainer's trainer_heads at (s, a) when a forward
-        already made them, spares its forward."""
-        if self.frozen_trainer is not None:
-            return trainer_act_batch(self.frozen_trainer, np.concatenate([s, a], axis=1))
-        if self.frozen_airl_reward is not None:
-            return mlp_forward(self.frozen_airl_reward, np.concatenate([s, a], axis=1),
-                               self.frozen_airl_ws)[:, 0]
+    def student_rewards(self, s, a, sp) -> np.ndarray:
+        """Learned reward for student transitions under the current nets."""
+        if self.frozen is not None:
+            r = mlp_forward(self.frozen, np.concatenate([s, a], axis=1))[:, 0]
+            return np.tanh(r) if self.frozen_tanh else r
         if self.trainer is not None:
-            return trainer_act_batch(self.trainer, np.concatenate([s, a], axis=1), heads)
+            return trainer_act_batch(self.trainer, np.concatenate([s, a], axis=1))
         if self.cfg.algorithm == "gail":
-            d = disc_output(self.disc, s, a)
-            return baselines.gail_student_reward(d)
+            return baselines.gail_student_reward(disc_output(self.disc, s, a))
         return baselines.airl_f_batch(self.airl, s, a, sp)[0]
 
 
@@ -389,21 +373,17 @@ class _WindowTracker:
         self.learned, self.env = [], []
         self.index = 0
         self.prev_window = None
-        self.windows = []
-
-    def snapshot(self, student):
-        return self.pathway.student_rewards(student, self.probe_s, self.probe_a,
-                                            self.probe_s)
 
     def add(self, learned, env_r):
-        self.learned.append(float(learned))
-        self.env.append(float(env_r))
+        """Adds a chunk's learned and environment reward columns."""
+        self.learned.extend(learned)
+        self.env.extend(env_r)
 
-    def maybe_close(self, student, metrics_log, eval_result):
+    def maybe_close(self, metrics_log, eval_result):
         if len(self.learned) < self.cfg.metric_window:
-            return None
-        win = MetricsWindow(self.index, np.array(self.learned), np.array(self.env),
-                            self.snapshot(student))
+            return
+        snapshot = self.pathway.student_rewards(self.probe_s, self.probe_a, self.probe_s)
+        win = MetricsWindow(self.index, np.array(self.learned), np.array(self.env), snapshot)
         row = {"window": self.index}
         if self.prev_window is not None:
             row["rfdc"] = rfdc(self.prev_window, win)
@@ -413,17 +393,16 @@ class _WindowTracker:
         row["eval_return"] = eval_result
         metrics_log.write(row)
         self.prev_window = win
-        self.windows.append(win)
         self.learned, self.env = [], []
         self.index += 1
-        return win
 
 
 class _Replay:
     """Off-policy batch source: three FIFO buffers (student, trainer,
     discriminator) filled one step at a time, with expert mixing at insert
     time, each buffer's mixing drawn from a stream of its own. A trainer
-    row waits one step for its next observation."""
+    row waits one step for its next observation; its action is the one the
+    chunk was scored with."""
 
     def __init__(self, cfg: RunConfig, pathway: _RewardPathway, streams):
         self.cfg = cfg
@@ -433,7 +412,6 @@ class _Replay:
         self.disc = ReplayBuffer(cfg.disc_buffer)
         self.mix_student_rng = streams["mix"]
         self.mix_trainer_rng = streams["mix_trainer"]
-        self.trainer_rng = streams["trainer"]
         self.pending = None
 
     def _expert_row(self, frac, rng):
@@ -442,24 +420,24 @@ class _Replay:
             return rng.integers(0, len(self.pathway.expert_table["s"]))
         return None
 
-    def insert(self, row, heads):
+    def insert(self, chunk):
+        """Inserts a one-step chunk's row into each buffer."""
+        (s,), (a,), (sp,), (done,) = (chunk[k] for k in ("s", "a", "sp", "done"))
         te = self.pathway.expert_table
         k = self._expert_row(self.cfg.expert_mix_student, self.mix_student_rng)
         if k is None:
-            self.student.insert(s=row["s"], a=row["a"], sp=row["sp"], done=row["done"])
+            self.student.insert(s=s, a=a, sp=sp, done=done)
         else:
             self.student.insert(s=te["s"][k], a=te["a"][k], sp=te["sp"][k],
                                 done=te["done"][k])
-        self.disc.insert(s=row["s"], a=row["a"], sp=row["sp"])
-        trainer = self.pathway.trainer
-        if trainer is None or trainer.frozen:  # nothing samples trainer rows after the freeze
+        self.disc.insert(s=s, a=a, sp=sp)
+        if chunk["a_t"] is None:  # no live trainer: nothing samples trainer rows
             return
-        obs = trainer_observation(row["s"], row["a"])
-        a_t = trainer_act(trainer, obs, "stochastic", self.trainer_rng, heads)
+        obs, a_t = np.concatenate([s, a]), chunk["a_t"][0]
         if self.pending is not None:
             self._insert_trainer(obsp=obs, **self.pending)
             self.pending = None
-        if row["episode_end"]:
+        if chunk["episode_end"][0]:
             self._insert_trainer(obs, a_t, np.zeros_like(obs), 1.0)
         else:
             self.pending = {"obs": obs, "a_t": a_t, "done": 0.0}
@@ -480,9 +458,9 @@ class _Replay:
                 and (self.pathway.trainer is None
                      or len(self.trainer) >= cfg.trainer_batch))
 
-    def student_batch(self, student, rng) -> dict:
+    def student_batch(self, rng) -> dict:
         b = self.student.sample(self.cfg.student_batch, rng)
-        b["r"] = self.pathway.student_rewards(student, b["s"], b["a"], b["sp"])
+        b["r"] = self.pathway.student_rewards(b["s"], b["a"], b["sp"])
         return b
 
     def disc_rows(self, rng) -> dict:
@@ -502,15 +480,13 @@ class _Replay:
 @dataclass
 class _Rollout:
     """On-policy batch source: every learner updates on the chunk just
-    collected, whose "r" column holds the student's learned rewards. heads
-    are the live trainer's step_heads at the chunk's rows."""
+    collected, whose "r" and "a_t" columns hold the student's learned
+    rewards and the trainer's actions it was scored with."""
 
     cfg: RunConfig
-    pathway: _RewardPathway
     chunk: dict
-    heads: tuple | None
 
-    def student_batch(self, student, rng) -> dict:
+    def student_batch(self, rng) -> dict:
         return self.chunk
 
     def disc_rows(self, rng) -> dict:
@@ -521,13 +497,11 @@ class _Rollout:
     def trainer_rows(self, rng):
         s, a = self.chunk["s"], self.chunk["a"]
         obs = np.concatenate([s, a], axis=1)
-        # the trainer has not updated since step_heads, so its heads serve
-        a_t = trainer_act(self.pathway.trainer, obs, "stochastic", rng, self.heads)
         obsp = np.concatenate([self.chunk["sp"],
                                np.vstack([a[1:], np.zeros((1, a.shape[1]))])], axis=1)
         done = self.chunk["done"].copy()
         done[-1] = 1.0  # trainer episode ends with the rollout
-        return obs, a_t, obsp, done
+        return obs, self.chunk["a_t"], obsp, done
 
 
 def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) -> dict:
@@ -535,7 +509,7 @@ def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) ->
     rows against as many expert rows), then the trainer rewarded by the
     updated discriminator, on batches from source. Freezes the trainer once
     its critic loss has settled. Returns the diagnostics row."""
-    b = source.student_batch(student, streams["student"])
+    b = source.student_batch(streams["student"])
     sdiag = student_update(student, (b["s"], b["a"], b["r"], b["sp"], b["done"]))
     diag = {"step": step, **sdiag}
     if pathway.disc is not None or pathway.airl is not None:
@@ -589,16 +563,16 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
 def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifacts:
     if expert is None or expert.n_steps == 0:
         raise ValueError(f"{cfg.algorithm} needs a non-empty expert dataset")
-    if run_dir is not None:
-        os.makedirs(run_dir, exist_ok=True)
     streams = seed_streams(cfg.seed)
     state_dim, action_dim = expert.state_dim, expert.action_dim
     student = make_actor_critic(state_dim, action_dim, cfg.student_hidden,
-                                streams["init_student"], actor_lr=cfg.student_lr,
-                                critic_lr=cfg.student_lr, entropy_coef=cfg.student_entropy,
+                                streams["init_student"], lr=cfg.student_lr,
+                                entropy_coef=cfg.student_entropy,
                                 epsilon_greedy=cfg.epsilon_greedy, gamma=cfg.gamma,
-                                tau=cfg.tau, advantage_norm=cfg.advantage_norm)
+                                tau=cfg.tau)
     pathway = _RewardPathway(cfg, expert, streams, state_dim, action_dim)
+    if run_dir is not None:
+        os.makedirs(run_dir, exist_ok=True)
     artifacts = RunArtifacts(cfg, run_dir, student, pathway.trainer, pathway.disc,
                              pathway.airl)
     diag_log = _Logger(run_dir, "diagnostics.jsonl")
@@ -619,8 +593,7 @@ def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifact
 
 def _run_loop(cfg, expert, student, pathway, streams, artifacts, diag_log, metrics_log):
     """The adversarial algorithms' loop, from the step-0 checkpoint to the
-    last step; records the steps run, the windows and the freeze step in
-    artifacts."""
+    last step; records the steps run and the freeze step in artifacts."""
     run_dir = artifacts.run_dir
     probe_s, probe_a = expert.all_pairs()
     tracker = _WindowTracker(cfg, pathway, probe_s, probe_a)
@@ -641,19 +614,16 @@ def _run_loop(cfg, expert, student, pathway, streams, artifacts, diag_log, metri
                 if not on_policy or rows[-1]["episode_end"] or step >= cfg.total_steps:
                     break
             n = len(rows)
-            chunk = {k: np.array([r[k] for r in rows]) for k in ("s", "a", "sp", "done")}
-            heads = pathway.step_heads(chunk)
-            chunk["r"] = pathway.student_rewards(student, chunk["s"], chunk["a"],
-                                                 chunk["sp"], heads)
-            for r, row in zip(chunk["r"], rows):
-                tracker.add(r, row["env_r"])
+            chunk = {k: np.array([r[k] for r in rows]) for k in rows[0]}
+            chunk["r"], chunk["a_t"] = pathway.score(chunk, streams["trainer"])
+            tracker.add(chunk["r"], chunk["env_r"])
 
             diag = None
             if on_policy:
                 diag = _update(cfg, student, pathway, streams, monitor, artifacts, step,
-                               _Rollout(cfg, pathway, chunk, heads))
+                               _Rollout(cfg, chunk))
             else:
-                replay.insert(rows[0], heads)
+                replay.insert(chunk)
                 if replay.ready() and step % cfg.update_every == 0:
                     diag = _update(cfg, student, pathway, streams, monitor, artifacts,
                                    step, replay)
@@ -669,17 +639,15 @@ def _run_loop(cfg, expert, student, pathway, streams, artifacts, diag_log, metri
                                 "frozen": bool(pathway.trainer.frozen)
                                 if pathway.trainer else False})
                 if cfg.early_stop_success and rate == 1.0:
-                    tracker.maybe_close(student, metrics_log, last_eval)
+                    tracker.maybe_close(metrics_log, last_eval)
                     break
             if _crossed(step, n, cfg.checkpoint_every):
                 _checkpoint(run_dir, step, student, pathway.trainer, pathway.disc,
                             pathway.airl)
-            tracker.maybe_close(student, metrics_log, last_eval)
+            tracker.maybe_close(metrics_log, last_eval)
     except ValueError as e:
         _checkpoint(run_dir, f"{step}-abort", student, pathway.trainer, pathway.disc,
                     pathway.airl)
-        artifacts.aborted = True
         raise RunAborted(f"run aborted at step {step}: {e}") from e
 
     artifacts.steps_run = step
-    artifacts.windows = tracker.windows

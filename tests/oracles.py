@@ -98,7 +98,7 @@ def disc_per_block(params: MlpParams, xe, xs, interp, gp_weight):
         g = np.where(np.abs(y[:, 0]) < LOGIT_CLAMP, slope / len(x), 0.0)
         grads.flat += mlp_backward(params, cache, g[:, None])[0].flat
     if interp is not None:
-        gp, gp_grads = _gp_loss_and_grads(params, mlp_forward_cached(params, interp)[1][0])
+        gp, gp_grads = _gp_loss_and_grads(params, mlp_forward_cached(params, interp)[1])
         loss += gp_weight * gp
         grads.flat += gp_weight * gp_grads.flat
     return loss, grads

@@ -4,14 +4,13 @@ import pytest
 from rile.agents import (
     _actor_loss_grads,
     _critic_loss_grads,
+    _policy_heads,
     gaussian_tanh_logprob,
     make_actor_critic,
     student_act,
     student_update,
     trainer_act,
     trainer_act_batch,
-    trainer_heads,
-    trainer_observation,
     trainer_reward,
     trainer_update,
 )
@@ -92,7 +91,7 @@ class TestStudentAct:
 class TestStudentUpdate:
     def test_myopic_critic_converges_to_constant_reward(self):
         rng = np.random.default_rng(4)
-        agent = make_actor_critic(2, 2, (16,), rng, critic_lr=3e-3, gamma=0.0)
+        agent = make_actor_critic(2, 2, (16,), rng, lr=3e-3, gamma=0.0)
         states = rng.uniform(0, 1, size=(64, 2))
         batch = (states, np.zeros((64, 2)), np.full(64, 0.7), states, np.zeros(64))
         for _ in range(2000):
@@ -102,7 +101,7 @@ class TestStudentUpdate:
 
     def test_entropy_dominance_raises_log_std_to_bound(self):
         rng = np.random.default_rng(5)
-        agent = make_actor_critic(2, 1, (8,), rng, actor_lr=0.05, entropy_coef=1000.0)
+        agent = make_actor_critic(2, 1, (8,), rng, lr=0.05, entropy_coef=1000.0)
         states = rng.uniform(0, 1, size=(32, 2))
         batch = (states, np.full((32, 1), 0.1), np.zeros(32), states, np.zeros(32))
 
@@ -199,7 +198,7 @@ class TestTrainer:
             w[:] = 0.0
         for b in t.actor.biases:
             b[:] = 0.0
-        assert trainer_act(t, np.zeros(4), "deterministic") == 0.0
+        assert trainer_act_batch(t, np.zeros((1, 4)))[0] == 0.0
 
     def test_outputs_bounded(self):
         rng = np.random.default_rng(11)
@@ -214,18 +213,14 @@ class TestTrainer:
         rng = np.random.default_rng(15)
         t = make_actor_critic(4, 1, (8,), rng)
         obs = rng.normal(size=(200, 4))
-        mean, log_std = trainer_heads(t, obs)
-        batch = trainer_act(t, obs, "stochastic", np.random.default_rng(3), (mean, log_std))
+        mean, log_std, _ = _policy_heads(t.actor, obs)
+        det, batch = trainer_act(t, obs, np.random.default_rng(3))
         draw = np.random.default_rng(3)
-        rows = [trainer_act(t, o, "stochastic", draw, (mean[i:i + 1], log_std[i:i + 1]))
-                for i, o in enumerate(obs)]
-        assert batch.shape == (200,) and all(isinstance(a, float) for a in rows)
+        rows = [np.tanh(mean[i, 0] + np.exp(log_std[i, 0]) * draw.normal())
+                for i in range(len(obs))]
+        assert batch.shape == det.shape == (200,)
         assert np.array_equal(batch, rows)
-        assert np.array_equal(trainer_act(t, obs), trainer_act_batch(t, obs))
-
-    def test_observation_concatenation(self):
-        obs = trainer_observation([1.0, 2.0], [3.0])
-        assert np.array_equal(obs, [1.0, 2.0, 3.0])
+        assert np.array_equal(det, trainer_act_batch(t, obs))
 
     def test_frozen_rejects_updates_and_stays_constant(self):
         rng = np.random.default_rng(12)
@@ -235,12 +230,12 @@ class TestTrainer:
         trainer_update(t, batch)
         t.frozen = True
         before = params_to_flat(t.actor).copy()
-        probe = rng.normal(size=3)
-        a_before = trainer_act(t, probe, "deterministic")
+        probe = rng.normal(size=(1, 3))
+        a_before = trainer_act_batch(t, probe)
         with pytest.raises(RuntimeError, match="frozen"):
             trainer_update(t, batch)
         assert np.array_equal(params_to_flat(t.actor), before)
-        assert trainer_act(t, probe, "deterministic") == a_before
+        assert np.array_equal(trainer_act_batch(t, probe), a_before)
 
     def test_trainer_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)

@@ -152,6 +152,15 @@ class TestBcHoldout:
         assert self._epochs(trained) == [train] * self.EPOCHS
         assert all("holdout_loss" in row for row in diag)
 
+    def test_a_holdout_of_every_row_keeps_one_row_to_train_on(self, monkeypatch):
+        # 0.995 of the 48 rows rounds to all 48; the holdout is capped at 47
+        diag, trained, scored = self._run(0.995, monkeypatch)
+        train, held = sorted(scored[0]), sorted(scored[1])
+        assert len(train) == 1 and len(held) == self.EXPERT.n_steps - 1
+        assert sorted(train + held) == list(range(self.EXPERT.n_steps))
+        assert self._epochs(trained) == [train] * self.EPOCHS
+        assert all(row["train_loss"] != row["holdout_loss"] for row in diag)
+
     def test_no_holdout_trains_on_every_row(self, monkeypatch):
         diag, trained, scored = self._run(0.0, monkeypatch)
         every = list(range(self.EXPERT.n_steps))

@@ -91,7 +91,7 @@ def zero_disc(hidden=(8,)):
 class TestOutput:
     def test_zero_weight_net_outputs_half(self):
         net = zero_disc()
-        assert disc_output(net, [0.3], [0.7]) == 0.5
+        assert disc_output(net, [[0.3]], [[0.7]])[0] == 0.5
 
     def test_clamp_keeps_output_strictly_inside(self):
         rng = np.random.default_rng(1)
@@ -100,14 +100,14 @@ class TestOutput:
             w[:] = 50.0
         for b in net.params.biases:
             b[:] = 50.0
-        for x in ([100.0], [-100.0], [0.0]):
-            p = disc_output(net, x, x)
+        for x in ([[100.0]], [[-100.0]], [[0.0]]):
+            p = disc_output(net, x, x)[0]
             assert 2e-9 < p < 1 - 2e-9
 
     def test_dimension_mismatch_rejected(self):
         net = zero_disc()
         with pytest.raises(ValueError, match="dim"):
-            disc_output(net, [0.1, 0.2], [0.3])
+            disc_output(net, [[0.1, 0.2]], [[0.3]])
 
     def test_batch_output(self):
         net = zero_disc()
@@ -121,8 +121,8 @@ class TestOutput:
         xs = (np.full((64, 1), -1.0), np.zeros((64, 1)))
         for _ in range(400):
             disc_update(net, xe, xs, gp_weight=0.0)
-        assert disc_output(net, [1.0], [0.0]) > 0.9
-        assert disc_output(net, [-1.0], [0.0]) < 0.1
+        assert disc_output(net, [[1.0]], [[0.0]])[0] > 0.9
+        assert disc_output(net, [[-1.0]], [[0.0]])[0] < 0.1
 
 
 class TestUpdate:

@@ -2,7 +2,8 @@
 bodies count too: they run later than the module's own, but they tie the
 two modules together all the same.
 
-And no top-level name of src/rile/ without a caller in src/rile/ or bench/."""
+And no top-level name of src/rile/ without a caller in src/rile/ or bench/,
+and no function parameter that its body never reads."""
 
 import ast
 import re
@@ -16,6 +17,12 @@ BENCH = ROOT / "bench"
 UNCALLED_ALLOWED = {
     "gaussian_tanh_logprob": "the exact tanh-Gaussian density: the tests' "
                              "reference for the clamped losses",
+}
+
+# Parameters that may go unread, and why.
+UNREAD_ALLOWED = {
+    "_Rollout.student_batch(rng)": "batch-source interface: the rollout holds its rows",
+    "_Rollout.trainer_rows(rng)": "batch-source interface: the rollout holds its rows",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -154,3 +161,43 @@ def test_every_src_name_has_a_caller():
     uncalled = [n for n in _uncalled(PACKAGE, sorted(BENCH.glob("*.py")))
                 if n.split(".", 1)[1] not in UNCALLED_ALLOWED]
     assert not uncalled, "no caller in src/rile/ or bench/: " + ", ".join(uncalled)
+
+
+def _unread_parameters(tree: ast.Module) -> list:
+    """'Qualified.name(param)' for each parameter of each function or
+    method in tree that the function's body never loads by name. A read in
+    a nested function counts for the function that encloses it."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                args = child.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if a is not None]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{name}({p})" for p in params if p not in read)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_parameter_scan_sees_methods_nesting_and_every_kind_of_parameter():
+    source = ("def f(a, b, *args, c, **kw):\n    return a + args[0] + kw['x']\n"
+              "def g(x):\n    def h(y):\n        return x\n    return h\n"
+              "class C:\n    def m(self, z):\n        z = 1\n        return self\n")
+    assert _unread_parameters(ast.parse(source)) == ["f(b)", "f(c)", "g.h(y)", "C.m(z)"]
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.stem}.{p}" for path in sorted(PACKAGE.glob("*.py"))
+              for p in _unread_parameters(ast.parse(path.read_text()))
+              if p not in UNREAD_ALLOWED]
+    assert not unread, "parameters never read: " + ", ".join(unread)

@@ -33,12 +33,12 @@ def single_layer(w, b):
 class TestForward:
     def test_identity_layer(self):
         p = single_layer(np.eye(2), [0.0, 0.0])
-        assert np.array_equal(mlp_forward(p, [3.0, -1.0]), [3.0, -1.0])
+        assert np.array_equal(mlp_forward(p, [[3.0, -1.0]]), [[3.0, -1.0]])
 
     def test_relu_clamps_negative_preactivation(self):
         # hidden ReLU layer, then an identity output layer
         p = MlpParams([np.eye(2), np.eye(2)], [np.array([-2.0, 0.0]), np.zeros(2)])
-        assert np.array_equal(mlp_forward(p, [1.0, 1.0]), [0.0, 1.0])
+        assert np.array_equal(mlp_forward(p, [[1.0, 1.0]]), [[0.0, 1.0]])
 
     def test_two_layer_hand_computed_chain(self):
         # 2 -> 2 (relu) -> 1 (linear), every element written out by hand;
@@ -58,9 +58,9 @@ class TestForward:
         h1_0 = max(z1_0, 0.0)
         h1_1 = max(z1_1, 0.0)
         y = 2.0 * h1_0 + (-1.0) * h1_1 + 0.25
-        out = mlp_forward(p, [x0, x1])
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(y, abs=1e-15)
+        out = mlp_forward(p, [[x0, x1]])
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(y, abs=1e-15)
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(0)
@@ -69,19 +69,28 @@ class TestForward:
         batch = mlp_forward(p, xs)
         # gemm vs gemv BLAS paths may differ in the last bits
         for i in range(7):
-            np.testing.assert_allclose(batch[i], mlp_forward(p, xs[i]), rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(batch[i:i + 1], mlp_forward(p, xs[i:i + 1]),
+                                       rtol=1e-13, atol=1e-15)
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(1)
         p = mlp_init([4, 8, 3], rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         a, b = mlp_forward(p, x), mlp_forward(p, x)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch_names_layer(self):
         p = single_layer(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError, match="dim"):
-            mlp_forward(p, [1.0, 2.0, 3.0])
+            mlp_forward(p, [[1.0, 2.0, 3.0]])
+
+    def test_one_dimensional_input_rejected(self):
+        # a single row is a 1-row batch; a bare vector is not taken for one
+        p = single_layer(np.eye(2), [0.0, 0.0])
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            mlp_forward(p, [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"upstream gradient has shape \(2,\)"):
+            mlp_backward(p, mlp_forward_cached(p, [[1.0, 2.0]])[1], [1.0, 0.0])
 
     def test_bad_chain_rejected(self):
         with pytest.raises(ValueError, match="layer 1"):
@@ -146,51 +155,51 @@ class TestBackward:
         # y = Wx + b, upstream e1: d/db = e1, d/dW = e1 x^T.
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         p = single_layer(w, [0.0, 0.0])
-        x = np.array([0.7, -1.3])
-        grads, gx = mlp_backward(p, mlp_forward_cached(p, x)[1], [1.0, 0.0])
+        x = np.array([[0.7, -1.3]])
+        grads, gx = mlp_backward(p, mlp_forward_cached(p, x)[1], [[1.0, 0.0]])
         assert np.array_equal(grads.biases[0], [1.0, 0.0])
         assert np.array_equal(grads.weights[0], np.outer([1.0, 0.0], x))
-        assert np.array_equal(gx, w[0])
+        assert np.array_equal(gx, w[:1])
 
     def test_relu_subgradient_at_zero_is_zero(self):
         # Hidden pre-activation exactly 0: convention pins the subgradient to 0.
         p = MlpParams([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
-        grads, gx = mlp_backward(p, mlp_forward_cached(p, [0.0])[1], [1.0])
+        grads, gx = mlp_backward(p, mlp_forward_cached(p, [[0.0]])[1], [[1.0]])
         assert grads.weights[1][0, 0] == 0.0 and grads.biases[1][0] == 1.0
         assert grads.weights[0][0, 0] == 0.0
         assert grads.biases[0][0] == 0.0
-        assert gx[0] == 0.0
+        assert gx[0, 0] == 0.0
 
     @nets((6,))
     def test_two_layer_matches_finite_differences(self, hidden):
         rng = np.random.default_rng(42)
         p = mlp_init([3, *hidden, 2], rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(1, 3))
         u = rng.normal(size=2)
 
         def loss(q):
-            return float(mlp_forward(q, x) @ u)
+            return float(mlp_forward(q, x)[0] @ u)
 
-        analytic, _ = mlp_backward(p, mlp_forward_cached(p, x)[1], u)
+        analytic, _ = mlp_backward(p, mlp_forward_cached(p, x)[1], u[None])
         assert finite_diff_check(loss, p, analytic, step=1e-5) <= 1e-4
 
     def test_input_grad_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         p = mlp_init([4, 5, 3], rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         u = rng.normal(size=3)
-        _, gx = mlp_backward(p, mlp_forward_cached(p, x)[1], u)
+        _, gx = mlp_backward(p, mlp_forward_cached(p, x)[1], u[None])
         eps = 1e-6
         for i in range(4):
-            dx = np.zeros(4)
-            dx[i] = eps
-            fd = (mlp_forward(p, x + dx) @ u - mlp_forward(p, x - dx) @ u) / (2 * eps)
-            assert gx[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+            dx = np.zeros((1, 4))
+            dx[0, i] = eps
+            fd = (mlp_forward(p, x + dx)[0] @ u - mlp_forward(p, x - dx)[0] @ u) / (2 * eps)
+            assert gx[0, i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_upstream_dim_mismatch_rejected(self):
         p = single_layer(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):
-            mlp_backward(p, mlp_forward_cached(p, [1.0, 2.0])[1], [1.0, 0.0, 0.0])
+            mlp_backward(p, mlp_forward_cached(p, [[1.0, 2.0]])[1], [[1.0, 0.0, 0.0]])
 
     def test_upstream_row_count_mismatch_rejected(self):
         p = single_layer(np.eye(2), [0.0, 0.0])
@@ -436,12 +445,12 @@ class TestBackpropExactnessSweep:
         rng = np.random.default_rng([hidden[0], int(net == "relu")])
         dims = [5, *hidden, 2] if net == "relu" else [5, hidden[0]]
         p = mlp_init(dims, rng)
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
         u = rng.normal(size=dims[-1])
-        analytic, _ = mlp_backward(p, mlp_forward_cached(p, x)[1], u)
+        analytic, _ = mlp_backward(p, mlp_forward_cached(p, x)[1], u[None])
 
         def loss(q):
-            return float(mlp_forward(q, x) @ u)
+            return float(mlp_forward(q, x)[0] @ u)
 
         err = finite_diff_check(loss, p, analytic, step=1e-5, coords=24, rng=rng)
         assert err <= 1e-4

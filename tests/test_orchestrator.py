@@ -73,9 +73,7 @@ def test_frozen_reward_trains_only_the_student(algorithm, kind, tmp_path, monkey
     original = orchestrator._RewardPathway.student_rewards
 
     def spy(pathway, *args):
-        frozen = (pathway.frozen_trainer.actor if kind == "trainer"
-                  else pathway.frozen_airl_reward)
-        seen.append(mlp_to_bytes(frozen))
+        seen.append(mlp_to_bytes(pathway.frozen))
         return original(pathway, *args)
 
     monkeypatch.setattr(orchestrator._RewardPathway, "student_rewards", spy)
@@ -89,6 +87,21 @@ def test_frozen_reward_trains_only_the_student(algorithm, kind, tmp_path, monkey
     start = load_mlp(str(tmp_path / "run" / "step-0" / "student" / "actor.mlp"))
     assert mlp_to_bytes(start) != mlp_to_bytes(artifacts.student.actor)
     assert seen and all(b == frozen_bytes for b in seen)
+
+
+@pytest.mark.parametrize("kind,dims", [
+    ("trainer", [4, 8, 1]),  # an AIRL reward net where a trainer actor belongs
+    ("airl", [4, 8, 2]),     # a trainer actor where an AIRL reward net belongs
+    ("airl", [2, 8, 1])])    # an AIRL potential net: states only
+def test_frozen_reward_of_the_wrong_shape_rejected_before_the_run(kind, dims, tmp_path):
+    path = str(tmp_path / "reward.mlp")
+    save_mlp(nets.mlp_init(dims, np.random.default_rng(0)), path)
+    cfg = RunConfig(algorithm="gail", seed=5, frozen_reward={"kind": kind, "path": path},
+                    **TINY)
+    run_dir = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"frozen_reward {kind} net maps"):
+        run_training(cfg, EXPERT, str(run_dir))
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
@@ -231,8 +244,9 @@ def test_one_trainer_forward_per_collected_step(monkeypatch):
     cfg = RunConfig(algorithm="rile_off", seed=3, freeze_threshold=0.0,
                     **{**TINY, "early_stop_success": False})
     shared, n_shared = _one_row_trainer_forwards(cfg, monkeypatch)
-    monkeypatch.setattr(orchestrator._RewardPathway, "step_heads",
-                        lambda pathway, chunk: None)
+    act = orchestrator.trainer_act
+    monkeypatch.setattr(orchestrator, "trainer_act", lambda agent, obs, rng: (
+        orchestrator.trainer_act_batch(agent, obs), act(agent, obs, rng)[1]))
     separate, n_separate = _one_row_trainer_forwards(cfg, monkeypatch)
 
     assert shared.steps_run == cfg.total_steps and shared.freeze_step is None
@@ -242,9 +256,10 @@ def test_one_trainer_forward_per_collected_step(monkeypatch):
     assert shared.diagnostics_rows == separate.diagnostics_rows
 
 
-def test_rollout_trainer_rows_reuse_the_step_heads(monkeypatch):
-    # rile_on's stochastic trainer actions for a rollout come from the heads
-    # its rewards were scored with: trainer_rows runs no actor forward.
+def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
+    # rile_on's stochastic trainer actions for a rollout come from the
+    # forward its rewards were scored with: trainer_rows runs no actor
+    # forward.
     inside, forwards, calls = [], [], []
     original_rows = orchestrator._Rollout.trainer_rows
     original_forward = nets._forward_cached
@@ -274,6 +289,28 @@ def test_rollout_trainer_rows_reuse_the_step_heads(monkeypatch):
     assert forwards == []
 
 
+def test_score_acts_on_the_state_action_rows():
+    # The live trainer observes each collected (state, action) row; the
+    # chunk's rewards are its deterministic actions there, and its sampled
+    # actions draw their noise from the stream given, row after row.
+    cfg = RunConfig(algorithm="rile_off").validate()
+    pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
+                                          EXPERT.state_dim, EXPERT.action_dim)
+    rng = np.random.default_rng(0)
+    chunk = {k: rng.uniform(-1, 1, (5, 2)) for k in ("s", "a", "sp")}
+    r, a_t = pathway.score(chunk, np.random.default_rng(1))
+
+    obs = np.concatenate([chunk["s"], chunk["a"]], axis=1)
+    y = mlp_forward(pathway.trainer.actor, obs)
+    noise = np.random.default_rng(1).normal(size=5)
+    assert np.array_equal(r, np.tanh(y[:, 0]))
+    log_std = np.clip(y[:, 1], -5.0, 2.0)
+    assert np.array_equal(a_t, np.tanh(y[:, 0] + np.exp(log_std) * noise))
+    assert np.array_equal(r, pathway.student_rewards(chunk["s"], chunk["a"], chunk["sp"]))
+    pathway.trainer.frozen = True
+    assert pathway.score(chunk, None)[1] is None
+
+
 def test_airl_scoring_keeps_one_cache():
     # Each head keeps one cache in its own workspace: r over the scored rows
     # and V over the stacked rows [s; s'].
@@ -283,7 +320,7 @@ def test_airl_scoring_keeps_one_cache():
     heads = pathway.airl
     rng = np.random.default_rng(0)
     s, a, sp = (rng.uniform(-1, 1, (256, 2)) for _ in range(3))
-    r = pathway.student_rewards(None, s, a, sp)
+    r = pathway.student_rewards(s, a, sp)
 
     reward = mlp_forward(heads.reward, np.concatenate([s, a], axis=1), Workspace())[:, 0]
     v = mlp_forward(heads.potential, np.concatenate([s, sp]), Workspace())[:, 0]
