@@ -15,14 +15,13 @@ the one single-state entry, acting on the state the maze is in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .nets import (
     AdamState,
     MlpParams,
-    Workspace,
     adam_init,
     adam_step,
     mlp_backward,
@@ -56,9 +55,9 @@ def _split_heads(y: np.ndarray):
     return y[:, :da], np.clip(raw, LOG_STD_MIN, LOG_STD_MAX), raw
 
 
-def _policy_heads(actor: MlpParams, states: np.ndarray, ws: Workspace | None = None):
+def _policy_heads(actor: MlpParams, states: np.ndarray):
     """(mean, log_std, raw log_std) from the actor net; log_std hard-clipped."""
-    return _split_heads(mlp_forward(actor, states, ws))
+    return _split_heads(mlp_forward(actor, states))
 
 
 # The two losses that score boundary actions clamp their pre-squash values to
@@ -108,9 +107,9 @@ def gaussian_entropy(log_std) -> np.ndarray:
 @dataclass
 class ActorCritic:
     """Tanh-Gaussian actor, V critic and its polyak target, with their Adam
-    states and batch scratch. The student acts epsilon-greedily during
-    collection; the trainer's epsilon_greedy is 0. Once frozen, updates are
-    rejected and the parameters stay as they are."""
+    states. The student acts epsilon-greedily during collection; the
+    trainer's epsilon_greedy is 0. Once frozen, updates are rejected and the
+    parameters stay as they are."""
 
     actor: MlpParams
     critic: MlpParams
@@ -122,8 +121,6 @@ class ActorCritic:
     gamma: float = 0.99
     tau: float = 0.01
     frozen: bool = False
-    # batch scratch of the agent's forward and backward passes
-    ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @property
     def action_dim(self) -> int:
@@ -159,12 +156,12 @@ def student_act(agent: ActorCritic, state, mode: str, rng=None) -> np.ndarray:
     return np.tanh(mean[0] + np.exp(log_std[0]) * rng.normal(size=agent.action_dim))
 
 
-def _critic_loss_grads(critic, states, targets, ws=None):
-    y, cache = mlp_forward_cached(critic, states, ws)
+def _critic_loss_grads(critic, states, targets):
+    y, cache = mlp_forward_cached(critic, states)
     v = y[:, 0]
     err = v - targets
     loss = float(np.mean(err**2))
-    grads, _ = mlp_backward(critic, cache, (2.0 * err / len(err))[:, None], ws)
+    grads, _ = mlp_backward(critic, cache, (2.0 * err / len(err))[:, None])
     return loss, grads, v
 
 
@@ -178,11 +175,11 @@ def advantage_weights(advantages) -> np.ndarray:
     return np.minimum(np.exp(advantages), _ADV_WEIGHT_CLIP)
 
 
-def _actor_loss_grads(actor, states, actions, weights, entropy_coef, ws=None):
+def _actor_loss_grads(actor, states, actions, weights, entropy_coef):
     """Weighted log-likelihood ascent plus entropy bonus; weights >= 0 are
     treated as constants (exponentiated advantages in training). The loss
     and its gradient both use the clamped pre-squash value of the actions."""
-    y, cache = mlp_forward_cached(actor, states, ws)
+    y, cache = mlp_forward_cached(actor, states)
     mean, log_std, raw = _split_heads(y)
     u = _clamped_atanh(actions)
     std = np.exp(log_std)
@@ -197,7 +194,7 @@ def _actor_loss_grads(actor, states, actions, weights, entropy_coef, ws=None):
     d_logstd = (-(w * (z**2 - 1.0)) - entropy_coef) / n
     d_logstd = d_logstd * ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX))
     upstream = np.concatenate([d_mean, d_logstd], axis=1)
-    grads, _ = mlp_backward(actor, cache, upstream, ws)
+    grads, _ = mlp_backward(actor, cache, upstream)
     return loss, grads, float(np.mean(ent))
 
 
@@ -213,9 +210,7 @@ def actor_critic_update(agent: ActorCritic, batch) -> dict:
     the actor ascends the advantage-weighted log-likelihood plus the entropy
     bonus; the target follows the critic by polyak averaging. Every network
     is updated in place. Rejected while frozen; non-finite losses are
-    rejected before any state is touched. The target, critic and actor
-    passes run on the agent's workspace in turn: one cache is live at a
-    time."""
+    rejected before any state is touched."""
     if agent.frozen:
         raise RuntimeError("agent is frozen; updates are rejected")
     states, actions, rewards, next_states, dones = batch
@@ -225,16 +220,15 @@ def actor_critic_update(agent: ActorCritic, batch) -> dict:
     actions = np.asarray(actions, dtype=np.float64).reshape(len(states), -1)
     rewards = np.asarray(rewards, dtype=np.float64)
     dones = np.asarray(dones, dtype=np.float64)
-    v_next = mlp_forward(agent.critic_target, next_states, agent.ws)[:, 0]
+    v_next = mlp_forward(agent.critic_target, next_states)[:, 0]
     targets = rewards + agent.gamma * (1.0 - dones) * v_next
 
-    c_loss, c_grads, v = _critic_loss_grads(agent.critic, states, targets, agent.ws)
+    c_loss, c_grads, v = _critic_loss_grads(agent.critic, states, targets)
     adv = targets - v
     if len(adv) > 1 and adv.std() > 1e-8:
         adv = (adv - adv.mean()) / adv.std()
     a_loss, a_grads, mean_ent = _actor_loss_grads(
-        agent.actor, states, actions, advantage_weights(adv), agent.entropy_coef,
-        agent.ws)
+        agent.actor, states, actions, advantage_weights(adv), agent.entropy_coef)
     if not (np.isfinite(c_loss) and np.isfinite(a_loss)):
         raise ValueError("non-finite loss in actor-critic update; agent unchanged")
 
@@ -252,11 +246,11 @@ def trainer_act(agent: ActorCritic, obs: np.ndarray, rng):
     """(deterministic, stochastic) scalar actions in [-1, 1] (tanh-squashed)
     per row of obs, from one actor forward; the stochastic rows draw their
     noise in one call, row after row."""
-    mean, log_std, _ = _policy_heads(agent.actor, obs, agent.ws)
+    mean, log_std, _ = _policy_heads(agent.actor, obs)
     noisy = mean + np.exp(log_std) * rng.normal(size=mean.shape)
     return np.tanh(mean[:, 0]), np.tanh(noisy[:, 0])
 
 
 def trainer_act_batch(agent: ActorCritic, obs: np.ndarray) -> np.ndarray:
     """Deterministic actions for a batch of observations."""
-    return np.tanh(_policy_heads(agent.actor, obs, agent.ws)[0][:, 0])
+    return np.tanh(_policy_heads(agent.actor, obs)[0][:, 0])

@@ -9,7 +9,7 @@ potential, BC regresses the actor mean directly onto expert actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .envs import ExpertDataset
 from .nets import (
     AdamState,
     MlpParams,
-    Workspace,
     adam_init,
     adam_step,
     mlp_backward,
@@ -50,16 +49,13 @@ def _stable_sigmoid(x):
 
 @dataclass
 class AirlHeads:
-    """Learned reward r(s,a) decoupled from a shaping potential V(s), with
-    each head's batch scratch."""
+    """Learned reward r(s,a) decoupled from a shaping potential V(s)."""
 
     reward: MlpParams
     potential: MlpParams
     reward_opt: AdamState
     potential_opt: AdamState
     gamma: float = 0.99
-    reward_ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
-    potential_ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
 
 def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
@@ -74,11 +70,10 @@ def airl_f_batch(heads: AirlHeads, s, a, sp):
     """f(s,a,s') = r(s,a) + gamma V(s') - V(s) per row.
 
     Returns (f, caches): the forward caches of r over (s, a) and of V over
-    the stacked rows [s; s'], for mlp_backward, in the heads' two
-    workspaces. Each stays valid until the next call."""
+    the stacked rows [s; s'], for mlp_backward."""
     sa = np.concatenate([s, a], axis=1)
-    r, c_r = mlp_forward_cached(heads.reward, sa, heads.reward_ws)
-    v, c_v = mlp_forward_cached(heads.potential, np.concatenate([s, sp]), heads.potential_ws)
+    r, c_r = mlp_forward_cached(heads.reward, sa)
+    v, c_v = mlp_forward_cached(heads.potential, np.concatenate([s, sp]))
     return r[:, 0] + heads.gamma * v[len(s):, 0] - v[:len(s), 0], (c_r, c_v)
 
 
@@ -90,7 +85,7 @@ def _student_logp(student: ActorCritic, s, a) -> np.ndarray:
     The exact density is unbounded at such actions. Neither the paper nor
     the AIRL formula says what pi(a|s) should be for an expert action on the
     boundary of a squashed Gaussian; the clamp is this code's choice."""
-    mean, log_std, _ = _policy_heads(student.actor, s, student.ws)
+    mean, log_std, _ = _policy_heads(student.actor, s)
     return _logprob_presquash(mean, log_std, _clamped_atanh(a))
 
 
@@ -113,9 +108,9 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
 
     # d loss / d f: d softplus(-m) / dm on expert rows, d softplus(m) / dm on student rows
     df = np.concatenate([-_stable_sigmoid(-me) / len(me), _stable_sigmoid(ms) / len(ms)])
-    r_grads, _ = mlp_backward(heads.reward, c_r, df[:, None], heads.reward_ws)
+    r_grads, _ = mlp_backward(heads.reward, c_r, df[:, None])
     dv = np.concatenate([-df, heads.gamma * df])  # d loss / d V over [s; s']
-    v_grads, _ = mlp_backward(heads.potential, c_v, dv[:, None], heads.potential_ws)
+    v_grads, _ = mlp_backward(heads.potential, c_v, dv[:, None])
     return loss, r_grads, v_grads
 
 
@@ -134,23 +129,23 @@ def airl_update(heads: AirlHeads, student: ActorCritic, expert_batch,
     return loss
 
 
-def _bc_loss(actor: MlpParams, states, targets, ws: Workspace) -> float:
+def _bc_loss(actor: MlpParams, states, targets) -> float:
     """Squared error of the squashed actor mean against expert actions."""
-    y = mlp_forward(actor, states, ws)
+    y = mlp_forward(actor, states)
     err = np.tanh(y[:, :y.shape[1] // 2]) - targets
     return float(np.mean(np.sum(err**2, axis=1)))
 
 
-def _bc_loss_and_grads(actor: MlpParams, states, targets, ws: Workspace):
+def _bc_loss_and_grads(actor: MlpParams, states, targets):
     """_bc_loss and its gradient, from one forward pass."""
-    y, cache = mlp_forward_cached(actor, states, ws)
+    y, cache = mlp_forward_cached(actor, states)
     da = y.shape[1] // 2
     mean = np.tanh(y[:, :da])
     err = mean - targets
     loss = float(np.mean(np.sum(err**2, axis=1)))
     up_mean = 2.0 * err * (1.0 - mean**2) / len(states)
     upstream = np.concatenate([up_mean, np.zeros_like(up_mean)], axis=1)
-    grads, _ = mlp_backward(actor, cache, upstream, ws)
+    grads, _ = mlp_backward(actor, cache, upstream)
     return loss, grads
 
 
@@ -169,10 +164,10 @@ def train_bc(cfg, expert: ExpertDataset, student: ActorCritic, rng, diag_log) ->
         order = rng.permutation(len(train))
         for lo in range(0, len(order), batch):
             idx = train[order[lo:lo + batch]]
-            _, grads = _bc_loss_and_grads(student.actor, s[idx], a[idx], student.ws)
+            _, grads = _bc_loss_and_grads(student.actor, s[idx], a[idx])
             adam_step(student.actor, grads, student.actor_opt)
         row = {"epoch": epoch,
-               "train_loss": _bc_loss(student.actor, s[train], a[train], student.ws)}
+               "train_loss": _bc_loss(student.actor, s[train], a[train])}
         if len(hold) > 0:
-            row["holdout_loss"] = _bc_loss(student.actor, s[hold], a[hold], student.ws)
+            row["holdout_loss"] = _bc_loss(student.actor, s[hold], a[hold])
         diag_log.write(row)

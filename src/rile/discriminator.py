@@ -8,14 +8,13 @@ uniform interpolates between expert and student inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .nets import (
     AdamState,
     MlpParams,
-    Workspace,
     _forward_cached,
     adam_init,
     adam_step,
@@ -30,11 +29,10 @@ LOGIT_CLAMP = 20.0
 @dataclass
 class DiscriminatorNet:
     """Scalar-logit MLP over concatenated (state, action), with its
-    optimizer state and its batch scratch."""
+    optimizer state."""
 
     params: MlpParams
     opt: AdamState
-    ws: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @property
     def in_dim(self) -> int:
@@ -57,7 +55,7 @@ def _join(state, action) -> np.ndarray:
 
 
 def disc_logit(net: DiscriminatorNet, x: np.ndarray) -> np.ndarray:
-    y, _ = _forward_cached(net.params, x, net.ws)
+    y, _ = _forward_cached(net.params, x)
     return np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
@@ -75,8 +73,7 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def _bce_loss_and_grads(params: MlpParams, y: np.ndarray, hs, ne: int, ns: int,
-                        ws: Workspace):
+def _bce_loss_and_grads(params: MlpParams, y: np.ndarray, hs, ne: int, ns: int):
     """Loss = -mean log D(expert) - mean log(1-D(student)) and its exact
     parameter gradients, through the logit clamp, from one forward (y, hs)
     whose first ne rows are expert rows and next ns rows student rows;
@@ -90,7 +87,7 @@ def _bce_loss_and_grads(params: MlpParams, y: np.ndarray, hs, ne: int, ns: int,
     ge = -(1.0 / (1.0 + np.exp(le))) / ne
     gs = (1.0 / (1.0 + np.exp(-ls))) / ns
     g = np.where(np.abs(y[:n, 0]) < LOGIT_CLAMP, np.concatenate([ge, gs]), 0.0)
-    grads, _ = mlp_backward(params, [h[:n] for h in hs], g[:, None], ws)
+    grads, _ = mlp_backward(params, [h[:n] for h in hs], g[:, None])
     return loss, grads
 
 
@@ -147,8 +144,8 @@ def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
         u = rng.uniform(size=(m, 1))
         rows.append(u * xe[:m] + (1.0 - u) * xs[:m])
 
-    y, hs = _forward_cached(net.params, np.concatenate(rows), net.ws)
-    loss, grads = _bce_loss_and_grads(net.params, y, hs, ne, ns, net.ws)
+    y, hs = _forward_cached(net.params, np.concatenate(rows))
+    loss, grads = _bce_loss_and_grads(net.params, y, hs, ne, ns)
     if gp_weight > 0:
         gp, gp_grads = _gp_loss_and_grads(net.params, [h[ne + ns:] for h in hs])
         loss += gp_weight * gp

@@ -26,17 +26,15 @@ Adam updates a network in place: adam_step writes the new parameters into
 .flat and the new moments into its AdamState's vectors, so a learner's
 networks and optimizer states stay the same objects for the whole run.
 
-Batch-sized scratch lives in a Workspace. Each learner (student, trainer,
-discriminator, each AIRL head) owns one and passes it to its forward and
-backward passes, which write the hidden layers' activations and the
-backward deltas into it, so steady-state updates allocate no batch-sized
-arrays. A forward cache holds activations only: each hidden layer's
-activation is written over its pre-activation in one buffer, because
-ReLU's derivative mask z > 0 is h > 0. A workspace holds one live forward
-cache: the next forward on it overwrites the last, so a caller that needs
-two caches at once, as AIRL's two heads do, uses two workspaces. Network
-outputs, input gradients and parameter gradients are always fresh arrays,
-never workspace views. A call given no workspace uses a throwaway one.
+Batch-sized scratch lives on the network: each MlpParams owns a
+Workspace, into which its forward and backward passes write the hidden
+layers' activations and the backward deltas, so steady-state updates
+allocate no batch-sized arrays. A forward cache holds activations only:
+each hidden layer's activation is written over its pre-activation in one
+buffer, because ReLU's derivative mask z > 0 is h > 0. A forward cache
+stays valid until the same network's next forward. Network outputs, input
+gradients and parameter gradients are always fresh arrays, never views of
+the scratch.
 
 BLAS threads: a training run whose hidden layers are all at most
 ONE_THREAD_MAX_WIDTH wide runs its matmuls on one OpenBLAS thread
@@ -75,7 +73,7 @@ class Workspace:
     """Grow-only float64 scratch buffers, keyed by name and handed out as
     [rows, cols] views of their leading rows * cols values.
 
-    A buffer is reallocated only when a request outgrows it, so a learner
+    A buffer is reallocated only when a request outgrows it, so a network
     whose batches keep their sizes reuses the same memory on every update.
     """
 
@@ -99,17 +97,20 @@ class MlpParams:
     biases[k] to views into it: a write through a view shows in flat and
     the reverse. Consecutive layer dimensions must chain and all values
     must be finite. Every layer but the last is ReLU; the last is linear.
+    ws is the network's own batch scratch; no two networks share one.
     """
 
     weights: list
     biases: list
     flat: np.ndarray = field(init=False, repr=False)
+    ws: Workspace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate()
         self.flat = np.concatenate([np.ravel(a) for pair in zip(self.weights, self.biases)
                                     for a in pair]).astype(np.float64, copy=False)
         self.weights, self.biases = _views(self.flat, [w.shape for w in self.weights])
+        self.ws = Workspace()
 
     def _validate(self):
         if len(self.weights) != len(self.biases):
@@ -162,6 +163,7 @@ def _on_flat(flat: np.ndarray, like: MlpParams) -> MlpParams:
     params = object.__new__(MlpParams)
     params.flat = flat
     params.weights, params.biases = _views(flat, [w.shape for w in like.weights])
+    params.ws = Workspace()
     return params
 
 
@@ -191,54 +193,53 @@ def _as_batch(x, expected_dim, what="input"):
     return x
 
 
-def _forward_cached(params: MlpParams, x: np.ndarray, ws: Workspace):
+def _forward_cached(params: MlpParams, x: np.ndarray):
     """Returns (output, activations h per layer).
 
     h[0] is the input; h[k] the output of layer k. Each hidden layer's ReLU
-    is computed in place over its pre-activation, in a view into ws; the
-    last layer's linear output is a fresh array.
+    is computed in place over its pre-activation, in a view into params.ws;
+    the last layer's linear output is a fresh array.
     """
     hs = [x]
     last = params.n_layers - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out = ws.take(("h", k), x.shape[0], w.shape[0]) if k < last else None
+        out = params.ws.take(("h", k), x.shape[0], w.shape[0]) if k < last else None
         z = np.matmul(hs[-1], w.T, out=out)
         z += b
         hs.append(np.maximum(z, 0.0, out=z) if k < last else z)
     return hs[-1], hs
 
 
-def mlp_forward(params: MlpParams, x, ws: Workspace | None = None) -> np.ndarray:
+def mlp_forward(params: MlpParams, x) -> np.ndarray:
     """Evaluate the network on a [rows, in_dim] batch."""
-    return mlp_forward_cached(params, x, ws)[0]
+    return mlp_forward_cached(params, x)[0]
 
 
-def mlp_forward_cached(params: MlpParams, x, ws: Workspace | None = None):
+def mlp_forward_cached(params: MlpParams, x):
     """mlp_forward that also returns the cache mlp_backward needs.
 
     Returns (output, hs). The cache hs is the input and each layer's
-    activation from this forward; it stays valid until the next forward on
-    the same workspace.
+    activation from this forward; it stays valid until the same network's
+    next forward.
     """
-    return _forward_cached(params, _as_batch(x, params.in_dim),
-                           Workspace() if ws is None else ws)
+    return _forward_cached(params, _as_batch(x, params.in_dim))
 
 
-def mlp_backward(params: MlpParams, hs, upstream, ws: Workspace | None = None):
+def mlp_backward(params: MlpParams, hs, upstream):
     """Exact gradients of <output, upstream> w.r.t. parameters and input,
     from the cache hs of the forward pass mlp_forward_cached made.
 
     Each hidden layer's ReLU mask is read from its cached activation
     (h > 0; subgradient 0 at h = 0). The parameter gradients are summed
-    over the batch rows. The backward deltas are
-    written into ws, under names of their own, so ws may hold the cache
-    itself. Returns (param_grads: MlpParams-shaped, input_grad), both fresh.
+    over the batch rows. The backward deltas are written into params.ws,
+    under names of their own, beside the cache. Returns (param_grads:
+    MlpParams-shaped, input_grad), both fresh.
     """
     ub = _as_batch(upstream, params.out_dim, what="upstream gradient")
     rows = hs[0].shape[0]
     if rows != ub.shape[0]:
         raise ValueError("input and upstream gradient batch sizes differ")
-    ws = Workspace() if ws is None else ws
+    ws = params.ws
 
     grads = _on_flat(np.empty_like(params.flat), params)
     g = ub  # gradient w.r.t. the output of layer k

@@ -187,9 +187,9 @@ class RunConfig:
         if self.frozen_reward is not None:
             if self.frozen_reward.get("kind") not in ("trainer", "airl"):
                 raise ValueError("frozen_reward.kind must be 'trainer' or 'airl'")
-            if self.algorithm == "bc":
-                raise ValueError("frozen_reward needs a learned-reward algorithm; "
-                                 "bc trains on expert actions only")
+            if self.algorithm not in ("rile_off", "rile_on"):
+                raise ValueError(f"frozen_reward runs under rile_off or rile_on: "
+                                 f"{self.algorithm} trains its own reward or none")
         return self
 
 
@@ -366,10 +366,9 @@ class _WindowTracker:
     """Accumulates paired (learned, environment) reward samples and cuts a
     MetricsWindow with a fixed-probe snapshot every metric_window steps."""
 
-    def __init__(self, cfg, pathway, probe_s, probe_a):
+    def __init__(self, cfg, pathway):
         self.cfg = cfg
         self.pathway = pathway
-        self.probe_s, self.probe_a = probe_s, probe_a
         self.learned, self.env = [], []
         self.index = 0
         self.prev_window = None
@@ -382,7 +381,8 @@ class _WindowTracker:
     def maybe_close(self, metrics_log, eval_result):
         if len(self.learned) < self.cfg.metric_window:
             return
-        snapshot = self.pathway.student_rewards(self.probe_s, self.probe_a, self.probe_s)
+        te = self.pathway.expert_table  # the fixed probe: every expert transition
+        snapshot = self.pathway.student_rewards(te["s"], te["a"], te["sp"])
         win = MetricsWindow(self.index, np.array(self.learned), np.array(self.env), snapshot)
         row = {"window": self.index}
         if self.prev_window is not None:
@@ -580,7 +580,7 @@ def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifact
     if cfg.algorithm == "bc":
         baselines.train_bc(cfg, expert, student, streams["student"], diag_log)
     else:
-        _run_loop(cfg, expert, student, pathway, streams, artifacts, diag_log, metrics_log)
+        _run_loop(cfg, student, pathway, streams, artifacts, diag_log, metrics_log)
 
     artifacts.metrics_rows = metrics_log.rows
     artifacts.diagnostics_rows = diag_log.rows
@@ -591,12 +591,11 @@ def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifact
     return artifacts
 
 
-def _run_loop(cfg, expert, student, pathway, streams, artifacts, diag_log, metrics_log):
+def _run_loop(cfg, student, pathway, streams, artifacts, diag_log, metrics_log):
     """The adversarial algorithms' loop, from the step-0 checkpoint to the
     last step; records the steps run and the freeze step in artifacts."""
     run_dir = artifacts.run_dir
-    probe_s, probe_a = expert.all_pairs()
-    tracker = _WindowTracker(cfg, pathway, probe_s, probe_a)
+    tracker = _WindowTracker(cfg, pathway)
     monitor = FreezeMonitor(cfg.freeze_window, cfg.freeze_threshold)
     collector = _Collector(cfg, streams)
     on_policy = cfg.algorithm == "rile_on"

@@ -107,20 +107,22 @@ def disc_per_block(params: MlpParams, xe, xs, interp, gp_weight):
 def airl_per_block(heads, expert_batch, student_batch, logp_expert, logp_student):
     """AIRL's BCE and the gradients of both heads, with a forward and a
     backward for each batch and each of r(s,a), V(s) and V(s'): six of each,
-    summed within each batch and then across the batches."""
+    summed within each batch and then across the batches. V(s) runs on a
+    copy of the potential, whose cache then outlives V(s')'s forward."""
     loss = 0.0
     r_grads, v_grads = zeros_like_params(heads.reward), zeros_like_params(heads.potential)
+    potential_at_s = heads.potential.copy()
     for (s, a, sp), logp, sign in ((expert_batch, logp_expert, -1.0),
                                    (student_batch, logp_student, 1.0)):
         r, c_r = mlp_forward_cached(heads.reward, np.concatenate([s, a], axis=1))
-        v, c_v = mlp_forward_cached(heads.potential, s)
+        v, c_v = mlp_forward_cached(potential_at_s, s)
         vp, c_vp = mlp_forward_cached(heads.potential, sp)
         term, slope = _softplus_and_slope(sign, r[:, 0] + heads.gamma * vp[:, 0] - v[:, 0] - logp)
         loss += float(np.mean(term))
         df = (slope / len(s))[:, None]
         r_grads.flat += mlp_backward(heads.reward, c_r, df)[0].flat
         g_v = mlp_backward(heads.potential, c_vp, heads.gamma * df)[0]
-        g_v.flat += mlp_backward(heads.potential, c_v, -df)[0].flat
+        g_v.flat += mlp_backward(potential_at_s, c_v, -df)[0].flat
         v_grads.flat += g_v.flat
     return loss, r_grads, v_grads
 

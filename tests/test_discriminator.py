@@ -12,7 +12,6 @@ from rile.discriminator import (
 )
 from rile.nets import (
     MlpParams,
-    Workspace,
     _forward_cached,
     adam_init,
     mlp_backward,
@@ -31,13 +30,13 @@ from oracles import (
 
 def _bce(params, xe, xs):
     """_bce_loss_and_grads over one forward of the stacked rows [xe; xs]."""
-    y, hs = _forward_cached(params, np.concatenate([xe, xs]), Workspace())
-    return _bce_loss_and_grads(params, y, hs, len(xe), len(xs), Workspace())
+    y, hs = _forward_cached(params, np.concatenate([xe, xs]))
+    return _bce_loss_and_grads(params, y, hs, len(xe), len(xs))
 
 
 def _gp(params, x):
     """_gp_loss_and_grads over one forward of x alone."""
-    return _gp_loss_and_grads(params, _forward_cached(params, x, Workspace())[1])
+    return _gp_loss_and_grads(params, _forward_cached(params, x)[1])
 
 
 def _gp_full_sweep(params, x):
@@ -242,8 +241,8 @@ class TestGradients:
 
         def loss_and_grads(q):
             # one forward over [expert; student; interpolates] serves both terms
-            y, hs = _forward_cached(q, np.concatenate([xe, xs, interp]), Workspace())
-            bce, g1 = _bce_loss_and_grads(q, y, hs, 5, 5, Workspace())
+            y, hs = _forward_cached(q, np.concatenate([xe, xs, interp]))
+            bce, g1 = _bce_loss_and_grads(q, y, hs, 5, 5)
             gp, g2 = _gp_loss_and_grads(q, [h[10:] for h in hs])
             analytic = MlpParams(
                 [a + b for a, b in zip(g1.weights, g2.weights)],
@@ -295,9 +294,9 @@ class TestGradients:
         calls = []
 
         def spy(name, fn):
-            def wrapped(params, x, ws):
+            def wrapped(params, x):
                 calls.append((name, len(x)))
-                return fn(params, x, ws)
+                return fn(params, x)
             return wrapped
 
         monkeypatch.setattr(discriminator, "_forward_cached",

@@ -3,7 +3,8 @@ bodies count too: they run later than the module's own, but they tie the
 two modules together all the same.
 
 And no top-level name of src/rile/ without a caller in src/rile/ or bench/,
-and no function parameter that its body never reads."""
+no function parameter that its body never reads, and no batch scratch
+outside nets: each network owns its own, so no other module names it."""
 
 import ast
 import re
@@ -201,3 +202,50 @@ def test_every_parameter_is_read():
               for p in _unread_parameters(ast.parse(path.read_text()))
               if p not in UNREAD_ALLOWED]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def _is_scratch(name: str) -> bool:
+    return name == "ws" or name.endswith("_ws")
+
+
+def _scratch_names(source: str) -> list:
+    """'kind name' for each mention in source of nets' scratch: the name
+    Workspace anywhere, and each parameter, class field or attribute named
+    ws or ending in _ws."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "Workspace":
+            found.add("name Workspace")
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] == "Workspace":
+            found.add("import Workspace")
+        elif isinstance(node, ast.Attribute) and (node.attr == "Workspace"
+                                                  or _is_scratch(node.attr)):
+            found.add(f"attribute {node.attr}")
+        elif isinstance(node, ast.arg) and _is_scratch(node.arg):
+            found.add(f"parameter {node.arg}")
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = ([stmt.target] if isinstance(stmt, ast.AnnAssign)
+                           else stmt.targets if isinstance(stmt, ast.Assign) else [])
+                found.update(f"field {t.id}" for t in targets
+                             if isinstance(t, ast.Name) and _is_scratch(t.id))
+    return sorted(found)
+
+
+def test_the_scratch_scan_sees_imports_parameters_fields_and_attributes():
+    source = ("from .nets import Workspace as W\nimport rile.nets\n"
+              "def f(x, ws=None, *, reward_ws):\n    return rile.nets.Workspace(), x.ws\n"
+              "class C:\n    potential_ws: object = None\n    news = 1\n"
+              "def g(wsx, cws):\n    return wsx.answer, lambda disc_ws: 0\n")
+    assert _scratch_names(source) == [
+        "attribute Workspace", "attribute ws", "field potential_ws", "import Workspace",
+        "parameter disc_ws", "parameter reward_ws", "parameter ws"]
+    assert _scratch_names("def f(w, s):\n    return w.wsx\n") == []
+
+
+def test_only_nets_knows_the_scratch():
+    found = {path.stem: _scratch_names(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "nets"}
+    found = {module: names for module, names in found.items() if names}
+    assert not found, "batch scratch named outside nets: " + "; ".join(
+        f"{module} ({', '.join(names)})" for module, names in found.items())

@@ -8,7 +8,6 @@ from rile.baselines import airl_update, make_airl_heads
 from rile.discriminator import disc_update, make_discriminator
 from rile.nets import (
     MlpParams,
-    Workspace,
     adam_init,
     adam_step,
     load_mlp,
@@ -539,9 +538,9 @@ def _reference_pass(p, x, u):
     return hs[-1], np.concatenate([g.ravel() for g in grads]), delta
 
 
-def _buffers(ws):
-    """Every buffer a workspace holds."""
-    return list(ws._bufs.values())
+def _held(p):
+    """Bytes of every scratch buffer the network p holds."""
+    return sum(b.nbytes for b in p.ws._bufs.values())
 
 
 class TestWorkspace:
@@ -556,12 +555,15 @@ class TestWorkspace:
 
     @nets((16, 12))
     def test_reused_workspace_is_bit_equal_to_throwaway(self, hidden):
-        p, ws = self.net(hidden), Workspace()
+        # repeated calls on one network reuse its scratch; a fresh copy()
+        # brings fresh scratch
+        p = self.net(hidden)
         for x, u in self.batches():
-            y, cache = mlp_forward_cached(p, x, ws)
-            grads, gx = mlp_backward(p, cache, u, ws)
-            y0, cache0 = mlp_forward_cached(p, x)
-            grads0, gx0 = mlp_backward(p, cache0, u)
+            y, cache = mlp_forward_cached(p, x)
+            grads, gx = mlp_backward(p, cache, u)
+            fresh = p.copy()
+            y0, cache0 = mlp_forward_cached(fresh, x)
+            grads0, gx0 = mlp_backward(fresh, cache0, u)
             ref_y, ref_g, ref_gx = _reference_pass(p, x, u)
             for got, want in ((y, y0), (grads.flat, grads0.flat), (gx, gx0),
                               (y, ref_y), (grads.flat, ref_g), (gx, ref_gx)):
@@ -569,24 +571,24 @@ class TestWorkspace:
 
     @nets((16, 12))
     def test_results_are_fresh(self, hidden):
-        p, ws = self.net(hidden), Workspace()
+        p = self.net(hidden)
         kept = []
         for x, u in self.batches():
-            y, cache = mlp_forward_cached(p, x, ws)
-            grads, gx = mlp_backward(p, cache, u, ws)
+            y, cache = mlp_forward_cached(p, x)
+            grads, gx = mlp_backward(p, cache, u)
             for r in (y, grads.flat, gx):
-                assert not any(np.shares_memory(r, b) for b in _buffers(ws))
+                assert not any(np.shares_memory(r, b) for b in p.ws._bufs.values())
             kept.append((y, y.copy(), gx, gx.copy()))
         for y, y_then, gx, gx_then in kept:
             assert np.array_equal(y, y_then) and np.array_equal(gx, gx_then)
 
     @nets((16, 12))
     def test_smaller_batches_add_no_bytes(self, hidden):
-        p, ws = self.net(hidden), Workspace()
+        p = self.net(hidden)
         held = []
         for x, u in self.batches():
-            mlp_backward(p, mlp_forward_cached(p, x, ws)[1], u, ws)
-            held.append(sum(b.nbytes for b in _buffers(ws)))
+            mlp_backward(p, mlp_forward_cached(p, x)[1], u)
+            held.append(_held(p))
         # each hidden layer's activation and backward delta, at 256 rows
         assert held == [2 * 256 * sum(hidden) * 8] * len(self.ROWS)
 
@@ -594,13 +596,27 @@ class TestWorkspace:
     def test_cache_holds_one_buffer_per_hidden_layer(self, hidden):
         # each hidden activation overwrites its pre-activation; the output
         # layer's is fresh
-        p, ws = self.net(hidden), Workspace()
-        mlp_forward_cached(p, np.ones((256, 5)), ws)
-        assert sum(b.nbytes for b in _buffers(ws)) == 256 * sum(hidden) * 8
+        p = self.net(hidden)
+        mlp_forward_cached(p, np.ones((256, 5)))
+        assert _held(p) == 256 * sum(hidden) * 8
+
+    def test_every_network_owns_its_scratch(self):
+        # copies, loaded networks, gradients and zero networks start with
+        # scratch of their own, so a forward on one leaves another's cache
+        p = self.net((16, 12))
+        x = np.ones((4, 5))
+        _, cache = mlp_forward_cached(p, x)
+        grads, _ = mlp_backward(p, cache, np.ones((4, 3)))
+        others = [p.copy(), mlp_from_bytes(mlp_to_bytes(p)), grads, zeros_like_params(p)]
+        assert len({id(q.ws) for q in [p, *others]}) == 1 + len(others)
+        assert all(_held(q) == 0 for q in others)
+        held = [h.copy() for h in cache]
+        mlp_forward_cached(others[0], 2.0 * x)
+        assert all(np.array_equal(h, h0) for h, h0 in zip(cache, held))
 
     def test_student_update_allocates_no_batch_sized_arrays(self):
         # A 64x64 student's steady-state update at batch 256 keeps its batch
-        # activations in the agent's workspace and writes its parameters and
+        # activations in its networks' scratch and writes its parameters and
         # Adam moments in place. What it still allocates is the gradients,
         # Adam's scratch and small transients; fresh batch activations at
         # every update took the peak to about 1.3 MiB.

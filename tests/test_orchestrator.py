@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from rile import nets, orchestrator
+from rile import baselines, nets, orchestrator
 from rile.agents import make_actor_critic
 from rile.baselines import make_airl_heads
 from rile.envs import MazeSpec, generate_expert
 from rile.metrics import evaluate_policy
-from rile.nets import Workspace, load_mlp, mlp_forward, mlp_to_bytes, save_mlp
+from rile.nets import load_mlp, mlp_forward, mlp_to_bytes, save_mlp
 from rile.orchestrator import RunAborted, RunConfig, run_training
 
 EXPERT = generate_expert(MazeSpec(), 2)
@@ -57,7 +57,7 @@ def test_same_seed_runs_are_bit_identical(algorithm):
 
 
 @pytest.mark.parametrize("algorithm,kind", [
-    ("rile_off", "trainer"), ("rile_on", "trainer"), ("airl", "airl")])
+    ("rile_off", "trainer"), ("rile_on", "trainer"), ("rile_off", "airl")])
 def test_frozen_reward_trains_only_the_student(algorithm, kind, tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     if kind == "trainer":
@@ -96,7 +96,7 @@ def test_frozen_reward_trains_only_the_student(algorithm, kind, tmp_path, monkey
 def test_frozen_reward_of_the_wrong_shape_rejected_before_the_run(kind, dims, tmp_path):
     path = str(tmp_path / "reward.mlp")
     save_mlp(nets.mlp_init(dims, np.random.default_rng(0)), path)
-    cfg = RunConfig(algorithm="gail", seed=5, frozen_reward={"kind": kind, "path": path},
+    cfg = RunConfig(algorithm="rile_off", seed=5, frozen_reward={"kind": kind, "path": path},
                     **TINY)
     run_dir = tmp_path / "run"
     with pytest.raises(ValueError, match=f"frozen_reward {kind} net maps"):
@@ -176,9 +176,12 @@ def test_bc_run_directory_holds_its_logs_and_the_final_checkpoint(tmp_path):
     assert len((tmp_path / "diagnostics.jsonl").read_text().splitlines()) == TINY["bc_epochs"]
 
 
-def test_frozen_reward_rejected_for_bc():
-    cfg = RunConfig(algorithm="bc", frozen_reward={"kind": "trainer",
-                                                   "path": "/nonexistent.mlp"})
+@pytest.mark.parametrize("algorithm", ["bc", "gail", "airl"])
+def test_frozen_reward_rejected_outside_rile(algorithm):
+    # a frozen reward replaces the trainer: under gail or airl such a run
+    # would be the rile_off run under another name
+    cfg = RunConfig(algorithm=algorithm, frozen_reward={"kind": "trainer",
+                                                        "path": "/nonexistent.mlp"})
     with pytest.raises(ValueError, match="frozen_reward"):
         cfg.validate()
     with pytest.raises(ValueError, match="frozen_reward"):
@@ -226,10 +229,10 @@ def _one_row_trainer_forwards(cfg, monkeypatch):
     original = nets._forward_cached
     obs_dim = EXPERT.state_dim + EXPERT.action_dim
 
-    def spy(params, x, ws):
+    def spy(params, x):
         if params.in_dim == obs_dim and params.out_dim == 2 and len(x) == 1:
             calls.append(1)
-        return original(params, x, ws)
+        return original(params, x)
 
     with monkeypatch.context() as m:
         m.setattr(nets, "_forward_cached", spy)
@@ -273,10 +276,10 @@ def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
         finally:
             inside.pop()
 
-    def forward_spy(params, x, ws):
+    def forward_spy(params, x):
         if inside and params.in_dim == obs_dim and params.out_dim == 2:
             forwards.append(len(x))
-        return original_forward(params, x, ws)
+        return original_forward(params, x)
 
     monkeypatch.setattr(orchestrator._Rollout, "trainer_rows", rows_spy)
     monkeypatch.setattr(nets, "_forward_cached", forward_spy)
@@ -312,8 +315,8 @@ def test_score_acts_on_the_state_action_rows():
 
 
 def test_airl_scoring_keeps_one_cache():
-    # Each head keeps one cache in its own workspace: r over the scored rows
-    # and V over the stacked rows [s; s'].
+    # Each head keeps one cache in its own scratch: r over the scored rows
+    # and V over the stacked rows [s; s']. The reference runs on fresh copies.
     cfg = RunConfig(algorithm="airl", disc_hidden=(16, 12)).validate()
     pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
                                           EXPERT.state_dim, EXPERT.action_dim)
@@ -322,12 +325,76 @@ def test_airl_scoring_keeps_one_cache():
     s, a, sp = (rng.uniform(-1, 1, (256, 2)) for _ in range(3))
     r = pathway.student_rewards(s, a, sp)
 
-    reward = mlp_forward(heads.reward, np.concatenate([s, a], axis=1), Workspace())[:, 0]
-    v = mlp_forward(heads.potential, np.concatenate([s, sp]), Workspace())[:, 0]
+    reward = mlp_forward(heads.reward.copy(), np.concatenate([s, a], axis=1))[:, 0]
+    v = mlp_forward(heads.potential.copy(), np.concatenate([s, sp]))[:, 0]
     assert np.array_equal(r, reward + heads.gamma * v[256:] - v[:256])
-    held = [sum(b.nbytes for b in ws._bufs.values())
-            for ws in (heads.reward_ws, heads.potential_ws)]
+    held = [sum(b.nbytes for b in net.ws._bufs.values())
+            for net in (heads.reward, heads.potential)]
     assert held == [256 * (16 + 12) * 8, 512 * (16 + 12) * 8]  # 57,344 and 114,688 bytes
+
+
+def test_frozen_reward_scores_on_its_own_scratch(tmp_path):
+    # The frozen net keeps one cache of the scored rows between calls: a
+    # second call of the same size allocates no scratch.
+    hidden = (16, 12)
+    path = str(tmp_path / "reward.mlp")
+    save_mlp(make_airl_heads(2, 2, hidden, 1e-3, 0.99, np.random.default_rng(0)).reward,
+             path)
+    cfg = RunConfig(algorithm="rile_off",
+                    frozen_reward={"kind": "airl", "path": path}).validate()
+    pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
+                                          EXPERT.state_dim, EXPERT.action_dim)
+    rng = np.random.default_rng(1)
+    s, a, sp = (rng.uniform(-1, 1, (256, 2)) for _ in range(3))
+    first = pathway.student_rewards(s, a, sp)
+    buffers = list(pathway.frozen.ws._bufs.values())
+    assert sum(b.nbytes for b in buffers) == 256 * sum(hidden) * 8
+    assert np.array_equal(pathway.student_rewards(s, a, sp), first)
+    assert list(pathway.frozen.ws._bufs.values()) == buffers  # the same arrays
+
+
+def test_airl_probe_snapshot_is_f_on_the_expert_transitions():
+    # The fixed probe scores every expert transition (s, a, s'), so an AIRL
+    # snapshot is f(s, a, s') there, not f(s, a, s).
+    cfg = RunConfig(algorithm="airl", metric_window=2).validate()
+    pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
+                                          EXPERT.state_dim, EXPERT.action_dim)
+    te = pathway.expert_table
+    s, a = EXPERT.all_pairs()
+    assert np.array_equal(te["s"], s) and np.array_equal(te["a"], a)
+    tracker = orchestrator._WindowTracker(cfg, pathway)
+    tracker.add(np.array([0.1, 0.2]), np.array([0.0, 1.0]))
+    tracker.maybe_close(orchestrator._Logger(None, "metrics.jsonl"), None)
+
+    f = baselines.airl_f_batch(pathway.airl, te["s"], te["a"], te["sp"])[0]
+    assert np.array_equal(tracker.prev_window.fixed_snapshot, f)
+
+
+class TestReplayBuffer:
+    def filled(self):
+        buf = orchestrator.ReplayBuffer(3)
+        for k in range(5):
+            buf.insert(x=np.array([k, -k], dtype=float), k=k)
+        return buf
+
+    def test_holds_the_newest_rows_and_a_full_sample_returns_each_once(self):
+        # five inserts into three slots: rows 0 and 1 were overwritten
+        buf = self.filled()
+        assert len(buf) == 3
+        b = buf.sample(3, np.random.default_rng(1))
+        assert sorted(b["k"]) == [2, 3, 4]
+        assert np.array_equal(b["x"], np.stack([b["k"], -b["k"]], axis=1))
+
+    def test_sampling_more_rows_than_held_rejected(self):
+        with pytest.raises(ValueError, match="cannot sample 4"):
+            self.filled().sample(4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("row", [{"x": np.zeros(2)}, {"x": np.zeros(2), "k": 0, "y": 1}])
+    def test_a_row_with_other_columns_rejected(self, row):
+        buf = self.filled()
+        with pytest.raises(ValueError, match="schema"):
+            buf.insert(**row)
+        assert len(buf) == 3
 
 
 def _collected_rows(algorithm, seed, monkeypatch):
