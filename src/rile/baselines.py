@@ -1,10 +1,12 @@
 """GAIL, AIRL, and behavioral cloning on the shared harness.
 
-All three reuse the student, discriminator, and orchestration machinery,
-so comparisons against the trainer-student path differ only in how the
-student's reward is produced: GAIL scores expert-likeness through the
-discriminator, AIRL learns an explicit reward head plus a shaping
-potential, BC regresses the actor mean directly onto expert actions.
+All three train the same student. GAIL and AIRL also run the
+orchestrator's training loop, so a seed-paired comparison with the
+trainer-student path differs only in how the student's reward is
+produced: GAIL scores expert-likeness through the discriminator, and AIRL
+learns heads of its own, a reward plus a shaping potential. BC uses
+neither a discriminator nor the loop: train_bc regresses the actor mean
+directly onto expert actions.
 """
 
 from __future__ import annotations

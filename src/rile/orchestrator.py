@@ -9,15 +9,18 @@ heads, then the trainer. Off-policy runs draw each batch from a FIFO
 replay buffer (expert-mixed at insert time, rewards relabeled at sample
 time); rile_on collects the rest of an episode per chunk and updates on
 that rollout. Every adversarial algorithm collects through the same
-path, so seed-paired runs differ only in the reward pathway. Every random draw
-comes from named streams derived from one master seed, which makes whole
-runs bit-reproducible.
+path, so seed-paired runs differ only in the reward pathway:
+_RewardPathway is the one place that knows which learners a run has, and
+it scores, updates, freezes and lists them for checkpoints. Every random
+draw comes from named streams derived from one master seed, which makes
+whole runs bit-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +73,10 @@ class ReplayBuffer:
         if set(row) != set(self._cols):
             raise ValueError("row columns do not match the buffer schema")
         for k, v in row.items():
+            if np.shape(v) != self._cols[k].shape[1:]:
+                raise ValueError(f"column {k!r} holds rows of shape "
+                                 f"{self._cols[k].shape[1:]}, not {np.shape(v)}")
+        for k, v in row.items():
             self._cols[k][self._ptr] = v
         self._ptr = (self._ptr + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
@@ -79,29 +86,6 @@ class ReplayBuffer:
             raise ValueError(f"cannot sample {batch_size} from buffer of size {self._size}")
         idx = rng.choice(self._size, size=batch_size, replace=False)
         return {k: v[idx] for k, v in self._cols.items()}
-
-
-@dataclass
-class FreezeMonitor:
-    """One-shot detector: fires when the rolling mean absolute critic loss
-    over a full window drops below the threshold."""
-
-    window: int = 100
-    threshold: float = 0.1
-    fired: bool = False
-    history: list = field(default_factory=list)
-
-    def check(self, new_loss: float) -> bool:
-        if not np.isfinite(new_loss):
-            raise ValueError("freeze monitor fed a non-finite loss")
-        if self.fired:
-            return True
-        self.history.append(abs(float(new_loss)))
-        if len(self.history) > self.window:
-            self.history.pop(0)
-        if len(self.history) == self.window and np.mean(self.history) < self.threshold:
-            self.fired = True
-        return self.fired
 
 
 @dataclass
@@ -147,11 +131,6 @@ class RunConfig:
     checkpoint_every: int = 10_000
     metric_window: int = 10_000
     early_stop_success: bool = True
-    # Treat goal termination as a time limit for the student's value
-    # bootstrap (absorbing-state handling). Always-positive learned rewards
-    # otherwise make episode termination value-catastrophic, so policies
-    # learn to dawdle near the demonstration instead of finishing it.
-    bootstrap_through_goal: bool = True
     # environment perturbation (covariate shift) and frozen-reward transfer
     action_noise: float = 0.0
     frozen_reward: dict | None = None  # {"kind": "trainer"|"airl", "path": ...}
@@ -249,41 +228,43 @@ class _Logger:
                 f.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
-def _checkpoint(run_dir, tag, student, trainer, disc, airl):
+def _checkpoint(run_dir, tag, nets):
+    """Saves each of nets ({"dir/file": params}) under run_dir/step-tag/."""
     if run_dir is None:
         return
-    base = os.path.join(run_dir, f"step-{tag}")
-    os.makedirs(os.path.join(base, "student"), exist_ok=True)
-    save_mlp(student.actor, os.path.join(base, "student", "actor.mlp"))
-    save_mlp(student.critic, os.path.join(base, "student", "critic.mlp"))
-    save_mlp(student.critic_target, os.path.join(base, "student", "critic_target.mlp"))
-    if trainer is not None:
-        os.makedirs(os.path.join(base, "trainer"), exist_ok=True)
-        save_mlp(trainer.actor, os.path.join(base, "trainer", "actor.mlp"))
-        save_mlp(trainer.critic, os.path.join(base, "trainer", "critic.mlp"))
-        save_mlp(trainer.critic_target, os.path.join(base, "trainer", "critic_target.mlp"))
-    if disc is not None:
-        os.makedirs(os.path.join(base, "discriminator"), exist_ok=True)
-        save_mlp(disc.params, os.path.join(base, "discriminator", "net.mlp"))
-    if airl is not None:
-        os.makedirs(os.path.join(base, "airl"), exist_ok=True)
-        save_mlp(airl.reward, os.path.join(base, "airl", "reward.mlp"))
-        save_mlp(airl.potential, os.path.join(base, "airl", "potential.mlp"))
+    for name, params in nets.items():
+        path = os.path.join(run_dir, f"step-{tag}", name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        save_mlp(params, path)
+
+
+def _agent_nets(name, agent: ActorCritic) -> dict:
+    return {f"{name}/{n}.mlp": getattr(agent, n)
+            for n in ("actor", "critic", "critic_target")}
 
 
 class _RewardPathway:
-    """Per-algorithm learners and the student's learned reward."""
+    """The one owner of the learners behind the student's reward: the
+    trainer with its discriminator, GAIL's discriminator, AIRL's heads, or
+    a frozen net. It scores the student's rows, updates the learners,
+    freezes the trainer, and lists every network of the run, the student's
+    included, in nets by its checkpoint file."""
 
-    def __init__(self, cfg: RunConfig, expert: ExpertDataset, streams, state_dim, action_dim):
+    def __init__(self, cfg: RunConfig, expert: ExpertDataset, student: ActorCritic,
+                 streams):
         self.cfg = cfg
-        self.state_dim = state_dim
+        self.student = student
+        self.state_dim, action_dim = expert.state_dim, expert.action_dim
         self.expert_table = expert_transition_table(expert)
-        self.trainer = None
-        self.disc = None
-        self.airl = None
+        self.disc_rng, self.trainer_rng = streams["disc"], streams["trainer"]
+        self.nets = _agent_nets("student", student)
+        self.trainer = self.disc = self.airl = None
+        # the trainer's absolute critic losses over the freeze window
+        self.critic_losses = deque(maxlen=cfg.freeze_window)
+        self.freeze_step = None
         # a frozen reward: the loaded net, and whether tanh squashes its output 0
         self.frozen, self.frozen_tanh = None, False
-        obs_dim = state_dim + action_dim
+        obs_dim = self.state_dim + action_dim
         if cfg.frozen_reward is not None:
             kind = cfg.frozen_reward["kind"]
             self.frozen = load_mlp(cfg.frozen_reward["path"])
@@ -298,22 +279,31 @@ class _RewardPathway:
             self.trainer = make_actor_critic(
                 obs_dim, 1, cfg.trainer_hidden, streams["init_trainer"], lr=cfg.trainer_lr,
                 entropy_coef=cfg.trainer_entropy, gamma=cfg.gamma, tau=cfg.tau)
+            self.nets.update(_agent_nets("trainer", self.trainer))
         if cfg.algorithm in ("rile_on", "rile_off", "gail"):
-            self.disc = make_discriminator(state_dim, action_dim, cfg.disc_hidden,
+            self.disc = make_discriminator(self.state_dim, action_dim, cfg.disc_hidden,
                                            cfg.disc_lr, streams["init_disc"])
+            self.nets["discriminator/net.mlp"] = self.disc.params
         if cfg.algorithm == "airl":
-            self.airl = baselines.make_airl_heads(state_dim, action_dim, cfg.disc_hidden,
-                                                  cfg.disc_lr, cfg.gamma,
-                                                  streams["init_airl"])
+            self.airl = baselines.make_airl_heads(
+                self.state_dim, action_dim, cfg.disc_hidden, cfg.disc_lr, cfg.gamma,
+                streams["init_airl"])
+            self.nets.update({"airl/reward.mlp": self.airl.reward,
+                              "airl/potential.mlp": self.airl.potential})
 
-    def score(self, chunk, rng):
+    @property
+    def trainer_frozen(self) -> bool:
+        return self.trainer is not None and self.trainer.frozen
+
+    def score(self, chunk):
         """(student rewards, stochastic trainer actions) for a collected
         chunk. While the trainer is live, both come from one forward of its
-        actor, with the actions' noise drawn from rng; otherwise the actions
-        are None."""
+        actor, with the actions' noise drawn from the trainer stream;
+        otherwise the actions are None."""
         if self.trainer is None or self.trainer.frozen:
             return self.student_rewards(chunk["s"], chunk["a"], chunk["sp"]), None
-        return trainer_act(self.trainer, np.concatenate([chunk["s"], chunk["a"]], axis=1), rng)
+        return trainer_act(self.trainer, np.concatenate([chunk["s"], chunk["a"]], axis=1),
+                           self.trainer_rng)
 
     def student_rewards(self, s, a, sp) -> np.ndarray:
         """Learned reward for student transitions under the current nets."""
@@ -322,9 +312,42 @@ class _RewardPathway:
             return np.tanh(r) if self.frozen_tanh else r
         if self.trainer is not None:
             return trainer_act_batch(self.trainer, np.concatenate([s, a], axis=1))
-        if self.cfg.algorithm == "gail":
+        if self.disc is not None:
             return baselines.gail_student_reward(disc_output(self.disc, s, a))
         return baselines.airl_f_batch(self.airl, s, a, sp)[0]
+
+    def update(self, source, step) -> dict:
+        """Updates the discriminator or AIRL heads (student rows against as
+        many expert rows), then the trainer rewarded by the updated
+        discriminator, on batches from source. Freezes the trainer once the
+        mean of its absolute critic losses over a full window falls below
+        the threshold. Returns their diagnostics."""
+        diag = {}
+        if self.disc is not None or self.airl is not None:
+            rng = self.disc_rng
+            b = source.disc_rows(rng)
+            te = self.expert_table
+            idx = rng.integers(0, len(te["s"]), size=len(b["s"]))
+            if self.disc is not None:
+                diag["disc_loss"] = disc_update(self.disc, (te["s"][idx], te["a"][idx]),
+                                                (b["s"], b["a"]), self.cfg.gp_weight, rng)
+            else:
+                diag["disc_loss"] = baselines.airl_update(
+                    self.airl, self.student, (te["s"][idx], te["a"][idx], te["sp"][idx]),
+                    (b["s"], b["a"], b["sp"]))
+        if self.trainer is not None and not self.trainer.frozen:
+            obs, a_t, obsp, done = source.trainer_rows(self.trainer_rng)
+            d = disc_output(self.disc, obs[:, :self.state_dim], obs[:, self.state_dim:])
+            r_t = trainer_reward(d, a_t)
+            loss = trainer_update(self.trainer, (obs, a_t, r_t, obsp, done))["critic_loss"]
+            diag["trainer_critic_loss"] = loss
+            self.critic_losses.append(abs(loss))
+            if (len(self.critic_losses) == self.critic_losses.maxlen
+                    and np.mean(self.critic_losses) < self.cfg.freeze_threshold):
+                self.trainer.frozen = True
+                self.freeze_step = step
+        diag["frozen"] = self.trainer_frozen
+        return diag
 
 
 class _Collector:
@@ -348,10 +371,10 @@ class _Collector:
         nxt, _, at_goal = maze_step(cfg.env, self.state, env_action)
         self.episode_step += 1
         truncated = self.episode_step >= cfg.env.max_steps
-        done = 0.0 if cfg.bootstrap_through_goal else float(at_goal)
+        # done = 0: a goal terminal under always-positive rewards teaches dawdling
         row = {
             "s": self.state.copy(), "a": np.asarray(action), "sp": nxt.copy(),
-            "done": done, "episode_end": at_goal or truncated,
+            "done": 0.0, "episode_end": at_goal or truncated,
             "env_r": cfg.env.env_reward(at_goal),
         }
         if at_goal or truncated:
@@ -504,39 +527,12 @@ class _Rollout:
         return obs, self.chunk["a_t"], obsp, done
 
 
-def _update(cfg, student, pathway, streams, monitor, artifacts, step, source) -> dict:
-    """Updates the student, then the discriminator or AIRL heads (student
-    rows against as many expert rows), then the trainer rewarded by the
-    updated discriminator, on batches from source. Freezes the trainer once
-    its critic loss has settled. Returns the diagnostics row."""
-    b = source.student_batch(streams["student"])
-    sdiag = student_update(student, (b["s"], b["a"], b["r"], b["sp"], b["done"]))
-    diag = {"step": step, **sdiag}
-    if pathway.disc is not None or pathway.airl is not None:
-        rng = streams["disc"]
-        b = source.disc_rows(rng)
-        te = pathway.expert_table
-        idx = rng.integers(0, len(te["s"]), size=len(b["s"]))
-        if pathway.disc is not None:
-            diag["disc_loss"] = disc_update(pathway.disc, (te["s"][idx], te["a"][idx]),
-                                            (b["s"], b["a"]), cfg.gp_weight, rng)
-        else:
-            diag["disc_loss"] = baselines.airl_update(
-                pathway.airl, student, (te["s"][idx], te["a"][idx], te["sp"][idx]),
-                (b["s"], b["a"], b["sp"]))
-    trainer = pathway.trainer
-    if trainer is not None and not trainer.frozen:
-        obs, a_t, obsp, done = source.trainer_rows(streams["trainer"])
-        ds = pathway.state_dim
-        d = disc_output(pathway.disc, obs[:, :ds], obs[:, ds:])
-        r_t = trainer_reward(d, a_t)
-        tdiag = trainer_update(trainer, (obs, a_t, r_t, obsp, done))
-        diag["trainer_critic_loss"] = tdiag["critic_loss"]
-        if monitor.check(tdiag["critic_loss"]):
-            trainer.frozen = True
-            artifacts.freeze_step = step
-    diag["frozen"] = bool(trainer.frozen) if trainer else False
-    return diag
+def _update(pathway, source, step, rng) -> dict:
+    """Updates the student on a batch drawn from source with rng, then the
+    reward pathway's learners. Returns the diagnostics row."""
+    b = source.student_batch(rng)
+    sdiag = student_update(pathway.student, (b["s"], b["a"], b["r"], b["sp"], b["done"]))
+    return {"step": step, **sdiag, **pathway.update(source, step)}
 
 
 def _crossed(step: int, n: int, every: int) -> bool:
@@ -564,44 +560,43 @@ def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifact
     if expert is None or expert.n_steps == 0:
         raise ValueError(f"{cfg.algorithm} needs a non-empty expert dataset")
     streams = seed_streams(cfg.seed)
-    state_dim, action_dim = expert.state_dim, expert.action_dim
-    student = make_actor_critic(state_dim, action_dim, cfg.student_hidden,
+    student = make_actor_critic(expert.state_dim, expert.action_dim, cfg.student_hidden,
                                 streams["init_student"], lr=cfg.student_lr,
                                 entropy_coef=cfg.student_entropy,
                                 epsilon_greedy=cfg.epsilon_greedy, gamma=cfg.gamma,
                                 tau=cfg.tau)
-    pathway = _RewardPathway(cfg, expert, streams, state_dim, action_dim)
+    pathway = _RewardPathway(cfg, expert, student, streams)
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
-    artifacts = RunArtifacts(cfg, run_dir, student, pathway.trainer, pathway.disc,
-                             pathway.airl)
     diag_log = _Logger(run_dir, "diagnostics.jsonl")
     metrics_log = _Logger(run_dir, "metrics.jsonl")
+    steps_run = 0
     if cfg.algorithm == "bc":
         baselines.train_bc(cfg, expert, student, streams["student"], diag_log)
     else:
-        _run_loop(cfg, student, pathway, streams, artifacts, diag_log, metrics_log)
+        steps_run = _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log)
 
-    artifacts.metrics_rows = metrics_log.rows
-    artifacts.diagnostics_rows = diag_log.rows
-    artifacts.final_return, _, artifacts.final_goal_rate = evaluate_policy(
+    final_return, _, final_goal_rate = evaluate_policy(
         cfg.env, student, cfg.eval_episodes, deterministic=True, seed=cfg.seed,
         action_noise=cfg.action_noise)
-    _checkpoint(run_dir, "final", student, pathway.trainer, pathway.disc, pathway.airl)
-    return artifacts
+    _checkpoint(run_dir, "final", pathway.nets)
+    # the learners by name, for callers that read the trained nets
+    return RunArtifacts(cfg, run_dir, student, pathway.trainer, pathway.disc, pathway.airl,
+                        metrics_rows=metrics_log.rows, diagnostics_rows=diag_log.rows,
+                        final_goal_rate=final_goal_rate, final_return=final_return,
+                        steps_run=steps_run, freeze_step=pathway.freeze_step)
 
 
-def _run_loop(cfg, student, pathway, streams, artifacts, diag_log, metrics_log):
+def _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log) -> int:
     """The adversarial algorithms' loop, from the step-0 checkpoint to the
-    last step; records the steps run and the freeze step in artifacts."""
-    run_dir = artifacts.run_dir
+    last step; returns the number of steps run."""
+    student = pathway.student
     tracker = _WindowTracker(cfg, pathway)
-    monitor = FreezeMonitor(cfg.freeze_window, cfg.freeze_threshold)
     collector = _Collector(cfg, streams)
     on_policy = cfg.algorithm == "rile_on"
     replay = None if on_policy else _Replay(cfg, pathway, streams)
 
-    _checkpoint(run_dir, 0, student, pathway.trainer, pathway.disc, pathway.airl)
+    _checkpoint(run_dir, 0, pathway.nets)
     last_eval = None
     step = 0
     try:
@@ -614,18 +609,16 @@ def _run_loop(cfg, student, pathway, streams, artifacts, diag_log, metrics_log):
                     break
             n = len(rows)
             chunk = {k: np.array([r[k] for r in rows]) for k in rows[0]}
-            chunk["r"], chunk["a_t"] = pathway.score(chunk, streams["trainer"])
+            chunk["r"], chunk["a_t"] = pathway.score(chunk)
             tracker.add(chunk["r"], chunk["env_r"])
 
             diag = None
             if on_policy:
-                diag = _update(cfg, student, pathway, streams, monitor, artifacts, step,
-                               _Rollout(cfg, chunk))
+                diag = _update(pathway, _Rollout(cfg, chunk), step, streams["student"])
             else:
                 replay.insert(chunk)
                 if replay.ready() and step % cfg.update_every == 0:
-                    diag = _update(cfg, student, pathway, streams, monitor, artifacts,
-                                   step, replay)
+                    diag = _update(pathway, replay, step, streams["student"])
             if diag is not None and _crossed(step, n, cfg.update_every * 25):
                 diag_log.write(diag)
 
@@ -635,18 +628,14 @@ def _run_loop(cfg, student, pathway, streams, artifacts, diag_log, metrics_log):
                                                action_noise=cfg.action_noise)
                 last_eval = ret
                 diag_log.write({"step": step, "eval_return": ret, "goal_rate": rate,
-                                "frozen": bool(pathway.trainer.frozen)
-                                if pathway.trainer else False})
+                                "frozen": pathway.trainer_frozen})
                 if cfg.early_stop_success and rate == 1.0:
                     tracker.maybe_close(metrics_log, last_eval)
                     break
             if _crossed(step, n, cfg.checkpoint_every):
-                _checkpoint(run_dir, step, student, pathway.trainer, pathway.disc,
-                            pathway.airl)
+                _checkpoint(run_dir, step, pathway.nets)
             tracker.maybe_close(metrics_log, last_eval)
     except ValueError as e:
-        _checkpoint(run_dir, f"{step}-abort", student, pathway.trainer, pathway.disc,
-                    pathway.airl)
+        _checkpoint(run_dir, f"{step}-abort", pathway.nets)
         raise RunAborted(f"run aborted at step {step}: {e}") from e
-
-    artifacts.steps_run = step
+    return step

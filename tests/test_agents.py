@@ -237,6 +237,29 @@ class TestTrainer:
         assert np.array_equal(params_to_flat(t.actor), before)
         assert np.array_equal(trainer_act_batch(t, probe), a_before)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reward_rejected_before_any_state_changes(self, bad):
+        # The only source of a non-finite trainer critic loss: the update
+        # raises and leaves every network and both Adam states as they were.
+        rng = np.random.default_rng(14)
+        t = make_actor_critic(3, 1, (8,), rng)
+        obs = rng.normal(size=(16, 3))
+        batch = (obs, rng.uniform(-0.9, 0.9, 16), rng.normal(size=16), obs, np.zeros(16))
+        trainer_update(t, batch)  # moments and step counts past their initial zeros
+
+        def state():
+            return ([params_to_flat(n) for n in (t.actor, t.critic, t.critic_target)]
+                    + [x.copy() for opt in (t.actor_opt, t.critic_opt)
+                       for x in (opt.m, opt.v, np.array(opt.step))])
+
+        before = state()
+        rewards = batch[2].copy()
+        rewards[5] = bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite loss"):
+            trainer_update(t, (obs, batch[1], rewards, obs, np.zeros(16)))
+        after = state()
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
     def test_trainer_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)
         t = make_actor_critic(3, 1, (6,), rng)

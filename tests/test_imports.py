@@ -3,8 +3,9 @@ bodies count too: they run later than the module's own, but they tie the
 two modules together all the same.
 
 And no top-level name of src/rile/ without a caller in src/rile/ or bench/,
-no function parameter that its body never reads, and no batch scratch
-outside nets: each network owns its own, so no other module names it."""
+no function parameter that its body never reads, no batch scratch outside
+nets: each network owns its own, so no other module names it, and no
+learner of the reward pathway read from outside it in orchestrator."""
 
 import ast
 import re
@@ -249,3 +250,52 @@ def test_only_nets_knows_the_scratch():
     found = {module: names for module, names in found.items() if names}
     assert not found, "batch scratch named outside nets: " + "; ".join(
         f"{module} ({', '.join(names)})" for module, names in found.items())
+
+
+# Functions of orchestrator that may read the reward pathway's learners, and why.
+PATHWAY_READERS_ALLOWED = {
+    "_train": "fills RunArtifacts' trainer, disc and airl, which bench/child.py reads",
+    "_Replay.ready": "the trainer batch is needed only while there is a trainer",
+    "_Replay.trainer_rows": "relabels expert rows with the trainer's current action",
+}
+LEARNERS = {"trainer", "disc", "airl"}
+
+
+def _pathway_readers(source: str) -> list:
+    """'Qualified.function learner' for each read of a learner (trainer,
+    disc or airl) through a name or attribute called pathway, outside the
+    class _RewardPathway."""
+    found = set()
+
+    def visit(node, prefix, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if child.name != "_RewardPathway":
+                    visit(child, prefix + child.name + ".", function)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name + ".", function or prefix + child.name)
+            else:
+                if (isinstance(child, ast.Attribute) and child.attr in LEARNERS
+                        and "pathway" in (getattr(child.value, "id", None),
+                                          getattr(child.value, "attr", None))):
+                    found.add(f"{function or '<module>'} {child.attr}")
+                visit(child, prefix, function)
+
+    visit(ast.parse(source), "", None)
+    return sorted(found)
+
+
+def test_the_pathway_scan_sees_names_attributes_and_nesting():
+    source = ("def f(pathway):\n    return pathway.trainer, pathway.frozen\n"
+              "class R:\n    def g(self):\n        def h():\n"
+              "            return self.pathway.disc\n        return h\n"
+              "class _RewardPathway:\n    def update(self, pathway):\n"
+              "        return pathway.airl, self.trainer\n"
+              "x = other.pathway.airl\ny = pathway_like.trainer\n")
+    assert _pathway_readers(source) == ["<module> airl", "R.g disc", "f trainer"]
+
+
+def test_only_the_reward_pathway_reads_its_learners():
+    found = [r for r in _pathway_readers((PACKAGE / "orchestrator.py").read_text())
+             if r.split()[0] not in PATHWAY_READERS_ALLOWED]
+    assert not found, "learners read outside _RewardPathway: " + ", ".join(found)

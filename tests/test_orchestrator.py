@@ -104,8 +104,7 @@ def test_frozen_reward_of_the_wrong_shape_rejected_before_the_run(kind, dims, tm
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
-def test_error_in_an_update_aborts_with_a_checkpoint(algorithm, tmp_path, monkeypatch):
+def _fail_the_third_student_update(monkeypatch):
     original = orchestrator.student_update
     calls = []
 
@@ -116,6 +115,11 @@ def test_error_in_an_update_aborts_with_a_checkpoint(algorithm, tmp_path, monkey
         return original(*args)
 
     monkeypatch.setattr(orchestrator, "student_update", failing)
+
+
+@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
+def test_error_in_an_update_aborts_with_a_checkpoint(algorithm, tmp_path, monkeypatch):
+    _fail_the_third_student_update(monkeypatch)
     cfg = RunConfig(algorithm=algorithm, seed=5, **TINY)
     with pytest.raises(RunAborted, match="forced") as info:
         run_training(cfg, EXPERT, str(tmp_path))
@@ -163,17 +167,55 @@ def test_bc_final_eval_uses_the_action_noise():
     assert ret != clean_ret  # the noise changes this policy's score
 
 
+def _agent_files(name):
+    return [os.path.join(name, f"{n}.mlp") for n in ("actor", "critic", "critic_target")]
+
+
+def _files_under(path):
+    """Every file under path, relative to it, in sorted order."""
+    return sorted(os.path.relpath(os.path.join(root, f), path)
+                  for root, _, names in os.walk(path) for f in names)
+
+
 def test_bc_run_directory_holds_its_logs_and_the_final_checkpoint(tmp_path):
     # bc writes no step-0 checkpoint and no metrics rows: one diagnostics
     # row per epoch and the trained student
     run_training(RunConfig(algorithm="bc", seed=7, **TINY), EXPERT, str(tmp_path))
-    files = sorted(os.path.relpath(os.path.join(root, f), tmp_path)
-                   for root, _, names in os.walk(tmp_path) for f in names)
-    assert files == ["diagnostics.jsonl", "metrics.jsonl",
-                     *(os.path.join("step-final", "student", f"{net}.mlp")
-                       for net in ("actor", "critic", "critic_target"))]
+    assert _files_under(tmp_path) == [
+        "diagnostics.jsonl", "metrics.jsonl",
+        *(os.path.join("step-final", f) for f in _agent_files("student"))]
     assert (tmp_path / "metrics.jsonl").read_text() == ""
     assert len((tmp_path / "diagnostics.jsonl").read_text().splitlines()) == TINY["bc_epochs"]
+
+
+# The files of each checkpoint directory of a run, per algorithm.
+CHECKPOINT_FILES = {
+    "rile_off": [*_agent_files("student"), *_agent_files("trainer"),
+                 os.path.join("discriminator", "net.mlp")],
+    "gail": [*_agent_files("student"), os.path.join("discriminator", "net.mlp")],
+    "airl": [*_agent_files("student"), os.path.join("airl", "reward.mlp"),
+             os.path.join("airl", "potential.mlp")],
+}
+CHECKPOINT_FILES["rile_on"] = CHECKPOINT_FILES["rile_off"]
+
+
+@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on", "gail", "airl"])
+def test_every_checkpoint_holds_every_net_of_the_run(algorithm, tmp_path, monkeypatch):
+    # A finished run writes step-0 and step-final; a run that aborts writes
+    # step-0 and its abort directory. Each holds the same nets.
+    cfg = RunConfig(algorithm=algorithm, seed=5, **{**TINY, "early_stop_success": False})
+    run_training(cfg, EXPERT, str(tmp_path / "done"))
+    _fail_the_third_student_update(monkeypatch)
+    with pytest.raises(RunAborted, match="forced"):
+        run_training(cfg, EXPERT, str(tmp_path / "aborted"))
+
+    aborts = [d for d in os.listdir(tmp_path / "aborted") if d.endswith("-abort")]
+    assert len(aborts) == 1
+    steps = sorted(d for d in os.listdir(tmp_path / "done") if d.startswith("step-"))
+    assert steps == ["step-0", "step-final"]
+    for ckpt in (tmp_path / "done" / "step-0", tmp_path / "done" / "step-final",
+                 tmp_path / "aborted" / "step-0", tmp_path / "aborted" / aborts[0]):
+        assert _files_under(ckpt) == sorted(CHECKPOINT_FILES[algorithm]), ckpt
 
 
 @pytest.mark.parametrize("algorithm", ["bc", "gail", "airl"])
@@ -217,8 +259,9 @@ def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
                     **TINY)
     artifacts = run_training(cfg, EXPERT)
 
-    assert artifacts.freeze_step is not None
-    assert artifacts.freeze_step < cfg.total_steps // 2
+    # updates run every 4 steps past the 50-step warm-up (52, 56, ...): the
+    # fifth fills the window of 5 critic losses, and their mean is below 10
+    assert artifacts.freeze_step == 68
     # one stochastic trainer action per collected step up to the freeze
     assert len(calls) == artifacts.freeze_step
 
@@ -292,34 +335,40 @@ def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
     assert forwards == []
 
 
+def _pathway(cfg):
+    """The reward pathway of a seed-0 run of cfg, with its student."""
+    streams = orchestrator.seed_streams(0)
+    student = make_actor_critic(EXPERT.state_dim, EXPERT.action_dim, cfg.student_hidden,
+                                streams["init_student"])
+    return orchestrator._RewardPathway(cfg, EXPERT, student, streams)
+
+
 def test_score_acts_on_the_state_action_rows():
     # The live trainer observes each collected (state, action) row; the
     # chunk's rewards are its deterministic actions there, and its sampled
-    # actions draw their noise from the stream given, row after row.
+    # actions draw their noise from the trainer stream, row after row.
     cfg = RunConfig(algorithm="rile_off").validate()
-    pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
-                                          EXPERT.state_dim, EXPERT.action_dim)
+    pathway = _pathway(cfg)
     rng = np.random.default_rng(0)
     chunk = {k: rng.uniform(-1, 1, (5, 2)) for k in ("s", "a", "sp")}
-    r, a_t = pathway.score(chunk, np.random.default_rng(1))
+    r, a_t = pathway.score(chunk)
 
     obs = np.concatenate([chunk["s"], chunk["a"]], axis=1)
     y = mlp_forward(pathway.trainer.actor, obs)
-    noise = np.random.default_rng(1).normal(size=5)
+    noise = orchestrator.seed_streams(0)["trainer"].normal(size=5)
     assert np.array_equal(r, np.tanh(y[:, 0]))
     log_std = np.clip(y[:, 1], -5.0, 2.0)
     assert np.array_equal(a_t, np.tanh(y[:, 0] + np.exp(log_std) * noise))
     assert np.array_equal(r, pathway.student_rewards(chunk["s"], chunk["a"], chunk["sp"]))
     pathway.trainer.frozen = True
-    assert pathway.score(chunk, None)[1] is None
+    assert pathway.score(chunk)[1] is None
 
 
 def test_airl_scoring_keeps_one_cache():
     # Each head keeps one cache in its own scratch: r over the scored rows
     # and V over the stacked rows [s; s']. The reference runs on fresh copies.
     cfg = RunConfig(algorithm="airl", disc_hidden=(16, 12)).validate()
-    pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
-                                          EXPERT.state_dim, EXPERT.action_dim)
+    pathway = _pathway(cfg)
     heads = pathway.airl
     rng = np.random.default_rng(0)
     s, a, sp = (rng.uniform(-1, 1, (256, 2)) for _ in range(3))
@@ -342,8 +391,7 @@ def test_frozen_reward_scores_on_its_own_scratch(tmp_path):
              path)
     cfg = RunConfig(algorithm="rile_off",
                     frozen_reward={"kind": "airl", "path": path}).validate()
-    pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
-                                          EXPERT.state_dim, EXPERT.action_dim)
+    pathway = _pathway(cfg)
     rng = np.random.default_rng(1)
     s, a, sp = (rng.uniform(-1, 1, (256, 2)) for _ in range(3))
     first = pathway.student_rewards(s, a, sp)
@@ -357,8 +405,7 @@ def test_airl_probe_snapshot_is_f_on_the_expert_transitions():
     # The fixed probe scores every expert transition (s, a, s'), so an AIRL
     # snapshot is f(s, a, s') there, not f(s, a, s).
     cfg = RunConfig(algorithm="airl", metric_window=2).validate()
-    pathway = orchestrator._RewardPathway(cfg, EXPERT, orchestrator.seed_streams(0),
-                                          EXPERT.state_dim, EXPERT.action_dim)
+    pathway = _pathway(cfg)
     te = pathway.expert_table
     s, a = EXPERT.all_pairs()
     assert np.array_equal(te["s"], s) and np.array_equal(te["a"], a)
@@ -388,6 +435,20 @@ class TestReplayBuffer:
     def test_sampling_more_rows_than_held_rejected(self):
         with pytest.raises(ValueError, match="cannot sample 4"):
             self.filled().sample(4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("row", [
+        {"x": 5.0, "k": 5}, {"x": np.array([1.5]), "k": 5}, {"x": np.zeros((2, 1)), "k": 5},
+        {"x": np.zeros(3), "k": 5}, {"x": np.ones(2), "k": np.array([5, 5])}])
+    def test_a_value_of_another_shape_rejected(self, row):
+        # each column holds rows of its first insert's shape: (2,) for x and
+        # () for k; no column of the slot is written, not even a valid one
+        buf = self.filled()
+        before = buf.sample(3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="shape"):
+            buf.insert(**row)
+        assert len(buf) == 3
+        after = buf.sample(3, np.random.default_rng(0))
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
     @pytest.mark.parametrize("row", [{"x": np.zeros(2)}, {"x": np.zeros(2), "k": 0, "y": 1}])
     def test_a_row_with_other_columns_rejected(self, row):
