@@ -32,7 +32,7 @@ from .nets import (
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 
-ACT_MODES = ("stochastic", "deterministic", "epsilon_greedy")
+ACT_MODES = ("deterministic", "epsilon_greedy")
 
 
 def trainer_reward(d, a_t):
@@ -141,12 +141,12 @@ def make_actor_critic(in_dim: int, action_dim: int, hidden, rng, lr=3e-4,
 
 
 def student_act(agent: ActorCritic, state, mode: str, rng=None) -> np.ndarray:
-    """Action in [-1,1]^da for one state. epsilon_greedy takes a uniform
-    random action with probability agent.epsilon_greedy, otherwise samples
-    the policy."""
+    """Action in [-1,1]^da for one state. deterministic is the squashed
+    policy mean; epsilon_greedy takes a uniform random action with
+    probability agent.epsilon_greedy, otherwise samples the policy."""
     if mode not in ACT_MODES:
         raise ValueError(f"unknown act mode {mode!r}")
-    # epsilon = 0 must consume no extra draws so it seed-pairs with "stochastic"
+    # epsilon = 0 draws no uniform: the policy sample is the only draw
     if (mode == "epsilon_greedy" and agent.epsilon_greedy > 0.0
             and rng.uniform() < agent.epsilon_greedy):
         return rng.uniform(-1.0, 1.0, size=agent.action_dim)

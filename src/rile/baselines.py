@@ -21,7 +21,6 @@ from .agents import (
     _logprob_presquash,
     _policy_heads,
 )
-from .envs import ExpertDataset
 from .nets import (
     AdamState,
     MlpParams,
@@ -68,27 +67,31 @@ def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
                      adam_init(potential, lr=lr), gamma)
 
 
-def airl_f_batch(heads: AirlHeads, s, a, sp):
-    """f(s,a,s') = r(s,a) + gamma V(s') - V(s) per row.
+def airl_f_batch(heads: AirlHeads, x, sp):
+    """f(s,a,s') = r(s,a) + gamma V(s') - V(s) per input row x = [s, a]
+    with next state sp; V reads the state columns of x, the first
+    heads.potential.in_dim.
 
-    Returns (f, caches): the forward caches of r over (s, a) and of V over
-    the stacked rows [s; s'], for mlp_backward."""
-    sa = np.concatenate([s, a], axis=1)
-    r, c_r = mlp_forward_cached(heads.reward, sa)
+    Returns (f, caches): the forward caches of r over x and of V over the
+    stacked rows [s; s'], for mlp_backward."""
+    r, c_r = mlp_forward_cached(heads.reward, x)
+    s = x[:, :heads.potential.in_dim]
     v, c_v = mlp_forward_cached(heads.potential, np.concatenate([s, sp]))
     return r[:, 0] + heads.gamma * v[len(s):, 0] - v[:len(s), 0], (c_r, c_v)
 
 
-def _student_logp(student: ActorCritic, s, a) -> np.ndarray:
-    """AIRL's policy term log pi(a|s): the student's tanh-Gaussian density
-    with the pre-squash value clamped to +-3, as in the actor loss, so that
-    expert actions on the boundary +-1 give a bounded, finite value.
+def _student_logp(student: ActorCritic, x) -> np.ndarray:
+    """AIRL's policy term log pi(a|s) per input row x = [s, a]: the
+    student's tanh-Gaussian density with the pre-squash value clamped to
+    +-3, as in the actor loss, so that expert actions on the boundary +-1
+    give a bounded, finite value.
 
     The exact density is unbounded at such actions. Neither the paper nor
     the AIRL formula says what pi(a|s) should be for an expert action on the
     boundary of a squashed Gaussian; the clamp is this code's choice."""
-    mean, log_std, _ = _policy_heads(student.actor, s)
-    return _logprob_presquash(mean, log_std, _clamped_atanh(a))
+    d = student.actor.in_dim
+    mean, log_std, _ = _policy_heads(student.actor, x[:, :d])
+    return _logprob_presquash(mean, log_std, _clamped_atanh(x[:, d:]))
 
 
 def _stack(*batches):
@@ -100,8 +103,8 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
                         logp_expert, logp_student):
     """BCE of the structured discriminator vs labels (expert 1, student 0),
     with exact gradients for both heads, from one forward and one backward
-    per head over the stacked rows [expert; student]. Policy log-densities
-    are treated as constants."""
+    per head over the stacked rows [expert; student]. Each batch is
+    (x, sp); policy log-densities are treated as constants."""
     ne = len(expert_batch[0])
     f, (c_r, c_v) = airl_f_batch(heads, *_stack(expert_batch, student_batch))
     me = f[:ne] - logp_expert
@@ -118,9 +121,9 @@ def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
 
 def airl_update(heads: AirlHeads, student: ActorCritic, expert_batch,
                 student_batch) -> float:
-    """One Adam step on both heads, in place, using the student's current
-    density. Returns the loss before the step."""
-    logp = _student_logp(student, *_stack(expert_batch[:2], student_batch[:2]))
+    """One Adam step on both heads, in place, on (x, sp) batches, using the
+    student's current density. Returns the loss before the step."""
+    logp = _student_logp(student, np.concatenate([expert_batch[0], student_batch[0]]))
     ne = len(expert_batch[0])
     loss, r_grads, v_grads = airl_loss_and_grads(heads, expert_batch, student_batch,
                                                  logp[:ne], logp[ne:])
@@ -151,12 +154,11 @@ def _bc_loss_and_grads(actor: MlpParams, states, targets):
     return loss, grads
 
 
-def train_bc(cfg, expert: ExpertDataset, student: ActorCritic, rng, diag_log) -> None:
-    """Supervised regression of the actor mean onto expert actions, in
-    place; no environment interaction. A cfg.bc_holdout share of the expert
-    rows is held out and scored every epoch; each epoch's losses are
-    written to diag_log."""
-    s, a = expert.all_pairs()
+def train_bc(cfg, s, a, student: ActorCritic, rng, diag_log) -> None:
+    """Supervised regression of the actor mean at expert states s onto
+    expert actions a, in place; no environment interaction. A
+    cfg.bc_holdout share of the expert rows is held out and scored every
+    epoch; each epoch's losses are written to diag_log."""
     n = len(s)
     perm = rng.permutation(n)
     n_hold = min(int(round(cfg.bc_holdout * n)), n - 1)  # leave a row to train on

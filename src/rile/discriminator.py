@@ -1,9 +1,11 @@
-"""Expert-vs-student binary classifier.
+"""Expert-vs-student binary classifier: an MLP over input rows.
 
-Convention fixed artifact-wide: output near 1 means expert-like. Training
-is one Adam descent step per call on the binary cross-entropy (expert
-label 1, student label 0) plus an optional two-sided gradient penalty at
-uniform interpolates between expert and student inputs.
+An input row is whatever the caller scores: in a run, the orchestrator's
+one [state, action] row. Convention fixed artifact-wide: output near 1
+means expert-like. Training is one Adam descent step per call on the
+binary cross-entropy (expert label 1, student label 0) plus an optional
+two-sided gradient penalty at uniform interpolates between expert and
+student rows.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from .nets import (
     AdamState,
     MlpParams,
+    _as_batch,
     _forward_cached,
     adam_init,
     adam_step,
@@ -28,45 +31,22 @@ LOGIT_CLAMP = 20.0
 
 @dataclass
 class DiscriminatorNet:
-    """Scalar-logit MLP over concatenated (state, action), with its
-    optimizer state."""
+    """Scalar-logit MLP over input rows, with its optimizer state."""
 
     params: MlpParams
     opt: AdamState
 
-    @property
-    def in_dim(self) -> int:
-        return self.params.in_dim
 
-
-def make_discriminator(state_dim: int, action_dim: int, hidden, lr: float,
-                       rng) -> DiscriminatorNet:
-    params = mlp_init([state_dim + action_dim, *hidden, 1], rng)
+def make_discriminator(in_dim: int, hidden, lr: float, rng) -> DiscriminatorNet:
+    params = mlp_init([in_dim, *hidden, 1], rng)
     return DiscriminatorNet(params, adam_init(params, lr=lr))
 
 
-def _join(state, action) -> np.ndarray:
-    """The [rows, state_dim + action_dim] batch of (state, action) rows."""
-    s = np.asarray(state, dtype=np.float64)
-    a = np.asarray(action, dtype=np.float64)
-    if s.shape[0] != a.shape[0]:
-        raise ValueError("state and action batch sizes differ")
-    return np.concatenate([s, a], axis=1)
-
-
-def disc_logit(net: DiscriminatorNet, x: np.ndarray) -> np.ndarray:
-    y, _ = _forward_cached(net.params, x)
-    return np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
-
-
-def disc_output(net: DiscriminatorNet, state, action) -> np.ndarray:
-    """Expert-likeness probability per row, strictly inside (0, 1) thanks to
-    the logit clamp."""
-    x = _join(state, action)
-    if x.shape[1] != net.in_dim:
-        raise ValueError(f"input dim {x.shape[1]} does not match "
-                         f"discriminator input dim {net.in_dim}")
-    return 1.0 / (1.0 + np.exp(-disc_logit(net, x)))
+def disc_output(net: DiscriminatorNet, x) -> np.ndarray:
+    """Expert-likeness probability per row of x, strictly inside (0, 1)
+    thanks to the logit clamp."""
+    y, _ = _forward_cached(net.params, _as_batch(x, net.params.in_dim))
+    return 1.0 / (1.0 + np.exp(-np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)))
 
 
 def _softplus(z):
@@ -121,18 +101,16 @@ def _gp_loss_and_grads(params: MlpParams, hs):
     return loss, grads
 
 
-def disc_update(net: DiscriminatorNet, expert_batch, student_batch,
+def disc_update(net: DiscriminatorNet, xe: np.ndarray, xs: np.ndarray,
                 gp_weight: float, rng=None):
-    """One Adam step on BCE + gp_weight * gradient penalty, written into
-    net in place.
+    """One Adam step on BCE + gp_weight * gradient penalty over expert rows
+    xe and student rows xs, written into net in place.
 
     One forward over the stacked rows [expert; student; interpolates] serves
     both terms. Returns the loss the step descended, BCE + gp_weight * GP
     at the parameters before the step. Rejects non-finite losses/gradients
     without touching the network.
     """
-    xe = _join(*expert_batch)
-    xs = _join(*student_batch)
     ne, ns = len(xe), len(xs)
     if ne == 0 or ns == 0:
         raise ValueError("expert and student batches must be non-empty")

@@ -174,13 +174,6 @@ class ExpertDataset:
     def action_dim(self):
         return self.episodes[0][1].shape[1] if self.episodes else None
 
-    def all_pairs(self):
-        """All (state, action) rows stacked: ([N, ds], [N, da])."""
-        if not self.episodes:
-            return np.zeros((0, 0)), np.zeros((0, 0))
-        return (np.concatenate([s for s, _ in self.episodes]),
-                np.concatenate([a for _, a in self.episodes]))
-
     def transitions(self):
         """(s, a, s', done) rows built pairwise within each episode.
 

@@ -98,7 +98,7 @@ def cpr(learned, environment) -> float:
     return float(np.clip(np.sum(xc * yc) / denom, -1.0, 1.0))
 
 
-def _run_episode(spec, policy, deterministic, rng, ep_seed, action_noise):
+def _run_episode(spec, policy, rng, ep_seed, action_noise):
     state = maze_reset(spec, rng_seed=ep_seed)
     if hasattr(policy, "reset"):
         policy.reset()
@@ -106,8 +106,7 @@ def _run_episode(spec, policy, deterministic, rng, ep_seed, action_noise):
     reached = False
     for _ in range(spec.max_steps):
         if isinstance(policy, ActorCritic):
-            mode = "deterministic" if deterministic else "stochastic"
-            action = student_act(policy, state, mode, rng)
+            action = student_act(policy, state, "deterministic")
         else:
             action = policy.act(state)
         if action_noise > 0:
@@ -121,26 +120,25 @@ def _run_episode(spec, policy, deterministic, rng, ep_seed, action_noise):
     return total, reached
 
 
-def evaluate_policy(spec: MazeSpec, policy, episodes: int,
-                    deterministic: bool = True, seed: int = 0,
+def evaluate_policy(spec: MazeSpec, policy, episodes: int, seed: int = 0,
                     action_noise: float = 0.0):
     """(mean undiscounted environment return, its standard error, fraction
     of episodes that reach the goal), from one pass over the episodes.
 
-    policy is a student ActorCritic or any object with act(state) (and
-    optionally reset()) such as the scripted expert controller. action_noise
-    models a perturbed environment that corrupts executed actions. A
-    deterministic student with no action noise from an unjittered start
-    draws nothing, so its episodes are all one episode: it is rolled once,
-    and its return and goal flag are the result, with standard error 0.
+    policy is a student ActorCritic, which acts by its policy mean, or any
+    object with act(state) (and optionally reset()) such as the scripted
+    expert controller. action_noise models a perturbed environment that
+    corrupts executed actions. A student with no action noise from an
+    unjittered start draws nothing, so its episodes are all one episode: it
+    is rolled once, and its return and goal flag are the result, with
+    standard error 0.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    identical = (isinstance(policy, ActorCritic) and deterministic
-                 and action_noise <= 0 and spec.start_jitter <= 0)
-    rolled = [_run_episode(spec, policy, deterministic, rng, seed * 100_003 + ep,
-                           action_noise)
+    identical = (isinstance(policy, ActorCritic) and action_noise <= 0
+                 and spec.start_jitter <= 0)
+    rolled = [_run_episode(spec, policy, rng, seed * 100_003 + ep, action_noise)
               for ep in range(1 if identical else episodes)]
     if identical:
         return float(rolled[0][0]), 0.0, float(rolled[0][1])

@@ -143,9 +143,6 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return _on_flat(self.flat.copy(), self)
 
-    def n_params(self) -> int:
-        return self.flat.size
-
 
 def _views(flat: np.ndarray, shapes):
     """Per-layer weight and bias views into flat for [out, in] weight shapes."""

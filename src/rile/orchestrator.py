@@ -14,6 +14,12 @@ _RewardPathway is the one place that knows which learners a run has, and
 it scores, updates, freezes and lists them for checkpoints. Every random
 draw comes from named streams derived from one master seed, which makes
 whole runs bit-reproducible.
+
+Every reward net reads one input row per transition, obs = [s, a]. Only
+_Collector.step and expert_transition_table build it, and the buffers
+store it in place of s and a. The trainer's next observation is the next
+row's obs; past an episode end, where done = 1 cancels its value, it is
+[s', 0] (_trainer_next) or, in the trainer replay buffer, zeros.
 """
 
 from __future__ import annotations
@@ -149,7 +155,8 @@ class RunConfig:
         ):
             if cap < batch:
                 raise ValueError(f"{name} buffer capacity {cap} < batch size {batch}")
-        for name in ("update_every", "eval_every", "checkpoint_every", "eval_episodes"):
+        for name in ("update_every", "eval_every", "checkpoint_every", "eval_episodes",
+                     "freeze_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.metric_window < 2:
@@ -183,16 +190,25 @@ def seed_streams(master_seed: int) -> dict:
     return {n: np.random.default_rng(c) for n, c in zip(STREAM_NAMES, children)}
 
 
+def _trainer_next(obs, sp, end):
+    """The trainer's next observation and done flag for consecutive rows
+    obs = [s, a] with next states sp, where end marks each episode's last
+    row: s' paired with the next row's action, which is zero past an
+    episode end (unused there)."""
+    ap = np.zeros((len(obs), obs.shape[1] - sp.shape[1]))
+    ap[:-1] = obs[1:, sp.shape[1]:]
+    ap[end] = 0.0
+    return np.concatenate([sp, ap], axis=1), end.astype(np.float64)
+
+
 def expert_transition_table(expert: ExpertDataset) -> dict:
-    """Expert rows in the shapes the buffers use, including the trainer's
-    observation stream (next observation pairs the next expert action)."""
-    s, a, sp, done = expert.transitions()
+    """Expert rows in the shapes the buffers use: the input rows obs, the
+    states and actions they join (for BC), and the trainer's next
+    observations."""
+    s, a, sp, end = expert.transitions()
     obs = np.concatenate([s, a], axis=1)
-    ap = np.vstack([a[1:], a[-1:]])
-    ap[done] = 0.0  # next action unused past a terminal
-    obsp = np.concatenate([sp, ap], axis=1)
-    return {"s": s, "a": a, "sp": sp, "done": done.astype(np.float64),
-            "obs": obs, "obsp": obsp}
+    obsp, done = _trainer_next(obs, sp, end)
+    return {"s": s, "a": a, "obs": obs, "sp": sp, "done": done, "obsp": obsp}
 
 
 @dataclass
@@ -254,7 +270,7 @@ class _RewardPathway:
                  streams):
         self.cfg = cfg
         self.student = student
-        self.state_dim, action_dim = expert.state_dim, expert.action_dim
+        self.state_dim = expert.state_dim
         self.expert_table = expert_transition_table(expert)
         self.disc_rng, self.trainer_rng = streams["disc"], streams["trainer"]
         self.nets = _agent_nets("student", student)
@@ -264,7 +280,7 @@ class _RewardPathway:
         self.freeze_step = None
         # a frozen reward: the loaded net, and whether tanh squashes its output 0
         self.frozen, self.frozen_tanh = None, False
-        obs_dim = self.state_dim + action_dim
+        obs_dim = self.state_dim + expert.action_dim
         if cfg.frozen_reward is not None:
             kind = cfg.frozen_reward["kind"]
             self.frozen = load_mlp(cfg.frozen_reward["path"])
@@ -281,12 +297,12 @@ class _RewardPathway:
                 entropy_coef=cfg.trainer_entropy, gamma=cfg.gamma, tau=cfg.tau)
             self.nets.update(_agent_nets("trainer", self.trainer))
         if cfg.algorithm in ("rile_on", "rile_off", "gail"):
-            self.disc = make_discriminator(self.state_dim, action_dim, cfg.disc_hidden,
-                                           cfg.disc_lr, streams["init_disc"])
+            self.disc = make_discriminator(obs_dim, cfg.disc_hidden, cfg.disc_lr,
+                                           streams["init_disc"])
             self.nets["discriminator/net.mlp"] = self.disc.params
         if cfg.algorithm == "airl":
             self.airl = baselines.make_airl_heads(
-                self.state_dim, action_dim, cfg.disc_hidden, cfg.disc_lr, cfg.gamma,
+                self.state_dim, expert.action_dim, cfg.disc_hidden, cfg.disc_lr, cfg.gamma,
                 streams["init_airl"])
             self.nets.update({"airl/reward.mlp": self.airl.reward,
                               "airl/potential.mlp": self.airl.potential})
@@ -301,20 +317,21 @@ class _RewardPathway:
         actor, with the actions' noise drawn from the trainer stream;
         otherwise the actions are None."""
         if self.trainer is None or self.trainer.frozen:
-            return self.student_rewards(chunk["s"], chunk["a"], chunk["sp"]), None
-        return trainer_act(self.trainer, np.concatenate([chunk["s"], chunk["a"]], axis=1),
-                           self.trainer_rng)
+            return self.student_rewards(chunk["obs"], chunk["sp"]), None
+        return trainer_act(self.trainer, chunk["obs"], self.trainer_rng)
 
-    def student_rewards(self, s, a, sp) -> np.ndarray:
-        """Learned reward for student transitions under the current nets."""
+    def student_rewards(self, obs, sp) -> np.ndarray:
+        """Learned reward for student transitions, input rows obs = [s, a]
+        with next states sp (read by AIRL's potential only), under the
+        current nets."""
         if self.frozen is not None:
-            r = mlp_forward(self.frozen, np.concatenate([s, a], axis=1))[:, 0]
+            r = mlp_forward(self.frozen, obs)[:, 0]
             return np.tanh(r) if self.frozen_tanh else r
         if self.trainer is not None:
-            return trainer_act_batch(self.trainer, np.concatenate([s, a], axis=1))
+            return trainer_act_batch(self.trainer, obs)
         if self.disc is not None:
-            return baselines.gail_student_reward(disc_output(self.disc, s, a))
-        return baselines.airl_f_batch(self.airl, s, a, sp)[0]
+            return baselines.gail_student_reward(disc_output(self.disc, obs))
+        return baselines.airl_f_batch(self.airl, obs, sp)[0]
 
     def update(self, source, step) -> dict:
         """Updates the discriminator or AIRL heads (student rows against as
@@ -327,18 +344,17 @@ class _RewardPathway:
             rng = self.disc_rng
             b = source.disc_rows(rng)
             te = self.expert_table
-            idx = rng.integers(0, len(te["s"]), size=len(b["s"]))
+            idx = rng.integers(0, len(te["obs"]), size=len(b["obs"]))
             if self.disc is not None:
-                diag["disc_loss"] = disc_update(self.disc, (te["s"][idx], te["a"][idx]),
-                                                (b["s"], b["a"]), self.cfg.gp_weight, rng)
+                diag["disc_loss"] = disc_update(self.disc, te["obs"][idx], b["obs"],
+                                                self.cfg.gp_weight, rng)
             else:
                 diag["disc_loss"] = baselines.airl_update(
-                    self.airl, self.student, (te["s"][idx], te["a"][idx], te["sp"][idx]),
-                    (b["s"], b["a"], b["sp"]))
+                    self.airl, self.student, (te["obs"][idx], te["sp"][idx]),
+                    (b["obs"], b["sp"]))
         if self.trainer is not None and not self.trainer.frozen:
             obs, a_t, obsp, done = source.trainer_rows(self.trainer_rng)
-            d = disc_output(self.disc, obs[:, :self.state_dim], obs[:, self.state_dim:])
-            r_t = trainer_reward(d, a_t)
+            r_t = trainer_reward(disc_output(self.disc, obs), a_t)
             loss = trainer_update(self.trainer, (obs, a_t, r_t, obsp, done))["critic_loss"]
             diag["trainer_critic_loss"] = loss
             self.critic_losses.append(abs(loss))
@@ -373,7 +389,7 @@ class _Collector:
         truncated = self.episode_step >= cfg.env.max_steps
         # done = 0: a goal terminal under always-positive rewards teaches dawdling
         row = {
-            "s": self.state.copy(), "a": np.asarray(action), "sp": nxt.copy(),
+            "obs": np.concatenate([self.state, action]), "sp": nxt.copy(),
             "done": 0.0, "episode_end": at_goal or truncated,
             "env_r": cfg.env.env_reward(at_goal),
         }
@@ -405,7 +421,7 @@ class _WindowTracker:
         if len(self.learned) < self.cfg.metric_window:
             return
         te = self.pathway.expert_table  # the fixed probe: every expert transition
-        snapshot = self.pathway.student_rewards(te["s"], te["a"], te["sp"])
+        snapshot = self.pathway.student_rewards(te["obs"], te["sp"])
         win = MetricsWindow(self.index, np.array(self.learned), np.array(self.env), snapshot)
         row = {"window": self.index}
         if self.prev_window is not None:
@@ -440,23 +456,22 @@ class _Replay:
     def _expert_row(self, frac, rng):
         """Index of the expert row that replaces this insert, or None."""
         if frac > 0 and rng.uniform() < frac:
-            return rng.integers(0, len(self.pathway.expert_table["s"]))
+            return rng.integers(0, len(self.pathway.expert_table["obs"]))
         return None
 
     def insert(self, chunk):
         """Inserts a one-step chunk's row into each buffer."""
-        (s,), (a,), (sp,), (done,) = (chunk[k] for k in ("s", "a", "sp", "done"))
+        (obs,), (sp,), (done,) = (chunk[k] for k in ("obs", "sp", "done"))
         te = self.pathway.expert_table
         k = self._expert_row(self.cfg.expert_mix_student, self.mix_student_rng)
         if k is None:
-            self.student.insert(s=s, a=a, sp=sp, done=done)
+            self.student.insert(obs=obs, sp=sp, done=done)
         else:
-            self.student.insert(s=te["s"][k], a=te["a"][k], sp=te["sp"][k],
-                                done=te["done"][k])
-        self.disc.insert(s=s, a=a, sp=sp)
+            self.student.insert(obs=te["obs"][k], sp=te["sp"][k], done=te["done"][k])
+        self.disc.insert(obs=obs, sp=sp)
         if chunk["a_t"] is None:  # no live trainer: nothing samples trainer rows
             return
-        obs, a_t = np.concatenate([s, a]), chunk["a_t"][0]
+        a_t = chunk["a_t"][0]
         if self.pending is not None:
             self._insert_trainer(obsp=obs, **self.pending)
             self.pending = None
@@ -483,7 +498,7 @@ class _Replay:
 
     def student_batch(self, rng) -> dict:
         b = self.student.sample(self.cfg.student_batch, rng)
-        b["r"] = self.pathway.student_rewards(b["s"], b["a"], b["sp"])
+        b["r"] = self.pathway.student_rewards(b["obs"], b["sp"])
         return b
 
     def disc_rows(self, rng) -> dict:
@@ -513,25 +528,22 @@ class _Rollout:
         return self.chunk
 
     def disc_rows(self, rng) -> dict:
-        n = len(self.chunk["s"])
+        n = len(self.chunk["obs"])
         idx = rng.choice(n, size=min(self.cfg.disc_batch, n), replace=False)
-        return {k: self.chunk[k][idx] for k in ("s", "a", "sp")}
+        return {k: self.chunk[k][idx] for k in ("obs", "sp")}
 
     def trainer_rows(self, rng):
-        s, a = self.chunk["s"], self.chunk["a"]
-        obs = np.concatenate([s, a], axis=1)
-        obsp = np.concatenate([self.chunk["sp"],
-                               np.vstack([a[1:], np.zeros((1, a.shape[1]))])], axis=1)
-        done = self.chunk["done"].copy()
-        done[-1] = 1.0  # trainer episode ends with the rollout
-        return obs, self.chunk["a_t"], obsp, done
+        obs = self.chunk["obs"]
+        end = np.arange(len(obs)) == len(obs) - 1  # trainer episode ends with the rollout
+        return (obs, self.chunk["a_t"], *_trainer_next(obs, self.chunk["sp"], end))
 
 
 def _update(pathway, source, step, rng) -> dict:
     """Updates the student on a batch drawn from source with rng, then the
     reward pathway's learners. Returns the diagnostics row."""
     b = source.student_batch(rng)
-    sdiag = student_update(pathway.student, (b["s"], b["a"], b["r"], b["sp"], b["done"]))
+    s, a = np.hsplit(b["obs"], [pathway.state_dim])
+    sdiag = student_update(pathway.student, (s, a, b["r"], b["sp"], b["done"]))
     return {"step": step, **sdiag, **pathway.update(source, step)}
 
 
@@ -572,13 +584,13 @@ def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifact
     metrics_log = _Logger(run_dir, "metrics.jsonl")
     steps_run = 0
     if cfg.algorithm == "bc":
-        baselines.train_bc(cfg, expert, student, streams["student"], diag_log)
+        te = pathway.expert_table
+        baselines.train_bc(cfg, te["s"], te["a"], student, streams["student"], diag_log)
     else:
         steps_run = _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log)
 
     final_return, _, final_goal_rate = evaluate_policy(
-        cfg.env, student, cfg.eval_episodes, deterministic=True, seed=cfg.seed,
-        action_noise=cfg.action_noise)
+        cfg.env, student, cfg.eval_episodes, seed=cfg.seed, action_noise=cfg.action_noise)
     _checkpoint(run_dir, "final", pathway.nets)
     # the learners by name, for callers that read the trained nets
     return RunArtifacts(cfg, run_dir, student, pathway.trainer, pathway.disc, pathway.airl,
@@ -624,8 +636,7 @@ def _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log) -> int:
 
             if _crossed(step, n, cfg.eval_every):
                 ret, _, rate = evaluate_policy(cfg.env, student, cfg.eval_episodes,
-                                               deterministic=True, seed=cfg.seed,
-                                               action_noise=cfg.action_noise)
+                                               seed=cfg.seed, action_noise=cfg.action_noise)
                 last_eval = ret
                 diag_log.write({"step": step, "eval_return": ret, "goal_rate": rate,
                                 "frozen": pathway.trainer_frozen})

@@ -112,14 +112,14 @@ def airl_per_block(heads, expert_batch, student_batch, logp_expert, logp_student
     loss = 0.0
     r_grads, v_grads = zeros_like_params(heads.reward), zeros_like_params(heads.potential)
     potential_at_s = heads.potential.copy()
-    for (s, a, sp), logp, sign in ((expert_batch, logp_expert, -1.0),
-                                   (student_batch, logp_student, 1.0)):
-        r, c_r = mlp_forward_cached(heads.reward, np.concatenate([s, a], axis=1))
-        v, c_v = mlp_forward_cached(potential_at_s, s)
+    for (x, sp), logp, sign in ((expert_batch, logp_expert, -1.0),
+                                (student_batch, logp_student, 1.0)):
+        r, c_r = mlp_forward_cached(heads.reward, x)
+        v, c_v = mlp_forward_cached(potential_at_s, x[:, :sp.shape[1]])
         vp, c_vp = mlp_forward_cached(heads.potential, sp)
         term, slope = _softplus_and_slope(sign, r[:, 0] + heads.gamma * vp[:, 0] - v[:, 0] - logp)
         loss += float(np.mean(term))
-        df = (slope / len(s))[:, None]
+        df = (slope / len(x))[:, None]
         r_grads.flat += mlp_backward(heads.reward, c_r, df)[0].flat
         g_v = mlp_backward(heads.potential, c_vp, heads.gamma * df)[0]
         g_v.flat += mlp_backward(potential_at_s, c_v, -df)[0].flat

@@ -64,11 +64,13 @@ class TestStudentAct:
         assert acts.min() >= -1 and acts.max() <= 1
 
     def test_epsilon_zero_equals_stochastic(self):
+        # at epsilon 0 the one draw is the policy sample tanh(mean + std * normal)
         agent = self.make(epsilon_greedy=0.0)
         s = [0.2, 0.8]
-        a1 = student_act(agent, s, "epsilon_greedy", np.random.default_rng(7))
-        a2 = student_act(agent, s, "stochastic", np.random.default_rng(7))
-        assert np.array_equal(a1, a2)
+        a = student_act(agent, s, "epsilon_greedy", np.random.default_rng(7))
+        mean, log_std, _ = _policy_heads(agent.actor, np.array([s]))
+        noise = np.random.default_rng(7).normal(size=2)
+        assert np.array_equal(a, np.tanh(mean[0] + np.exp(log_std[0]) * noise))
 
     def test_deterministic_repeatable(self):
         agent = self.make()
@@ -77,10 +79,10 @@ class TestStudentAct:
                               student_act(agent, s, "deterministic"))
 
     def test_actions_in_box(self):
-        agent = self.make()
+        agent = self.make(epsilon_greedy=0.0)
         rng = np.random.default_rng(3)
         for _ in range(1000):
-            a = student_act(agent, rng.uniform(0, 1, 2), "stochastic", rng)
+            a = student_act(agent, rng.uniform(0, 1, 2), "epsilon_greedy", rng)
             assert np.abs(a).max() <= 1.0
 
     def test_unknown_mode_rejected(self):

@@ -7,18 +7,19 @@ from rile import baselines, nets
 from rile.agents import _policy_heads, gaussian_tanh_logprob, make_actor_critic
 from rile.baselines import _student_logp, airl_loss_and_grads, airl_update, make_airl_heads
 from rile.envs import MazeSpec, generate_expert
-from rile.orchestrator import RunConfig, run_training
+from rile.orchestrator import RunConfig, expert_transition_table, run_training
 
 from oracles import airl_per_block, finite_diff_check
 
 
 class TestAirlPolicyTerm:
     def test_clamped_density_on_scripted_expert_actions(self):
-        states, actions = generate_expert(MazeSpec(), 4).all_pairs()
+        table = expert_transition_table(generate_expert(MazeSpec(), 4))
+        states, actions = table["s"], table["a"]
         assert (np.abs(actions) == 1.0).any()
         student = make_actor_critic(states.shape[1], actions.shape[1], (64, 64),
                                     np.random.default_rng(0))
-        logp = _student_logp(student, states, actions)
+        logp = _student_logp(student, table["obs"])
         assert np.isfinite(logp).all()
 
         mean, log_std, _ = _policy_heads(student.actor, states)
@@ -41,7 +42,7 @@ class TestAirlGradients:
         heads = make_airl_heads(2, 2, (6, 6), lr=1e-3, gamma=0.9, rng=rng)
 
         def batch(n):
-            return (rng.normal(size=(n, 2)), rng.uniform(-1.0, 1.0, size=(n, 2)),
+            return (np.hstack([rng.normal(size=(n, 2)), rng.uniform(-1.0, 1.0, size=(n, 2))]),
                     rng.normal(size=(n, 2)))
 
         expert, student = batch(5), batch(7)
@@ -66,7 +67,7 @@ class TestAirlGradients:
             heads = make_airl_heads(2, 2, hidden, lr=1e-3, gamma=rng.uniform(0.5, 1.0),
                                     rng=rng)
             ne, ns = rng.integers(1, 40, size=2)
-            expert, student = ((rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2)),
+            expert, student = ((np.hstack([rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2))]),
                                 rng.normal(size=(n, 2))) for n in (ne, ns))
             logp_e, logp_s = rng.normal(size=ne), rng.normal(size=ns)
             loss, *grads = airl_loss_and_grads(heads, expert, student, logp_e, logp_s)
@@ -90,7 +91,8 @@ class TestAirlGradients:
 
         monkeypatch.setattr(nets, "_forward_cached", spy(forwards, nets._forward_cached))
         monkeypatch.setattr(baselines, "mlp_backward", spy(backwards, baselines.mlp_backward))
-        batch = (rng.normal(size=(6, 2)), rng.uniform(-1, 1, (6, 2)), rng.normal(size=(6, 2)))
+        batch = (np.hstack([rng.normal(size=(6, 2)), rng.uniform(-1, 1, (6, 2))]),
+                 rng.normal(size=(6, 2)))
         for _ in range(2):
             forwards.clear()
             backwards.clear()
@@ -109,7 +111,7 @@ class TestBcHoldout:
     def _run(self, holdout, monkeypatch):
         """Runs BC and returns (diagnostics rows, row indices of each
         gradient batch, row indices of each scored loss)."""
-        states = self.EXPERT.all_pairs()[0]
+        states = expert_transition_table(self.EXPERT)["s"]
         index = {tuple(row): i for i, row in enumerate(states)}
         assert len(index) == len(states)
         trained, scored = [], []

@@ -79,7 +79,7 @@ def _gp_full_sweep(params, x):
 
 def zero_disc(hidden=(8,)):
     rng = np.random.default_rng(0)
-    net = make_discriminator(1, 1, hidden, lr=1e-3, rng=rng)
+    net = make_discriminator(2, hidden, lr=1e-3, rng=rng)
     for w in net.params.weights:
         w[:] = 0.0
     for b in net.params.biases:
@@ -90,45 +90,45 @@ def zero_disc(hidden=(8,)):
 class TestOutput:
     def test_zero_weight_net_outputs_half(self):
         net = zero_disc()
-        assert disc_output(net, [[0.3]], [[0.7]])[0] == 0.5
+        assert disc_output(net, [[0.3, 0.7]])[0] == 0.5
 
     def test_clamp_keeps_output_strictly_inside(self):
         rng = np.random.default_rng(1)
-        net = make_discriminator(1, 1, (4,), lr=1e-3, rng=rng)
+        net = make_discriminator(2, (4,), lr=1e-3, rng=rng)
         for w in net.params.weights:
             w[:] = 50.0
         for b in net.params.biases:
             b[:] = 50.0
-        for x in ([[100.0]], [[-100.0]], [[0.0]]):
-            p = disc_output(net, x, x)[0]
+        for x in ([[100.0, 100.0]], [[-100.0, -100.0]], [[0.0, 0.0]]):
+            p = disc_output(net, x)[0]
             assert 2e-9 < p < 1 - 2e-9
 
     def test_dimension_mismatch_rejected(self):
         net = zero_disc()
         with pytest.raises(ValueError, match="dim"):
-            disc_output(net, [[0.1, 0.2]], [[0.3]])
+            disc_output(net, [[0.1, 0.2, 0.3]])
 
     def test_batch_output(self):
         net = zero_disc()
-        p = disc_output(net, np.zeros((5, 1)), np.zeros((5, 1)))
+        p = disc_output(net, np.zeros((5, 2)))
         assert p.shape == (5,) and np.all(p == 0.5)
 
     def test_separable_toy_data(self):
         rng = np.random.default_rng(2)
-        net = make_discriminator(1, 1, (32, 32), lr=3e-3, rng=rng)
-        xe = (np.full((64, 1), 1.0), np.zeros((64, 1)))
-        xs = (np.full((64, 1), -1.0), np.zeros((64, 1)))
+        net = make_discriminator(2, (32, 32), lr=3e-3, rng=rng)
+        xe = np.hstack([np.full((64, 1), 1.0), np.zeros((64, 1))])
+        xs = np.hstack([np.full((64, 1), -1.0), np.zeros((64, 1))])
         for _ in range(400):
             disc_update(net, xe, xs, gp_weight=0.0)
-        assert disc_output(net, [[1.0]], [[0.0]])[0] > 0.9
-        assert disc_output(net, [[-1.0]], [[0.0]])[0] < 0.1
+        assert disc_output(net, [[1.0, 0.0]])[0] > 0.9
+        assert disc_output(net, [[-1.0, 0.0]])[0] < 0.1
 
 
 class TestUpdate:
     def test_identical_batches_approach_two_log_two(self):
         rng = np.random.default_rng(3)
-        batch = (rng.normal(size=(32, 1)), rng.normal(size=(32, 1)))
-        net = make_discriminator(1, 1, (16,), lr=1e-2, rng=rng)
+        batch = np.hstack([rng.normal(size=(32, 1)), rng.normal(size=(32, 1))])
+        net = make_discriminator(2, (16,), lr=1e-2, rng=rng)
         loss = None
         for _ in range(500):
             loss = disc_update(net, batch, batch, gp_weight=0.0)
@@ -137,44 +137,40 @@ class TestUpdate:
 
     def test_zero_lr_is_noop(self):
         rng = np.random.default_rng(4)
-        net = make_discriminator(1, 1, (8,), lr=0.0, rng=rng)
+        net = make_discriminator(2, (8,), lr=0.0, rng=rng)
         before = params_to_flat(net.params).copy()
-        loss = disc_update(net, (np.ones((4, 1)), np.ones((4, 1))),
-                           (np.zeros((4, 1)), np.zeros((4, 1))), gp_weight=0.0)
+        loss = disc_update(net, np.ones((4, 2)), np.zeros((4, 2)), gp_weight=0.0)
         assert np.array_equal(params_to_flat(net.params), before)
         assert np.isfinite(loss)
 
     def test_empty_batch_rejected(self):
         net = zero_disc()
         with pytest.raises(ValueError):
-            disc_update(net, (np.zeros((0, 1)), np.zeros((0, 1))),
-                        (np.zeros((3, 1)), np.zeros((3, 1))), gp_weight=0.0)
+            disc_update(net, np.zeros((0, 2)), np.zeros((3, 2)), gp_weight=0.0)
 
     def test_gp_without_rng_rejected(self):
         net = zero_disc()
         with pytest.raises(ValueError, match="rng"):
-            disc_update(net, (np.ones((2, 1)), np.ones((2, 1))),
-                        (np.zeros((2, 1)), np.zeros((2, 1))), gp_weight=1.0)
+            disc_update(net, np.ones((2, 2)), np.zeros((2, 2)), gp_weight=1.0)
 
     def test_returns_pre_step_loss(self):
         rng = np.random.default_rng(12)
-        net = make_discriminator(2, 1, (8,), lr=1e-2, rng=rng)
-        xe = (rng.normal(size=(6, 2)), rng.normal(size=(6, 1)))
-        xs = (rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        net = make_discriminator(3, (8,), lr=1e-2, rng=rng)
+        xe = np.hstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 1))])
+        xs = np.hstack([rng.normal(size=(4, 2)), rng.normal(size=(4, 1))])
         gp_weight = 0.5
         draw = np.random.default_rng()
         draw.bit_generator.state = rng.bit_generator.state  # same interpolation draw
         before = net.params.copy()
         loss = disc_update(net, xe, xs, gp_weight, rng=rng)
 
-        ex, sx = np.concatenate(xe, axis=1), np.concatenate(xs, axis=1)
         u = draw.uniform(size=(4, 1))
-        interp = u * ex[:4] + (1.0 - u) * sx[:4]
+        interp = u * xe[:4] + (1.0 - u) * xs[:4]
 
         def total_loss(params):
             probe = DiscriminatorNet(params, net.opt)
-            bce = (-np.mean(np.log(disc_output(probe, *xe)))
-                   - np.mean(np.log1p(-disc_output(probe, *xs))))
+            bce = (-np.mean(np.log(disc_output(probe, xe)))
+                   - np.mean(np.log1p(-disc_output(probe, xs))))
             gx = mlp_backward(params, mlp_forward_cached(params, interp)[1],
                               np.ones((len(interp), 1)))[1]
             norms = np.linalg.norm(gx, axis=1)
@@ -185,7 +181,7 @@ class TestUpdate:
 
     def test_update_counter(self):
         net = zero_disc()
-        b = (np.ones((2, 1)), np.ones((2, 1)))
+        b = np.ones((2, 2))
         disc_update(net, b, b, gp_weight=0.0)
         disc_update(net, b, b, gp_weight=0.0)
         assert net.opt.step == 2
@@ -270,21 +266,20 @@ class TestGradients:
         rng = np.random.default_rng(13)
         for trial in range(20):
             hidden = tuple(rng.integers(1, 24, size=rng.integers(0, 3)))
-            net = make_discriminator(2, 2, hidden, lr=1e-3, rng=rng)
+            net = make_discriminator(4, hidden, lr=1e-3, rng=rng)
             ne, ns = rng.integers(1, 40, size=2)
-            xe = (rng.normal(size=(ne, 2)), rng.uniform(-1, 1, (ne, 2)))
-            xs = (rng.normal(size=(ns, 2)), rng.uniform(-1, 1, (ns, 2)))
+            xe = np.hstack([rng.normal(size=(ne, 2)), rng.uniform(-1, 1, (ne, 2))])
+            xs = np.hstack([rng.normal(size=(ns, 2)), rng.uniform(-1, 1, (ns, 2))])
             draw = np.random.default_rng(trial)
             before = net.params.copy()
             loss = disc_update(net, xe, xs, gp_weight, rng=draw)
 
-            ex, sx = np.concatenate(xe, axis=1), np.concatenate(xs, axis=1)
             interp = None
             if gp_weight > 0:
                 m = min(ne, ns)
                 u = np.random.default_rng(trial).uniform(size=(m, 1))
-                interp = u * ex[:m] + (1.0 - u) * sx[:m]
-            ref_loss, ref_grads = disc_per_block(before, ex, sx, interp, gp_weight)
+                interp = u * xe[:m] + (1.0 - u) * xs[:m]
+            ref_loss, ref_grads = disc_per_block(before, xe, xs, interp, gp_weight)
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             np.testing.assert_allclose(stepped[-1], ref_grads.flat, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref_grads.flat).max())
@@ -303,9 +298,9 @@ class TestGradients:
                             spy("disc", discriminator._forward_cached))
         monkeypatch.setattr(rile_nets, "_forward_cached", spy("nets", rile_nets._forward_cached))
         rng = np.random.default_rng(14)
-        net = make_discriminator(2, 1, (8, 8), lr=1e-3, rng=rng)
-        xe = (rng.normal(size=(6, 2)), rng.normal(size=(6, 1)))
-        xs = (rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        net = make_discriminator(3, (8, 8), lr=1e-3, rng=rng)
+        xe = np.hstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 1))])
+        xs = np.hstack([rng.normal(size=(4, 2)), rng.normal(size=(4, 1))])
         for _ in range(3):
             disc_update(net, xe, xs, gp_weight, rng=rng)
         rows = 6 + 4 + (4 if gp_weight > 0 else 0)
@@ -316,9 +311,9 @@ class TestGradients:
         # must not exceed the no-gp run after equal training budgets
         def train(gp_weight):
             rng = np.random.default_rng(8)
-            net = make_discriminator(1, 1, (32,), lr=3e-3, rng=rng)
-            xe = (np.full((64, 1), 0.5), np.full((64, 1), 0.5))
-            xs = (np.full((64, 1), -0.5), np.full((64, 1), -0.5))
+            net = make_discriminator(2, (32,), lr=3e-3, rng=rng)
+            xe = np.full((64, 2), 0.5)
+            xs = np.full((64, 2), -0.5)
             for _ in range(300):
                 disc_update(net, xe, xs, gp_weight, rng=rng)
             u = np.random.default_rng(9).uniform(size=(256, 1))
@@ -365,13 +360,12 @@ class TestOracle:
         idx_s = rng.choice(2, size=4096, p=ps)
         xe = pts[idx_e]
         xs = pts[idx_s]
-        net = make_discriminator(1, 1, (32, 32), lr=3e-3, rng=rng)
+        net = make_discriminator(2, (32, 32), lr=3e-3, rng=rng)
         for _ in range(600):
             be = xe[rng.choice(len(xe), 128)]
             bs = xs[rng.choice(len(xs), 128)]
-            disc_update(net, (be[:, :1], be[:, 1:]), (bs[:, :1], bs[:, 1:]),
-                        gp_weight=0.0)
-        d = disc_output(net, pts[:, :1], pts[:, 1:])
+            disc_update(net, be, bs, gp_weight=0.0)
+        d = disc_output(net, pts)
         star = optimal_disc_oracle(pe, ps)
         assert np.abs(d - star).max() < 0.05
 
@@ -381,13 +375,13 @@ class TestOracle:
 
         def train(swap):
             rng = np.random.default_rng(11)
-            net = make_discriminator(1, 1, (16, 16), lr=3e-3, rng=rng)
-            a = (np.full((64, 1), 0.3), np.full((64, 1), 0.2))
-            b = (np.full((64, 1), 0.7), np.full((64, 1), -0.2))
+            net = make_discriminator(2, (16, 16), lr=3e-3, rng=rng)
+            a = np.hstack([np.full((64, 1), 0.3), np.full((64, 1), 0.2)])
+            b = np.hstack([np.full((64, 1), 0.7), np.full((64, 1), -0.2)])
             first, second = (b, a) if swap else (a, b)
             for _ in range(400):
                 disc_update(net, first, second, gp_weight=0.0)
-            return disc_output(net, pts[:, :1], pts[:, 1:])
+            return disc_output(net, pts)
 
         d, d_swapped = train(False), train(True)
         assert np.abs(d - (1.0 - d_swapped)).max() < 0.05

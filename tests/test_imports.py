@@ -2,10 +2,11 @@
 bodies count too: they run later than the module's own, but they tie the
 two modules together all the same.
 
-And no top-level name of src/rile/ without a caller in src/rile/ or bench/,
-no function parameter that its body never reads, no batch scratch outside
-nets: each network owns its own, so no other module names it, and no
-learner of the reward pathway read from outside it in orchestrator."""
+And no top-level name, method or property of src/rile/ without a caller
+in src/rile/ or bench/, no function parameter that its body never reads,
+no batch scratch outside nets: each network owns its own, so no other
+module names it, and no learner of the reward pathway read from outside it
+in orchestrator."""
 
 import ast
 import re
@@ -128,20 +129,40 @@ def _referenced(node: ast.AST) -> set:
     return found
 
 
+def _members(tree: ast.Module):
+    """(Class.name, name, statement) for each method and property of each
+    top-level class, other than the dunder methods Python calls itself."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))):
+                    yield f"{cls.name}.{stmt.name}", stmt.name, stmt
+
+
 def _uncalled(package: Path, others) -> list:
     """'module.name' for each top-level name of package's modules that no
     top-level statement of package or of the files others reads, other than
-    the statement that defines it. Names are matched by identifier alone,
-    so a name that shares an identifier with a used one counts as used."""
+    the statement that defines it, and 'module.Class.name' for each method
+    or property that nothing reads outside its own body. Names are matched
+    by identifier alone, so a name that shares an identifier with a used
+    one counts as used."""
     trees = {p: ast.parse(p.read_text()) for p in [*sorted(package.glob("*.py")), *others]}
-    reads = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    # (top-level statement, the part of it read from, identifiers it reads):
+    # a class is read from member by member, and from its header
+    reads = [(stmt, part, _referenced(part)) for tree in trees.values() for stmt in tree.body
+             for part in ([*stmt.bases, *stmt.keywords, *stmt.decorator_list, *stmt.body]
+                          if isinstance(stmt, ast.ClassDef) else [stmt])]
     found = []
     for path, tree in trees.items():
         if path.parent != package:
             continue
         for name, defining in _defined(tree):
-            if not any(name in names for stmt, names in reads if stmt is not defining):
+            if not any(name in names for stmt, _, names in reads if stmt is not defining):
                 found.append(f"{path.stem}.{name}")
+        for qualified, name, defining in _members(tree):
+            if not any(name in names for _, part, names in reads if part is not defining):
+                found.append(f"{path.stem}.{qualified}")
     return sorted(found)
 
 
@@ -157,6 +178,24 @@ def test_the_caller_scan_sees_names_attributes_imports_and_strings(tmp_path):
     other = tmp_path / "other.py"
     other.write_text("import pkg.a\nprint(pkg.a.Y)\n")
     assert _uncalled(pkg, [other]) == ["a.Z", "a.f", "b.T"]
+
+
+def test_the_caller_scan_sees_methods_and_properties(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "class C:\n"
+        "    def __init__(self):\n        self.n = self.used()\n"
+        "    def used(self):\n        return self.shape\n"
+        "    @property\n    def shape(self):\n        return 1\n"
+        "    @property\n    def size(self):\n        return self.size\n"  # reads only itself
+        "    def spare(self):\n        return 0\n"
+        "    def called_outside(self):\n        return 0\n"
+        "    def named_in_a_string(self):\n        return 0\n"
+        "X = C()\nT = 'C.named_in_a_string'\n")
+    other = tmp_path / "other.py"
+    other.write_text("import pkg.a\nprint(pkg.a.X.called_outside(), pkg.a.T)\n")
+    assert _uncalled(pkg, [other]) == ["a.C.size", "a.C.spare"]
 
 
 def test_every_src_name_has_a_caller():

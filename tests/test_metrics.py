@@ -224,8 +224,8 @@ class TestEvaluatePolicy:
         rng = np.random.default_rng(16)
         agent = make_actor_critic(2, 2, (8,), rng)
         spec = MazeSpec()
-        r1 = evaluate_policy(spec, agent, episodes=4, deterministic=True, seed=5)
-        r2 = evaluate_policy(spec, agent, episodes=4, deterministic=True, seed=5)
+        r1 = evaluate_policy(spec, agent, episodes=4, seed=5)
+        r2 = evaluate_policy(spec, agent, episodes=4, seed=5)
         assert r1 == r2
 
     def test_identical_episodes_give_the_one_episode_exactly(self):
@@ -243,18 +243,16 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError):
             evaluate_policy(MazeSpec(), _Still(), episodes=0)
 
-    @pytest.mark.parametrize("case", ["deterministic", "noise", "jitter", "stochastic",
-                                      "scripted"])
+    @pytest.mark.parametrize("case", ["deterministic", "noise", "jitter", "scripted"])
     def test_identical_episodes_are_rolled_once(self, case, monkeypatch):
-        # A deterministic student with no action noise from a fixed start
-        # draws nothing, so its episodes are one episode, rolled once and
-        # reported as it is. Noise, a jittered start, stochastic actions or a
-        # policy that is not a student roll every episode, and the result
-        # equals a full roll reduced as evaluate_policy reduces it.
+        # A student with no action noise from a fixed start draws nothing,
+        # so its episodes are one episode, rolled once and reported as it
+        # is. Noise, a jittered start or a policy that is not a student roll
+        # every episode, and the result equals a full roll reduced as
+        # evaluate_policy reduces it.
         spec = MazeSpec(start_jitter=0.05) if case == "jitter" else MazeSpec()
         policy = (WaypointController(spec) if case == "scripted"
                   else make_actor_critic(2, 2, (8,), np.random.default_rng(17)))
-        deterministic = case != "stochastic"
         noise = 0.1 if case == "noise" else 0.0
         episodes, seed = 10, 3
         original = metrics._run_episode
@@ -265,12 +263,11 @@ class TestEvaluatePolicy:
             return original(*args)
 
         monkeypatch.setattr(metrics, "_run_episode", spy)
-        result = evaluate_policy(spec, policy, episodes, deterministic, seed, noise)
+        result = evaluate_policy(spec, policy, episodes, seed, noise)
 
         assert len(calls) == (1 if case == "deterministic" else episodes)
         rng = np.random.default_rng(seed)
-        returns, reached = zip(*(original(spec, policy, deterministic, rng,
-                                          seed * 100_003 + ep, noise)
+        returns, reached = zip(*(original(spec, policy, rng, seed * 100_003 + ep, noise)
                                  for ep in range(episodes)))
         if case == "deterministic":
             assert len(set(returns)) == 1 and len(set(reached)) == 1

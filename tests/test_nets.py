@@ -108,7 +108,7 @@ class TestFlatLayout:
         expected = np.concatenate([p.weights[0].ravel(), p.biases[0],
                                    p.weights[1].ravel(), p.biases[1]])
         assert np.array_equal(p.flat, expected)
-        assert p.flat.dtype == np.float64 and p.flat.size == p.n_params() == 26
+        assert p.flat.dtype == np.float64 and p.flat.size == 26
 
     def test_views_and_flat_alias_both_ways(self):
         p = self.net()
@@ -216,8 +216,8 @@ class TestAdam:
         adam_step(p, zeros_like_params(p), state)
         assert np.array_equal(p.flat, before)
         assert state.step == 1
-        assert np.array_equal(state.m, np.zeros(p.n_params()))
-        assert np.array_equal(state.v, np.zeros(p.n_params()))
+        assert np.array_equal(state.m, np.zeros(p.flat.size))
+        assert np.array_equal(state.v, np.zeros(p.flat.size))
 
     def test_single_step_hand_computed(self):
         # One scalar parameter, g=1, lr=0.1, fresh state:
@@ -353,12 +353,12 @@ def _learner(kind, rng):
         update = student_update if kind == "student" else trainer_update
         return (agent, ("actor", "critic", "critic_target"), ("actor_opt", "critic_opt"),
                 lambda: update(agent, batch))
-    expert = (rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2)), rng.normal(size=(n, 2)))
-    student = (rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2)), rng.normal(size=(n, 2)))
+    expert, student = ((np.hstack([rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2))]),
+                        rng.normal(size=(n, 2))) for _ in range(2))
     if kind == "disc":
-        net = make_discriminator(2, 2, (8,), 1e-2, rng)
+        net = make_discriminator(4, (8,), 1e-2, rng)
         return (net, ("params",), ("opt",),
-                lambda: disc_update(net, expert[:2], student[:2], 1.0, rng))
+                lambda: disc_update(net, expert[0], student[0], 1.0, rng))
     heads = make_airl_heads(2, 2, (8,), 1e-2, 0.99, rng)
     policy = make_actor_critic(2, 2, (8,), rng)
     return (heads, ("reward", "potential"), ("reward_opt", "potential_opt"),

@@ -234,6 +234,7 @@ def test_frozen_reward_rejected_outside_rile(algorithm):
     ("rile_off", "update_every", 0), ("rile_off", "eval_every", 0),
     ("rile_off", "checkpoint_every", 0), ("rile_off", "metric_window", 0),
     ("rile_off", "metric_window", 1), ("rile_off", "eval_episodes", 0),
+    ("rile_off", "freeze_window", 0), ("rile_off", "freeze_window", -1),
     ("bc", "bc_holdout", -0.5), ("bc", "bc_holdout", 1.0), ("bc", "bc_holdout", 1.5)])
 def test_bad_schedule_values_rejected_before_the_run_starts(algorithm, field, value,
                                                              tmp_path):
@@ -343,25 +344,62 @@ def _pathway(cfg):
     return orchestrator._RewardPathway(cfg, EXPERT, student, streams)
 
 
-def test_score_acts_on_the_state_action_rows():
+def test_score_acts_on_the_state_action_rows(monkeypatch):
+    # The collector's obs column is [s, a] of each step: the state the
+    # student acted in and the action it chose (not the one the noisy
+    # environment executed).
+    cfg = RunConfig(algorithm="rile_off", action_noise=0.1, **TINY).validate()
+    streams = orchestrator.seed_streams(0)
+    student = make_actor_critic(EXPERT.state_dim, EXPERT.action_dim, cfg.student_hidden,
+                                streams["init_student"], epsilon_greedy=cfg.epsilon_greedy)
+    acted = []
+    act = orchestrator.student_act
+
+    def spy(agent, state, *rest):
+        action = act(agent, state, *rest)
+        acted.append(np.concatenate([state, action]))
+        return action
+
+    monkeypatch.setattr(orchestrator, "student_act", spy)
+    collector = orchestrator._Collector(cfg, streams)
+    rows = [collector.step(student) for _ in range(30)]  # two 12-step episodes and more
+    assert np.array_equal([row["obs"] for row in rows], acted)
+
     # The live trainer observes each collected (state, action) row; the
     # chunk's rewards are its deterministic actions there, and its sampled
     # actions draw their noise from the trainer stream, row after row.
     cfg = RunConfig(algorithm="rile_off").validate()
     pathway = _pathway(cfg)
     rng = np.random.default_rng(0)
-    chunk = {k: rng.uniform(-1, 1, (5, 2)) for k in ("s", "a", "sp")}
+    chunk = {"obs": rng.uniform(-1, 1, (5, 4)), "sp": rng.uniform(-1, 1, (5, 2))}
     r, a_t = pathway.score(chunk)
 
-    obs = np.concatenate([chunk["s"], chunk["a"]], axis=1)
-    y = mlp_forward(pathway.trainer.actor, obs)
+    y = mlp_forward(pathway.trainer.actor, chunk["obs"])
     noise = orchestrator.seed_streams(0)["trainer"].normal(size=5)
     assert np.array_equal(r, np.tanh(y[:, 0]))
     log_std = np.clip(y[:, 1], -5.0, 2.0)
     assert np.array_equal(a_t, np.tanh(y[:, 0] + np.exp(log_std) * noise))
-    assert np.array_equal(r, pathway.student_rewards(chunk["s"], chunk["a"], chunk["sp"]))
+    assert np.array_equal(r, pathway.student_rewards(chunk["obs"], chunk["sp"]))
     pathway.trainer.frozen = True
     assert pathway.score(chunk)[1] is None
+
+
+def test_rollout_and_expert_table_build_the_same_trainer_rows():
+    # One scripted episode collected as a rollout chunk: the rollout's
+    # trainer rows are the expert table's, next observations and done flags
+    # included.
+    expert = generate_expert(MazeSpec(), 1)
+    te = orchestrator.expert_transition_table(expert)
+    n = len(te["obs"])
+    chunk = {"obs": te["obs"], "sp": te["sp"], "a_t": np.linspace(-1, 1, n)}
+    obs, a_t, obsp, done = orchestrator._Rollout(RunConfig(), chunk).trainer_rows(None)
+
+    assert np.array_equal(obs, te["obs"]) and a_t is chunk["a_t"]
+    assert np.array_equal(obsp, te["obsp"]) and np.array_equal(done, te["done"])
+    # s' with the next expert action; the last row ends the episode
+    assert np.array_equal(obsp[:-1], np.hstack([te["sp"][:-1], te["a"][1:]]))
+    assert np.array_equal(obsp[-1], np.concatenate([te["sp"][-1], [0.0, 0.0]]))
+    assert done.tolist() == [0.0] * (n - 1) + [1.0]
 
 
 def test_airl_scoring_keeps_one_cache():
@@ -372,7 +410,7 @@ def test_airl_scoring_keeps_one_cache():
     heads = pathway.airl
     rng = np.random.default_rng(0)
     s, a, sp = (rng.uniform(-1, 1, (256, 2)) for _ in range(3))
-    r = pathway.student_rewards(s, a, sp)
+    r = pathway.student_rewards(np.concatenate([s, a], axis=1), sp)
 
     reward = mlp_forward(heads.reward.copy(), np.concatenate([s, a], axis=1))[:, 0]
     v = mlp_forward(heads.potential.copy(), np.concatenate([s, sp]))[:, 0]
@@ -393,11 +431,11 @@ def test_frozen_reward_scores_on_its_own_scratch(tmp_path):
                     frozen_reward={"kind": "airl", "path": path}).validate()
     pathway = _pathway(cfg)
     rng = np.random.default_rng(1)
-    s, a, sp = (rng.uniform(-1, 1, (256, 2)) for _ in range(3))
-    first = pathway.student_rewards(s, a, sp)
+    obs, sp = rng.uniform(-1, 1, (256, 4)), rng.uniform(-1, 1, (256, 2))
+    first = pathway.student_rewards(obs, sp)
     buffers = list(pathway.frozen.ws._bufs.values())
     assert sum(b.nbytes for b in buffers) == 256 * sum(hidden) * 8
-    assert np.array_equal(pathway.student_rewards(s, a, sp), first)
+    assert np.array_equal(pathway.student_rewards(obs, sp), first)
     assert list(pathway.frozen.ws._bufs.values()) == buffers  # the same arrays
 
 
@@ -407,13 +445,13 @@ def test_airl_probe_snapshot_is_f_on_the_expert_transitions():
     cfg = RunConfig(algorithm="airl", metric_window=2).validate()
     pathway = _pathway(cfg)
     te = pathway.expert_table
-    s, a = EXPERT.all_pairs()
-    assert np.array_equal(te["s"], s) and np.array_equal(te["a"], a)
+    s, a, sp, _ = EXPERT.transitions()
+    assert np.array_equal(te["obs"], np.hstack([s, a])) and np.array_equal(te["sp"], sp)
     tracker = orchestrator._WindowTracker(cfg, pathway)
     tracker.add(np.array([0.1, 0.2]), np.array([0.0, 1.0]))
     tracker.maybe_close(orchestrator._Logger(None, "metrics.jsonl"), None)
 
-    f = baselines.airl_f_batch(pathway.airl, te["s"], te["a"], te["sp"])[0]
+    f = baselines.airl_f_batch(pathway.airl, te["obs"], te["sp"])[0]
     assert np.array_equal(tracker.prev_window.fixed_snapshot, f)
 
 
@@ -459,13 +497,13 @@ class TestReplayBuffer:
 
 
 def _collected_rows(algorithm, seed, monkeypatch):
-    """(s, a, s') of every step the collector takes in a TINY run."""
+    """([s, a], s') of every step the collector takes in a TINY run."""
     rows = []
     original = orchestrator._Collector.step
 
     def spy(collector, student):
         row = original(collector, student)
-        rows.append(np.concatenate([row["s"], row["a"], row["sp"]]))
+        rows.append(np.concatenate([row["obs"], row["sp"]]))
         return row
 
     monkeypatch.setattr(orchestrator._Collector, "step", spy)
@@ -492,16 +530,17 @@ def test_seed_paired_runs_share_rollouts_until_the_first_update(monkeypatch):
 
 
 def _expert_flags(cfg, monkeypatch):
-    """Expert flags of the rows inserted into the student ("s") and trainer
-    ("obs") buffers, in insertion order: 1.0 where an expert row replaced
-    the insert. The buffer is told by the mixing stream its decision drew
-    from ("mix" or "mix_trainer")."""
-    flags = {"s": [], "obs": []}
+    """Expert flags of the rows inserted into the student and trainer
+    buffers, in insertion order: 1.0 where an expert row replaced the
+    insert. The buffer is told by the mixing stream its decision drew from
+    ("mix" or "mix_trainer")."""
+    flags = {"student": [], "trainer": []}
     original = orchestrator._Replay._expert_row
 
     def spy(replay, frac, rng):
         k = original(replay, frac, rng)
-        key = {id(replay.mix_student_rng): "s", id(replay.mix_trainer_rng): "obs"}[id(rng)]
+        key = {id(replay.mix_student_rng): "student",
+               id(replay.mix_trainer_rng): "trainer"}[id(rng)]
         flags[key].append(float(k is not None))
         return k
 
@@ -516,7 +555,7 @@ def test_expert_mix_fractions_are_honoured(mix_student, mix_trainer, monkeypatch
     flags = _expert_flags(RunConfig(algorithm="rile_off", seed=3,
                                     expert_mix_student=mix_student,
                                     expert_mix_trainer=mix_trainer, **TINY), monkeypatch)
-    for key, p in (("s", mix_student), ("obs", mix_trainer)):
+    for key, p in (("student", mix_student), ("trainer", mix_trainer)):
         share, n = float(np.mean(flags[key])), len(flags[key])
         # every step inserts a row (the last trainer row waits for its successor)
         assert n >= TINY["total_steps"] - 1
@@ -530,9 +569,9 @@ def test_trainer_mixing_leaves_the_student_mixing_draws_unchanged(monkeypatch):
                                     expert_mix_trainer=mix_trainer,
                                     **{**TINY, "early_stop_success": False}), monkeypatch)
             for mix_trainer in (0.0, 0.6)]
-    assert runs[0]["s"] == runs[1]["s"]
-    assert 0.0 < np.mean(runs[0]["s"]) < 1.0
-    assert np.mean(runs[0]["obs"]) == 0.0 < np.mean(runs[1]["obs"])
+    assert runs[0]["student"] == runs[1]["student"]
+    assert 0.0 < np.mean(runs[0]["student"]) < 1.0
+    assert np.mean(runs[0]["trainer"]) == 0.0 < np.mean(runs[1]["trainer"])
 
 
 # The BLAS thread rule of run_training: every OpenBLAS the process loaded,
