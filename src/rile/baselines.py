@@ -94,21 +94,15 @@ def _student_logp(student: ActorCritic, x) -> np.ndarray:
     return _logprob_presquash(mean, log_std, _clamped_atanh(x[:, d:]))
 
 
-def _stack(*batches):
-    """The batches' columns, each stacked over the batches in turn."""
-    return [np.concatenate(column) for column in zip(*batches)]
-
-
-def airl_loss_and_grads(heads: AirlHeads, expert_batch, student_batch,
-                        logp_expert, logp_student):
+def airl_loss_and_grads(heads: AirlHeads, x, sp, logp, n_expert: int):
     """BCE of the structured discriminator vs labels (expert 1, student 0),
     with exact gradients for both heads, from one forward and one backward
-    per head over the stacked rows [expert; student]. Each batch is
-    (x, sp); policy log-densities are treated as constants."""
-    ne = len(expert_batch[0])
-    f, (c_r, c_v) = airl_f_batch(heads, *_stack(expert_batch, student_batch))
-    me = f[:ne] - logp_expert
-    ms = f[ne:] - logp_student
+    per head. x and sp stack the input rows and next states [expert;
+    student], the first n_expert rows expert; logp, the policy
+    log-densities of the same rows, is treated as a constant."""
+    f, (c_r, c_v) = airl_f_batch(heads, x, sp)
+    m = f - logp
+    me, ms = m[:n_expert], m[n_expert:]
     loss = float(np.mean(np.logaddexp(0.0, -me)) + np.mean(np.logaddexp(0.0, ms)))
 
     # d loss / d f: d softplus(-m) / dm on expert rows, d softplus(m) / dm on student rows
@@ -123,10 +117,10 @@ def airl_update(heads: AirlHeads, student: ActorCritic, expert_batch,
                 student_batch) -> float:
     """One Adam step on both heads, in place, on (x, sp) batches, using the
     student's current density. Returns the loss before the step."""
-    logp = _student_logp(student, np.concatenate([expert_batch[0], student_batch[0]]))
-    ne = len(expert_batch[0])
-    loss, r_grads, v_grads = airl_loss_and_grads(heads, expert_batch, student_batch,
-                                                 logp[:ne], logp[ne:])
+    (xe, spe), (xs, sps) = expert_batch, student_batch
+    x = np.concatenate([xe, xs])
+    loss, r_grads, v_grads = airl_loss_and_grads(
+        heads, x, np.concatenate([spe, sps]), _student_logp(student, x), len(xe))
     if not np.isfinite(loss):
         raise ValueError("non-finite AIRL loss; heads unchanged")
     adam_step(heads.reward, r_grads, heads.reward_opt)

@@ -36,15 +36,17 @@ stays valid until the same network's next forward. Network outputs, input
 gradients and parameter gradients are always fresh arrays, never views of
 the scratch.
 
-BLAS threads: a training run whose hidden layers are all at most
-ONE_THREAD_MAX_WIDTH wide runs its matmuls on one OpenBLAS thread
-(blas_threads_for). At that size each matmul is a batch of a few hundred
-rows or a single row, too small for a second thread to share, and
-OpenBLAS's idle worker spins between calls: a second thread nearly doubles
-the CPU time of such a run and does not make it faster. Wider networks
-keep OpenBLAS's own thread count, because there the second thread does buy
-wall-clock time. The count is set only for the duration of a run, never at
-import, and nothing changes where no OpenBLAS is loaded.
+BLAS threads: every training run does its matmuls on one OpenBLAS thread
+(one_blas_thread), whatever its widths. Its matmuls are batches of a few
+hundred rows or single rows, and OpenBLAS's second thread spins between
+them. Measured on a 2-core x86-64 host with OpenBLAS 0.3.31, airl with
+128x128 nets used 1.24 CPU s per 1,000 env steps on one thread against
+2.42 on two, at the same 808 env steps/s (bench/run.py, 10 pairs). Two
+runs at once each kept 948-1,147 env steps/s on one thread and fell to
+234-272 on two; with 256x256 nets, 341-412 against 60-89. Alone, a
+256x256 run is 4-11 % slower on one thread, at 0.56 times the CPU time.
+The count is set only for the duration of a run, never at import, and
+nothing changes where no OpenBLAS is loaded.
 """
 
 from __future__ import annotations
@@ -58,15 +60,6 @@ import numpy as np
 
 _MAGIC = b"RILEMLP1"
 _RELU_CODE, _LINEAR_CODE = 0, 3  # the file format's activation codes
-
-# Widest hidden layer whose training runs on one BLAS thread. Measured on a
-# 2-core x86-64 host with OpenBLAS 0.3.31 (bench/run.py, 45 s per workload),
-# OpenBLAS's default of two threads -> one thread: rile_off with 64x64 nets
-# used 1.91 -> 0.96 CPU s per 1,000 env steps at the same env steps/s (10
-# pairs); airl with 128x128 nets used 2.64 -> 1.38 CPU s but ran 3-9 % slower
-# in 3 of 3 pairs, and 5,000 steps of airl with 256x256 nets took 13.1-13.8 s
-# on two threads and 15.5-16.4 s on one (2 pairs), at 1.6x the CPU time.
-ONE_THREAD_MAX_WIDTH = 64
 
 
 class Workspace:
@@ -390,14 +383,12 @@ def _openblas_thread_calls() -> list:
 
 
 @contextmanager
-def blas_threads_for(widths):
-    """Runs the body on one OpenBLAS thread when no width in widths exceeds
-    ONE_THREAD_MAX_WIDTH, and restores every library's previous count on
-    exit, however the body ends. Wider networks, and processes without
-    OpenBLAS, run the body with the thread counts untouched. The count is
-    process-wide, so it holds for other threads of the process as well."""
-    narrow = max(widths, default=0) <= ONE_THREAD_MAX_WIDTH
-    calls = _openblas_thread_calls() if narrow else []
+def one_blas_thread():
+    """Runs the body on one OpenBLAS thread and restores every library's
+    previous count on exit, however the body ends. In a process without
+    OpenBLAS the body runs with nothing changed. The count is process-wide,
+    so it holds for other threads of the process as well."""
+    calls = _openblas_thread_calls()
     before = [get() for get, _ in calls]
     for _, set_ in calls:
         set_(1)

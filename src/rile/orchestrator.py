@@ -45,7 +45,7 @@ from .agents import (
 from .discriminator import DiscriminatorNet, disc_output, disc_update, make_discriminator
 from .envs import ExpertDataset, MazeSpec, maze_reset, maze_step
 from .metrics import MetricsWindow, cpr, evaluate_policy, fs_rfdc, rfdc
-from .nets import blas_threads_for, load_mlp, mlp_forward, save_mlp
+from .nets import load_mlp, mlp_forward, one_blas_thread, save_mlp
 
 ALGORITHMS = ("rile_on", "rile_off", "gail", "airl", "bc")
 
@@ -155,8 +155,8 @@ class RunConfig:
         ):
             if cap < batch:
                 raise ValueError(f"{name} buffer capacity {cap} < batch size {batch}")
-        for name in ("update_every", "eval_every", "checkpoint_every", "eval_episodes",
-                     "freeze_window"):
+        for name in ("student_batch", "trainer_batch", "disc_batch", "update_every",
+                     "eval_every", "checkpoint_every", "eval_episodes", "freeze_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.metric_window < 2:
@@ -560,11 +560,14 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
     chunk (one step; for rile_on, the rest of the episode), scores it with
     the learned reward and updates the learners: rile_on on the chunk
     itself, the others on replay samples every update_every steps once the
-    buffers are warm. bc is supervised. A run whose hidden layers are all
-    at most nets.ONE_THREAD_MAX_WIDTH wide runs on one BLAS thread.
+    buffers are warm. bc is supervised. Every run trains on one OpenBLAS
+    thread, whatever its widths: on two, airl with 128x128 nets used twice
+    the CPU time per env step at the same speed, and two such runs at once
+    each fell from 948-1,147 to 234-272 env steps/s on a 2-core host
+    (nets.one_blas_thread).
     """
     cfg = config.validate()
-    with blas_threads_for((*cfg.student_hidden, *cfg.trainer_hidden, *cfg.disc_hidden)):
+    with one_blas_thread():
         return _train(cfg, expert, run_dir)
 
 

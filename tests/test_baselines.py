@@ -47,11 +47,12 @@ class TestAirlGradients:
 
         expert, student = batch(5), batch(7)
         logp_e, logp_s = rng.normal(size=5), rng.normal(size=7)
-        _, r_grads, v_grads = airl_loss_and_grads(heads, expert, student, logp_e, logp_s)
+        x, sp = (np.concatenate(column) for column in zip(expert, student))
+        logp = np.concatenate([logp_e, logp_s])
+        _, r_grads, v_grads = airl_loss_and_grads(heads, x, sp, logp, 5)
 
         def loss(**head):
-            return airl_loss_and_grads(replace(heads, **head), expert, student,
-                                       logp_e, logp_s)[0]
+            return airl_loss_and_grads(replace(heads, **head), x, sp, logp, 5)[0]
 
         assert finite_diff_check(lambda q: loss(reward=q), heads.reward, r_grads) <= 1e-4
         assert finite_diff_check(lambda q: loss(potential=q), heads.potential,
@@ -70,7 +71,9 @@ class TestAirlGradients:
             expert, student = ((np.hstack([rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2))]),
                                 rng.normal(size=(n, 2))) for n in (ne, ns))
             logp_e, logp_s = rng.normal(size=ne), rng.normal(size=ns)
-            loss, *grads = airl_loss_and_grads(heads, expert, student, logp_e, logp_s)
+            loss, *grads = airl_loss_and_grads(
+                heads, *(np.concatenate(column) for column in zip(expert, student)),
+                np.concatenate([logp_e, logp_s]), ne)
             ref_loss, *ref_grads = airl_per_block(heads, expert, student, logp_e, logp_s)
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             for g, ref in zip(grads, ref_grads):
