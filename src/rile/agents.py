@@ -108,8 +108,7 @@ def gaussian_entropy(log_std) -> np.ndarray:
 class ActorCritic:
     """Tanh-Gaussian actor, V critic and its polyak target, with their Adam
     states. The student acts epsilon-greedily during collection; the
-    trainer's epsilon_greedy is 0. Once frozen, updates are rejected and the
-    parameters stay as they are."""
+    trainer's epsilon_greedy is 0."""
 
     actor: MlpParams
     critic: MlpParams
@@ -120,7 +119,6 @@ class ActorCritic:
     epsilon_greedy: float = 0.0
     gamma: float = 0.99
     tau: float = 0.01
-    frozen: bool = False
 
     @property
     def action_dim(self) -> int:
@@ -209,10 +207,8 @@ def actor_critic_update(agent: ActorCritic, batch) -> dict:
     diagnostics. The critic regresses to r + gamma (1-done) V_target(s');
     the actor ascends the advantage-weighted log-likelihood plus the entropy
     bonus; the target follows the critic by polyak averaging. Every network
-    is updated in place. Rejected while frozen; non-finite losses are
-    rejected before any state is touched."""
-    if agent.frozen:
-        raise RuntimeError("agent is frozen; updates are rejected")
+    is updated in place. Non-finite losses are rejected before any state is
+    touched."""
     states, actions, rewards, next_states, dones = batch
     states = np.asarray(states, dtype=np.float64)
     if len(states) == 0:

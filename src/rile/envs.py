@@ -1,7 +1,8 @@
 """Desk-scale environment and expert demonstrations.
 
 A continuous 2-D obstacle maze on [0,1]^2, a scripted waypoint expert for
-it, and the dataset that holds the expert's (state, action) episodes.
+it, and the one table of the expert's transitions (s, a, s', episode end)
+that every learner reads.
 
 Environments are value-semantic: reset/step take all state explicitly and
 share nothing, so any number of rollouts can run concurrently.
@@ -107,8 +108,8 @@ def maze_step(spec: MazeSpec, state, action):
     """One kinematic step: candidate = state + step_size * clamp(action),
     clipped to the unit square; motion stops at the first obstacle face hit.
 
-    Returns (next_state, done, at_goal); done means at_goal here (the step
-    budget is tracked by the caller, which owns episode time).
+    Returns (next_state, at_goal). Reaching the goal ends an episode; the
+    step budget is the caller's, which owns episode time.
     """
     p = np.asarray(state, dtype=np.float64)
     a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
@@ -138,63 +139,33 @@ def maze_step(spec: MazeSpec, state, action):
             _, axis, face = min(gaps)
             nxt[axis] = face
     at_goal = bool(np.linalg.norm(nxt - np.asarray(spec.goal)) <= spec.goal_radius)
-    return nxt, at_goal, at_goal
+    return nxt, at_goal
 
 
-@dataclass
 class ExpertDataset:
-    """Ordered (state, action) episodes.
+    """The expert's transitions as one table, concatenated over episodes:
+    states s, actions a, next states sp and end, which marks each episode's
+    last row (its next state repeats its state, unused past the end).
 
-    episodes is a list of (states [n, ds], actions [n, da]) array pairs.
+    Built from (states [n, ds], actions [n, da]) episodes; empty episodes
+    add no row, and a dataset without a row is rejected.
     """
 
-    episodes: list
-
-    def __post_init__(self):
-        ds, da = None, None
-        for k, (s, a) in enumerate(self.episodes):
-            s, a = np.asarray(s, float), np.asarray(a, float)
+    def __init__(self, episodes):
+        eps = [tuple(np.asarray(x, dtype=np.float64) for x in ep) for ep in episodes]
+        for k, (s, a) in enumerate(eps):
             if s.ndim != 2 or a.ndim != 2 or len(s) != len(a):
                 raise ValueError(f"episode {k}: states/actions must be aligned 2-d arrays")
-            ds = s.shape[1] if ds is None else ds
-            da = a.shape[1] if da is None else da
-            if s.shape[1] != ds or a.shape[1] != da:
+            if (s.shape[1], a.shape[1]) != (eps[0][0].shape[1], eps[0][1].shape[1]):
                 raise ValueError(f"episode {k}: dimension mismatch across episodes")
-            self.episodes[k] = (s.astype(np.float64), a.astype(np.float64))
-
-    @property
-    def n_steps(self) -> int:
-        return sum(len(s) for s, _ in self.episodes)
-
-    @property
-    def state_dim(self):
-        return self.episodes[0][0].shape[1] if self.episodes else None
-
-    @property
-    def action_dim(self):
-        return self.episodes[0][1].shape[1] if self.episodes else None
-
-    def transitions(self):
-        """(s, a, s', done) rows built pairwise within each episode.
-
-        The last step of an episode is marked done; its next state repeats
-        the current state (never used by a bootstrapped target).
-        """
-        ss, aa, nn, dd = [], [], [], []
-        for s, a in self.episodes:
-            n = len(s)
-            if n == 0:
-                continue
-            nxt = np.vstack([s[1:], s[-1:]])
-            done = np.zeros(n, dtype=bool)
-            done[-1] = True
-            ss.append(s)
-            aa.append(a)
-            nn.append(nxt)
-            dd.append(done)
-        if not ss:
+        eps = [(s, a) for s, a in eps if len(s)]
+        if not eps:
             raise ValueError("dataset has no steps")
-        return np.concatenate(ss), np.concatenate(aa), np.concatenate(nn), np.concatenate(dd)
+        self.s = np.concatenate([s for s, _ in eps])
+        self.a = np.concatenate([a for _, a in eps])
+        self.sp = np.concatenate([np.vstack([s[1:], s[-1:]]) for s, _ in eps])
+        self.end = np.zeros(len(self.s), dtype=bool)
+        self.end[np.cumsum([len(s) for s, _ in eps]) - 1] = True
 
 
 DEFAULT_WAYPOINTS = (
@@ -206,46 +177,29 @@ DEFAULT_WAYPOINTS = (
 )
 
 
-class WaypointController:
-    """Waypoint-following policy: heads at the active waypoint with speed
-    scaled down near it so the agent does not overshoot."""
-
-    def __init__(self, spec: MazeSpec, waypoints=None, slack: float = 0.04):
-        self.spec = spec
-        self.waypoints = [np.asarray(w, float) for w in (waypoints or DEFAULT_WAYPOINTS)]
-        self.waypoints.append(np.asarray(spec.goal, float))
-        self.slack = slack
-        self.wp = 0
-
-    def reset(self):
-        self.wp = 0
-
-    def act(self, state) -> np.ndarray:
-        state = np.asarray(state, float)
-        while (self.wp < len(self.waypoints) - 1
-               and np.linalg.norm(state - self.waypoints[self.wp]) <= self.slack):
-            self.wp += 1
-        delta = self.waypoints[self.wp] - state
-        dist = np.linalg.norm(delta)
-        direction = delta / max(dist, 1e-12)
-        speed = min(1.0, dist / self.spec.step_size)
-        return np.clip(direction * speed, -1.0, 1.0)
-
-
 def scripted_expert_episode(spec: MazeSpec, waypoints=None, slack: float = 0.04):
-    """Runs the waypoint controller once and returns (states, actions).
-    Raises if the goal is not reached within max_steps."""
-    ctrl = WaypointController(spec, waypoints, slack)
+    """One scripted demonstration, (states, actions): the expert heads at
+    each waypoint in turn, then at the goal, passing a waypoint once within
+    slack of it, with its speed scaled down near the target so that it does
+    not overshoot. Raises if the goal is not reached within max_steps."""
+    targets = [np.asarray(w, float) for w in (waypoints or DEFAULT_WAYPOINTS)]
+    targets.append(np.asarray(spec.goal, float))
+    wp = 0
     state = maze_reset(spec)
     states, actions = [], []
     for _ in range(spec.max_steps):
-        action = ctrl.act(state)
+        while wp < len(targets) - 1 and np.linalg.norm(state - targets[wp]) <= slack:
+            wp += 1
+        delta = targets[wp] - state
+        dist = np.linalg.norm(delta)
+        speed = min(1.0, dist / spec.step_size)
+        action = np.clip(delta / max(dist, 1e-12) * speed, -1.0, 1.0)
         states.append(state.copy())
         actions.append(action)
-        state, done, at_goal = maze_step(spec, state, action)
+        state, at_goal = maze_step(spec, state, action)
         if at_goal:
             return np.asarray(states), np.asarray(actions)
-    raise ValueError("scripted controller failed to reach the goal under this maze spec")
+    raise ValueError("scripted expert failed to reach the goal under this maze spec")
 
 
 def generate_expert(spec: MazeSpec, episodes: int) -> ExpertDataset:

@@ -5,7 +5,7 @@ training: the 1-Wasserstein distance between consecutive windows of
 visited-reward samples (RFDC), the mean absolute deviation of rewards on a
 fixed probe set of expert pairs (FS-RFDC), and the Pearson correlation
 between learned and environment-defined rewards inside a window (CPR).
-Policies are scored by their return and goal rate in the maze.
+A student is scored by its return and goal rate in the maze.
 
 All operations here are pure: nothing is trained or mutated.
 """
@@ -98,47 +98,38 @@ def cpr(learned, environment) -> float:
     return float(np.clip(np.sum(xc * yc) / denom, -1.0, 1.0))
 
 
-def _run_episode(spec, policy, rng, ep_seed, action_noise):
+def _run_episode(spec, student, rng, ep_seed, action_noise):
+    """(undiscounted environment return, whether the goal was reached) of one
+    episode of the student acting by its policy mean."""
     state = maze_reset(spec, rng_seed=ep_seed)
-    if hasattr(policy, "reset"):
-        policy.reset()
     total = 0.0
-    reached = False
     for _ in range(spec.max_steps):
-        if isinstance(policy, ActorCritic):
-            action = student_act(policy, state, "deterministic")
-        else:
-            action = policy.act(state)
+        action = student_act(student, state, "deterministic")
         if action_noise > 0:
             action = action + rng.normal(0.0, action_noise, size=np.shape(action))
-        state, done, at_goal = maze_step(spec, state, action)
+        state, at_goal = maze_step(spec, state, action)
         total += spec.env_reward(at_goal)
         if at_goal:
-            reached = True
-        if done:
-            break
-    return total, reached
+            return total, True
+    return total, False
 
 
-def evaluate_policy(spec: MazeSpec, policy, episodes: int, seed: int = 0,
+def evaluate_policy(spec: MazeSpec, student: ActorCritic, episodes: int, seed: int = 0,
                     action_noise: float = 0.0):
     """(mean undiscounted environment return, its standard error, fraction
-    of episodes that reach the goal), from one pass over the episodes.
+    of episodes that reach the goal) of the student acting by its policy
+    mean, from one pass over the episodes.
 
-    policy is a student ActorCritic, which acts by its policy mean, or any
-    object with act(state) (and optionally reset()) such as the scripted
-    expert controller. action_noise models a perturbed environment that
-    corrupts executed actions. A student with no action noise from an
-    unjittered start draws nothing, so its episodes are all one episode: it
-    is rolled once, and its return and goal flag are the result, with
-    standard error 0.
+    action_noise models a perturbed environment that corrupts executed
+    actions. With no action noise from an unjittered start, the student
+    draws nothing, so its episodes are all one episode: it is rolled once,
+    and its return and goal flag are the result, with standard error 0.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    identical = (isinstance(policy, ActorCritic) and action_noise <= 0
-                 and spec.start_jitter <= 0)
-    rolled = [_run_episode(spec, policy, rng, seed * 100_003 + ep, action_noise)
+    identical = action_noise <= 0 and spec.start_jitter <= 0
+    rolled = [_run_episode(spec, student, rng, seed * 100_003 + ep, action_noise)
               for ep in range(1 if identical else episodes)]
     if identical:
         return float(rolled[0][0]), 0.0, float(rolled[0][1])

@@ -15,11 +15,12 @@ it scores, updates, freezes and lists them for checkpoints. Every random
 draw comes from named streams derived from one master seed, which makes
 whole runs bit-reproducible.
 
+Every learner reads the expert from one table, ExpertDataset's arrays.
 Every reward net reads one input row per transition, obs = [s, a]. Only
 _Collector.step and expert_transition_table build it, and the buffers
 store it in place of s and a. The trainer's next observation is the next
 row's obs; past an episode end, where done = 1 cancels its value, it is
-[s', 0] (_trainer_next) or, in the trainer replay buffer, zeros.
+zeros.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class RunConfig:
     early_stop_success: bool = True
     # environment perturbation (covariate shift) and frozen-reward transfer
     action_noise: float = 0.0
-    frozen_reward: dict | None = None  # {"kind": "trainer"|"airl", "path": ...}
+    frozen_reward: str | None = None  # path of a trainer actor or an AIRL reward net
     # bc only
     bc_epochs: int = 200
     bc_holdout: float = 0.1
@@ -170,45 +171,42 @@ class RunConfig:
             if frac > 0 and self.algorithm in ("rile_on", "bc"):
                 raise ValueError(f"{name} needs a replay buffer, which "
                                  f"{self.algorithm} does not fill")
-        if self.frozen_reward is not None:
-            if self.frozen_reward.get("kind") not in ("trainer", "airl"):
-                raise ValueError("frozen_reward.kind must be 'trainer' or 'airl'")
-            if self.algorithm not in ("rile_off", "rile_on"):
-                raise ValueError(f"frozen_reward runs under rile_off or rile_on: "
-                                 f"{self.algorithm} trains its own reward or none")
+        if self.frozen_reward is not None and self.algorithm not in ("rile_off", "rile_on"):
+            raise ValueError(f"frozen_reward runs under rile_off or rile_on: "
+                             f"{self.algorithm} trains its own reward or none")
         return self
 
 
-# New streams go at the end: a stream's seed depends on its position only.
-STREAM_NAMES = ("env", "student", "trainer", "disc", "noise", "eval", "mix",
-                "init_student", "init_trainer", "init_disc", "init_airl", "mix_trainer")
+# Each stream is seeded by child i of the master seed's SeedSequence, so its
+# seed depends on its own i only; a new stream takes a new i (4 and 5 unused).
+STREAMS = {"env": 0, "student": 1, "trainer": 2, "disc": 3, "mix": 6, "init_student": 7,
+           "init_trainer": 8, "init_disc": 9, "init_airl": 10, "mix_trainer": 11}
 
 
 def seed_streams(master_seed: int) -> dict:
     """One master seed split deterministically into named substreams."""
-    children = np.random.SeedSequence(master_seed).spawn(len(STREAM_NAMES))
-    return {n: np.random.default_rng(c) for n, c in zip(STREAM_NAMES, children)}
+    return {n: np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(i,)))
+            for n, i in STREAMS.items()}
 
 
-def _trainer_next(obs, sp, end):
+def _trainer_next(obs, end):
     """The trainer's next observation and done flag for consecutive rows
-    obs = [s, a] with next states sp, where end marks each episode's last
-    row: s' paired with the next row's action, which is zero past an
-    episode end (unused there)."""
-    ap = np.zeros((len(obs), obs.shape[1] - sp.shape[1]))
-    ap[:-1] = obs[1:, sp.shape[1]:]
-    ap[end] = 0.0
-    return np.concatenate([sp, ap], axis=1), end.astype(np.float64)
+    obs = [s, a], where end marks each episode's last row: the next row's
+    obs, and zeros past an episode end (unused there)."""
+    obsp = np.zeros_like(obs)
+    obsp[:-1] = obs[1:]
+    obsp[end] = 0.0
+    return obsp, end.astype(np.float64)
 
 
 def expert_transition_table(expert: ExpertDataset) -> dict:
     """Expert rows in the shapes the buffers use: the input rows obs, the
     states and actions they join (for BC), and the trainer's next
     observations."""
-    s, a, sp, end = expert.transitions()
-    obs = np.concatenate([s, a], axis=1)
-    obsp, done = _trainer_next(obs, sp, end)
-    return {"s": s, "a": a, "obs": obs, "sp": sp, "done": done, "obsp": obsp}
+    obs = np.concatenate([expert.s, expert.a], axis=1)
+    obsp, done = _trainer_next(obs, expert.end)
+    return {"s": expert.s, "a": expert.a, "obs": obs, "sp": expert.sp, "done": done,
+            "obsp": obsp}
 
 
 @dataclass
@@ -270,7 +268,7 @@ class _RewardPathway:
                  streams):
         self.cfg = cfg
         self.student = student
-        self.state_dim = expert.state_dim
+        self.state_dim = expert.s.shape[1]
         self.expert_table = expert_transition_table(expert)
         self.disc_rng, self.trainer_rng = streams["disc"], streams["trainer"]
         self.nets = _agent_nets("student", student)
@@ -278,18 +276,14 @@ class _RewardPathway:
         # the trainer's absolute critic losses over the freeze window
         self.critic_losses = deque(maxlen=cfg.freeze_window)
         self.freeze_step = None
-        # a frozen reward: the loaded net, and whether tanh squashes its output 0
-        self.frozen, self.frozen_tanh = None, False
-        obs_dim = self.state_dim + expert.action_dim
+        self.frozen = None
+        obs_dim = self.state_dim + expert.a.shape[1]
         if cfg.frozen_reward is not None:
-            kind = cfg.frozen_reward["kind"]
-            self.frozen = load_mlp(cfg.frozen_reward["path"])
-            self.frozen_tanh = kind == "trainer"
-            want = 2 if self.frozen_tanh else 1  # a trainer actor's (mean, log_std)
-            if (self.frozen.in_dim, self.frozen.out_dim) != (obs_dim, want):
+            self.frozen = load_mlp(cfg.frozen_reward)
+            if self.frozen.in_dim != obs_dim or self.frozen.out_dim not in (1, 2):
                 raise ValueError(
-                    f"frozen_reward {kind} net maps {self.frozen.in_dim} -> "
-                    f"{self.frozen.out_dim}; it must map {obs_dim} -> {want}")
+                    f"frozen_reward net maps {self.frozen.in_dim} -> {self.frozen.out_dim}; "
+                    f"it must map {obs_dim} -> 2 (a trainer actor) or 1 (an AIRL reward net)")
             return
         if cfg.algorithm in ("rile_on", "rile_off"):
             self.trainer = make_actor_critic(
@@ -302,31 +296,32 @@ class _RewardPathway:
             self.nets["discriminator/net.mlp"] = self.disc.params
         if cfg.algorithm == "airl":
             self.airl = baselines.make_airl_heads(
-                self.state_dim, expert.action_dim, cfg.disc_hidden, cfg.disc_lr, cfg.gamma,
+                self.state_dim, expert.a.shape[1], cfg.disc_hidden, cfg.disc_lr, cfg.gamma,
                 streams["init_airl"])
             self.nets.update({"airl/reward.mlp": self.airl.reward,
                               "airl/potential.mlp": self.airl.potential})
 
     @property
     def trainer_frozen(self) -> bool:
-        return self.trainer is not None and self.trainer.frozen
+        return self.freeze_step is not None
 
     def score(self, chunk):
         """(student rewards, stochastic trainer actions) for a collected
         chunk. While the trainer is live, both come from one forward of its
         actor, with the actions' noise drawn from the trainer stream;
         otherwise the actions are None."""
-        if self.trainer is None or self.trainer.frozen:
+        if self.trainer is None or self.trainer_frozen:
             return self.student_rewards(chunk["obs"], chunk["sp"]), None
         return trainer_act(self.trainer, chunk["obs"], self.trainer_rng)
 
     def student_rewards(self, obs, sp) -> np.ndarray:
         """Learned reward for student transitions, input rows obs = [s, a]
         with next states sp (read by AIRL's potential only), under the
-        current nets."""
+        current nets. A frozen trainer actor (mean, log_std) rewards by the
+        tanh of its mean, a frozen AIRL reward net by its output."""
         if self.frozen is not None:
             r = mlp_forward(self.frozen, obs)[:, 0]
-            return np.tanh(r) if self.frozen_tanh else r
+            return np.tanh(r) if self.frozen.out_dim == 2 else r
         if self.trainer is not None:
             return trainer_act_batch(self.trainer, obs)
         if self.disc is not None:
@@ -352,7 +347,7 @@ class _RewardPathway:
                 diag["disc_loss"] = baselines.airl_update(
                     self.airl, self.student, (te["obs"][idx], te["sp"][idx]),
                     (b["obs"], b["sp"]))
-        if self.trainer is not None and not self.trainer.frozen:
+        if self.trainer is not None and not self.trainer_frozen:
             obs, a_t, obsp, done = source.trainer_rows(self.trainer_rng)
             r_t = trainer_reward(disc_output(self.disc, obs), a_t)
             loss = trainer_update(self.trainer, (obs, a_t, r_t, obsp, done))["critic_loss"]
@@ -360,7 +355,6 @@ class _RewardPathway:
             self.critic_losses.append(abs(loss))
             if (len(self.critic_losses) == self.critic_losses.maxlen
                     and np.mean(self.critic_losses) < self.cfg.freeze_threshold):
-                self.trainer.frozen = True
                 self.freeze_step = step
         diag["frozen"] = self.trainer_frozen
         return diag
@@ -384,7 +378,7 @@ class _Collector:
         env_action = action
         if cfg.action_noise > 0:
             env_action = action + self.env_rng.normal(0.0, cfg.action_noise, size=2)
-        nxt, _, at_goal = maze_step(cfg.env, self.state, env_action)
+        nxt, at_goal = maze_step(cfg.env, self.state, env_action)
         self.episode_step += 1
         truncated = self.episode_step >= cfg.env.max_steps
         # done = 0: a goal terminal under always-positive rewards teaches dawdling
@@ -535,7 +529,7 @@ class _Rollout:
     def trainer_rows(self, rng):
         obs = self.chunk["obs"]
         end = np.arange(len(obs)) == len(obs) - 1  # trainer episode ends with the rollout
-        return (obs, self.chunk["a_t"], *_trainer_next(obs, self.chunk["sp"], end))
+        return (obs, self.chunk["a_t"], *_trainer_next(obs, end))
 
 
 def _update(pathway, source, step, rng) -> dict:
@@ -552,7 +546,7 @@ def _crossed(step: int, n: int, every: int) -> bool:
     return step // every > (step - n) // every
 
 
-def run_training(config: RunConfig, expert: ExpertDataset | None,
+def run_training(config: RunConfig, expert: ExpertDataset,
                  run_dir: str | None = None) -> RunArtifacts:
     """Executes one run per the configured algorithm and returns artifacts.
 
@@ -571,11 +565,9 @@ def run_training(config: RunConfig, expert: ExpertDataset | None,
         return _train(cfg, expert, run_dir)
 
 
-def _train(cfg: RunConfig, expert: ExpertDataset | None, run_dir) -> RunArtifacts:
-    if expert is None or expert.n_steps == 0:
-        raise ValueError(f"{cfg.algorithm} needs a non-empty expert dataset")
+def _train(cfg: RunConfig, expert: ExpertDataset, run_dir) -> RunArtifacts:
     streams = seed_streams(cfg.seed)
-    student = make_actor_critic(expert.state_dim, expert.action_dim, cfg.student_hidden,
+    student = make_actor_critic(expert.s.shape[1], expert.a.shape[1], cfg.student_hidden,
                                 streams["init_student"], lr=cfg.student_lr,
                                 entropy_coef=cfg.student_entropy,
                                 epsilon_greedy=cfg.epsilon_greedy, gamma=cfg.gamma,

@@ -224,21 +224,6 @@ class TestTrainer:
         assert np.array_equal(batch, rows)
         assert np.array_equal(det, trainer_act_batch(t, obs))
 
-    def test_frozen_rejects_updates_and_stays_constant(self):
-        rng = np.random.default_rng(12)
-        t = make_actor_critic(3, 1, (8,), rng)
-        obs = rng.normal(size=(16, 3))
-        batch = (obs, rng.uniform(-0.9, 0.9, 16), rng.normal(size=16), obs, np.zeros(16))
-        trainer_update(t, batch)
-        t.frozen = True
-        before = params_to_flat(t.actor).copy()
-        probe = rng.normal(size=(1, 3))
-        a_before = trainer_act_batch(t, probe)
-        with pytest.raises(RuntimeError, match="frozen"):
-            trainer_update(t, batch)
-        assert np.array_equal(params_to_flat(t.actor), before)
-        assert np.array_equal(trainer_act_batch(t, probe), a_before)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_reward_rejected_before_any_state_changes(self, bad):
         # The only source of a non-finite trainer critic loss: the update

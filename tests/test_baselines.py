@@ -146,7 +146,7 @@ class TestBcHoldout:
     @pytest.mark.parametrize("holdout", [0.1, 0.25])
     def test_held_out_rows_are_never_trained_on(self, holdout, monkeypatch):
         diag, trained, scored = self._run(holdout, monkeypatch)
-        n = self.EXPERT.n_steps
+        n = len(self.EXPERT.s)
         # each epoch scores the train rows, then the held-out rows
         assert len(scored) == 2 * self.EPOCHS
         train, held = sorted(scored[0]), sorted(scored[1])
@@ -161,14 +161,14 @@ class TestBcHoldout:
         # 0.995 of the 48 rows rounds to all 48; the holdout is capped at 47
         diag, trained, scored = self._run(0.995, monkeypatch)
         train, held = sorted(scored[0]), sorted(scored[1])
-        assert len(train) == 1 and len(held) == self.EXPERT.n_steps - 1
-        assert sorted(train + held) == list(range(self.EXPERT.n_steps))
+        assert len(train) == 1 and len(held) == len(self.EXPERT.s) - 1
+        assert sorted(train + held) == list(range(len(self.EXPERT.s)))
         assert self._epochs(trained) == [train] * self.EPOCHS
         assert all(row["train_loss"] != row["holdout_loss"] for row in diag)
 
     def test_no_holdout_trains_on_every_row(self, monkeypatch):
         diag, trained, scored = self._run(0.0, monkeypatch)
-        every = list(range(self.EXPERT.n_steps))
+        every = list(range(len(self.EXPERT.s)))
         assert self._epochs(trained) == [every] * self.EPOCHS
         assert [sorted(s) for s in scored] == [every] * self.EPOCHS
         assert len(diag) == self.EPOCHS

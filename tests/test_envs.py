@@ -3,6 +3,7 @@ import pytest
 
 from rile.envs import (
     DEFAULT_WAYPOINTS,
+    ExpertDataset,
     MazeSpec,
     generate_expert,
     maze_reset,
@@ -37,21 +38,21 @@ class TestMazeStep:
     def test_null_action(self):
         spec = MazeSpec()
         s = maze_reset(spec)
-        nxt, done, at_goal = maze_step(spec, s, [0.0, 0.0])
+        nxt, at_goal = maze_step(spec, s, [0.0, 0.0])
         assert np.array_equal(nxt, s)
-        assert not done and not at_goal
+        assert not at_goal
 
     def test_goal_predicate(self):
         spec = MazeSpec()
         s = np.array([0.9, 0.1 + spec.goal_radius + 0.02])
-        nxt, done, at_goal = maze_step(spec, s, [0.0, -1.0])
-        assert at_goal and done
+        nxt, at_goal = maze_step(spec, s, [0.0, -1.0])
+        assert at_goal
 
     def test_straight_path_into_obstacle_face(self):
         # Obstacle face at x=0.28 (left face of the top wall): approach head-on.
         spec = MazeSpec()
         s = np.array([0.25, 0.7])
-        nxt, _, _ = maze_step(spec, s, [1.0, 0.0])
+        nxt, _ = maze_step(spec, s, [1.0, 0.0])
         assert abs(nxt[0] - 0.28) <= 1e-9
         assert nxt[1] == 0.7
         assert not point_in_obstacle(spec, nxt)
@@ -60,7 +61,7 @@ class TestMazeStep:
         spec = MazeSpec(step_size=0.2)
         s = np.array([0.25, 0.50])
         a = np.array([1.0, 0.5])
-        nxt, _, _ = maze_step(spec, s, a)
+        nxt, _ = maze_step(spec, s, a)
         # entry at x=0.28: t = 0.03/0.2, y = 0.5 + t*0.1
         assert abs(nxt[0] - 0.28) <= 1e-9
         assert nxt[1] == pytest.approx(0.5 + (0.03 / 0.2) * 0.1, abs=1e-9)
@@ -68,19 +69,19 @@ class TestMazeStep:
     def test_actions_clamped_to_unit_box(self):
         spec = MazeSpec()
         s = np.array([0.5, 0.9])
-        big, _, _ = maze_step(spec, s, [0.0, 100.0])
-        one, _, _ = maze_step(spec, s, [0.0, 1.0])
+        big, _ = maze_step(spec, s, [0.0, 100.0])
+        one, _ = maze_step(spec, s, [0.0, 1.0])
         assert np.array_equal(big, one)
 
     def test_clipped_to_unit_square(self):
         spec = MazeSpec()
-        nxt, _, _ = maze_step(spec, [0.02, 0.9], [-1.0, 0.0])
+        nxt, _ = maze_step(spec, [0.02, 0.9], [-1.0, 0.0])
         assert nxt[0] == 0.0
 
     def test_grazing_along_face_allowed(self):
         spec = MazeSpec()
         s = np.array([0.28, 0.5])  # exactly on the left face of the top wall
-        nxt, _, _ = maze_step(spec, s, [0.0, 1.0])
+        nxt, _ = maze_step(spec, s, [0.0, 1.0])
         assert nxt[0] == 0.28
         assert nxt[1] > 0.5
         assert not point_in_obstacle(spec, nxt)
@@ -92,10 +93,10 @@ class TestMazeStep:
         s = maze_reset(spec)
         for i in range(100_000):
             a = rng.uniform(-1, 1, size=2)
-            s, done, _ = maze_step(spec, s, a)
+            s, at_goal = maze_step(spec, s, a)
             assert 0.0 <= s[0] <= 1.0 and 0.0 <= s[1] <= 1.0
             assert not point_in_obstacle(spec, s)
-            if done or i % 500 == 499:
+            if at_goal or i % 500 == 499:
                 s = maze_reset(spec)
 
     def test_step_determinism(self):
@@ -117,11 +118,13 @@ class TestScriptedExpert:
     def test_replay_open_loop_reaches_goal(self):
         spec = MazeSpec()
         d = generate_expert(spec, episodes=3)
-        for s_arr, a_arr in d.episodes:
+        episodes = np.split(d.a, np.flatnonzero(d.end)[:-1] + 1)
+        assert len(episodes) == 3
+        for a_arr in episodes:
             state = maze_reset(spec)
             at_goal = False
             for a in a_arr:
-                state, done, at_goal = maze_step(spec, state, a)
+                state, at_goal = maze_step(spec, state, a)
             assert at_goal
             assert np.linalg.norm(state - np.asarray(spec.goal)) <= spec.goal_radius
 
@@ -138,6 +141,36 @@ class TestScriptedExpert:
 
     def test_transitions_pairwise(self):
         d = generate_expert(MazeSpec(), episodes=1)
-        s, a, nxt, done = d.transitions()
-        assert np.array_equal(nxt[:-1], s[1:])
-        assert done[-1] and not done[:-1].any()
+        assert np.array_equal(d.sp[:-1], d.s[1:])
+        assert d.end[-1] and not d.end[:-1].any()
+
+
+def _episode(n, ds=2, da=2, start=0.0):
+    """(states, actions) of n steps whose values count up from start."""
+    s = start + np.arange(n * ds, dtype=float).reshape(n, ds)
+    return s, -1.0 - s[:, :1].repeat(da, axis=1)
+
+
+class TestExpertDataset:
+    @pytest.mark.parametrize("episodes,match", [
+        ([], "no steps"),
+        ([_episode(0), _episode(0)], "no steps"),
+        ([(np.zeros(3), np.zeros((3, 2)))], "episode 0: .*2-d"),
+        ([_episode(2), (np.zeros((3, 2)), np.zeros((2, 2)))], "episode 1: .*aligned"),
+        ([_episode(2), _episode(2, ds=3)], "episode 1: dimension mismatch"),
+        ([_episode(2), _episode(0, da=1)], "episode 1: dimension mismatch")])
+    def test_rejected(self, episodes, match):
+        with pytest.raises(ValueError, match=match):
+            ExpertDataset(episodes)
+
+    def test_ragged_episodes_make_one_table(self):
+        # episodes of 3, 0 and 2 steps: five rows, the empty episode adds none
+        (s0, a0), (s2, a2) = _episode(3), _episode(2, start=100.0)
+        d = ExpertDataset([(s0.tolist(), a0.tolist()), _episode(0), (s2, a2)])
+        assert np.array_equal(d.s, [[0, 1], [2, 3], [4, 5], [100, 101], [102, 103]])
+        assert np.array_equal(d.a, [[-1, -1], [-3, -3], [-5, -5], [-101, -101],
+                                    [-103, -103]])
+        # the next state within an episode, the state itself at its end
+        assert np.array_equal(d.sp, [[2, 3], [4, 5], [4, 5], [102, 103], [102, 103]])
+        assert d.end.tolist() == [False, False, True, False, True]
+        assert all(x.dtype == np.float64 for x in (d.s, d.a, d.sp))

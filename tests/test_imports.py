@@ -5,8 +5,8 @@ two modules together all the same.
 And no top-level name, method or property of src/rile/ without a caller
 in src/rile/ or bench/, no function parameter that its body never reads,
 no batch scratch outside nets: each network owns its own, so no other
-module names it, and no learner of the reward pathway read from outside it
-in orchestrator."""
+module names it, no learner of the reward pathway read from outside it
+in orchestrator, and no seed stream that nothing reads."""
 
 import ast
 import re
@@ -338,3 +338,26 @@ def test_only_the_reward_pathway_reads_its_learners():
     found = [r for r in _pathway_readers((PACKAGE / "orchestrator.py").read_text())
              if r.split()[0] not in PATHWAY_READERS_ALLOWED]
     assert not found, "learners read outside _RewardPathway: " + ", ".join(found)
+
+
+def _stream_reads(source: str) -> set:
+    """The names that source reads as streams["name"]."""
+    return {n.slice.value for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+            and n.value.id == "streams" and isinstance(n.slice, ast.Constant)
+            and isinstance(n.slice.value, str)}
+
+
+def test_the_stream_scan_sees_string_subscripts_of_streams_only():
+    source = ("def f(streams, other, k):\n"
+              "    return streams['env'], other['mix'], streams[k], streams.get('disc')\n"
+              "def g(self):\n    return self.streams['noise'], {'eval': 1}['eval']\n")
+    assert _stream_reads(source) == {"env"}
+
+
+def test_every_seed_stream_is_read():
+    from rile.orchestrator import seed_streams
+
+    read = set().union(*(_stream_reads(p.read_text()) for p in PACKAGE.glob("*.py")))
+    unread = sorted(set(seed_streams(0)) - read)
+    assert not unread, "seed streams nothing reads: " + ", ".join(unread)

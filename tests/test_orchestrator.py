@@ -13,6 +13,7 @@ from rile.nets import load_mlp, mlp_forward, mlp_to_bytes, save_mlp
 from rile.orchestrator import RunAborted, RunConfig, run_training
 
 EXPERT = generate_expert(MazeSpec(), 2)
+OBS_DIM = EXPERT.s.shape[1] + EXPERT.a.shape[1]
 
 # Tiny nets, buffers and batches; 12-step episodes so that rile_on collects
 # many short rollouts, and 400 steps so that every algorithm writes
@@ -77,8 +78,7 @@ def test_frozen_reward_trains_only_the_student(algorithm, kind, tmp_path, monkey
         return original(pathway, *args)
 
     monkeypatch.setattr(orchestrator._RewardPathway, "student_rewards", spy)
-    cfg = RunConfig(algorithm=algorithm, seed=5, frozen_reward={"kind": kind, "path": path},
-                    **TINY)
+    cfg = RunConfig(algorithm=algorithm, seed=5, frozen_reward=path, **TINY)
     artifacts = run_training(cfg, EXPERT, str(tmp_path / "run"))
 
     assert artifacts.steps_run == cfg.total_steps
@@ -89,17 +89,18 @@ def test_frozen_reward_trains_only_the_student(algorithm, kind, tmp_path, monkey
     assert seen and all(b == frozen_bytes for b in seen)
 
 
-@pytest.mark.parametrize("kind,dims", [
-    ("trainer", [4, 8, 1]),  # an AIRL reward net where a trainer actor belongs
-    ("airl", [4, 8, 2]),     # a trainer actor where an AIRL reward net belongs
-    ("airl", [2, 8, 1])])    # an AIRL potential net: states only
-def test_frozen_reward_of_the_wrong_shape_rejected_before_the_run(kind, dims, tmp_path):
+@pytest.mark.parametrize("dims", [
+    [2, 8, 1],   # an AIRL potential net: states only
+    [2, 8, 4],   # a student actor: states only, two actions
+    [4, 8, 3]],  # [s, a] rows, but neither a trainer actor's width nor a reward's
+    ids=["potential", "student", "width3"])
+def test_frozen_reward_of_the_wrong_shape_rejected_before_the_run(dims, tmp_path):
     path = str(tmp_path / "reward.mlp")
     save_mlp(nets.mlp_init(dims, np.random.default_rng(0)), path)
-    cfg = RunConfig(algorithm="rile_off", seed=5, frozen_reward={"kind": kind, "path": path},
-                    **TINY)
+    cfg = RunConfig(algorithm="rile_off", seed=5, frozen_reward=path, **TINY)
     run_dir = tmp_path / "run"
-    with pytest.raises(ValueError, match=f"frozen_reward {kind} net maps"):
+    with pytest.raises(ValueError, match=r"frozen_reward net maps .* -> 2 \(a trainer "
+                                         r"actor\) or 1 \(an AIRL reward net\)"):
         run_training(cfg, EXPERT, str(run_dir))
     assert not run_dir.exists()
 
@@ -222,8 +223,7 @@ def test_every_checkpoint_holds_every_net_of_the_run(algorithm, tmp_path, monkey
 def test_frozen_reward_rejected_outside_rile(algorithm):
     # a frozen reward replaces the trainer: under gail or airl such a run
     # would be the rile_off run under another name
-    cfg = RunConfig(algorithm=algorithm, frozen_reward={"kind": "trainer",
-                                                        "path": "/nonexistent.mlp"})
+    cfg = RunConfig(algorithm=algorithm, frozen_reward="/nonexistent.mlp")
     with pytest.raises(ValueError, match="frozen_reward"):
         cfg.validate()
     with pytest.raises(ValueError, match="frozen_reward"):
@@ -249,15 +249,19 @@ def test_bad_schedule_values_rejected_before_the_run_starts(algorithm, field, va
 
 def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
     # A loose freeze test (5 updates, threshold 10) so that the trainer
-    # freezes early in the run; after that, nothing reads the trainer stream.
-    calls = []
-    original = orchestrator.trainer_act
+    # freezes early in the run; after that, nothing reads the trainer stream
+    # and nothing updates the trainer.
+    calls, updates = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(record, original):
+        def counted(*args, **kwargs):
+            record.append(1)
+            return original(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(orchestrator, "trainer_act", counting)
+    monkeypatch.setattr(orchestrator, "trainer_act", counting(calls, orchestrator.trainer_act))
+    monkeypatch.setattr(orchestrator, "trainer_update",
+                        counting(updates, orchestrator.trainer_update))
     cfg = RunConfig(algorithm="rile_off", seed=3, freeze_window=5, freeze_threshold=10.0,
                     **TINY)
     artifacts = run_training(cfg, EXPERT)
@@ -267,16 +271,31 @@ def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
     assert artifacts.freeze_step == 68
     # one stochastic trainer action per collected step up to the freeze
     assert len(calls) == artifacts.freeze_step
+    # the five updates that filled the window, none after
+    assert len(updates) == 5
+
+
+def test_seed_streams_keep_their_seeds():
+    # Each stream is child i of the master seed's SeedSequence, as in a
+    # twelve-way spawn whose children 4 and 5 (once noise and eval) nothing
+    # read: retiring those moved no other stream.
+    names = ("env", "student", "trainer", "disc", None, None, "mix", "init_student",
+             "init_trainer", "init_disc", "init_airl", "mix_trainer")
+    streams = orchestrator.seed_streams(11)
+    assert sorted(streams) == sorted(n for n in names if n)
+    for name, child in zip(names, np.random.SeedSequence(11).spawn(len(names))):
+        if name is not None:
+            expected = np.random.default_rng(child).integers(2**62, size=4)
+            assert np.array_equal(streams[name].integers(2**62, size=4), expected), name
 
 
 def _one_row_trainer_forwards(cfg, monkeypatch):
     """(artifacts, count of one-row forwards of the trainer's actor) of a run."""
     calls = []
     original = nets._forward_cached
-    obs_dim = EXPERT.state_dim + EXPERT.action_dim
 
     def spy(params, x):
-        if params.in_dim == obs_dim and params.out_dim == 2 and len(x) == 1:
+        if params.in_dim == OBS_DIM and params.out_dim == 2 and len(x) == 1:
             calls.append(1)
         return original(params, x)
 
@@ -312,7 +331,6 @@ def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
     inside, forwards, calls = [], [], []
     original_rows = orchestrator._Rollout.trainer_rows
     original_forward = nets._forward_cached
-    obs_dim = EXPERT.state_dim + EXPERT.action_dim
 
     def rows_spy(rollout, rng):
         calls.append(1)
@@ -323,7 +341,7 @@ def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
             inside.pop()
 
     def forward_spy(params, x):
-        if inside and params.in_dim == obs_dim and params.out_dim == 2:
+        if inside and params.in_dim == OBS_DIM and params.out_dim == 2:
             forwards.append(len(x))
         return original_forward(params, x)
 
@@ -341,7 +359,7 @@ def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
 def _pathway(cfg):
     """The reward pathway of a seed-0 run of cfg, with its student."""
     streams = orchestrator.seed_streams(0)
-    student = make_actor_critic(EXPERT.state_dim, EXPERT.action_dim, cfg.student_hidden,
+    student = make_actor_critic(EXPERT.s.shape[1], EXPERT.a.shape[1], cfg.student_hidden,
                                 streams["init_student"])
     return orchestrator._RewardPathway(cfg, EXPERT, student, streams)
 
@@ -352,7 +370,7 @@ def test_score_acts_on_the_state_action_rows(monkeypatch):
     # environment executed).
     cfg = RunConfig(algorithm="rile_off", action_noise=0.1, **TINY).validate()
     streams = orchestrator.seed_streams(0)
-    student = make_actor_critic(EXPERT.state_dim, EXPERT.action_dim, cfg.student_hidden,
+    student = make_actor_critic(EXPERT.s.shape[1], EXPERT.a.shape[1], cfg.student_hidden,
                                 streams["init_student"], epsilon_greedy=cfg.epsilon_greedy)
     acted = []
     act = orchestrator.student_act
@@ -382,7 +400,7 @@ def test_score_acts_on_the_state_action_rows(monkeypatch):
     log_std = np.clip(y[:, 1], -5.0, 2.0)
     assert np.array_equal(a_t, np.tanh(y[:, 0] + np.exp(log_std) * noise))
     assert np.array_equal(r, pathway.student_rewards(chunk["obs"], chunk["sp"]))
-    pathway.trainer.frozen = True
+    pathway.freeze_step = 0
     assert pathway.score(chunk)[1] is None
 
 
@@ -400,7 +418,7 @@ def test_rollout_and_expert_table_build_the_same_trainer_rows():
     assert np.array_equal(obsp, te["obsp"]) and np.array_equal(done, te["done"])
     # s' with the next expert action; the last row ends the episode
     assert np.array_equal(obsp[:-1], np.hstack([te["sp"][:-1], te["a"][1:]]))
-    assert np.array_equal(obsp[-1], np.concatenate([te["sp"][-1], [0.0, 0.0]]))
+    assert np.array_equal(obsp[-1], np.zeros(4))
     assert done.tolist() == [0.0] * (n - 1) + [1.0]
 
 
@@ -429,8 +447,7 @@ def test_frozen_reward_scores_on_its_own_scratch(tmp_path):
     path = str(tmp_path / "reward.mlp")
     save_mlp(make_airl_heads(2, 2, hidden, 1e-3, 0.99, np.random.default_rng(0)).reward,
              path)
-    cfg = RunConfig(algorithm="rile_off",
-                    frozen_reward={"kind": "airl", "path": path}).validate()
+    cfg = RunConfig(algorithm="rile_off", frozen_reward=path).validate()
     pathway = _pathway(cfg)
     rng = np.random.default_rng(1)
     obs, sp = rng.uniform(-1, 1, (256, 4)), rng.uniform(-1, 1, (256, 2))
@@ -447,8 +464,8 @@ def test_airl_probe_snapshot_is_f_on_the_expert_transitions():
     cfg = RunConfig(algorithm="airl", metric_window=2).validate()
     pathway = _pathway(cfg)
     te = pathway.expert_table
-    s, a, sp, _ = EXPERT.transitions()
-    assert np.array_equal(te["obs"], np.hstack([s, a])) and np.array_equal(te["sp"], sp)
+    assert np.array_equal(te["obs"], np.hstack([EXPERT.s, EXPERT.a]))
+    assert np.array_equal(te["sp"], EXPERT.sp)
     tracker = orchestrator._WindowTracker(cfg, pathway)
     tracker.add(np.array([0.1, 0.2]), np.array([0.0, 1.0]))
     tracker.maybe_close(orchestrator._Logger(None, "metrics.jsonl"), None)
