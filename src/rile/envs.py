@@ -2,7 +2,7 @@
 
 A continuous 2-D obstacle maze on [0,1]^2, a scripted waypoint expert for
 it, and the one table of the expert's transitions (s, a, s', episode end)
-that every learner reads.
+that every learner reads; an episode's last s' is the goal state it ends in.
 
 Environments are value-semantic: reset/step take all state explicitly and
 share nothing, so any number of rollouts can run concurrently.
@@ -145,27 +145,28 @@ def maze_step(spec: MazeSpec, state, action):
 class ExpertDataset:
     """The expert's transitions as one table, concatenated over episodes:
     states s, actions a, next states sp and end, which marks each episode's
-    last row (its next state repeats its state, unused past the end).
+    last row (its next state is the state the episode ends in).
 
-    Built from (states [n, ds], actions [n, da]) episodes; empty episodes
-    add no row, and a dataset without a row is rejected.
+    Built from (states [n + 1, ds], actions [n, da]) episodes, whose states
+    run from the start to the state the last action reaches; episodes of no
+    action add no row, and a dataset without a row is rejected.
     """
 
     def __init__(self, episodes):
         eps = [tuple(np.asarray(x, dtype=np.float64) for x in ep) for ep in episodes]
         for k, (s, a) in enumerate(eps):
-            if s.ndim != 2 or a.ndim != 2 or len(s) != len(a):
-                raise ValueError(f"episode {k}: states/actions must be aligned 2-d arrays")
+            if s.ndim != 2 or a.ndim != 2 or len(s) != len(a) + 1:
+                raise ValueError(f"episode {k}: 2-d states/actions aligned as n + 1/n rows")
             if (s.shape[1], a.shape[1]) != (eps[0][0].shape[1], eps[0][1].shape[1]):
                 raise ValueError(f"episode {k}: dimension mismatch across episodes")
-        eps = [(s, a) for s, a in eps if len(s)]
+        eps = [(s, a) for s, a in eps if len(a)]
         if not eps:
             raise ValueError("dataset has no steps")
-        self.s = np.concatenate([s for s, _ in eps])
+        self.s = np.concatenate([s[:-1] for s, _ in eps])
         self.a = np.concatenate([a for _, a in eps])
-        self.sp = np.concatenate([np.vstack([s[1:], s[-1:]]) for s, _ in eps])
+        self.sp = np.concatenate([s[1:] for s, _ in eps])
         self.end = np.zeros(len(self.s), dtype=bool)
-        self.end[np.cumsum([len(s) for s, _ in eps]) - 1] = True
+        self.end[np.cumsum([len(a) for _, a in eps]) - 1] = True
 
 
 DEFAULT_WAYPOINTS = (
@@ -178,10 +179,11 @@ DEFAULT_WAYPOINTS = (
 
 
 def scripted_expert_episode(spec: MazeSpec, waypoints=None, slack: float = 0.04):
-    """One scripted demonstration, (states, actions): the expert heads at
-    each waypoint in turn, then at the goal, passing a waypoint once within
-    slack of it, with its speed scaled down near the target so that it does
-    not overshoot. Raises if the goal is not reached within max_steps."""
+    """One scripted demonstration, (states [n + 1], actions [n]), whose last
+    state is the one in the goal: the expert heads at each waypoint in turn,
+    then at the goal, passing a waypoint once within slack of it, with its
+    speed scaled down near the target so that it does not overshoot. Raises
+    if the goal is not reached within max_steps."""
     targets = [np.asarray(w, float) for w in (waypoints or DEFAULT_WAYPOINTS)]
     targets.append(np.asarray(spec.goal, float))
     wp = 0
@@ -198,7 +200,7 @@ def scripted_expert_episode(spec: MazeSpec, waypoints=None, slack: float = 0.04)
         actions.append(action)
         state, at_goal = maze_step(spec, state, action)
         if at_goal:
-            return np.asarray(states), np.asarray(actions)
+            return np.asarray([*states, state]), np.asarray(actions)
     raise ValueError("scripted expert failed to reach the goal under this maze spec")
 
 

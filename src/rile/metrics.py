@@ -85,16 +85,17 @@ def cpr(learned, environment) -> float:
     """Pearson correlation between learned and environment rewards.
 
     Undefined for constant input; reported as NaN (missing), never as 0.
+    Constancy is tested on the values: rounding leaves a constant's deviations nonzero.
     """
     x = np.asarray(learned, dtype=np.float64)
     y = np.asarray(environment, dtype=np.float64)
     if x.shape != y.shape or x.size < 2:
         raise ValueError("cpr needs two equally sized samples of length >= 2")
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        return float("nan")
     xc = x - x.mean()
     yc = y - y.mean()
     denom = np.sqrt(np.sum(xc**2) * np.sum(yc**2))
-    if denom == 0.0:
-        return float("nan")
     return float(np.clip(np.sum(xc * yc) / denom, -1.0, 1.0))
 
 
@@ -116,14 +117,14 @@ def _run_episode(spec, student, rng, ep_seed, action_noise):
 
 def evaluate_policy(spec: MazeSpec, student: ActorCritic, episodes: int, seed: int = 0,
                     action_noise: float = 0.0):
-    """(mean undiscounted environment return, its standard error, fraction
-    of episodes that reach the goal) of the student acting by its policy
-    mean, from one pass over the episodes.
+    """(mean undiscounted environment return, fraction of episodes that
+    reach the goal) of the student acting by its policy mean, from one pass
+    over the episodes.
 
     action_noise models a perturbed environment that corrupts executed
     actions. With no action noise from an unjittered start, the student
     draws nothing, so its episodes are all one episode: it is rolled once,
-    and its return and goal flag are the result, with standard error 0.
+    and its return and goal flag are the result.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -132,8 +133,6 @@ def evaluate_policy(spec: MazeSpec, student: ActorCritic, episodes: int, seed: i
     rolled = [_run_episode(spec, student, rng, seed * 100_003 + ep, action_noise)
               for ep in range(1 if identical else episodes)]
     if identical:
-        return float(rolled[0][0]), 0.0, float(rolled[0][1])
+        return float(rolled[0][0]), float(rolled[0][1])
     returns, reached = zip(*rolled)
-    returns = np.asarray(returns)
-    stderr = float(returns.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
-    return float(returns.mean()), stderr, sum(reached) / episodes
+    return float(np.mean(returns)), sum(reached) / episodes

@@ -5,7 +5,10 @@ eval and the final checkpoint. bc trains by baselines.train_bc's epochs;
 one loop serves rile_off, rile_on, gail and airl. Each pass collects a
 chunk of environment steps with the student, scores it with the learned
 reward and, when due, updates the student, then the discriminator or AIRL
-heads, then the trainer. Off-policy runs draw each batch from a FIFO
+heads, then the trainer. Once a chunk completes eval_every steps since
+the last report, the loop reports: it evaluates the student, closes the
+reward-metrics window, writes both as one metrics.jsonl row and
+checkpoints the nets. Off-policy runs draw each batch from a FIFO
 replay buffer (expert-mixed at insert time, rewards relabeled at sample
 time); rile_on collects the rest of an episode per chunk and updates on
 that rollout. Every adversarial algorithm collects through the same
@@ -133,10 +136,8 @@ class RunConfig:
     total_steps: int = 200_000
     update_every: int = 4
     warmup_steps: int = 2_000
-    eval_every: int = 10_000
+    eval_every: int = 10_000  # the report cadence: eval, metrics window, checkpoint
     eval_episodes: int = 10
-    checkpoint_every: int = 10_000
-    metric_window: int = 10_000
     early_stop_success: bool = True
     # environment perturbation (covariate shift) and frozen-reward transfer
     action_noise: float = 0.0
@@ -157,11 +158,11 @@ class RunConfig:
             if cap < batch:
                 raise ValueError(f"{name} buffer capacity {cap} < batch size {batch}")
         for name in ("student_batch", "trainer_batch", "disc_batch", "update_every",
-                     "eval_every", "checkpoint_every", "eval_episodes", "freeze_window"):
+                     "eval_episodes", "freeze_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.metric_window < 2:
-            raise ValueError("metric_window must be >= 2: cpr needs two samples")
+        if self.eval_every < 2:
+            raise ValueError("eval_every must be >= 2: cpr needs two samples")
         if not 0.0 <= self.bc_holdout < 1.0:
             raise ValueError("bc_holdout must be in [0, 1)")
         for name, frac in (("expert_mix_student", self.expert_mix_student),
@@ -397,10 +398,9 @@ class _Collector:
 
 class _WindowTracker:
     """Accumulates paired (learned, environment) reward samples and cuts a
-    MetricsWindow with a fixed-probe snapshot every metric_window steps."""
+    MetricsWindow with a fixed-probe snapshot at each report."""
 
-    def __init__(self, cfg, pathway):
-        self.cfg = cfg
+    def __init__(self, pathway):
         self.pathway = pathway
         self.learned, self.env = [], []
         self.index = 0
@@ -411,9 +411,8 @@ class _WindowTracker:
         self.learned.extend(learned)
         self.env.extend(env_r)
 
-    def maybe_close(self, metrics_log, eval_result):
-        if len(self.learned) < self.cfg.metric_window:
-            return
+    def close(self) -> dict:
+        """Closes the open window and returns its metrics."""
         te = self.pathway.expert_table  # the fixed probe: every expert transition
         snapshot = self.pathway.student_rewards(te["obs"], te["sp"])
         win = MetricsWindow(self.index, np.array(self.learned), np.array(self.env), snapshot)
@@ -423,11 +422,10 @@ class _WindowTracker:
             row["fs_rfdc"] = fs_rfdc(self.prev_window.fixed_snapshot, win.fixed_snapshot)
         c = cpr(win.learned, win.environment)
         row["cpr"] = None if np.isnan(c) else c
-        row["eval_return"] = eval_result
-        metrics_log.write(row)
         self.prev_window = win
         self.learned, self.env = [], []
         self.index += 1
+        return row
 
 
 class _Replay:
@@ -584,7 +582,7 @@ def _train(cfg: RunConfig, expert: ExpertDataset, run_dir) -> RunArtifacts:
     else:
         steps_run = _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log)
 
-    final_return, _, final_goal_rate = evaluate_policy(
+    final_return, final_goal_rate = evaluate_policy(
         cfg.env, student, cfg.eval_episodes, seed=cfg.seed, action_noise=cfg.action_noise)
     _checkpoint(run_dir, "final", pathway.nets)
     # the learners by name, for callers that read the trained nets
@@ -598,13 +596,12 @@ def _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log) -> int:
     """The adversarial algorithms' loop, from the step-0 checkpoint to the
     last step; returns the number of steps run."""
     student = pathway.student
-    tracker = _WindowTracker(cfg, pathway)
+    tracker = _WindowTracker(pathway)
     collector = _Collector(cfg, streams)
     on_policy = cfg.algorithm == "rile_on"
     replay = None if on_policy else _Replay(cfg, pathway, streams)
 
     _checkpoint(run_dir, 0, pathway.nets)
-    last_eval = None
     step = 0
     try:
         while step < cfg.total_steps:
@@ -629,18 +626,14 @@ def _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log) -> int:
             if diag is not None and _crossed(step, n, cfg.update_every * 25):
                 diag_log.write(diag)
 
-            if _crossed(step, n, cfg.eval_every):
-                ret, _, rate = evaluate_policy(cfg.env, student, cfg.eval_episodes,
-                                               seed=cfg.seed, action_noise=cfg.action_noise)
-                last_eval = ret
-                diag_log.write({"step": step, "eval_return": ret, "goal_rate": rate,
-                                "frozen": pathway.trainer_frozen})
+            if len(tracker.learned) >= cfg.eval_every:
+                ret, rate = evaluate_policy(cfg.env, student, cfg.eval_episodes,
+                                            seed=cfg.seed, action_noise=cfg.action_noise)
+                metrics_log.write({"step": step, **tracker.close(), "eval_return": ret,
+                                   "goal_rate": rate, "frozen": pathway.trainer_frozen})
                 if cfg.early_stop_success and rate == 1.0:
-                    tracker.maybe_close(metrics_log, last_eval)
                     break
-            if _crossed(step, n, cfg.checkpoint_every):
                 _checkpoint(run_dir, step, pathway.nets)
-            tracker.maybe_close(metrics_log, last_eval)
     except ValueError as e:
         _checkpoint(run_dir, f"{step}-abort", pathway.nets)
         raise RunAborted(f"run aborted at step {step}: {e}") from e

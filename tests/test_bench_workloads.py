@@ -29,3 +29,6 @@ def test_workload_config_is_valid(name):
     cfg = RunConfig(**MODULE.WORKLOADS[name], **MODULE.COMMON,
                     total_steps=MODULE.TOTAL_STEPS, seed=0).validate()
     assert cfg.algorithm == MODULE.WORKLOADS[name]["algorithm"]
+    # one report, and so one eval, one metrics window and one step checkpoint,
+    # per repetition, as bench/README.md describes the work
+    assert cfg.eval_every == MODULE.TOTAL_STEPS

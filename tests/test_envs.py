@@ -112,8 +112,9 @@ class TestScriptedExpert:
     def test_reaches_goal(self):
         spec = MazeSpec()
         states, actions = scripted_expert_episode(spec)
-        assert len(states) == len(actions)
-        assert len(states) < spec.max_steps
+        assert len(states) == len(actions) + 1
+        assert len(actions) < spec.max_steps
+        assert np.linalg.norm(states[-1] - np.asarray(spec.goal)) <= spec.goal_radius
 
     def test_replay_open_loop_reaches_goal(self):
         spec = MazeSpec()
@@ -144,19 +145,28 @@ class TestScriptedExpert:
         assert np.array_equal(d.sp[:-1], d.s[1:])
         assert d.end[-1] and not d.end[:-1].any()
 
+    def test_last_row_steps_into_the_goal(self):
+        # each episode's last row is the transition that enters the goal
+        spec = MazeSpec()
+        d = generate_expert(spec, episodes=2)
+        for s, a, sp in zip(d.s[d.end], d.a[d.end], d.sp[d.end]):
+            nxt, at_goal = maze_step(spec, s, a)
+            assert np.array_equal(sp, nxt) and at_goal
+
 
 def _episode(n, ds=2, da=2, start=0.0):
-    """(states, actions) of n steps whose values count up from start."""
-    s = start + np.arange(n * ds, dtype=float).reshape(n, ds)
-    return s, -1.0 - s[:, :1].repeat(da, axis=1)
+    """(states [n + 1], actions [n]) of n steps whose values count up from
+    start."""
+    s = start + np.arange((n + 1) * ds, dtype=float).reshape(n + 1, ds)
+    return s, -1.0 - s[:-1, :1].repeat(da, axis=1)
 
 
 class TestExpertDataset:
     @pytest.mark.parametrize("episodes,match", [
         ([], "no steps"),
         ([_episode(0), _episode(0)], "no steps"),
-        ([(np.zeros(3), np.zeros((3, 2)))], "episode 0: .*2-d"),
-        ([_episode(2), (np.zeros((3, 2)), np.zeros((2, 2)))], "episode 1: .*aligned"),
+        ([(np.zeros(4), np.zeros((3, 2)))], "episode 0: .*2-d"),
+        ([_episode(2), (np.zeros((3, 2)), np.zeros((3, 2)))], "episode 1: .*aligned"),
         ([_episode(2), _episode(2, ds=3)], "episode 1: dimension mismatch"),
         ([_episode(2), _episode(0, da=1)], "episode 1: dimension mismatch")])
     def test_rejected(self, episodes, match):
@@ -170,7 +180,7 @@ class TestExpertDataset:
         assert np.array_equal(d.s, [[0, 1], [2, 3], [4, 5], [100, 101], [102, 103]])
         assert np.array_equal(d.a, [[-1, -1], [-3, -3], [-5, -5], [-101, -101],
                                     [-103, -103]])
-        # the next state within an episode, the state itself at its end
-        assert np.array_equal(d.sp, [[2, 3], [4, 5], [4, 5], [102, 103], [102, 103]])
+        # the next state, at an episode's end the state the episode ends in
+        assert np.array_equal(d.sp, [[2, 3], [4, 5], [6, 7], [102, 103], [104, 105]])
         assert d.end.tolist() == [False, False, True, False, True]
         assert all(x.dtype == np.float64 for x in (d.s, d.a, d.sp))

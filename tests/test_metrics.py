@@ -183,6 +183,13 @@ class TestCpr:
         assert np.isnan(cpr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
         assert np.isnan(cpr([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
 
+    @pytest.mark.parametrize("n", [10, 100, 1_000, 10_000])
+    def test_constant_living_cost_reported_missing(self, n):
+        # a window in which no step reaches the goal pays -0.001 every step;
+        # its deviations from the mean are rounding noise, not zeros
+        learned = np.random.default_rng(n).normal(size=n)
+        assert np.isnan(cpr(learned, np.full(n, -0.001)))
+
     def test_bounds_and_scale_shift_invariance(self):
         rng = np.random.default_rng(8)
         for _ in range(500):
@@ -211,9 +218,8 @@ def _still():
 class TestEvaluatePolicy:
     def test_never_moving_policy_pays_living_cost(self):
         spec = MazeSpec()
-        mean, stderr, goal_rate = evaluate_policy(spec, _still(), episodes=3, seed=0)
+        mean, goal_rate = evaluate_policy(spec, _still(), episodes=3, seed=0)
         assert mean == pytest.approx(-0.001 * spec.max_steps, abs=1e-12)
-        assert stderr == 0.0
         assert goal_rate == 0.0
 
     def test_deterministic_eval_repeatable(self):
@@ -226,14 +232,13 @@ class TestEvaluatePolicy:
 
     def test_identical_episodes_give_the_one_episode_exactly(self):
         # ten copies of one return, reduced, came out at -0.12000000000000008
-        # with standard error 4.6e-18 where one episode returns
-        # -0.12000000000000009
+        # where one episode returns -0.12000000000000009
         spec = MazeSpec()
         student = make_actor_critic(2, 2, (64, 64), np.random.default_rng(0))
         one = evaluate_policy(spec, student, 1, seed=0)
         ten = evaluate_policy(spec, student, 10, seed=0)
         assert ten[0].hex() == one[0].hex()
-        assert ten == one and ten[1] == 0.0
+        assert ten == one
 
     def test_zero_episodes_rejected(self):
         with pytest.raises(ValueError):
@@ -265,9 +270,6 @@ class TestEvaluatePolicy:
                                  for ep in range(episodes)))
         if case == "deterministic":
             assert len(set(returns)) == 1 and len(set(reached)) == 1
-            assert result == (returns[0], 0.0, float(reached[0]))
+            assert result == (returns[0], float(reached[0]))
             return
-        returns = np.asarray(returns)
-        assert result == (float(returns.mean()),
-                          float(returns.std(ddof=1) / np.sqrt(episodes)),
-                          sum(reached) / episodes)
+        assert result == (float(np.asarray(returns).mean()), sum(reached) / episodes)

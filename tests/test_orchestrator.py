@@ -23,8 +23,7 @@ TINY = dict(
     student_hidden=(8, 8), trainer_hidden=(8, 8), disc_hidden=(8, 8),
     student_buffer=512, trainer_buffer=512, disc_buffer=512,
     student_batch=16, trainer_batch=16, disc_batch=8,
-    total_steps=400, warmup_steps=50, eval_every=200, eval_episodes=2,
-    metric_window=100, bc_epochs=3,
+    total_steps=400, warmup_steps=50, eval_every=200, eval_episodes=2, bc_epochs=3,
 )
 
 
@@ -136,16 +135,51 @@ def test_error_in_an_update_aborts_with_a_checkpoint(algorithm, tmp_path, monkey
 
 
 @pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
-def test_early_stop_closes_the_full_metrics_window(algorithm, monkeypatch):
-    # Every eval reports success, so the run stops at the first eval, which
-    # is also the step at which the first metrics window fills.
-    monkeypatch.setattr(orchestrator, "evaluate_policy", lambda *a, **k: (1.0, 0.0, 1.0))
+def test_early_stop_closes_the_full_metrics_window(algorithm, tmp_path, monkeypatch):
+    # Every eval reports success, so the run stops at the first report: it
+    # writes the report's row, then the final checkpoint, and no step one.
+    monkeypatch.setattr(orchestrator, "evaluate_policy", lambda *a, **k: (1.0, 1.0))
     every = TINY["eval_every"]
-    cfg = RunConfig(algorithm=algorithm, seed=5, **{**TINY, "metric_window": every})
-    artifacts = run_training(cfg, EXPERT)
+    cfg = RunConfig(algorithm=algorithm, seed=5, **TINY)
+    artifacts = run_training(cfg, EXPERT, str(tmp_path))
 
     assert every <= artifacts.steps_run < 2 * every
-    assert [row["window"] for row in artifacts.metrics_rows] == [0]
+    assert [(row["step"], row["window"]) for row in artifacts.metrics_rows] == [
+        (artifacts.steps_run, 0)]
+    assert sorted(d for d in os.listdir(tmp_path) if d.startswith("step-")) == [
+        "step-0", "step-final"]
+
+
+@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on", "gail", "airl"])
+def test_each_report_closes_the_window_of_the_steps_since_the_last(algorithm, monkeypatch):
+    # A report fires once eval_every steps have been collected since the
+    # last one: at its multiples off-policy, at the end of the episode that
+    # completes them under rile_on. Its row holds the eval and the window.
+    sizes = []
+    original = orchestrator.MetricsWindow
+
+    def spy(index, learned, *args):
+        sizes.append(len(learned))
+        return original(index, learned, *args)
+
+    monkeypatch.setattr(orchestrator, "MetricsWindow", spy)
+    cfg = RunConfig(algorithm=algorithm, seed=5,
+                    **{**TINY, "total_steps": 1000, "early_stop_success": False})
+    artifacts = run_training(cfg, EXPERT)
+
+    every, rows = cfg.eval_every, artifacts.metrics_rows
+    steps = [row["step"] for row in rows]
+    assert np.diff([0, *steps]).tolist() == sizes
+    if algorithm == "rile_on":
+        assert len(rows) >= 3
+        assert all(every <= n < every + cfg.env.max_steps for n in sizes)
+    else:
+        assert steps == [200, 400, 600, 800, 1000]
+    for k, row in enumerate(rows):
+        assert row["window"] == k
+        assert set(row) == {"step", "window", "eval_return", "goal_rate", "frozen", "cpr",
+                            *(("rfdc", "fs_rfdc") if k else ())}
+    assert not any("eval_return" in row for row in artifacts.diagnostics_rows)
 
 
 @pytest.mark.parametrize("algorithm", ["rile_on", "bc"])
@@ -160,10 +194,10 @@ def test_bc_final_eval_uses_the_action_noise():
     cfg = RunConfig(algorithm="bc", seed=7, student_hidden=(16, 16), bc_epochs=30,
                     eval_episodes=4, action_noise=0.5)
     artifacts = run_training(cfg, EXPERT)
-    ret, _, rate = evaluate_policy(cfg.env, artifacts.student, cfg.eval_episodes,
-                                   seed=cfg.seed, action_noise=0.5)
-    clean_ret, _, _ = evaluate_policy(cfg.env, artifacts.student, cfg.eval_episodes,
-                                      seed=cfg.seed)
+    ret, rate = evaluate_policy(cfg.env, artifacts.student, cfg.eval_episodes,
+                                seed=cfg.seed, action_noise=0.5)
+    clean_ret, _ = evaluate_policy(cfg.env, artifacts.student, cfg.eval_episodes,
+                                   seed=cfg.seed)
     assert (artifacts.final_return, artifacts.final_goal_rate) == (ret, rate)
     assert ret != clean_ret  # the noise changes this policy's score
 
@@ -202,20 +236,24 @@ CHECKPOINT_FILES["rile_on"] = CHECKPOINT_FILES["rile_off"]
 
 @pytest.mark.parametrize("algorithm", ["rile_off", "rile_on", "gail", "airl"])
 def test_every_checkpoint_holds_every_net_of_the_run(algorithm, tmp_path, monkeypatch):
-    # A finished run writes step-0 and step-final; a run that aborts writes
-    # step-0 and its abort directory. Each holds the same nets.
+    # A finished run writes step-0, one checkpoint per report and step-final;
+    # a run that aborts writes step-0 and its abort directory. Each holds the
+    # same nets.
     cfg = RunConfig(algorithm=algorithm, seed=5, **{**TINY, "early_stop_success": False})
-    run_training(cfg, EXPERT, str(tmp_path / "done"))
+    done = run_training(cfg, EXPERT, str(tmp_path / "done"))
     _fail_the_third_student_update(monkeypatch)
     with pytest.raises(RunAborted, match="forced"):
         run_training(cfg, EXPERT, str(tmp_path / "aborted"))
 
     aborts = [d for d in os.listdir(tmp_path / "aborted") if d.endswith("-abort")]
     assert len(aborts) == 1
+    reports = [f"step-{row['step']}" for row in done.metrics_rows]
+    if algorithm != "rile_on":  # rile_on reports at episode ends
+        assert reports == ["step-200", "step-400"]
     steps = sorted(d for d in os.listdir(tmp_path / "done") if d.startswith("step-"))
-    assert steps == ["step-0", "step-final"]
-    for ckpt in (tmp_path / "done" / "step-0", tmp_path / "done" / "step-final",
-                 tmp_path / "aborted" / "step-0", tmp_path / "aborted" / aborts[0]):
+    assert steps == sorted(["step-0", *reports, "step-final"])
+    for ckpt in [tmp_path / "done" / d for d in steps] + [
+            tmp_path / "aborted" / "step-0", tmp_path / "aborted" / aborts[0]]:
         assert _files_under(ckpt) == sorted(CHECKPOINT_FILES[algorithm]), ckpt
 
 
@@ -232,8 +270,7 @@ def test_frozen_reward_rejected_outside_rile(algorithm):
 
 @pytest.mark.parametrize("algorithm,field,value", [
     ("rile_off", "update_every", 0), ("rile_off", "eval_every", 0),
-    ("rile_off", "checkpoint_every", 0), ("rile_off", "metric_window", 0),
-    ("rile_off", "metric_window", 1), ("rile_off", "eval_episodes", 0),
+    ("rile_off", "eval_every", 1), ("rile_off", "eval_episodes", 0),
     ("rile_off", "freeze_window", 0), ("rile_off", "freeze_window", -1),
     ("rile_off", "student_batch", 0), ("rile_off", "trainer_batch", 0),
     ("rile_off", "disc_batch", 0),
@@ -461,14 +498,14 @@ def test_frozen_reward_scores_on_its_own_scratch(tmp_path):
 def test_airl_probe_snapshot_is_f_on_the_expert_transitions():
     # The fixed probe scores every expert transition (s, a, s'), so an AIRL
     # snapshot is f(s, a, s') there, not f(s, a, s).
-    cfg = RunConfig(algorithm="airl", metric_window=2).validate()
+    cfg = RunConfig(algorithm="airl").validate()
     pathway = _pathway(cfg)
     te = pathway.expert_table
     assert np.array_equal(te["obs"], np.hstack([EXPERT.s, EXPERT.a]))
     assert np.array_equal(te["sp"], EXPERT.sp)
-    tracker = orchestrator._WindowTracker(cfg, pathway)
+    tracker = orchestrator._WindowTracker(pathway)
     tracker.add(np.array([0.1, 0.2]), np.array([0.0, 1.0]))
-    tracker.maybe_close(orchestrator._Logger(None, "metrics.jsonl"), None)
+    tracker.close()
 
     f = baselines.airl_f_batch(pathway.airl, te["obs"], te["sp"])[0]
     assert np.array_equal(tracker.prev_window.fixed_snapshot, f)
