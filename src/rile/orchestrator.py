@@ -1,22 +1,22 @@
 """Training loop and run lifecycle.
 
-Every algorithm shares one run lifecycle: the set-up, the logs, the final
-eval and the final checkpoint. bc trains by baselines.train_bc's epochs;
-one loop serves rile_off, rile_on, gail and airl. Each pass collects a
-chunk of environment steps with the student, scores it with the learned
-reward and, when due, updates the student, then the discriminator or AIRL
-heads, then the trainer. Once a chunk completes eval_every steps since
-the last report, the loop reports: it evaluates the student, closes the
-reward-metrics window, writes both as one metrics.jsonl row and
-checkpoints the nets. Off-policy runs draw each batch from a FIFO
-replay buffer (expert-mixed at insert time, rewards relabeled at sample
-time); rile_on collects the rest of an episode per chunk and updates on
-that rollout. Every adversarial algorithm collects through the same
-path, so seed-paired runs differ only in the reward pathway:
-_RewardPathway is the one place that knows which learners a run has, and
-it scores, updates, freezes and lists them for checkpoints. Every random
-draw comes from named streams derived from one master seed, which makes
-whole runs bit-reproducible.
+Every algorithm shares one run lifecycle: the set-up, the logs, the step-0
+checkpoint, the training and a report at its last step. bc trains by
+baselines.train_bc's epochs; one loop serves rile_off, rile_on, gail and
+airl. Each pass collects a chunk of environment steps with the student,
+scores it with the learned reward and, when due, updates the student, then
+the discriminator or AIRL heads, then the trainer. A report evaluates the
+student, closes the reward-metrics window and writes one metrics.jsonl
+row. The loop reports once a chunk completes eval_every steps since the
+last report, then checkpoints the nets; the last report's checkpoint is
+step-final. Off-policy runs draw each batch from a FIFO replay buffer
+(expert-mixed at insert time, rewards relabeled at sample time); rile_on
+collects the rest of an episode per chunk and updates on that rollout.
+Every adversarial algorithm collects through the same path, so seed-paired
+runs differ only in the reward pathway: _RewardPathway is the one place
+that knows which learners a run has, and it scores, updates, freezes and
+lists them for checkpoints. Every random draw comes from named streams
+derived from one master seed, which makes whole runs bit-reproducible.
 
 Every learner reads the expert from one table, ExpertDataset's arrays.
 Every reward net reads one input row per transition, obs = [s, a]. Only
@@ -201,13 +201,11 @@ def _trainer_next(obs, end):
 
 
 def expert_transition_table(expert: ExpertDataset) -> dict:
-    """Expert rows in the shapes the buffers use: the input rows obs, the
-    states and actions they join (for BC), and the trainer's next
-    observations."""
+    """Expert rows in the shapes the buffers use: the input rows obs and
+    the trainer's next observations."""
     obs = np.concatenate([expert.s, expert.a], axis=1)
     obsp, done = _trainer_next(obs, expert.end)
-    return {"s": expert.s, "a": expert.a, "obs": obs, "sp": expert.sp, "done": done,
-            "obsp": obsp}
+    return {"obs": obs, "sp": expert.sp, "done": done, "obsp": obsp}
 
 
 @dataclass
@@ -220,8 +218,6 @@ class RunArtifacts:
     airl: object = None
     metrics_rows: list = field(default_factory=list)
     diagnostics_rows: list = field(default_factory=list)
-    final_goal_rate: float = 0.0
-    final_return: float = 0.0
     steps_run: int = 0
     freeze_step: int | None = None
 
@@ -382,10 +378,9 @@ class _Collector:
         nxt, at_goal = maze_step(cfg.env, self.state, env_action)
         self.episode_step += 1
         truncated = self.episode_step >= cfg.env.max_steps
-        # done = 0: a goal terminal under always-positive rewards teaches dawdling
         row = {
             "obs": np.concatenate([self.state, action]), "sp": nxt.copy(),
-            "done": 0.0, "episode_end": at_goal or truncated,
+            "episode_end": at_goal or truncated,
             "env_r": cfg.env.env_reward(at_goal),
         }
         if at_goal or truncated:
@@ -453,13 +448,13 @@ class _Replay:
 
     def insert(self, chunk):
         """Inserts a one-step chunk's row into each buffer."""
-        (obs,), (sp,), (done,) = (chunk[k] for k in ("obs", "sp", "done"))
+        (obs,), (sp,) = chunk["obs"], chunk["sp"]
         te = self.pathway.expert_table
         k = self._expert_row(self.cfg.expert_mix_student, self.mix_student_rng)
         if k is None:
-            self.student.insert(obs=obs, sp=sp, done=done)
+            self.student.insert(obs=obs, sp=sp)
         else:
-            self.student.insert(obs=te["obs"][k], sp=te["sp"][k], done=te["done"][k])
+            self.student.insert(obs=te["obs"][k], sp=te["sp"][k])
         self.disc.insert(obs=obs, sp=sp)
         if chunk["a_t"] is None:  # no live trainer: nothing samples trainer rows
             return
@@ -535,8 +530,21 @@ def _update(pathway, source, step, rng) -> dict:
     reward pathway's learners. Returns the diagnostics row."""
     b = source.student_batch(rng)
     s, a = np.hsplit(b["obs"], [pathway.state_dim])
-    sdiag = student_update(pathway.student, (s, a, b["r"], b["sp"], b["done"]))
+    # done = 0: a goal terminal under always-positive rewards teaches dawdling
+    sdiag = student_update(pathway.student, (s, a, b["r"], b["sp"], np.zeros(len(s))))
     return {"step": step, **sdiag, **pathway.update(source, step)}
+
+
+def _report(cfg, pathway, tracker, step, metrics_log) -> float:
+    """Evaluates the student, closes the reward-metrics window if it holds
+    the two steps cpr needs, and writes both as one metrics.jsonl row at
+    step. Returns the goal rate."""
+    ret, rate = evaluate_policy(cfg.env, pathway.student, cfg.eval_episodes,
+                                seed=cfg.seed, action_noise=cfg.action_noise)
+    window = tracker.close() if len(tracker.learned) >= 2 else {}
+    metrics_log.write({"step": step, **window, "eval_return": ret, "goal_rate": rate,
+                       "frozen": pathway.trainer_frozen})
+    return rate
 
 
 def _crossed(step: int, n: int, every: int) -> bool:
@@ -552,11 +560,12 @@ def run_training(config: RunConfig, expert: ExpertDataset,
     chunk (one step; for rile_on, the rest of the episode), scores it with
     the learned reward and updates the learners: rile_on on the chunk
     itself, the others on replay samples every update_every steps once the
-    buffers are warm. bc is supervised. Every run trains on one OpenBLAS
-    thread, whatever its widths: on two, airl with 128x128 nets used twice
-    the CPU time per env step at the same speed, and two such runs at once
-    each fell from 948-1,147 to 234-272 env steps/s on a 2-core host
-    (nets.one_blas_thread).
+    buffers are warm. bc is supervised. Each run ends with a report at its
+    last step, whose metrics.jsonl row is the final eval. Every run trains
+    on one OpenBLAS thread, whatever its widths: on two, airl with 128x128
+    nets used twice the CPU time per env step at the same speed, and two
+    such runs at once each fell from 948-1,147 to 234-272 env steps/s on a
+    2-core host (nets.one_blas_thread).
     """
     cfg = config.validate()
     with one_blas_thread():
@@ -575,33 +584,30 @@ def _train(cfg: RunConfig, expert: ExpertDataset, run_dir) -> RunArtifacts:
         os.makedirs(run_dir, exist_ok=True)
     diag_log = _Logger(run_dir, "diagnostics.jsonl")
     metrics_log = _Logger(run_dir, "metrics.jsonl")
+    tracker = _WindowTracker(pathway)
+    _checkpoint(run_dir, 0, pathway.nets)
     steps_run = 0
     if cfg.algorithm == "bc":
-        te = pathway.expert_table
-        baselines.train_bc(cfg, te["s"], te["a"], student, streams["student"], diag_log)
+        baselines.train_bc(cfg, expert.s, expert.a, student, streams["student"], diag_log)
     else:
-        steps_run = _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log)
-
-    final_return, final_goal_rate = evaluate_policy(
-        cfg.env, student, cfg.eval_episodes, seed=cfg.seed, action_noise=cfg.action_noise)
+        steps_run = _run_loop(cfg, pathway, tracker, streams, run_dir, diag_log, metrics_log)
+    if not metrics_log.rows or metrics_log.rows[-1]["step"] < steps_run:
+        _report(cfg, pathway, tracker, steps_run, metrics_log)
     _checkpoint(run_dir, "final", pathway.nets)
     # the learners by name, for callers that read the trained nets
     return RunArtifacts(cfg, run_dir, student, pathway.trainer, pathway.disc, pathway.airl,
                         metrics_rows=metrics_log.rows, diagnostics_rows=diag_log.rows,
-                        final_goal_rate=final_goal_rate, final_return=final_return,
                         steps_run=steps_run, freeze_step=pathway.freeze_step)
 
 
-def _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log) -> int:
-    """The adversarial algorithms' loop, from the step-0 checkpoint to the
-    last step; returns the number of steps run."""
+def _run_loop(cfg, pathway, tracker, streams, run_dir, diag_log, metrics_log) -> int:
+    """The adversarial algorithms' loop, from the first step to the last,
+    or to the report that stops it early; returns the number of steps run."""
     student = pathway.student
-    tracker = _WindowTracker(pathway)
     collector = _Collector(cfg, streams)
     on_policy = cfg.algorithm == "rile_on"
     replay = None if on_policy else _Replay(cfg, pathway, streams)
 
-    _checkpoint(run_dir, 0, pathway.nets)
     step = 0
     try:
         while step < cfg.total_steps:
@@ -627,11 +633,8 @@ def _run_loop(cfg, pathway, streams, run_dir, diag_log, metrics_log) -> int:
                 diag_log.write(diag)
 
             if len(tracker.learned) >= cfg.eval_every:
-                ret, rate = evaluate_policy(cfg.env, student, cfg.eval_episodes,
-                                            seed=cfg.seed, action_noise=cfg.action_noise)
-                metrics_log.write({"step": step, **tracker.close(), "eval_return": ret,
-                                   "goal_rate": rate, "frozen": pathway.trainer_frozen})
-                if cfg.early_stop_success and rate == 1.0:
+                rate = _report(cfg, pathway, tracker, step, metrics_log)
+                if step >= cfg.total_steps or (cfg.early_stop_success and rate == 1.0):
                     break
                 _checkpoint(run_dir, step, pathway.nets)
     except ValueError as e:

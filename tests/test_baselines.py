@@ -6,7 +6,7 @@ import pytest
 from rile import baselines, nets
 from rile.agents import _policy_heads, gaussian_tanh_logprob, make_actor_critic
 from rile.baselines import _student_logp, airl_loss_and_grads, airl_update, make_airl_heads
-from rile.envs import MazeSpec, generate_expert
+from rile.envs import ExpertDataset, MazeSpec, generate_expert, scripted_expert_episode
 from rile.orchestrator import RunConfig, expert_transition_table, run_training
 
 from oracles import airl_per_block, finite_diff_check
@@ -14,8 +14,9 @@ from oracles import airl_per_block, finite_diff_check
 
 class TestAirlPolicyTerm:
     def test_clamped_density_on_scripted_expert_actions(self):
-        table = expert_transition_table(generate_expert(MazeSpec(), 4))
-        states, actions = table["s"], table["a"]
+        expert = generate_expert(MazeSpec(), 4)
+        table = expert_transition_table(expert)
+        states, actions = expert.s, expert.a
         assert (np.abs(actions) == 1.0).any()
         student = make_actor_critic(states.shape[1], actions.shape[1], (64, 64),
                                     np.random.default_rng(0))
@@ -114,7 +115,7 @@ class TestBcHoldout:
     def _run(self, holdout, monkeypatch):
         """Runs BC and returns (diagnostics rows, row indices of each
         gradient batch, row indices of each scored loss)."""
-        states = expert_transition_table(self.EXPERT)["s"]
+        states = self.EXPERT.s
         index = {tuple(row): i for i, row in enumerate(states)}
         assert len(index) == len(states)
         trained, scored = [], []
@@ -181,4 +182,17 @@ def test_bc_reaches_the_goal_on_the_default_maze():
     # (seed 0).
     artifacts = run_training(RunConfig(algorithm="bc", bc_epochs=1000, seed=0),
                              generate_expert(MazeSpec(), 4))
-    assert artifacts.final_goal_rate == 1.0
+    assert artifacts.metrics_rows[-1]["goal_rate"] == 1.0
+
+
+@pytest.mark.parametrize("algorithm", ["gail", "airl"])
+def test_adversarial_baseline_reaches_the_goal_on_the_open_field(algorithm):
+    # A learning rung: on a maze without obstacles, with an expert that
+    # walks through the centre, seed 0 first reports goal rate 1 at 6,000
+    # steps under gail and 5,000 under airl (3-6k and 5-7k over seeds 0-2).
+    spec = MazeSpec(obstacles=[])
+    expert = ExpertDataset([scripted_expert_episode(spec, [(0.5, 0.5)])] * 4)
+    cfg = RunConfig(algorithm=algorithm, env=spec, seed=0, eval_every=1000,
+                    early_stop_success=True, total_steps=10_000)
+    artifacts = run_training(cfg, expert)
+    assert artifacts.metrics_rows[-1]["goal_rate"] == 1.0

@@ -6,7 +6,8 @@ And no top-level name, method or property of src/rile/ without a caller
 in src/rile/ or bench/, no function parameter that its body never reads,
 no batch scratch outside nets: each network owns its own, so no other
 module names it, no learner of the reward pathway read from outside it
-in orchestrator, and no seed stream that nothing reads."""
+in orchestrator, no seed stream that nothing reads, and no call of
+evaluate_policy outside the one report routine."""
 
 import ast
 import re
@@ -361,3 +362,42 @@ def test_every_seed_stream_is_read():
     read = set().union(*(_stream_reads(p.read_text()) for p in PACKAGE.glob("*.py")))
     unread = sorted(set(seed_streams(0)) - read)
     assert not unread, "seed streams nothing reads: " + ", ".join(unread)
+
+
+def _call_sites(source: str, name: str) -> list:
+    """The qualified name of the function around each call of name, called
+    by name or as an attribute, in source; '<module>' outside every
+    function. Sorted."""
+    found = []
+
+    def visit(node, prefix, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", function)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name + ".", prefix + child.name)
+            else:
+                if isinstance(child, ast.Call) and name in (
+                        getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                    found.append(function or "<module>")
+                visit(child, prefix, function)
+
+    visit(ast.parse(source), "", None)
+    return sorted(found)
+
+
+def test_the_call_scan_sees_names_attributes_and_nesting():
+    source = ("def f():\n    return evaluate_policy(1)\n"
+              "class C:\n    def m(self):\n        def h():\n"
+              "            return metrics.evaluate_policy()\n        return h\n"
+              "x = evaluate_policy\ny = evaluate_policy(2)\nz = evaluate(3)\n")
+    assert _call_sites(source, "evaluate_policy") == ["<module>", "C.m.h", "f"]
+
+
+def test_the_student_is_evaluated_only_by_the_report():
+    # One routine reports, during the run and at its end: a second call
+    # site would be a second eval path (a final eval rolled twice, or a
+    # result that reaches no metrics.jsonl row).
+    sites = [f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
+             for site in _call_sites(path.read_text(), "evaluate_policy")]
+    assert sites == ["orchestrator._report"], "evaluate_policy called at: " + ", ".join(sites)

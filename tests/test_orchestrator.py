@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -52,8 +53,8 @@ def test_same_seed_runs_are_bit_identical(algorithm):
     assert _trained_nets(first) == _trained_nets(second)
     assert first.diagnostics_rows == second.diagnostics_rows
     assert first.metrics_rows == second.metrics_rows
-    assert (first.final_return, first.final_goal_rate) == (
-        second.final_return, second.final_goal_rate)
+    # the last row is the final eval, at the last step
+    assert first.metrics_rows[-1]["step"] == first.steps_run
 
 
 @pytest.mark.parametrize("algorithm,kind", [
@@ -138,11 +139,19 @@ def test_error_in_an_update_aborts_with_a_checkpoint(algorithm, tmp_path, monkey
 def test_early_stop_closes_the_full_metrics_window(algorithm, tmp_path, monkeypatch):
     # Every eval reports success, so the run stops at the first report: it
     # writes the report's row, then the final checkpoint, and no step one.
-    monkeypatch.setattr(orchestrator, "evaluate_policy", lambda *a, **k: (1.0, 1.0))
+    # That report is the final one: nothing is evaluated again.
+    evals = []
+
+    def success(*args, **kwargs):
+        evals.append(1)
+        return 1.0, 1.0
+
+    monkeypatch.setattr(orchestrator, "evaluate_policy", success)
     every = TINY["eval_every"]
     cfg = RunConfig(algorithm=algorithm, seed=5, **TINY)
     artifacts = run_training(cfg, EXPERT, str(tmp_path))
 
+    assert len(evals) == 1
     assert every <= artifacts.steps_run < 2 * every
     assert [(row["step"], row["window"]) for row in artifacts.metrics_rows] == [
         (artifacts.steps_run, 0)]
@@ -155,6 +164,7 @@ def test_each_report_closes_the_window_of_the_steps_since_the_last(algorithm, mo
     # A report fires once eval_every steps have been collected since the
     # last one: at its multiples off-policy, at the end of the episode that
     # completes them under rile_on. Its row holds the eval and the window.
+    # The run's last step ends it with a report of the steps left.
     sizes = []
     original = orchestrator.MetricsWindow
 
@@ -170,9 +180,11 @@ def test_each_report_closes_the_window_of_the_steps_since_the_last(algorithm, mo
     every, rows = cfg.eval_every, artifacts.metrics_rows
     steps = [row["step"] for row in rows]
     assert np.diff([0, *steps]).tolist() == sizes
+    assert steps[-1] == cfg.total_steps
     if algorithm == "rile_on":
         assert len(rows) >= 3
-        assert all(every <= n < every + cfg.env.max_steps for n in sizes)
+        assert all(every <= n < every + cfg.env.max_steps for n in sizes[:-1])
+        assert sizes[-1] < every + cfg.env.max_steps
     else:
         assert steps == [200, 400, 600, 800, 1000]
     for k, row in enumerate(rows):
@@ -180,6 +192,81 @@ def test_each_report_closes_the_window_of_the_steps_since_the_last(algorithm, mo
         assert set(row) == {"step", "window", "eval_return", "goal_rate", "frozen", "cpr",
                             *(("rfdc", "fs_rfdc") if k else ())}
     assert not any("eval_return" in row for row in artifacts.diagnostics_rows)
+
+
+def _reported_run(cfg, run_dir, monkeypatch):
+    """(artifacts, the number of evaluate_policy calls, the sizes of the
+    reward-metrics windows closed, the checkpoint directories) of a run."""
+    evals, sizes = [], []
+    evaluate, window = orchestrator.evaluate_policy, orchestrator.MetricsWindow
+
+    def counted(*args, **kwargs):
+        evals.append(1)
+        return evaluate(*args, **kwargs)
+
+    def sized(index, learned, *args):
+        sizes.append(len(learned))
+        return window(index, learned, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(orchestrator, "evaluate_policy", counted)
+        m.setattr(orchestrator, "MetricsWindow", sized)
+        artifacts = run_training(cfg, EXPERT, str(run_dir))
+    steps = sorted(d for d in os.listdir(run_dir) if d.startswith("step-"))
+    return artifacts, len(evals), sizes, steps
+
+
+@pytest.mark.parametrize("algorithm,reports", [
+    ("rile_off", [200, 400, 500]), ("gail", [200, 400, 500]), ("airl", [200, 400, 500]),
+    ("rile_on", [204, 408, 500])])
+def test_an_unreported_tail_ends_with_a_report(algorithm, reports, tmp_path, monkeypatch):
+    # 500 steps at eval_every 200: the loop reports at 200 and 400 (under
+    # rile_on, at the episode ends that complete 200 steps: 204 and 408 at
+    # seed 5), and the run's end reports the steps left, then saves
+    # step-final in place of step-500. One eval per row.
+    cfg = RunConfig(algorithm=algorithm, seed=5,
+                    **{**TINY, "total_steps": 500, "early_stop_success": False})
+    artifacts, evals, sizes, steps = _reported_run(cfg, tmp_path, monkeypatch)
+
+    rows = artifacts.metrics_rows
+    assert [row["step"] for row in rows] == reports
+    assert [row["window"] for row in rows] == [0, 1, 2]
+    assert sizes == np.diff([0, *reports]).tolist()
+    assert evals == len(rows)
+    assert steps == ["step-0", *(f"step-{step}" for step in reports[:-1]), "step-final"]
+
+
+def test_a_tail_of_one_step_reports_no_window(tmp_path, monkeypatch):
+    # cpr needs two steps, so the report of a one-step tail closes no
+    # window: its row holds the eval only.
+    cfg = RunConfig(algorithm="rile_off", seed=5,
+                    **{**TINY, "total_steps": 401, "early_stop_success": False})
+    artifacts, evals, sizes, steps = _reported_run(cfg, tmp_path, monkeypatch)
+
+    rows = artifacts.metrics_rows
+    assert [row["step"] for row in rows] == [200, 400, 401]
+    assert set(rows[-1]) == {"step", "eval_return", "goal_rate", "frozen"}
+    assert sizes == [200, 200]
+    assert evals == 3
+    assert steps == ["step-0", "step-200", "step-400", "step-final"]
+
+
+def test_every_student_row_is_non_terminal(monkeypatch):
+    # The expert table marks each episode's goal-entering row done for the
+    # trainer; the student learns from no terminal, expert rows included.
+    batches = []
+    original = orchestrator.student_update
+
+    def spy(agent, batch):
+        batches.append(batch[4].copy())
+        return original(agent, batch)
+
+    monkeypatch.setattr(orchestrator, "student_update", spy)
+    cfg = RunConfig(algorithm="rile_off", seed=3, expert_mix_student=1.0, **TINY)
+    run_training(cfg, EXPERT)
+
+    assert orchestrator.expert_transition_table(EXPERT)["done"].any()
+    assert batches and all(not done.any() for done in batches)
 
 
 @pytest.mark.parametrize("algorithm", ["rile_on", "bc"])
@@ -198,7 +285,8 @@ def test_bc_final_eval_uses_the_action_noise():
                                 seed=cfg.seed, action_noise=0.5)
     clean_ret, _ = evaluate_policy(cfg.env, artifacts.student, cfg.eval_episodes,
                                    seed=cfg.seed)
-    assert (artifacts.final_return, artifacts.final_goal_rate) == (ret, rate)
+    final = artifacts.metrics_rows[-1]
+    assert (final["eval_return"], final["goal_rate"]) == (ret, rate)
     assert ret != clean_ret  # the noise changes this policy's score
 
 
@@ -213,14 +301,21 @@ def _files_under(path):
 
 
 def test_bc_run_directory_holds_its_logs_and_the_final_checkpoint(tmp_path):
-    # bc writes no step-0 checkpoint and no metrics rows: one diagnostics
-    # row per epoch and the trained student
-    run_training(RunConfig(algorithm="bc", seed=7, **TINY), EXPERT, str(tmp_path))
+    # bc writes the untrained student to step-0, one diagnostics row per
+    # epoch, one metrics row at step 0 (no window: it collects no steps) and
+    # the trained student to step-final
+    artifacts = run_training(RunConfig(algorithm="bc", seed=7, **TINY), EXPERT, str(tmp_path))
     assert _files_under(tmp_path) == [
         "diagnostics.jsonl", "metrics.jsonl",
-        *(os.path.join("step-final", f) for f in _agent_files("student"))]
-    assert (tmp_path / "metrics.jsonl").read_text() == ""
+        *(os.path.join(d, f) for d in ("step-0", "step-final") for f in _agent_files("student"))]
+    rows = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert rows == artifacts.metrics_rows
+    assert [set(row) for row in rows] == [{"step", "eval_return", "goal_rate", "frozen"}]
+    assert rows[0]["step"] == artifacts.steps_run == 0
     assert len((tmp_path / "diagnostics.jsonl").read_text().splitlines()) == TINY["bc_epochs"]
+    start = load_mlp(str(tmp_path / "step-0" / "student" / "actor.mlp"))
+    final = load_mlp(str(tmp_path / "step-final" / "student" / "actor.mlp"))
+    assert mlp_to_bytes(start) != mlp_to_bytes(final) == mlp_to_bytes(artifacts.student.actor)
 
 
 # The files of each checkpoint directory of a run, per algorithm.
@@ -236,9 +331,9 @@ CHECKPOINT_FILES["rile_on"] = CHECKPOINT_FILES["rile_off"]
 
 @pytest.mark.parametrize("algorithm", ["rile_off", "rile_on", "gail", "airl"])
 def test_every_checkpoint_holds_every_net_of_the_run(algorithm, tmp_path, monkeypatch):
-    # A finished run writes step-0, one checkpoint per report and step-final;
-    # a run that aborts writes step-0 and its abort directory. Each holds the
-    # same nets.
+    # A finished run writes step-0, one checkpoint per report but the last,
+    # and step-final after the last; a run that aborts writes step-0 and its
+    # abort directory. Each holds the same nets.
     cfg = RunConfig(algorithm=algorithm, seed=5, **{**TINY, "early_stop_success": False})
     done = run_training(cfg, EXPERT, str(tmp_path / "done"))
     _fail_the_third_student_update(monkeypatch)
@@ -251,7 +346,8 @@ def test_every_checkpoint_holds_every_net_of_the_run(algorithm, tmp_path, monkey
     if algorithm != "rile_on":  # rile_on reports at episode ends
         assert reports == ["step-200", "step-400"]
     steps = sorted(d for d in os.listdir(tmp_path / "done") if d.startswith("step-"))
-    assert steps == sorted(["step-0", *reports, "step-final"])
+    assert reports[-1] == f"step-{done.steps_run}"
+    assert steps == sorted(["step-0", *reports[:-1], "step-final"])
     for ckpt in [tmp_path / "done" / d for d in steps] + [
             tmp_path / "aborted" / "step-0", tmp_path / "aborted" / aborts[0]]:
         assert _files_under(ckpt) == sorted(CHECKPOINT_FILES[algorithm]), ckpt
@@ -454,7 +550,7 @@ def test_rollout_and_expert_table_build_the_same_trainer_rows():
     assert np.array_equal(obs, te["obs"]) and a_t is chunk["a_t"]
     assert np.array_equal(obsp, te["obsp"]) and np.array_equal(done, te["done"])
     # s' with the next expert action; the last row ends the episode
-    assert np.array_equal(obsp[:-1], np.hstack([te["sp"][:-1], te["a"][1:]]))
+    assert np.array_equal(obsp[:-1], np.hstack([te["sp"][:-1], expert.a[1:]]))
     assert np.array_equal(obsp[-1], np.zeros(4))
     assert done.tolist() == [0.0] * (n - 1) + [1.0]
 
