@@ -32,8 +32,6 @@ from .nets import (
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 
-ACT_MODES = ("deterministic", "epsilon_greedy")
-
 
 def trainer_reward(d, a_t):
     """RILe's trainer reward exp(-|2d - 1 - a_t|) for discriminator output d
@@ -138,18 +136,16 @@ def make_actor_critic(in_dim: int, action_dim: int, hidden, rng, lr=3e-4,
                        epsilon_greedy=epsilon_greedy, gamma=gamma, tau=tau)
 
 
-def student_act(agent: ActorCritic, state, mode: str, rng=None) -> np.ndarray:
-    """Action in [-1,1]^da for one state. deterministic is the squashed
-    policy mean; epsilon_greedy takes a uniform random action with
-    probability agent.epsilon_greedy, otherwise samples the policy."""
-    if mode not in ACT_MODES:
-        raise ValueError(f"unknown act mode {mode!r}")
+def student_act(agent: ActorCritic, state, rng=None) -> np.ndarray:
+    """Action in [-1,1]^da for one state. With no rng, the squashed policy
+    mean; otherwise, drawn from rng, a uniform random action with
+    probability agent.epsilon_greedy, else a policy sample."""
     # epsilon = 0 draws no uniform: the policy sample is the only draw
-    if (mode == "epsilon_greedy" and agent.epsilon_greedy > 0.0
+    if (rng is not None and agent.epsilon_greedy > 0.0
             and rng.uniform() < agent.epsilon_greedy):
         return rng.uniform(-1.0, 1.0, size=agent.action_dim)
     mean, log_std, _ = _policy_heads(agent.actor, np.asarray(state, dtype=np.float64)[None])
-    if mode == "deterministic":
+    if rng is None:
         return np.tanh(mean[0])
     return np.tanh(mean[0] + np.exp(log_std[0]) * rng.normal(size=agent.action_dim))
 

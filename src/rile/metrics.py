@@ -105,7 +105,7 @@ def _run_episode(spec, student, rng, ep_seed, action_noise):
     state = maze_reset(spec, rng_seed=ep_seed)
     total = 0.0
     for _ in range(spec.max_steps):
-        action = student_act(student, state, "deterministic")
+        action = student_act(student, state)
         if action_noise > 0:
             action = action + rng.normal(0.0, action_noise, size=np.shape(action))
         state, at_goal = maze_step(spec, state, action)

@@ -9,9 +9,10 @@ the discriminator or AIRL heads, then the trainer. A report evaluates the
 student, closes the reward-metrics window and writes one metrics.jsonl
 row. The loop reports once a chunk completes eval_every steps since the
 last report, then checkpoints the nets; the last report's checkpoint is
-step-final. Off-policy runs draw each batch from a FIFO replay buffer
-(expert-mixed at insert time, rewards relabeled at sample time); rile_on
-collects the rest of an episode per chunk and updates on that rollout.
+step-final. Off-policy runs keep one FIFO store of the collected rows, of
+which the student, discriminator and trainer batches sample windows (rewards
+relabeled and expert rows mixed in at sample time); rile_on collects the
+rest of an episode per chunk and updates on that rollout.
 Every adversarial algorithm collects through the same path, so seed-paired
 runs differ only in the reward pathway: _RewardPathway is the one place
 that knows which learners a run has, and it scores, updates, freezes and
@@ -20,8 +21,8 @@ derived from one master seed, which makes whole runs bit-reproducible.
 
 Every learner reads the expert from one table, ExpertDataset's arrays.
 Every reward net reads one input row per transition, obs = [s, a]. Only
-_Collector.step and expert_transition_table build it, and the buffers
-store it in place of s and a. The trainer's next observation is the next
+_Collector.step and expert_transition_table build it, and the store
+holds it in place of s and a. The trainer's next observation is the next
 row's obs; past an episode end, where done = 1 cancels its value, it is
 zeros.
 """
@@ -61,7 +62,8 @@ class RunAborted(RuntimeError):
 
 @dataclass
 class ReplayBuffer:
-    """Fixed-capacity FIFO store of homogeneous rows.
+    """Fixed-capacity FIFO store of homogeneous rows, which counts the rows
+    inserted: row i lives in slot i % capacity.
 
     Columns are allocated on first insert. Sampling is uniform without
     replacement within a batch.
@@ -69,11 +71,10 @@ class ReplayBuffer:
 
     capacity: int
     _cols: dict = field(default_factory=dict)
-    _ptr: int = 0
-    _size: int = 0
+    rows: int = 0
 
     def __len__(self) -> int:
-        return self._size
+        return min(self.rows, self.capacity)
 
     def insert(self, **row):
         if not self._cols:
@@ -87,15 +88,24 @@ class ReplayBuffer:
                 raise ValueError(f"column {k!r} holds rows of shape "
                                  f"{self._cols[k].shape[1:]}, not {np.shape(v)}")
         for k, v in row.items():
-            self._cols[k][self._ptr] = v
-        self._ptr = (self._ptr + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+            self._cols[k][self.rows % self.capacity] = v
+        self.rows += 1
 
-    def sample(self, batch_size: int, rng) -> dict:
-        if batch_size > self._size:
-            raise ValueError(f"cannot sample {batch_size} from buffer of size {self._size}")
-        idx = rng.choice(self._size, size=batch_size, replace=False)
-        return {k: v[idx] for k, v in self._cols.items()}
+    def sample(self, batch_size: int, rng, window=None, end=None) -> dict:
+        """batch_size rows of the newest window ones (every one held by
+        default) among rows 0..end-1 (every row inserted by default), with
+        their indices under "row". The draws are those of a FIFO of window
+        slots fed the same rows, which holds row i in slot i % window."""
+        end = self.rows if end is None else end
+        n = min(end, self.capacity, window or self.capacity)
+        if batch_size > n:
+            raise ValueError(f"cannot sample {batch_size} from buffer of size {n}")
+        slot = rng.choice(n, size=batch_size, replace=False)
+        return self.get(end - n + (slot - end) % n)
+
+    def get(self, rows) -> dict:
+        """The held rows of the given indices, with the indices under "row"."""
+        return {"row": rows, **{k: v[rows % self.capacity] for k, v in self._cols.items()}}
 
 
 @dataclass
@@ -128,7 +138,7 @@ class RunConfig:
     # trainer freezing
     freeze_threshold: float = 0.1
     freeze_window: int = 100
-    # expert mixing (share of replay-buffer insertions sourced from expert
+    # expert mixing (share of each student/trainer batch sourced from expert
     # data); off-policy algorithms only: rile_on and bc fill no replay buffer
     expert_mix_student: float = 0.0
     expert_mix_trainer: float = 0.0
@@ -157,6 +167,8 @@ class RunConfig:
         ):
             if cap < batch:
                 raise ValueError(f"{name} buffer capacity {cap} < batch size {batch}")
+            if cap > self.student_buffer:  # a window of the student's store
+                raise ValueError(f"{name}_buffer {cap} > student_buffer {self.student_buffer}")
         for name in ("student_batch", "trainer_batch", "disc_batch", "update_every",
                      "eval_episodes", "freeze_window"):
             if getattr(self, name) < 1:
@@ -201,7 +213,7 @@ def _trainer_next(obs, end):
 
 
 def expert_transition_table(expert: ExpertDataset) -> dict:
-    """Expert rows in the shapes the buffers use: the input rows obs and
+    """Expert rows in the shapes batches use: the input rows obs and
     the trainer's next observations."""
     obs = np.concatenate([expert.s, expert.a], axis=1)
     obsp, done = _trainer_next(obs, expert.end)
@@ -330,9 +342,10 @@ class _RewardPathway:
         many expert rows), then the trainer rewarded by the updated
         discriminator, on batches from source. Freezes the trainer once the
         mean of its absolute critic losses over a full window falls below
-        the threshold. Returns their diagnostics."""
+        the threshold; a frozen trainer reads D no more, so D stops with it.
+        Returns their diagnostics."""
         diag = {}
-        if self.disc is not None or self.airl is not None:
+        if self.airl is not None or (self.disc is not None and not self.trainer_frozen):
             rng = self.disc_rng
             b = source.disc_rows(rng)
             te = self.expert_table
@@ -371,7 +384,7 @@ class _Collector:
 
     def step(self, student: ActorCritic):
         cfg = self.cfg
-        action = student_act(student, self.state, "epsilon_greedy", self.student_rng)
+        action = student_act(student, self.state, self.student_rng)
         env_action = action
         if cfg.action_noise > 0:
             env_action = action + self.env_rng.normal(0.0, cfg.action_noise, size=2)
@@ -424,82 +437,69 @@ class _WindowTracker:
 
 
 class _Replay:
-    """Off-policy batch source: three FIFO buffers (student, trainer,
-    discriminator) filled one step at a time, with expert mixing at insert
-    time, each buffer's mixing drawn from a stream of its own. A trainer
-    row waits one step for its next observation; its action is the one the
-    chunk was scored with."""
+    """Off-policy batch source: one FIFO store of the collected rows, one
+    insert per step. The student samples its newest student_buffer rows, the
+    discriminator the newest disc_buffer, the trainer the newest
+    trainer_buffer of those whose next row is known (all but a newest one
+    that ends no episode), with the action each was scored with and the next
+    row's obs. One row more than the student's window is held: the trainer's
+    oldest row needs its successor. The first round(frac * B) rows of a
+    student or trainer batch of B rows are then expert rows, drawn from the
+    learner's own mixing stream."""
 
     def __init__(self, cfg: RunConfig, pathway: _RewardPathway, streams):
         self.cfg = cfg
         self.pathway = pathway
-        self.student = ReplayBuffer(cfg.student_buffer)
-        self.trainer = ReplayBuffer(cfg.trainer_buffer)
-        self.disc = ReplayBuffer(cfg.disc_buffer)
+        self.store = ReplayBuffer(cfg.student_buffer + 1)
+        self.known = 0  # the rows whose next row is known
         self.mix_student_rng = streams["mix"]
         self.mix_trainer_rng = streams["mix_trainer"]
-        self.pending = None
-
-    def _expert_row(self, frac, rng):
-        """Index of the expert row that replaces this insert, or None."""
-        if frac > 0 and rng.uniform() < frac:
-            return rng.integers(0, len(self.pathway.expert_table["obs"]))
-        return None
 
     def insert(self, chunk):
-        """Inserts a one-step chunk's row into each buffer."""
-        (obs,), (sp,) = chunk["obs"], chunk["sp"]
-        te = self.pathway.expert_table
-        k = self._expert_row(self.cfg.expert_mix_student, self.mix_student_rng)
-        if k is None:
-            self.student.insert(obs=obs, sp=sp)
-        else:
-            self.student.insert(obs=te["obs"][k], sp=te["sp"][k])
-        self.disc.insert(obs=obs, sp=sp)
-        if chunk["a_t"] is None:  # no live trainer: nothing samples trainer rows
-            return
-        a_t = chunk["a_t"][0]
-        if self.pending is not None:
-            self._insert_trainer(obsp=obs, **self.pending)
-            self.pending = None
-        if chunk["episode_end"][0]:
-            self._insert_trainer(obs, a_t, np.zeros_like(obs), 1.0)
-        else:
-            self.pending = {"obs": obs, "a_t": a_t, "done": 0.0}
+        """Inserts a one-step chunk's row; a_t is 0.0 with no live trainer."""
+        (obs,), (sp,), (end,) = chunk["obs"], chunk["sp"], chunk["episode_end"]
+        a_t = 0.0 if chunk["a_t"] is None else chunk["a_t"][0]
+        self.store.insert(obs=obs, sp=sp, a_t=a_t, end=end)
+        self.known = self.store.rows - (not end)
 
-    def _insert_trainer(self, obs, a_t, obsp, done):
-        k = self._expert_row(self.cfg.expert_mix_trainer, self.mix_trainer_rng)
-        if k is None:
-            self.trainer.insert(obs=obs, a_t=a_t, obsp=obsp, done=done, expert=0.0)
-        else:
-            te = self.pathway.expert_table
-            self.trainer.insert(obs=te["obs"][k], a_t=0.0, obsp=te["obsp"][k],
-                                done=te["done"][k], expert=1.0)
+    def _mix(self, b, cols, frac, rng) -> int:
+        """Overwrites the first round(frac * B) rows of batch b's columns
+        cols with expert rows drawn from rng; returns their count."""
+        k = round(frac * len(b["obs"]))
+        te = self.pathway.expert_table
+        idx = rng.integers(0, len(te["obs"]), size=k)
+        for c in cols:
+            b[c][:k] = te[c][idx]
+        return k
 
     def ready(self) -> bool:
         cfg = self.cfg
-        return (len(self.student) >= max(cfg.student_batch, cfg.warmup_steps)
-                and len(self.disc) >= cfg.disc_batch
-                and (self.pathway.trainer is None
-                     or len(self.trainer) >= cfg.trainer_batch))
+        return (self.store.rows >= max(cfg.student_batch, cfg.warmup_steps, cfg.disc_batch)
+                and (self.pathway.trainer is None or self.known >= cfg.trainer_batch))
 
     def student_batch(self, rng) -> dict:
-        b = self.student.sample(self.cfg.student_batch, rng)
+        cfg = self.cfg
+        b = self.store.sample(cfg.student_batch, rng, cfg.student_buffer)
+        self._mix(b, ("obs", "sp"), cfg.expert_mix_student, self.mix_student_rng)
         b["r"] = self.pathway.student_rewards(b["obs"], b["sp"])
         return b
 
     def disc_rows(self, rng) -> dict:
-        return self.disc.sample(self.cfg.disc_batch, rng)
+        return self.store.sample(self.cfg.disc_batch, rng, self.cfg.disc_buffer)
 
     def trainer_rows(self, rng):
-        b = self.trainer.sample(self.cfg.trainer_batch, rng)
-        a_t = b["a_t"]
-        mask = b["expert"] > 0.5
-        if mask.any():
-            # expert-sourced rows carry no recorded action; relabel with the
+        cfg = self.cfg
+        b = self.store.sample(cfg.trainer_batch, rng, cfg.trainer_buffer, self.known)
+        end = b["end"]
+        b["obsp"] = np.where(end[:, None], 0.0, self.store.get(b["row"] + 1)["obs"])
+        b["done"] = end.astype(np.float64)
+        k = self._mix(b, ("obs", "obsp", "done"), cfg.expert_mix_trainer,
+                      self.mix_trainer_rng)
+        if k:
+            # expert rows carry no recorded action; relabel with the
             # trainer's current deterministic action at that observation
-            a_t[mask] = trainer_act_batch(self.pathway.trainer, b["obs"][mask])
-        return b["obs"], a_t, b["obsp"], b["done"]
+            b["a_t"][:k] = trainer_act_batch(self.pathway.trainer, b["obs"][:k])
+        return b["obs"], b["a_t"], b["obsp"], b["done"]
 
 
 @dataclass
@@ -560,7 +560,7 @@ def run_training(config: RunConfig, expert: ExpertDataset,
     chunk (one step; for rile_on, the rest of the episode), scores it with
     the learned reward and updates the learners: rile_on on the chunk
     itself, the others on replay samples every update_every steps once the
-    buffers are warm. bc is supervised. Each run ends with a report at its
+    store is warm. bc is supervised. Each run ends with a report at its
     last step, whose metrics.jsonl row is the final eval. Every run trains
     on one OpenBLAS thread, whatever its widths: on two, airl with 128x128
     nets used twice the CPU time per env step at the same speed, and two

@@ -57,7 +57,7 @@ class TestStudentAct:
     def test_epsilon_one_is_uniform(self):
         agent = self.make(epsilon_greedy=1.0)
         rng = np.random.default_rng(2)
-        acts = np.array([student_act(agent, [0.5, 0.5], "epsilon_greedy", rng)
+        acts = np.array([student_act(agent, [0.5, 0.5], rng)
                          for _ in range(10_000)])
         # mean of U[-1,1] is 0 with sigma/sqrt(n) = 1/sqrt(3e4)
         assert np.abs(acts.mean(axis=0)).max() <= 3.0 / np.sqrt(3 * 10_000)
@@ -67,7 +67,7 @@ class TestStudentAct:
         # at epsilon 0 the one draw is the policy sample tanh(mean + std * normal)
         agent = self.make(epsilon_greedy=0.0)
         s = [0.2, 0.8]
-        a = student_act(agent, s, "epsilon_greedy", np.random.default_rng(7))
+        a = student_act(agent, s, np.random.default_rng(7))
         mean, log_std, _ = _policy_heads(agent.actor, np.array([s]))
         noise = np.random.default_rng(7).normal(size=2)
         assert np.array_equal(a, np.tanh(mean[0] + np.exp(log_std[0]) * noise))
@@ -75,19 +75,17 @@ class TestStudentAct:
     def test_deterministic_repeatable(self):
         agent = self.make()
         s = [0.3, 0.4]
-        assert np.array_equal(student_act(agent, s, "deterministic"),
-                              student_act(agent, s, "deterministic"))
+        # with no rng, the action is the squashed policy mean
+        a = student_act(agent, s)
+        assert np.array_equal(a, student_act(agent, s))
+        assert np.array_equal(a, np.tanh(_policy_heads(agent.actor, np.array([s]))[0][0]))
 
     def test_actions_in_box(self):
         agent = self.make(epsilon_greedy=0.0)
         rng = np.random.default_rng(3)
         for _ in range(1000):
-            a = student_act(agent, rng.uniform(0, 1, 2), "epsilon_greedy", rng)
+            a = student_act(agent, rng.uniform(0, 1, 2), rng)
             assert np.abs(a).max() <= 1.0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            student_act(self.make(), [0.0, 0.0], "greedy", np.random.default_rng(0))
 
 
 class TestStudentUpdate:

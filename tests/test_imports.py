@@ -6,8 +6,9 @@ And no top-level name, method or property of src/rile/ without a caller
 in src/rile/ or bench/, no function parameter that its body never reads,
 no batch scratch outside nets: each network owns its own, so no other
 module names it, no learner of the reward pathway read from outside it
-in orchestrator, no seed stream that nothing reads, and no call of
-evaluate_policy outside the one report routine."""
+in orchestrator, no seed stream that nothing reads, no call of
+evaluate_policy outside the one report routine, and one ReplayBuffer
+construction, the one store of collected rows."""
 
 import ast
 import re
@@ -401,3 +402,11 @@ def test_the_student_is_evaluated_only_by_the_report():
     sites = [f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
              for site in _call_sites(path.read_text(), "evaluate_policy")]
     assert sites == ["orchestrator._report"], "evaluate_policy called at: " + ", ".join(sites)
+
+
+def test_one_store_holds_the_collected_rows():
+    # The student, discriminator and trainer batches are windows of one
+    # store: a second ReplayBuffer would be a second copy of the rows.
+    sites = [f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
+             for site in _call_sites(path.read_text(), "ReplayBuffer")]
+    assert len(sites) == 1, "ReplayBuffer constructed at: " + ", ".join(sites)

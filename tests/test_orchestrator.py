@@ -369,7 +369,8 @@ def test_frozen_reward_rejected_outside_rile(algorithm):
     ("rile_off", "eval_every", 1), ("rile_off", "eval_episodes", 0),
     ("rile_off", "freeze_window", 0), ("rile_off", "freeze_window", -1),
     ("rile_off", "student_batch", 0), ("rile_off", "trainer_batch", 0),
-    ("rile_off", "disc_batch", 0),
+    ("rile_off", "disc_batch", 0), ("rile_off", "trainer_buffer", 1024),
+    ("rile_off", "disc_buffer", 1024),
     ("bc", "bc_holdout", -0.5), ("bc", "bc_holdout", 1.0), ("bc", "bc_holdout", 1.5)])
 def test_bad_schedule_values_rejected_before_the_run_starts(algorithm, field, value,
                                                              tmp_path):
@@ -383,8 +384,8 @@ def test_bad_schedule_values_rejected_before_the_run_starts(algorithm, field, va
 def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
     # A loose freeze test (5 updates, threshold 10) so that the trainer
     # freezes early in the run; after that, nothing reads the trainer stream
-    # and nothing updates the trainer.
-    calls, updates = [], []
+    # and nothing updates the trainer or D, which only the trainer read.
+    calls, updates, disc_updates, student_updates = [], [], [], []
 
     def counting(record, original):
         def counted(*args, **kwargs):
@@ -395,6 +396,10 @@ def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
     monkeypatch.setattr(orchestrator, "trainer_act", counting(calls, orchestrator.trainer_act))
     monkeypatch.setattr(orchestrator, "trainer_update",
                         counting(updates, orchestrator.trainer_update))
+    monkeypatch.setattr(orchestrator, "disc_update",
+                        counting(disc_updates, orchestrator.disc_update))
+    monkeypatch.setattr(orchestrator, "student_update",
+                        counting(student_updates, orchestrator.student_update))
     cfg = RunConfig(algorithm="rile_off", seed=3, freeze_window=5, freeze_threshold=10.0,
                     **TINY)
     artifacts = run_training(cfg, EXPERT)
@@ -406,6 +411,9 @@ def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
     assert len(calls) == artifacts.freeze_step
     # the five updates that filled the window, none after
     assert len(updates) == 5
+    # D updated with each of them, and with none of the student's updates
+    # that followed the freeze
+    assert len(disc_updates) == 5 < len(student_updates)
 
 
 def test_seed_streams_keep_their_seeds():
@@ -648,6 +656,91 @@ class TestReplayBuffer:
         assert len(buf) == 3
 
 
+def _fifo_sample(rows, slots, batch_size, rng):
+    """batch_size of rows, drawn as a FIFO of slots slots fed rows in order
+    draws them: row i overwrites slot i % slots."""
+    fifo = {}
+    for i, row in enumerate(rows):
+        fifo[i % slots] = row
+    return [fifo[j] for j in rng.choice(len(fifo), size=batch_size, replace=False)]
+
+
+@pytest.mark.parametrize("window,newest", [(2, 0), (5, 0), (5, 1), (None, 0)])
+def test_a_window_samples_as_a_fifo_of_its_slots(window, newest):
+    # A store of 6 slots fed rows 0-19. A sample of its newest window rows
+    # (all 6 when None) among all rows but the newest `newest` draws the rows
+    # that a FIFO of window slots fed those rows draws with the same rng,
+    # before and after the window and the store wrap.
+    store = orchestrator.ReplayBuffer(6)
+    for rows in range(1, 21):
+        store.insert(k=rows - 1)
+        end = rows - newest
+        if end < 1:
+            continue
+        size = min(3, end, window or 6)
+        got = store.sample(size, np.random.default_rng(rows), window, end)
+        fifo = _fifo_sample(range(end), window or 6, size, np.random.default_rng(rows))
+        assert got["k"].tolist() == got["row"].tolist() == fifo, rows
+
+
+def _replay_of(ends, trainer_batch, **overrides):
+    """A rile_off _Replay of TINY with overrides, fed one row per episode-end
+    flag in ends: row i has obs and sp filled with i, and trainer action i / 10."""
+    cfg = RunConfig(algorithm="rile_off", **{**TINY, "trainer_batch": trainer_batch, **overrides})
+    replay = orchestrator._Replay(cfg.validate(), _pathway(cfg), orchestrator.seed_streams(0))
+    for i, end in enumerate(ends):
+        replay.insert({"obs": np.full((1, 4), float(i)), "sp": np.full((1, 2), float(i)),
+                       "episode_end": np.array([end]), "a_t": np.array([i / 10])})
+    return replay
+
+
+def _check_trainer_rows(replay, ends, rows):
+    """Asserts that a trainer batch of len(rows) rows holds the given rows,
+    each with its scored action, the next row's obs as its next observation
+    and done 0, or zeros and done 1 where the row ends an episode."""
+    replay.cfg.trainer_batch = len(rows)
+    obs, a_t, obsp, done = replay.trainer_rows(np.random.default_rng(0))
+    got = obs[:, 0].astype(int)
+    assert sorted(got) == list(rows)
+    assert np.array_equal(a_t, got / 10)
+    for i, nxt, d in zip(got, obsp, done):
+        if ends[i]:
+            assert d == 1.0 and not nxt.any()
+        else:
+            assert d == 0.0 and np.array_equal(nxt, np.full(4, i + 1.0))
+
+
+def test_a_trainer_row_observes_the_next_row_or_an_episode_end():
+    ends = [False, False, True, False, True, True, False, False]
+    _check_trainer_rows(_replay_of(ends, trainer_batch=7), ends, range(7))
+
+
+def test_a_newest_row_that_ends_no_episode_waits_for_its_successor():
+    ends = [False, True, False, False]
+    replay = _replay_of(ends, trainer_batch=3)
+    _check_trainer_rows(replay, ends, range(3))  # rows 0-2: row 3 waits
+    replay.cfg.trainer_batch = 4
+    with pytest.raises(ValueError, match="cannot sample 4"):
+        replay.trainer_rows(np.random.default_rng(0))
+    # an episode-ending successor: row 3 and the successor are both known
+    replay.insert({"obs": np.full((1, 4), 4.0), "sp": np.full((1, 2), 4.0),
+                   "episode_end": np.array([True]), "a_t": np.array([0.4])})
+    _check_trainer_rows(replay, [*ends, True], range(5))
+
+
+def test_a_trainer_window_as_large_as_the_students_keeps_its_oldest_row():
+    # Windows of 4 rows over ten rows, the newest ending no episode: the
+    # trainer's window is rows 5-8, whose successors reach row 9, one row
+    # past the student's window (rows 6-9).
+    ends = [False, False, True] + [False] * 7
+    replay = _replay_of(ends, trainer_batch=4, student_buffer=4, trainer_buffer=4,
+                        disc_buffer=4, student_batch=4, disc_batch=4)
+    _check_trainer_rows(replay, ends, range(5, 9))
+    for seed in range(10):
+        b = replay.student_batch(np.random.default_rng(seed))
+        assert sorted(b["obs"][:, 0]) == [6, 7, 8, 9]
+
+
 def _collected_rows(algorithm, seed, monkeypatch):
     """([s, a], s') of every step the collector takes in a TINY run."""
     rows = []
@@ -681,49 +774,79 @@ def test_seed_paired_runs_share_rollouts_until_the_first_update(monkeypatch):
     assert _first_differing_step(rows["rile_off"], rows["rile_on"]) == episode + 1
 
 
-def _expert_flags(cfg, monkeypatch):
-    """Expert flags of the rows inserted into the student and trainer
-    buffers, in insertion order: 1.0 where an expert row replaced the
-    insert. The buffer is told by the mixing stream its decision drew from
-    ("mix" or "mix_trainer")."""
-    flags = {"student": [], "trainer": []}
-    original = orchestrator._Replay._expert_row
+def _mixed_batches(cfg, monkeypatch):
+    """For each student and each trainer batch of a run, in order: the
+    mask of its rows that are expert rows (obs in the expert table) and
+    the obs of those rows. Asserts that each trainer batch relabels its
+    expert rows with the trainer's current deterministic action, and keeps
+    on every other row the action the row was scored with."""
+    expert = {row.tobytes() for row in orchestrator.expert_transition_table(EXPERT)["obs"]}
+    batches = {"student": [], "trainer": []}
+    scored = {}  # a collected row's obs -> its stochastic trainer action
+    score, student_batch = orchestrator._RewardPathway.score, orchestrator._Replay.student_batch
+    trainer_rows = orchestrator._Replay.trainer_rows
 
-    def spy(replay, frac, rng):
-        k = original(replay, frac, rng)
-        key = {id(replay.mix_student_rng): "student",
-               id(replay.mix_trainer_rng): "trainer"}[id(rng)]
-        flags[key].append(float(k is not None))
-        return k
+    def record(key, obs):
+        mask = np.array([row.tobytes() in expert for row in obs])
+        batches[key].append((mask, obs[mask]))
+        return mask
+
+    def score_spy(pathway, chunk):
+        r, a_t = score(pathway, chunk)
+        scored.update((row.tobytes(), a) for row, a in zip(chunk["obs"], a_t))
+        return r, a_t
+
+    def student_spy(replay, rng):
+        b = student_batch(replay, rng)
+        record("student", b["obs"])
+        return b
+
+    def trainer_spy(replay, rng):
+        obs, a_t, obsp, done = trainer_rows(replay, rng)
+        mask = record("trainer", obs)
+        if mask.any():
+            relabeled = orchestrator.trainer_act_batch(replay.pathway.trainer, obs[mask])
+            assert np.array_equal(a_t[mask], relabeled)
+        assert [scored[row.tobytes()] for row in obs[~mask]] == a_t[~mask].tolist()
+        return obs, a_t, obsp, done
 
     with monkeypatch.context() as m:
-        m.setattr(orchestrator._Replay, "_expert_row", spy)
+        m.setattr(orchestrator._RewardPathway, "score", score_spy)
+        m.setattr(orchestrator._Replay, "student_batch", student_spy)
+        m.setattr(orchestrator._Replay, "trainer_rows", trainer_spy)
         run_training(cfg, EXPERT)
-    return flags
+    return batches
 
 
 @pytest.mark.parametrize("mix_student,mix_trainer", [(0.3, 0.6), (0.0, 0.0)])
 def test_expert_mix_fractions_are_honoured(mix_student, mix_trainer, monkeypatch):
-    flags = _expert_flags(RunConfig(algorithm="rile_off", seed=3,
-                                    expert_mix_student=mix_student,
-                                    expert_mix_trainer=mix_trainer, **TINY), monkeypatch)
-    for key, p in (("student", mix_student), ("trainer", mix_trainer)):
-        share, n = float(np.mean(flags[key])), len(flags[key])
-        # every step inserts a row (the last trainer row waits for its successor)
-        assert n >= TINY["total_steps"] - 1
-        assert abs(share - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)
+    # Every batch of B rows holds round(frac * B) expert rows, first; the
+    # trainer relabels exactly those (asserted by _mixed_batches).
+    cfg = RunConfig(algorithm="rile_off", seed=3, expert_mix_student=mix_student,
+                    expert_mix_trainer=mix_trainer, **{**TINY, "early_stop_success": False})
+    batches = _mixed_batches(cfg, monkeypatch)
+    # updates every 4 steps from step 52 to 400; the trainer does not freeze
+    assert len(batches["student"]) == len(batches["trainer"]) == (400 - 52) // 4 + 1
+    for key, frac, size in (("student", mix_student, cfg.student_batch),
+                            ("trainer", mix_trainer, cfg.trainer_batch)):
+        k = round(frac * size)
+        for mask, _ in batches[key]:
+            assert mask.tolist() == [True] * k + [False] * (size - k)
 
 
 def test_trainer_mixing_leaves_the_student_mixing_draws_unchanged(monkeypatch):
-    # The two buffers draw their mixing decisions from separate streams, so
-    # turning trainer mixing on changes no student-buffer decision.
-    runs = [_expert_flags(RunConfig(algorithm="rile_off", seed=3, expert_mix_student=0.3,
-                                    expert_mix_trainer=mix_trainer,
-                                    **{**TINY, "early_stop_success": False}), monkeypatch)
+    # The two batches draw their expert rows from separate streams, so
+    # turning trainer mixing on changes no student batch's expert rows.
+    runs = [_mixed_batches(RunConfig(algorithm="rile_off", seed=3, expert_mix_student=0.3,
+                                     expert_mix_trainer=mix_trainer,
+                                     **{**TINY, "early_stop_success": False}), monkeypatch)
             for mix_trainer in (0.0, 0.6)]
-    assert runs[0]["student"] == runs[1]["student"]
-    assert 0.0 < np.mean(runs[0]["student"]) < 1.0
-    assert np.mean(runs[0]["trainer"]) == 0.0 < np.mean(runs[1]["trainer"])
+    assert len(runs[0]["student"]) == len(runs[1]["student"])
+    for (mask0, rows0), (mask1, rows1) in zip(runs[0]["student"], runs[1]["student"]):
+        assert 0 < mask0.sum() < len(mask0)
+        assert np.array_equal(mask0, mask1) and np.array_equal(rows0, rows1)
+    assert not any(mask.any() for mask, _ in runs[0]["trainer"])
+    assert all(mask.any() for mask, _ in runs[1]["trainer"])
 
 
 # The BLAS thread rule of run_training: every OpenBLAS the process loaded,
