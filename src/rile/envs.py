@@ -64,13 +64,14 @@ def point_in_obstacle(spec: MazeSpec, p) -> bool:
     return False
 
 
-def maze_reset(spec: MazeSpec, rng_seed: int = 0) -> np.ndarray:
+def maze_reset(spec: MazeSpec, rng=0) -> np.ndarray:
     """Fixed start position; optional jitter (disabled by default) resamples
-    uniformly in a disc around the start until outside all obstacles."""
+    uniformly in a disc around the start until outside all obstacles,
+    drawing from rng, a seed or a Generator (drawn from in place)."""
     start = np.asarray(spec.start, dtype=np.float64)
     if spec.start_jitter <= 0:
         return start.copy()
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng)
     while True:
         angle = rng.uniform(0, 2 * np.pi)
         radius = spec.start_jitter * np.sqrt(rng.uniform())

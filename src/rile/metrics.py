@@ -102,7 +102,7 @@ def cpr(learned, environment) -> float:
 def _run_episode(spec, student, rng, ep_seed, action_noise):
     """(undiscounted environment return, whether the goal was reached) of one
     episode of the student acting by its policy mean."""
-    state = maze_reset(spec, rng_seed=ep_seed)
+    state = maze_reset(spec, ep_seed)
     total = 0.0
     for _ in range(spec.max_steps):
         action = student_act(student, state)

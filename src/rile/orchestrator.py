@@ -9,10 +9,11 @@ the discriminator or AIRL heads, then the trainer. A report evaluates the
 student, closes the reward-metrics window and writes one metrics.jsonl
 row. The loop reports once a chunk completes eval_every steps since the
 last report, then checkpoints the nets; the last report's checkpoint is
-step-final. Off-policy runs keep one FIFO store of the collected rows, of
-which the student, discriminator and trainer batches sample windows (rewards
-relabeled and expert rows mixed in at sample time); rile_on collects the
-rest of an episode per chunk and updates on that rollout.
+step-final. Every adversarial run keeps one FIFO store of the collected
+rows, of which the student, discriminator and trainer batches sample
+windows (rewards relabeled and expert rows mixed in at sample time).
+rile_on collects the rest of an episode per chunk and updates once it
+ends: its rollout, the store's newest rows, is every learner's window.
 Every adversarial algorithm collects through the same path, so seed-paired
 runs differ only in the reward pathway: _RewardPathway is the one place
 that knows which learners a run has, and it scores, updates, freezes and
@@ -139,7 +140,8 @@ class RunConfig:
     freeze_threshold: float = 0.1
     freeze_window: int = 100
     # expert mixing (share of each student/trainer batch sourced from expert
-    # data); off-policy algorithms only: rile_on and bc fill no replay buffer
+    # data); off-policy algorithms only: rile_on's batches are its rollout,
+    # and bc fits the expert alone
     expert_mix_student: float = 0.0
     expert_mix_trainer: float = 0.0
     # schedule
@@ -182,8 +184,8 @@ class RunConfig:
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
             if frac > 0 and self.algorithm in ("rile_on", "bc"):
-                raise ValueError(f"{name} needs a replay buffer, which "
-                                 f"{self.algorithm} does not fill")
+                raise ValueError(f"{name} mixes expert rows into off-policy batches, "
+                                 f"which {self.algorithm} does not sample")
         if self.frozen_reward is not None and self.algorithm not in ("rile_off", "rile_on"):
             raise ValueError(f"frozen_reward runs under rile_off or rile_on: "
                              f"{self.algorithm} trains its own reward or none")
@@ -202,22 +204,13 @@ def seed_streams(master_seed: int) -> dict:
             for n, i in STREAMS.items()}
 
 
-def _trainer_next(obs, end):
-    """The trainer's next observation and done flag for consecutive rows
-    obs = [s, a], where end marks each episode's last row: the next row's
-    obs, and zeros past an episode end (unused there)."""
-    obsp = np.zeros_like(obs)
-    obsp[:-1] = obs[1:]
-    obsp[end] = 0.0
-    return obsp, end.astype(np.float64)
-
-
 def expert_transition_table(expert: ExpertDataset) -> dict:
     """Expert rows in the shapes batches use: the input rows obs and
-    the trainer's next observations."""
+    the trainer's next observations, the next row's obs, and zeros past an
+    episode end (unused there)."""
     obs = np.concatenate([expert.s, expert.a], axis=1)
-    obsp, done = _trainer_next(obs, expert.end)
-    return {"obs": obs, "sp": expert.sp, "done": done, "obsp": obsp}
+    obsp = np.where(expert.end[:, None], 0.0, np.roll(obs, -1, axis=0))
+    return {"obs": obs, "sp": expert.sp, "done": expert.end.astype(np.float64), "obsp": obsp}
 
 
 @dataclass
@@ -379,7 +372,7 @@ class _Collector:
         self.cfg = cfg
         self.env_rng = streams["env"]
         self.student_rng = streams["student"]
-        self.state = maze_reset(cfg.env)
+        self.state = maze_reset(cfg.env, self.env_rng)
         self.episode_step = 0
 
     def step(self, student: ActorCritic):
@@ -397,7 +390,7 @@ class _Collector:
             "env_r": cfg.env.env_reward(at_goal),
         }
         if at_goal or truncated:
-            self.state = maze_reset(cfg.env)
+            self.state = maze_reset(cfg.env, self.env_rng)
             self.episode_step = 0
         else:
             self.state = nxt
@@ -437,30 +430,35 @@ class _WindowTracker:
 
 
 class _Replay:
-    """Off-policy batch source: one FIFO store of the collected rows, one
-    insert per step. The student samples its newest student_buffer rows, the
-    discriminator the newest disc_buffer, the trainer the newest
-    trainer_buffer of those whose next row is known (all but a newest one
-    that ends no episode), with the action each was scored with and the next
-    row's obs. One row more than the student's window is held: the trainer's
-    oldest row needs its successor. The first round(frac * B) rows of a
-    student or trainer batch of B rows are then expert rows, drawn from the
-    learner's own mixing stream."""
+    """The one batch source of every adversarial run: one FIFO store of the
+    collected rows, one insert per collected row. The student samples its
+    newest student_buffer rows, the discriminator the newest disc_buffer,
+    the trainer the newest trainer_buffer of those whose next row is known
+    (all but a newest one that ends no episode), with the action each was
+    scored with and the next row's obs. Under rile_on each window is the
+    newest chunk, the rollout of the episode that just ended: the store is
+    ready only when its newest row ends an episode. One row more than the
+    student's window is held: the trainer's oldest row needs its successor.
+    The first round(frac * B) rows of a student or trainer batch of B rows
+    are then expert rows, drawn from the learner's own mixing stream."""
 
     def __init__(self, cfg: RunConfig, pathway: _RewardPathway, streams):
         self.cfg = cfg
         self.pathway = pathway
         self.store = ReplayBuffer(cfg.student_buffer + 1)
         self.known = 0  # the rows whose next row is known
+        self.rollout = 0  # rile_on's window: the row count of the newest chunk
         self.mix_student_rng = streams["mix"]
         self.mix_trainer_rng = streams["mix_trainer"]
 
     def insert(self, chunk):
-        """Inserts a one-step chunk's row; a_t is 0.0 with no live trainer."""
-        (obs,), (sp,), (end,) = chunk["obs"], chunk["sp"], chunk["episode_end"]
-        a_t = 0.0 if chunk["a_t"] is None else chunk["a_t"][0]
-        self.store.insert(obs=obs, sp=sp, a_t=a_t, end=end)
-        self.known = self.store.rows - (not end)
+        """Inserts each row of a chunk; a_t is 0.0 with no live trainer."""
+        a_t = np.zeros(len(chunk["obs"])) if chunk["a_t"] is None else chunk["a_t"]
+        for obs, sp, a, end in zip(chunk["obs"], chunk["sp"], a_t, chunk["episode_end"]):
+            self.store.insert(obs=obs, sp=sp, a_t=a, end=end)
+        self.known = self.store.rows - (not chunk["episode_end"][-1])
+        if self.cfg.algorithm == "rile_on":
+            self.rollout = len(a_t)
 
     def _mix(self, b, cols, frac, rng) -> int:
         """Overwrites the first round(frac * B) rows of batch b's columns
@@ -474,22 +472,30 @@ class _Replay:
 
     def ready(self) -> bool:
         cfg = self.cfg
+        if self.rollout:
+            return self.known == self.store.rows
         return (self.store.rows >= max(cfg.student_batch, cfg.warmup_steps, cfg.disc_batch)
                 and (self.pathway.trainer is None or self.known >= cfg.trainer_batch))
 
+    def _sample(self, batch, window, rng, end=None) -> dict:
+        """min(batch, window) of the newest window rows among rows 0..end-1
+        (all rows by default); rile_on's window is its rollout."""
+        window = self.rollout or window
+        return self.store.sample(min(batch, window), rng, window, end)
+
     def student_batch(self, rng) -> dict:
         cfg = self.cfg
-        b = self.store.sample(cfg.student_batch, rng, cfg.student_buffer)
+        b = self._sample(cfg.student_batch, cfg.student_buffer, rng)
         self._mix(b, ("obs", "sp"), cfg.expert_mix_student, self.mix_student_rng)
         b["r"] = self.pathway.student_rewards(b["obs"], b["sp"])
         return b
 
     def disc_rows(self, rng) -> dict:
-        return self.store.sample(self.cfg.disc_batch, rng, self.cfg.disc_buffer)
+        return self._sample(self.cfg.disc_batch, self.cfg.disc_buffer, rng)
 
     def trainer_rows(self, rng):
         cfg = self.cfg
-        b = self.store.sample(cfg.trainer_batch, rng, cfg.trainer_buffer, self.known)
+        b = self._sample(cfg.trainer_batch, cfg.trainer_buffer, rng, self.known)
         end = b["end"]
         b["obsp"] = np.where(end[:, None], 0.0, self.store.get(b["row"] + 1)["obs"])
         b["done"] = end.astype(np.float64)
@@ -500,29 +506,6 @@ class _Replay:
             # trainer's current deterministic action at that observation
             b["a_t"][:k] = trainer_act_batch(self.pathway.trainer, b["obs"][:k])
         return b["obs"], b["a_t"], b["obsp"], b["done"]
-
-
-@dataclass
-class _Rollout:
-    """On-policy batch source: every learner updates on the chunk just
-    collected, whose "r" and "a_t" columns hold the student's learned
-    rewards and the trainer's actions it was scored with."""
-
-    cfg: RunConfig
-    chunk: dict
-
-    def student_batch(self, rng) -> dict:
-        return self.chunk
-
-    def disc_rows(self, rng) -> dict:
-        n = len(self.chunk["obs"])
-        idx = rng.choice(n, size=min(self.cfg.disc_batch, n), replace=False)
-        return {k: self.chunk[k][idx] for k in ("obs", "sp")}
-
-    def trainer_rows(self, rng):
-        obs = self.chunk["obs"]
-        end = np.arange(len(obs)) == len(obs) - 1  # trainer episode ends with the rollout
-        return (obs, self.chunk["a_t"], *_trainer_next(obs, end))
 
 
 def _update(pathway, source, step, rng) -> dict:
@@ -558,14 +541,15 @@ def run_training(config: RunConfig, expert: ExpertDataset,
 
     rile_off, rile_on, gail and airl share one loop. Each pass collects a
     chunk (one step; for rile_on, the rest of the episode), scores it with
-    the learned reward and updates the learners: rile_on on the chunk
-    itself, the others on replay samples every update_every steps once the
-    store is warm. bc is supervised. Each run ends with a report at its
-    last step, whose metrics.jsonl row is the final eval. Every run trains
-    on one OpenBLAS thread, whatever its widths: on two, airl with 128x128
-    nets used twice the CPU time per env step at the same speed, and two
-    such runs at once each fell from 948-1,147 to 234-272 env steps/s on a
-    2-core host (nets.one_blas_thread).
+    the learned reward, inserts it into the one store and updates the
+    learners on windows of it: rile_on on its rollout once the episode
+    ends, the others every update_every steps once the store is warm. bc
+    is supervised. Each run ends with a report at its last step, whose
+    metrics.jsonl row is the final eval. Every run trains on one OpenBLAS
+    thread, whatever its widths: on two, airl with 128x128 nets used twice
+    the CPU time per env step at the same speed, and two such runs at once
+    each fell from 948-1,147 to 234-272 env steps/s on a 2-core host
+    (nets.one_blas_thread).
     """
     cfg = config.validate()
     with one_blas_thread():
@@ -606,7 +590,7 @@ def _run_loop(cfg, pathway, tracker, streams, run_dir, diag_log, metrics_log) ->
     student = pathway.student
     collector = _Collector(cfg, streams)
     on_policy = cfg.algorithm == "rile_on"
-    replay = None if on_policy else _Replay(cfg, pathway, streams)
+    replay = _Replay(cfg, pathway, streams)
 
     step = 0
     try:
@@ -623,12 +607,9 @@ def _run_loop(cfg, pathway, tracker, streams, run_dir, diag_log, metrics_log) ->
             tracker.add(chunk["r"], chunk["env_r"])
 
             diag = None
-            if on_policy:
-                diag = _update(pathway, _Rollout(cfg, chunk), step, streams["student"])
-            else:
-                replay.insert(chunk)
-                if replay.ready() and step % cfg.update_every == 0:
-                    diag = _update(pathway, replay, step, streams["student"])
+            replay.insert(chunk)
+            if replay.ready() and (on_policy or step % cfg.update_every == 0):
+                diag = _update(pathway, replay, step, streams["student"])
             if diag is not None and _crossed(step, n, cfg.update_every * 25):
                 diag_log.write(diag)
 

@@ -34,4 +34,4 @@ def test_every_tracer_target_resolves():
     targets = _tracer_targets()
     assert targets
     unresolved = {f"{m}.{a}" for m, a, *_ in targets if not _resolves(m, a)}
-    assert unresolved <= KNOWN_STALE
+    assert unresolved == KNOWN_STALE

@@ -29,6 +29,14 @@ class TestMazeReset:
             assert np.linalg.norm(s - start) <= 0.05 + 1e-12
             assert not point_in_obstacle(spec, s)
 
+    def test_a_generator_is_drawn_from_in_place(self):
+        # a Generator draws as its seed would, and each reset draws anew
+        spec = MazeSpec(start_jitter=0.05)
+        rng = np.random.default_rng(5)
+        first = maze_reset(spec, rng)
+        assert np.array_equal(first, maze_reset(spec, 5))
+        assert not np.array_equal(maze_reset(spec, rng), first)
+
     def test_start_inside_obstacle_rejected(self):
         with pytest.raises(ValueError, match="start"):
             MazeSpec(start=(0.3, 0.5))

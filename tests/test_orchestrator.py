@@ -8,7 +8,7 @@ import pytest
 from rile import baselines, nets, orchestrator
 from rile.agents import make_actor_critic
 from rile.baselines import make_airl_heads
-from rile.envs import MazeSpec, generate_expert
+from rile.envs import MazeSpec, generate_expert, point_in_obstacle
 from rile.metrics import evaluate_policy
 from rile.nets import load_mlp, mlp_forward, mlp_to_bytes, save_mlp
 from rile.orchestrator import RunAborted, RunConfig, run_training
@@ -467,17 +467,17 @@ def test_one_trainer_forward_per_collected_step(monkeypatch):
 
 def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
     # rile_on's stochastic trainer actions for a rollout come from the
-    # forward its rewards were scored with: trainer_rows runs no actor
-    # forward.
+    # forward its rewards were scored with: the store keeps them, and
+    # trainer_rows runs no actor forward.
     inside, forwards, calls = [], [], []
-    original_rows = orchestrator._Rollout.trainer_rows
+    original_rows = orchestrator._Replay.trainer_rows
     original_forward = nets._forward_cached
 
-    def rows_spy(rollout, rng):
+    def rows_spy(replay, rng):
         calls.append(1)
         inside.append(1)
         try:
-            return original_rows(rollout, rng)
+            return original_rows(replay, rng)
         finally:
             inside.pop()
 
@@ -486,7 +486,7 @@ def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
             forwards.append(len(x))
         return original_forward(params, x)
 
-    monkeypatch.setattr(orchestrator._Rollout, "trainer_rows", rows_spy)
+    monkeypatch.setattr(orchestrator._Replay, "trainer_rows", rows_spy)
     monkeypatch.setattr(nets, "_forward_cached", forward_spy)
     cfg = RunConfig(algorithm="rile_on", seed=3, freeze_threshold=0.0,
                     **{**TINY, "early_stop_success": False})
@@ -546,16 +546,23 @@ def test_score_acts_on_the_state_action_rows(monkeypatch):
 
 
 def test_rollout_and_expert_table_build_the_same_trainer_rows():
-    # One scripted episode collected as a rollout chunk: the rollout's
-    # trainer rows are the expert table's, next observations and done flags
-    # included.
+    # One scripted episode inserted as a rile_on rollout chunk: the store's
+    # trainer rows, in row order (that of their distinct actions), are the
+    # expert table's, next observations and done flags included.
     expert = generate_expert(MazeSpec(), 1)
     te = orchestrator.expert_transition_table(expert)
     n = len(te["obs"])
-    chunk = {"obs": te["obs"], "sp": te["sp"], "a_t": np.linspace(-1, 1, n)}
-    obs, a_t, obsp, done = orchestrator._Rollout(RunConfig(), chunk).trainer_rows(None)
+    cfg = RunConfig(algorithm="rile_on", **{**TINY, "trainer_batch": 64}).validate()
+    replay = orchestrator._Replay(cfg, _pathway(cfg), orchestrator.seed_streams(0))
+    chunk = {"obs": te["obs"], "sp": te["sp"], "episode_end": expert.end,
+             "a_t": np.linspace(-1, 1, n)}
+    replay.insert(chunk)
+    assert replay.ready()
+    obs, a_t, obsp, done = replay.trainer_rows(np.random.default_rng(0))
+    order = np.argsort(a_t)
+    obs, a_t, obsp, done = obs[order], a_t[order], obsp[order], done[order]
 
-    assert np.array_equal(obs, te["obs"]) and a_t is chunk["a_t"]
+    assert np.array_equal(obs, te["obs"]) and np.array_equal(a_t, chunk["a_t"])
     assert np.array_equal(obsp, te["obsp"]) and np.array_equal(done, te["done"])
     # s' with the next expert action; the last row ends the episode
     assert np.array_equal(obsp[:-1], np.hstack([te["sp"][:-1], expert.a[1:]]))
@@ -739,6 +746,93 @@ def test_a_trainer_window_as_large_as_the_students_keeps_its_oldest_row():
     for seed in range(10):
         b = replay.student_batch(np.random.default_rng(seed))
         assert sorted(b["obs"][:, 0]) == [6, 7, 8, 9]
+
+
+def test_a_cut_rile_on_rollout_makes_no_update():
+    # TINY's 12-step episodes never reach the goal, so 396 steps are 33
+    # whole rollouts; at 400 steps the last rollout is cut after 4 steps.
+    # A rollout whose episode has not ended trains nothing: both runs leave
+    # the same nets.
+    whole, cut = (run_training(RunConfig(algorithm="rile_on", seed=7,
+                                         **{**TINY, "total_steps": steps}), EXPERT)
+                  for steps in (396, 400))
+    assert (whole.steps_run, cut.steps_run) == (396, 400)
+    assert _trained_nets(whole) == _trained_nets(cut)
+    assert whole.diagnostics_rows == cut.diagnostics_rows
+
+
+def _rile_on_batches(monkeypatch):
+    """For each update of a seed-3 rile_on TINY run: the obs of the chunk
+    inserted last, and those of the student, discriminator and trainer
+    batches. Asserts that every whole rollout made one update."""
+    inserted, batches = [], []
+    replay = orchestrator._Replay
+    insert, student_batch = replay.insert, replay.student_batch
+    disc_rows, trainer_rows = replay.disc_rows, replay.trainer_rows
+
+    def insert_spy(r, chunk):
+        inserted.append((chunk["obs"], chunk["episode_end"][-1]))
+        return insert(r, chunk)
+
+    def student_spy(r, rng):
+        b = student_batch(r, rng)
+        batches.append([inserted[-1][0], b["obs"]])
+        return b
+
+    def disc_spy(r, rng):
+        b = disc_rows(r, rng)
+        batches[-1].append(b["obs"])
+        return b
+
+    def trainer_spy(r, rng):
+        rows = trainer_rows(r, rng)
+        batches[-1].append(rows[0])
+        return rows
+
+    with monkeypatch.context() as m:
+        for name, spy in (("insert", insert_spy), ("student_batch", student_spy),
+                          ("disc_rows", disc_spy), ("trainer_rows", trainer_spy)):
+            m.setattr(replay, name, spy)
+        run_training(RunConfig(algorithm="rile_on", seed=3, freeze_threshold=0.0,
+                               **{**TINY, "early_stop_success": False}), EXPERT)
+    assert len(batches) == sum(ended for _, ended in inserted) > 0
+    return batches
+
+
+def _row_set(obs):
+    return sorted(row.tobytes() for row in obs)
+
+
+def test_each_rile_on_update_trains_on_the_whole_rollout_once(monkeypatch):
+    # The student's and the trainer's windows are the rollout just
+    # collected: each batch holds each of its rows exactly once.
+    for rollout, student, _, trainer in _rile_on_batches(monkeypatch):
+        assert _row_set(student) == _row_set(trainer) == _row_set(rollout)
+
+
+def test_each_rile_on_disc_batch_holds_distinct_rows_of_the_rollout(monkeypatch):
+    for rollout, _, disc, _ in _rile_on_batches(monkeypatch):
+        rows = _row_set(disc)
+        assert len(rows) == len(set(rows)) == min(TINY["disc_batch"], len(rollout))
+        assert set(rows) <= set(_row_set(rollout))
+
+
+def test_each_collected_episode_starts_at_its_own_jittered_point():
+    # The collector draws each start from the env stream: six 5-step
+    # episodes start at six points within the jitter of the start, none
+    # inside an obstacle.
+    spec = MazeSpec(start_jitter=0.05, max_steps=5)
+    streams = orchestrator.seed_streams(0)
+    student = make_actor_critic(2, 2, (8, 8), streams["init_student"])
+    collector = orchestrator._Collector(RunConfig(env=spec).validate(), streams)
+    rows = [collector.step(student) for _ in range(30)]
+    assert [row["episode_end"] for row in rows] == ([False] * 4 + [True]) * 6
+
+    starts = np.array([row["obs"][:2] for row in rows[::5]])
+    assert len({s.tobytes() for s in starts}) == 6
+    for s in starts:
+        assert np.linalg.norm(s - spec.start) <= 0.05 + 1e-12
+        assert not point_in_obstacle(spec, s)
 
 
 def _collected_rows(algorithm, seed, monkeypatch):
