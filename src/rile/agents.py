@@ -234,13 +234,12 @@ def actor_critic_update(agent: ActorCritic, batch) -> dict:
 student_update = trainer_update = actor_critic_update
 
 
-def trainer_act(agent: ActorCritic, obs: np.ndarray, rng):
-    """(deterministic, stochastic) scalar actions in [-1, 1] (tanh-squashed)
-    per row of obs, from one actor forward; the stochastic rows draw their
-    noise in one call, row after row."""
+def trainer_act(agent: ActorCritic, obs: np.ndarray, rng) -> np.ndarray:
+    """Stochastic scalar actions in [-1, 1] (tanh-squashed policy samples),
+    one per row of obs, from one actor forward; the rows draw their noise
+    from rng in one call, row after row."""
     mean, log_std, _ = _policy_heads(agent.actor, obs)
-    noisy = mean + np.exp(log_std) * rng.normal(size=mean.shape)
-    return np.tanh(mean[:, 0]), np.tanh(noisy[:, 0])
+    return np.tanh(mean[:, 0] + np.exp(log_std[:, 0]) * rng.normal(size=len(mean)))
 
 
 def trainer_act_batch(agent: ActorCritic, obs: np.ndarray) -> np.ndarray:

@@ -179,16 +179,17 @@ DEFAULT_WAYPOINTS = (
 )
 
 
-def scripted_expert_episode(spec: MazeSpec, waypoints=None, slack: float = 0.04):
-    """One scripted demonstration, (states [n + 1], actions [n]), whose last
-    state is the one in the goal: the expert heads at each waypoint in turn,
-    then at the goal, passing a waypoint once within slack of it, with its
-    speed scaled down near the target so that it does not overshoot. Raises
-    if the goal is not reached within max_steps."""
+def scripted_expert_episode(spec: MazeSpec, waypoints=None, slack: float = 0.04, rng=0):
+    """One scripted demonstration, (states [n + 1], actions [n]), from
+    maze_reset(spec, rng), whose last state is the one in the goal: the
+    expert heads at each waypoint in turn, then at the goal, passing a
+    waypoint once within slack of it, with its speed scaled down near the
+    target so that it does not overshoot. Raises if the goal is not reached
+    within max_steps."""
     targets = [np.asarray(w, float) for w in (waypoints or DEFAULT_WAYPOINTS)]
     targets.append(np.asarray(spec.goal, float))
     wp = 0
-    state = maze_reset(spec)
+    state = maze_reset(spec, rng)
     states, actions = [], []
     for _ in range(spec.max_steps):
         while wp < len(targets) - 1 and np.linalg.norm(state - targets[wp]) <= slack:
@@ -205,9 +206,10 @@ def scripted_expert_episode(spec: MazeSpec, waypoints=None, slack: float = 0.04)
     raise ValueError("scripted expert failed to reach the goal under this maze spec")
 
 
-def generate_expert(spec: MazeSpec, episodes: int) -> ExpertDataset:
-    """episodes scripted demonstrations; every episode reaches the goal."""
+def generate_expert(spec: MazeSpec, episodes: int, seed=0) -> ExpertDataset:
+    """episodes scripted demonstrations, whose starts one Generator of seed
+    draws in turn; every episode reaches the goal."""
     if episodes <= 0:
         raise ValueError("episode count must be positive")
-    eps = [scripted_expert_episode(spec) for _ in range(episodes)]
-    return ExpertDataset(eps)
+    rng = np.random.default_rng(seed)
+    return ExpertDataset([scripted_expert_episode(spec, rng=rng) for _ in range(episodes)])

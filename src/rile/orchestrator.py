@@ -23,9 +23,10 @@ derived from one master seed, which makes whole runs bit-reproducible.
 Every learner reads the expert from one table, ExpertDataset's arrays.
 Every reward net reads one input row per transition, obs = [s, a]. Only
 _Collector.step and expert_transition_table build it, and the store
-holds it in place of s and a. The trainer's next observation is the next
-row's obs; past an episode end, where done = 1 cancels its value, it is
-zeros.
+holds it in place of s and a: a row is obs, sp and end. The student is
+paid the trainer's deterministic action; the trainer acts when it
+updates, by policy samples. Its next observation is the next row's obs,
+and zeros past an episode end, where done = 1 cancels its value.
 """
 
 from __future__ import annotations
@@ -77,20 +78,28 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return min(self.rows, self.capacity)
 
-    def insert(self, **row):
+    def insert(self, **cols):
+        """Appends a chunk of n rows, one [n, ...] array per column: row
+        rows + i goes to slot (rows + i) % capacity. A chunk whose columns
+        or shapes disagree with the schema or each other writes no slot."""
+        cols = {k: np.asarray(v) for k, v in cols.items()}
         if not self._cols:
-            for k, v in row.items():
-                v = np.asarray(v)
-                self._cols[k] = np.zeros((self.capacity, *v.shape), dtype=v.dtype)
-        if set(row) != set(self._cols):
-            raise ValueError("row columns do not match the buffer schema")
-        for k, v in row.items():
-            if np.shape(v) != self._cols[k].shape[1:]:
-                raise ValueError(f"column {k!r} holds rows of shape "
-                                 f"{self._cols[k].shape[1:]}, not {np.shape(v)}")
-        for k, v in row.items():
-            self._cols[k][self.rows % self.capacity] = v
-        self.rows += 1
+            for k, v in cols.items():
+                self._cols[k] = np.zeros((self.capacity, *v.shape[1:]), dtype=v.dtype)
+        if set(cols) != set(self._cols):
+            raise ValueError("chunk columns do not match the buffer schema")
+        n = len(next(iter(cols.values())))
+        for k, v in cols.items():
+            if v.shape != (n, *self._cols[k].shape[1:]):
+                raise ValueError(f"column {k!r} holds {n} rows of shape "
+                                 f"{self._cols[k].shape[1:]}, not {v.shape}")
+        first = max(n - self.capacity, 0)  # a longer chunk keeps its newest capacity rows
+        start = (self.rows + first) % self.capacity
+        split = first + min(n - first, self.capacity - start)  # rows first..split-1 fill start..
+        for k, v in cols.items():
+            self._cols[k][start:start + split - first] = v[first:split]
+            self._cols[k][:n - split] = v[split:]
+        self.rows += n
 
     def sample(self, batch_size: int, rng, window=None, end=None) -> dict:
         """batch_size rows of the newest window ones (every one held by
@@ -194,6 +203,7 @@ class RunConfig:
 
 # Each stream is seeded by child i of the master seed's SeedSequence, so its
 # seed depends on its own i only; a new stream takes a new i (4 and 5 unused).
+# The trainer stream is read only by trainer batches: their windows, then their actions.
 STREAMS = {"env": 0, "student": 1, "trainer": 2, "disc": 3, "mix": 6, "init_student": 7,
            "init_trainer": 8, "init_disc": 9, "init_airl": 10, "mix_trainer": 11}
 
@@ -307,15 +317,6 @@ class _RewardPathway:
     def trainer_frozen(self) -> bool:
         return self.freeze_step is not None
 
-    def score(self, chunk):
-        """(student rewards, stochastic trainer actions) for a collected
-        chunk. While the trainer is live, both come from one forward of its
-        actor, with the actions' noise drawn from the trainer stream;
-        otherwise the actions are None."""
-        if self.trainer is None or self.trainer_frozen:
-            return self.student_rewards(chunk["obs"], chunk["sp"]), None
-        return trainer_act(self.trainer, chunk["obs"], self.trainer_rng)
-
     def student_rewards(self, obs, sp) -> np.ndarray:
         """Learned reward for student transitions, input rows obs = [s, a]
         with next states sp (read by AIRL's potential only), under the
@@ -354,7 +355,8 @@ class _RewardPathway:
             obs, a_t, obsp, done = source.trainer_rows(self.trainer_rng)
             r_t = trainer_reward(disc_output(self.disc, obs), a_t)
             loss = trainer_update(self.trainer, (obs, a_t, r_t, obsp, done))["critic_loss"]
-            diag["trainer_critic_loss"] = loss
+            diag.update(trainer_critic_loss=loss, trainer_reward=np.mean(r_t),
+                        trainer_action_mean=np.mean(a_t), trainer_action_std=np.std(a_t))
             self.critic_losses.append(abs(loss))
             if (len(self.critic_losses) == self.critic_losses.maxlen
                     and np.mean(self.critic_losses) < self.cfg.freeze_threshold):
@@ -431,16 +433,17 @@ class _WindowTracker:
 
 class _Replay:
     """The one batch source of every adversarial run: one FIFO store of the
-    collected rows, one insert per collected row. The student samples its
-    newest student_buffer rows, the discriminator the newest disc_buffer,
-    the trainer the newest trainer_buffer of those whose next row is known
-    (all but a newest one that ends no episode), with the action each was
-    scored with and the next row's obs. Under rile_on each window is the
-    newest chunk, the rollout of the episode that just ended: the store is
-    ready only when its newest row ends an episode. One row more than the
-    student's window is held: the trainer's oldest row needs its successor.
-    The first round(frac * B) rows of a student or trainer batch of B rows
-    are then expert rows, drawn from the learner's own mixing stream."""
+    collected rows (obs, sp, end), one insert per collected chunk. The
+    student samples its newest student_buffer rows, the discriminator the
+    newest disc_buffer, the trainer the newest trainer_buffer of those whose
+    next row is known (all but a newest one that ends no episode), with the
+    next row's obs and an action drawn from its current policy. Under
+    rile_on each window is the newest chunk, the rollout of the episode
+    that just ended: the store is ready only when its newest row ends an
+    episode. One row more than the student's window is held: the trainer's
+    oldest row needs its successor. The first round(frac * B) rows of a
+    student or trainer batch of B rows are then expert rows, drawn from the
+    learner's own mixing stream."""
 
     def __init__(self, cfg: RunConfig, pathway: _RewardPathway, streams):
         self.cfg = cfg
@@ -452,23 +455,21 @@ class _Replay:
         self.mix_trainer_rng = streams["mix_trainer"]
 
     def insert(self, chunk):
-        """Inserts each row of a chunk; a_t is 0.0 with no live trainer."""
-        a_t = np.zeros(len(chunk["obs"])) if chunk["a_t"] is None else chunk["a_t"]
-        for obs, sp, a, end in zip(chunk["obs"], chunk["sp"], a_t, chunk["episode_end"]):
-            self.store.insert(obs=obs, sp=sp, a_t=a, end=end)
-        self.known = self.store.rows - (not chunk["episode_end"][-1])
+        """Appends a collected chunk's obs, sp and episode ends in one insert."""
+        end = chunk["episode_end"]
+        self.store.insert(obs=chunk["obs"], sp=chunk["sp"], end=end)
+        self.known = self.store.rows - (not end[-1])
         if self.cfg.algorithm == "rile_on":
-            self.rollout = len(a_t)
+            self.rollout = len(end)
 
-    def _mix(self, b, cols, frac, rng) -> int:
+    def _mix(self, b, cols, frac, rng):
         """Overwrites the first round(frac * B) rows of batch b's columns
-        cols with expert rows drawn from rng; returns their count."""
+        cols with expert rows drawn from rng."""
         k = round(frac * len(b["obs"]))
         te = self.pathway.expert_table
         idx = rng.integers(0, len(te["obs"]), size=k)
         for c in cols:
             b[c][:k] = te[c][idx]
-        return k
 
     def ready(self) -> bool:
         cfg = self.cfg
@@ -494,18 +495,16 @@ class _Replay:
         return self._sample(self.cfg.disc_batch, self.cfg.disc_buffer, rng)
 
     def trainer_rows(self, rng):
+        """(obs, a_t, obsp, done) of a trainer batch drawn with rng, which
+        then draws a_t ~ pi_T(.|obs) for every row, expert rows included."""
         cfg = self.cfg
         b = self._sample(cfg.trainer_batch, cfg.trainer_buffer, rng, self.known)
         end = b["end"]
         b["obsp"] = np.where(end[:, None], 0.0, self.store.get(b["row"] + 1)["obs"])
         b["done"] = end.astype(np.float64)
-        k = self._mix(b, ("obs", "obsp", "done"), cfg.expert_mix_trainer,
-                      self.mix_trainer_rng)
-        if k:
-            # expert rows carry no recorded action; relabel with the
-            # trainer's current deterministic action at that observation
-            b["a_t"][:k] = trainer_act_batch(self.pathway.trainer, b["obs"][:k])
-        return b["obs"], b["a_t"], b["obsp"], b["done"]
+        self._mix(b, ("obs", "obsp", "done"), cfg.expert_mix_trainer, self.mix_trainer_rng)
+        a_t = trainer_act(self.pathway.trainer, b["obs"], rng)
+        return b["obs"], a_t, b["obsp"], b["done"]
 
 
 def _update(pathway, source, step, rng) -> dict:
@@ -603,8 +602,7 @@ def _run_loop(cfg, pathway, tracker, streams, run_dir, diag_log, metrics_log) ->
                     break
             n = len(rows)
             chunk = {k: np.array([r[k] for r in rows]) for k in rows[0]}
-            chunk["r"], chunk["a_t"] = pathway.score(chunk)
-            tracker.add(chunk["r"], chunk["env_r"])
+            tracker.add(pathway.student_rewards(chunk["obs"], chunk["sp"]), chunk["env_r"])
 
             diag = None
             replay.insert(chunk)

@@ -214,13 +214,14 @@ class TestTrainer:
         t = make_actor_critic(4, 1, (8,), rng)
         obs = rng.normal(size=(200, 4))
         mean, log_std, _ = _policy_heads(t.actor, obs)
-        det, batch = trainer_act(t, obs, np.random.default_rng(3))
+        batch = trainer_act(t, obs, np.random.default_rng(3))
         draw = np.random.default_rng(3)
         rows = [np.tanh(mean[i, 0] + np.exp(log_std[i, 0]) * draw.normal())
                 for i in range(len(obs))]
-        assert batch.shape == det.shape == (200,)
+        assert batch.shape == (200,)
         assert np.array_equal(batch, rows)
-        assert np.array_equal(det, trainer_act_batch(t, obs))
+        # samples, not the deterministic action
+        assert not np.array_equal(batch, trainer_act_batch(t, obs))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_reward_rejected_before_any_state_changes(self, bad):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,29 @@ class TestScriptedExpert:
         d = generate_expert(MazeSpec(), episodes=1)
         assert np.array_equal(d.sp[:-1], d.s[1:])
         assert d.end[-1] and not d.end[:-1].any()
+
+    def test_jittered_demonstrations_start_at_distinct_points(self):
+        # one Generator of the seed draws every episode's start in turn
+        spec = MazeSpec(start_jitter=0.05)
+        d = generate_expert(spec, 4, seed=1)
+        starts = d.s[np.r_[0, np.flatnonzero(d.end)[:-1] + 1]]
+        assert len({s.tobytes() for s in starts}) == 4
+        for s in starts:
+            assert np.linalg.norm(s - spec.start) <= 0.05 + 1e-12
+        again = generate_expert(spec, 4, seed=1)
+        assert all(np.array_equal(getattr(d, c), getattr(again, c))
+                   for c in ("s", "a", "sp", "end"))
+        other = generate_expert(spec, 4, seed=2)
+        assert not np.array_equal(other.s[0], d.s[0])
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_without_jitter_every_seed_gives_the_same_table(self, seed):
+        # no start is drawn: every table is four copies of the episode from
+        # spec.start, whose bytes the digest pins
+        d = generate_expert(MazeSpec(), 4, seed=seed)
+        digest = hashlib.sha256(b"".join(np.ascontiguousarray(x).tobytes()
+                                         for x in (d.s, d.a, d.sp, d.end))).hexdigest()
+        assert digest[:16] == "d86703873582536d"
 
     def test_last_row_steps_into_the_goal(self):
         # each episode's last row is the transition that enters the goal

@@ -8,8 +8,9 @@ no batch scratch outside nets: each network owns its own, so no other
 module names it, no learner of the reward pathway read from outside it
 in orchestrator, no seed stream that nothing reads, no call of
 evaluate_policy outside the one report routine, one ReplayBuffer
-construction, the one store of collected rows, and one call of _update,
-in the one training loop. An allowlist entry that no longer names an
+construction, the one store of collected rows, one call of _update, in
+the one training loop, and one call of trainer_act, in the trainer's
+batches. An allowlist entry that no longer names an
 exception fails too."""
 
 import ast
@@ -300,7 +301,7 @@ def test_only_nets_knows_the_scratch():
 PATHWAY_READERS_ALLOWED = {
     "_train": "fills RunArtifacts' trainer, disc and airl, which bench/child.py reads",
     "_Replay.ready": "the trainer batch is needed only while there is a trainer",
-    "_Replay.trainer_rows": "relabels expert rows with the trainer's current action",
+    "_Replay.trainer_rows": "draws the batch's actions from the trainer's current policy",
 }
 LEARNERS = {"trainer", "disc", "airl"}
 
@@ -421,3 +422,13 @@ def test_one_training_loop_updates_the_learners():
     sites = [f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
              for site in _call_sites(path.read_text(), "_update")]
     assert sites == ["orchestrator._run_loop"], "_update called at: " + ", ".join(sites)
+
+
+def test_the_trainer_draws_its_actions_only_for_its_batches():
+    # The trainer's actions are drawn when it updates, for every row of its
+    # batch: a second call site would be a collection-time draw that the
+    # store would have to keep.
+    sites = [f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
+             for site in _call_sites(path.read_text(), "trainer_act")]
+    assert sites == ["orchestrator._Replay.trainer_rows"], (
+        "trainer_act called at: " + ", ".join(sites))

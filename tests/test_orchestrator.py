@@ -1,12 +1,14 @@
+import copy
 import json
 import os
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from rile import baselines, nets, orchestrator
-from rile.agents import make_actor_critic
+from rile.agents import make_actor_critic, trainer_act
 from rile.baselines import make_airl_heads
 from rile.envs import MazeSpec, generate_expert, point_in_obstacle
 from rile.metrics import evaluate_policy
@@ -383,7 +385,7 @@ def test_bad_schedule_values_rejected_before_the_run_starts(algorithm, field, va
 
 def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
     # A loose freeze test (5 updates, threshold 10) so that the trainer
-    # freezes early in the run; after that, nothing reads the trainer stream
+    # freezes early in the run; after that, nothing draws trainer actions
     # and nothing updates the trainer or D, which only the trainer read.
     calls, updates, disc_updates, student_updates = [], [], [], []
 
@@ -407,13 +409,37 @@ def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
     # updates run every 4 steps past the 50-step warm-up (52, 56, ...): the
     # fifth fills the window of 5 critic losses, and their mean is below 10
     assert artifacts.freeze_step == 68
-    # one stochastic trainer action per collected step up to the freeze
-    assert len(calls) == artifacts.freeze_step
-    # the five updates that filled the window, none after
-    assert len(updates) == 5
+    # the five updates that filled the window, none after, each drawing its
+    # batch's actions once
+    assert len(updates) == len(calls) == 5
     # D updated with each of them, and with none of the student's updates
     # that followed the freeze
     assert len(disc_updates) == 5 < len(student_updates)
+
+
+def test_trainer_signals_are_logged_with_its_updates(monkeypatch):
+    # Each rile_off diagnostics row carries the mean trainer reward and the
+    # mean and std of the actions of the trainer batch it updated on; a
+    # gail row, which has no trainer, carries none of them.
+    keys = {"trainer_reward", "trainer_action_mean", "trainer_action_std"}
+    batches = []
+    original = orchestrator.trainer_update
+
+    def spy(agent, batch):
+        batches.append(batch)
+        return original(agent, batch)
+
+    monkeypatch.setattr(orchestrator, "trainer_update", spy)
+    rows = {alg: run_training(RunConfig(algorithm=alg, seed=3, **TINY), EXPERT).diagnostics_rows
+            for alg in ("rile_off", "gail")}
+    assert rows["rile_off"] and rows["gail"]
+    assert not any(keys & set(row) for row in rows["gail"])
+    # updates every 4 steps from step 52; the trainer does not freeze
+    for row in rows["rile_off"]:
+        _, a_t, r_t, _, _ = batches[(row["step"] - 52) // 4]
+        assert (row["trainer_reward"], row["trainer_action_mean"],
+                row["trainer_action_std"]) == (np.mean(r_t), np.mean(a_t), np.std(a_t))
+        assert 0 < row["trainer_reward"] <= 1 and row["trainer_action_std"] > 0
 
 
 def test_seed_streams_keep_their_seeds():
@@ -447,39 +473,32 @@ def _one_row_trainer_forwards(cfg, monkeypatch):
 
 
 def test_one_trainer_forward_per_collected_step(monkeypatch):
-    # A collected step's trainer reward and the stochastic trainer action of
-    # its replay row come from one forward of the trainer's actor. Scoring
-    # and sampling with a forward each gives the same run.
+    # A collected step's trainer reward is one 1-row forward of the
+    # trainer's actor; no update forwards a single row.
     cfg = RunConfig(algorithm="rile_off", seed=3, freeze_threshold=0.0,
                     **{**TINY, "early_stop_success": False})
-    shared, n_shared = _one_row_trainer_forwards(cfg, monkeypatch)
-    act = orchestrator.trainer_act
-    monkeypatch.setattr(orchestrator, "trainer_act", lambda agent, obs, rng: (
-        orchestrator.trainer_act_batch(agent, obs), act(agent, obs, rng)[1]))
-    separate, n_separate = _one_row_trainer_forwards(cfg, monkeypatch)
+    artifacts, n = _one_row_trainer_forwards(cfg, monkeypatch)
 
-    assert shared.steps_run == cfg.total_steps and shared.freeze_step is None
-    assert n_shared == cfg.total_steps
-    assert n_separate == 2 * cfg.total_steps
-    assert _trained_nets(shared) == _trained_nets(separate)
-    assert shared.diagnostics_rows == separate.diagnostics_rows
+    assert artifacts.steps_run == cfg.total_steps and artifacts.freeze_step is None
+    assert n == cfg.total_steps
 
 
-def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
-    # rile_on's stochastic trainer actions for a rollout come from the
-    # forward its rewards were scored with: the store keeps them, and
-    # trainer_rows runs no actor forward.
-    inside, forwards, calls = [], [], []
+@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
+def test_each_trainer_batch_draws_its_actions_in_one_forward(algorithm, monkeypatch):
+    # A trainer batch's actions come from one forward of the trainer's
+    # actor over the batch's rows, run inside trainer_rows.
+    inside, forwards, sizes = [], [], []
     original_rows = orchestrator._Replay.trainer_rows
     original_forward = nets._forward_cached
 
     def rows_spy(replay, rng):
-        calls.append(1)
         inside.append(1)
         try:
-            return original_rows(replay, rng)
+            obs, *rest = original_rows(replay, rng)
         finally:
             inside.pop()
+        sizes.append(len(obs))
+        return (obs, *rest)
 
     def forward_spy(params, x):
         if inside and params.in_dim == OBS_DIM and params.out_dim == 2:
@@ -488,13 +507,13 @@ def test_rollout_trainer_rows_reuse_the_scored_actions(monkeypatch):
 
     monkeypatch.setattr(orchestrator._Replay, "trainer_rows", rows_spy)
     monkeypatch.setattr(nets, "_forward_cached", forward_spy)
-    cfg = RunConfig(algorithm="rile_on", seed=3, freeze_threshold=0.0,
+    cfg = RunConfig(algorithm=algorithm, seed=3, freeze_threshold=0.0,
                     **{**TINY, "early_stop_success": False})
     artifacts = run_training(cfg, EXPERT)
 
     assert artifacts.steps_run == cfg.total_steps
-    assert len(calls) >= cfg.total_steps // TINY["env"].max_steps
-    assert forwards == []
+    assert len(sizes) >= cfg.total_steps // TINY["env"].max_steps
+    assert forwards == sizes
 
 
 def _pathway(cfg):
@@ -505,7 +524,7 @@ def _pathway(cfg):
     return orchestrator._RewardPathway(cfg, EXPERT, student, streams)
 
 
-def test_score_acts_on_the_state_action_rows(monkeypatch):
+def test_the_trainer_rewards_the_state_action_rows(monkeypatch):
     # The collector's obs column is [s, a] of each step: the state the
     # student acted in and the action it chose (not the one the noisy
     # environment executed).
@@ -526,43 +545,68 @@ def test_score_acts_on_the_state_action_rows(monkeypatch):
     rows = [collector.step(student) for _ in range(30)]  # two 12-step episodes and more
     assert np.array_equal([row["obs"] for row in rows], acted)
 
-    # The live trainer observes each collected (state, action) row; the
-    # chunk's rewards are its deterministic actions there, and its sampled
-    # actions draw their noise from the trainer stream, row after row.
+    # The trainer observes each such (state, action) row: the student's
+    # rewards there are its deterministic actions, live or frozen, and
+    # reading them draws nothing from the trainer stream.
     cfg = RunConfig(algorithm="rile_off").validate()
     pathway = _pathway(cfg)
     rng = np.random.default_rng(0)
-    chunk = {"obs": rng.uniform(-1, 1, (5, 4)), "sp": rng.uniform(-1, 1, (5, 2))}
-    r, a_t = pathway.score(chunk)
+    obs, sp = rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 2))
+    untouched = copy.deepcopy(pathway.trainer_rng)
 
-    y = mlp_forward(pathway.trainer.actor, chunk["obs"])
-    noise = orchestrator.seed_streams(0)["trainer"].normal(size=5)
-    assert np.array_equal(r, np.tanh(y[:, 0]))
-    log_std = np.clip(y[:, 1], -5.0, 2.0)
-    assert np.array_equal(a_t, np.tanh(y[:, 0] + np.exp(log_std) * noise))
-    assert np.array_equal(r, pathway.student_rewards(chunk["obs"], chunk["sp"]))
+    y = mlp_forward(pathway.trainer.actor, obs)
+    assert np.array_equal(pathway.student_rewards(obs, sp), np.tanh(y[:, 0]))
     pathway.freeze_step = 0
-    assert pathway.score(chunk)[1] is None
+    assert np.array_equal(pathway.student_rewards(obs, sp), np.tanh(y[:, 0]))
+    assert pathway.trainer_rng.random() == untouched.random()
+
+
+@contextmanager
+def _trainer_draws_checked():
+    """Within the block, every trainer batch asserts that its actions are
+    trainer_act on its obs (expert rows included) from a copy of the
+    trainer stream taken just after the batch's window draw. Yields the
+    list of the checked batches' (obs, a_t)."""
+    checked, after_draw = [], []
+    sample, trainer_rows = orchestrator.ReplayBuffer.sample, orchestrator._Replay.trainer_rows
+
+    def sample_spy(store, batch_size, rng, *rest):
+        b = sample(store, batch_size, rng, *rest)
+        after_draw.append(copy.deepcopy(rng))
+        return b
+
+    def rows_spy(replay, rng):
+        obs, a_t, obsp, done = trainer_rows(replay, rng)
+        assert np.array_equal(a_t, trainer_act(replay.pathway.trainer, obs, after_draw[-1]))
+        checked.append((obs, a_t))
+        return obs, a_t, obsp, done
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(orchestrator.ReplayBuffer, "sample", sample_spy)
+        m.setattr(orchestrator._Replay, "trainer_rows", rows_spy)
+        yield checked
 
 
 def test_rollout_and_expert_table_build_the_same_trainer_rows():
     # One scripted episode inserted as a rile_on rollout chunk: the store's
-    # trainer rows, in row order (that of their distinct actions), are the
-    # expert table's, next observations and done flags included.
+    # trainer rows, in row order, are the expert table's, next observations
+    # and done flags included, with actions drawn for every row.
     expert = generate_expert(MazeSpec(), 1)
     te = orchestrator.expert_transition_table(expert)
     n = len(te["obs"])
+    index = {row.tobytes(): i for i, row in enumerate(te["obs"])}
+    assert len(index) == n  # distinct rows: obs gives the row order
     cfg = RunConfig(algorithm="rile_on", **{**TINY, "trainer_batch": 64}).validate()
     replay = orchestrator._Replay(cfg, _pathway(cfg), orchestrator.seed_streams(0))
-    chunk = {"obs": te["obs"], "sp": te["sp"], "episode_end": expert.end,
-             "a_t": np.linspace(-1, 1, n)}
-    replay.insert(chunk)
+    replay.insert({"obs": te["obs"], "sp": te["sp"], "episode_end": expert.end})
     assert replay.ready()
-    obs, a_t, obsp, done = replay.trainer_rows(np.random.default_rng(0))
-    order = np.argsort(a_t)
-    obs, a_t, obsp, done = obs[order], a_t[order], obsp[order], done[order]
+    with _trainer_draws_checked() as checked:
+        obs, a_t, obsp, done = replay.trainer_rows(np.random.default_rng(0))
+    assert len(checked) == 1 and len(np.unique(a_t)) == n
+    order = np.argsort([index[row.tobytes()] for row in obs])
+    obs, obsp, done = obs[order], obsp[order], done[order]
 
-    assert np.array_equal(obs, te["obs"]) and np.array_equal(a_t, chunk["a_t"])
+    assert np.array_equal(obs, te["obs"])
     assert np.array_equal(obsp, te["obsp"]) and np.array_equal(done, te["done"])
     # s' with the next expert action; the last row ends the episode
     assert np.array_equal(obsp[:-1], np.hstack([te["sp"][:-1], expert.a[1:]]))
@@ -622,17 +666,24 @@ def test_airl_probe_snapshot_is_f_on_the_expert_transitions():
     assert np.array_equal(tracker.prev_window.fixed_snapshot, f)
 
 
+def _chunk(*ks):
+    """A chunk of rows k with the columns x = [k, -k] and k."""
+    k = np.array(ks)
+    return {"x": np.stack([k, -k], axis=1).astype(float), "k": k}
+
+
 class TestReplayBuffer:
     def filled(self):
+        # rows 0-4 in chunks of 2, 1 and 2 rows; the last wraps past slot 2
         buf = orchestrator.ReplayBuffer(3)
-        for k in range(5):
-            buf.insert(x=np.array([k, -k], dtype=float), k=k)
+        for ks in ((0, 1), (2,), (3, 4)):
+            buf.insert(**_chunk(*ks))
         return buf
 
     def test_holds_the_newest_rows_and_a_full_sample_returns_each_once(self):
-        # five inserts into three slots: rows 0 and 1 were overwritten
+        # five rows in three slots: rows 0 and 1 were overwritten
         buf = self.filled()
-        assert len(buf) == 3
+        assert len(buf) == 3 and buf.rows == 5
         b = buf.sample(3, np.random.default_rng(1))
         assert sorted(b["k"]) == [2, 3, 4]
         assert np.array_equal(b["x"], np.stack([b["k"], -b["k"]], axis=1))
@@ -641,26 +692,59 @@ class TestReplayBuffer:
         with pytest.raises(ValueError, match="cannot sample 4"):
             self.filled().sample(4, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (4, 1, 5), (7,), (1, 8, 2)])
+    def test_a_chunk_stores_as_its_rows_one_at_a_time(self, sizes):
+        # chunks that fill, wrap past the capacity of 4 and outgrow the whole
+        # store leave every slot as 1-row chunks of the same rows do
+        chunked, by_row = orchestrator.ReplayBuffer(4), orchestrator.ReplayBuffer(4)
+        rows = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+        for ks in rows:
+            chunked.insert(**_chunk(*ks))
+            for k in ks:
+                by_row.insert(**_chunk(k))
+            assert chunked.rows == by_row.rows == ks[-1] + 1
+            held = np.arange(max(chunked.rows - 4, 0), chunked.rows)
+            got, want = chunked.get(held), by_row.get(held)
+            assert got["k"].tolist() == want["k"].tolist() == held.tolist()
+            assert np.array_equal(got["x"], want["x"])
+
     @pytest.mark.parametrize("row", [
-        {"x": 5.0, "k": 5}, {"x": np.array([1.5]), "k": 5}, {"x": np.zeros((2, 1)), "k": 5},
-        {"x": np.zeros(3), "k": 5}, {"x": np.ones(2), "k": np.array([5, 5])}])
+        {"x": np.zeros((1, 3)), "k": np.array([5])},
+        {"x": np.zeros((1, 2, 1)), "k": np.array([5])},
+        {"x": np.zeros(2), "k": np.array([5, 5])},
+        {"x": np.zeros((1, 2)), "k": np.array([[5, 5]])},
+        {"x": np.zeros((1, 2)), "k": 5}])
     def test_a_value_of_another_shape_rejected(self, row):
         # each column holds rows of its first insert's shape: (2,) for x and
-        # () for k; no column of the slot is written, not even a valid one
+        # () for k; a chunk with a column of another row shape (or a row
+        # given without its row axis) writes no column, not even a valid one
         buf = self.filled()
         before = buf.sample(3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="shape"):
             buf.insert(**row)
-        assert len(buf) == 3
+        assert len(buf) == 3 and buf.rows == 5
         after = buf.sample(3, np.random.default_rng(0))
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
-    @pytest.mark.parametrize("row", [{"x": np.zeros(2)}, {"x": np.zeros(2), "k": 0, "y": 1}])
+    @pytest.mark.parametrize("chunk", [
+        {"x": np.zeros((2, 2)), "k": np.array([5])},
+        {"x": np.zeros((1, 2)), "k": np.array([5, 6])}])
+    def test_columns_of_different_lengths_rejected(self, chunk):
+        buf = self.filled()
+        before = buf.sample(3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rows"):
+            buf.insert(**chunk)
+        assert buf.rows == 5
+        after = buf.sample(3, np.random.default_rng(0))
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    @pytest.mark.parametrize("row", [
+        {"x": np.zeros((1, 2))}, {"x": np.zeros((1, 2)), "k": [0], "y": [1]}, {}])
     def test_a_row_with_other_columns_rejected(self, row):
         buf = self.filled()
         with pytest.raises(ValueError, match="schema"):
             buf.insert(**row)
-        assert len(buf) == 3
+        assert buf.rows == 5
 
 
 def _fifo_sample(rows, slots, batch_size, rng):
@@ -674,13 +758,13 @@ def _fifo_sample(rows, slots, batch_size, rng):
 
 @pytest.mark.parametrize("window,newest", [(2, 0), (5, 0), (5, 1), (None, 0)])
 def test_a_window_samples_as_a_fifo_of_its_slots(window, newest):
-    # A store of 6 slots fed rows 0-19. A sample of its newest window rows
-    # (all 6 when None) among all rows but the newest `newest` draws the rows
-    # that a FIFO of window slots fed those rows draws with the same rng,
-    # before and after the window and the store wrap.
+    # A store of 6 slots fed rows 0-19 in chunks of 1 to 5 rows. A sample of
+    # its newest window rows (all 6 when None) among all rows but the newest
+    # `newest` draws the rows that a FIFO of window slots fed those rows
+    # draws with the same rng, before and after the window and the store wrap.
     store = orchestrator.ReplayBuffer(6)
-    for rows in range(1, 21):
-        store.insert(k=rows - 1)
+    for rows in np.cumsum([1, 1, 3, 2, 5, 1, 4, 1, 2]):
+        store.insert(k=np.arange(store.rows, rows))
         end = rows - newest
         if end < 1:
             continue
@@ -691,25 +775,27 @@ def test_a_window_samples_as_a_fifo_of_its_slots(window, newest):
 
 
 def _replay_of(ends, trainer_batch, **overrides):
-    """A rile_off _Replay of TINY with overrides, fed one row per episode-end
-    flag in ends: row i has obs and sp filled with i, and trainer action i / 10."""
+    """A rile_off _Replay of TINY with overrides, fed one 1-row chunk per
+    episode-end flag in ends: row i has obs and sp filled with i."""
     cfg = RunConfig(algorithm="rile_off", **{**TINY, "trainer_batch": trainer_batch, **overrides})
     replay = orchestrator._Replay(cfg.validate(), _pathway(cfg), orchestrator.seed_streams(0))
     for i, end in enumerate(ends):
         replay.insert({"obs": np.full((1, 4), float(i)), "sp": np.full((1, 2), float(i)),
-                       "episode_end": np.array([end]), "a_t": np.array([i / 10])})
+                       "episode_end": np.array([end])})
     return replay
 
 
 def _check_trainer_rows(replay, ends, rows):
     """Asserts that a trainer batch of len(rows) rows holds the given rows,
-    each with its scored action, the next row's obs as its next observation
-    and done 0, or zeros and done 1 where the row ends an episode."""
+    each with an action drawn at its obs, the next row's obs as its next
+    observation and done 0, or zeros and done 1 where the row ends an
+    episode."""
     replay.cfg.trainer_batch = len(rows)
-    obs, a_t, obsp, done = replay.trainer_rows(np.random.default_rng(0))
+    with _trainer_draws_checked() as checked:
+        obs, _, obsp, done = replay.trainer_rows(np.random.default_rng(0))
+    assert len(checked) == 1
     got = obs[:, 0].astype(int)
     assert sorted(got) == list(rows)
-    assert np.array_equal(a_t, got / 10)
     for i, nxt, d in zip(got, obsp, done):
         if ends[i]:
             assert d == 1.0 and not nxt.any()
@@ -731,7 +817,7 @@ def test_a_newest_row_that_ends_no_episode_waits_for_its_successor():
         replay.trainer_rows(np.random.default_rng(0))
     # an episode-ending successor: row 3 and the successor are both known
     replay.insert({"obs": np.full((1, 4), 4.0), "sp": np.full((1, 2), 4.0),
-                   "episode_end": np.array([True]), "a_t": np.array([0.4])})
+                   "episode_end": np.array([True])})
     _check_trainer_rows(replay, [*ends, True], range(5))
 
 
@@ -871,51 +957,35 @@ def test_seed_paired_runs_share_rollouts_until_the_first_update(monkeypatch):
 def _mixed_batches(cfg, monkeypatch):
     """For each student and each trainer batch of a run, in order: the
     mask of its rows that are expert rows (obs in the expert table) and
-    the obs of those rows. Asserts that each trainer batch relabels its
-    expert rows with the trainer's current deterministic action, and keeps
-    on every other row the action the row was scored with."""
+    the obs of those rows. Asserts that each trainer batch draws the
+    actions of all its rows, expert rows included, from the trainer
+    stream after its window draw."""
     expert = {row.tobytes() for row in orchestrator.expert_transition_table(EXPERT)["obs"]}
     batches = {"student": [], "trainer": []}
-    scored = {}  # a collected row's obs -> its stochastic trainer action
-    score, student_batch = orchestrator._RewardPathway.score, orchestrator._Replay.student_batch
-    trainer_rows = orchestrator._Replay.trainer_rows
+    student_batch = orchestrator._Replay.student_batch
 
     def record(key, obs):
         mask = np.array([row.tobytes() in expert for row in obs])
         batches[key].append((mask, obs[mask]))
-        return mask
-
-    def score_spy(pathway, chunk):
-        r, a_t = score(pathway, chunk)
-        scored.update((row.tobytes(), a) for row, a in zip(chunk["obs"], a_t))
-        return r, a_t
 
     def student_spy(replay, rng):
         b = student_batch(replay, rng)
         record("student", b["obs"])
         return b
 
-    def trainer_spy(replay, rng):
-        obs, a_t, obsp, done = trainer_rows(replay, rng)
-        mask = record("trainer", obs)
-        if mask.any():
-            relabeled = orchestrator.trainer_act_batch(replay.pathway.trainer, obs[mask])
-            assert np.array_equal(a_t[mask], relabeled)
-        assert [scored[row.tobytes()] for row in obs[~mask]] == a_t[~mask].tolist()
-        return obs, a_t, obsp, done
-
-    with monkeypatch.context() as m:
-        m.setattr(orchestrator._RewardPathway, "score", score_spy)
+    with monkeypatch.context() as m, _trainer_draws_checked() as checked:
         m.setattr(orchestrator._Replay, "student_batch", student_spy)
-        m.setattr(orchestrator._Replay, "trainer_rows", trainer_spy)
         run_training(cfg, EXPERT)
+    for obs, _ in checked:
+        record("trainer", obs)
     return batches
 
 
 @pytest.mark.parametrize("mix_student,mix_trainer", [(0.3, 0.6), (0.0, 0.0)])
 def test_expert_mix_fractions_are_honoured(mix_student, mix_trainer, monkeypatch):
     # Every batch of B rows holds round(frac * B) expert rows, first; the
-    # trainer relabels exactly those (asserted by _mixed_batches).
+    # trainer draws actions for those as for the others (asserted by
+    # _mixed_batches).
     cfg = RunConfig(algorithm="rile_off", seed=3, expert_mix_student=mix_student,
                     expert_mix_trainer=mix_trainer, **{**TINY, "early_stop_success": False})
     batches = _mixed_batches(cfg, monkeypatch)
