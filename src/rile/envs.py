@@ -206,10 +206,10 @@ def scripted_expert_episode(spec: MazeSpec, waypoints=None, slack: float = 0.04,
     raise ValueError("scripted expert failed to reach the goal under this maze spec")
 
 
-def generate_expert(spec: MazeSpec, episodes: int, seed=0) -> ExpertDataset:
-    """episodes scripted demonstrations, whose starts one Generator of seed
+def generate_expert(spec: MazeSpec, episodes: int) -> ExpertDataset:
+    """episodes scripted demonstrations, whose starts one fixed Generator
     draws in turn; every episode reaches the goal."""
     if episodes <= 0:
         raise ValueError("episode count must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     return ExpertDataset([scripted_expert_episode(spec, rng=rng) for _ in range(episodes)])

@@ -80,25 +80,24 @@ class ReplayBuffer:
 
     def insert(self, **cols):
         """Appends a chunk of n rows, one [n, ...] array per column: row
-        rows + i goes to slot (rows + i) % capacity. A chunk whose columns
-        or shapes disagree with the schema or each other writes no slot."""
+        rows + i goes to slot (rows + i) % capacity. The first chunk sets the
+        schema; a chunk that is empty or disagrees with the schema or itself
+        in columns or shapes writes no slot and sets no schema."""
         cols = {k: np.asarray(v) for k, v in cols.items()}
-        if not self._cols:
-            for k, v in cols.items():
-                self._cols[k] = np.zeros((self.capacity, *v.shape[1:]), dtype=v.dtype)
-        if set(cols) != set(self._cols):
+        if not cols or self._cols and set(cols) != set(self._cols):
             raise ValueError("chunk columns do not match the buffer schema")
         n = len(next(iter(cols.values())))
+        schema = self._cols or cols  # a first chunk sets the row shapes
         for k, v in cols.items():
-            if v.shape != (n, *self._cols[k].shape[1:]):
+            if v.shape != (n, *schema[k].shape[1:]):
                 raise ValueError(f"column {k!r} holds {n} rows of shape "
-                                 f"{self._cols[k].shape[1:]}, not {v.shape}")
-        first = max(n - self.capacity, 0)  # a longer chunk keeps its newest capacity rows
-        start = (self.rows + first) % self.capacity
-        split = first + min(n - first, self.capacity - start)  # rows first..split-1 fill start..
+                                 f"{schema[k].shape[1:]}, not {v.shape}")
+        self._cols = self._cols or {
+            k: np.zeros((self.capacity, *v.shape[1:]), v.dtype) for k, v in cols.items()}
+        # a chunk longer than the buffer keeps its newest capacity rows
+        keep = (self.rows + np.arange(n))[-self.capacity:] % self.capacity
         for k, v in cols.items():
-            self._cols[k][start:start + split - first] = v[first:split]
-            self._cols[k][:n - split] = v[split:]
+            self._cols[k][keep] = v[-self.capacity:]
         self.rows += n
 
     def sample(self, batch_size: int, rng, window=None, end=None) -> dict:

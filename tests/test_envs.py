@@ -156,24 +156,21 @@ class TestScriptedExpert:
         assert d.end[-1] and not d.end[:-1].any()
 
     def test_jittered_demonstrations_start_at_distinct_points(self):
-        # one Generator of the seed draws every episode's start in turn
+        # one fixed Generator draws every episode's start in turn
         spec = MazeSpec(start_jitter=0.05)
-        d = generate_expert(spec, 4, seed=1)
+        d = generate_expert(spec, 4)
         starts = d.s[np.r_[0, np.flatnonzero(d.end)[:-1] + 1]]
         assert len({s.tobytes() for s in starts}) == 4
         for s in starts:
             assert np.linalg.norm(s - spec.start) <= 0.05 + 1e-12
-        again = generate_expert(spec, 4, seed=1)
+        again = generate_expert(spec, 4)
         assert all(np.array_equal(getattr(d, c), getattr(again, c))
                    for c in ("s", "a", "sp", "end"))
-        other = generate_expert(spec, 4, seed=2)
-        assert not np.array_equal(other.s[0], d.s[0])
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_without_jitter_every_seed_gives_the_same_table(self, seed):
-        # no start is drawn: every table is four copies of the episode from
+    def test_without_jitter_the_table_is_pinned(self):
+        # no start is drawn: the table is four copies of the episode from
         # spec.start, whose bytes the digest pins
-        d = generate_expert(MazeSpec(), 4, seed=seed)
+        d = generate_expert(MazeSpec(), 4)
         digest = hashlib.sha256(b"".join(np.ascontiguousarray(x).tobytes()
                                          for x in (d.s, d.a, d.sp, d.end))).hexdigest()
         assert digest[:16] == "d86703873582536d"

@@ -738,6 +738,17 @@ class TestReplayBuffer:
         after = buf.sample(3, np.random.default_rng(0))
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
+    @pytest.mark.parametrize("chunk", [
+        {"x": np.zeros((2, 2)), "k": np.array([5])},
+        {"x": np.zeros((1, 2)), "k": np.array([5, 6])}])
+    def test_a_first_chunk_of_different_lengths_sets_no_schema(self, chunk):
+        buf = orchestrator.ReplayBuffer(3)
+        with pytest.raises(ValueError, match="rows"):
+            buf.insert(**chunk)
+        assert buf.rows == 0
+        buf.insert(y=np.zeros(1))  # the schema is still open
+        assert list(buf.get(np.arange(1))) == ["row", "y"]
+
     @pytest.mark.parametrize("row", [
         {"x": np.zeros((1, 2))}, {"x": np.zeros((1, 2)), "k": [0], "y": [1]}, {}])
     def test_a_row_with_other_columns_rejected(self, row):
@@ -745,6 +756,12 @@ class TestReplayBuffer:
         with pytest.raises(ValueError, match="schema"):
             buf.insert(**row)
         assert buf.rows == 5
+
+    def test_a_first_chunk_with_no_columns_rejected(self):
+        buf = orchestrator.ReplayBuffer(3)
+        with pytest.raises(ValueError, match="schema"):
+            buf.insert()
+        assert buf.rows == 0
 
 
 def _fifo_sample(rows, slots, batch_size, rng):
