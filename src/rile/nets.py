@@ -170,10 +170,6 @@ def mlp_init(dims, rng) -> MlpParams:
     return MlpParams(ws, bs)
 
 
-def zeros_like_params(params: MlpParams) -> MlpParams:
-    return _on_flat(np.zeros_like(params.flat), params)
-
-
 def _as_batch(x, expected_dim, what="input"):
     """x as a float64 [rows, expected_dim] batch; ValueError for any other shape."""
     x = np.asarray(x, dtype=np.float64)

@@ -139,7 +139,6 @@ class RunConfig:
     epsilon_greedy: float = 0.2
     student_entropy: float = 0.2
     trainer_entropy: float = 0.2
-    gp_weight: float = 1.0
     # networks (desk-scale defaults; override per run)
     student_hidden: tuple = (64, 64)
     trainer_hidden: tuple = (64, 64)
@@ -344,8 +343,7 @@ class _RewardPathway:
             te = self.expert_table
             idx = rng.integers(0, len(te["obs"]), size=len(b["obs"]))
             if self.disc is not None:
-                diag["disc_loss"] = disc_update(self.disc, te["obs"][idx], b["obs"],
-                                                self.cfg.gp_weight, rng)
+                diag.update(disc_update(self.disc, te["obs"][idx], b["obs"]))
             else:
                 diag["disc_loss"] = baselines.airl_update(
                     self.airl, self.student, (te["obs"][idx], te["sp"][idx]),

@@ -1,15 +1,15 @@
 """Reference checks that only the tests use: the flat-vector round trip, a
-central-difference gradient checker, the closed-form optimal discriminator,
-per-block references for the discriminator's and AIRL's stacked losses and
-the two network cases the gradient tests run on."""
+zero network, a central-difference gradient checker, the closed-form
+optimal discriminator, per-block references for the discriminator's and
+AIRL's stacked losses and the two network cases the gradient tests run on."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from rile.discriminator import LOGIT_CLAMP, _gp_loss_and_grads
-from rile.nets import MlpParams, _on_flat, mlp_backward, mlp_forward_cached, zeros_like_params
+from rile.discriminator import LOGIT_CLAMP
+from rile.nets import MlpParams, _on_flat, mlp_backward, mlp_forward_cached
 
 
 def params_to_flat(params: MlpParams) -> np.ndarray:
@@ -24,6 +24,11 @@ def flat_to_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
         raise ValueError(f"flat vector has shape {flat.shape}, "
                          f"network needs ({like.flat.size},)")
     return _on_flat(flat, like)
+
+
+def zeros_like_params(params: MlpParams) -> MlpParams:
+    """A network with params' layout whose every value is 0."""
+    return _on_flat(np.zeros_like(params.flat), params)
 
 
 def finite_diff_check(loss_fn, params: MlpParams, analytic: MlpParams,
@@ -85,11 +90,10 @@ def _softplus_and_slope(sign, x):
     return np.logaddexp(0.0, sign * x), sign / (1.0 + np.exp(-sign * x))
 
 
-def disc_per_block(params: MlpParams, xe, xs, interp, gp_weight):
+def disc_per_block(params: MlpParams, xe, xs):
     """The discriminator's BCE (expert label 1, student label 0, through the
-    logit clamp) plus gp_weight times the penalty at interp, and its
-    gradients, with a separate forward and backward for each of the three
-    row blocks, summed in block order. interp None means no penalty."""
+    logit clamp) and its gradients, with a separate forward and backward for
+    each of the two row blocks, summed in block order."""
     loss, grads = 0.0, zeros_like_params(params)
     for x, sign in ((xe, -1.0), (xs, 1.0)):
         y, cache = mlp_forward_cached(params, x)
@@ -97,10 +101,6 @@ def disc_per_block(params: MlpParams, xe, xs, interp, gp_weight):
         loss += float(np.mean(term))
         g = np.where(np.abs(y[:, 0]) < LOGIT_CLAMP, slope / len(x), 0.0)
         grads.flat += mlp_backward(params, cache, g[:, None])[0].flat
-    if interp is not None:
-        gp, gp_grads = _gp_loss_and_grads(params, mlp_forward_cached(params, interp)[1])
-        loss += gp_weight * gp
-        grads.flat += gp_weight * gp_grads.flat
     return loss, grads
 
 

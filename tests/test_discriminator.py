@@ -5,76 +5,19 @@ from rile import discriminator, nets as rile_nets
 from rile.discriminator import (
     DiscriminatorNet,
     _bce_loss_and_grads,
-    _gp_loss_and_grads,
     disc_output,
     disc_update,
     make_discriminator,
 )
-from rile.nets import (
-    MlpParams,
-    _forward_cached,
-    adam_init,
-    mlp_backward,
-    mlp_forward_cached,
-    mlp_init,
-)
+from rile.nets import _forward_cached, mlp_init
 
-from oracles import (
-    disc_per_block,
-    finite_diff_check,
-    nets,
-    optimal_disc_oracle,
-    params_to_flat,
-)
+from oracles import disc_per_block, finite_diff_check, optimal_disc_oracle, params_to_flat
 
 
 def _bce(params, xe, xs):
     """_bce_loss_and_grads over one forward of the stacked rows [xe; xs]."""
     y, hs = _forward_cached(params, np.concatenate([xe, xs]))
-    return _bce_loss_and_grads(params, y, hs, len(xe), len(xs))
-
-
-def _gp(params, x):
-    """_gp_loss_and_grads over one forward of x alone."""
-    return _gp_loss_and_grads(params, _forward_cached(params, x)[1])
-
-
-def _gp_full_sweep(params, x):
-    """_gp_loss_and_grads with every intermediate a fresh array and the
-    second-derivative terms of every layer folded back, although ReLU's and
-    the linear output's are all zero."""
-    n, L = x.shape[0], params.n_layers
-    zs, hs = [], [x]
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        zs.append(hs[-1] @ w.T + b)
-        hs.append(np.maximum(zs[-1], 0.0) if k < L - 1 else zs[-1])
-    d1 = [(z > 0.0).astype(np.float64) for z in zs[:-1]] + [np.ones_like(zs[-1])]
-    d2 = [np.zeros_like(z) for z in zs]
-    vs, ds = [None] * (L + 1), [None] * L
-    vs[L] = np.ones((n, 1))
-    for k in range(L - 1, -1, -1):
-        ds[k] = d1[k] * vs[k + 1]
-        vs[k] = ds[k] @ params.weights[k]
-    g = vs[0]
-    norms = np.linalg.norm(g, axis=1)
-    loss = float(np.mean((norms - 1.0) ** 2))
-    g_bar = (2.0 / n) * ((norms - 1.0) / np.maximum(norms, 1e-12))[:, None] * g
-    grads = MlpParams([np.zeros_like(w) for w in params.weights],
-                      [np.zeros_like(b) for b in params.biases])
-    z_bars = [np.zeros_like(z) for z in zs]
-    v_bar = g_bar
-    for k in range(L):
-        w_bar = v_bar @ params.weights[k].T
-        grads.weights[k] += ds[k].T @ v_bar
-        z_bars[k] += d2[k] * vs[k + 1] * w_bar
-        v_bar = d1[k] * w_bar
-    h_bar = np.zeros((n, 1))
-    for k in range(L - 1, -1, -1):
-        delta = z_bars[k] + d1[k] * h_bar
-        grads.weights[k] += delta.T @ hs[k]
-        grads.biases[k] += delta.sum(axis=0)
-        h_bar = delta @ params.weights[k]
-    return loss, grads
+    return _bce_loss_and_grads(params, y, hs, len(xe))
 
 
 def zero_disc(hidden=(8,)):
@@ -119,7 +62,7 @@ class TestOutput:
         xe = np.hstack([np.full((64, 1), 1.0), np.zeros((64, 1))])
         xs = np.hstack([np.full((64, 1), -1.0), np.zeros((64, 1))])
         for _ in range(400):
-            disc_update(net, xe, xs, gp_weight=0.0)
+            disc_update(net, xe, xs)
         assert disc_output(net, [[1.0, 0.0]])[0] > 0.9
         assert disc_output(net, [[-1.0, 0.0]])[0] < 0.1
 
@@ -131,7 +74,7 @@ class TestUpdate:
         net = make_discriminator(2, (16,), lr=1e-2, rng=rng)
         loss = None
         for _ in range(500):
-            loss = disc_update(net, batch, batch, gp_weight=0.0)
+            loss = disc_update(net, batch, batch)["disc_loss"]
         assert loss >= 2 * np.log(2) - 1e-9
         assert loss < 2 * np.log(2) + 0.01
 
@@ -139,51 +82,39 @@ class TestUpdate:
         rng = np.random.default_rng(4)
         net = make_discriminator(2, (8,), lr=0.0, rng=rng)
         before = params_to_flat(net.params).copy()
-        loss = disc_update(net, np.ones((4, 2)), np.zeros((4, 2)), gp_weight=0.0)
+        loss = disc_update(net, np.ones((4, 2)), np.zeros((4, 2)))["disc_loss"]
         assert np.array_equal(params_to_flat(net.params), before)
         assert np.isfinite(loss)
 
     def test_empty_batch_rejected(self):
         net = zero_disc()
         with pytest.raises(ValueError):
-            disc_update(net, np.zeros((0, 2)), np.zeros((3, 2)), gp_weight=0.0)
-
-    def test_gp_without_rng_rejected(self):
-        net = zero_disc()
-        with pytest.raises(ValueError, match="rng"):
-            disc_update(net, np.ones((2, 2)), np.zeros((2, 2)), gp_weight=1.0)
+            disc_update(net, np.zeros((0, 2)), np.zeros((3, 2)))
 
     def test_returns_pre_step_loss(self):
         rng = np.random.default_rng(12)
         net = make_discriminator(3, (8,), lr=1e-2, rng=rng)
         xe = np.hstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 1))])
         xs = np.hstack([rng.normal(size=(4, 2)), rng.normal(size=(4, 1))])
-        gp_weight = 0.5
-        draw = np.random.default_rng()
-        draw.bit_generator.state = rng.bit_generator.state  # same interpolation draw
-        before = net.params.copy()
-        loss = disc_update(net, xe, xs, gp_weight, rng=rng)
+        before = DiscriminatorNet(net.params.copy(), net.opt)
+        diag = disc_update(net, xe, xs)
 
-        u = draw.uniform(size=(4, 1))
-        interp = u * xe[:4] + (1.0 - u) * xs[:4]
+        def bce(probe):
+            return (-np.mean(np.log(disc_output(probe, xe)))
+                    - np.mean(np.log1p(-disc_output(probe, xs))))
 
-        def total_loss(params):
-            probe = DiscriminatorNet(params, net.opt)
-            bce = (-np.mean(np.log(disc_output(probe, xe)))
-                   - np.mean(np.log1p(-disc_output(probe, xs))))
-            gx = mlp_backward(params, mlp_forward_cached(params, interp)[1],
-                              np.ones((len(interp), 1)))[1]
-            norms = np.linalg.norm(gx, axis=1)
-            return bce + gp_weight * np.mean((norms - 1.0) ** 2)
-
-        assert loss == pytest.approx(total_loss(before), rel=1e-12)
-        assert loss != pytest.approx(total_loss(net.params), rel=1e-6)
+        assert diag["disc_loss"] == pytest.approx(bce(before), rel=1e-12)
+        assert diag["disc_loss"] != pytest.approx(bce(net), rel=1e-6)
+        # the mean D over each block, also before the step
+        assert diag["disc_expert"] == pytest.approx(np.mean(disc_output(before, xe)), rel=1e-12)
+        assert diag["disc_student"] == pytest.approx(np.mean(disc_output(before, xs)), rel=1e-12)
+        assert diag["disc_expert"] != pytest.approx(np.mean(disc_output(net, xe)), rel=1e-6)
 
     def test_update_counter(self):
         net = zero_disc()
         b = np.ones((2, 2))
-        disc_update(net, b, b, gp_weight=0.0)
-        disc_update(net, b, b, gp_weight=0.0)
+        disc_update(net, b, b)
+        disc_update(net, b, b)
         assert net.opt.step == 2
 
 
@@ -200,58 +131,7 @@ class TestGradients:
 
         assert finite_diff_check(loss, params, analytic, step=1e-5) <= 1e-4
 
-    @nets((10,))
-    def test_gradient_penalty_double_backprop_matches_fd(self, hidden):
-        rng = np.random.default_rng(6)
-        params = mlp_init([3, *hidden, 1], rng)
-        x = rng.normal(size=(7, 3))
-        _, analytic = _gp(params, x)
-
-        def loss(q):
-            return _gp(q, x)[0]
-
-        assert finite_diff_check(loss, params, analytic, step=1e-6) <= 1e-4
-
-    @nets((16, 12))
-    def test_gradient_penalty_equals_the_full_sweep(self, hidden):
-        # The penalty skips the fold of the z adjoints, which are all zero
-        # on ReLU nets; the gradients must still equal the full sweep bit
-        # for bit.
-        rng = np.random.default_rng(10)
-        params = mlp_init([4, *hidden, 1], rng)
-        for b in params.biases[:-1]:
-            b -= 0.3  # some relu units dead on every row
-        x = rng.normal(size=(32, 4))
-        loss, grads = _gp(params, x)
-        ref_loss, ref_grads = _gp_full_sweep(params, x)
-        assert loss == ref_loss
-        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
-
-    def test_combined_loss_gradient_matches_fd(self):
-        rng = np.random.default_rng(7)
-        params = mlp_init([2, 6, 1], rng)
-        xe = rng.normal(size=(5, 2))
-        xs = rng.normal(size=(5, 2))
-        u = rng.uniform(size=(5, 1))
-        interp = u * xe + (1 - u) * xs
-
-        def loss_and_grads(q):
-            # one forward over [expert; student; interpolates] serves both terms
-            y, hs = _forward_cached(q, np.concatenate([xe, xs, interp]))
-            bce, g1 = _bce_loss_and_grads(q, y, hs, 5, 5)
-            gp, g2 = _gp_loss_and_grads(q, [h[10:] for h in hs])
-            analytic = MlpParams(
-                [a + b for a, b in zip(g1.weights, g2.weights)],
-                [a + b for a, b in zip(g1.biases, g2.biases)],
-            )
-            return bce + 1.0 * gp, analytic
-
-        analytic = loss_and_grads(params)[1]
-        assert finite_diff_check(lambda q: loss_and_grads(q)[0], params, analytic,
-                                 step=1e-6) <= 1e-4
-
-    @pytest.mark.parametrize("gp_weight", [0.0, 0.7])
-    def test_stacked_update_matches_per_block_reference(self, gp_weight, monkeypatch):
+    def test_stacked_update_matches_per_block_reference(self, monkeypatch):
         # disc_update's one forward and one BCE backward over the stacked
         # blocks give the loss and gradient of a forward and backward per
         # block, up to the order of floating-point sums
@@ -270,22 +150,14 @@ class TestGradients:
             ne, ns = rng.integers(1, 40, size=2)
             xe = np.hstack([rng.normal(size=(ne, 2)), rng.uniform(-1, 1, (ne, 2))])
             xs = np.hstack([rng.normal(size=(ns, 2)), rng.uniform(-1, 1, (ns, 2))])
-            draw = np.random.default_rng(trial)
             before = net.params.copy()
-            loss = disc_update(net, xe, xs, gp_weight, rng=draw)
-
-            interp = None
-            if gp_weight > 0:
-                m = min(ne, ns)
-                u = np.random.default_rng(trial).uniform(size=(m, 1))
-                interp = u * xe[:m] + (1.0 - u) * xs[:m]
-            ref_loss, ref_grads = disc_per_block(before, xe, xs, interp, gp_weight)
+            loss = disc_update(net, xe, xs)["disc_loss"]
+            ref_loss, ref_grads = disc_per_block(before, xe, xs)
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             np.testing.assert_allclose(stepped[-1], ref_grads.flat, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref_grads.flat).max())
 
-    @pytest.mark.parametrize("gp_weight", [0.0, 1.0])
-    def test_one_forward_per_update(self, gp_weight, monkeypatch):
+    def test_one_forward_per_update(self, monkeypatch):
         calls = []
 
         def spy(name, fn):
@@ -302,27 +174,8 @@ class TestGradients:
         xe = np.hstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 1))])
         xs = np.hstack([rng.normal(size=(4, 2)), rng.normal(size=(4, 1))])
         for _ in range(3):
-            disc_update(net, xe, xs, gp_weight, rng=rng)
-        rows = 6 + 4 + (4 if gp_weight > 0 else 0)
-        assert calls == [("disc", rows)] * 3
-
-    def test_gradient_penalty_shrinks_input_gradients(self):
-        # seed-paired runs: with gp the mean |d logit/d x| at interpolates
-        # must not exceed the no-gp run after equal training budgets
-        def train(gp_weight):
-            rng = np.random.default_rng(8)
-            net = make_discriminator(2, (32,), lr=3e-3, rng=rng)
-            xe = np.full((64, 2), 0.5)
-            xs = np.full((64, 2), -0.5)
-            for _ in range(300):
-                disc_update(net, xe, xs, gp_weight, rng=rng)
-            u = np.random.default_rng(9).uniform(size=(256, 1))
-            interp = u * np.array([[0.5, 0.5]]) + (1 - u) * np.array([[-0.5, -0.5]])
-            gx = mlp_backward(net.params, mlp_forward_cached(net.params, interp)[1],
-                              np.ones((len(interp), 1)))[1]
-            return np.linalg.norm(gx, axis=1).mean()
-
-        assert train(1.0) <= train(0.0)
+            disc_update(net, xe, xs)
+        assert calls == [("disc", 6 + 4)] * 3
 
 
 class TestOracle:
@@ -364,7 +217,7 @@ class TestOracle:
         for _ in range(600):
             be = xe[rng.choice(len(xe), 128)]
             bs = xs[rng.choice(len(xs), 128)]
-            disc_update(net, be, bs, gp_weight=0.0)
+            disc_update(net, be, bs)
         d = disc_output(net, pts)
         star = optimal_disc_oracle(pe, ps)
         assert np.abs(d - star).max() < 0.05
@@ -380,7 +233,7 @@ class TestOracle:
             b = np.hstack([np.full((64, 1), 0.7), np.full((64, 1), -0.2)])
             first, second = (b, a) if swap else (a, b)
             for _ in range(400):
-                disc_update(net, first, second, gp_weight=0.0)
+                disc_update(net, first, second)
             return disc_output(net, pts)
 
         d, d_swapped = train(False), train(True)

@@ -18,10 +18,9 @@ from rile.nets import (
     mlp_init,
     mlp_to_bytes,
     save_mlp,
-    zeros_like_params,
 )
 
-from oracles import finite_diff_check, flat_to_params, nets, params_to_flat
+from oracles import finite_diff_check, flat_to_params, nets, params_to_flat, zeros_like_params
 
 
 def single_layer(w, b):
@@ -358,7 +357,7 @@ def _learner(kind, rng):
     if kind == "disc":
         net = make_discriminator(4, (8,), 1e-2, rng)
         return (net, ("params",), ("opt",),
-                lambda: disc_update(net, expert[0], student[0], 1.0, rng))
+                lambda: disc_update(net, expert[0], student[0]))
     heads = make_airl_heads(2, 2, (8,), 1e-2, 0.99, rng)
     policy = make_actor_critic(2, 2, (8,), rng)
     return (heads, ("reward", "potential"), ("reward_opt", "potential_opt"),

@@ -10,6 +10,7 @@ import pytest
 from rile import baselines, nets, orchestrator
 from rile.agents import make_actor_critic, trainer_act
 from rile.baselines import make_airl_heads
+from rile.discriminator import DiscriminatorNet, disc_output
 from rile.envs import MazeSpec, generate_expert, point_in_obstacle
 from rile.metrics import evaluate_policy
 from rile.nets import load_mlp, mlp_forward, mlp_to_bytes, save_mlp
@@ -440,6 +441,35 @@ def test_trainer_signals_are_logged_with_its_updates(monkeypatch):
         assert (row["trainer_reward"], row["trainer_action_mean"],
                 row["trainer_action_std"]) == (np.mean(r_t), np.mean(a_t), np.std(a_t))
         assert 0 < row["trainer_reward"] <= 1 and row["trainer_action_std"] > 0
+
+
+def test_disc_means_are_logged_with_its_updates(monkeypatch):
+    # Each gail and rile_off row that carries disc_loss also carries the
+    # mean D over the update's expert rows and over its student rows, at
+    # the parameters before its step; airl's reward heads log neither.
+    keys = {"disc_expert", "disc_student"}
+    batches = []
+    original = orchestrator.disc_update
+
+    def spy(net, xe, xs):
+        batches.append((DiscriminatorNet(net.params.copy(), net.opt), xe, xs))
+        return original(net, xe, xs)
+
+    monkeypatch.setattr(orchestrator, "disc_update", spy)
+    for alg in ("gail", "rile_off"):
+        batches.clear()
+        rows = run_training(RunConfig(algorithm=alg, seed=3, **TINY), EXPERT).diagnostics_rows
+        logged = [row for row in rows if "disc_loss" in row]
+        assert logged and all(keys <= set(row) for row in logged)
+        # updates every 4 steps from step 52; the trainer does not freeze
+        for row in logged:
+            before, xe, xs = batches[(row["step"] - 52) // 4]
+            d = disc_output(before, np.concatenate([xe, xs]))
+            assert (row["disc_expert"], row["disc_student"]) == (
+                np.mean(d[:len(xe)]), np.mean(d[len(xe):])), alg
+    rows = run_training(RunConfig(algorithm="airl", seed=3, **TINY), EXPERT).diagnostics_rows
+    assert any("disc_loss" in row for row in rows)
+    assert not any(keys & set(row) for row in rows)
 
 
 def test_seed_streams_keep_their_seeds():
