@@ -155,7 +155,7 @@ def _critic_loss_grads(critic, states, targets):
     v = y[:, 0]
     err = v - targets
     loss = float(np.mean(err**2))
-    grads, _ = mlp_backward(critic, cache, (2.0 * err / len(err))[:, None])
+    grads = mlp_backward(critic, cache, (2.0 * err / len(err))[:, None])
     return loss, grads, v
 
 
@@ -169,11 +169,12 @@ def advantage_weights(advantages) -> np.ndarray:
     return np.minimum(np.exp(advantages), _ADV_WEIGHT_CLIP)
 
 
-def _actor_loss_grads(actor, states, actions, weights, entropy_coef):
+def _actor_loss_grads(actor, states, actions, weights, entropy_coef, forward=None):
     """Weighted log-likelihood ascent plus entropy bonus; weights >= 0 are
     treated as constants (exponentiated advantages in training). The loss
-    and its gradient both use the clamped pre-squash value of the actions."""
-    y, cache = mlp_forward_cached(actor, states)
+    and its gradient both use the clamped pre-squash value of the actions.
+    forward, if given, is the actor's (output, cache) over states."""
+    y, cache = forward or mlp_forward_cached(actor, states)
     mean, log_std, raw = _split_heads(y)
     u = _clamped_atanh(actions)
     std = np.exp(log_std)
@@ -188,7 +189,7 @@ def _actor_loss_grads(actor, states, actions, weights, entropy_coef):
     d_logstd = (-(w * (z**2 - 1.0)) - entropy_coef) / n
     d_logstd = d_logstd * ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX))
     upstream = np.concatenate([d_mean, d_logstd], axis=1)
-    grads, _ = mlp_backward(actor, cache, upstream)
+    grads = mlp_backward(actor, cache, upstream)
     return loss, grads, float(np.mean(ent))
 
 
@@ -198,13 +199,14 @@ def _polyak(target: MlpParams, source: MlpParams, tau: float) -> None:
     target.flat += tau * source.flat
 
 
-def actor_critic_update(agent: ActorCritic, batch) -> dict:
+def actor_critic_update(agent: ActorCritic, batch, actor_forward=None) -> dict:
     """One actor-critic step on (s, a, r, s', done) arrays; returns its
     diagnostics. The critic regresses to r + gamma (1-done) V_target(s');
     the actor ascends the advantage-weighted log-likelihood plus the entropy
     bonus; the target follows the critic by polyak averaging. Every network
     is updated in place. Non-finite losses are rejected before any state is
-    touched."""
+    touched. A given actor_forward, the actor's (output, cache) over s with
+    no actor forward since, stands in for the actor's own."""
     states, actions, rewards, next_states, dones = batch
     states = np.asarray(states, dtype=np.float64)
     if len(states) == 0:
@@ -220,7 +222,7 @@ def actor_critic_update(agent: ActorCritic, batch) -> dict:
     if len(adv) > 1 and adv.std() > 1e-8:
         adv = (adv - adv.mean()) / adv.std()
     a_loss, a_grads, mean_ent = _actor_loss_grads(
-        agent.actor, states, actions, advantage_weights(adv), agent.entropy_coef)
+        agent.actor, states, actions, advantage_weights(adv), agent.entropy_coef, actor_forward)
     if not (np.isfinite(c_loss) and np.isfinite(a_loss)):
         raise ValueError("non-finite loss in actor-critic update; agent unchanged")
 
@@ -234,12 +236,13 @@ def actor_critic_update(agent: ActorCritic, batch) -> dict:
 student_update = trainer_update = actor_critic_update
 
 
-def trainer_act(agent: ActorCritic, obs: np.ndarray, rng) -> np.ndarray:
+def trainer_act(agent: ActorCritic, obs: np.ndarray, rng):
     """Stochastic scalar actions in [-1, 1] (tanh-squashed policy samples),
-    one per row of obs, from one actor forward; the rows draw their noise
-    from rng in one call, row after row."""
-    mean, log_std, _ = _policy_heads(agent.actor, obs)
-    return np.tanh(mean[:, 0] + np.exp(log_std[:, 0]) * rng.normal(size=len(mean)))
+    one per row of obs, and the actor forward (output, cache) they came from;
+    the rows draw their noise from rng in one call, row after row."""
+    forward = mlp_forward_cached(agent.actor, obs)
+    mean, log_std, _ = _split_heads(forward[0])
+    return np.tanh(mean[:, 0] + np.exp(log_std[:, 0]) * rng.normal(size=len(mean))), forward
 
 
 def trainer_act_batch(agent: ActorCritic, obs: np.ndarray) -> np.ndarray:

@@ -107,9 +107,9 @@ def airl_loss_and_grads(heads: AirlHeads, x, sp, logp, n_expert: int):
 
     # d loss / d f: d softplus(-m) / dm on expert rows, d softplus(m) / dm on student rows
     df = np.concatenate([-_stable_sigmoid(-me) / len(me), _stable_sigmoid(ms) / len(ms)])
-    r_grads, _ = mlp_backward(heads.reward, c_r, df[:, None])
+    r_grads = mlp_backward(heads.reward, c_r, df[:, None])
     dv = np.concatenate([-df, heads.gamma * df])  # d loss / d V over [s; s']
-    v_grads, _ = mlp_backward(heads.potential, c_v, dv[:, None])
+    v_grads = mlp_backward(heads.potential, c_v, dv[:, None])
     return loss, r_grads, v_grads
 
 
@@ -144,7 +144,7 @@ def _bc_loss_and_grads(actor: MlpParams, states, targets):
     loss = float(np.mean(np.sum(err**2, axis=1)))
     up_mean = 2.0 * err * (1.0 - mean**2) / len(states)
     upstream = np.concatenate([up_mean, np.zeros_like(up_mean)], axis=1)
-    grads, _ = mlp_backward(actor, cache, upstream)
+    grads = mlp_backward(actor, cache, upstream)
     return loss, grads
 
 

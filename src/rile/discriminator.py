@@ -69,7 +69,7 @@ def _bce_loss_and_grads(params: MlpParams, y: np.ndarray, hs, ne: int):
     ge = -(1.0 / (1.0 + np.exp(le))) / ne
     gs = (1.0 / (1.0 + np.exp(-ls))) / len(ls)
     g = np.where(np.abs(y[:, 0]) < LOGIT_CLAMP, np.concatenate([ge, gs]), 0.0)
-    grads, _ = mlp_backward(params, hs, g[:, None])
+    grads = mlp_backward(params, hs, g[:, None])
     return loss, grads
 
 

@@ -28,13 +28,13 @@ networks and optimizer states stay the same objects for the whole run.
 
 Batch-sized scratch lives on the network: each MlpParams owns a
 Workspace, into which its forward and backward passes write the hidden
-layers' activations and the backward deltas, so steady-state updates
-allocate no batch-sized arrays. A forward cache holds activations only:
-each hidden layer's activation is written over its pre-activation in one
-buffer, because ReLU's derivative mask z > 0 is h > 0. A forward cache
-stays valid until the same network's next forward. Network outputs, input
-gradients and parameter gradients are always fresh arrays, never views of
-the scratch.
+layers' activations and the backward deltas, and adam_step its two
+parameter-sized temporaries, so steady-state updates allocate no
+batch-sized or parameter-sized arrays. A forward cache holds activations
+only: each hidden layer's activation is written over its pre-activation in
+one buffer, because ReLU's derivative mask z > 0 is h > 0. A forward cache
+stays valid until the same network's next forward. Network outputs and
+parameter gradients are always fresh arrays, never views of the scratch.
 
 BLAS threads: every training run does its matmuls on one OpenBLAS thread
 (one_blas_thread), whatever its widths. Its matmuls are batches of a few
@@ -211,15 +211,14 @@ def mlp_forward_cached(params: MlpParams, x):
     return _forward_cached(params, _as_batch(x, params.in_dim))
 
 
-def mlp_backward(params: MlpParams, hs, upstream):
-    """Exact gradients of <output, upstream> w.r.t. parameters and input,
-    from the cache hs of the forward pass mlp_forward_cached made.
+def mlp_backward(params: MlpParams, hs, upstream) -> MlpParams:
+    """Exact gradients of <output, upstream> w.r.t. the parameters, from the
+    cache hs of the forward pass mlp_forward_cached made.
 
     Each hidden layer's ReLU mask is read from its cached activation
-    (h > 0; subgradient 0 at h = 0). The parameter gradients are summed
-    over the batch rows. The backward deltas are written into params.ws,
-    under names of their own, beside the cache. Returns (param_grads:
-    MlpParams-shaped, input_grad), both fresh.
+    (h > 0; subgradient 0 at h = 0). The gradients are summed over the
+    batch rows and returned MlpParams-shaped and fresh. The backward deltas
+    are written into params.ws, under names of their own, beside the cache.
     """
     ub = _as_batch(upstream, params.out_dim, what="upstream gradient")
     rows = hs[0].shape[0]
@@ -236,9 +235,9 @@ def mlp_backward(params: MlpParams, hs, upstream):
                                                 out=ws.take(("d", k), *g.shape))
         np.matmul(delta.T, hs[k], out=grads.weights[k])
         np.sum(delta, axis=0, out=grads.biases[k])
-        w = params.weights[k]
-        g = np.matmul(delta, w, out=ws.take(("d", k - 1), rows, w.shape[1]) if k else None)
-    return grads, g
+        if k:  # no gradient w.r.t. the input
+            g = np.matmul(delta, params.weights[k], out=ws.take(("d", k - 1), *hs[k].shape))
+    return grads
 
 
 # Adam's moment decay rates and denominator offset, the same for every net.
@@ -262,7 +261,8 @@ def adam_init(params: MlpParams, lr: float) -> AdamState:
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
     """One bias-corrected Adam update, written in place into params.flat,
-    state.m, state.v and state.step.
+    state.m, state.v and state.step. Its two temporaries are the rows of
+    one buffer in params.ws, so a step allocates no parameter-sized array.
 
     A gradient of the wrong size or with a non-finite value is rejected
     before anything is written."""
@@ -270,15 +270,17 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
     if params.flat.shape != g.shape:
         raise ValueError(f"gradient has {g.size} values, "
                          f"parameters have {params.flat.size}")
-    if not np.isfinite(g).all():
+    tmp, delta = params.ws.take("adam", 2, g.size)
+    # the finiteness mask goes into the scratch too, as bytes of tmp
+    if not np.isfinite(g, out=tmp.view(bool)[:g.size]).all():
         raise ValueError("non-finite gradient passed to adam_step")
     t = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     # m = m*b1 + g*(1-b1); v = v*b2 + (g*(1-b2))*g;
-    # flat -= ((m/c1)*lr) / (sqrt(v/c2) + eps), with two scratch vectors
-    tmp = np.multiply(g, 1.0 - b1)
+    # flat -= ((m/c1)*lr) / (sqrt(v/c2) + eps)
+    np.multiply(g, 1.0 - b1, out=tmp)
     state.m *= b1
     state.m += tmp
     np.multiply(g, 1.0 - b2, out=tmp)
@@ -288,7 +290,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
     np.divide(state.v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
-    delta = np.divide(state.m, c1)
+    np.divide(state.m, c1, out=delta)
     delta *= state.lr
     delta /= tmp
     params.flat -= delta

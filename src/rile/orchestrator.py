@@ -11,7 +11,7 @@ row. The loop reports once a chunk completes eval_every steps since the
 last report, then checkpoints the nets; the last report's checkpoint is
 step-final. Every adversarial run keeps one FIFO store of the collected
 rows, of which the student, discriminator and trainer batches sample
-windows (rewards relabeled and expert rows mixed in at sample time).
+windows (the student's relabeled and mixed with expert rows at sample time).
 rile_on collects the rest of an episode per chunk and updates once it
 ends: its rollout, the store's newest rows, is every learner's window.
 Every adversarial algorithm collects through the same path, so seed-paired
@@ -25,8 +25,9 @@ Every reward net reads one input row per transition, obs = [s, a]. Only
 _Collector.step and expert_transition_table build it, and the store
 holds it in place of s and a: a row is obs, sp and end. The student is
 paid the trainer's deterministic action; the trainer acts when it
-updates, by policy samples. Its next observation is the next row's obs,
-and zeros past an episode end, where done = 1 cancels its value.
+updates, by policy samples, and learns from the forward it drew them
+from. Its next observation, built by _Replay.trainer_rows alone, is the next
+row's obs, and zeros past an episode end, where done = 1 cancels its value.
 """
 
 from __future__ import annotations
@@ -146,11 +147,10 @@ class RunConfig:
     # trainer freezing
     freeze_threshold: float = 0.1
     freeze_window: int = 100
-    # expert mixing (share of each student/trainer batch sourced from expert
-    # data); off-policy algorithms only: rile_on's batches are its rollout,
-    # and bc fits the expert alone
+    # expert mixing (share of each student batch sourced from expert data, as
+    # in SQIL; the trainer's batch is collected rows only); off-policy runs
+    # only: rile_on's batches are its rollout, and bc fits the expert alone
     expert_mix_student: float = 0.0
-    expert_mix_trainer: float = 0.0
     # schedule
     total_steps: int = 200_000
     update_every: int = 4
@@ -186,13 +186,11 @@ class RunConfig:
             raise ValueError("eval_every must be >= 2: cpr needs two samples")
         if not 0.0 <= self.bc_holdout < 1.0:
             raise ValueError("bc_holdout must be in [0, 1)")
-        for name, frac in (("expert_mix_student", self.expert_mix_student),
-                           ("expert_mix_trainer", self.expert_mix_trainer)):
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-            if frac > 0 and self.algorithm in ("rile_on", "bc"):
-                raise ValueError(f"{name} mixes expert rows into off-policy batches, "
-                                 f"which {self.algorithm} does not sample")
+        if not 0.0 <= self.expert_mix_student <= 1.0:
+            raise ValueError("expert_mix_student must be in [0, 1]")
+        if self.expert_mix_student > 0 and self.algorithm in ("rile_on", "bc"):
+            raise ValueError(f"expert_mix_student mixes expert rows into off-policy batches, "
+                             f"which {self.algorithm} does not sample")
         if self.frozen_reward is not None and self.algorithm not in ("rile_off", "rile_on"):
             raise ValueError(f"frozen_reward runs under rile_off or rile_on: "
                              f"{self.algorithm} trains its own reward or none")
@@ -200,10 +198,10 @@ class RunConfig:
 
 
 # Each stream is seeded by child i of the master seed's SeedSequence, so its
-# seed depends on its own i only; a new stream takes a new i (4 and 5 unused).
+# seed depends on its own i only; a new stream takes a new i (4, 5, 11 unused).
 # The trainer stream is read only by trainer batches: their windows, then their actions.
 STREAMS = {"env": 0, "student": 1, "trainer": 2, "disc": 3, "mix": 6, "init_student": 7,
-           "init_trainer": 8, "init_disc": 9, "init_airl": 10, "mix_trainer": 11}
+           "init_trainer": 8, "init_disc": 9, "init_airl": 10}
 
 
 def seed_streams(master_seed: int) -> dict:
@@ -213,12 +211,9 @@ def seed_streams(master_seed: int) -> dict:
 
 
 def expert_transition_table(expert: ExpertDataset) -> dict:
-    """Expert rows in the shapes batches use: the input rows obs and
-    the trainer's next observations, the next row's obs, and zeros past an
-    episode end (unused there)."""
-    obs = np.concatenate([expert.s, expert.a], axis=1)
-    obsp = np.where(expert.end[:, None], 0.0, np.roll(obs, -1, axis=0))
-    return {"obs": obs, "sp": expert.sp, "done": expert.end.astype(np.float64), "obsp": obsp}
+    """Expert rows in the shapes batches use: the input rows obs = [s, a]
+    and their next states sp."""
+    return {"obs": np.concatenate([expert.s, expert.a], axis=1), "sp": expert.sp}
 
 
 @dataclass
@@ -349,9 +344,10 @@ class _RewardPathway:
                     self.airl, self.student, (te["obs"][idx], te["sp"][idx]),
                     (b["obs"], b["sp"]))
         if self.trainer is not None and not self.trainer_frozen:
-            obs, a_t, obsp, done = source.trainer_rows(self.trainer_rng)
+            obs, obsp, done = source.trainer_rows(self.trainer_rng)
+            a_t, fwd = trainer_act(self.trainer, obs, self.trainer_rng)
             r_t = trainer_reward(disc_output(self.disc, obs), a_t)
-            loss = trainer_update(self.trainer, (obs, a_t, r_t, obsp, done))["critic_loss"]
+            loss = trainer_update(self.trainer, (obs, a_t, r_t, obsp, done), fwd)["critic_loss"]
             diag.update(trainer_critic_loss=loss, trainer_reward=np.mean(r_t),
                         trainer_action_mean=np.mean(a_t), trainer_action_std=np.std(a_t))
             self.critic_losses.append(abs(loss))
@@ -434,13 +430,12 @@ class _Replay:
     student samples its newest student_buffer rows, the discriminator the
     newest disc_buffer, the trainer the newest trainer_buffer of those whose
     next row is known (all but a newest one that ends no episode), with the
-    next row's obs and an action drawn from its current policy. Under
-    rile_on each window is the newest chunk, the rollout of the episode
-    that just ended: the store is ready only when its newest row ends an
-    episode. One row more than the student's window is held: the trainer's
-    oldest row needs its successor. The first round(frac * B) rows of a
-    student or trainer batch of B rows are then expert rows, drawn from the
-    learner's own mixing stream."""
+    next row's obs. Under rile_on each window is the newest chunk, the
+    rollout of the episode that just ended: the store is ready only when its
+    newest row ends an episode. One row more than the student's window is
+    held: the trainer's oldest row needs its successor. The first
+    round(expert_mix_student * B) rows of a student batch of B rows are then
+    expert rows, drawn from the mix stream."""
 
     def __init__(self, cfg: RunConfig, pathway: _RewardPathway, streams):
         self.cfg = cfg
@@ -448,8 +443,7 @@ class _Replay:
         self.store = ReplayBuffer(cfg.student_buffer + 1)
         self.known = 0  # the rows whose next row is known
         self.rollout = 0  # rile_on's window: the row count of the newest chunk
-        self.mix_student_rng = streams["mix"]
-        self.mix_trainer_rng = streams["mix_trainer"]
+        self.mix_rng = streams["mix"]
 
     def insert(self, chunk):
         """Appends a collected chunk's obs, sp and episode ends in one insert."""
@@ -459,13 +453,13 @@ class _Replay:
         if self.cfg.algorithm == "rile_on":
             self.rollout = len(end)
 
-    def _mix(self, b, cols, frac, rng):
-        """Overwrites the first round(frac * B) rows of batch b's columns
-        cols with expert rows drawn from rng."""
-        k = round(frac * len(b["obs"]))
+    def _mix(self, b):
+        """Overwrites the first round(expert_mix_student * B) rows of student
+        batch b's obs and sp with expert rows from the mix stream."""
+        k = round(self.cfg.expert_mix_student * len(b["obs"]))
         te = self.pathway.expert_table
-        idx = rng.integers(0, len(te["obs"]), size=k)
-        for c in cols:
+        idx = self.mix_rng.integers(0, len(te["obs"]), size=k)
+        for c in ("obs", "sp"):
             b[c][:k] = te[c][idx]
 
     def ready(self) -> bool:
@@ -484,7 +478,7 @@ class _Replay:
     def student_batch(self, rng) -> dict:
         cfg = self.cfg
         b = self._sample(cfg.student_batch, cfg.student_buffer, rng)
-        self._mix(b, ("obs", "sp"), cfg.expert_mix_student, self.mix_student_rng)
+        self._mix(b)
         b["r"] = self.pathway.student_rewards(b["obs"], b["sp"])
         return b
 
@@ -492,16 +486,14 @@ class _Replay:
         return self._sample(self.cfg.disc_batch, self.cfg.disc_buffer, rng)
 
     def trainer_rows(self, rng):
-        """(obs, a_t, obsp, done) of a trainer batch drawn with rng, which
-        then draws a_t ~ pi_T(.|obs) for every row, expert rows included."""
+        """(obs, obsp, done) of a trainer batch drawn with rng: each row's
+        next observation obsp is the next row's obs, or zeros with done = 1
+        where the row ends an episode."""
         cfg = self.cfg
         b = self._sample(cfg.trainer_batch, cfg.trainer_buffer, rng, self.known)
         end = b["end"]
-        b["obsp"] = np.where(end[:, None], 0.0, self.store.get(b["row"] + 1)["obs"])
-        b["done"] = end.astype(np.float64)
-        self._mix(b, ("obs", "obsp", "done"), cfg.expert_mix_trainer, self.mix_trainer_rng)
-        a_t = trainer_act(self.pathway.trainer, b["obs"], rng)
-        return b["obs"], a_t, b["obsp"], b["done"]
+        obsp = np.where(end[:, None], 0.0, self.store.get(b["row"] + 1)["obs"])
+        return b["obs"], obsp, end.astype(np.float64)
 
 
 def _update(pathway, source, step, rng) -> dict:

@@ -100,7 +100,7 @@ def disc_per_block(params: MlpParams, xe, xs):
         term, slope = _softplus_and_slope(sign, np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP))
         loss += float(np.mean(term))
         g = np.where(np.abs(y[:, 0]) < LOGIT_CLAMP, slope / len(x), 0.0)
-        grads.flat += mlp_backward(params, cache, g[:, None])[0].flat
+        grads.flat += mlp_backward(params, cache, g[:, None]).flat
     return loss, grads
 
 
@@ -120,9 +120,9 @@ def airl_per_block(heads, expert_batch, student_batch, logp_expert, logp_student
         term, slope = _softplus_and_slope(sign, r[:, 0] + heads.gamma * vp[:, 0] - v[:, 0] - logp)
         loss += float(np.mean(term))
         df = (slope / len(x))[:, None]
-        r_grads.flat += mlp_backward(heads.reward, c_r, df)[0].flat
-        g_v = mlp_backward(heads.potential, c_vp, heads.gamma * df)[0]
-        g_v.flat += mlp_backward(potential_at_s, c_v, -df)[0].flat
+        r_grads.flat += mlp_backward(heads.reward, c_r, df).flat
+        g_v = mlp_backward(heads.potential, c_vp, heads.gamma * df)
+        g_v.flat += mlp_backward(potential_at_s, c_v, -df).flat
         v_grads.flat += g_v.flat
     return loss, r_grads, v_grads
 

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from rile import nets
 from rile.agents import (
     _actor_loss_grads,
     _critic_loss_grads,
@@ -214,14 +217,45 @@ class TestTrainer:
         t = make_actor_critic(4, 1, (8,), rng)
         obs = rng.normal(size=(200, 4))
         mean, log_std, _ = _policy_heads(t.actor, obs)
-        batch = trainer_act(t, obs, np.random.default_rng(3))
+        batch, (y, _) = trainer_act(t, obs, np.random.default_rng(3))
         draw = np.random.default_rng(3)
         rows = [np.tanh(mean[i, 0] + np.exp(log_std[i, 0]) * draw.normal())
                 for i in range(len(obs))]
         assert batch.shape == (200,)
         assert np.array_equal(batch, rows)
+        # the forward it returns is the actor's over obs
+        assert np.array_equal(y, mlp_forward(t.actor, obs))
         # samples, not the deterministic action
         assert not np.array_equal(batch, trainer_act_batch(t, obs))
+
+    def test_an_update_from_the_acting_forward_is_bit_equal_and_skips_the_actor(
+            self, monkeypatch):
+        # trainer_update given the forward trainer_act drew from leaves the
+        # same nets, Adam states and diagnostics as one that forwards the
+        # actor itself, and forwards the actor no more
+        rng = np.random.default_rng(16)
+        t = make_actor_critic(4, 1, (8, 8), rng)
+        twin = copy.deepcopy(t)
+        obs, obsp = rng.normal(size=(32, 4)), rng.normal(size=(32, 4))
+        a_t, fwd = trainer_act(t, obs, np.random.default_rng(5))
+        batch = (obs, a_t, rng.uniform(0, 1, 32), obsp, (rng.uniform(size=32) < 0.2) * 1.0)
+        forwards = []
+        original = nets._forward_cached
+
+        def spy(params, x):
+            forwards.append(params)
+            return original(params, x)
+
+        monkeypatch.setattr(nets, "_forward_cached", spy)
+        diag = trainer_update(t, batch, fwd)
+        assert [id(q) for q in forwards] == [id(t.critic_target), id(t.critic)]
+        assert diag == trainer_update(twin, batch)
+        assert forwards[-1] is twin.actor  # the twin forwards its actor itself
+        for n in ("actor", "critic", "critic_target"):
+            assert np.array_equal(getattr(t, n).flat, getattr(twin, n).flat)
+        for o in ("actor_opt", "critic_opt"):
+            mine, theirs = getattr(t, o), getattr(twin, o)
+            assert np.array_equal(mine.m, theirs.m) and np.array_equal(mine.v, theirs.v)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_reward_rejected_before_any_state_changes(self, bad):

@@ -10,7 +10,7 @@ in orchestrator, no seed stream that nothing reads, no call of
 evaluate_policy outside the one report routine, one ReplayBuffer
 construction, the one store of collected rows, one call of _update, in
 the one training loop, and one call of trainer_act, in the trainer's
-batches. An allowlist entry that no longer names an
+update. An allowlist entry that no longer names an
 exception fails too."""
 
 import ast
@@ -301,7 +301,6 @@ def test_only_nets_knows_the_scratch():
 PATHWAY_READERS_ALLOWED = {
     "_train": "fills RunArtifacts' trainer, disc and airl, which bench/child.py reads",
     "_Replay.ready": "the trainer batch is needed only while there is a trainer",
-    "_Replay.trainer_rows": "draws the batch's actions from the trainer's current policy",
 }
 LEARNERS = {"trainer", "disc", "airl"}
 
@@ -426,9 +425,9 @@ def test_one_training_loop_updates_the_learners():
 
 def test_the_trainer_draws_its_actions_only_for_its_batches():
     # The trainer's actions are drawn when it updates, for every row of its
-    # batch: a second call site would be a collection-time draw that the
-    # store would have to keep.
+    # batch, from the forward its update reuses: a second call site would be
+    # a collection-time draw that the store would have to keep.
     sites = [f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
              for site in _call_sites(path.read_text(), "trainer_act")]
-    assert sites == ["orchestrator._Replay.trainer_rows"], (
+    assert sites == ["orchestrator._RewardPathway.update"], (
         "trainer_act called at: " + ", ".join(sites))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from rile import baselines, nets, orchestrator
+from rile import baselines, discriminator, nets, orchestrator
 from rile.agents import make_actor_critic, trainer_act
 from rile.baselines import make_airl_heads
 from rile.discriminator import DiscriminatorNet, disc_output
@@ -255,8 +256,8 @@ def test_a_tail_of_one_step_reports_no_window(tmp_path, monkeypatch):
 
 
 def test_every_student_row_is_non_terminal(monkeypatch):
-    # The expert table marks each episode's goal-entering row done for the
-    # trainer; the student learns from no terminal, expert rows included.
+    # The expert marks each episode's goal-entering row as an episode end;
+    # the student learns from no terminal, expert rows included.
     batches = []
     original = orchestrator.student_update
 
@@ -268,12 +269,12 @@ def test_every_student_row_is_non_terminal(monkeypatch):
     cfg = RunConfig(algorithm="rile_off", seed=3, expert_mix_student=1.0, **TINY)
     run_training(cfg, EXPERT)
 
-    assert orchestrator.expert_transition_table(EXPERT)["done"].any()
+    assert EXPERT.end.any()
     assert batches and all(not done.any() for done in batches)
 
 
 @pytest.mark.parametrize("algorithm", ["rile_on", "bc"])
-@pytest.mark.parametrize("field", ["expert_mix_student", "expert_mix_trainer"])
+@pytest.mark.parametrize("field", ["expert_mix_student"])
 def test_expert_mixing_rejected_without_a_replay_buffer(algorithm, field):
     with pytest.raises(ValueError, match=field):
         RunConfig(algorithm=algorithm, **{field: 0.3}).validate()
@@ -426,9 +427,9 @@ def test_trainer_signals_are_logged_with_its_updates(monkeypatch):
     batches = []
     original = orchestrator.trainer_update
 
-    def spy(agent, batch):
+    def spy(agent, batch, *rest):
         batches.append(batch)
-        return original(agent, batch)
+        return original(agent, batch, *rest)
 
     monkeypatch.setattr(orchestrator, "trainer_update", spy)
     rows = {alg: run_training(RunConfig(algorithm=alg, seed=3, **TINY), EXPERT).diagnostics_rows
@@ -473,11 +474,12 @@ def test_disc_means_are_logged_with_its_updates(monkeypatch):
 
 
 def test_seed_streams_keep_their_seeds():
-    # Each stream is child i of the master seed's SeedSequence, as in a
-    # twelve-way spawn whose children 4 and 5 (once noise and eval) nothing
-    # read: retiring those moved no other stream.
+    # Each stream is child i of the master seed's SeedSequence, as in an
+    # eleven-way spawn whose children 4 and 5 (once noise and eval) nothing
+    # read: retiring those, and child 11 (once trainer mixing), moved no
+    # other stream.
     names = ("env", "student", "trainer", "disc", None, None, "mix", "init_student",
-             "init_trainer", "init_disc", "init_airl", "mix_trainer")
+             "init_trainer", "init_disc", "init_airl")
     streams = orchestrator.seed_streams(11)
     assert sorted(streams) == sorted(n for n in names if n)
     for name, child in zip(names, np.random.SeedSequence(11).spawn(len(names))):
@@ -516,17 +518,22 @@ def test_one_trainer_forward_per_collected_step(monkeypatch):
 @pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
 def test_each_trainer_batch_draws_its_actions_in_one_forward(algorithm, monkeypatch):
     # A trainer batch's actions come from one forward of the trainer's
-    # actor over the batch's rows, run inside trainer_rows.
+    # actor over the batch's rows, and the trainer's update learns from that
+    # forward: the reward pathway's update forwards the actor no more.
     inside, forwards, sizes = [], [], []
+    original_update = orchestrator._RewardPathway.update
     original_rows = orchestrator._Replay.trainer_rows
     original_forward = nets._forward_cached
 
-    def rows_spy(replay, rng):
+    def update_spy(pathway, *args):
         inside.append(1)
         try:
-            obs, *rest = original_rows(replay, rng)
+            return original_update(pathway, *args)
         finally:
             inside.pop()
+
+    def rows_spy(replay, rng):
+        obs, *rest = original_rows(replay, rng)
         sizes.append(len(obs))
         return (obs, *rest)
 
@@ -535,6 +542,7 @@ def test_each_trainer_batch_draws_its_actions_in_one_forward(algorithm, monkeypa
             forwards.append(len(x))
         return original_forward(params, x)
 
+    monkeypatch.setattr(orchestrator._RewardPathway, "update", update_spy)
     monkeypatch.setattr(orchestrator._Replay, "trainer_rows", rows_spy)
     monkeypatch.setattr(nets, "_forward_cached", forward_spy)
     cfg = RunConfig(algorithm=algorithm, seed=3, freeze_threshold=0.0,
@@ -544,6 +552,46 @@ def test_each_trainer_batch_draws_its_actions_in_one_forward(algorithm, monkeypa
     assert artifacts.steps_run == cfg.total_steps
     assert len(sizes) >= cfg.total_steps // TINY["env"].max_steps
     assert forwards == sizes
+
+
+@pytest.mark.parametrize("algorithm", ["rile_off", "gail", "airl"])
+def test_an_update_forwards_each_network_once_per_batch(algorithm, monkeypatch):
+    # Each forward is computed once and reused by its backward: within one
+    # update (the student's batch and step, then the reward pathway's) no
+    # network is forwarded twice over the same rows.
+    updates, repeats = [], []  # the forwards of each update, as (net, rows) keys
+
+    def spy_on(original):
+        def spy(params, x):
+            key = (id(params), x.shape, x.tobytes())
+            if updates and updates[-1] is not None:
+                if key in updates[-1]:
+                    repeats.append((params.in_dim, params.out_dim, len(x)))
+                updates[-1].add(key)
+            return original(params, x)
+        return spy
+
+    original_update = orchestrator._update
+
+    def update_spy(*args):
+        updates.append(set())
+        try:
+            return original_update(*args)
+        finally:
+            updates.append(None)  # forwards outside an update are not counted
+
+    monkeypatch.setattr(nets, "_forward_cached", spy_on(nets._forward_cached))
+    monkeypatch.setattr(discriminator, "_forward_cached",
+                        spy_on(discriminator._forward_cached))
+    monkeypatch.setattr(orchestrator, "_update", update_spy)
+    cfg = RunConfig(algorithm=algorithm, seed=3, freeze_threshold=0.0,
+                    **{**TINY, "early_stop_success": False})
+    artifacts = run_training(cfg, EXPERT)
+
+    # updates every 4 steps from step 52 to 400, each with forwards
+    counted = [keys for keys in updates if keys is not None]
+    assert len(counted) == (400 - 52) // 4 + 1 and all(counted)
+    assert not repeats, f"forwarded twice in one update: {repeats[:3]}"
 
 
 def _pathway(cfg):
@@ -593,55 +641,31 @@ def test_the_trainer_rewards_the_state_action_rows(monkeypatch):
 
 @contextmanager
 def _trainer_draws_checked():
-    """Within the block, every trainer batch asserts that its actions are
-    trainer_act on its obs (expert rows included) from a copy of the
-    trainer stream taken just after the batch's window draw. Yields the
-    list of the checked batches' (obs, a_t)."""
+    """Within the block, every trainer update asserts that its batch's
+    actions are trainer_act on its obs from a copy of the trainer stream
+    taken just after the batch's window draw, and that the forward it is
+    given is that of the actor over the obs. Yields the list of the checked
+    batches' (obs, a_t)."""
     checked, after_draw = [], []
-    sample, trainer_rows = orchestrator.ReplayBuffer.sample, orchestrator._Replay.trainer_rows
+    sample, update = orchestrator.ReplayBuffer.sample, orchestrator.trainer_update
 
     def sample_spy(store, batch_size, rng, *rest):
         b = sample(store, batch_size, rng, *rest)
         after_draw.append(copy.deepcopy(rng))
         return b
 
-    def rows_spy(replay, rng):
-        obs, a_t, obsp, done = trainer_rows(replay, rng)
-        assert np.array_equal(a_t, trainer_act(replay.pathway.trainer, obs, after_draw[-1]))
+    def update_spy(agent, batch, fwd):
+        obs, a_t = batch[:2]
+        twin = dataclasses.replace(agent, actor=agent.actor.copy())
+        a_twin, (y_twin, _) = trainer_act(twin, obs, after_draw[-1])
+        assert np.array_equal(a_t, a_twin) and np.array_equal(fwd[0], y_twin)
         checked.append((obs, a_t))
-        return obs, a_t, obsp, done
+        return update(agent, batch, fwd)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(orchestrator.ReplayBuffer, "sample", sample_spy)
-        m.setattr(orchestrator._Replay, "trainer_rows", rows_spy)
+        m.setattr(orchestrator, "trainer_update", update_spy)
         yield checked
-
-
-def test_rollout_and_expert_table_build_the_same_trainer_rows():
-    # One scripted episode inserted as a rile_on rollout chunk: the store's
-    # trainer rows, in row order, are the expert table's, next observations
-    # and done flags included, with actions drawn for every row.
-    expert = generate_expert(MazeSpec(), 1)
-    te = orchestrator.expert_transition_table(expert)
-    n = len(te["obs"])
-    index = {row.tobytes(): i for i, row in enumerate(te["obs"])}
-    assert len(index) == n  # distinct rows: obs gives the row order
-    cfg = RunConfig(algorithm="rile_on", **{**TINY, "trainer_batch": 64}).validate()
-    replay = orchestrator._Replay(cfg, _pathway(cfg), orchestrator.seed_streams(0))
-    replay.insert({"obs": te["obs"], "sp": te["sp"], "episode_end": expert.end})
-    assert replay.ready()
-    with _trainer_draws_checked() as checked:
-        obs, a_t, obsp, done = replay.trainer_rows(np.random.default_rng(0))
-    assert len(checked) == 1 and len(np.unique(a_t)) == n
-    order = np.argsort([index[row.tobytes()] for row in obs])
-    obs, obsp, done = obs[order], obsp[order], done[order]
-
-    assert np.array_equal(obs, te["obs"])
-    assert np.array_equal(obsp, te["obsp"]) and np.array_equal(done, te["done"])
-    # s' with the next expert action; the last row ends the episode
-    assert np.array_equal(obsp[:-1], np.hstack([te["sp"][:-1], expert.a[1:]]))
-    assert np.array_equal(obsp[-1], np.zeros(4))
-    assert done.tolist() == [0.0] * (n - 1) + [1.0]
 
 
 def test_airl_scoring_keeps_one_cache():
@@ -834,13 +858,10 @@ def _replay_of(ends, trainer_batch, **overrides):
 
 def _check_trainer_rows(replay, ends, rows):
     """Asserts that a trainer batch of len(rows) rows holds the given rows,
-    each with an action drawn at its obs, the next row's obs as its next
-    observation and done 0, or zeros and done 1 where the row ends an
-    episode."""
+    each with the next row's obs as its next observation and done 0, or
+    zeros and done 1 where the row ends an episode."""
     replay.cfg.trainer_batch = len(rows)
-    with _trainer_draws_checked() as checked:
-        obs, _, obsp, done = replay.trainer_rows(np.random.default_rng(0))
-    assert len(checked) == 1
+    obs, obsp, done = replay.trainer_rows(np.random.default_rng(0))
     got = obs[:, 0].astype(int)
     assert sorted(got) == list(rows)
     for i, nxt, d in zip(got, obsp, done):
@@ -1005,8 +1026,7 @@ def _mixed_batches(cfg, monkeypatch):
     """For each student and each trainer batch of a run, in order: the
     mask of its rows that are expert rows (obs in the expert table) and
     the obs of those rows. Asserts that each trainer batch draws the
-    actions of all its rows, expert rows included, from the trainer
-    stream after its window draw."""
+    actions of all its rows from the trainer stream after its window draw."""
     expert = {row.tobytes() for row in orchestrator.expert_transition_table(EXPERT)["obs"]}
     batches = {"student": [], "trainer": []}
     student_batch = orchestrator._Replay.student_batch
@@ -1028,36 +1048,19 @@ def _mixed_batches(cfg, monkeypatch):
     return batches
 
 
-@pytest.mark.parametrize("mix_student,mix_trainer", [(0.3, 0.6), (0.0, 0.0)])
-def test_expert_mix_fractions_are_honoured(mix_student, mix_trainer, monkeypatch):
-    # Every batch of B rows holds round(frac * B) expert rows, first; the
-    # trainer draws actions for those as for the others (asserted by
-    # _mixed_batches).
+@pytest.mark.parametrize("mix_student", [0.3, 0.0])
+def test_expert_mix_fractions_are_honoured(mix_student, monkeypatch):
+    # Every student batch of B rows holds round(frac * B) expert rows,
+    # first; every trainer batch holds collected rows only.
     cfg = RunConfig(algorithm="rile_off", seed=3, expert_mix_student=mix_student,
-                    expert_mix_trainer=mix_trainer, **{**TINY, "early_stop_success": False})
+                    **{**TINY, "early_stop_success": False})
     batches = _mixed_batches(cfg, monkeypatch)
     # updates every 4 steps from step 52 to 400; the trainer does not freeze
     assert len(batches["student"]) == len(batches["trainer"]) == (400 - 52) // 4 + 1
-    for key, frac, size in (("student", mix_student, cfg.student_batch),
-                            ("trainer", mix_trainer, cfg.trainer_batch)):
-        k = round(frac * size)
-        for mask, _ in batches[key]:
-            assert mask.tolist() == [True] * k + [False] * (size - k)
-
-
-def test_trainer_mixing_leaves_the_student_mixing_draws_unchanged(monkeypatch):
-    # The two batches draw their expert rows from separate streams, so
-    # turning trainer mixing on changes no student batch's expert rows.
-    runs = [_mixed_batches(RunConfig(algorithm="rile_off", seed=3, expert_mix_student=0.3,
-                                     expert_mix_trainer=mix_trainer,
-                                     **{**TINY, "early_stop_success": False}), monkeypatch)
-            for mix_trainer in (0.0, 0.6)]
-    assert len(runs[0]["student"]) == len(runs[1]["student"])
-    for (mask0, rows0), (mask1, rows1) in zip(runs[0]["student"], runs[1]["student"]):
-        assert 0 < mask0.sum() < len(mask0)
-        assert np.array_equal(mask0, mask1) and np.array_equal(rows0, rows1)
-    assert not any(mask.any() for mask, _ in runs[0]["trainer"])
-    assert all(mask.any() for mask, _ in runs[1]["trainer"])
+    k = round(mix_student * cfg.student_batch)
+    for mask, _ in batches["student"]:
+        assert mask.tolist() == [True] * k + [False] * (cfg.student_batch - k)
+    assert not any(mask.any() for mask, _ in batches["trainer"])
 
 
 # The BLAS thread rule of run_training: every OpenBLAS the process loaded,
