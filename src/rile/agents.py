@@ -28,6 +28,7 @@ from .nets import (
     mlp_forward,
     mlp_forward_cached,
     mlp_init,
+    polyak,
 )
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
@@ -193,12 +194,6 @@ def _actor_loss_grads(actor, states, actions, weights, entropy_coef, forward=Non
     return loss, grads, float(np.mean(ent))
 
 
-def _polyak(target: MlpParams, source: MlpParams, tau: float) -> None:
-    """target <- (1 - tau) target + tau source, in place."""
-    target.flat *= 1 - tau
-    target.flat += tau * source.flat
-
-
 def actor_critic_update(agent: ActorCritic, batch, actor_forward=None) -> dict:
     """One actor-critic step on (s, a, r, s', done) arrays; returns its
     diagnostics. The critic regresses to r + gamma (1-done) V_target(s');
@@ -228,7 +223,7 @@ def actor_critic_update(agent: ActorCritic, batch, actor_forward=None) -> dict:
 
     adam_step(agent.critic, c_grads, agent.critic_opt)
     adam_step(agent.actor, a_grads, agent.actor_opt)
-    _polyak(agent.critic_target, agent.critic, agent.tau)
+    polyak(agent.critic_target, agent.critic, agent.tau)
     return {"critic_loss": c_loss, "actor_loss": a_loss, "entropy": mean_ent}
 
 

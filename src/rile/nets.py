@@ -28,12 +28,13 @@ networks and optimizer states stay the same objects for the whole run.
 
 Batch-sized scratch lives on the network: each MlpParams owns a
 Workspace, into which its forward and backward passes write the hidden
-layers' activations and the backward deltas, and adam_step its two
-parameter-sized temporaries, so steady-state updates allocate no
-batch-sized or parameter-sized arrays. A forward cache holds activations
-only: each hidden layer's activation is written over its pre-activation in
-one buffer, because ReLU's derivative mask z > 0 is h > 0. A forward cache
-stays valid until the same network's next forward. Network outputs and
+layers' activations and the backward deltas, adam_step its two
+parameter-sized temporaries and polyak its one, so steady-state updates
+allocate no batch-sized or parameter-sized arrays but the gradients. A
+forward cache holds activations only: each hidden layer's activation is
+written over its pre-activation in one buffer, because ReLU's derivative
+mask z > 0 is h > 0. A forward cache stays valid until the same network's
+next forward. Network outputs and
 parameter gradients are always fresh arrays, never views of the scratch.
 
 BLAS threads: every training run does its matmuls on one OpenBLAS thread
@@ -295,6 +296,14 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
     delta /= tmp
     params.flat -= delta
     state.step = t
+
+
+def polyak(target: MlpParams, source: MlpParams, tau: float) -> None:
+    """target <- (1 - tau) target + tau source, in place, with tau * source
+    written into a row of target.ws: a call allocates no parameter vector."""
+    scaled = target.ws.take("polyak", 1, source.flat.size)[0]
+    target.flat *= 1 - tau
+    target.flat += np.multiply(source.flat, tau, out=scaled)
 
 
 def _layer_code(k: int, n_layers: int) -> int:

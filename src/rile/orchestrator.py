@@ -26,8 +26,9 @@ _Collector.step and expert_transition_table build it, and the store
 holds it in place of s and a: a row is obs, sp and end. The student is
 paid the trainer's deterministic action; the trainer acts when it
 updates, by policy samples, and learns from the forward it drew them
-from. Its next observation, built by _Replay.trainer_rows alone, is the next
-row's obs, and zeros past an episode end, where done = 1 cancels its value.
+from. Its next observation, built only by ReplayBuffer.trainer_rows, is
+the next row's obs, and zeros past an episode end, where done = 1 cancels
+its value.
 """
 
 from __future__ import annotations
@@ -61,61 +62,6 @@ ALGORITHMS = ("rile_on", "rile_off", "gail", "airl", "bc")
 class RunAborted(RuntimeError):
     """Raised when a run hits non-finite diagnostics; the last healthy
     state has already been checkpointed."""
-
-
-@dataclass
-class ReplayBuffer:
-    """Fixed-capacity FIFO store of homogeneous rows, which counts the rows
-    inserted: row i lives in slot i % capacity.
-
-    Columns are allocated on first insert. Sampling is uniform without
-    replacement within a batch.
-    """
-
-    capacity: int
-    _cols: dict = field(default_factory=dict)
-    rows: int = 0
-
-    def __len__(self) -> int:
-        return min(self.rows, self.capacity)
-
-    def insert(self, **cols):
-        """Appends a chunk of n rows, one [n, ...] array per column: row
-        rows + i goes to slot (rows + i) % capacity. The first chunk sets the
-        schema; a chunk that is empty or disagrees with the schema or itself
-        in columns or shapes writes no slot and sets no schema."""
-        cols = {k: np.asarray(v) for k, v in cols.items()}
-        if not cols or self._cols and set(cols) != set(self._cols):
-            raise ValueError("chunk columns do not match the buffer schema")
-        n = len(next(iter(cols.values())))
-        schema = self._cols or cols  # a first chunk sets the row shapes
-        for k, v in cols.items():
-            if v.shape != (n, *schema[k].shape[1:]):
-                raise ValueError(f"column {k!r} holds {n} rows of shape "
-                                 f"{schema[k].shape[1:]}, not {v.shape}")
-        self._cols = self._cols or {
-            k: np.zeros((self.capacity, *v.shape[1:]), v.dtype) for k, v in cols.items()}
-        # a chunk longer than the buffer keeps its newest capacity rows
-        keep = (self.rows + np.arange(n))[-self.capacity:] % self.capacity
-        for k, v in cols.items():
-            self._cols[k][keep] = v[-self.capacity:]
-        self.rows += n
-
-    def sample(self, batch_size: int, rng, window=None, end=None) -> dict:
-        """batch_size rows of the newest window ones (every one held by
-        default) among rows 0..end-1 (every row inserted by default), with
-        their indices under "row". The draws are those of a FIFO of window
-        slots fed the same rows, which holds row i in slot i % window."""
-        end = self.rows if end is None else end
-        n = min(end, self.capacity, window or self.capacity)
-        if batch_size > n:
-            raise ValueError(f"cannot sample {batch_size} from buffer of size {n}")
-        slot = rng.choice(n, size=batch_size, replace=False)
-        return self.get(end - n + (slot - end) % n)
-
-    def get(self, rows) -> dict:
-        """The held rows of the given indices, with the indices under "row"."""
-        return {"row": rows, **{k: v[rows % self.capacity] for k, v in self._cols.items()}}
 
 
 @dataclass
@@ -334,15 +280,14 @@ class _RewardPathway:
         diag = {}
         if self.airl is not None or (self.disc is not None and not self.trainer_frozen):
             rng = self.disc_rng
-            b = source.disc_rows(rng)
+            obs, sp = source.disc_rows(rng)
             te = self.expert_table
-            idx = rng.integers(0, len(te["obs"]), size=len(b["obs"]))
+            idx = rng.integers(0, len(te["obs"]), size=len(obs))
             if self.disc is not None:
-                diag.update(disc_update(self.disc, te["obs"][idx], b["obs"]))
+                diag.update(disc_update(self.disc, te["obs"][idx], obs))
             else:
                 diag["disc_loss"] = baselines.airl_update(
-                    self.airl, self.student, (te["obs"][idx], te["sp"][idx]),
-                    (b["obs"], b["sp"]))
+                    self.airl, self.student, (te["obs"][idx], te["sp"][idx]), (obs, sp))
         if self.trainer is not None and not self.trainer_frozen:
             obs, obsp, done = source.trainer_rows(self.trainer_rng)
             a_t, fwd = trainer_act(self.trainer, obs, self.trainer_rng)
@@ -380,7 +325,7 @@ class _Collector:
         self.episode_step += 1
         truncated = self.episode_step >= cfg.env.max_steps
         row = {
-            "obs": np.concatenate([self.state, action]), "sp": nxt.copy(),
+            "obs": np.concatenate([self.state, action]), "sp": nxt,
             "episode_end": at_goal or truncated,
             "env_r": cfg.env.env_reward(at_goal),
         }
@@ -424,85 +369,105 @@ class _WindowTracker:
         return row
 
 
-class _Replay:
+class ReplayBuffer:
     """The one batch source of every adversarial run: one FIFO store of the
-    collected rows (obs, sp, end), one insert per collected chunk. The
-    student samples its newest student_buffer rows, the discriminator the
-    newest disc_buffer, the trainer the newest trainer_buffer of those whose
-    next row is known (all but a newest one that ends no episode), with the
-    next row's obs. Under rile_on each window is the newest chunk, the
-    rollout of the episode that just ended: the store is ready only when its
-    newest row ends an episode. One row more than the student's window is
-    held: the trainer's oldest row needs its successor. The first
+    collected rows, held in three arrays obs, sp and end, one insert per
+    collected chunk; row i lives in slot i % capacity. The student samples
+    its newest student_buffer rows, the discriminator the newest
+    disc_buffer, the trainer the newest trainer_buffer of those whose next
+    row is known (all but a newest one that ends no episode), with the next
+    row's obs. Under rile_on each window is the newest chunk, the rollout of
+    the episode that just ended: the store is ready only when its newest row
+    ends an episode. One row more than the student's window is held: the
+    trainer's oldest row needs its successor. The first
     round(expert_mix_student * B) rows of a student batch of B rows are then
     expert rows, drawn from the mix stream."""
 
     def __init__(self, cfg: RunConfig, pathway: _RewardPathway, streams):
         self.cfg = cfg
         self.pathway = pathway
-        self.store = ReplayBuffer(cfg.student_buffer + 1)
+        self.capacity = cfg.student_buffer + 1
+        te = pathway.expert_table
+        # zeroed pages stay untouched until a row is written to them
+        self.obs = np.zeros((self.capacity, te["obs"].shape[1]))
+        self.sp = np.zeros((self.capacity, te["sp"].shape[1]))
+        self.end = np.zeros(self.capacity, bool)
+        self.rows = 0  # the rows inserted
         self.known = 0  # the rows whose next row is known
         self.rollout = 0  # rile_on's window: the row count of the newest chunk
         self.mix_rng = streams["mix"]
 
     def insert(self, chunk):
-        """Appends a collected chunk's obs, sp and episode ends in one insert."""
+        """Appends a collected chunk's obs, sp and episode ends: row rows + i
+        goes to slot (rows + i) % capacity, and a chunk longer than the store
+        keeps its newest capacity rows."""
         end = chunk["episode_end"]
-        self.store.insert(obs=chunk["obs"], sp=chunk["sp"], end=end)
-        self.known = self.store.rows - (not end[-1])
+        n = len(end)
+        keep = (self.rows + np.arange(n))[-self.capacity:] % self.capacity
+        self.obs[keep] = chunk["obs"][-self.capacity:]
+        self.sp[keep] = chunk["sp"][-self.capacity:]
+        self.end[keep] = end[-self.capacity:]
+        self.rows += n
+        self.known = self.rows - (not end[-1])
         if self.cfg.algorithm == "rile_on":
-            self.rollout = len(end)
-
-    def _mix(self, b):
-        """Overwrites the first round(expert_mix_student * B) rows of student
-        batch b's obs and sp with expert rows from the mix stream."""
-        k = round(self.cfg.expert_mix_student * len(b["obs"]))
-        te = self.pathway.expert_table
-        idx = self.mix_rng.integers(0, len(te["obs"]), size=k)
-        for c in ("obs", "sp"):
-            b[c][:k] = te[c][idx]
+            self.rollout = n
 
     def ready(self) -> bool:
         cfg = self.cfg
         if self.rollout:
-            return self.known == self.store.rows
-        return (self.store.rows >= max(cfg.student_batch, cfg.warmup_steps, cfg.disc_batch)
+            return self.known == self.rows
+        return (self.rows >= max(cfg.student_batch, cfg.warmup_steps, cfg.disc_batch)
                 and (self.pathway.trainer is None or self.known >= cfg.trainer_batch))
 
-    def _sample(self, batch, window, rng, end=None) -> dict:
-        """min(batch, window) of the newest window rows among rows 0..end-1
-        (all rows by default); rile_on's window is its rollout."""
+    def sample(self, batch, window, rng, end=None) -> np.ndarray:
+        """Row indices of min(batch, window) of the newest window rows among
+        rows 0..end-1 (every row inserted by default); rile_on's window is
+        its rollout. The draws are those of a FIFO of window slots fed the
+        same rows, which holds row i in slot i % window."""
         window = self.rollout or window
-        return self.store.sample(min(batch, window), rng, window, end)
+        batch = min(batch, window)
+        end = self.rows if end is None else end
+        n = min(end, self.capacity, window)
+        if batch > n:
+            raise ValueError(f"cannot sample {batch} from buffer of size {n}")
+        slot = rng.choice(n, size=batch, replace=False)
+        return end - n + (slot - end) % n
 
-    def student_batch(self, rng) -> dict:
+    def student_batch(self, rng):
+        """(obs, sp, r) of a student batch drawn with rng, its first rows
+        expert rows, rewarded by the pathway's current nets."""
         cfg = self.cfg
-        b = self._sample(cfg.student_batch, cfg.student_buffer, rng)
-        self._mix(b)
-        b["r"] = self.pathway.student_rewards(b["obs"], b["sp"])
-        return b
+        i = self.sample(cfg.student_batch, cfg.student_buffer, rng) % self.capacity
+        obs, sp = self.obs[i], self.sp[i]
+        k = round(cfg.expert_mix_student * len(i))
+        te = self.pathway.expert_table
+        idx = self.mix_rng.integers(0, len(te["obs"]), size=k)
+        obs[:k], sp[:k] = te["obs"][idx], te["sp"][idx]
+        return obs, sp, self.pathway.student_rewards(obs, sp)
 
-    def disc_rows(self, rng) -> dict:
-        return self._sample(self.cfg.disc_batch, self.cfg.disc_buffer, rng)
+    def disc_rows(self, rng):
+        """(obs, sp) of a discriminator batch drawn with rng."""
+        i = self.sample(self.cfg.disc_batch, self.cfg.disc_buffer, rng) % self.capacity
+        return self.obs[i], self.sp[i]
 
     def trainer_rows(self, rng):
         """(obs, obsp, done) of a trainer batch drawn with rng: each row's
         next observation obsp is the next row's obs, or zeros with done = 1
         where the row ends an episode."""
         cfg = self.cfg
-        b = self._sample(cfg.trainer_batch, cfg.trainer_buffer, rng, self.known)
-        end = b["end"]
-        obsp = np.where(end[:, None], 0.0, self.store.get(b["row"] + 1)["obs"])
-        return b["obs"], obsp, end.astype(np.float64)
+        i = self.sample(cfg.trainer_batch, cfg.trainer_buffer, rng, self.known)
+        end = self.end[i % self.capacity]
+        obsp = np.where(end[:, None], 0.0, self.obs[(i + 1) % self.capacity])
+        return self.obs[i % self.capacity], obsp, end.astype(np.float64)
 
 
 def _update(pathway, source, step, rng) -> dict:
     """Updates the student on a batch drawn from source with rng, then the
     reward pathway's learners. Returns the diagnostics row."""
-    b = source.student_batch(rng)
-    s, a = np.hsplit(b["obs"], [pathway.state_dim])
+    obs, sp, r = source.student_batch(rng)
+    s, a = np.hsplit(obs, [pathway.state_dim])
     # done = 0: a goal terminal under always-positive rewards teaches dawdling
-    sdiag = student_update(pathway.student, (s, a, b["r"], b["sp"], np.zeros(len(s))))
+    sdiag = student_update(pathway.student, (s, a, r, sp, np.zeros(len(s))))
     return {"step": step, **sdiag, **pathway.update(source, step)}
 
 
@@ -578,7 +543,7 @@ def _run_loop(cfg, pathway, tracker, streams, run_dir, diag_log, metrics_log) ->
     student = pathway.student
     collector = _Collector(cfg, streams)
     on_policy = cfg.algorithm == "rile_on"
-    replay = _Replay(cfg, pathway, streams)
+    replay = ReplayBuffer(cfg, pathway, streams)
 
     step = 0
     try:

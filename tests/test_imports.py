@@ -300,7 +300,7 @@ def test_only_nets_knows_the_scratch():
 # Functions of orchestrator that may read the reward pathway's learners, and why.
 PATHWAY_READERS_ALLOWED = {
     "_train": "fills RunArtifacts' trainer, disc and airl, which bench/child.py reads",
-    "_Replay.ready": "the trainer batch is needed only while there is a trainer",
+    "ReplayBuffer.ready": "the trainer batch is needed only while there is a trainer",
 }
 LEARNERS = {"trainer", "disc", "airl"}
 

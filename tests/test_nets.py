@@ -17,6 +17,7 @@ from rile.nets import (
     mlp_from_bytes,
     mlp_init,
     mlp_to_bytes,
+    polyak,
     save_mlp,
 )
 
@@ -328,6 +329,27 @@ class TestAdam:
         for expect in (1, 2, 3):
             adam_step(p, zeros_like_params(p), st)
             assert st.step == expect
+
+
+def test_polyak_allocates_no_parameter_vector():
+    # tau * source goes into a row of the target's workspace from the first
+    # call on, so a later call allocates nothing parameter-sized (the fresh
+    # product took the peak to 1 x flat.nbytes) and averages bit for bit
+    rng = np.random.default_rng(7)
+    dims = [2, 128, 128, 4]
+    target, source = mlp_init(dims, rng), mlp_init(dims, rng)
+    polyak(target, source, 0.01)
+    held, flat = target.ws._bufs.get("polyak"), target.flat
+    want = target.flat * (1 - 0.01) + 0.01 * source.flat
+    tracemalloc.start()
+    try:
+        polyak(target, source, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * target.flat.nbytes
+    assert held is not None and target.ws._bufs["polyak"] is held and target.flat is flat
+    assert np.array_equal(target.flat, want)
 
 
 def _learner(kind, rng):

@@ -522,7 +522,7 @@ def test_each_trainer_batch_draws_its_actions_in_one_forward(algorithm, monkeypa
     # forward: the reward pathway's update forwards the actor no more.
     inside, forwards, sizes = [], [], []
     original_update = orchestrator._RewardPathway.update
-    original_rows = orchestrator._Replay.trainer_rows
+    original_rows = orchestrator.ReplayBuffer.trainer_rows
     original_forward = nets._forward_cached
 
     def update_spy(pathway, *args):
@@ -543,7 +543,7 @@ def test_each_trainer_batch_draws_its_actions_in_one_forward(algorithm, monkeypa
         return original_forward(params, x)
 
     monkeypatch.setattr(orchestrator._RewardPathway, "update", update_spy)
-    monkeypatch.setattr(orchestrator._Replay, "trainer_rows", rows_spy)
+    monkeypatch.setattr(orchestrator.ReplayBuffer, "trainer_rows", rows_spy)
     monkeypatch.setattr(nets, "_forward_cached", forward_spy)
     cfg = RunConfig(algorithm=algorithm, seed=3, freeze_threshold=0.0,
                     **{**TINY, "early_stop_success": False})
@@ -649,8 +649,8 @@ def _trainer_draws_checked():
     checked, after_draw = [], []
     sample, update = orchestrator.ReplayBuffer.sample, orchestrator.trainer_update
 
-    def sample_spy(store, batch_size, rng, *rest):
-        b = sample(store, batch_size, rng, *rest)
+    def sample_spy(store, batch, window, rng, *rest):
+        b = sample(store, batch, window, rng, *rest)
         after_draw.append(copy.deepcopy(rng))
         return b
 
@@ -721,101 +721,126 @@ def test_airl_probe_snapshot_is_f_on_the_expert_transitions():
 
 
 def _chunk(*ks):
-    """A chunk of rows k with the columns x = [k, -k] and k."""
-    k = np.array(ks)
-    return {"x": np.stack([k, -k], axis=1).astype(float), "k": k}
+    """A collected chunk of rows k: obs filled with k, sp with -k, and an
+    episode end on each multiple of 3."""
+    k = np.array(ks, dtype=float)
+    return {"obs": np.repeat(k[:, None], 4, axis=1), "sp": np.repeat(-k[:, None], 2, axis=1),
+            "episode_end": k % 3 == 0}
+
+
+def _store(capacity):
+    """A seed-0 rile_off ReplayBuffer of TINY with capacity slots
+    (student_buffer + 1) and no rows."""
+    cfg = RunConfig(algorithm="rile_off", **{**TINY, "student_buffer": capacity - 1})
+    return orchestrator.ReplayBuffer(cfg, _pathway(cfg), orchestrator.seed_streams(0))
+
+
+def _held(store, rows):
+    """(obs, sp, end) of the given rows, read from their slots."""
+    slots = np.asarray(rows) % store.capacity
+    return store.obs[slots], store.sp[slots], store.end[slots]
 
 
 class TestReplayBuffer:
     def filled(self):
         # rows 0-4 in chunks of 2, 1 and 2 rows; the last wraps past slot 2
-        buf = orchestrator.ReplayBuffer(3)
+        store = _store(3)
         for ks in ((0, 1), (2,), (3, 4)):
-            buf.insert(**_chunk(*ks))
-        return buf
+            store.insert(_chunk(*ks))
+        return store
 
     def test_holds_the_newest_rows_and_a_full_sample_returns_each_once(self):
         # five rows in three slots: rows 0 and 1 were overwritten
-        buf = self.filled()
-        assert len(buf) == 3 and buf.rows == 5
-        b = buf.sample(3, np.random.default_rng(1))
-        assert sorted(b["k"]) == [2, 3, 4]
-        assert np.array_equal(b["x"], np.stack([b["k"], -b["k"]], axis=1))
+        store = self.filled()
+        assert store.rows == 5
+        rows = store.sample(3, 3, np.random.default_rng(1))
+        assert sorted(rows) == [2, 3, 4]
+        obs, sp, end = _held(store, rows)
+        assert np.array_equal(obs, np.repeat(rows[:, None], 4, axis=1))
+        assert np.array_equal(sp, -obs[:, :2]) and end.tolist() == (rows % 3 == 0).tolist()
 
     def test_sampling_more_rows_than_held_rejected(self):
         with pytest.raises(ValueError, match="cannot sample 4"):
-            self.filled().sample(4, np.random.default_rng(0))
+            self.filled().sample(4, 4, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (4, 1, 5), (7,), (1, 8, 2)])
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (4, 1, 5), (7,), (1, 8, 2), (3, 13)])
     def test_a_chunk_stores_as_its_rows_one_at_a_time(self, sizes):
         # chunks that fill, wrap past the capacity of 4 and outgrow the whole
-        # store leave every slot as 1-row chunks of the same rows do
-        chunked, by_row = orchestrator.ReplayBuffer(4), orchestrator.ReplayBuffer(4)
+        # store (as a rile_on rollout can, three times over from slot 3 in
+        # the last case) leave every slot as 1-row chunks of the same rows
+        # do, in the arrays the store was built with
+        chunked, by_row = _store(4), _store(4)
+        arrays = (chunked.obs, chunked.sp, chunked.end)
         rows = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
         for ks in rows:
-            chunked.insert(**_chunk(*ks))
+            chunked.insert(_chunk(*ks))
             for k in ks:
-                by_row.insert(**_chunk(k))
+                by_row.insert(_chunk(k))
             assert chunked.rows == by_row.rows == ks[-1] + 1
             held = np.arange(max(chunked.rows - 4, 0), chunked.rows)
-            got, want = chunked.get(held), by_row.get(held)
-            assert got["k"].tolist() == want["k"].tolist() == held.tolist()
-            assert np.array_equal(got["x"], want["x"])
+            got, want = _held(chunked, held), _held(by_row, held)
+            assert got[0][:, 0].tolist() == want[0][:, 0].tolist() == held.tolist()
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert all(a is b for a, b in zip((chunked.obs, chunked.sp, chunked.end), arrays))
 
-    @pytest.mark.parametrize("row", [
-        {"x": np.zeros((1, 3)), "k": np.array([5])},
-        {"x": np.zeros((1, 2, 1)), "k": np.array([5])},
-        {"x": np.zeros(2), "k": np.array([5, 5])},
-        {"x": np.zeros((1, 2)), "k": np.array([[5, 5]])},
-        {"x": np.zeros((1, 2)), "k": 5}])
-    def test_a_value_of_another_shape_rejected(self, row):
-        # each column holds rows of its first insert's shape: (2,) for x and
-        # () for k; a chunk with a column of another row shape (or a row
-        # given without its row axis) writes no column, not even a valid one
-        buf = self.filled()
-        before = buf.sample(3, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="shape"):
-            buf.insert(**row)
-        assert len(buf) == 3 and buf.rows == 5
-        after = buf.sample(3, np.random.default_rng(0))
-        assert all(np.array_equal(before[k], after[k]) for k in before)
 
-    @pytest.mark.parametrize("chunk", [
-        {"x": np.zeros((2, 2)), "k": np.array([5])},
-        {"x": np.zeros((1, 2)), "k": np.array([5, 6])}])
-    def test_columns_of_different_lengths_rejected(self, chunk):
-        buf = self.filled()
-        before = buf.sample(3, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="rows"):
-            buf.insert(**chunk)
-        assert buf.rows == 5
-        after = buf.sample(3, np.random.default_rng(0))
-        assert all(np.array_equal(before[k], after[k]) for k in before)
+@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
+def test_a_run_writes_every_row_into_the_arrays_the_store_was_built_with(algorithm,
+                                                                         monkeypatch):
+    # The store's obs, sp and end are allocated once, at student_buffer + 1
+    # rows, and a TINY run's rows (400, fewer than its slots) land in slots
+    # 0-399 of those same arrays.
+    stores, collected = [], []
+    init, step = orchestrator.ReplayBuffer.__init__, orchestrator._Collector.step
 
-    @pytest.mark.parametrize("chunk", [
-        {"x": np.zeros((2, 2)), "k": np.array([5])},
-        {"x": np.zeros((1, 2)), "k": np.array([5, 6])}])
-    def test_a_first_chunk_of_different_lengths_sets_no_schema(self, chunk):
-        buf = orchestrator.ReplayBuffer(3)
-        with pytest.raises(ValueError, match="rows"):
-            buf.insert(**chunk)
-        assert buf.rows == 0
-        buf.insert(y=np.zeros(1))  # the schema is still open
-        assert list(buf.get(np.arange(1))) == ["row", "y"]
+    def init_spy(store, *args):
+        init(store, *args)
+        stores.append((store, store.obs, store.sp, store.end))
 
-    @pytest.mark.parametrize("row", [
-        {"x": np.zeros((1, 2))}, {"x": np.zeros((1, 2)), "k": [0], "y": [1]}, {}])
-    def test_a_row_with_other_columns_rejected(self, row):
-        buf = self.filled()
-        with pytest.raises(ValueError, match="schema"):
-            buf.insert(**row)
-        assert buf.rows == 5
+    def step_spy(collector, student):
+        collected.append(step(collector, student))
+        return collected[-1]
 
-    def test_a_first_chunk_with_no_columns_rejected(self):
-        buf = orchestrator.ReplayBuffer(3)
-        with pytest.raises(ValueError, match="schema"):
-            buf.insert()
-        assert buf.rows == 0
+    monkeypatch.setattr(orchestrator.ReplayBuffer, "__init__", init_spy)
+    monkeypatch.setattr(orchestrator._Collector, "step", step_spy)
+    run_training(RunConfig(algorithm=algorithm, seed=3,
+                           **{**TINY, "early_stop_success": False}), EXPERT)
+    [(store, *arrays)] = stores
+    assert all(a is b for a, b in zip((store.obs, store.sp, store.end), arrays))
+    assert [len(a) for a in arrays] == [TINY["student_buffer"] + 1] * 3
+    n = store.rows
+    assert n == len(collected) == 400
+    for name, key in (("obs", "obs"), ("sp", "sp"), ("end", "episode_end")):
+        assert np.array_equal(getattr(store, name)[:n], [row[key] for row in collected])
+
+
+@pytest.mark.parametrize("algorithm,batches", [("rile_off", 3), ("gail", 2), ("airl", 2)])
+def test_the_store_carries_every_insert_and_every_batch_draw(algorithm, batches,
+                                                            monkeypatch):
+    # The bench's orchestrator.buffer_insert and buffer_sample spans wrap
+    # ReplayBuffer.insert and .sample: each collected chunk (one step off
+    # policy) goes through one insert, and each update draws each of its
+    # student, discriminator and trainer batches through one sample.
+    calls = {"insert": 0, "sample": 0, "_update": 0}
+
+    def counted(name, original):
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+        return spy
+
+    for name in ("insert", "sample"):
+        monkeypatch.setattr(orchestrator.ReplayBuffer, name,
+                            counted(name, getattr(orchestrator.ReplayBuffer, name)))
+    monkeypatch.setattr(orchestrator, "_update", counted("_update", orchestrator._update))
+    cfg = RunConfig(algorithm=algorithm, seed=3, freeze_threshold=0.0,
+                    **{**TINY, "early_stop_success": False})
+    artifacts = run_training(cfg, EXPERT)
+
+    # updates every 4 steps from step 52 to 400; the trainer does not freeze
+    assert calls["insert"] == artifacts.steps_run == 400
+    assert calls["_update"] == (400 - 52) // 4 + 1
+    assert calls["sample"] == batches * calls["_update"]
 
 
 def _fifo_sample(rows, slots, batch_size, rng):
@@ -833,23 +858,25 @@ def test_a_window_samples_as_a_fifo_of_its_slots(window, newest):
     # its newest window rows (all 6 when None) among all rows but the newest
     # `newest` draws the rows that a FIFO of window slots fed those rows
     # draws with the same rng, before and after the window and the store wrap.
-    store = orchestrator.ReplayBuffer(6)
+    store = _store(6)
+    window = window or store.capacity
     for rows in np.cumsum([1, 1, 3, 2, 5, 1, 4, 1, 2]):
-        store.insert(k=np.arange(store.rows, rows))
+        store.insert(_chunk(*range(store.rows, rows)))
         end = rows - newest
         if end < 1:
             continue
-        size = min(3, end, window or 6)
-        got = store.sample(size, np.random.default_rng(rows), window, end)
-        fifo = _fifo_sample(range(end), window or 6, size, np.random.default_rng(rows))
-        assert got["k"].tolist() == got["row"].tolist() == fifo, rows
+        size = min(3, end, window)
+        got = store.sample(size, window, np.random.default_rng(rows), end)
+        fifo = _fifo_sample(range(end), window, size, np.random.default_rng(rows))
+        assert got.tolist() == _held(store, got)[0][:, 0].tolist() == fifo, rows
 
 
 def _replay_of(ends, trainer_batch, **overrides):
-    """A rile_off _Replay of TINY with overrides, fed one 1-row chunk per
-    episode-end flag in ends: row i has obs and sp filled with i."""
+    """A rile_off ReplayBuffer of TINY with overrides, fed one 1-row chunk
+    per episode-end flag in ends: row i has obs and sp filled with i."""
     cfg = RunConfig(algorithm="rile_off", **{**TINY, "trainer_batch": trainer_batch, **overrides})
-    replay = orchestrator._Replay(cfg.validate(), _pathway(cfg), orchestrator.seed_streams(0))
+    replay = orchestrator.ReplayBuffer(cfg.validate(), _pathway(cfg),
+                                       orchestrator.seed_streams(0))
     for i, end in enumerate(ends):
         replay.insert({"obs": np.full((1, 4), float(i)), "sp": np.full((1, 2), float(i)),
                        "episode_end": np.array([end])})
@@ -898,8 +925,8 @@ def test_a_trainer_window_as_large_as_the_students_keeps_its_oldest_row():
                         disc_buffer=4, student_batch=4, disc_batch=4)
     _check_trainer_rows(replay, ends, range(5, 9))
     for seed in range(10):
-        b = replay.student_batch(np.random.default_rng(seed))
-        assert sorted(b["obs"][:, 0]) == [6, 7, 8, 9]
+        obs, _, _ = replay.student_batch(np.random.default_rng(seed))
+        assert sorted(obs[:, 0]) == [6, 7, 8, 9]
 
 
 def test_a_cut_rile_on_rollout_makes_no_update():
@@ -920,7 +947,7 @@ def _rile_on_batches(monkeypatch):
     inserted last, and those of the student, discriminator and trainer
     batches. Asserts that every whole rollout made one update."""
     inserted, batches = [], []
-    replay = orchestrator._Replay
+    replay = orchestrator.ReplayBuffer
     insert, student_batch = replay.insert, replay.student_batch
     disc_rows, trainer_rows = replay.disc_rows, replay.trainer_rows
 
@@ -930,12 +957,12 @@ def _rile_on_batches(monkeypatch):
 
     def student_spy(r, rng):
         b = student_batch(r, rng)
-        batches.append([inserted[-1][0], b["obs"]])
+        batches.append([inserted[-1][0], b[0]])
         return b
 
     def disc_spy(r, rng):
         b = disc_rows(r, rng)
-        batches[-1].append(b["obs"])
+        batches[-1].append(b[0])
         return b
 
     def trainer_spy(r, rng):
@@ -1029,7 +1056,7 @@ def _mixed_batches(cfg, monkeypatch):
     actions of all its rows from the trainer stream after its window draw."""
     expert = {row.tobytes() for row in orchestrator.expert_transition_table(EXPERT)["obs"]}
     batches = {"student": [], "trainer": []}
-    student_batch = orchestrator._Replay.student_batch
+    student_batch = orchestrator.ReplayBuffer.student_batch
 
     def record(key, obs):
         mask = np.array([row.tobytes() in expert for row in obs])
@@ -1037,11 +1064,11 @@ def _mixed_batches(cfg, monkeypatch):
 
     def student_spy(replay, rng):
         b = student_batch(replay, rng)
-        record("student", b["obs"])
+        record("student", b[0])
         return b
 
     with monkeypatch.context() as m, _trainer_draws_checked() as checked:
-        m.setattr(orchestrator._Replay, "student_batch", student_spy)
+        m.setattr(orchestrator.ReplayBuffer, "student_batch", student_spy)
         run_training(cfg, EXPERT)
     for obs, _ in checked:
         record("trainer", obs)
