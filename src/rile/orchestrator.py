@@ -3,17 +3,19 @@
 Every algorithm shares one run lifecycle: the set-up, the logs, the step-0
 checkpoint, the training and a report at its last step. bc trains by
 baselines.train_bc's epochs; one loop serves rile_off, rile_on, gail and
-airl. Each pass collects a chunk of environment steps with the student,
-scores it with the learned reward and, when due, updates the student, then
-the discriminator or AIRL heads, then the trainer. A report evaluates the
-student, closes the reward-metrics window and writes one metrics.jsonl
-row. The loop reports once a chunk completes eval_every steps since the
-last report, then checkpoints the nets; the last report's checkpoint is
-step-final. Every adversarial run keeps one FIFO store of the collected
-rows, of which the student, discriminator and trainer batches sample
-windows (the student's relabeled and mixed with expert rows at sample time).
-rile_on collects the rest of an episode per chunk and updates once it
-ends: its rollout, the store's newest rows, is every learner's window.
+airl. Each pass collects one environment step with the student, scores
+it with the learned reward and, once the store is ready, makes one update
+(the student, then the discriminator or AIRL heads, then the trainer) per
+multiple of update_every in (s - n, s] at step s: n is the rows since the
+learners' last chance to update, one off policy and rile_on's whole
+rollout once its episode ends. A report at each multiple of eval_every
+evaluates the student, closes the reward-metrics window, writes one
+metrics.jsonl row and checkpoints the nets; the last report's checkpoint
+is step-final. Every adversarial run keeps one FIFO store of the
+collected rows, of which the student, discriminator and trainer batches
+sample windows (the student's relabeled and mixed with expert rows at
+sample time); under rile_on each window is the rollout, the rows since
+the last episode end.
 Every adversarial algorithm collects through the same path, so seed-paired
 runs differ only in the reward pathway: _RewardPathway is the one place
 that knows which learners a run has, and it scores, updates, freezes and
@@ -348,9 +350,9 @@ class _WindowTracker:
         self.prev_window = None
 
     def add(self, learned, env_r):
-        """Adds a chunk's learned and environment reward columns."""
-        self.learned.extend(learned)
-        self.env.extend(env_r)
+        """Adds a collected step's learned and environment rewards."""
+        self.learned.append(learned)
+        self.env.append(env_r)
 
     def close(self) -> dict:
         """Closes the open window and returns its metrics."""
@@ -372,13 +374,13 @@ class _WindowTracker:
 class ReplayBuffer:
     """The one batch source of every adversarial run: one FIFO store of the
     collected rows, held in three arrays obs, sp and end, one insert per
-    collected chunk; row i lives in slot i % capacity. The student samples
+    collected step; row i lives in slot i % capacity. The student samples
     its newest student_buffer rows, the discriminator the newest
     disc_buffer, the trainer the newest trainer_buffer of those whose next
     row is known (all but a newest one that ends no episode), with the next
-    row's obs. Under rile_on each window is the newest chunk, the rollout of
-    the episode that just ended: the store is ready only when its newest row
-    ends an episode. One row more than the student's window is held: the
+    row's obs. Under rile_on each window is the rollout, the rows since the
+    last episode end: the store is ready only when its newest row ends an
+    episode. One row more than the student's window is held: the
     trainer's oldest row needs its successor. The first
     round(expert_mix_student * B) rows of a student batch of B rows are then
     expert rows, drawn from the mix stream."""
@@ -394,23 +396,19 @@ class ReplayBuffer:
         self.end = np.zeros(self.capacity, bool)
         self.rows = 0  # the rows inserted
         self.known = 0  # the rows whose next row is known
-        self.rollout = 0  # rile_on's window: the row count of the newest chunk
+        self.rollout = 0  # rile_on's window: the rows since the last episode end
         self.mix_rng = streams["mix"]
 
-    def insert(self, chunk):
-        """Appends a collected chunk's obs, sp and episode ends: row rows + i
-        goes to slot (rows + i) % capacity, and a chunk longer than the store
-        keeps its newest capacity rows."""
-        end = chunk["episode_end"]
-        n = len(end)
-        keep = (self.rows + np.arange(n))[-self.capacity:] % self.capacity
-        self.obs[keep] = chunk["obs"][-self.capacity:]
-        self.sp[keep] = chunk["sp"][-self.capacity:]
-        self.end[keep] = end[-self.capacity:]
-        self.rows += n
-        self.known = self.rows - (not end[-1])
+    def insert(self, row):
+        """Writes a collected row's obs, sp and episode end to slot
+        rows % capacity. Under rile_on it counts the rows of the rollout:
+        a row whose predecessor ended an episode starts a new one."""
+        i = self.rows % self.capacity
+        self.obs[i], self.sp[i], self.end[i] = row["obs"], row["sp"], row["episode_end"]
         if self.cfg.algorithm == "rile_on":
-            self.rollout = n
+            self.rollout = 1 if self.known == self.rows else self.rollout + 1
+        self.rows += 1
+        self.known = self.rows - (not row["episode_end"])
 
     def ready(self) -> bool:
         cfg = self.cfg
@@ -483,26 +481,26 @@ def _report(cfg, pathway, tracker, step, metrics_log) -> float:
     return rate
 
 
-def _crossed(step: int, n: int, every: int) -> bool:
-    """Whether the chunk of n steps ending at step passed a multiple of every."""
-    return step // every > (step - n) // every
+def _crossings(step: int, n: int, every: int) -> int:
+    """The multiples of every that the n steps ending at step passed: the
+    one cadence rule of the updates and of their diagnostics rows."""
+    return step // every - (step - n) // every
 
 
 def run_training(config: RunConfig, expert: ExpertDataset,
                  run_dir: str | None = None) -> RunArtifacts:
     """Executes one run per the configured algorithm and returns artifacts.
 
-    rile_off, rile_on, gail and airl share one loop. Each pass collects a
-    chunk (one step; for rile_on, the rest of the episode), scores it with
-    the learned reward, inserts it into the one store and updates the
-    learners on windows of it: rile_on on its rollout once the episode
-    ends, the others every update_every steps once the store is warm. bc
-    is supervised. Each run ends with a report at its last step, whose
-    metrics.jsonl row is the final eval. Every run trains on one OpenBLAS
-    thread, whatever its widths: on two, airl with 128x128 nets used twice
-    the CPU time per env step at the same speed, and two such runs at once
-    each fell from 948-1,147 to 234-272 env steps/s on a 2-core host
-    (nets.one_blas_thread).
+    rile_off, rile_on, gail and airl share one loop. Each pass collects
+    one step into the one store and updates the learners on windows of it
+    once per multiple of update_every that the rows since their last
+    chance to update passed (under rile_on, the rollout once its episode
+    ends). bc is supervised. Each run ends with a report at its last step,
+    whose metrics.jsonl row is the final eval. Every run trains on one
+    OpenBLAS thread, whatever its widths: on two, airl with 128x128 nets
+    used twice the CPU time per env step at the same speed, and two such
+    runs at once each fell from 948-1,147 to 234-272 env steps/s on a
+    2-core host (nets.one_blas_thread).
     """
     cfg = config.validate()
     with one_blas_thread():
@@ -542,30 +540,25 @@ def _run_loop(cfg, pathway, tracker, streams, run_dir, diag_log, metrics_log) ->
     or to the report that stops it early; returns the number of steps run."""
     student = pathway.student
     collector = _Collector(cfg, streams)
-    on_policy = cfg.algorithm == "rile_on"
     replay = ReplayBuffer(cfg, pathway, streams)
 
     step = 0
     try:
         while step < cfg.total_steps:
-            rows = []
-            while True:
-                rows.append(collector.step(student))
-                step += 1
-                if not on_policy or rows[-1]["episode_end"] or step >= cfg.total_steps:
-                    break
-            n = len(rows)
-            chunk = {k: np.array([r[k] for r in rows]) for k in rows[0]}
-            tracker.add(pathway.student_rewards(chunk["obs"], chunk["sp"]), chunk["env_r"])
+            row = collector.step(student)
+            step += 1
+            learned = pathway.student_rewards(row["obs"][None], row["sp"][None])[0]
+            tracker.add(learned, row["env_r"])
 
-            diag = None
-            replay.insert(chunk)
-            if replay.ready() and (on_policy or step % cfg.update_every == 0):
+            replay.insert(row)
+            n = replay.rollout or 1
+            updates = _crossings(step, n, cfg.update_every) if replay.ready() else 0
+            for _ in range(updates):
                 diag = _update(pathway, replay, step, streams["student"])
-            if diag is not None and _crossed(step, n, cfg.update_every * 25):
+            if updates and _crossings(step, n, cfg.update_every * 25):
                 diag_log.write(diag)
 
-            if len(tracker.learned) >= cfg.eval_every:
+            if step % cfg.eval_every == 0:
                 rate = _report(cfg, pathway, tracker, step, metrics_log)
                 if step >= cfg.total_steps or (cfg.early_stop_success and rate == 1.0):
                     break

@@ -189,14 +189,16 @@ def test_bc_reaches_the_goal_on_the_default_maze():
     ("gail", {}),
     ("airl", {}),
     # The trainer freeze fires before its critic has trained (ROADMAP item
-    # 1), so this rung turns freezing off; item 1's fix turns it back on.
+    # 1), so these rungs turn freezing off; item 1's fix turns it back on.
     ("rile_off", {"freeze_threshold": 0.0}),
-], ids=["gail", "airl", "rile_off"])
+    ("rile_on", {"freeze_threshold": 0.0}),
+], ids=["gail", "airl", "rile_off", "rile_on"])
 def test_adversarial_baseline_reaches_the_goal_on_the_open_field(algorithm, overrides):
     # A learning rung: on a maze without obstacles, with an expert that
     # walks through the centre, seed 0 first reports goal rate 1 at 3,000
-    # steps under gail, 5,000 under airl and 5,000 under rile_off (3-8k,
-    # 5-7k and 3-8k over seeds 0-2).
+    # steps under gail, 5,000 under airl, 5,000 under rile_off and 2,000
+    # under rile_on (3-8k, 5-7k, 3-8k over seeds 0-2, and 1-3k over seeds
+    # 0-4 under rile_on: 2k, 3k, 1k, 1k and 2k).
     spec = MazeSpec(obstacles=[])
     expert = ExpertDataset([scripted_expert_episode(spec, [(0.5, 0.5)])] * 4)
     cfg = RunConfig(algorithm=algorithm, env=spec, seed=0, eval_every=1000,

@@ -9,9 +9,9 @@ module names it, no learner of the reward pathway read from outside it
 in orchestrator, no seed stream that nothing reads, no call of
 evaluate_policy outside the one report routine, one ReplayBuffer
 construction, the one store of collected rows, one call of _update, in
-the one training loop, and one call of trainer_act, in the trainer's
-update. An allowlist entry that no longer names an
-exception fails too."""
+the one training loop, a loop whose body names no algorithm, and one
+call of trainer_act, in the trainer's update. An allowlist entry that no
+longer names an exception fails too."""
 
 import ast
 import re
@@ -421,6 +421,36 @@ def test_one_training_loop_updates_the_learners():
     sites = [f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
              for site in _call_sites(path.read_text(), "_update")]
     assert sites == ["orchestrator._run_loop"], "_update called at: " + ", ".join(sites)
+
+
+def _algorithm_names(source: str, function: str) -> list:
+    """'line name' for each place in the body of source's top-level
+    function that names an algorithm: an attribute called algorithm, or a
+    string constant that is an algorithm's name. Sorted by line."""
+    from rile.orchestrator import ALGORITHMS
+
+    [body] = [n for n in ast.parse(source).body
+              if isinstance(n, ast.FunctionDef) and n.name == function]
+    found = [(n.lineno, n.attr) for n in ast.walk(body)
+             if isinstance(n, ast.Attribute) and n.attr == "algorithm"]
+    found += [(n.lineno, n.value) for n in ast.walk(body)
+              if isinstance(n, ast.Constant) and n.value in ALGORITHMS]
+    return [f"{line} {name}" for line, name in sorted(found)]
+
+
+def test_the_algorithm_scan_sees_attributes_and_names_in_the_function_only():
+    source = ("def loop(cfg):\n    if cfg.algorithm == 'gail':\n        return 'rile_on'\n"
+              "    return cfg.env, 'rile'\n"
+              "def other(cfg):\n    return cfg.algorithm == 'bc'\n")
+    assert _algorithm_names(source, "loop") == ["2 algorithm", "2 gail", "3 rile_on"]
+
+
+def test_the_training_loop_names_no_algorithm():
+    # One loop serves every adversarial run: the store knows rile_on's
+    # window and the reward pathway its learners, so the loop's body
+    # branches on no algorithm.
+    found = _algorithm_names((PACKAGE / "orchestrator.py").read_text(), "_run_loop")
+    assert not found, "_run_loop names an algorithm at: " + ", ".join(found)
 
 
 def test_the_trainer_draws_its_actions_only_for_its_batches():

@@ -133,10 +133,10 @@ def test_error_in_an_update_aborts_with_a_checkpoint(algorithm, tmp_path, monkey
     aborts = [d for d in os.listdir(tmp_path) if d.endswith("-abort")]
     assert aborts == [f"step-{step}-abort"]
     assert os.path.isfile(tmp_path / aborts[0] / "student" / "actor.mlp")
-    if algorithm == "rile_off":
-        # updates run at multiples of update_every (4) past the 50-step
-        # warm-up: steps 52, 56 and 60
-        assert step == 60
+    # rile_off updates at multiples of update_every (4) past the 50-step
+    # warm-up: steps 52, 56 and 60; rile_on's first rollout, 12 rows ending
+    # at step 12, makes 12 // 4 = 3 updates, all at step 12
+    assert step == {"rile_off": 60, "rile_on": 12}[algorithm]
 
 
 @pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
@@ -165,10 +165,9 @@ def test_early_stop_closes_the_full_metrics_window(algorithm, tmp_path, monkeypa
 
 @pytest.mark.parametrize("algorithm", ["rile_off", "rile_on", "gail", "airl"])
 def test_each_report_closes_the_window_of_the_steps_since_the_last(algorithm, monkeypatch):
-    # A report fires once eval_every steps have been collected since the
-    # last one: at its multiples off-policy, at the end of the episode that
-    # completes them under rile_on. Its row holds the eval and the window.
-    # The run's last step ends it with a report of the steps left.
+    # A report fires at each multiple of eval_every, under every
+    # algorithm. Its row holds the eval and the window of the steps since
+    # the last report. The run's last step ends it with a report.
     sizes = []
     original = orchestrator.MetricsWindow
 
@@ -184,13 +183,7 @@ def test_each_report_closes_the_window_of_the_steps_since_the_last(algorithm, mo
     every, rows = cfg.eval_every, artifacts.metrics_rows
     steps = [row["step"] for row in rows]
     assert np.diff([0, *steps]).tolist() == sizes
-    assert steps[-1] == cfg.total_steps
-    if algorithm == "rile_on":
-        assert len(rows) >= 3
-        assert all(every <= n < every + cfg.env.max_steps for n in sizes[:-1])
-        assert sizes[-1] < every + cfg.env.max_steps
-    else:
-        assert steps == [200, 400, 600, 800, 1000]
+    assert steps == list(range(every, cfg.total_steps + 1, every))
     for k, row in enumerate(rows):
         assert row["window"] == k
         assert set(row) == {"step", "window", "eval_return", "goal_rate", "frozen", "cpr",
@@ -222,12 +215,11 @@ def _reported_run(cfg, run_dir, monkeypatch):
 
 @pytest.mark.parametrize("algorithm,reports", [
     ("rile_off", [200, 400, 500]), ("gail", [200, 400, 500]), ("airl", [200, 400, 500]),
-    ("rile_on", [204, 408, 500])])
+    ("rile_on", [200, 400, 500])])
 def test_an_unreported_tail_ends_with_a_report(algorithm, reports, tmp_path, monkeypatch):
-    # 500 steps at eval_every 200: the loop reports at 200 and 400 (under
-    # rile_on, at the episode ends that complete 200 steps: 204 and 408 at
-    # seed 5), and the run's end reports the steps left, then saves
-    # step-final in place of step-500. One eval per row.
+    # 500 steps at eval_every 200: the loop reports at 200 and 400, and the
+    # run's end reports the steps left, then saves step-final in place of
+    # step-500. One eval per row.
     cfg = RunConfig(algorithm=algorithm, seed=5,
                     **{**TINY, "total_steps": 500, "early_stop_success": False})
     artifacts, evals, sizes, steps = _reported_run(cfg, tmp_path, monkeypatch)
@@ -347,8 +339,7 @@ def test_every_checkpoint_holds_every_net_of_the_run(algorithm, tmp_path, monkey
     aborts = [d for d in os.listdir(tmp_path / "aborted") if d.endswith("-abort")]
     assert len(aborts) == 1
     reports = [f"step-{row['step']}" for row in done.metrics_rows]
-    if algorithm != "rile_on":  # rile_on reports at episode ends
-        assert reports == ["step-200", "step-400"]
+    assert reports == ["step-200", "step-400"]
     steps = sorted(d for d in os.listdir(tmp_path / "done") if d.startswith("step-"))
     assert reports[-1] == f"step-{done.steps_run}"
     assert steps == sorted(["step-0", *reports[:-1], "step-final"])
@@ -720,12 +711,10 @@ def test_airl_probe_snapshot_is_f_on_the_expert_transitions():
     assert np.array_equal(tracker.prev_window.fixed_snapshot, f)
 
 
-def _chunk(*ks):
-    """A collected chunk of rows k: obs filled with k, sp with -k, and an
-    episode end on each multiple of 3."""
-    k = np.array(ks, dtype=float)
-    return {"obs": np.repeat(k[:, None], 4, axis=1), "sp": np.repeat(-k[:, None], 2, axis=1),
-            "episode_end": k % 3 == 0}
+def _row(k):
+    """Collected row k: obs filled with k, sp with -k, and an episode end
+    on each multiple of 3."""
+    return {"obs": np.full(4, float(k)), "sp": np.full(2, -float(k)), "episode_end": k % 3 == 0}
 
 
 def _store(capacity):
@@ -743,10 +732,10 @@ def _held(store, rows):
 
 class TestReplayBuffer:
     def filled(self):
-        # rows 0-4 in chunks of 2, 1 and 2 rows; the last wraps past slot 2
+        # rows 0-4, one at a time; rows 3 and 4 wrap past slot 2
         store = _store(3)
-        for ks in ((0, 1), (2,), (3, 4)):
-            store.insert(_chunk(*ks))
+        for k in range(5):
+            store.insert(_row(k))
         return store
 
     def test_holds_the_newest_rows_and_a_full_sample_returns_each_once(self):
@@ -762,26 +751,6 @@ class TestReplayBuffer:
     def test_sampling_more_rows_than_held_rejected(self):
         with pytest.raises(ValueError, match="cannot sample 4"):
             self.filled().sample(4, 4, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (4, 1, 5), (7,), (1, 8, 2), (3, 13)])
-    def test_a_chunk_stores_as_its_rows_one_at_a_time(self, sizes):
-        # chunks that fill, wrap past the capacity of 4 and outgrow the whole
-        # store (as a rile_on rollout can, three times over from slot 3 in
-        # the last case) leave every slot as 1-row chunks of the same rows
-        # do, in the arrays the store was built with
-        chunked, by_row = _store(4), _store(4)
-        arrays = (chunked.obs, chunked.sp, chunked.end)
-        rows = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
-        for ks in rows:
-            chunked.insert(_chunk(*ks))
-            for k in ks:
-                by_row.insert(_chunk(k))
-            assert chunked.rows == by_row.rows == ks[-1] + 1
-            held = np.arange(max(chunked.rows - 4, 0), chunked.rows)
-            got, want = _held(chunked, held), _held(by_row, held)
-            assert got[0][:, 0].tolist() == want[0][:, 0].tolist() == held.tolist()
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            assert all(a is b for a, b in zip((chunked.obs, chunked.sp, chunked.end), arrays))
 
 
 @pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
@@ -818,9 +787,9 @@ def test_a_run_writes_every_row_into_the_arrays_the_store_was_built_with(algorit
 def test_the_store_carries_every_insert_and_every_batch_draw(algorithm, batches,
                                                             monkeypatch):
     # The bench's orchestrator.buffer_insert and buffer_sample spans wrap
-    # ReplayBuffer.insert and .sample: each collected chunk (one step off
-    # policy) goes through one insert, and each update draws each of its
-    # student, discriminator and trainer batches through one sample.
+    # ReplayBuffer.insert and .sample: each collected step goes through one
+    # insert, and each update draws each of its student, discriminator and
+    # trainer batches through one sample.
     calls = {"insert": 0, "sample": 0, "_update": 0}
 
     def counted(name, original):
@@ -854,14 +823,14 @@ def _fifo_sample(rows, slots, batch_size, rng):
 
 @pytest.mark.parametrize("window,newest", [(2, 0), (5, 0), (5, 1), (None, 0)])
 def test_a_window_samples_as_a_fifo_of_its_slots(window, newest):
-    # A store of 6 slots fed rows 0-19 in chunks of 1 to 5 rows. A sample of
-    # its newest window rows (all 6 when None) among all rows but the newest
+    # A store of 6 slots fed rows 0-19 one at a time. A sample of its
+    # newest window rows (all 6 when None) among all rows but the newest
     # `newest` draws the rows that a FIFO of window slots fed those rows
     # draws with the same rng, before and after the window and the store wrap.
     store = _store(6)
     window = window or store.capacity
-    for rows in np.cumsum([1, 1, 3, 2, 5, 1, 4, 1, 2]):
-        store.insert(_chunk(*range(store.rows, rows)))
+    for rows in range(1, 21):
+        store.insert(_row(rows - 1))
         end = rows - newest
         if end < 1:
             continue
@@ -872,14 +841,14 @@ def test_a_window_samples_as_a_fifo_of_its_slots(window, newest):
 
 
 def _replay_of(ends, trainer_batch, **overrides):
-    """A rile_off ReplayBuffer of TINY with overrides, fed one 1-row chunk
-    per episode-end flag in ends: row i has obs and sp filled with i."""
+    """A rile_off ReplayBuffer of TINY with overrides, fed one row per
+    episode-end flag in ends: row i has obs and sp filled with i."""
     cfg = RunConfig(algorithm="rile_off", **{**TINY, "trainer_batch": trainer_batch, **overrides})
     replay = orchestrator.ReplayBuffer(cfg.validate(), _pathway(cfg),
                                        orchestrator.seed_streams(0))
     for i, end in enumerate(ends):
-        replay.insert({"obs": np.full((1, 4), float(i)), "sp": np.full((1, 2), float(i)),
-                       "episode_end": np.array([end])})
+        replay.insert({"obs": np.full(4, float(i)), "sp": np.full(2, float(i)),
+                       "episode_end": end})
     return replay
 
 
@@ -911,8 +880,7 @@ def test_a_newest_row_that_ends_no_episode_waits_for_its_successor():
     with pytest.raises(ValueError, match="cannot sample 4"):
         replay.trainer_rows(np.random.default_rng(0))
     # an episode-ending successor: row 3 and the successor are both known
-    replay.insert({"obs": np.full((1, 4), 4.0), "sp": np.full((1, 2), 4.0),
-                   "episode_end": np.array([True])})
+    replay.insert({"obs": np.full(4, 4.0), "sp": np.full(2, 4.0), "episode_end": True})
     _check_trainer_rows(replay, [*ends, True], range(5))
 
 
@@ -943,21 +911,27 @@ def test_a_cut_rile_on_rollout_makes_no_update():
 
 
 def _rile_on_batches(monkeypatch):
-    """For each update of a seed-3 rile_on TINY run: the obs of the chunk
-    inserted last, and those of the student, discriminator and trainer
-    batches. Asserts that every whole rollout made one update."""
-    inserted, batches = [], []
+    """For each update of a seed-3 rile_on TINY run: the obs of the rollout
+    it trained on, the rows inserted since the last episode end, and those
+    of its student, discriminator and trainer batches. Asserts that each
+    whole rollout of n rows ending at step s made s//4 - (s-n)//4 updates."""
+    rollouts, batches = [], []  # rollouts: [obs rows, step, updates], newest last
     replay = orchestrator.ReplayBuffer
     insert, student_batch = replay.insert, replay.student_batch
     disc_rows, trainer_rows = replay.disc_rows, replay.trainer_rows
 
-    def insert_spy(r, chunk):
-        inserted.append((chunk["obs"], chunk["episode_end"][-1]))
-        return insert(r, chunk)
+    def insert_spy(r, row):
+        if not rollouts or rollouts[-1][1] is not None:  # the last one ended
+            rollouts.append([[], None, 0])
+        rollouts[-1][0].append(row["obs"])
+        if row["episode_end"]:
+            rollouts[-1][1] = r.rows + 1
+        return insert(r, row)
 
     def student_spy(r, rng):
         b = student_batch(r, rng)
-        batches.append([inserted[-1][0], b[0]])
+        rollouts[-1][2] += 1
+        batches.append([np.array(rollouts[-1][0]), b[0]])
         return b
 
     def disc_spy(r, rng):
@@ -976,7 +950,9 @@ def _rile_on_batches(monkeypatch):
             m.setattr(replay, name, spy)
         run_training(RunConfig(algorithm="rile_on", seed=3, freeze_threshold=0.0,
                                **{**TINY, "early_stop_success": False}), EXPERT)
-    assert len(batches) == sum(ended for _, ended in inserted) > 0
+    whole = [(len(obs), s, updates) for obs, s, updates in rollouts if s is not None]
+    assert whole and all(updates == s // 4 - (s - n) // 4 for n, s, updates in whole)
+    assert len(batches) == sum(updates for _, _, updates in whole)
     return batches
 
 
@@ -985,17 +961,55 @@ def _row_set(obs):
 
 
 def test_each_rile_on_update_trains_on_the_whole_rollout_once(monkeypatch):
-    # The student's and the trainer's windows are the rollout just
-    # collected: each batch holds each of its rows exactly once.
+    # Each update of a rollout trains on the whole rollout: each of its
+    # student and trainer batches holds each row of the rollout exactly once.
     for rollout, student, _, trainer in _rile_on_batches(monkeypatch):
         assert _row_set(student) == _row_set(trainer) == _row_set(rollout)
 
 
 def test_each_rile_on_disc_batch_holds_distinct_rows_of_the_rollout(monkeypatch):
+    # every discriminator batch of every update of a rollout
     for rollout, _, disc, _ in _rile_on_batches(monkeypatch):
         rows = _row_set(disc)
         assert len(rows) == len(set(rows)) == min(TINY["disc_batch"], len(rollout))
         assert set(rows) <= set(_row_set(rollout))
+
+
+@pytest.mark.parametrize("algorithm", ["rile_off", "rile_on"])
+def test_each_step_updates_once_per_multiple_of_update_every_since_the_last_chance(
+        algorithm, monkeypatch):
+    # One rule sets every update count: at step s, one update per multiple
+    # of update_every (4) in (s - n, s], where n is the rows since the
+    # learners' last chance to update. Off policy n is 1, so rile_off
+    # updates once on every 4th step past the 50-step warm-up. rile_on's
+    # learners wait for the episode to end, so a whole rollout of n rows
+    # ending at step s makes s//4 - (s-n)//4 updates, all at step s, and
+    # no other step (the cut rollout at the run's end included) makes any.
+    ends, updates = [], []
+    step, update = orchestrator._Collector.step, orchestrator._update
+
+    def step_spy(collector, student):
+        row = step(collector, student)
+        ends.append(row["episode_end"])
+        return row
+
+    def update_spy(pathway, source, s, rng):
+        updates.append(s)
+        return update(pathway, source, s, rng)
+
+    monkeypatch.setattr(orchestrator._Collector, "step", step_spy)
+    monkeypatch.setattr(orchestrator, "_update", update_spy)
+    cfg = RunConfig(algorithm=algorithm, seed=3, **{**TINY, "early_stop_success": False})
+    assert run_training(cfg, EXPERT).steps_run == len(ends) == 400
+
+    if algorithm == "rile_off":
+        assert updates == list(range(52, 401, 4))
+        return
+    end_steps = [s for s, end in enumerate(ends, 1) if end]
+    assert end_steps[-1] < 400  # the run's last rollout is cut
+    want = [s for start, s in zip([0, *end_steps], end_steps)
+            for _ in range(s // 4 - start // 4)]
+    assert updates == want and len(updates) > len(end_steps)
 
 
 def test_each_collected_episode_starts_at_its_own_jittered_point():
