@@ -114,10 +114,10 @@ class ActorCritic:
     critic_target: MlpParams
     actor_opt: AdamState
     critic_opt: AdamState
-    entropy_coef: float = 0.2
-    epsilon_greedy: float = 0.0
-    gamma: float = 0.99
-    tau: float = 0.01
+    entropy_coef: float
+    epsilon_greedy: float
+    gamma: float
+    tau: float
 
     @property
     def action_dim(self) -> int:

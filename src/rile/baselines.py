@@ -56,7 +56,7 @@ class AirlHeads:
     potential: MlpParams
     reward_opt: AdamState
     potential_opt: AdamState
-    gamma: float = 0.99
+    gamma: float
 
 
 def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,

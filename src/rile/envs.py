@@ -1,6 +1,7 @@
 """Desk-scale environment and expert demonstrations.
 
-A continuous 2-D obstacle maze on [0,1]^2, a scripted waypoint expert for
+A continuous 2-D obstacle maze on [0,1]^2 that rewards GOAL_REWARD at the
+goal less LIVING_COST per step (env_reward), a scripted waypoint expert for
 it, and the one table of the expert's transitions (s, a, s', episode end)
 that every learner reads; an episode's last s' is the goal state it ends in.
 
@@ -19,9 +20,9 @@ import numpy as np
 class MazeSpec:
     """Axis-aligned rectangular obstacles inside the unit square.
 
-    Each obstacle is (xmin, ymin, xmax, ymax). The environment-defined
-    reward used for evaluation and reward-correlation metrics is
-    goal_reward on reaching the goal minus living_cost per step.
+    Each obstacle is (xmin, ymin, xmax, ymax). Every maze's reward, used for
+    evaluation and reward-correlation metrics, is env_reward: GOAL_REWARD on
+    reaching the goal minus LIVING_COST per step.
     """
 
     obstacles: list = field(default_factory=lambda: list(DEFAULT_OBSTACLES))
@@ -31,8 +32,6 @@ class MazeSpec:
     max_steps: int = 120
     step_size: float = 0.06
     start_jitter: float = 0.0
-    goal_reward: float = 1.0
-    living_cost: float = 0.001
 
     def __post_init__(self):
         if self.goal_radius <= 0:
@@ -41,8 +40,12 @@ class MazeSpec:
             if point_in_obstacle(self, np.asarray(p, float)):
                 raise ValueError(f"{name} position lies inside an obstacle")
 
-    def env_reward(self, at_goal: bool) -> float:
-        return (self.goal_reward if at_goal else 0.0) - self.living_cost
+
+GOAL_REWARD, LIVING_COST = 1.0, 0.001
+
+
+def env_reward(at_goal: bool) -> float:
+    return (GOAL_REWARD if at_goal else 0.0) - LIVING_COST
 
 
 # Three rectangles forming an S-shaped corridor: one wall hanging from the
@@ -177,22 +180,23 @@ DEFAULT_WAYPOINTS = (
     (0.86, 0.84),
     (0.90, 0.10),
 )
+WAYPOINT_SLACK = 0.04  # the scripted expert passes a waypoint once this close to it
 
 
-def scripted_expert_episode(spec: MazeSpec, waypoints=None, slack: float = 0.04, rng=0):
+def scripted_expert_episode(spec: MazeSpec, waypoints=None, rng=0):
     """One scripted demonstration, (states [n + 1], actions [n]), from
     maze_reset(spec, rng), whose last state is the one in the goal: the
     expert heads at each waypoint in turn, then at the goal, passing a
-    waypoint once within slack of it, with its speed scaled down near the
-    target so that it does not overshoot. Raises if the goal is not reached
-    within max_steps."""
+    waypoint once within WAYPOINT_SLACK of it, with its speed scaled down
+    near the target so that it does not overshoot. Raises if the goal is
+    not reached within max_steps."""
     targets = [np.asarray(w, float) for w in (waypoints or DEFAULT_WAYPOINTS)]
     targets.append(np.asarray(spec.goal, float))
     wp = 0
     state = maze_reset(spec, rng)
     states, actions = [], []
     for _ in range(spec.max_steps):
-        while wp < len(targets) - 1 and np.linalg.norm(state - targets[wp]) <= slack:
+        while wp < len(targets) - 1 and np.linalg.norm(state - targets[wp]) <= WAYPOINT_SLACK:
             wp += 1
         delta = targets[wp] - state
         dist = np.linalg.norm(delta)

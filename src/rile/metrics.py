@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import ActorCritic, student_act
-from .envs import MazeSpec, maze_reset, maze_step
+from .envs import MazeSpec, env_reward, maze_reset, maze_step
 
 
 def wasserstein1d(xs, ys) -> float:
@@ -109,7 +109,7 @@ def _run_episode(spec, student, rng, ep_seed, action_noise):
         if action_noise > 0:
             action = action + rng.normal(0.0, action_noise, size=np.shape(action))
         state, at_goal = maze_step(spec, state, action)
-        total += spec.env_reward(at_goal)
+        total += env_reward(at_goal)
         if at_goal:
             return total, True
     return total, False

@@ -252,8 +252,8 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
-    lr: float = 3e-4
+    step: int
+    lr: float
 
 
 def adam_init(params: MlpParams, lr: float) -> AdamState:

@@ -54,11 +54,12 @@ from .agents import (
     trainer_update,
 )
 from .discriminator import DiscriminatorNet, disc_output, disc_update, make_discriminator
-from .envs import ExpertDataset, MazeSpec, maze_reset, maze_step
+from .envs import ExpertDataset, MazeSpec, env_reward, maze_reset, maze_step
 from .metrics import MetricsWindow, cpr, evaluate_policy, fs_rfdc, rfdc
 from .nets import load_mlp, mlp_forward, one_blas_thread, save_mlp
 
 ALGORITHMS = ("rile_on", "rile_off", "gail", "airl", "bc")
+DISC_LR = 3e-5  # the Adam rate of the discriminator and of AIRL's heads
 
 
 class RunAborted(RuntimeError):
@@ -68,7 +69,10 @@ class RunAborted(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; defaults follow the tuned desk-scale setup."""
+    """Everything a run needs; defaults follow the tuned desk-scale setup.
+
+    No run varies the rates: the student and the trainer learn at
+    make_actor_critic's default lr and entropy bonus, D and AIRL's heads at DISC_LR."""
 
     algorithm: str = "rile_off"
     env: MazeSpec = field(default_factory=MazeSpec)
@@ -80,14 +84,9 @@ class RunConfig:
     trainer_batch: int = 256
     disc_batch: int = 32
     # optimization
-    student_lr: float = 3e-4
-    trainer_lr: float = 3e-4
-    disc_lr: float = 3e-5
     gamma: float = 0.99
     tau: float = 0.01
     epsilon_greedy: float = 0.2
-    student_entropy: float = 0.2
-    trainer_entropy: float = 0.2
     # networks (desk-scale defaults; override per run)
     student_hidden: tuple = (64, 64)
     trainer_hidden: tuple = (64, 64)
@@ -134,8 +133,13 @@ class RunConfig:
             raise ValueError("eval_every must be >= 2: cpr needs two samples")
         if not 0.0 <= self.bc_holdout < 1.0:
             raise ValueError("bc_holdout must be in [0, 1)")
-        if not 0.0 <= self.expert_mix_student <= 1.0:
-            raise ValueError("expert_mix_student must be in [0, 1]")
+        for name in ("gamma", "epsilon_greedy", "expert_mix_student"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError("tau must be in (0, 1]: at 0 the critic target never moves")
+        if self.action_noise < 0:
+            raise ValueError("action_noise must be >= 0")
         if self.expert_mix_student > 0 and self.algorithm in ("rile_on", "bc"):
             raise ValueError(f"expert_mix_student mixes expert rows into off-policy batches, "
                              f"which {self.algorithm} does not sample")
@@ -166,16 +170,14 @@ def expert_transition_table(expert: ExpertDataset) -> dict:
 
 @dataclass
 class RunArtifacts:
-    config: RunConfig
-    run_dir: str | None
     student: ActorCritic
     trainer: ActorCritic | None
     disc: DiscriminatorNet | None
-    airl: object = None
-    metrics_rows: list = field(default_factory=list)
-    diagnostics_rows: list = field(default_factory=list)
-    steps_run: int = 0
-    freeze_step: int | None = None
+    airl: baselines.AirlHeads | None
+    metrics_rows: list
+    diagnostics_rows: list
+    steps_run: int
+    freeze_step: int | None
 
 
 class _Logger:
@@ -239,17 +241,16 @@ class _RewardPathway:
                     f"it must map {obs_dim} -> 2 (a trainer actor) or 1 (an AIRL reward net)")
             return
         if cfg.algorithm in ("rile_on", "rile_off"):
-            self.trainer = make_actor_critic(
-                obs_dim, 1, cfg.trainer_hidden, streams["init_trainer"], lr=cfg.trainer_lr,
-                entropy_coef=cfg.trainer_entropy, gamma=cfg.gamma, tau=cfg.tau)
+            self.trainer = make_actor_critic(obs_dim, 1, cfg.trainer_hidden,
+                                             streams["init_trainer"], gamma=cfg.gamma, tau=cfg.tau)
             self.nets.update(_agent_nets("trainer", self.trainer))
         if cfg.algorithm in ("rile_on", "rile_off", "gail"):
-            self.disc = make_discriminator(obs_dim, cfg.disc_hidden, cfg.disc_lr,
+            self.disc = make_discriminator(obs_dim, cfg.disc_hidden, DISC_LR,
                                            streams["init_disc"])
             self.nets["discriminator/net.mlp"] = self.disc.params
         if cfg.algorithm == "airl":
             self.airl = baselines.make_airl_heads(
-                self.state_dim, expert.a.shape[1], cfg.disc_hidden, cfg.disc_lr, cfg.gamma,
+                self.state_dim, expert.a.shape[1], cfg.disc_hidden, DISC_LR, cfg.gamma,
                 streams["init_airl"])
             self.nets.update({"airl/reward.mlp": self.airl.reward,
                               "airl/potential.mlp": self.airl.potential})
@@ -272,6 +273,11 @@ class _RewardPathway:
             return baselines.gail_student_reward(disc_output(self.disc, obs))
         return baselines.airl_f_batch(self.airl, obs, sp)[0]
 
+    def expert_rows(self, k: int, rng):
+        """(obs, sp) of k expert rows drawn with rng."""
+        idx = rng.integers(0, len(self.expert_table["obs"]), size=k)
+        return self.expert_table["obs"][idx], self.expert_table["sp"][idx]
+
     def update(self, source, step) -> dict:
         """Updates the discriminator or AIRL heads (student rows against as
         many expert rows), then the trainer rewarded by the updated
@@ -281,15 +287,13 @@ class _RewardPathway:
         Returns their diagnostics."""
         diag = {}
         if self.airl is not None or (self.disc is not None and not self.trainer_frozen):
-            rng = self.disc_rng
-            obs, sp = source.disc_rows(rng)
-            te = self.expert_table
-            idx = rng.integers(0, len(te["obs"]), size=len(obs))
+            obs, sp = source.disc_rows(self.disc_rng)
+            expert = self.expert_rows(len(obs), self.disc_rng)
             if self.disc is not None:
-                diag.update(disc_update(self.disc, te["obs"][idx], obs))
+                diag.update(disc_update(self.disc, expert[0], obs))
             else:
-                diag["disc_loss"] = baselines.airl_update(
-                    self.airl, self.student, (te["obs"][idx], te["sp"][idx]), (obs, sp))
+                diag["disc_loss"] = baselines.airl_update(self.airl, self.student, expert,
+                                                          (obs, sp))
         if self.trainer is not None and not self.trainer_frozen:
             obs, obsp, done = source.trainer_rows(self.trainer_rng)
             a_t, fwd = trainer_act(self.trainer, obs, self.trainer_rng)
@@ -329,7 +333,7 @@ class _Collector:
         row = {
             "obs": np.concatenate([self.state, action]), "sp": nxt,
             "episode_end": at_goal or truncated,
-            "env_r": cfg.env.env_reward(at_goal),
+            "env_r": env_reward(at_goal),
         }
         if at_goal or truncated:
             self.state = maze_reset(cfg.env, self.env_rng)
@@ -438,9 +442,7 @@ class ReplayBuffer:
         i = self.sample(cfg.student_batch, cfg.student_buffer, rng) % self.capacity
         obs, sp = self.obs[i], self.sp[i]
         k = round(cfg.expert_mix_student * len(i))
-        te = self.pathway.expert_table
-        idx = self.mix_rng.integers(0, len(te["obs"]), size=k)
-        obs[:k], sp[:k] = te["obs"][idx], te["sp"][idx]
+        obs[:k], sp[:k] = self.pathway.expert_rows(k, self.mix_rng)
         return obs, sp, self.pathway.student_rewards(obs, sp)
 
     def disc_rows(self, rng):
@@ -510,10 +512,8 @@ def run_training(config: RunConfig, expert: ExpertDataset,
 def _train(cfg: RunConfig, expert: ExpertDataset, run_dir) -> RunArtifacts:
     streams = seed_streams(cfg.seed)
     student = make_actor_critic(expert.s.shape[1], expert.a.shape[1], cfg.student_hidden,
-                                streams["init_student"], lr=cfg.student_lr,
-                                entropy_coef=cfg.student_entropy,
-                                epsilon_greedy=cfg.epsilon_greedy, gamma=cfg.gamma,
-                                tau=cfg.tau)
+                                streams["init_student"], epsilon_greedy=cfg.epsilon_greedy,
+                                gamma=cfg.gamma, tau=cfg.tau)
     pathway = _RewardPathway(cfg, expert, student, streams)
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
@@ -530,9 +530,8 @@ def _train(cfg: RunConfig, expert: ExpertDataset, run_dir) -> RunArtifacts:
         _report(cfg, pathway, tracker, steps_run, metrics_log)
     _checkpoint(run_dir, "final", pathway.nets)
     # the learners by name, for callers that read the trained nets
-    return RunArtifacts(cfg, run_dir, student, pathway.trainer, pathway.disc, pathway.airl,
-                        metrics_rows=metrics_log.rows, diagnostics_rows=diag_log.rows,
-                        steps_run=steps_run, freeze_step=pathway.freeze_step)
+    return RunArtifacts(student, pathway.trainer, pathway.disc, pathway.airl,
+                        metrics_log.rows, diag_log.rows, steps_run, pathway.freeze_step)
 
 
 def _run_loop(cfg, pathway, tracker, streams, run_dir, diag_log, metrics_log) -> int:

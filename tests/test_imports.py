@@ -3,15 +3,16 @@ bodies count too: they run later than the module's own, but they tie the
 two modules together all the same.
 
 And no top-level name, method or property of src/rile/ without a caller
-in src/rile/ or bench/, no function parameter that its body never reads,
-no batch scratch outside nets: each network owns its own, so no other
-module names it, no learner of the reward pathway read from outside it
-in orchestrator, no seed stream that nothing reads, no call of
-evaluate_policy outside the one report routine, one ReplayBuffer
-construction, the one store of collected rows, one call of _update, in
-the one training loop, a loop whose body names no algorithm, and one
-call of trainer_act, in the trainer's update. An allowlist entry that no
-longer names an exception fails too."""
+in src/rile/ or bench/, no class field that nothing there reads, no
+function parameter that its body never reads, no batch scratch outside
+nets: each network owns its own, so no other module names it, no learner
+of the reward pathway read from outside it in orchestrator, no seed
+stream that nothing reads, no call of evaluate_policy outside the one
+report routine, one ReplayBuffer construction, the one store of
+collected rows, one call of _update, in the one training loop, a loop
+whose body names no algorithm, and one call of trainer_act, in the
+trainer's update. An allowlist entry that no longer names an exception
+fails too."""
 
 import ast
 import re
@@ -29,6 +30,12 @@ UNCALLED_ALLOWED = {
 
 # Parameters that may go unread, and why.
 UNREAD_ALLOWED = {}
+
+# Class fields that may go unread in src/rile/ and bench/, and why.
+UNREAD_FIELDS_ALLOWED = {
+    "RunArtifacts.metrics_rows": "a run's output, read by run_training's callers",
+    "RunArtifacts.diagnostics_rows": "a run's output, read by run_training's callers",
+}
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -247,6 +254,47 @@ def test_every_parameter_is_read():
     unread = [n for n, p in found.items() if p not in UNREAD_ALLOWED]
     assert not unread, "parameters never read: " + ", ".join(unread)
     stale = sorted(set(UNREAD_ALLOWED) - set(found.values()))
+    assert not stale, "allowed as unread, but read or gone: " + ", ".join(stale)
+
+
+def _unread_fields(package: Path, others) -> list:
+    """'module.Class.field' for each annotated field of each top-level class
+    of package's modules that no attribute load x.field in package or in
+    the files others reads. Fields are matched by name alone, so a field
+    that shares its name with an attribute read elsewhere counts as read."""
+    paths = sorted(package.glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in [*paths, *others]}
+    loaded = {n.attr for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for path in paths:
+        for cls in trees[path].body:
+            if isinstance(cls, ast.ClassDef):
+                found += [f"{path.stem}.{cls.name}.{stmt.target.id}" for stmt in cls.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                          and stmt.target.id not in loaded]
+    return sorted(found)
+
+
+def test_the_field_scan_sees_attribute_loads_only(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass C:\n    read: int\n    written: int = 0\n"
+        "    named_in_a_string: int = 0\n    read_outside: int = 0\n    plain = 1\n"
+        "def f(c, written):\n    c.written = c.read + written\n"
+        "    return 'C.named_in_a_string', getattr(c, 'named_in_a_string')\n")
+    other = tmp_path / "other.py"
+    other.write_text("import pkg.a\nprint(pkg.a.C(1).read_outside)\n")
+    assert _unread_fields(pkg, [other]) == ["a.C.named_in_a_string", "a.C.written"]
+
+
+def test_every_field_is_read():
+    found = {n: n.split(".", 1)[1] for n in _unread_fields(PACKAGE, sorted(BENCH.glob("*.py")))}
+    unread = [n for n, field in found.items() if field not in UNREAD_FIELDS_ALLOWED]
+    assert not unread, "fields nothing in src/rile/ or bench/ reads: " + ", ".join(unread)
+    stale = sorted(set(UNREAD_FIELDS_ALLOWED) - set(found.values()))
     assert not stale, "allowed as unread, but read or gone: " + ", ".join(stale)
 
 

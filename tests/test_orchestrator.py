@@ -366,7 +366,10 @@ def test_frozen_reward_rejected_outside_rile(algorithm):
     ("rile_off", "student_batch", 0), ("rile_off", "trainer_batch", 0),
     ("rile_off", "disc_batch", 0), ("rile_off", "trainer_buffer", 1024),
     ("rile_off", "disc_buffer", 1024),
-    ("bc", "bc_holdout", -0.5), ("bc", "bc_holdout", 1.0), ("bc", "bc_holdout", 1.5)])
+    ("bc", "bc_holdout", -0.5), ("bc", "bc_holdout", 1.0), ("bc", "bc_holdout", 1.5),
+    ("rile_off", "gamma", -0.1), ("rile_off", "gamma", 1.5), ("rile_off", "tau", 0.0),
+    ("rile_off", "tau", 1.5), ("rile_off", "epsilon_greedy", 1.5),
+    ("rile_off", "action_noise", -0.1)])
 def test_bad_schedule_values_rejected_before_the_run_starts(algorithm, field, value,
                                                              tmp_path):
     cfg = RunConfig(algorithm=algorithm, **{**TINY, field: value})
@@ -374,6 +377,23 @@ def test_bad_schedule_values_rejected_before_the_run_starts(algorithm, field, va
     with pytest.raises(ValueError, match=field):
         run_training(cfg, EXPERT, str(run_dir))
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["rile_off", "airl"])
+def test_the_fixed_rates_reach_the_learners(algorithm):
+    # No run sets them: the student and the trainer learn at
+    # make_actor_critic's defaults, D and AIRL's heads at DISC_LR.
+    artifacts = run_training(RunConfig(algorithm=algorithm, **TINY), EXPERT)
+    agents = [artifacts.student, *([artifacts.trainer] if algorithm == "rile_off" else [])]
+    for agent in agents:
+        assert (agent.actor_opt.lr, agent.critic_opt.lr, agent.entropy_coef) == (3e-4, 3e-4, 0.2)
+    if algorithm == "rile_off":
+        opts = [artifacts.disc.opt]
+    else:
+        opts = [artifacts.airl.reward_opt, artifacts.airl.potential_opt]
+    assert [opt.lr for opt in opts] == [3e-5] * len(opts)
+    # every one of these Adam states stepped at its rate
+    assert all(opt.step > 0 for opt in opts + [a.actor_opt for a in agents])
 
 
 def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
