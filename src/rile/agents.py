@@ -214,8 +214,8 @@ def actor_critic_update(agent: ActorCritic, batch, actor_forward=None) -> dict:
 
     c_loss, c_grads, v = _critic_loss_grads(agent.critic, states, targets)
     adv = targets - v
-    if len(adv) > 1 and adv.std() > 1e-8:
-        adv = (adv - adv.mean()) / adv.std()
+    if len(adv) > 1 and (sd := adv.std()) > 1e-8:
+        adv = (adv - adv.mean()) / sd
     a_loss, a_grads, mean_ent = _actor_loss_grads(
         agent.actor, states, actions, advantage_weights(adv), agent.entropy_coef, actor_forward)
     if not (np.isfinite(c_loss) and np.isfinite(a_loss)):

@@ -28,14 +28,15 @@ networks and optimizer states stay the same objects for the whole run.
 
 Batch-sized scratch lives on the network: each MlpParams owns a
 Workspace, into which its forward and backward passes write the hidden
-layers' activations and the backward deltas, adam_step its two
-parameter-sized temporaries and polyak its one, so steady-state updates
-allocate no batch-sized or parameter-sized arrays but the gradients. A
+layers' activations, the backward deltas and the parameter gradient,
+adam_step its two parameter-sized temporaries and polyak its one, so
+steady-state updates allocate no batch-sized or parameter-sized arrays. A
 forward cache holds activations only: each hidden layer's activation is
 written over its pre-activation in one buffer, because ReLU's derivative
 mask z > 0 is h > 0. A forward cache stays valid until the same network's
-next forward. Network outputs and
-parameter gradients are always fresh arrays, never views of the scratch.
+next forward, and a parameter gradient, a vector laid out like .flat,
+until the same network's next backward. Network outputs are always fresh
+arrays, never views of the scratch.
 
 BLAS threads: every training run does its matmuls on one OpenBLAS thread
 (one_blas_thread), whatever its widths. Its matmuls are batches of a few
@@ -135,7 +136,7 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
     def copy(self) -> "MlpParams":
-        return _on_flat(self.flat.copy(), self)
+        return MlpParams(self.weights, self.biases)
 
 
 def _views(flat: np.ndarray, shapes):
@@ -147,15 +148,6 @@ def _views(flat: np.ndarray, shapes):
         bs.append(flat[off:off + dout])
         off += dout
     return ws, bs
-
-
-def _on_flat(flat: np.ndarray, like: MlpParams) -> MlpParams:
-    """Network with like's layout whose parameters are flat itself (no copy)."""
-    params = object.__new__(MlpParams)
-    params.flat = flat
-    params.weights, params.biases = _views(flat, [w.shape for w in like.weights])
-    params.ws = Workspace()
-    return params
 
 
 def mlp_init(dims, rng) -> MlpParams:
@@ -212,14 +204,16 @@ def mlp_forward_cached(params: MlpParams, x):
     return _forward_cached(params, _as_batch(x, params.in_dim))
 
 
-def mlp_backward(params: MlpParams, hs, upstream) -> MlpParams:
-    """Exact gradients of <output, upstream> w.r.t. the parameters, from the
+def mlp_backward(params: MlpParams, hs, upstream) -> np.ndarray:
+    """Exact gradient of <output, upstream> w.r.t. the parameters, from the
     cache hs of the forward pass mlp_forward_cached made.
 
     Each hidden layer's ReLU mask is read from its cached activation
-    (h > 0; subgradient 0 at h = 0). The gradients are summed over the
-    batch rows and returned MlpParams-shaped and fresh. The backward deltas
-    are written into params.ws, under names of their own, beside the cache.
+    (h > 0; subgradient 0 at h = 0). The gradient is summed over the batch
+    rows and returned as one vector laid out like params.flat: a row of
+    params.ws, valid until the same network's next backward. The backward
+    deltas are written into params.ws too, under names of their own,
+    beside the cache.
     """
     ub = _as_batch(upstream, params.out_dim, what="upstream gradient")
     rows = hs[0].shape[0]
@@ -227,18 +221,22 @@ def mlp_backward(params: MlpParams, hs, upstream) -> MlpParams:
         raise ValueError("input and upstream gradient batch sizes differ")
     ws = params.ws
 
-    grads = _on_flat(np.empty_like(params.flat), params)
+    grad = ws.take("grad", 1, params.flat.size)[0]
+    grad_w, grad_b = _views(grad, [w.shape for w in params.weights])
     g = ub  # gradient w.r.t. the output of layer k
     last = params.n_layers - 1
     for k in range(last, -1, -1):
         # g may be layer k's delta buffer itself
         delta = g if k == last else np.multiply(g, hs[k + 1] > 0.0,
                                                 out=ws.take(("d", k), *g.shape))
-        np.matmul(delta.T, hs[k], out=grads.weights[k])
-        np.sum(delta, axis=0, out=grads.biases[k])
+        np.matmul(delta.T, hs[k], out=grad_w[k])
+        np.sum(delta, axis=0, out=grad_b[k])
         if k:  # no gradient w.r.t. the input
-            g = np.matmul(delta, params.weights[k], out=ws.take(("d", k - 1), *hs[k].shape))
-    return grads
+            # np.dot, not matmul: a one-output net's last [rows, 1] @ [1, h]
+            # is a rank-1 product, which matmul runs in its non-BLAS loop and
+            # np.dot on BLAS, with equal bits (one product per element)
+            g = np.dot(delta, params.weights[k], out=ws.take(("d", k - 1), *hs[k].shape))
+    return grad
 
 
 # Adam's moment decay rates and denominator offset, the same for every net.
@@ -260,32 +258,33 @@ def adam_init(params: MlpParams, lr: float) -> AdamState:
     return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0, lr)
 
 
-def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> None:
-    """One bias-corrected Adam update, written in place into params.flat,
-    state.m, state.v and state.step. Its two temporaries are the rows of
-    one buffer in params.ws, so a step allocates no parameter-sized array.
+def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update from the gradient vector grad, laid
+    out like params.flat (what mlp_backward returns), written in place into
+    params.flat, state.m, state.v and state.step. Its two temporaries are
+    the rows of one buffer in params.ws, so a step allocates no
+    parameter-sized array.
 
     A gradient of the wrong size or with a non-finite value is rejected
     before anything is written."""
-    g = grads.flat
-    if params.flat.shape != g.shape:
-        raise ValueError(f"gradient has {g.size} values, "
+    if params.flat.shape != grad.shape:
+        raise ValueError(f"gradient has {grad.size} values, "
                          f"parameters have {params.flat.size}")
-    tmp, delta = params.ws.take("adam", 2, g.size)
+    tmp, delta = params.ws.take("adam", 2, grad.size)
     # the finiteness mask goes into the scratch too, as bytes of tmp
-    if not np.isfinite(g, out=tmp.view(bool)[:g.size]).all():
+    if not np.isfinite(grad, out=tmp.view(bool)[:grad.size]).all():
         raise ValueError("non-finite gradient passed to adam_step")
     t = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    # m = m*b1 + g*(1-b1); v = v*b2 + (g*(1-b2))*g;
+    # m = m*b1 + grad*(1-b1); v = v*b2 + (grad*(1-b2))*grad;
     # flat -= ((m/c1)*lr) / (sqrt(v/c2) + eps)
-    np.multiply(g, 1.0 - b1, out=tmp)
+    np.multiply(grad, 1.0 - b1, out=tmp)
     state.m *= b1
     state.m += tmp
-    np.multiply(g, 1.0 - b2, out=tmp)
-    tmp *= g
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
     state.v *= b2
     state.v += tmp
     np.divide(state.v, c2, out=tmp)

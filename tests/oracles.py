@@ -1,7 +1,8 @@
 """Reference checks that only the tests use: the flat-vector round trip, a
-zero network, a central-difference gradient checker, the closed-form
-optimal discriminator, per-block references for the discriminator's and
-AIRL's stacked losses and the two network cases the gradient tests run on."""
+central-difference gradient checker, the closed-form optimal
+discriminator, per-block references for the discriminator's and AIRL's
+stacked losses and the two network cases the gradient tests run on.
+A gradient is a vector laid out like its network's flat vector."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from rile.discriminator import LOGIT_CLAMP
-from rile.nets import MlpParams, _on_flat, mlp_backward, mlp_forward_cached
+from rile.nets import MlpParams, _views, mlp_backward, mlp_forward_cached
 
 
 def params_to_flat(params: MlpParams) -> np.ndarray:
@@ -19,31 +20,27 @@ def params_to_flat(params: MlpParams) -> np.ndarray:
 
 def flat_to_params(flat: np.ndarray, like: MlpParams) -> MlpParams:
     """Network with like's layout over a copy of flat."""
-    flat = np.array(flat, dtype=np.float64)
+    flat = np.asarray(flat, dtype=np.float64)
     if flat.shape != like.flat.shape:
         raise ValueError(f"flat vector has shape {flat.shape}, "
                          f"network needs ({like.flat.size},)")
-    return _on_flat(flat, like)
+    return MlpParams(*_views(flat, [w.shape for w in like.weights]))
 
 
-def zeros_like_params(params: MlpParams) -> MlpParams:
-    """A network with params' layout whose every value is 0."""
-    return _on_flat(np.zeros_like(params.flat), params)
-
-
-def finite_diff_check(loss_fn, params: MlpParams, analytic: MlpParams,
+def finite_diff_check(loss_fn, params: MlpParams, analytic: np.ndarray,
                       step: float = 1e-5, coords=None, rng=None) -> float:
     """Max relative error between an analytic gradient and central differences.
 
     loss_fn maps MlpParams -> scalar and must be deterministic; analytic is
-    the gradient to verify, same shape as params. Error per coordinate is
+    the gradient vector to verify, laid out like params.flat. It is copied
+    before loss_fn first runs. Error per coordinate is
     |analytic - fd| / max(1, |analytic|). coords, if given, limits the sweep
     to that many randomly chosen coordinates (rng required).
     """
     if step <= 0:
         raise ValueError("step must be positive")
     flat = params_to_flat(params)
-    aflat = params_to_flat(analytic)
+    aflat = np.array(analytic, dtype=np.float64)
     n = flat.size
     if coords is None:
         idx = np.arange(n)
@@ -94,13 +91,13 @@ def disc_per_block(params: MlpParams, xe, xs):
     """The discriminator's BCE (expert label 1, student label 0, through the
     logit clamp) and its gradients, with a separate forward and backward for
     each of the two row blocks, summed in block order."""
-    loss, grads = 0.0, zeros_like_params(params)
+    loss, grads = 0.0, np.zeros_like(params.flat)
     for x, sign in ((xe, -1.0), (xs, 1.0)):
         y, cache = mlp_forward_cached(params, x)
         term, slope = _softplus_and_slope(sign, np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP))
         loss += float(np.mean(term))
         g = np.where(np.abs(y[:, 0]) < LOGIT_CLAMP, slope / len(x), 0.0)
-        grads.flat += mlp_backward(params, cache, g[:, None]).flat
+        grads += mlp_backward(params, cache, g[:, None])
     return loss, grads
 
 
@@ -110,7 +107,7 @@ def airl_per_block(heads, expert_batch, student_batch, logp_expert, logp_student
     summed within each batch and then across the batches. V(s) runs on a
     copy of the potential, whose cache then outlives V(s')'s forward."""
     loss = 0.0
-    r_grads, v_grads = zeros_like_params(heads.reward), zeros_like_params(heads.potential)
+    r_grads, v_grads = np.zeros_like(heads.reward.flat), np.zeros_like(heads.potential.flat)
     potential_at_s = heads.potential.copy()
     for (x, sp), logp, sign in ((expert_batch, logp_expert, -1.0),
                                 (student_batch, logp_student, 1.0)):
@@ -120,10 +117,10 @@ def airl_per_block(heads, expert_batch, student_batch, logp_expert, logp_student
         term, slope = _softplus_and_slope(sign, r[:, 0] + heads.gamma * vp[:, 0] - v[:, 0] - logp)
         loss += float(np.mean(term))
         df = (slope / len(x))[:, None]
-        r_grads.flat += mlp_backward(heads.reward, c_r, df).flat
-        g_v = mlp_backward(heads.potential, c_vp, heads.gamma * df)
-        g_v.flat += mlp_backward(potential_at_s, c_v, -df).flat
-        v_grads.flat += g_v.flat
+        r_grads += mlp_backward(heads.reward, c_r, df)
+        g_v = mlp_backward(heads.potential, c_vp, heads.gamma * df).copy()
+        g_v += mlp_backward(potential_at_s, c_v, -df)
+        v_grads += g_v
     return loss, r_grads, v_grads
 
 

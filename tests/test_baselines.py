@@ -51,6 +51,8 @@ class TestAirlGradients:
         x, sp = (np.concatenate(column) for column in zip(expert, student))
         logp = np.concatenate([logp_e, logp_s])
         _, r_grads, v_grads = airl_loss_and_grads(heads, x, sp, logp, 5)
+        # each loss below runs a backward through the other head, over its gradient
+        r_grads, v_grads = r_grads.copy(), v_grads.copy()
 
         def loss(**head):
             return airl_loss_and_grads(replace(heads, **head), x, sp, logp, 5)[0]
@@ -75,11 +77,11 @@ class TestAirlGradients:
             loss, *grads = airl_loss_and_grads(
                 heads, *(np.concatenate(column) for column in zip(expert, student)),
                 np.concatenate([logp_e, logp_s]), ne)
+            grads = [g.copy() for g in grads]  # the reference reuses the heads' scratch
             ref_loss, *ref_grads = airl_per_block(heads, expert, student, logp_e, logp_s)
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             for g, ref in zip(grads, ref_grads):
-                np.testing.assert_allclose(g.flat, ref.flat, rtol=1e-12,
-                                           atol=1e-12 * np.abs(ref.flat).max())
+                np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_one_forward_and_backward_per_network(self, monkeypatch):
         rng = np.random.default_rng(13)

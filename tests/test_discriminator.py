@@ -139,7 +139,7 @@ class TestGradients:
         step = discriminator.adam_step
 
         def spy(params, grads, opt):
-            stepped.append(grads.flat.copy())
+            stepped.append(grads.copy())
             step(params, grads, opt)
 
         monkeypatch.setattr(discriminator, "adam_step", spy)
@@ -154,8 +154,8 @@ class TestGradients:
             loss = disc_update(net, xe, xs)["disc_loss"]
             ref_loss, ref_grads = disc_per_block(before, xe, xs)
             assert loss == pytest.approx(ref_loss, rel=1e-12)
-            np.testing.assert_allclose(stepped[-1], ref_grads.flat, rtol=1e-12,
-                                       atol=1e-12 * np.abs(ref_grads.flat).max())
+            np.testing.assert_allclose(stepped[-1], ref_grads, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref_grads).max())
 
     def test_one_forward_per_update(self, monkeypatch):
         calls = []

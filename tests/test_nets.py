@@ -21,7 +21,7 @@ from rile.nets import (
     save_mlp,
 )
 
-from oracles import finite_diff_check, flat_to_params, nets, params_to_flat, zeros_like_params
+from oracles import finite_diff_check, flat_to_params, nets, params_to_flat
 
 
 def single_layer(w, b):
@@ -155,14 +155,14 @@ class TestBackward:
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         p = single_layer(w, [0.0, 0.0])
         x = np.array([[0.7, -1.3]])
-        grads = mlp_backward(p, mlp_forward_cached(p, x)[1], [[1.0, 0.0]])
+        grads = flat_to_params(mlp_backward(p, mlp_forward_cached(p, x)[1], [[1.0, 0.0]]), p)
         assert np.array_equal(grads.biases[0], [1.0, 0.0])
         assert np.array_equal(grads.weights[0], np.outer([1.0, 0.0], x))
 
     def test_relu_subgradient_at_zero_is_zero(self):
         # Hidden pre-activation exactly 0: convention pins the subgradient to 0.
         p = MlpParams([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
-        grads = mlp_backward(p, mlp_forward_cached(p, [[0.0]])[1], [[1.0]])
+        grads = flat_to_params(mlp_backward(p, mlp_forward_cached(p, [[0.0]])[1], [[1.0]]), p)
         assert grads.weights[1][0, 0] == 0.0 and grads.biases[1][0] == 1.0
         assert grads.weights[0][0, 0] == 0.0
         assert grads.biases[0][0] == 0.0
@@ -198,7 +198,7 @@ class TestAdam:
         p = mlp_init([2, 3, 1], rng)
         before = params_to_flat(p)
         state = adam_init(p, lr=0.1)
-        adam_step(p, zeros_like_params(p), state)
+        adam_step(p, np.zeros_like(p.flat), state)
         assert np.array_equal(p.flat, before)
         assert state.step == 1
         assert np.array_equal(state.m, np.zeros(p.flat.size))
@@ -210,7 +210,7 @@ class TestAdam:
         p = single_layer([[2.0]], [0.0])
         g = single_layer([[1.0]], [0.0])
         st = adam_init(p, lr=0.1)
-        adam_step(p, g, st)
+        adam_step(p, g.flat, st)
         expected = 2.0 - 0.1 * 1.0 / (1.0 + 1e-8)
         assert p.weights[0][0, 0] == pytest.approx(expected, abs=1e-15)
         assert st.step == 1
@@ -223,8 +223,8 @@ class TestAdam:
         p = single_layer([[0.0]], [5.0])
         g = single_layer([[1.0]], [1.0])
         st = adam_init(p, lr=0.1)
-        adam_step(p, g, st)
-        adam_step(p, g, st)
+        adam_step(p, g.flat, st)
+        adam_step(p, g.flat, st)
         delta = 0.1 * 1.0 / (1.0 + 1e-8)
         assert st.m[1] == pytest.approx(0.9 * 0.1 + 0.1, abs=1e-15)  # flat index 1 is b0[0]
         assert st.v[1] == pytest.approx(0.999 * 0.001 + 0.001, abs=1e-15)
@@ -240,7 +240,7 @@ class TestAdam:
         g = single_layer([[1.0]], [0.0])
         g.weights[0][0, 0] = np.nan  # after construction: param validation is separate
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(p, g, adam_init(p, lr=0.1))
+            adam_step(p, g.flat, adam_init(p, lr=0.1))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "size"])
     def test_rejected_step_writes_nothing(self, bad):
@@ -250,12 +250,12 @@ class TestAdam:
         p = mlp_init(dims, rng)
         state = adam_init(p, lr=1e-2)
         for _ in range(2):
-            adam_step(p, mlp_init(dims, rng), state)
+            adam_step(p, mlp_init(dims, rng).flat, state)
         g = mlp_init([3, 5, 2] if bad == "size" else dims, rng)
         g.flat[-1] = {"nan": np.nan, "inf": np.inf, "size": 1.0}[bad]
         before = [a.tobytes() for a in (p.flat, state.m, state.v)]
         with pytest.raises(ValueError):
-            adam_step(p, g, state)
+            adam_step(p, g.flat, state)
         assert [a.tobytes() for a in (p.flat, state.m, state.v)] == before
         assert state.step == 2
 
@@ -264,7 +264,7 @@ class TestAdam:
         p = mlp_init([3, 4, 2], rng)
         shapes = [w.shape for w in p.weights]
         st = adam_init(p, lr=1e-3)
-        adam_step(p, mlp_init([3, 4, 2], rng), st)
+        adam_step(p, mlp_init([3, 4, 2], rng).flat, st)
         assert [w.shape for w in p.weights] == shapes
         assert st.m.shape == st.v.shape == p.flat.shape
 
@@ -275,7 +275,7 @@ class TestAdam:
         st = adam_init(p, lr=1e-3)
         buffers = (p.flat, st.m, st.v)
         before = [params_to_flat(p), st.m.copy(), st.v.copy()]
-        assert adam_step(p, g, st) is None
+        assert adam_step(p, g.flat, st) is None
         assert all(a is b for a, b in zip((p.flat, st.m, st.v), buffers))
         assert np.shares_memory(p.weights[0], p.flat)
         for now, then in zip(buffers, before):
@@ -291,11 +291,11 @@ class TestAdam:
         dims = [2, 128, 128, 4]
         p, g = mlp_init(dims, rng), mlp_init(dims, rng)
         state = adam_init(p, lr=1e-3)
-        adam_step(p, g, state)
+        adam_step(p, g.flat, state)
         held = p.ws._bufs.get("adam")
         tracemalloc.start()
         try:
-            adam_step(p, g, state)
+            adam_step(p, g.flat, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -312,7 +312,7 @@ class TestAdam:
         vs = [np.zeros_like(a) for a in ps]
         for t in range(1, 6):
             g = mlp_init([3, 5, 4, 2], rng)
-            adam_step(p, g, state)
+            adam_step(p, g.flat, state)
             c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             for i, ga in enumerate((*g.weights, *g.biases)):
                 ms[i] = 0.9 * ms[i] + (1.0 - 0.9) * ga
@@ -327,7 +327,7 @@ class TestAdam:
         p = single_layer([[1.0]], [0.0])
         st = adam_init(p, lr=0.1)
         for expect in (1, 2, 3):
-            adam_step(p, zeros_like_params(p), st)
+            adam_step(p, np.zeros_like(p.flat), st)
             assert st.step == expect
 
 
@@ -350,6 +350,27 @@ def test_polyak_allocates_no_parameter_vector():
     assert peak < 0.1 * target.flat.nbytes
     assert held is not None and target.ws._bufs["polyak"] is held and target.flat is flat
     assert np.array_equal(target.flat, want)
+
+
+def test_backward_allocates_less_than_one_parameter_vector():
+    # the gradient goes into a row of the network's workspace from the
+    # first backward on, so a later one allocates only its masks and small
+    # transients (a fresh gradient took the peak to 1.73 x flat.nbytes)
+    rng = np.random.default_rng(7)
+    p = mlp_init([2, 128, 128, 4], rng)
+    _, cache = mlp_forward_cached(p, rng.normal(size=(256, 2)))
+    u = rng.normal(size=(256, 4))
+    first = mlp_backward(p, cache, u).copy()
+    held = p.ws._bufs.get("grad")
+    tracemalloc.start()
+    try:
+        grad = mlp_backward(p, cache, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.flat.nbytes
+    assert held is not None and p.ws._bufs["grad"] is held and np.shares_memory(grad, held)
+    assert np.array_equal(grad, first)
 
 
 def _learner(kind, rng):
@@ -405,7 +426,7 @@ class TestFiniteDiffCheck:
             f = params_to_flat(q)
             return 0.5 * float(f @ f)
 
-        assert finite_diff_check(loss, p, p, step=1e-5) <= 1e-8
+        assert finite_diff_check(loss, p, p.flat, step=1e-5) <= 1e-8
 
     def test_bce_through_mlp(self):
         rng = np.random.default_rng(8)
@@ -434,17 +455,17 @@ class TestFiniteDiffCheck:
 
         corrupted = p.copy()
         corrupted.weights[0][0, 0] *= 2.0
-        assert finite_diff_check(loss, p, corrupted) > 0.4
+        assert finite_diff_check(loss, p, corrupted.flat) > 0.4
 
     def test_rejects_bad_step(self):
         p = single_layer([[1.0]], [0.0])
         with pytest.raises(ValueError):
-            finite_diff_check(lambda q: 0.0, p, p, step=0.0)
+            finite_diff_check(lambda q: 0.0, p, p.flat, step=0.0)
 
     def test_rejects_non_finite_loss(self):
         p = single_layer([[1.0]], [0.0])
         with pytest.raises(ValueError):
-            finite_diff_check(lambda q: np.inf, p, p)
+            finite_diff_check(lambda q: np.inf, p, p.flat)
 
 
 class TestBackpropExactnessSweep:
@@ -577,22 +598,37 @@ class TestWorkspace:
             y0, cache0 = mlp_forward_cached(fresh, x)
             grads0 = mlp_backward(fresh, cache0, u)
             ref_y, ref_g = _reference_pass(p, x, u)
-            for got, want in ((y, y0), (grads.flat, grads0.flat),
-                              (y, ref_y), (grads.flat, ref_g)):
+            for got, want in ((y, y0), (grads, grads0), (y, ref_y), (grads, ref_g)):
                 assert np.array_equal(got, want)
 
     @nets((16, 12))
     def test_results_are_fresh(self, hidden):
+        # network outputs are fresh and outlive later passes; the gradient
+        # is a row of the scratch (test_gradient_is_a_row_of_the_scratch)
         p = self.net(hidden)
         kept = []
         for x, u in self.batches():
             y, cache = mlp_forward_cached(p, x)
-            grads = mlp_backward(p, cache, u)
-            for r in (y, grads.flat):
-                assert not any(np.shares_memory(r, b) for b in p.ws._bufs.values())
-            kept.append((y, y.copy(), grads.flat, grads.flat.copy()))
-        for y, y_then, g, g_then in kept:
-            assert np.array_equal(y, y_then) and np.array_equal(g, g_then)
+            mlp_backward(p, cache, u)
+            assert not any(np.shares_memory(y, b) for b in p.ws._bufs.values())
+            kept.append((y, y.copy()))
+        for y, y_then in kept:
+            assert np.array_equal(y, y_then)
+
+    @nets((16, 12))
+    def test_gradient_is_a_row_of_the_scratch(self, hidden):
+        # mlp_backward returns one vector laid out like flat, in the same
+        # memory of the network's scratch at every batch size, and equal
+        # to the reference gradient
+        p = self.net(hidden)
+        grads = []
+        for x, u in self.batches():
+            grad = mlp_backward(p, mlp_forward_cached(p, x)[1], u)
+            assert type(grad) is np.ndarray and grad.shape == p.flat.shape
+            assert any(np.shares_memory(grad, b) for b in p.ws._bufs.values())
+            assert np.array_equal(grad, _reference_pass(p, x, u)[1])
+            grads.append(grad)
+        assert all(np.shares_memory(g, grads[0]) for g in grads)
 
     @nets((16, 12))
     def test_smaller_batches_add_no_bytes(self, hidden):
@@ -601,8 +637,9 @@ class TestWorkspace:
         for x, u in self.batches():
             mlp_backward(p, mlp_forward_cached(p, x)[1], u)
             held.append(_held(p))
-        # each hidden layer's activation and backward delta, at 256 rows
-        assert held == [2 * 256 * sum(hidden) * 8] * len(self.ROWS)
+        # each hidden layer's activation and backward delta, at 256 rows,
+        # and the gradient vector
+        assert held == [2 * 256 * sum(hidden) * 8 + p.flat.nbytes] * len(self.ROWS)
 
     @nets((16, 12))
     def test_cache_holds_one_buffer_per_hidden_layer(self, hidden):
@@ -613,13 +650,14 @@ class TestWorkspace:
         assert _held(p) == 256 * sum(hidden) * 8
 
     def test_every_network_owns_its_scratch(self):
-        # copies, loaded networks, gradients and zero networks start with
-        # scratch of their own, so a forward on one leaves another's cache
+        # copies, loaded networks and networks over a given vector start
+        # with scratch of their own, so a forward on one leaves another's
+        # cache
         p = self.net((16, 12))
         x = np.ones((4, 5))
         _, cache = mlp_forward_cached(p, x)
-        grads = mlp_backward(p, cache, np.ones((4, 3)))
-        others = [p.copy(), mlp_from_bytes(mlp_to_bytes(p)), grads, zeros_like_params(p)]
+        others = [p.copy(), mlp_from_bytes(mlp_to_bytes(p)),
+                  flat_to_params(np.zeros_like(p.flat), p)]
         assert len({id(q.ws) for q in [p, *others]}) == 1 + len(others)
         assert all(_held(q) == 0 for q in others)
         held = [h.copy() for h in cache]
@@ -629,8 +667,8 @@ class TestWorkspace:
     def test_student_update_allocates_no_batch_sized_arrays(self):
         # A 64x64 student's steady-state update at batch 256 keeps its batch
         # activations and Adam's scratch in its networks' workspaces and
-        # writes its parameters and Adam moments in place. What it still
-        # allocates is the gradients and small transients; fresh batch
+        # writes its parameters, gradients and Adam moments in place. What
+        # it still allocates is small transients; fresh batch
         # activations at every update took the peak to about 1.3 MiB.
         rng = np.random.default_rng(0)
         agent = make_actor_critic(2, 2, (64, 64), rng)

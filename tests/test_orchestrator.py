@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from rile import baselines, discriminator, nets, orchestrator
+from rile import agents, baselines, discriminator, nets, orchestrator
 from rile.agents import make_actor_critic, trainer_act
 from rile.baselines import make_airl_heads
 from rile.discriminator import DiscriminatorNet, disc_output
@@ -603,6 +603,45 @@ def test_an_update_forwards_each_network_once_per_batch(algorithm, monkeypatch):
     counted = [keys for keys in updates if keys is not None]
     assert len(counted) == (400 - 52) // 4 + 1 and all(counted)
     assert not repeats, f"forwarded twice in one update: {repeats[:3]}"
+
+
+
+@pytest.mark.parametrize("algorithm,steps", [("rile_off", 5), ("gail", 3), ("airl", 4), ("bc", None)])
+def test_each_gradient_reaches_adam_before_its_networks_next_backward(algorithm, steps,
+                                                                      monkeypatch):
+    # A gradient is a row of its network's scratch, valid until that
+    # network's next backward: every learner steps with each gradient, bits
+    # unchanged, before its network's next backward. One update (step 52,
+    # the first after warm-up) makes one backward and step per learner's
+    # network; bc runs one epoch of minibatches.
+    pending, stepped, faults = {}, [], []  # pending: id(net) -> (gradient, its bits)
+
+    def backward_spy(original):
+        def spy(params, *rest):
+            if id(params) in pending:
+                faults.append("a second backward before the step")
+            grad = original(params, *rest)
+            pending[id(params)] = (grad, grad.copy())
+            return grad
+        return spy
+
+    def step_spy(original):
+        def spy(params, grad, state):
+            held, bits = pending.pop(id(params), (None, None))
+            if grad is not held or not np.array_equal(grad, bits):
+                faults.append("a step on another gradient, or on changed bits")
+            stepped.append(params)
+            return original(params, grad, state)
+        return spy
+
+    for module in (agents, discriminator, baselines):
+        monkeypatch.setattr(module, "mlp_backward", backward_spy(module.mlp_backward))
+        monkeypatch.setattr(module, "adam_step", step_spy(module.adam_step))
+    cfg = RunConfig(algorithm=algorithm, seed=3,
+                    **{**TINY, "total_steps": 52, "bc_epochs": 1, "early_stop_success": False})
+    run_training(cfg, EXPERT)
+    assert not faults and not pending
+    assert stepped and (steps is None or len(stepped) == steps)
 
 
 def _pathway(cfg):
