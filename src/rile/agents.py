@@ -128,10 +128,10 @@ def make_actor_critic(in_dim: int, action_dim: int, hidden, rng, lr=3e-4,
                       entropy_coef=0.2, epsilon_greedy=0.0, gamma=0.99,
                       tau=0.01) -> ActorCritic:
     """Actor [in_dim, *hidden, 2 * action_dim] (means, then log-stds) and
-    critic [in_dim, *hidden, 1], initialized in that order from rng; both
-    learn at rate lr."""
-    actor = mlp_init([in_dim, *hidden, 2 * action_dim], rng)
-    critic = mlp_init([in_dim, *hidden, 1], rng)
+    critic [in_dim, *hidden, 1], float32 networks initialized in that order
+    from rng; both learn at rate lr."""
+    actor = mlp_init([in_dim, *hidden, 2 * action_dim], rng, np.float32)
+    critic = mlp_init([in_dim, *hidden, 1], rng, np.float32)
     return ActorCritic(actor, critic, critic.copy(), adam_init(actor, lr=lr),
                        adam_init(critic, lr=lr), entropy_coef=entropy_coef,
                        epsilon_greedy=epsilon_greedy, gamma=gamma, tau=tau)

@@ -61,8 +61,8 @@ class AirlHeads:
 
 def make_airl_heads(state_dim: int, action_dim: int, hidden, lr: float,
                     gamma: float, rng) -> AirlHeads:
-    reward = mlp_init([state_dim + action_dim, *hidden, 1], rng)
-    potential = mlp_init([state_dim, *hidden, 1], rng)
+    reward = mlp_init([state_dim + action_dim, *hidden, 1], rng, np.float32)
+    potential = mlp_init([state_dim, *hidden, 1], rng, np.float32)
     return AirlHeads(reward, potential, adam_init(reward, lr=lr),
                      adam_init(potential, lr=lr), gamma)
 

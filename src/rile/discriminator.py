@@ -37,7 +37,7 @@ class DiscriminatorNet:
 
 
 def make_discriminator(in_dim: int, hidden, lr: float, rng) -> DiscriminatorNet:
-    params = mlp_init([in_dim, *hidden, 1], rng)
+    params = mlp_init([in_dim, *hidden, 1], rng, np.float32)
     return DiscriminatorNet(params, adam_init(params, lr=lr))
 
 

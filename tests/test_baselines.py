@@ -9,7 +9,7 @@ from rile.baselines import _student_logp, airl_loss_and_grads, airl_update, make
 from rile.envs import ExpertDataset, MazeSpec, generate_expert, scripted_expert_episode
 from rile.orchestrator import RunConfig, expert_transition_table, run_training
 
-from oracles import airl_per_block, finite_diff_check
+from oracles import FLOAT32_RTOL, airl_per_block, finite_diff_check, float64_airl_heads
 
 
 class TestAirlPolicyTerm:
@@ -61,15 +61,15 @@ class TestAirlGradients:
         assert finite_diff_check(lambda q: loss(potential=q), heads.potential,
                                  v_grads) <= 1e-4
 
-    def test_stacked_rows_match_per_block_reference(self):
+    @staticmethod
+    def check_stacked_rows(make, rtol):
         # one forward and one backward per head over [expert; student] give
         # the loss and gradients of six per-batch, per-head passes, up to
-        # the order of floating-point sums
+        # the order of floating-point sums in the heads' dtype
         rng = np.random.default_rng(12)
         for _ in range(20):
             hidden = tuple(rng.integers(1, 24, size=rng.integers(0, 3)))
-            heads = make_airl_heads(2, 2, hidden, lr=1e-3, gamma=rng.uniform(0.5, 1.0),
-                                    rng=rng)
+            heads = make(2, 2, hidden, lr=1e-3, gamma=rng.uniform(0.5, 1.0), rng=rng)
             ne, ns = rng.integers(1, 40, size=2)
             expert, student = ((np.hstack([rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2))]),
                                 rng.normal(size=(n, 2))) for n in (ne, ns))
@@ -79,9 +79,15 @@ class TestAirlGradients:
                 np.concatenate([logp_e, logp_s]), ne)
             grads = [g.copy() for g in grads]  # the reference reuses the heads' scratch
             ref_loss, *ref_grads = airl_per_block(heads, expert, student, logp_e, logp_s)
-            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            assert loss == pytest.approx(ref_loss, rel=rtol)
             for g, ref in zip(grads, ref_grads):
-                np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+                np.testing.assert_allclose(g, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+    def test_stacked_rows_match_per_block_reference(self):
+        self.check_stacked_rows(float64_airl_heads, rtol=1e-12)
+
+    def test_stacked_rows_match_per_block_reference_in_float32(self):
+        self.check_stacked_rows(make_airl_heads, rtol=FLOAT32_RTOL)
 
     def test_one_forward_and_backward_per_network(self, monkeypatch):
         rng = np.random.default_rng(13)

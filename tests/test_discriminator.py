@@ -11,7 +11,14 @@ from rile.discriminator import (
 )
 from rile.nets import _forward_cached, mlp_init
 
-from oracles import disc_per_block, finite_diff_check, optimal_disc_oracle, params_to_flat
+from oracles import (
+    FLOAT32_RTOL,
+    disc_per_block,
+    finite_diff_check,
+    float64_discriminator,
+    optimal_disc_oracle,
+    params_to_flat,
+)
 
 
 def _bce(params, xe, xs):
@@ -91,9 +98,12 @@ class TestUpdate:
         with pytest.raises(ValueError):
             disc_update(net, np.zeros((0, 2)), np.zeros((3, 2)))
 
-    def test_returns_pre_step_loss(self):
+    @staticmethod
+    def check_pre_step_loss(make, rel):
+        # the stacked forward's diagnostics equal per-block forwards at the
+        # parameters before the step, to the rounding of the net's dtype
         rng = np.random.default_rng(12)
-        net = make_discriminator(3, (8,), lr=1e-2, rng=rng)
+        net = make(3, (8,), lr=1e-2, rng=rng)
         xe = np.hstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 1))])
         xs = np.hstack([rng.normal(size=(4, 2)), rng.normal(size=(4, 1))])
         before = DiscriminatorNet(net.params.copy(), net.opt)
@@ -103,12 +113,18 @@ class TestUpdate:
             return (-np.mean(np.log(disc_output(probe, xe)))
                     - np.mean(np.log1p(-disc_output(probe, xs))))
 
-        assert diag["disc_loss"] == pytest.approx(bce(before), rel=1e-12)
+        assert diag["disc_loss"] == pytest.approx(bce(before), rel=rel)
         assert diag["disc_loss"] != pytest.approx(bce(net), rel=1e-6)
         # the mean D over each block, also before the step
-        assert diag["disc_expert"] == pytest.approx(np.mean(disc_output(before, xe)), rel=1e-12)
-        assert diag["disc_student"] == pytest.approx(np.mean(disc_output(before, xs)), rel=1e-12)
+        assert diag["disc_expert"] == pytest.approx(np.mean(disc_output(before, xe)), rel=rel)
+        assert diag["disc_student"] == pytest.approx(np.mean(disc_output(before, xs)), rel=rel)
         assert diag["disc_expert"] != pytest.approx(np.mean(disc_output(net, xe)), rel=1e-6)
+
+    def test_returns_pre_step_loss(self):
+        self.check_pre_step_loss(float64_discriminator, rel=1e-12)
+
+    def test_returns_pre_step_loss_in_float32(self):
+        self.check_pre_step_loss(make_discriminator, rel=FLOAT32_RTOL)
 
     def test_update_counter(self):
         net = zero_disc()
@@ -131,10 +147,11 @@ class TestGradients:
 
         assert finite_diff_check(loss, params, analytic, step=1e-5) <= 1e-4
 
-    def test_stacked_update_matches_per_block_reference(self, monkeypatch):
+    @staticmethod
+    def check_stacked_update(monkeypatch, make, rtol):
         # disc_update's one forward and one BCE backward over the stacked
         # blocks give the loss and gradient of a forward and backward per
-        # block, up to the order of floating-point sums
+        # block, up to the order of floating-point sums in the net's dtype
         stepped = []
         step = discriminator.adam_step
 
@@ -146,16 +163,22 @@ class TestGradients:
         rng = np.random.default_rng(13)
         for trial in range(20):
             hidden = tuple(rng.integers(1, 24, size=rng.integers(0, 3)))
-            net = make_discriminator(4, hidden, lr=1e-3, rng=rng)
+            net = make(4, hidden, lr=1e-3, rng=rng)
             ne, ns = rng.integers(1, 40, size=2)
             xe = np.hstack([rng.normal(size=(ne, 2)), rng.uniform(-1, 1, (ne, 2))])
             xs = np.hstack([rng.normal(size=(ns, 2)), rng.uniform(-1, 1, (ns, 2))])
             before = net.params.copy()
             loss = disc_update(net, xe, xs)["disc_loss"]
             ref_loss, ref_grads = disc_per_block(before, xe, xs)
-            assert loss == pytest.approx(ref_loss, rel=1e-12)
-            np.testing.assert_allclose(stepped[-1], ref_grads, rtol=1e-12,
-                                       atol=1e-12 * np.abs(ref_grads).max())
+            assert loss == pytest.approx(ref_loss, rel=rtol)
+            np.testing.assert_allclose(stepped[-1], ref_grads, rtol=rtol,
+                                       atol=rtol * np.abs(ref_grads).max())
+
+    def test_stacked_update_matches_per_block_reference(self, monkeypatch):
+        self.check_stacked_update(monkeypatch, float64_discriminator, rtol=1e-12)
+
+    def test_stacked_update_matches_per_block_reference_in_float32(self, monkeypatch):
+        self.check_stacked_update(monkeypatch, make_discriminator, rtol=FLOAT32_RTOL)
 
     def test_one_forward_per_update(self, monkeypatch):
         calls = []

@@ -6,7 +6,8 @@ And no top-level name, method or property of src/rile/ without a caller
 in src/rile/ or bench/, no class field that nothing there reads, no
 function parameter that its body never reads, no batch scratch outside
 nets: each network owns its own, so no other module names it, no learner
-of the reward pathway read from outside it in orchestrator, no seed
+of the reward pathway read from outside it in orchestrator, float32
+named only in nets and the three learner factories, no seed
 stream that nothing reads, no call of evaluate_policy outside the one
 report routine, one ReplayBuffer construction, the one store of
 collected rows, one call of _update, in the one training loop, a loop
@@ -343,6 +344,52 @@ def test_only_nets_knows_the_scratch():
     found = {module: names for module, names in found.items() if names}
     assert not found, "batch scratch named outside nets: " + "; ".join(
         f"{module} ({', '.join(names)})" for module, names in found.items())
+
+
+# The only places outside nets that may name float32: the learner factories,
+# which build every network a run trains in it.
+FLOAT32_ALLOWED = {"agents.make_actor_critic", "discriminator.make_discriminator",
+                   "baselines.make_airl_heads"}
+_FLOAT32 = {"float32", "single", "f4", "<f4", "=f4"}
+
+
+def _float32_users(source: str, module: str) -> list:
+    """'module.Qualified.function' (or 'module.<module>') for each mention of
+    float32 in source: a name or attribute float32 or single, or a string
+    that is one of the dtype's names."""
+    found = set()
+
+    def visit(node, prefix, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                visit(child, name + ".",
+                      function or (None if isinstance(child, ast.ClassDef) else name))
+                continue
+            if ((isinstance(child, ast.Name) and child.id in _FLOAT32)
+                    or (isinstance(child, ast.Attribute) and child.attr in _FLOAT32)
+                    or (isinstance(child, ast.Constant) and child.value in _FLOAT32)):
+                found.add(f"{module}.{function or '<module>'}")
+            visit(child, prefix, function)
+
+    visit(ast.parse(source), "", None)
+    return sorted(found)
+
+
+def test_the_float32_scan_sees_names_attributes_strings_and_nesting():
+    source = ("import numpy as np\nX = np.float32\n"
+              "def f():\n    return np.zeros(1, dtype='f4')\n"
+              "class C:\n    def g(self):\n        def h():\n            return single\n"
+              "        return h\n"
+              "def k():\n    \"float32 in a docstring is prose\"\n    return np.float64\n")
+    assert _float32_users(source, "m") == ["m.<module>", "m.C.g", "m.f"]
+
+
+def test_float32_is_named_only_in_nets_and_the_learner_factories():
+    found = {user for path in sorted(PACKAGE.glob("*.py")) if path.stem != "nets"
+             for user in _float32_users(path.read_text(), path.stem)}
+    assert not found - FLOAT32_ALLOWED, "float32 named outside nets and the factories"
+    assert not FLOAT32_ALLOWED - found, "allowed to name float32, but names none"
 
 
 # Functions of orchestrator that may read the reward pathway's learners, and why.

@@ -1,13 +1,17 @@
+import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rile import agents
 from rile.agents import make_actor_critic, student_update, trainer_update
-from rile.baselines import airl_update, make_airl_heads
-from rile.discriminator import disc_update, make_discriminator
+from rile.baselines import airl_loss_and_grads, airl_update, make_airl_heads
+from rile.discriminator import _bce_loss_and_grads, disc_update, make_discriminator
 from rile.nets import (
     MlpParams,
+    _forward_cached,
     adam_init,
     adam_step,
     load_mlp,
@@ -21,7 +25,7 @@ from rile.nets import (
     save_mlp,
 )
 
-from oracles import finite_diff_check, flat_to_params, nets, params_to_flat
+from oracles import FLOAT32_RTOL, finite_diff_check, flat_to_params, nets, params_to_flat
 
 
 def single_layer(w, b):
@@ -373,6 +377,148 @@ def test_backward_allocates_less_than_one_parameter_vector():
     assert np.array_equal(grad, first)
 
 
+def test_a_second_backward_allocates_no_mask():
+    # each hidden layer's ReLU mask is written into one scratch buffer of
+    # the network's dtype, which the product then reads without a cast, so
+    # a later backward allocates only the ufunc's small cast buffer: 0.075 x
+    # flat.nbytes, where a fresh boolean mask and its float64 cast per
+    # hidden layer took the peak to 0.72 x
+    rng = np.random.default_rng(7)
+    p = mlp_init([2, 128, 128, 4], rng)
+    _, cache = mlp_forward_cached(p, rng.normal(size=(256, 2)))
+    u = rng.normal(size=(256, 4))
+    first = mlp_backward(p, cache, u).copy()
+    tracemalloc.start()
+    try:
+        grad = mlp_backward(p, cache, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * p.flat.nbytes
+    assert np.array_equal(grad, first)
+
+
+class TestPrecision:
+    """A network computes in the dtype of its parameter vector: float32 for
+    the learners' networks, float64 otherwise."""
+
+    DIMS = [3, 16, 8, 2]
+
+    def test_float32_arrays_stay_float32_and_others_become_float64(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        p32 = MlpParams([w.astype(np.float32)], [b.astype(np.float32)])
+        assert p32.flat.dtype == p32.copy().flat.dtype == p32.weights[0].dtype == np.float32
+        for ws, bs in (([w], [b]), ([w.astype(np.float32)], [b]), ([w.astype(int)], [b.astype(int)])):
+            assert MlpParams(ws, bs).flat.dtype == np.float64
+
+    def test_init_draws_in_float64_and_rounds_once(self):
+        rng64, rng32 = np.random.default_rng(3), np.random.default_rng(3)
+        p64, p32 = mlp_init(self.DIMS, rng64), mlp_init(self.DIMS, rng32, np.float32)
+        assert p32.flat.dtype == np.float32
+        assert np.array_equal(p32.flat, p64.flat.astype(np.float32))
+        assert rng64.uniform() == rng32.uniform()  # the dtype moved no draw
+
+    def test_a_float32_network_keeps_float32_inside_and_float64_outside(self):
+        rng = np.random.default_rng(4)
+        p = mlp_init(self.DIMS, rng, np.float32)
+        opt = adam_init(p, lr=1e-2)
+        y, cache = mlp_forward_cached(p, rng.normal(size=(32, 3)))
+        grad = mlp_backward(p, cache, rng.normal(size=(32, 2)))
+        adam_step(p, grad, opt)
+        polyak(p, p.copy(), 0.5)
+        assert y.dtype == np.float64 and not any(np.shares_memory(y, b)
+                                                 for b in p.ws._bufs.values())
+        arrays = [*cache, grad, opt.m, opt.v, p.flat, *p.ws._bufs.values()]
+        assert all(a.dtype == np.float32 for a in arrays)
+
+    def test_a_float32_forward_rounds_only_its_input_and_arithmetic(self):
+        rng = np.random.default_rng(5)
+        p = mlp_init(self.DIMS, rng, np.float32)
+        x = rng.normal(size=(64, 3))
+        y = mlp_forward(p, x)
+        np.testing.assert_allclose(y, mlp_forward(flat_to_params(p.flat, p), x),
+                                   rtol=FLOAT32_RTOL, atol=FLOAT32_RTOL * np.abs(y).max())
+        assert np.array_equal(y, mlp_forward(p, x.astype(np.float32)))
+
+    def test_a_float32_file_has_the_float64_layout(self, tmp_path):
+        # the payload is flat as float64, exact for float32 values: the same
+        # bytes as a float64 network of equal values, loaded back as float64
+        p = mlp_init(self.DIMS, np.random.default_rng(6), np.float32)
+        twin = flat_to_params(p.flat, p)
+        data = mlp_to_bytes(p)
+        assert data == mlp_to_bytes(twin)
+        assert len(data) == 8 + 4 + 9 * p.n_layers + 8 * p.flat.size
+        save_mlp(p, tmp_path / "net.mlp")
+        q = load_mlp(tmp_path / "net.mlp")
+        assert q.flat.dtype == np.float64 and np.array_equal(q.flat, p.flat)
+
+    def test_float64_kernels_keep_their_bits(self):
+        # a seed-fixed float64 sequence of forwards, backwards and Adam
+        # steps, hashed; the pinned value is what these kernels gave before
+        # networks could be float32, so float64 networks compute as before
+        rng = np.random.default_rng(35)
+        p = mlp_init([3, 32, 16, 2], rng)
+        state = adam_init(p, lr=1e-2)
+        h = hashlib.sha256()
+        for n in (256, 7, 1, 256, 64):
+            y, cache = mlp_forward_cached(p, 3.0 * rng.normal(size=(n, 3)))
+            grad = mlp_backward(p, cache, rng.normal(size=(n, 2)))
+            adam_step(p, grad, state)
+            for a in (y, grad, p.flat, state.m, state.v):
+                h.update(a.tobytes())
+        assert h.hexdigest() == ("b275b356627069e37c9136abda55338f"
+                                 "8b212237a5c55729165bf96c16e21997")
+
+
+def _float64(p):
+    """A float64 network of p's values."""
+    return flat_to_params(p.flat, p)
+
+
+class TestFloat32Learners:
+    """The gradients of each factory-built float32 learner equal those of
+    its float64 copy, to float32 rounding."""
+
+    N = 256
+
+    def assert_close(self, got, want):
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=FLOAT32_RTOL,
+                                   atol=FLOAT32_RTOL * np.abs(want).max())
+
+    def test_actor_critic(self):
+        rng = np.random.default_rng(40)
+        agent = make_actor_critic(3, 2, (64, 64), rng)
+        s, a = rng.normal(size=(self.N, 3)), rng.uniform(-0.95, 0.95, (self.N, 2))
+        targets = rng.normal(size=self.N)
+        weights = agents.advantage_weights(rng.normal(size=self.N))
+        for net, grads in (
+                (agent.critic, lambda q: agents._critic_loss_grads(q, s, targets)[1]),
+                (agent.actor, lambda q: agents._actor_loss_grads(q, s, a, weights, 0.2)[1])):
+            self.assert_close(grads(net).copy(), grads(_float64(net)))
+
+    def test_discriminator(self):
+        rng = np.random.default_rng(41)
+        net = make_discriminator(4, (64, 64), 1e-3, rng)
+        x = rng.normal(size=(self.N, 4))
+
+        def grads(q):
+            return _bce_loss_and_grads(q, *_forward_cached(q, x), self.N // 2)[1]
+
+        self.assert_close(grads(net.params).copy(), grads(_float64(net.params)))
+
+    def test_airl_heads(self):
+        rng = np.random.default_rng(42)
+        heads = make_airl_heads(2, 2, (64, 64), 1e-3, 0.99, rng)
+        twin = dataclasses.replace(heads, reward=_float64(heads.reward),
+                                   potential=_float64(heads.potential))
+        x, sp = rng.normal(size=(self.N, 4)), rng.normal(size=(self.N, 2))
+        logp = rng.normal(size=self.N)
+        got = [g.copy() for g in airl_loss_and_grads(heads, x, sp, logp, self.N // 2)[1:]]
+        for g, want in zip(got, airl_loss_and_grads(twin, x, sp, logp, self.N // 2)[1:]):
+            self.assert_close(g, want)
+
+
 def _learner(kind, rng):
     """(learner, its networks' attribute names, its Adam states' attribute
     names, one update of it) for a small learner of each kind."""
@@ -637,9 +783,11 @@ class TestWorkspace:
         for x, u in self.batches():
             mlp_backward(p, mlp_forward_cached(p, x)[1], u)
             held.append(_held(p))
-        # each hidden layer's activation and backward delta, at 256 rows,
-        # and the gradient vector
-        assert held == [2 * 256 * sum(hidden) * 8 + p.flat.nbytes] * len(self.ROWS)
+        # each hidden layer's activation and backward delta and one ReLU
+        # mask as wide as the widest hidden layer, at 256 rows, and the
+        # gradient vector
+        assert held == [(2 * sum(hidden) + max(hidden, default=0)) * 256 * 8
+                        + p.flat.nbytes] * len(self.ROWS)
 
     @nets((16, 12))
     def test_cache_holds_one_buffer_per_hidden_layer(self, hidden):

@@ -731,9 +731,43 @@ def test_airl_scoring_keeps_one_cache():
     reward = mlp_forward(heads.reward.copy(), np.concatenate([s, a], axis=1))[:, 0]
     v = mlp_forward(heads.potential.copy(), np.concatenate([s, sp]))[:, 0]
     assert np.array_equal(r, reward + heads.gamma * v[256:] - v[:256])
+    # each head holds its hidden activations and its input rows cast to
+    # the heads' dtype: 32,768 and 61,440 bytes in float32
     held = [sum(b.nbytes for b in net.ws._bufs.values())
             for net in (heads.reward, heads.potential)]
-    assert held == [256 * (16 + 12) * 8, 512 * (16 + 12) * 8]  # 57,344 and 114,688 bytes
+    size = heads.reward.flat.itemsize
+    assert held == [256 * (16 + 12 + 4) * size, 512 * (16 + 12 + 2) * size]
+
+
+@pytest.mark.parametrize("algorithm", ["rile_off", "gail", "airl"])
+def test_every_trained_network_is_float32(monkeypatch, algorithm):
+    # After a run, each network the pathway lists and each Adam state of
+    # its learners is float32; what the networks output is fresh float64.
+    pathways = []
+
+    class Recorded(orchestrator._RewardPathway):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pathways.append(self)
+
+    monkeypatch.setattr(orchestrator, "_RewardPathway", Recorded)
+    run_training(RunConfig(algorithm=algorithm, **TINY), EXPERT)
+    (pathway,) = pathways
+    assert len(pathway.nets) == {"rile_off": 7, "gail": 4, "airl": 5}[algorithm]
+    learners = [pathway.student, pathway.trainer, pathway.disc, pathway.airl]
+    opts = [v for learner in learners if learner is not None
+            for v in vars(learner).values() if isinstance(v, nets.AdamState)]
+    # one Adam state per network but the critic targets
+    assert len(opts) == len(pathway.nets) - 1 - (pathway.trainer is not None)
+    assert all(opt.step > 0 and opt.m.dtype == opt.v.dtype == np.float32 for opt in opts)
+    rng = np.random.default_rng(0)
+    obs, sp = rng.uniform(-1, 1, (16, OBS_DIM)), rng.uniform(0, 1, (16, 2))
+    for net in pathway.nets.values():
+        assert net.flat.dtype == np.float32
+        y = mlp_forward(net, obs[:, :net.in_dim])
+        assert y.dtype == np.float64
+        assert not any(np.shares_memory(y, b) for b in net.ws._bufs.values())
+    assert pathway.student_rewards(obs, sp).dtype == np.float64
 
 
 def test_frozen_reward_scores_on_its_own_scratch(tmp_path):
