@@ -21,6 +21,7 @@ from .agents import (
     _logprob_presquash,
     _policy_heads,
 )
+from .discriminator import logistic_loss
 from .nets import (
     AdamState,
     MlpParams,
@@ -37,15 +38,6 @@ def gail_student_reward(d):
     """-log(1 - d): monotone increasing in expert-likeness under the
     artifact-wide convention that the discriminator outputs 1 for expert."""
     return -np.log1p(-d)
-
-
-def _stable_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass
@@ -95,18 +87,14 @@ def _student_logp(student: ActorCritic, x) -> np.ndarray:
 
 
 def airl_loss_and_grads(heads: AirlHeads, x, sp, logp, n_expert: int):
-    """BCE of the structured discriminator vs labels (expert 1, student 0),
-    with exact gradients for both heads, from one forward and one backward
-    per head. x and sp stack the input rows and next states [expert;
-    student], the first n_expert rows expert; logp, the policy
-    log-densities of the same rows, is treated as a constant."""
+    """The structured discriminator's BCE, discriminator.logistic_loss of the
+    logits f - logp (expert 1, student 0), with exact gradients for both
+    heads, from one forward and one backward per head. x and sp stack the
+    input rows and next states [expert; student], the first n_expert rows
+    expert; logp, the policy log-densities of the same rows, is treated as
+    a constant, so d loss / d f is d loss / d logits."""
     f, (c_r, c_v) = airl_f_batch(heads, x, sp)
-    m = f - logp
-    me, ms = m[:n_expert], m[n_expert:]
-    loss = float(np.mean(np.logaddexp(0.0, -me)) + np.mean(np.logaddexp(0.0, ms)))
-
-    # d loss / d f: d softplus(-m) / dm on expert rows, d softplus(m) / dm on student rows
-    df = np.concatenate([-_stable_sigmoid(-me) / len(me), _stable_sigmoid(ms) / len(ms)])
+    loss, df = logistic_loss(f - logp, n_expert)
     r_grads = mlp_backward(heads.reward, c_r, df[:, None])
     dv = np.concatenate([-df, heads.gamma * df])  # d loss / d V over [s; s']
     v_grads = mlp_backward(heads.potential, c_v, dv[:, None])

@@ -2,10 +2,11 @@
 
 An input row is whatever the caller scores: in a run, the orchestrator's
 one [state, action] row. Convention fixed artifact-wide: output near 1
-means expert-like. Training is one Adam descent step per call on the
-binary cross-entropy (expert label 1, student label 0) alone: no gradient
-penalty caps D's contrast between expert and student rows, which is the
-signal the learned rewards read.
+means expert-like. Training is one Adam descent step per call on
+logistic_loss alone, the one binary cross-entropy (expert label 1, student
+label 0) that D and the AIRL baseline's structured discriminator both
+descend: no gradient penalty caps D's contrast between expert and student
+rows, which is the signal the learned rewards read.
 """
 
 from __future__ import annotations
@@ -41,9 +42,26 @@ def make_discriminator(in_dim: int, hidden, lr: float, rng) -> DiscriminatorNet:
     return DiscriminatorNet(params, adam_init(params, lr=lr))
 
 
+def sigmoid(x):
+    """1 / (1 + exp(-x)) per element, with no overflow at any finite x:
+    exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def logistic_loss(logits, ne: int):
+    """Binary cross-entropy of logits whose first ne rows are expert rows
+    (label 1) and the rest student rows (label 0), each block's mean
+    counting equally: mean softplus(-logit) over the expert rows plus mean
+    softplus(logit) over the student rows. Returns (loss, d loss / d logits)."""
+    le, ls = logits[:ne], logits[ne:]
+    loss = float(np.mean(np.logaddexp(0.0, -le)) + np.mean(np.logaddexp(0.0, ls)))
+    return loss, np.concatenate([-sigmoid(-le) / ne, sigmoid(ls) / len(ls)])
+
+
 def _expert_prob(y: np.ndarray) -> np.ndarray:
     """D per row of the forward output y, through the logit clamp."""
-    return 1.0 / (1.0 + np.exp(-np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)))
+    return sigmoid(np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP))
 
 
 def disc_output(net: DiscriminatorNet, x) -> np.ndarray:
@@ -53,22 +71,12 @@ def disc_output(net: DiscriminatorNet, x) -> np.ndarray:
     return _expert_prob(y)
 
 
-def _softplus(z):
-    return np.logaddexp(0.0, z)
-
-
 def _bce_loss_and_grads(params: MlpParams, y: np.ndarray, hs, ne: int):
     """Loss = -mean log D(expert) - mean log(1-D(student)) and its exact
     parameter gradients, through the logit clamp, from one forward (y, hs)
     whose first ne rows are expert rows and the rest student rows."""
-    logit = np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP)
-    le, ls = logit[:ne], logit[ne:]
-    loss = float(np.mean(_softplus(-le)) + np.mean(_softplus(ls)))
-
-    # d loss / d logit; clamp saturation zeroes the gradient
-    ge = -(1.0 / (1.0 + np.exp(le))) / ne
-    gs = (1.0 / (1.0 + np.exp(-ls))) / len(ls)
-    g = np.where(np.abs(y[:, 0]) < LOGIT_CLAMP, np.concatenate([ge, gs]), 0.0)
+    loss, g = logistic_loss(np.clip(y[:, 0], -LOGIT_CLAMP, LOGIT_CLAMP), ne)
+    g = np.where(np.abs(y[:, 0]) < LOGIT_CLAMP, g, 0.0)  # clamp saturation zeroes the gradient
     grads = mlp_backward(params, hs, g[:, None])
     return loss, grads
 

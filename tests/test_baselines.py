@@ -113,6 +113,30 @@ class TestAirlGradients:
                 map(id, (heads.reward, heads.potential, student.actor)))
             assert [id(p) for p in backwards] == [id(heads.reward), id(heads.potential)]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block, column", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_a_non_finite_row_is_rejected_before_any_write(self, block, column, bad):
+        # block 0 is the expert batch, 1 the student's; column 0 the input
+        # rows x = [s, a], 1 the next states
+        rng = np.random.default_rng(14)
+        heads = make_airl_heads(2, 2, (8, 8), lr=1e-3, gamma=0.9, rng=rng)
+        student = make_actor_critic(2, 2, (8, 8), rng)
+        batches = [(np.hstack([rng.normal(size=(n, 2)), rng.uniform(-1, 1, (n, 2))]),
+                    rng.normal(size=(n, 2))) for n in (6, 5)]
+        airl_update(heads, student, *batches)  # moments and step counts past their zeros
+
+        def state():
+            return [a.tobytes() for a in (heads.reward.flat, heads.potential.flat,
+                                          heads.reward_opt.m, heads.reward_opt.v,
+                                          heads.potential_opt.m, heads.potential_opt.v)
+                    ] + [heads.reward_opt.step, heads.potential_opt.step]
+
+        before = state()
+        batches[block][column][2, 1] = bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="heads unchanged"):
+            airl_update(heads, student, *batches)
+        assert state() == before
+
 
 class TestBcHoldout:
     # One scripted episode: 48 distinct states, so every row passed to a

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from rile.discriminator import (
     _bce_loss_and_grads,
     disc_output,
     disc_update,
+    logistic_loss,
     make_discriminator,
+    sigmoid,
 )
 from rile.nets import _forward_cached, mlp_init
 
@@ -126,12 +130,64 @@ class TestUpdate:
     def test_returns_pre_step_loss_in_float32(self):
         self.check_pre_step_loss(make_discriminator, rel=FLOAT32_RTOL)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["expert", "student"])
+    def test_a_non_finite_row_is_rejected_before_any_write(self, block, bad):
+        rng = np.random.default_rng(15)
+        net = make_discriminator(3, (8, 8), lr=1e-2, rng=rng)
+        xe, xs = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
+        disc_update(net, xe, xs)  # moments and step count past their initial zeros
+
+        def state():
+            return [net.params.flat.tobytes(), net.opt.m.tobytes(), net.opt.v.tobytes(),
+                    net.opt.step]
+
+        before = state()
+        (xe if block == "expert" else xs)[2, 1] = bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="network unchanged"):
+            disc_update(net, xe, xs)
+        assert state() == before
+
     def test_update_counter(self):
         net = zero_disc()
         b = np.ones((2, 2))
         disc_update(net, b, b)
         disc_update(net, b, b)
         assert net.opt.step == 2
+
+
+class TestLogisticLoss:
+    """The one BCE and sigmoid that D and AIRL share, at logits far past
+    any float64 exp range."""
+
+    def test_sigmoid_saturates_without_a_warning(self):
+        x = np.array([-1e308, -1e5, -800.0, 0.0, 800.0, 1e5, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = sigmoid(x)
+        assert p.tolist() == [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0]
+
+    def test_sigmoid_is_the_logistic_function(self):
+        x = np.linspace(-30.0, 30.0, 121)
+        np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-15)
+        np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("big", [800.0, 1e5])
+    def test_saturated_logits_give_the_exact_loss_and_limit_gradients(self, big):
+        # expert rows (label 1) right, wrong and undecided, then student
+        # rows (label 0) the same; the blocks differ in length, and each
+        # block's mean counts equally
+        ne, ns = 3, 4
+        logits = np.array([big, -big, 0.0, -big, big, 0.0, -big])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, g = logistic_loss(logits, ne)
+        # softplus(-big) is exp(-big), which is 0 in float64; softplus(0) is log 2
+        assert np.isfinite(loss)
+        assert loss == pytest.approx((big + np.log(2.0)) / ne + (big + np.log(2.0)) / ns,
+                                     rel=1e-15)
+        assert g.tolist() == [0.0, -1.0 / ne, -1.0 / (2 * ne),
+                              0.0, 1.0 / ns, 1.0 / (2 * ns), 0.0]
 
 
 class TestGradients:
