@@ -32,6 +32,7 @@ from .nets import (
 )
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
+TAU = 0.01  # the rate at which every critic target follows its critic
 
 
 def trainer_reward(d, a_t):
@@ -117,7 +118,6 @@ class ActorCritic:
     entropy_coef: float
     epsilon_greedy: float
     gamma: float
-    tau: float
 
     @property
     def action_dim(self) -> int:
@@ -125,8 +125,7 @@ class ActorCritic:
 
 
 def make_actor_critic(in_dim: int, action_dim: int, hidden, rng, lr=3e-4,
-                      entropy_coef=0.2, epsilon_greedy=0.0, gamma=0.99,
-                      tau=0.01) -> ActorCritic:
+                      entropy_coef=0.2, epsilon_greedy=0.0, gamma=0.99) -> ActorCritic:
     """Actor [in_dim, *hidden, 2 * action_dim] (means, then log-stds) and
     critic [in_dim, *hidden, 1], float32 networks initialized in that order
     from rng; both learn at rate lr."""
@@ -134,7 +133,7 @@ def make_actor_critic(in_dim: int, action_dim: int, hidden, rng, lr=3e-4,
     critic = mlp_init([in_dim, *hidden, 1], rng, np.float32)
     return ActorCritic(actor, critic, critic.copy(), adam_init(actor, lr=lr),
                        adam_init(critic, lr=lr), entropy_coef=entropy_coef,
-                       epsilon_greedy=epsilon_greedy, gamma=gamma, tau=tau)
+                       epsilon_greedy=epsilon_greedy, gamma=gamma)
 
 
 def student_act(agent: ActorCritic, state, rng=None) -> np.ndarray:
@@ -198,10 +197,10 @@ def actor_critic_update(agent: ActorCritic, batch, actor_forward=None) -> dict:
     """One actor-critic step on (s, a, r, s', done) arrays; returns its
     diagnostics. The critic regresses to r + gamma (1-done) V_target(s');
     the actor ascends the advantage-weighted log-likelihood plus the entropy
-    bonus; the target follows the critic by polyak averaging. Every network
-    is updated in place. Non-finite losses are rejected before any state is
-    touched. A given actor_forward, the actor's (output, cache) over s with
-    no actor forward since, stands in for the actor's own."""
+    bonus; the target follows the critic by polyak averaging at rate TAU.
+    Every network is updated in place. Non-finite losses are rejected before
+    any state is touched. A given actor_forward, the actor's (output, cache)
+    over s with no actor forward since, stands in for the actor's own."""
     states, actions, rewards, next_states, dones = batch
     states = np.asarray(states, dtype=np.float64)
     if len(states) == 0:
@@ -223,7 +222,7 @@ def actor_critic_update(agent: ActorCritic, batch, actor_forward=None) -> dict:
 
     adam_step(agent.critic, c_grads, agent.critic_opt)
     adam_step(agent.actor, a_grads, agent.actor_opt)
-    polyak(agent.critic_target, agent.critic, agent.tau)
+    polyak(agent.critic_target, agent.critic, TAU)
     return {"critic_loss": c_loss, "actor_loss": a_loss, "entropy": mean_ent}
 
 

@@ -4,6 +4,8 @@ A continuous 2-D obstacle maze on [0,1]^2 that rewards GOAL_REWARD at the
 goal less LIVING_COST per step (env_reward), a scripted waypoint expert for
 it, and the one table of the expert's transitions (s, a, s', episode end)
 that every learner reads; an episode's last s' is the goal state it ends in.
+MazeSpec holds both covariate shifts: start jitter, drawn by maze_reset, and
+action noise, drawn by maze_step from the rng its caller passes.
 
 Environments are value-semantic: reset/step take all state explicitly and
 share nothing, so any number of rollouts can run concurrently.
@@ -22,7 +24,9 @@ class MazeSpec:
 
     Each obstacle is (xmin, ymin, xmax, ymax). Every maze's reward, used for
     evaluation and reward-correlation metrics, is env_reward: GOAL_REWARD on
-    reaching the goal minus LIVING_COST per step.
+    reaching the goal minus LIVING_COST per step. Its two covariate shifts are
+    start_jitter, the radius of the start's disc, and action_noise, the
+    standard deviation of the Gaussian noise on each executed action.
     """
 
     obstacles: list = field(default_factory=lambda: list(DEFAULT_OBSTACLES))
@@ -32,10 +36,16 @@ class MazeSpec:
     max_steps: int = 120
     step_size: float = 0.06
     start_jitter: float = 0.0
+    action_noise: float = 0.0
 
     def __post_init__(self):
-        if self.goal_radius <= 0:
-            raise ValueError("goal radius must be positive")
+        for name, ok, rule in (("goal_radius", self.goal_radius > 0, "> 0"),
+                               ("max_steps", self.max_steps >= 1, ">= 1"),
+                               ("step_size", self.step_size > 0, "> 0"),  # < 0 inverts actions
+                               ("start_jitter", self.start_jitter >= 0, ">= 0"),
+                               ("action_noise", self.action_noise >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}")
         for name, p in (("start", self.start), ("goal", self.goal)):
             if point_in_obstacle(self, np.asarray(p, float)):
                 raise ValueError(f"{name} position lies inside an obstacle")
@@ -108,16 +118,21 @@ def _segment_obstacle_entry(p, q, box):
     return t0
 
 
-def maze_step(spec: MazeSpec, state, action):
+def maze_step(spec: MazeSpec, state, action, rng=None):
     """One kinematic step: candidate = state + step_size * clamp(action),
     clipped to the unit square; motion stops at the first obstacle face hit.
+    Given an rng, the executed action is action plus N(0, spec.action_noise)
+    noise drawn from it before the clamp; with none, or no noise, nothing
+    is drawn or added, as for the scripted expert.
 
     Returns (next_state, at_goal). Reaching the goal ends an episode; the
     step budget is the caller's, which owns episode time.
     """
     p = np.asarray(state, dtype=np.float64)
-    a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-    q = np.clip(p + spec.step_size * a, 0.0, 1.0)
+    a = np.asarray(action, dtype=np.float64)
+    if rng is not None and spec.action_noise > 0:
+        a = a + rng.normal(0.0, spec.action_noise, size=a.shape)
+    q = np.clip(p + spec.step_size * np.clip(a, -1.0, 1.0), 0.0, 1.0)
 
     t_hit, box_hit = 1.0, None
     for box in spec.obstacles:

@@ -99,38 +99,33 @@ def cpr(learned, environment) -> float:
     return float(np.clip(np.sum(xc * yc) / denom, -1.0, 1.0))
 
 
-def _run_episode(spec, student, rng, ep_seed, action_noise):
+def _run_episode(spec, student, rng, ep_seed):
     """(undiscounted environment return, whether the goal was reached) of one
-    episode of the student acting by its policy mean."""
+    episode of the student acting by its policy mean; the maze draws its noise from rng."""
     state = maze_reset(spec, ep_seed)
     total = 0.0
     for _ in range(spec.max_steps):
-        action = student_act(student, state)
-        if action_noise > 0:
-            action = action + rng.normal(0.0, action_noise, size=np.shape(action))
-        state, at_goal = maze_step(spec, state, action)
+        state, at_goal = maze_step(spec, state, student_act(student, state), rng)
         total += env_reward(at_goal)
         if at_goal:
             return total, True
     return total, False
 
 
-def evaluate_policy(spec: MazeSpec, student: ActorCritic, episodes: int, seed: int = 0,
-                    action_noise: float = 0.0):
+def evaluate_policy(spec: MazeSpec, student: ActorCritic, episodes: int, seed: int = 0):
     """(mean undiscounted environment return, fraction of episodes that
     reach the goal) of the student acting by its policy mean, from one pass
-    over the episodes.
+    over the episodes, in the maze spec with its own covariate shifts.
 
-    action_noise models a perturbed environment that corrupts executed
-    actions. With no action noise from an unjittered start, the student
-    draws nothing, so its episodes are all one episode: it is rolled once,
-    and its return and goal flag are the result.
+    With no spec.action_noise from an unjittered start, nothing is drawn,
+    so the episodes are all one episode: it is rolled once, and its return
+    and goal flag are the result.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    identical = action_noise <= 0 and spec.start_jitter <= 0
-    rolled = [_run_episode(spec, student, rng, seed * 100_003 + ep, action_noise)
+    identical = spec.action_noise <= 0 and spec.start_jitter <= 0
+    rolled = [_run_episode(spec, student, rng, seed * 100_003 + ep)
               for ep in range(1 if identical else episodes)]
     if identical:
         return float(rolled[0][0]), float(rolled[0][1])

@@ -6,7 +6,7 @@ baselines.train_bc's epochs; one loop serves rile_off, rile_on, gail and
 airl. Each pass collects one environment step with the student, scores
 it with the learned reward and, once the store is ready, makes one update
 (the student, then the discriminator or AIRL heads, then the trainer) per
-multiple of update_every in (s - n, s] at step s: n is the rows since the
+multiple of UPDATE_EVERY in (s - n, s] at step s: n is the rows since the
 learners' last chance to update, one off policy and rile_on's whole
 rollout once its episode ends. A report at each multiple of eval_every
 evaluates the student, closes the reward-metrics window, writes one
@@ -60,6 +60,7 @@ from .nets import load_mlp, mlp_forward, one_blas_thread, save_mlp
 
 ALGORITHMS = ("rile_on", "rile_off", "gail", "airl", "bc")
 DISC_LR = 3e-5  # the Adam rate of the discriminator and of AIRL's heads
+UPDATE_EVERY = 4  # the env steps per update; diagnostics rows come 25 times rarer
 
 
 class RunAborted(RuntimeError):
@@ -72,7 +73,10 @@ class RunConfig:
     """Everything a run needs; defaults follow the tuned desk-scale setup.
 
     No run varies the rates: the student and the trainer learn at
-    make_actor_critic's default lr and entropy bonus, D and AIRL's heads at DISC_LR."""
+    make_actor_critic's default lr and entropy bonus, D and AIRL's heads at DISC_LR.
+    Nor these: the discount, make_actor_critic's gamma, which AIRL's shaping
+    reads from the student; the critic targets' rate, agents.TAU; the update
+    cadence, UPDATE_EVERY. The covariate shifts are env's, a MazeSpec."""
 
     algorithm: str = "rile_off"
     env: MazeSpec = field(default_factory=MazeSpec)
@@ -83,10 +87,7 @@ class RunConfig:
     student_batch: int = 256
     trainer_batch: int = 256
     disc_batch: int = 32
-    # optimization
-    gamma: float = 0.99
-    tau: float = 0.01
-    epsilon_greedy: float = 0.2
+    epsilon_greedy: float = 0.2  # the student's chance of a uniform action
     # networks (desk-scale defaults; override per run)
     student_hidden: tuple = (64, 64)
     trainer_hidden: tuple = (64, 64)
@@ -100,13 +101,10 @@ class RunConfig:
     expert_mix_student: float = 0.0
     # schedule
     total_steps: int = 200_000
-    update_every: int = 4
     warmup_steps: int = 2_000
     eval_every: int = 10_000  # the report cadence: eval, metrics window, checkpoint
     eval_episodes: int = 10
     early_stop_success: bool = True
-    # environment perturbation (covariate shift) and frozen-reward transfer
-    action_noise: float = 0.0
     frozen_reward: str | None = None  # path of a trainer actor or an AIRL reward net
     # bc only
     bc_epochs: int = 200
@@ -125,21 +123,17 @@ class RunConfig:
                 raise ValueError(f"{name} buffer capacity {cap} < batch size {batch}")
             if cap > self.student_buffer:  # a window of the student's store
                 raise ValueError(f"{name}_buffer {cap} > student_buffer {self.student_buffer}")
-        for name in ("student_batch", "trainer_batch", "disc_batch", "update_every",
-                     "eval_episodes", "freeze_window"):
+        for name in ("student_batch", "trainer_batch", "disc_batch", "eval_episodes",
+                     "freeze_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.eval_every < 2:
             raise ValueError("eval_every must be >= 2: cpr needs two samples")
         if not 0.0 <= self.bc_holdout < 1.0:
             raise ValueError("bc_holdout must be in [0, 1)")
-        for name in ("gamma", "epsilon_greedy", "expert_mix_student"):
+        for name in ("epsilon_greedy", "expert_mix_student"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]: at 0 the critic target never moves")
-        if self.action_noise < 0:
-            raise ValueError("action_noise must be >= 0")
         if self.expert_mix_student > 0 and self.algorithm in ("rile_on", "bc"):
             raise ValueError(f"expert_mix_student mixes expert rows into off-policy batches, "
                              f"which {self.algorithm} does not sample")
@@ -242,7 +236,7 @@ class _RewardPathway:
             return
         if cfg.algorithm in ("rile_on", "rile_off"):
             self.trainer = make_actor_critic(obs_dim, 1, cfg.trainer_hidden,
-                                             streams["init_trainer"], gamma=cfg.gamma, tau=cfg.tau)
+                                             streams["init_trainer"])
             self.nets.update(_agent_nets("trainer", self.trainer))
         if cfg.algorithm in ("rile_on", "rile_off", "gail"):
             self.disc = make_discriminator(obs_dim, cfg.disc_hidden, DISC_LR,
@@ -250,7 +244,7 @@ class _RewardPathway:
             self.nets["discriminator/net.mlp"] = self.disc.params
         if cfg.algorithm == "airl":
             self.airl = baselines.make_airl_heads(
-                self.state_dim, expert.a.shape[1], cfg.disc_hidden, DISC_LR, cfg.gamma,
+                self.state_dim, expert.a.shape[1], cfg.disc_hidden, DISC_LR, student.gamma,
                 streams["init_airl"])
             self.nets.update({"airl/reward.mlp": self.airl.reward,
                               "airl/potential.mlp": self.airl.potential})
@@ -324,10 +318,7 @@ class _Collector:
     def step(self, student: ActorCritic):
         cfg = self.cfg
         action = student_act(student, self.state, self.student_rng)
-        env_action = action
-        if cfg.action_noise > 0:
-            env_action = action + self.env_rng.normal(0.0, cfg.action_noise, size=2)
-        nxt, at_goal = maze_step(cfg.env, self.state, env_action)
+        nxt, at_goal = maze_step(cfg.env, self.state, action, self.env_rng)
         self.episode_step += 1
         truncated = self.episode_step >= cfg.env.max_steps
         row = {
@@ -475,8 +466,7 @@ def _report(cfg, pathway, tracker, step, metrics_log) -> float:
     """Evaluates the student, closes the reward-metrics window if it holds
     the two steps cpr needs, and writes both as one metrics.jsonl row at
     step. Returns the goal rate."""
-    ret, rate = evaluate_policy(cfg.env, pathway.student, cfg.eval_episodes,
-                                seed=cfg.seed, action_noise=cfg.action_noise)
+    ret, rate = evaluate_policy(cfg.env, pathway.student, cfg.eval_episodes, seed=cfg.seed)
     window = tracker.close() if len(tracker.learned) >= 2 else {}
     metrics_log.write({"step": step, **window, "eval_return": ret, "goal_rate": rate,
                        "frozen": pathway.trainer_frozen})
@@ -495,7 +485,7 @@ def run_training(config: RunConfig, expert: ExpertDataset,
 
     rile_off, rile_on, gail and airl share one loop. Each pass collects
     one step into the one store and updates the learners on windows of it
-    once per multiple of update_every that the rows since their last
+    once per multiple of UPDATE_EVERY that the rows since their last
     chance to update passed (under rile_on, the rollout once its episode
     ends). bc is supervised. Each run ends with a report at its last step,
     whose metrics.jsonl row is the final eval. Every run trains on one
@@ -512,8 +502,7 @@ def run_training(config: RunConfig, expert: ExpertDataset,
 def _train(cfg: RunConfig, expert: ExpertDataset, run_dir) -> RunArtifacts:
     streams = seed_streams(cfg.seed)
     student = make_actor_critic(expert.s.shape[1], expert.a.shape[1], cfg.student_hidden,
-                                streams["init_student"], epsilon_greedy=cfg.epsilon_greedy,
-                                gamma=cfg.gamma, tau=cfg.tau)
+                                streams["init_student"], epsilon_greedy=cfg.epsilon_greedy)
     pathway = _RewardPathway(cfg, expert, student, streams)
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
@@ -551,10 +540,10 @@ def _run_loop(cfg, pathway, tracker, streams, run_dir, diag_log, metrics_log) ->
 
             replay.insert(row)
             n = replay.rollout or 1
-            updates = _crossings(step, n, cfg.update_every) if replay.ready() else 0
+            updates = _crossings(step, n, UPDATE_EVERY) if replay.ready() else 0
             for _ in range(updates):
                 diag = _update(pathway, replay, step, streams["student"])
-            if updates and _crossings(step, n, cfg.update_every * 25):
+            if updates and _crossings(step, n, UPDATE_EVERY * 25):
                 diag_log.write(diag)
 
             if step % cfg.eval_every == 0:

@@ -44,6 +44,53 @@ class TestMazeReset:
             MazeSpec(start=(0.3, 0.5))
 
 
+class TestMazeSpec:
+    # Each fails at a spec that would run silently: no step, no motion, every
+    # action inverted, or a negative radius or noise scale.
+    @pytest.mark.parametrize("field,value", [
+        ("max_steps", 0), ("step_size", 0.0), ("step_size", -0.06),
+        ("start_jitter", -0.1), ("action_noise", -0.1)])
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MazeSpec(**{field: value})
+
+
+class TestActionNoise:
+    STATES = [(0.1, 0.9), (0.5, 0.5), (0.33, 0.2), (0.95, 0.05), (0.27, 0.5)]
+    ACTIONS = [(0.3, -0.7), (0.99, 0.99), (-1.0, 1.0), (0.0, 0.0), (1.0, 0.2)]
+
+    def test_the_maze_adds_the_noise_before_its_clamp(self):
+        # uniform states, some in or at a wall, and actions at most 0.1 from
+        # the box, so that the noise pushes many of them past it
+        noisy, clean = MazeSpec(action_noise=0.2), MazeSpec()
+        rng, same, draw = (np.random.default_rng(seed) for seed in (4, 4, 5))
+        past_the_box = 0
+        for _ in range(200):
+            s, a = draw.uniform(0, 1, 2), draw.uniform(-1.1, 1.1, 2)
+            shifted = a + same.normal(0.0, 0.2, size=2)
+            got, want = maze_step(noisy, s, a, rng), maze_step(clean, s, shifted)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            past_the_box += np.abs(shifted).max() > 1
+        assert past_the_box > 20
+
+    def test_without_an_rng_a_noisy_maze_steps_like_a_clean_one(self):
+        noisy, clean = MazeSpec(action_noise=0.2), MazeSpec()
+        for s, a in zip(self.STATES, self.ACTIONS):
+            got, want = maze_step(noisy, s, a), maze_step(clean, s, a)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_zero_noise_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        maze_step(MazeSpec(), (0.5, 0.5), (0.3, 0.3), rng)
+        assert rng.uniform() == np.random.default_rng(4).uniform()
+
+    def test_the_scripted_expert_is_noise_free(self):
+        noisy = generate_expert(MazeSpec(action_noise=0.2), 2)
+        clean = generate_expert(MazeSpec(), 2)
+        for name in ("s", "a", "sp", "end"):
+            assert getattr(noisy, name).tobytes() == getattr(clean, name).tobytes()
+
+
 class TestMazeStep:
     def test_null_action(self):
         spec = MazeSpec()

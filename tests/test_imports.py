@@ -11,8 +11,9 @@ named only in nets and the three learner factories, no seed
 stream that nothing reads, no call of evaluate_policy outside the one
 report routine, one ReplayBuffer construction, the one store of
 collected rows, one call of _update, in the one training loop, a loop
-whose body names no algorithm, and one call of trainer_act, in the
-trainer's update. An allowlist entry that no longer names an exception
+whose body names no algorithm, one call of trainer_act, in the trainer's
+update, and Gaussian draws only in the two policies' samples and the
+maze's action noise. An allowlist entry that no longer names an exception
 fails too."""
 
 import ast
@@ -546,6 +547,32 @@ def test_the_training_loop_names_no_algorithm():
     # branches on no algorithm.
     found = _algorithm_names((PACKAGE / "orchestrator.py").read_text(), "_run_loop")
     assert not found, "_run_loop names an algorithm at: " + ", ".join(found)
+
+
+def _normal_draws(package: Path) -> list:
+    """'module.function' for each call of .normal in package's modules. Sorted."""
+    return [f"{path.stem}.{site}" for path in sorted(package.glob("*.py"))
+            for site in _call_sites(path.read_text(), "normal")]
+
+
+def test_the_normal_scan_sees_a_second_noise_draw(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "envs.py").write_text("def maze_step(spec, a, rng):\n"
+                                 "    return a + rng.normal(0.0, spec.noise, size=2)\n")
+    (pkg / "orch.py").write_text(
+        "class Collector:\n    def step(self, a):\n"
+        "        return a + self.env_rng.normal(0.0, 0.1, size=2)\n"
+        "def other(rng):\n    return rng.standard_normal(), normalize(rng)\n")
+    assert _normal_draws(pkg) == ["envs.maze_step", "orch.Collector.step"]
+
+
+def test_only_the_policies_and_the_maze_draw_gaussian_noise():
+    # The student's and the trainer's policy samples and the maze's action
+    # noise: a second draw of the noise in the collector or the evaluator
+    # would be a second noise path.
+    assert _normal_draws(PACKAGE) == [
+        "agents.student_act", "agents.trainer_act", "envs.maze_step"]
 
 
 def test_the_trainer_draws_its_actions_only_for_its_batches():

@@ -250,9 +250,9 @@ class TestEvaluatePolicy:
         # so its episodes are one episode, rolled once and reported as it
         # is. Noise or a jittered start roll every episode, and the result
         # equals a full roll reduced as evaluate_policy reduces it.
-        spec = MazeSpec(start_jitter=0.05) if case == "jitter" else MazeSpec()
+        spec = MazeSpec(start_jitter=0.05 if case == "jitter" else 0.0,
+                        action_noise=0.1 if case == "noise" else 0.0)
         policy = make_actor_critic(2, 2, (8,), np.random.default_rng(17))
-        noise = 0.1 if case == "noise" else 0.0
         episodes, seed = 10, 3
         original = metrics._run_episode
         calls = []
@@ -262,11 +262,11 @@ class TestEvaluatePolicy:
             return original(*args)
 
         monkeypatch.setattr(metrics, "_run_episode", spy)
-        result = evaluate_policy(spec, policy, episodes, seed, noise)
+        result = evaluate_policy(spec, policy, episodes, seed)
 
         assert len(calls) == (1 if case == "deterministic" else episodes)
         rng = np.random.default_rng(seed)
-        returns, reached = zip(*(original(spec, policy, rng, seed * 100_003 + ep, noise)
+        returns, reached = zip(*(original(spec, policy, rng, seed * 100_003 + ep)
                                  for ep in range(episodes)))
         if case == "deterministic":
             assert len(set(returns)) == 1 and len(set(reached)) == 1

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -59,6 +60,16 @@ def test_same_seed_runs_are_bit_identical(algorithm):
     assert first.metrics_rows == second.metrics_rows
     # the last row is the final eval, at the last step
     assert first.metrics_rows[-1]["step"] == first.steps_run
+
+
+def test_a_noisy_maze_run_is_pinned():
+    # The maze draws the action noise from the env stream in the collector
+    # and from the eval rng in the report; these are the bits of the same
+    # run when RunConfig held the noise and each caller added it.
+    cfg = RunConfig(algorithm="rile_off", seed=3,
+                    **{**TINY, "env": MazeSpec(max_steps=12, action_noise=0.1)})
+    digest = hashlib.sha256(b"".join(_trained_nets(run_training(cfg, EXPERT)))).hexdigest()
+    assert digest[:16] == "22d551b6ee5b7506"
 
 
 @pytest.mark.parametrize("algorithm,kind", [
@@ -133,7 +144,7 @@ def test_error_in_an_update_aborts_with_a_checkpoint(algorithm, tmp_path, monkey
     aborts = [d for d in os.listdir(tmp_path) if d.endswith("-abort")]
     assert aborts == [f"step-{step}-abort"]
     assert os.path.isfile(tmp_path / aborts[0] / "student" / "actor.mlp")
-    # rile_off updates at multiples of update_every (4) past the 50-step
+    # rile_off updates at multiples of UPDATE_EVERY (4) past the 50-step
     # warm-up: steps 52, 56 and 60; rile_on's first rollout, 12 rows ending
     # at step 12, makes 12 // 4 = 3 updates, all at step 12
     assert step == {"rile_off": 60, "rile_on": 12}[algorithm]
@@ -275,11 +286,11 @@ def test_expert_mixing_rejected_without_a_replay_buffer(algorithm, field):
 
 def test_bc_final_eval_uses_the_action_noise():
     cfg = RunConfig(algorithm="bc", seed=7, student_hidden=(16, 16), bc_epochs=30,
-                    eval_episodes=4, action_noise=0.5)
+                    eval_episodes=4, env=MazeSpec(action_noise=0.5))
     artifacts = run_training(cfg, EXPERT)
     ret, rate = evaluate_policy(cfg.env, artifacts.student, cfg.eval_episodes,
-                                seed=cfg.seed, action_noise=0.5)
-    clean_ret, _ = evaluate_policy(cfg.env, artifacts.student, cfg.eval_episodes,
+                                seed=cfg.seed)
+    clean_ret, _ = evaluate_policy(MazeSpec(), artifacts.student, cfg.eval_episodes,
                                    seed=cfg.seed)
     final = artifacts.metrics_rows[-1]
     assert (final["eval_return"], final["goal_rate"]) == (ret, rate)
@@ -360,16 +371,14 @@ def test_frozen_reward_rejected_outside_rile(algorithm):
 
 
 @pytest.mark.parametrize("algorithm,field,value", [
-    ("rile_off", "update_every", 0), ("rile_off", "eval_every", 0),
+    ("rile_off", "eval_every", 0),
     ("rile_off", "eval_every", 1), ("rile_off", "eval_episodes", 0),
     ("rile_off", "freeze_window", 0), ("rile_off", "freeze_window", -1),
     ("rile_off", "student_batch", 0), ("rile_off", "trainer_batch", 0),
     ("rile_off", "disc_batch", 0), ("rile_off", "trainer_buffer", 1024),
     ("rile_off", "disc_buffer", 1024),
     ("bc", "bc_holdout", -0.5), ("bc", "bc_holdout", 1.0), ("bc", "bc_holdout", 1.5),
-    ("rile_off", "gamma", -0.1), ("rile_off", "gamma", 1.5), ("rile_off", "tau", 0.0),
-    ("rile_off", "tau", 1.5), ("rile_off", "epsilon_greedy", 1.5),
-    ("rile_off", "action_noise", -0.1)])
+    ("rile_off", "epsilon_greedy", 1.5)])
 def test_bad_schedule_values_rejected_before_the_run_starts(algorithm, field, value,
                                                              tmp_path):
     cfg = RunConfig(algorithm=algorithm, **{**TINY, field: value})
@@ -394,6 +403,13 @@ def test_the_fixed_rates_reach_the_learners(algorithm):
     assert [opt.lr for opt in opts] == [3e-5] * len(opts)
     # every one of these Adam states stepped at its rate
     assert all(opt.step > 0 for opt in opts + [a.actor_opt for a in agents])
+
+
+def test_airl_shapes_with_the_students_discount():
+    # f = r + gamma V(s') - V(s) shapes the student's return, so its gamma
+    # is the student's: make_actor_critic's default, the one statement of it.
+    artifacts = run_training(RunConfig(algorithm="airl", **TINY), EXPERT)
+    assert artifacts.airl.gamma == artifacts.student.gamma == 0.99
 
 
 def test_frozen_trainer_samples_no_more_trainer_actions(monkeypatch):
@@ -656,7 +672,8 @@ def test_the_trainer_rewards_the_state_action_rows(monkeypatch):
     # The collector's obs column is [s, a] of each step: the state the
     # student acted in and the action it chose (not the one the noisy
     # environment executed).
-    cfg = RunConfig(algorithm="rile_off", action_noise=0.1, **TINY).validate()
+    cfg = RunConfig(algorithm="rile_off", **{**TINY, "env": MazeSpec(max_steps=12,
+                                                                    action_noise=0.1)}).validate()
     streams = orchestrator.seed_streams(0)
     student = make_actor_critic(EXPERT.s.shape[1], EXPERT.a.shape[1], cfg.student_hidden,
                                 streams["init_student"], epsilon_greedy=cfg.epsilon_greedy)
@@ -1072,7 +1089,7 @@ def test_each_rile_on_disc_batch_holds_distinct_rows_of_the_rollout(monkeypatch)
 def test_each_step_updates_once_per_multiple_of_update_every_since_the_last_chance(
         algorithm, monkeypatch):
     # One rule sets every update count: at step s, one update per multiple
-    # of update_every (4) in (s - n, s], where n is the rows since the
+    # of UPDATE_EVERY (4) in (s - n, s], where n is the rows since the
     # learners' last chance to update. Off policy n is 1, so rile_off
     # updates once on every 4th step past the 50-step warm-up. rile_on's
     # learners wait for the episode to end, so a whole rollout of n rows
@@ -1145,7 +1162,7 @@ def _first_differing_step(x, y):
 def test_seed_paired_runs_share_rollouts_until_the_first_update(monkeypatch):
     rows = {alg: _collected_rows(alg, 3, monkeypatch)
             for alg in ("rile_off", "gail", "airl", "rile_on")}
-    # Off-policy runs first update at step 52 (a multiple of update_every past
+    # Off-policy runs first update at step 52 (a multiple of UPDATE_EVERY past
     # the 50-step warm-up); rile_on first updates after its first 12-step
     # episode. Up to then every algorithm has drawn the same actions.
     first_update = 52
